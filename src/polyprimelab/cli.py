@@ -2,6 +2,11 @@
 
 Flags override config-file values; reports land in the output directory as
 deterministic JSON (integers as decimal strings), bulk data as CSV.
+
+Exit codes: 0 success; 1 bad input, infeasible scale or a failed `verify`
+check; 2 usage or config error; 3 a broken internal invariant
+(RuntimeError); 4 out of memory.  Each error prints one `error:` line to
+stderr; a failed `verify` lists its checks on stdout instead.
 """
 
 from __future__ import annotations
@@ -128,6 +133,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except RuntimeError as e:
+        print(f"error: invariant violated: {e}", file=sys.stderr)
+        return 3
+    except MemoryError as e:
+        print(f"error: out of memory: {str(e) or 'allocation failed'}", file=sys.stderr)
+        return 4
     return 2
 
 

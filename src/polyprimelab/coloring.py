@@ -41,30 +41,40 @@ class ColoringInstance:
     n: int
     num_colors: int
     provenance: str
-    elements: np.ndarray  # sorted domain elements
-    colors: np.ndarray  # aligned with elements, values in 1..m
-    _lookup: dict = field(default_factory=dict, repr=False)
+    color_at: np.ndarray  # color of each integer 0..n, 0 off the domain
 
-    def __post_init__(self):
-        if self.domain == DOMAIN_INTEGERS:
-            self._lookup = {}
-        else:
-            self._lookup = {int(x): int(c) for x, c in zip(self.elements, self.colors)}
+    @property
+    def elements(self) -> np.ndarray:
+        """Sorted domain elements."""
+        return np.flatnonzero(self.color_at)
+
+    @property
+    def colors(self) -> np.ndarray:
+        """Colors aligned with `elements`, values in 1..m."""
+        return self.color_at[self.color_at != 0]
 
     def color_of(self, x: int) -> int | None:
         """Color of x, or None when x is outside the domain."""
-        if self.domain == DOMAIN_INTEGERS:
-            if 1 <= x <= self.n:
-                return int(self.colors[x - 1])
-            return None
-        return self._lookup.get(x)
+        c = int(self.color_at[x]) if 1 <= x <= self.n else 0
+        return c or None
 
     def class_members(self, color: int) -> np.ndarray:
-        return self.elements[self.colors == color]
+        return np.flatnonzero(self.color_at == color)
 
     def class_counts(self) -> np.ndarray:
         """Counts per color, index 0 unused."""
         return np.bincount(self.colors, minlength=self.num_colors + 1)
+
+
+def _color_table(n: int, m: int, elements: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """`color_at` of a coloring of `elements` by `colors`: length n + 1, the
+    smallest unsigned dtype that holds m."""
+    dtype = np.min_scalar_type(m)
+    if dtype.kind != "u":
+        raise ValueError(f"{m} colors do not fit an unsigned integer type")
+    color_at = np.zeros(n + 1, dtype=dtype)
+    color_at[elements] = colors
+    return color_at
 
 
 def _domain_elements(domain: str, n: int) -> np.ndarray:
@@ -105,7 +115,7 @@ def make_coloring(domain: str, n: int, m: int, rule: str = "random", seed: int =
         provenance = rule
     else:
         raise ValueError(f"unknown coloring rule {rule!r}")
-    return ColoringInstance(domain, n, m, provenance, elements, colors.astype(np.int64))
+    return ColoringInstance(domain, n, m, provenance, _color_table(n, m, elements, colors))
 
 
 def blocking_partition(
@@ -136,8 +146,7 @@ def blocking_partition(
         n,
         3 * p,
         f"blocking:p={p};T={t_threshold}{note}",
-        primes,
-        colors.astype(np.int64),
+        _color_table(n, 3 * p, primes, colors),
     )
 
 
@@ -156,18 +165,16 @@ class TransferredSet:
         return v
 
     def verify_membership(self, coloring: ColoringInstance) -> bool:
-        """Recheck the defining conditions element by element."""
+        """Recheck the defining conditions for every member."""
         ctx = self.context
         half = ctx.half_psi_b
-        kw = ctx.K * ctx.W
-        lo = ctx.psi(ctx.W)
-        for xp in self.members.tolist():
-            x = ctx.W * int(xp) + half
-            if not (lo <= x <= ctx.n and (x - half) % kw == 0):
-                return False
-            if coloring.color_of(x) != self.color_index:
-                return False
-        return True
+        xs = ctx.W * self.members + half
+        admissible = (
+            (xs >= ctx.psi(ctx.W))
+            & (xs <= min(ctx.n, coloring.n))
+            & ((xs - half) % (ctx.K * ctx.W) == 0)
+        )
+        return bool(admissible.all() and (coloring.color_at[xs] == self.color_index).all())
 
 
 def _candidates(ctx: WTrickContext) -> np.ndarray:
@@ -199,14 +206,15 @@ def dense_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSe
     cand = _candidates(ctx)
     if len(cand) == 0:
         raise ScaleError("no admissible points below n")
-    counts = np.bincount(coloring.colors[cand - 1], minlength=m + 1)
+    cand_colors = coloring.color_at[cand]
+    counts = np.bincount(cand_colors, minlength=m + 1)
     best = int(np.argmax(counts[1:])) + 1  # smallest index attaining the max
     best_count = int(counts[best])
     if 4 * m * k * best_count < ctx.N:
         raise ScaleError(
             f"densest class holds {best_count} points < N/(4mK) = {ctx.N}/(4*{m}*{k})"
         )
-    members = (cand[coloring.colors[cand - 1] == best] - ctx.half_psi_b) // w
+    members = (cand[cand_colors == best] - ctx.half_psi_b) // w
     if len(members) and not (0 <= members[0] and members[-1] < ctx.N):
         raise RuntimeError("transferred member outside [0, N)")
     return TransferredSet(ctx, best, members.astype(np.int64), {"count": best_count})
@@ -226,20 +234,17 @@ def dense_prime_class(coloring: ColoringInstance, ctx: WTrickContext) -> Transfe
     m = ctx.num_colors
     if m != coloring.num_colors:
         raise ValueError("coloring color count disagrees with the context")
-    half = ctx.half_psi_b
-    kw = ctx.K * ctx.W
-    lo = max(ctx.psi(ctx.W), half)
-    primes = coloring.elements
-    sel = (primes >= lo) & (primes <= ctx.n) & (primes % kw == half % kw)
-    cand = primes[sel]
+    cand = _candidates(ctx)
+    cand_colors = coloring.color_at[cand]
+    cand, cand_colors = cand[cand_colors != 0], cand_colors[cand_colors != 0]
     if len(cand) == 0:
         raise ScaleError("no admissible primes below n")
     logs = np.log(cand.astype(np.float64))
     weights = np.zeros(m + 1)
-    np.add.at(weights, coloring.colors[sel], logs)
+    np.add.at(weights, cand_colors, logs)
     best = int(np.argmax(weights[1:])) + 1
-    threshold = (1 - float(ctx.kappa)) * ctx.n / (m * euler_phi(kw))
-    members = ((cand[coloring.colors[sel] == best] - half) // ctx.W).astype(np.int64)
+    threshold = (1 - float(ctx.kappa)) * ctx.n / (m * euler_phi(ctx.K * ctx.W))
+    members = (cand[cand_colors == best] - ctx.half_psi_b) // ctx.W
     return TransferredSet(
         ctx,
         best,
@@ -292,10 +297,6 @@ def load_coloring(path) -> ColoringInstance:
             elements.append(x)
             colors.append(c)
     el = np.asarray(elements, dtype=np.int64)
-    co = np.asarray(colors, dtype=np.int64)
-    order = np.argsort(el, kind="stable")
-    el, co = el[order], co[order]
-    expected = _domain_elements(domain, n)
-    if len(el) != len(expected) or not np.array_equal(el, expected):
+    if not np.array_equal(np.sort(el), _domain_elements(domain, n)):
         raise ValueError("coloring is not total over its declared domain")
-    return ColoringInstance(domain, n, m, rule, el, co)
+    return ColoringInstance(domain, n, m, rule, _color_table(n, m, el, colors))

@@ -28,6 +28,7 @@ from .wtrick import WTrickContext
 __all__ = [
     "LiftingError",
     "PopularityProfile",
+    "SearchVerificationError",
     "SolutionTriple",
     "find_monochromatic",
     "find_zn_solutions",
@@ -44,6 +45,10 @@ _BRUTE_LIMIT = 2048
 
 class LiftingError(ValueError):
     """A Z_N solution failed to lift to an exact integer identity."""
+
+
+class SearchVerificationError(RuntimeError):
+    """A monochromatic triple failed its exact re-check before being reported."""
 
 
 @dataclass(frozen=True)
@@ -160,46 +165,38 @@ def find_monochromatic(
     """All (or the first) monochromatic x != y with x + y = psi(z), w0*z + b0
     prime, and x, y in the coloring's domain below n.
 
-    z is enumerated in the outer loop (few admissible values), x below
-    psi(z)/2 inside.
+    z is enumerated in the outer loop (few admissible values); for each
+    admissible z the domain elements x below psi(z)/2 are paired with
+    psi(z) - x in one gather from the coloring's color table.
     """
     if psi.degree < 1 or psi.leading <= 0:
         raise ValueError("psi must have degree >= 1 and positive leading coefficient")
+    if n > coloring.n:
+        raise ValueError(f"search bound n = {n} exceeds the coloring's n = {coloring.n}")
     out: list[SolutionTriple] = []
     tail = _monotone_tail(psi)
+    color_at = coloring.color_at
+    elements = coloring.elements
     z = 0
-    int_domain = coloring.domain == "integers"
-    colors = coloring.colors if int_domain else None
     while True:
         z += 1
         s = psi(z)
         if s > 2 * n and z >= tail:
             break
-        if s > 2 * n or s < 3:
-            continue
-        if not is_prime(w0 * z + b0):
-            continue
         lo = max(1, s - n)
         hi = (s - 1) // 2  # x < y, both <= n
-        if hi < lo:
+        if s > 2 * n or hi < lo or not is_prime(w0 * z + b0):
             continue
-        if int_domain:
-            xs = np.arange(lo, hi + 1, dtype=np.int64)
-            same = colors[xs - 1] == colors[s - xs - 1]
-            hits = xs[same]
-        else:
-            prs = coloring.elements
-            i0, i1 = np.searchsorted(prs, [lo, hi + 1])
-            xs = prs[i0:i1]
-            hits = [x for x in xs.tolist() if coloring.color_of(s - x) == coloring.color_of(x)]
-        for x in [int(v) for v in hits]:
-            y = s - x
-            cx = coloring.color_of(x)
-            if cx is None or coloring.color_of(y) != cx:
-                continue
-            # re-verify in exact integers before reporting
-            assert x != y and x + y == psi(z) and is_prime(w0 * z + b0)
-            out.append(SolutionTriple(x, y, z, cx))
+        i0, i1 = np.searchsorted(elements, (lo, hi + 1))
+        xs = elements[i0:i1]
+        ys = s - xs
+        cx = color_at[xs]
+        hit = (cx == color_at[ys]) & (cx != 0)
+        for x, y, c in zip(xs[hit].tolist(), ys[hit].tolist(), cx[hit].tolist()):
+            # re-verify the array arithmetic against psi(z) in exact integers
+            if x == y or x + y != s:
+                raise SearchVerificationError(f"({x}, {y}, {z}) fails x != y, x + y = psi(z)")
+            out.append(SolutionTriple(x, y, z, c))
             if first_only:
                 return out
     return out

@@ -31,8 +31,10 @@ __all__ = [
 # Segment size for the segmented sieve; bounds peak memory for large limits.
 _SEGMENT = 8_000_000
 
-# Deterministic Miller-Rabin witnesses, exact for all n < 3.317e24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin witnesses: exact below psi_13, the
+# smallest strong pseudoprime to all of them (Sorenson & Webster 2017).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 class PrimeTable:
@@ -102,9 +104,14 @@ def sieve_primes(limit: int) -> PrimeTable:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < 3317044064679887385961981.
+
+    Larger n raise ValueError: the witness set cannot decide them.
+    """
     if n < 2:
         return False
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}, got {n}")
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p

@@ -227,16 +227,19 @@ def build_prime_coloring_measure(members, ctx: WTrickContext) -> DensityFunction
     if math.gcd(c, kw) != 1:
         raise ValueError(f"gcd(psi(b)/2, K*W) = {math.gcd(c, kw)} != 1")
     phi_ratio = euler_phi(kw) / kw
+    xs = np.asarray(members, dtype=np.int64)
+    outside = xs[(xs < 0) | (xs >= ctx.N)]
+    if len(outside):
+        raise ValueError(f"member {outside[0]} outside [0, N)")
+    # primality of W*x + c: direct tests up to the first x = s with c + W*s >= 1
+    # (s = 0 unless c <= 0), a progression sieve with offset c + W*s beyond it
+    s = max(0, -((c - 1) // ctx.W))
+    head = [is_prime(ctx.W * x + c) for x in range(min(s + 1, ctx.N))]
+    source_prime = np.concatenate((head, ap_prime_mask(c + ctx.W * s, ctx.W, ctx.N - 1 - s)))
+    xs = xs[xs % ctx.K == 0]
     values = np.zeros(ctx.N, dtype=np.complex128)
-    for x in members:
-        x = int(x)
-        if not 0 <= x < ctx.N:
-            raise ValueError(f"member {x} outside [0, N)")
-        if x % ctx.K:
-            continue
-        v = ctx.W * x + c
-        if is_prime(v):
-            values[x] = phi_ratio * math.log(v) / ctx.N
+    for x in xs[source_prime[xs]].tolist():
+        values[x] = phi_ratio * math.log(ctx.W * x + c) / ctx.N
     return DensityFunction(values)
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polyprimelab
 from polyprimelab.cli import main
 from polyprimelab.coloring import make_coloring, save_coloring
 from polyprimelab.experiments import (
@@ -121,6 +125,66 @@ class TestSearchCommand:
             ["search", "--coloring", str(path), "--out", str(tmp_path)]
         )
         assert code == 1
+
+    def test_optimized_interpreter_same_solutions(self, tmp_path):
+        # the search's exact re-check must not live in an assert that -O strips
+        col = make_coloring("integers", 400, 2, "random", 3)
+        path = tmp_path / "col.txt"
+        save_coloring(col, path)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polyprimelab.__file__)))
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": pythonpath}
+        csvs = []
+        for flags in ([], ["-O"]):
+            out = tmp_path / ("opt" if flags else "plain")
+            subprocess.run(
+                [sys.executable, *flags, "-m", "polyprimelab.cli", "search",
+                 "--coloring", str(path), "--psi", "1,1,0", "--b0", "1", "--w0", "2",
+                 "--out", str(out)],
+                check=True, env=env, capture_output=True,
+            )
+            csvs.append((out / "solutions.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        assert csvs[0].count(b"\n") > 100
+
+
+class TestErrorExitCodes:
+    TRANSFER = ["transfer", "--n", "30000", "--seed", "5"]
+    SEARCH = ["search", "--psi", "1,1,0", "--b0", "1", "--w0", "2"]
+
+    @pytest.mark.parametrize(
+        "target,error,code",
+        [
+            ("polyprimelab.counting.bohr_set", RuntimeError("Bohr bound violated"), 3),
+            ("polyprimelab.wtrick.select_bp", RuntimeError("residue scan exhausted"), 3),
+            ("polyprimelab.wtrick.compute_M", RuntimeError("cutoff search diverged"), 3),
+            ("polyprimelab.experiments.build_context", RuntimeError("invariants violated"), 3),
+            ("polyprimelab.experiments.build_poly_prime_measure", MemoryError(), 4),
+        ],
+    )
+    def test_failing_transfer_stage(self, tmp_path, monkeypatch, capsys, target, error, code):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(target, fail)
+        assert main(self.TRANSFER + ["--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "transfer.json").exists()
+
+    def test_search_verification_failure(self, tmp_path, monkeypatch, capsys):
+        from polyprimelab.counting import SearchVerificationError
+
+        def fail(*args, **kwargs):
+            raise SearchVerificationError("(2, 10, 3) fails x != y, x + y = psi(z)")
+
+        col = make_coloring("integers", 12, 1, "random", 0)
+        path = tmp_path / "mono.txt"
+        save_coloring(col, path)
+        monkeypatch.setattr("polyprimelab.experiments.find_monochromatic", fail)
+        assert main(self.SEARCH + ["--coloring", str(path), "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCounterexampleCommand:

@@ -46,6 +46,29 @@ class TestMakeColoring:
             make_coloring("integers", 10, 2, "nonsense")
 
 
+class TestColorTable:
+    @pytest.mark.parametrize(
+        "m,dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16), (70_000, np.uint32)]
+    )
+    def test_smallest_unsigned_dtype(self, m, dtype):
+        assert make_coloring("integers", 10, m, "residue:7").color_at.dtype == dtype
+
+    def test_zero_marks_outside_domain(self):
+        col = make_coloring("primes", 30, 2, "random", 4)
+        primes = set(sieve_primes(30).primes.tolist())
+        assert len(col.color_at) == 31
+        assert np.flatnonzero(col.color_at == 0).tolist() == [
+            x for x in range(31) if x not in primes
+        ]
+        ints = make_coloring("integers", 30, 2, "random", 4)
+        assert ints.color_at[0] == 0 and np.all(ints.color_at[1:] > 0)
+
+    def test_random_stream_is_int64_draw(self):
+        col = make_coloring("integers", 50, 3, "random", 5)
+        want = np.random.default_rng(5).integers(1, 4, size=50, dtype=np.int64)
+        assert np.array_equal(col.colors, want)
+
+
 class TestBlockingPartition:
     def test_class_memberships(self):
         part = blocking_partition(SIX_X2, 1, 1, 3, 100)
@@ -76,7 +99,7 @@ class TestBlockingPartition:
 class TestDenseClass:
     def test_monochrome_holds_all(self, ctx_w6):
         col = make_coloring("integers", ctx_w6.n, 2, "interval:0")  # everything color 1
-        col.colors[:] = 1
+        col.color_at[col.elements] = 1
         dens = dense_class(col, ctx_w6)
         kw = ctx_w6.K * ctx_w6.W
         half = ctx_w6.half_psi_b
@@ -132,8 +155,7 @@ class TestDenseClass:
 class TestDensePrimeClass:
     def test_monochrome(self, ctx_prime):
         col = make_coloring("primes", ctx_prime.n, 2, "random", 12)
-        col.colors[:] = 1
-        col.__post_init__()
+        col.color_at[col.elements] = 1
         dens = dense_prime_class(col, ctx_prime)
         assert dens.color_index == 1
         assert dens.meta["weighted_sum"] > 0
@@ -163,6 +185,7 @@ class TestColoringFiles:
         back = load_coloring(path)
         assert back.domain == col.domain and back.n == col.n
         assert np.array_equal(back.colors, col.colors)
+        assert back.color_at.dtype == col.color_at.dtype
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyprimelab.coloring import blocking_partition, dense_class, make_coloring
 from polyprimelab.counting import (
     LiftingError,
+    SolutionTriple,
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
@@ -19,6 +22,26 @@ from polyprimelab.polynomials import IntPolynomial
 from polyprimelab.spectral import DensityFunction, build_poly_prime_measure
 
 X2X = IntPolynomial((1, 1, 0))
+
+# Polynomials for the search property test; each exceeds 2 * 80 for z >= 100.
+SEARCH_PSIS = [(1, 1, 0), (6, 0, 0), (1, 0, 4), (1, -5, 0), (2, 3), (1, 0, 1, 0)]
+SEARCH_Z_MAX = 100
+
+
+def monochromatic_scan(coloring, psi, b0, w0, n, first_only=False):
+    """Independent oracle: the per-element scan, one color_of per candidate."""
+    out = []
+    for z in range(1, SEARCH_Z_MAX):
+        s = psi(z)
+        if not is_prime(w0 * z + b0):
+            continue
+        for x in range(max(1, s - n), (s - 1) // 2 + 1):
+            c = coloring.color_of(x)
+            if c is not None and coloring.color_of(s - x) == c:
+                out.append(SolutionTriple(x, s - x, z, c))
+                if first_only:
+                    return out
+    return out
 
 
 def exhaustive_triples(f, g, h):
@@ -122,6 +145,33 @@ class TestFindMonochromatic:
         psi = IntPolynomial((6, 0, 0))
         part = blocking_partition(psi, 1, 1, 3, 10**4)
         assert find_monochromatic(part, psi, 1, 1, 10**4) == []
+
+    @pytest.mark.parametrize("domain", ["integers", "primes"])
+    def test_bound_beyond_coloring_rejected(self, domain):
+        col = make_coloring(domain, 100, 2, "random", 0)
+        with pytest.raises(ValueError, match="exceeds"):
+            find_monochromatic(col, X2X, 1, 2, 1000)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        domain=st.sampled_from(["integers", "primes"]),
+        n=st.integers(2, 80),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        coeffs=st.sampled_from(SEARCH_PSIS),
+        progression=st.sampled_from([(1, 1), (1, 2), (3, 4), (5, 6), (2, 1)]),
+        first_only=st.booleans(),
+        shrink=st.integers(0, 10),
+    )
+    def test_matches_per_element_scan(
+        self, domain, n, m, seed, coeffs, progression, first_only, shrink
+    ):
+        col = make_coloring(domain, n, m, "random", seed)
+        psi = IntPolynomial(coeffs)
+        b0, w0 = progression
+        bound = max(1, n - shrink)
+        got = find_monochromatic(col, psi, b0, w0, bound, first_only=first_only)
+        assert got == monochromatic_scan(col, psi, b0, w0, bound, first_only)
 
     def test_prime_domain_requires_prime_pair(self):
         col = make_coloring("primes", 50, 1, "random", 0)

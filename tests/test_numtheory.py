@@ -73,6 +73,25 @@ class TestSieve:
             assert table.is_prime(int(n)) == is_prime(int(n))
 
 
+class TestIsPrimeRange:
+    # psi_12 and psi_13: the smallest strong pseudoprimes to the first 12 and
+    # 13 prime bases (Sorenson & Webster, Math. Comp. 86, 2017)
+    PSI12 = 318665857834031151167461
+    PSI13 = 3317044064679887385961981
+
+    def test_psi12_is_composite(self):
+        assert self.PSI12 == 399165290221 * 798330580441
+        assert not is_prime(self.PSI12)
+
+    def test_psi13_outside_exact_range(self):
+        assert self.PSI13 == 1287836182261 * 2575672364521
+        with pytest.raises(ValueError, match="exact only below"):
+            is_prime(self.PSI13)
+
+    def test_large_primes_below_range(self):
+        assert is_prime(2**61 - 1) and not is_prime(2**67 - 1)
+
+
 class TestEulerPhi:
     @pytest.mark.parametrize("n,expected", [(1, 1), (97, 96), (12, 4)])
     def test_examples(self, n, expected):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from polyprimelab.numtheory import euler_phi, is_prime
-from polyprimelab.polynomials import INTEGER_COLORING, IntPolynomial, rescale
+from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial, rescale
 from polyprimelab.spectral import (
     ArcDecomposition,
     CollisionError,
@@ -141,6 +141,13 @@ class TestPolyPrimeMeasure:
 
 
 class TestPrimeColoringMeasure:
+    @pytest.fixture
+    def ctx(self, request, context_suite):
+        if isinstance(request.param, str):
+            return dict(context_suite)[request.param]
+        coeffs, b0, w0 = request.param
+        return build_context(IntPolynomial(coeffs), b0, w0, 1, PRIME_COLORING, {}, 10**4)
+
     def test_empty_set(self, ctx_prime):
         assert build_prime_coloring_measure([], ctx_prime).mass == 0
 
@@ -155,6 +162,33 @@ class TestPrimeColoringMeasure:
         want = euler_phi(kw) / kw * math.log(kw * x0 + half) / ctx.N
         assert f.values[x0].real == pytest.approx(want, rel=1e-12)
         assert np.count_nonzero(f.values) == 1
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [
+            "pr-x2x4",  # member 0 maps to psi(b)/2 = 23, a prime
+            "pr-x2x-b3w4",  # K = 3
+            "pr-x3x-w2",  # K = 4
+            ((1, 3, 0), 1, 4),  # K = W = 1 with psi(b)/2 = 0
+            ((1, 3, -2), 1, 4),  # K = W = 1 with psi(b)/2 = -1
+        ],
+        indirect=True,
+    )
+    def test_matches_per_member_primality(self, ctx):
+        members = list(range(0, 4000)) + [ctx.N - 1]
+        f = build_prime_coloring_measure(members, ctx)
+        kw = ctx.K * ctx.W
+        want = np.zeros(ctx.N, dtype=np.complex128)
+        for x in members:
+            v = ctx.W * x + ctx.half_psi_b
+            if x % ctx.K == 0 and is_prime(v):
+                want[x] = euler_phi(kw) / kw * math.log(v) / ctx.N
+        assert np.array_equal(f.values, want)
+        assert (f.values[0] != 0) == is_prime(ctx.half_psi_b)
+
+    def test_member_outside_range_rejected(self, ctx_prime):
+        with pytest.raises(ValueError, match="outside"):
+            build_prime_coloring_measure([0, ctx_prime.N], ctx_prime)
 
     def test_composite_source_gets_zero(self, ctx_prime):
         ctx = ctx_prime
