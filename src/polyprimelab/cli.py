@@ -4,8 +4,9 @@ Flags override config-file values; reports land in the output directory as
 deterministic JSON (integers as decimal strings), bulk data as CSV.
 
 Exit codes: 0 success; 1 bad input, infeasible scale or a failed `verify`
-check; 2 usage or config error; 3 a broken internal invariant
-(RuntimeError); 4 out of memory.  Each error prints one `error:` line to
+check; 2 usage or config error; 3 a broken internal invariant (RuntimeError,
+or a sampled `transfer` solution that fails to lift, in which case the report
+is still written); 4 out of memory.  Each error prints one `error:` line to
 stderr; a failed `verify` lists its checks on stdout instead.
 """
 
@@ -119,8 +120,10 @@ def main(argv=None) -> int:
             write_report(report, os.path.join(out_dir, "transfer.json"))
             print(
                 f"N = {report['context']['N']}, dense class size = "
-                f"{report['dense_class']['size']}, lifted = {report['solutions_sampled']}"
+                f"{report['dense_class']['size']}, lifted = {len(report['lifted_solutions'])}"
             )
+            if report["lifting_failures"]:
+                raise RuntimeError(f"{report['lifting_failures']} sampled solution(s) failed to lift")
             return 0
         if args.command == "spectrum":
             report = run_spectrum(cfg, out_dir)

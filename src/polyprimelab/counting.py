@@ -37,10 +37,9 @@ __all__ = [
     "transference_report",
     "triple_count",
     "triple_count_bruteforce",
-    "triple_count_fourier",
 ]
 
-_BRUTE_LIMIT = 2048
+_BRUTE_LIMIT = 2048  # largest N the O(N^2) oracle accepts
 
 
 class LiftingError(ValueError):
@@ -70,7 +69,7 @@ def triple_count_bruteforce(
         raise ValueError("modulus mismatch")
     n = f.modulus
     if n > _BRUTE_LIMIT:
-        raise ValueError(f"N = {n} > {_BRUTE_LIMIT}; use the Fourier path")
+        raise ValueError(f"N = {n} > {_BRUTE_LIMIT}; use triple_count, the Fourier path")
     hv = h.values
     total = 0j
     for x in range(n):
@@ -81,9 +80,7 @@ def triple_count_bruteforce(
     return total
 
 
-def triple_count_fourier(
-    f: DensityFunction, g: DensityFunction, h: DensityFunction
-) -> complex:
+def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> complex:
     """(1/N) sum_r fhat(r) ghat(r) hhat(-r).
 
     This is the orthogonality identity matching brute force under the
@@ -95,13 +92,6 @@ def triple_count_fourier(
     hs = h.spectrum
     h_neg = np.concatenate((hs[:1], hs[1:][::-1]))
     return complex((f.spectrum * g.spectrum * h_neg).sum() / f.modulus)
-
-
-def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> complex:
-    """Brute force for small N, spectrum-based above."""
-    if f.modulus <= _BRUTE_LIMIT:
-        return triple_count_bruteforce(f, g, h)
-    return triple_count_fourier(f, g, h)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ polynomial-prime measure and the prime-coloring measure, large spectra,
 Bohr sets, smoothing, restriction norms, complete Gauss sums, arc
 classification, and weighted exponential sums.
 
-Transform convention: fhat(r) = sum_x f(x) e(-x r / N) with e(t) = exp(2 pi i t).
-Phases are always reduced with exact integer arithmetic before trig.
+Transform convention: fhat(r) = sum_x f(x) e(-x r / N) with e(t) = exp(2 pi i t),
+computed by numpy's FFT.  Every other phase is reduced with exact integer
+arithmetic before trig.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "complete_gauss_sum",
     "convolve",
     "dft",
-    "dft_chirp",
     "dft_direct",
     "idft",
     "large_spectrum",
@@ -43,7 +42,6 @@ __all__ = [
     "weighted_exp_sum",
 ]
 
-_DIRECT_LIMIT = 2048
 _DIRECT_BLOCK = 128
 
 
@@ -51,19 +49,11 @@ class CollisionError(ValueError):
     """Two support points of the polynomial-prime measure collide mod N."""
 
 
-@lru_cache(maxsize=64)
-def _phase_table(n: int) -> np.ndarray:
-    """exp(-2 pi i t / n) for t = 0..n-1."""
-    table = np.exp(-2j * np.pi * np.arange(n) / n)
-    table.setflags(write=False)
-    return table
-
-
 def dft_direct(values: np.ndarray) -> np.ndarray:
-    """O(N^2) transform by explicit summation, in row blocks."""
+    """O(N^2) transform by explicit summation, in row blocks; the oracle."""
     v = np.asarray(values, dtype=np.complex128)
     n = len(v)
-    table = _phase_table(n)
+    table = np.exp(-2j * np.pi * np.arange(n) / n)
     x = np.arange(n, dtype=np.int64)
     out = np.empty(n, dtype=np.complex128)
     for lo in range(0, n, _DIRECT_BLOCK):
@@ -73,43 +63,14 @@ def dft_direct(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
-
-
-def dft_chirp(values: np.ndarray) -> np.ndarray:
-    """Bluestein chirp transform: reindex x*r via squares, then one
-    power-of-two cyclic convolution.  Quadratic phases are reduced mod 2N in
-    exact integers before trig."""
-    v = np.asarray(values, dtype=np.complex128)
-    n = len(v)
-    if n == 1:
-        return v.copy()
-    k = np.arange(n, dtype=np.int64)
-    sq = (k * k) % (2 * n)
-    chirp = np.exp(-1j * np.pi * sq / n)
-    size = _next_pow2(2 * n - 1)
-    a = np.zeros(size, dtype=np.complex128)
-    a[:n] = v * chirp
-    b = np.zeros(size, dtype=np.complex128)
-    b[:n] = chirp.conj()
-    b[size - n + 1 :] = chirp[1:].conj()[::-1]
-    conv = np.fft.ifft(np.fft.fft(a) * np.fft.fft(b))
-    return conv[:n] * chirp
-
-
 def dft(values: np.ndarray) -> np.ndarray:
-    """Transform fhat(r) = sum_x f(x) e(-x r / N); direct for small N."""
-    v = np.asarray(values, dtype=np.complex128)
-    if len(v) <= _DIRECT_LIMIT:
-        return dft_direct(v)
-    return dft_chirp(v)
+    """Transform fhat(r) = sum_x f(x) e(-x r / N), by numpy's FFT."""
+    return np.fft.fft(np.asarray(values, dtype=np.complex128))
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
     """Inverse transform f(x) = (1/N) sum_r fhat(r) e(x r / N)."""
-    s = np.asarray(spectrum, dtype=np.complex128)
-    return dft(s.conj()).conj() / len(s)
+    return np.fft.ifft(np.asarray(spectrum, dtype=np.complex128))
 
 
 class DensityFunction:
@@ -141,6 +102,14 @@ class DensityFunction:
         return complex(self.values.sum())
 
     @classmethod
+    def from_spectrum(cls, spectrum: np.ndarray) -> "DensityFunction":
+        """idft(spectrum), keeping `spectrum` (made read-only) as its transform."""
+        f = cls(idft(spectrum))
+        f._spectrum = np.asarray(spectrum, dtype=np.complex128)
+        f._spectrum.setflags(write=False)
+        return f
+
+    @classmethod
     def zeros(cls, modulus: int) -> "DensityFunction":
         return cls(np.zeros(modulus, dtype=np.complex128))
 
@@ -166,7 +135,7 @@ def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
     """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y), via spectra."""
     if f.modulus != g.modulus:
         raise ValueError(f"modulus mismatch: {f.modulus} vs {g.modulus}")
-    return DensityFunction(idft(f.spectrum * g.spectrum))
+    return DensityFunction.from_spectrum(f.spectrum * g.spectrum)
 
 
 class PolyPrimeMeasure(DensityFunction):
@@ -297,7 +266,7 @@ def bohr_set(frequencies, eps, modulus: int, eta=None) -> BohrStructure:
     for r in freqs:
         t = (members * r) % modulus
         dist = np.minimum(t, modulus - t)
-        members = members[dist * q <= p * modulus]
+        members = members[dist <= p * modulus // q]
     members.setflags(write=False)
     if len(members) * q ** len(freqs) < p ** len(freqs) * modulus:
         raise RuntimeError(
@@ -309,7 +278,7 @@ def bohr_set(frequencies, eps, modulus: int, eta=None) -> BohrStructure:
 def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
     """f * b * b with b the normalized Bohr indicator; mass is preserved."""
     b_spec = bohr.normalized_indicator().spectrum
-    return DensityFunction(idft(f.spectrum * b_spec * b_spec))
+    return DensityFunction.from_spectrum(f.spectrum * b_spec * b_spec)
 
 
 def restriction_norm(f: DensityFunction, rho: float) -> float:

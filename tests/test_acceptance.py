@@ -14,8 +14,8 @@ from polyprimelab.counting import (
     find_zn_solutions,
     lift_solution,
     popularity,
+    triple_count,
     triple_count_bruteforce,
-    triple_count_fourier,
 )
 from polyprimelab.numtheory import euler_phi, sieve_primes
 from polyprimelab.polynomials import INTEGER_COLORING, IntPolynomial
@@ -24,7 +24,7 @@ from polyprimelab.spectral import (
     bohr_set,
     build_poly_prime_measure,
     complete_gauss_sum,
-    dft_chirp,
+    dft,
     dft_direct,
 )
 from polyprimelab.wtrick import build_context, verify_gcd_identity
@@ -47,7 +47,7 @@ def test_criterion_01_fourier_counting_equivalence():
         g = DensityFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         h = DensityFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         brute = triple_count_bruteforce(f, g, h)
-        four = triple_count_fourier(f, g, h)
+        four = triple_count(f, g, h)
         err = abs(four - brute) / max(1.0, abs(brute))
         worst = max(worst, err)
         assert err <= 1e-6
@@ -222,13 +222,13 @@ def test_criterion_10_spectral_engine():
         rng = np.random.default_rng(n)
         values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         direct = dft_direct(values)
-        chirp = dft_chirp(values)
-        err = float(np.abs(direct - chirp).max()) / float(np.abs(direct).max())
+        fast = dft(values)
+        err = float(np.abs(direct - fast).max()) / float(np.abs(direct).max())
         assert err <= 1e-9, (n, err)
     rng = np.random.default_rng(10**5)
     values = rng.standard_normal(100_003) + 1j * rng.standard_normal(100_003)
     start = time.perf_counter()
-    spec = dft_chirp(values)
+    spec = dft(values)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     assert len(spec) == 100_003

@@ -230,6 +230,31 @@ class TestTransferCommand:
             x, y, z = int(sol["x"]), int(sol["y"]), int(sol["z"])
             assert x + y == z * z + z
 
+    def test_lifting_failure_counted(self, tmp_path, monkeypatch, capsys):
+        from polyprimelab import experiments
+        from polyprimelab.counting import LiftingError
+
+        real = experiments.lift_solution
+        calls = []
+
+        def fail_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise LiftingError("nonzero gap multiplier l = 1")
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "lift_solution", fail_once)
+        assert main(["transfer", "--n", "30000", "--seed", "5", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: invariant violated: 1 ") and err.count("\n") == 1
+        report = json.loads((tmp_path / "transfer.json").read_text())
+        assert report["lifting_failures"] == "1"
+        sampled = int(report["solutions_sampled"])
+        assert sampled == len(calls) > 1
+        assert len(report["lifted_solutions"]) == sampled - 1
+        x, y, z = calls[0][:3]
+        assert {"x": str(x), "y": str(y), "z": str(z)} not in report["lifted_solutions"]
+
     def test_infeasible_scale_fails_cleanly(self, tmp_path):
         code = main(
             ["transfer", "--n", "100", "--w", "2:4,3:3,5:2", "--out", str(tmp_path)]

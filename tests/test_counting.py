@@ -14,8 +14,8 @@ from polyprimelab.counting import (
     lift_solution,
     popularity,
     transference_report,
+    triple_count,
     triple_count_bruteforce,
-    triple_count_fourier,
 )
 from polyprimelab.numtheory import is_prime
 from polyprimelab.polynomials import IntPolynomial
@@ -72,11 +72,18 @@ class TestTripleCounts:
     def test_fourier_matches_example(self):
         f = DensityFunction.indicator([1, 2], 5)
         h = DensityFunction.delta(3, 5)
-        assert triple_count_fourier(f, f, h) == pytest.approx(2, abs=1e-9)
+        assert triple_count(f, f, h) == pytest.approx(2, abs=1e-9)
 
     def test_delta_triple(self):
         d = DensityFunction.delta(0, 5)
-        assert triple_count_fourier(d, d, d) == pytest.approx(1, abs=1e-12)
+        assert triple_count(d, d, d) == pytest.approx(1, abs=1e-12)
+
+    def test_fourier_matches_bruteforce_up_to_oracle_limit(self):
+        rng = np.random.default_rng(12)
+        for n in (2, 101, 1024, 2039, 2048):
+            f, g, h = (DensityFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n)) for _ in range(3))
+            want = triple_count_bruteforce(f, g, h)
+            assert abs(triple_count(f, g, h) - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_size_limit(self):
         big = DensityFunction.zeros(4001)

@@ -16,7 +16,7 @@ from polyprimelab.spectral import (
     build_prime_coloring_measure,
     complete_gauss_sum,
     convolve,
-    dft_chirp,
+    dft,
     dft_direct,
     idft,
     large_spectrum,
@@ -68,11 +68,12 @@ class TestDft:
         assert f.spectrum[0] == pytest.approx(f.mass) == pytest.approx(2)
 
     def test_direct_vs_chirp(self):
-        for n in (3, 101, 2003, 8009):
+        # dft_direct is the oracle for the FFT path at every length
+        for n in (1, 3, 101, 2003, 8009):
             rng = np.random.default_rng(n)
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             d = dft_direct(v)
-            c = dft_chirp(v)
+            c = dft(v)
             assert float(np.abs(d - c).max()) <= 1e-9 * float(np.abs(d).max())
 
     def test_matches_definition(self):
@@ -262,6 +263,35 @@ class TestBohrSet:
         with pytest.raises(ValueError, match="rational"):
             bohr_set([1], 0.1, 11)
 
+    def test_tiny_radius_is_exact(self):
+        # dist * q with q = 10**15 overflows int64; the exact set is {0}
+        b = bohr_set([1, 7, 19], Fraction(1, 10**15), 100003)
+        assert b.members.tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "eps",
+        [
+            Fraction(1, 3),
+            Fraction(1, 8),
+            Fraction(3, 40),
+            Fraction(1, 97),
+            Fraction(10**17, 3 * 10**17 + 1),
+            Fraction(1, 10**20),
+            Fraction(2**70 - 1, 2**72),
+        ],
+    )
+    def test_matches_fraction_oracle(self, eps):
+        rng = np.random.default_rng(eps.denominator % 2**32)
+        for n in (11, 97, 211):
+            r = rng.choice(n, size=3, replace=False).tolist()
+
+            def member(x: int) -> bool:
+                # ||x r / N|| <= eps, each distance an exact fraction
+                return all(min(Fraction(x * f % n, n), 1 - Fraction(x * f % n, n)) <= eps for f in r)
+
+            want = [x for x in range(n) if member(x)]
+            assert bohr_set(r, eps, n).members.tolist() == want
+
 
 class TestSmooth:
     def test_full_bohr_averages(self):
@@ -283,6 +313,15 @@ class TestSmooth:
         out = smooth(f, b)
         want = f.spectrum * b.normalized_indicator().spectrum ** 2
         assert np.allclose(out.spectrum, want, atol=1e-9 * 101)
+
+    def test_carried_spectrum_matches_values(self):
+        rng = np.random.default_rng(10)
+        n = 1009
+        f = DensityFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        g = DensityFunction(rng.standard_normal(n))
+        for out in (smooth(f, bohr_set([3, 40], Fraction(1, 6), n)), convolve(f, g)):
+            assert not out.spectrum.flags.writeable
+            assert np.allclose(dft(out.values), out.spectrum, rtol=0, atol=1e-9 * n)
 
     def test_pointwise_diagnostic_reported(self, ctx_w6):
         m = build_poly_prime_measure(ctx_w6)
