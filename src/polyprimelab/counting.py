@@ -52,13 +52,11 @@ class SearchVerificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolutionTriple:
-    """x + y = psi(z) with x != y; modulus None means the identity holds in Z."""
+    """A lifted solution: x + y = psi(z) in the integers, with x != y."""
 
     x: int
     y: int
     z: int
-    color: int | None = None
-    modulus: int | None = None
 
 
 def triple_count_bruteforce(
@@ -151,22 +149,29 @@ def find_monochromatic(
     w0: int,
     n: int,
     first_only: bool = False,
-) -> list[SolutionTriple]:
+) -> np.ndarray:
     """All (or the first) monochromatic x != y with x + y = psi(z), w0*z + b0
     prime, and x, y in the coloring's domain below n.
 
-    z is enumerated in the outer loop (few admissible values); for each
-    admissible z the domain elements x below psi(z)/2 are paired with
-    psi(z) - x in one gather from the coloring's color table.
+    Returns an int64 array of shape (k, 4) with columns (color, x, y, z),
+    ordered by z and then x; its shape is (0, 4) without hits and (1, 4) at
+    most with first_only.  z is enumerated in the outer loop (few admissible
+    values); for each admissible z the domain elements x below psi(z)/2 are
+    paired with psi(z) - x in one gather from the coloring's color table, and
+    the hit rows are kept as array slices and joined once at the end.  Only
+    z with s = psi(z) <= 2n are searched and n <= coloring.n, so x, y, s and
+    x + y are exact in int64, and so is the closing re-check of x != y and
+    x + y = psi(z) over every row.
     """
     if psi.degree < 1 or psi.leading <= 0:
         raise ValueError("psi must have degree >= 1 and positive leading coefficient")
     if n > coloring.n:
         raise ValueError(f"search bound n = {n} exceeds the coloring's n = {coloring.n}")
-    out: list[SolutionTriple] = []
     tail = _monotone_tail(psi)
     color_at = coloring.color_at
     elements = coloring.elements
+    parts = []  # (colors, xs, ys) of the hits at each z that has any
+    zs, sums, counts = [], [], []
     z = 0
     while True:
         z += 1
@@ -181,14 +186,26 @@ def find_monochromatic(
         xs = elements[i0:i1]
         ys = s - xs
         cx = color_at[xs]
-        hit = (cx == color_at[ys]) & (cx != 0)
-        for x, y, c in zip(xs[hit].tolist(), ys[hit].tolist(), cx[hit].tolist()):
-            # re-verify the array arithmetic against psi(z) in exact integers
-            if x == y or x + y != s:
-                raise SearchVerificationError(f"({x}, {y}, {z}) fails x != y, x + y = psi(z)")
-            out.append(SolutionTriple(x, y, z, c))
+        idx = np.flatnonzero((cx == color_at[ys]) & (cx != 0))[: 1 if first_only else None]
+        if len(idx):
+            parts.append((cx[idx], xs[idx], ys[idx]))
+            zs.append(z)
+            sums.append(s)
+            counts.append(len(idx))
             if first_only:
-                return out
+                break
+    out = np.empty((sum(counts), 4), dtype=np.int64)
+    if not parts:
+        return out
+    for col in range(3):
+        np.concatenate([part[col] for part in parts], out=out[:, col])
+    out[:, 3] = np.repeat(zs, counts)
+    # re-verify the array arithmetic against psi(z), row by row
+    x, y = out[:, 1], out[:, 2]
+    bad = np.flatnonzero((x == y) | (x + y != np.repeat(sums, counts)))
+    if len(bad):
+        _, bx, by, bz = out[bad[0]].tolist()
+        raise SearchVerificationError(f"({bx}, {by}, {bz}) fails x != y, x + y = psi(z)")
     return out
 
 
@@ -337,13 +354,11 @@ def transference_report(
         a_dash = np.flatnonzero(f_smooth.values.real >= kappa / n_mod)
         kw = ctx.K * ctx.W
         amax = euler_phi(kw) / kw * math.log(kw * n_mod + ctx.psi(ctx.b)) / n_mod
-        unweighted = triple_count(
-            DensityFunction(a_set.indicator_values()),
-            DensityFunction(a_set.indicator_values()),
-            measure,
-        ).real
+        # one indicator object, so its spectrum is computed once for both slots
+        indicator = DensityFunction(a_set.indicator_values())
+        unweighted = triple_count(indicator, indicator, measure).real
         diag_unweighted = float(
-            (a_set.indicator_values()[xs] ** 2 * measure.values[(2 * xs) % n_mod]).sum().real
+            (indicator.values[xs] ** 2 * measure.values[(2 * xs) % n_mod]).sum().real
         )
         report["mass_prime_class"] = f.mass.real
         report["mass_prime_class_mark"] = 1 / (3 * ctx.num_colors * ctx.K)

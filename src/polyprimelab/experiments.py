@@ -436,7 +436,21 @@ def run_verify(cfg: ExperimentConfig, corrupt_context=None) -> tuple[bool, dict]
 # ----------------------------------------------------------------- search
 
 
-def run_search(cfg: ExperimentConfig, coloring_path, out_csv=None) -> tuple[list, dict]:
+_CSV_BLOCK = 4096  # rows formatted per write in write_solutions_csv
+
+
+def write_solutions_csv(sols: np.ndarray, path) -> None:
+    """The (k, 4) color,x,y,z rows as the bytes csv.writer writes (CRLF line
+    ends), formatted one block of rows at a time so memory stays bounded."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("color,x,y,z\r\n")
+        for i in range(0, len(sols), _CSV_BLOCK):
+            rows = sols[i : i + _CSV_BLOCK]
+            fh.write(("%d,%d,%d,%d\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def run_search(cfg: ExperimentConfig, coloring_path, out_csv=None) -> tuple[np.ndarray, dict]:
     coloring = load_coloring(coloring_path)
     sols = find_monochromatic(
         coloring, cfg.polynomial(), cfg.b0, cfg.w0, coloring.n, first_only=False
@@ -449,14 +463,9 @@ def run_search(cfg: ExperimentConfig, coloring_path, out_csv=None) -> tuple[list
         "rule": coloring.provenance,
     }
     report["solutions_found"] = len(sols)
-    report["status"] = "found" if sols else "none-found"
+    report["status"] = "found" if len(sols) else "none-found"
     if out_csv is not None:
-        os.makedirs(os.path.dirname(os.path.abspath(out_csv)), exist_ok=True)
-        with open(out_csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["color", "x", "y", "z"])
-            for t in sols:
-                writer.writerow([t.color, t.x, t.y, t.z])
+        write_solutions_csv(sols, out_csv)
     return sols, report
 
 
@@ -468,6 +477,7 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
     psi = cfg.polynomial()
     part = blocking_partition(psi, cfg.b0, cfg.w0, cfg.p, cfg.n)
     sols = find_monochromatic(part, psi, cfg.b0, cfg.w0, cfg.n, first_only=False)
+    hits_per_class = np.bincount(sols[:, 0], minlength=3 * cfg.p + 1)
     by_class = {}
     t_threshold = psi((cfg.p - cfg.b0) // cfg.w0)
     for j in range(1, 3 * cfg.p + 1):
@@ -477,7 +487,7 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
             ms = np.sort(members)
             entry["max_pair_sum"] = int(ms[-1] + ms[-2])
             entry["min_pair_sum"] = int(ms[0] + ms[1])
-        entry["empty"] = not any(t.color == j for t in sols)
+        entry["empty"] = not hits_per_class[j]
         by_class[str(j)] = entry
     report = _base_report(cfg, "counterexample")
     report["threshold_T"] = t_threshold

@@ -138,8 +138,10 @@ def select_bp(
     dpsi = psi.derivative()
     if p > coeff_bound:
         h = dpsi if variant == INTEGER_COLORING else dpsi * psi
-        ts = [t for t in range((p - 1 - b0) // w0 + 1) if 1 <= b0 + t * w0 <= p - 1]
-        t = find_nonroot(h, p, ts)
+        # the first deg(h) + 1 admissible t (1 <= b0 + t*w0 <= p-1) hold a non-root
+        t_lo = max(0, -((b0 - 1) // w0))
+        t_hi = min((p - 1 - b0) // w0, t_lo + h.degree)
+        t = find_nonroot(h, p, range(t_lo, t_hi + 1))
         return b0 + t * w0
     if variant == INTEGER_COLORING:
         if p == 2 and w0 % 2 == 0 and psi(0) % 2 and psi(1) % 2:
@@ -420,6 +422,12 @@ def build_context(
         if missing:
             raise NecessityViolationError(missing)
 
+    w_modulus = math.prod(p**e for p, e in exps.items())
+    lo = (2 * n) // w_modulus  # N > 2n/W  <=>  N >= lo + 1
+    bertrand_hi = (4 * n) // w_modulus
+    if bertrand_hi <= lo:
+        raise ScaleError(f"no room for a prime modulus: n={n}, W={w_modulus}")
+
     needed = sorted(set(_primes_upto(bound)) | set(exps))
     bp = {
         p: select_bp(psi, b0, w0, bound, p, variant, cp.get(p) if cp else None)
@@ -428,11 +436,7 @@ def build_context(
     k_factor = compute_K(bp, psi, b0, w0, bound)
     kappa = Fraction(1, 10**4 * k_factor * num_colors)
 
-    w_modulus = 1
-    congruences = []
-    for p, e in sorted(exps.items()):
-        w_modulus *= p**e
-        congruences.append(((bp[p] - b0) // w0 % p**e, p**e))
+    congruences = [((bp[p] - b0) // w0 % p**e, p**e) for p, e in sorted(exps.items())]
     b = 0
     if congruences:
         b, _ = crt(congruences)
@@ -442,10 +446,6 @@ def build_context(
             f"psi(b) = psi({b}) is odd; include p = 2 in the smooth modulus"
         )
 
-    lo = (2 * n) // w_modulus  # N > 2n/W  <=>  N >= lo + 1
-    bertrand_hi = (4 * n) // w_modulus
-    if bertrand_hi <= lo:
-        raise ScaleError(f"no room for a prime modulus: n={n}, W={w_modulus}")
     found = prime_in_interval(lo, bertrand_hi)
     if found is None:
         raise ScaleError(f"no prime in (2n/W, 4n/W] = ({lo}, {bertrand_hi}]")

@@ -1,11 +1,14 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import polyprimelab
+from polyprimelab import experiments
 from polyprimelab.cli import main
 from polyprimelab.coloring import make_coloring, save_coloring
 from polyprimelab.experiments import (
@@ -116,7 +119,18 @@ class TestSearchCommand:
         sols, report = run_search(
             config_from_sources(None, {"psi": (6, 0, 0), "b0": 1, "w0": 1}), path
         )
-        assert sols == [] and report["status"] == "none-found"
+        assert len(sols) == 0 and report["status"] == "none-found"
+
+    @pytest.mark.parametrize("rows", [0, 1, 2 * experiments._CSV_BLOCK + 3])
+    def test_csv_bytes_match_csv_writer(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        sols = rng.integers(0, 10**12, size=(rows, 4), dtype=np.int64)
+        experiments.write_solutions_csv(sols, tmp_path / "blocks.csv")
+        with open(tmp_path / "writer.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["color", "x", "y", "z"])
+            writer.writerows(sols.tolist())
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
     def test_malformed_coloring_file(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -186,6 +200,25 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_search_recheck_rejects_bad_row(self, tmp_path, monkeypatch, capsys):
+        # widen every candidate window by one element, so that x = psi(z)/2 = y
+        # enters as a hit row (at z = 2: 3 + 3 = psi(2)) and must fail x != y
+        real = np.searchsorted
+
+        def widened(a, v, *args, **kwargs):
+            i = real(a, v, *args, **kwargs)
+            return (i[0], i[1] + 1) if isinstance(v, tuple) else i
+
+        col = make_coloring("integers", 12, 1, "random", 0)
+        path = tmp_path / "mono.txt"
+        save_coloring(col, path)
+        monkeypatch.setattr(np, "searchsorted", widened)
+        out = tmp_path / "out"
+        assert main(self.SEARCH + ["--coloring", str(path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: invariant violated: (3, 3, 2) fails x != y, x + y = psi(z)\n"
+        assert not (out / "solutions.csv").exists() and not (out / "search.json").exists()
+
 
 class TestCounterexampleCommand:
     def test_blocking_instance(self, tmp_path):
@@ -216,6 +249,18 @@ class TestCounterexampleCommand:
             entry = report["classes"][str(j)]
             if "min_pair_sum" in entry:
                 assert entry["min_pair_sum"] > t
+
+
+PRIME_TRANSFER = {
+    "psi": (1, 1, 4),
+    "b0": 1,
+    "w0": 1,
+    "variant": "prime-coloring",
+    "w_config": {2: 2, 3: 1, 5: 1},
+    "n": 600_000,
+    "eta": __import__("fractions").Fraction(1, 20),
+    "seed": 3,
+}
 
 
 class TestTransferCommand:
@@ -262,20 +307,41 @@ class TestTransferCommand:
         assert code == 1
         assert not (tmp_path / "transfer.json").exists()
 
+    def test_scale_checked_before_select_bp(self, tmp_path, monkeypatch, capsys):
+        # W = 6 * 10000019 leaves no prime modulus at the default n
+        def never(*args, **kwargs):
+            pytest.fail("select_bp ran before the scale check")
+
+        monkeypatch.setattr("polyprimelab.wtrick.select_bp", never)
+        code = main(["transfer", "--w", "2:1,3:1,10000019:1", "--out", str(tmp_path)])
+        assert code == 1
+        assert "no room for a prime modulus" in capsys.readouterr().err
+        assert not (tmp_path / "transfer.json").exists()
+
+    @pytest.mark.parametrize(
+        "cfg,transforms",
+        [({"n": 30000, "seed": 5}, 4), (PRIME_TRANSFER, 7)],
+        ids=["integer", "prime"],
+    )
+    def test_length_n_transform_count(self, monkeypatch, cfg, transforms):
+        from polyprimelab import spectral
+
+        calls = []
+
+        def counted(real):
+            def wrapper(values):
+                calls.append(len(values))
+                return real(values)
+
+            return wrapper
+
+        for name in ("dft", "idft"):
+            monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
+        report = run_transfer(config_from_sources(None, cfg))
+        assert calls == [int(report["context"]["N"])] * transforms
+
     def test_prime_pipeline(self, tmp_path):
-        cfg = config_from_sources(
-            None,
-            {
-                "psi": (1, 1, 4),
-                "b0": 1,
-                "w0": 1,
-                "variant": "prime-coloring",
-                "w_config": {2: 2, 3: 1, 5: 1},
-                "n": 600_000,
-                "eta": __import__("fractions").Fraction(1, 20),
-                "seed": 3,
-            },
-        )
+        cfg = config_from_sources(None, PRIME_TRANSFER)
         report = run_transfer(cfg)
         assert report["lifting_failures"] == 0
         assert report["transference"]["mass_prime_class"] > 0

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from polyprimelab.coloring import blocking_partition, dense_class, make_coloring
 from polyprimelab.counting import (
     LiftingError,
-    SolutionTriple,
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
@@ -29,7 +28,8 @@ SEARCH_Z_MAX = 100
 
 
 def monochromatic_scan(coloring, psi, b0, w0, n, first_only=False):
-    """Independent oracle: the per-element scan, one color_of per candidate."""
+    """Independent oracle: the per-element scan, one color_of per candidate;
+    rows [color, x, y, z] in search order."""
     out = []
     for z in range(1, SEARCH_Z_MAX):
         s = psi(z)
@@ -38,7 +38,7 @@ def monochromatic_scan(coloring, psi, b0, w0, n, first_only=False):
         for x in range(max(1, s - n), (s - 1) // 2 + 1):
             c = coloring.color_of(x)
             if c is not None and coloring.color_of(s - x) == c:
-                out.append(SolutionTriple(x, s - x, z, c))
+                out.append([c, x, s - x, z])
                 if first_only:
                     return out
     return out
@@ -135,9 +135,9 @@ class TestFindMonochromatic:
     def test_hand_verified_triple(self):
         col = make_coloring("integers", 12, 1, "random", 0)
         sols = find_monochromatic(col, X2X, 1, 2, 12)
-        assert any((t.x, t.y, t.z) == (2, 10, 3) for t in sols)
-        for t in sols:
-            assert t.x != t.y and t.x + t.y == X2X(t.z) and is_prime(2 * t.z + 1)
+        assert any((x, y, z) == (2, 10, 3) for x, y, z in sols[:, 1:].tolist())
+        for x, y, z in sols[:, 1:].tolist():
+            assert x != y and x + y == X2X(z) and is_prime(2 * z + 1)
 
     def test_first_only_stops_early(self):
         col = make_coloring("integers", 12, 1, "random", 0)
@@ -146,12 +146,30 @@ class TestFindMonochromatic:
 
     def test_too_small_range_empty(self):
         col = make_coloring("integers", 1, 1, "random", 0)
-        assert find_monochromatic(col, X2X, 1, 2, 1) == []
+        assert len(find_monochromatic(col, X2X, 1, 2, 1)) == 0
 
     def test_blocking_partition_is_empty(self):
         psi = IntPolynomial((6, 0, 0))
         part = blocking_partition(psi, 1, 1, 3, 10**4)
-        assert find_monochromatic(part, psi, 1, 1, 10**4) == []
+        assert len(find_monochromatic(part, psi, 1, 1, 10**4)) == 0
+
+    def test_no_hits_is_empty_int64_array(self):
+        part = blocking_partition(IntPolynomial((6, 0, 0)), 1, 1, 3, 2000)
+        col = make_coloring("integers", 1, 1, "random", 0)
+        for sols in (
+            find_monochromatic(part, IntPolynomial((6, 0, 0)), 1, 1, 2000),
+            find_monochromatic(part, IntPolynomial((6, 0, 0)), 1, 1, 2000, first_only=True),
+            find_monochromatic(col, X2X, 1, 2, 1),
+        ):
+            assert sols.dtype == np.int64 and sols.shape == (0, 4)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_first_only_is_oracle_first_row(self, seed):
+        col = make_coloring("integers", 80, 3, "random", seed)
+        sols = find_monochromatic(col, X2X, 1, 2, 80, first_only=True)
+        want = monochromatic_scan(col, X2X, 1, 2, 80)
+        assert want and sols.dtype == np.int64 and sols.shape == (1, 4)
+        assert sols.tolist() == want[:1]
 
     @pytest.mark.parametrize("domain", ["integers", "primes"])
     def test_bound_beyond_coloring_rejected(self, domain):
@@ -178,14 +196,16 @@ class TestFindMonochromatic:
         b0, w0 = progression
         bound = max(1, n - shrink)
         got = find_monochromatic(col, psi, b0, w0, bound, first_only=first_only)
-        assert got == monochromatic_scan(col, psi, b0, w0, bound, first_only)
+        want = monochromatic_scan(col, psi, b0, w0, bound, first_only)
+        assert got.dtype == np.int64 and got.shape == (len(want), 4)
+        assert got.tolist() == want
 
     def test_prime_domain_requires_prime_pair(self):
         col = make_coloring("primes", 50, 1, "random", 0)
         # psi = x^2 + x, w0 = 2: psi(3) = 12 = 5 + 7 with 7 prime, both colored
         sols = find_monochromatic(col, X2X, 1, 2, 50)
-        assert all(is_prime(t.x) and is_prime(t.y) for t in sols)
-        assert any((t.x, t.y, t.z) == (5, 7, 3) for t in sols)
+        assert all(is_prime(x) and is_prime(y) for x, y in sols[:, 1:3].tolist())
+        assert any((x, y, z) == (5, 7, 3) for x, y, z in sols[:, 1:].tolist())
 
 
 class TestLifting:

@@ -103,6 +103,25 @@ class TestSelectBp:
     def test_small_prime_coloring(self):
         assert select_bp(X2X, 1, 4, 20, 3, PRIME_COLORING, cp=1) == 5
 
+    @pytest.mark.parametrize("variant", [INTEGER_COLORING, PRIME_COLORING])
+    def test_large_prime_passes_few_candidates(self, monkeypatch, variant):
+        from polyprimelab import wtrick
+
+        p = 10000019
+        assert is_prime(p)
+        h = X2.derivative() if variant == INTEGER_COLORING else X2.derivative() * X2
+        seen = []
+
+        def recording(poly, q, candidates):
+            seen.append(list(candidates))
+            return find_nonroot(poly, q, seen[-1])
+
+        monkeypatch.setattr(wtrick, "find_nonroot", recording)
+        bp = select_bp(X2, 1, 2, 3, p, variant)
+        assert len(seen) == 1 and 1 <= len(seen[0]) <= h.degree + 1
+        t = next(t for t in range(p) if h(t) % p)  # t = 1: 0 is a root of both h
+        assert bp == 1 + 2 * t
+
     def test_missing_cp(self):
         with pytest.raises(NecessityViolationError):
             select_bp(X2X, 1, 4, 20, 3, PRIME_COLORING, cp=None)
