@@ -1,7 +1,8 @@
 """Command-line front end: verify | search | counterexample | transfer | spectrum.
 
-Flags override config-file values; reports land in the output directory as
-deterministic JSON (integers as decimal strings), bulk data as CSV.
+Flags override config-file values and go through the config file's parsers,
+so a bad value gets the same message either way.  Reports land in the output
+directory as deterministic JSON (integers as decimal strings), bulk data as CSV.
 
 Exit codes: 0 success; 1 bad input, infeasible scale or a failed `verify`
 check; 2 usage or config error; 3 a broken internal invariant (RuntimeError,
@@ -15,20 +16,21 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 from .experiments import (
     config_from_sources,
+    parse_setting,
     run_counterexample,
     run_search,
     run_spectrum,
     run_transfer,
     run_verify,
     write_report,
-    _parse_w_spec,
 )
 
 __all__ = ["main"]
+
+_NON_SETTINGS = {"command", "config", "coloring_file"}  # flags that are not config keys
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,18 +49,18 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", help="key-value config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="master seed (recorded in reports)")
-        p.add_argument("--n", type=int, help="ambient scale")
+        p.add_argument("--seed", help="master seed (recorded in reports)")
+        p.add_argument("--n", help="ambient scale")
         p.add_argument("--w", help="smooth modulus: level like '3' or exponents '2:1,3:2'")
         p.add_argument("--eta", help="spectrum threshold as a rational 'p/q'")
         p.add_argument("--eps", help="Bohr radius as a rational 'p/q'")
         p.add_argument("--rho", help="comma list of restriction exponents")
-        p.add_argument("--arc-B", dest="arc_b", type=float, help="arc exponent B")
+        p.add_argument("--arc-B", dest="arc_b", help="arc exponent B")
         p.add_argument("--psi", help="polynomial coefficients, highest degree first")
-        p.add_argument("--b0", type=int)
-        p.add_argument("--w0", type=int)
-        p.add_argument("--m", type=int, help="number of colors")
-        p.add_argument("--p", type=int, help="blocking prime (counterexample)")
+        p.add_argument("--b0")
+        p.add_argument("--w0")
+        p.add_argument("--m", help="number of colors")
+        p.add_argument("--p", help="blocking prime (counterexample)")
         p.add_argument("--variant", choices=["integer-coloring", "prime-coloring"])
         p.add_argument("--coloring-rule", dest="coloring", help="random | residue:<q> | interval:<cuts>")
         if name == "search":
@@ -67,23 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    out = {}
-    simple = ["seed", "n", "b0", "w0", "m", "p", "variant", "arc_b", "out", "coloring"]
-    for key in simple:
-        v = getattr(args, key, None)
-        if v is not None:
-            out[key] = v
-    if getattr(args, "w", None) is not None:
-        out["w_config"] = _parse_w_spec(args.w)
-    if getattr(args, "eta", None) is not None:
-        out["eta"] = Fraction(args.eta)
-    if getattr(args, "eps", None) is not None:
-        out["eps"] = Fraction(args.eps)
-    if getattr(args, "rho", None) is not None:
-        out["rho"] = tuple(float(x) for x in args.rho.split(","))
-    if getattr(args, "psi", None) is not None:
-        out["psi"] = tuple(int(c) for c in args.psi.replace("[", "").replace("]", "").split(","))
-    return out
+    """Every setting flag given, parsed as its config-file key would be."""
+    return dict(
+        parse_setting(key, text)
+        for key, text in vars(args).items()
+        if key not in _NON_SETTINGS and text is not None
+    )
 
 
 def main(argv=None) -> int:

@@ -300,13 +300,13 @@ def transference_report(
         f = build_prime_coloring_measure(a_set.members, ctx)
 
     spec_r = large_spectrum(measure, float(eta))
-    bohr = bohr_set(spec_r, eps, n_mod, eta=float(eta))
+    bohr = bohr_set(spec_r, eps, n_mod)
     smoothed_measure = smooth(measure, bohr)
     if ctx.variant == INTEGER_COLORING:
         f_smooth = f
     else:
         spec_r2 = large_spectrum(f, float(eta))
-        bohr2 = bohr_set(spec_r2, eps, n_mod, eta=float(eta))
+        bohr2 = bohr_set(spec_r2, eps, n_mod)
         f_smooth = smooth(f, bohr2)
 
     raw = triple_count(f, f, measure).real

@@ -5,11 +5,10 @@ with every integer rendered as a decimal string."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -49,11 +48,12 @@ from .spectral import (
     smooth,
     weighted_exp_sum,
 )
-from .wtrick import WTrickContext, build_context, verify_gcd_identity
+from .wtrick import WTrickContext, build_context, level_exponents, verify_gcd_identity
 
 __all__ = [
     "ExperimentConfig",
     "parse_config_file",
+    "parse_setting",
     "run_counterexample",
     "run_search",
     "run_spectrum",
@@ -96,24 +96,8 @@ class ExperimentConfig:
         )
 
     def echo(self) -> dict:
-        return {
-            "psi": list(self.psi),
-            "b0": self.b0,
-            "w0": self.w0,
-            "m": self.m,
-            "variant": self.variant,
-            "w_config": {str(p): e for p, e in sorted(self.w_config.items())},
-            "n": self.n,
-            "eta": f"{self.eta.numerator}/{self.eta.denominator}",
-            "eps": f"{self.eps.numerator}/{self.eps.denominator}",
-            "rho": list(self.rho),
-            "arc_b": self.arc_b,
-            "seed": self.seed,
-            "coloring": self.coloring,
-            "p": self.p,
-            "trend_n": list(self.trend_n),
-            "trend_w": list(self.trend_w),
-        }
+        """Every field but `out`; write_report renders the values."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
 
 def _parse_w_spec(text: str) -> dict[int, int]:
@@ -122,10 +106,7 @@ def _parse_w_spec(text: str) -> dict[int, int]:
     if not text:
         return {}
     if ":" not in text:
-        level = int(text)
-        if level < 2:
-            return {}
-        return {p: 1 for p in sieve_primes(max(2, level)).primes.tolist() if p <= level}
+        return level_exponents(int(text))
     out = {}
     for part in text.split(","):
         p, e = part.split(":")
@@ -161,6 +142,18 @@ _CONFIG_PARSERS = {
 _CONFIG_FIELDS = {"w": "w_config", "w_config": "w_config"}
 
 
+def parse_setting(key: str, text: str) -> tuple[str, object]:
+    """(config field, parsed value) for one setting, from a config-file line
+    or a command-line flag alike; any bad value raises ValueError naming key."""
+    if key not in _CONFIG_PARSERS:
+        raise ValueError(f"unknown key {key!r}")
+    try:
+        value = _CONFIG_PARSERS[key](text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"bad value for {key!r}: {e}") from e
+    return _CONFIG_FIELDS.get(key, key), value
+
+
 def parse_config_file(path) -> dict:
     """Key-value lines "key = value"; '#' starts a comment."""
     raw: dict[str, object] = {}
@@ -172,12 +165,11 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"line {i}: expected 'key = value', got {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_PARSERS:
-                raise ValueError(f"line {i}: unknown key {key!r}")
             try:
-                raw[_CONFIG_FIELDS.get(key, key)] = _CONFIG_PARSERS[key](value)
-            except (ValueError, ZeroDivisionError) as e:
-                raise ValueError(f"line {i}: bad value for {key!r}: {e}") from e
+                name, parsed = parse_setting(key, value)
+            except ValueError as e:
+                raise ValueError(f"line {i}: {e}") from e
+            raw[name] = parsed
     if not raw:
         raise ValueError("empty config: no keys found")
     return raw
@@ -224,14 +216,26 @@ def _base_report(cfg: ExperimentConfig, command: str) -> dict:
     return {"command": command, "version": __version__, "config": cfg.echo()}
 
 
-def dump_density_csv(f: DensityFunction, path, spectrum: bool = False) -> None:
+_CSV_BLOCK = 4096  # rows formatted per write in _write_csv
+
+
+def _write_csv(path, header: str, row_format: str, columns) -> None:
+    """The header line, then one row per index of the equal-length columns,
+    in the bytes csv.writer writes (CRLF line ends).  Rows are formatted one
+    block at a time, so memory stays bounded."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    data = f.spectrum if spectrum else f.values
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "real", "imaginary"])
-        for i, v in enumerate(data):
-            writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+        fh.write(header + "\r\n")
+        for i in range(0, len(columns[0]), _CSV_BLOCK):
+            rows = np.column_stack([c[i : i + _CSV_BLOCK] for c in columns])
+            fh.write((row_format * len(rows)) % tuple(rows.ravel().tolist()))
+
+
+def dump_density_csv(f: DensityFunction, path, spectrum: bool = False) -> None:
+    """index,real,imaginary rows, each part written as repr of its float (the
+    indices share the float64 block, exact far beyond any feasible N)."""
+    data = f.spectrum if spectrum else f.values
+    _write_csv(path, "index,real,imaginary", "%d,%r,%r\r\n", (range(len(data)), data.real, data.imag))
 
 
 def density_summary(f: DensityFunction, rho_list) -> dict:
@@ -338,7 +342,7 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
         measure = build_poly_prime_measure(ctx)
         record("spectral.measure-well-defined", True, f"M={ctx.M}")
         spec_r = large_spectrum(measure, float(cfg.eta))
-        bohr = bohr_set(spec_r, cfg.eps, ctx.N, eta=float(cfg.eta))
+        bohr = bohr_set(spec_r, cfg.eps, ctx.N)
         p_, q_ = cfg.eps.numerator, cfg.eps.denominator
         record(
             "spectral.bohr-bound",
@@ -436,18 +440,9 @@ def run_verify(cfg: ExperimentConfig, corrupt_context=None) -> tuple[bool, dict]
 # ----------------------------------------------------------------- search
 
 
-_CSV_BLOCK = 4096  # rows formatted per write in write_solutions_csv
-
-
 def write_solutions_csv(sols: np.ndarray, path) -> None:
-    """The (k, 4) color,x,y,z rows as the bytes csv.writer writes (CRLF line
-    ends), formatted one block of rows at a time so memory stays bounded."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write("color,x,y,z\r\n")
-        for i in range(0, len(sols), _CSV_BLOCK):
-            rows = sols[i : i + _CSV_BLOCK]
-            fh.write(("%d,%d,%d,%d\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
+    """The (k, 4) hit array as color,x,y,z rows."""
+    _write_csv(path, "color,x,y,z", "%d,%d,%d,%d\r\n", sols.T)
 
 
 def run_search(cfg: ExperimentConfig, coloring_path, out_csv=None) -> tuple[np.ndarray, dict]:
@@ -571,15 +566,11 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
     # diagnostic: nonzero spectral sup across smoothing levels
     w_trend = []
     for level in cfg.trend_w:
-        exps = {p: 1 for p in sieve_primes(max(2, level)).primes.tolist() if p <= level} if level >= 2 else {}
-        w_mod = 1
-        for p, e in exps.items():
-            w_mod *= p**e
+        exps = level_exponents(level)
+        w_mod = math.prod(exps)
         n_here = max(cfg.trend_n[0] * w_mod // 2, w_mod * 8)
         try:
-            c2 = build_context(
-                cfg.polynomial(), cfg.b0, cfg.w0, cfg.m, cfg.variant, exps, n_here
-            )
+            c2 = replace(cfg, w_config=exps, n=n_here).context()
             m2 = build_poly_prime_measure(c2)
             spec_abs = np.abs(m2.spectrum)
             w_trend.append(
@@ -593,15 +584,14 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
             w_trend.append({"W": w_mod, "error": str(e)})
     report["spectral_sup_vs_W"] = w_trend
 
-    # diagnostic: restriction norm / K across doubling N
+    # diagnostics across doubling N, one context each: restriction norm / K,
+    # and the main-term residual at alpha = 0 (a soft trend)
     k_deg = ctx.psi.degree
     rho_star = k_deg * 2 ** (k_deg + 3)
     norm_trend = []
+    residuals = []
     for n_target in cfg.trend_n:
-        n_here = max(n_target * ctx.W // 2, ctx.W * 8)
-        c2 = build_context(
-            cfg.polynomial(), cfg.b0, cfg.w0, cfg.m, cfg.variant, cfg.w_config, n_here
-        )
+        c2 = replace(cfg, n=max(n_target * ctx.W // 2, ctx.W * 8)).context()
         m2 = build_poly_prime_measure(c2)
         norm_trend.append(
             {
@@ -610,7 +600,13 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
                 "restriction_norm_over_K": restriction_norm(m2, rho_star) / c2.K,
             }
         )
+        lhs = weighted_exp_sum(c2, 0.0, form="measure")
+        rhs = major_arc_main_term(c2, 1, 1, Fraction(0), arc_exponent=cfg.arc_b)
+        residuals.append(
+            {"N": c2.N, "residual_ratio": abs(lhs - rhs) / float(c2.rescaled(c2.M))}
+        )
     report["restriction_norm_trend"] = norm_trend
+    report["main_term_residual_trend"] = residuals
 
     # diagnostic: minor-arc decay ratio at the golden ratio
     s0 = abs(weighted_exp_sum(ctx, 0.0, form="ap"))
@@ -621,24 +617,10 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
         "ratio": (s_golden / s0) if s0 else None,
     }
 
-    # diagnostic: main-term residual at alpha = 0 across growing N (soft trend)
-    residuals = []
-    for n_target in cfg.trend_n:
-        n_here = max(n_target * ctx.W // 2, ctx.W * 8)
-        c2 = build_context(
-            cfg.polynomial(), cfg.b0, cfg.w0, cfg.m, cfg.variant, cfg.w_config, n_here
-        )
-        lhs = weighted_exp_sum(c2, 0.0, form="measure")
-        rhs = major_arc_main_term(c2, 1, 1, Fraction(0), arc_exponent=cfg.arc_b)
-        residuals.append(
-            {"N": c2.N, "residual_ratio": abs(lhs - rhs) / float(c2.rescaled(c2.M))}
-        )
-    report["main_term_residual_trend"] = residuals
-
     # diagnostic: smoothed pointwise maxima against (1+2kappa)/N, with the
     # 2/N mark used for prime-coloring classes
     spec_r = large_spectrum(measure, float(cfg.eta))
-    bohr = bohr_set(spec_r, cfg.eps, ctx.N, eta=float(cfg.eta))
+    bohr = bohr_set(spec_r, cfg.eps, ctx.N)
     smoothed = smooth(measure, bohr)
     kappa = float(ctx.kappa)
     report["smoothed_pointwise"] = {

@@ -123,13 +123,6 @@ class DensityFunction:
     def constant(cls, c: complex, modulus: int) -> "DensityFunction":
         return cls(np.full(modulus, c, dtype=np.complex128))
 
-    @classmethod
-    def indicator(cls, members, modulus: int) -> "DensityFunction":
-        v = np.zeros(modulus, dtype=np.complex128)
-        for x in members:
-            v[x % modulus] = 1.0
-        return cls(v)
-
 
 def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
     """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y), via spectra."""
@@ -146,13 +139,22 @@ class PolyPrimeMeasure(DensityFunction):
     logarithmic prime weight, normalized by psi_{b,W}(M).
     """
 
-    __slots__ = ("context", "support", "normalization")
+    __slots__ = ("support",)
 
-    def __init__(self, values, context: WTrickContext, support: dict[int, int], normalization: int):
+    def __init__(self, values, support: dict[int, int]):
         super().__init__(values)
-        self.context = context
         self.support = support  # z -> psi_{b,W}(z) mod N, prime z only
-        self.normalization = normalization
+
+
+def _measure_weights(ctx: WTrickContext):
+    """(z, weight) for each z in [1, M] whose progression value q z + c is
+    prime; the un-normalized weight is psi_{b,W}(z) - psi_{b,W}(z-1) times
+    (phi(q)/q) log(q z + c)."""
+    c, q = ctx.progression
+    phi_ratio = euler_phi(q) / q
+    fd = ctx.rescaled.forward_difference
+    for z in (np.flatnonzero(ap_prime_mask(c, q, ctx.M)) + 1).tolist():
+        yield z, fd(z - 1) * phi_ratio * math.log(q * z + c)
 
 
 def build_poly_prime_measure(ctx: WTrickContext) -> PolyPrimeMeasure:
@@ -164,12 +166,10 @@ def build_poly_prime_measure(ctx: WTrickContext) -> PolyPrimeMeasure:
     n_mod = ctx.N
     resc = ctx.rescaled
     norm = resc(ctx.M)
-    c, q = ctx.progression
-    prime_mask = ap_prime_mask(c, q, ctx.M)
+    weights = dict(_measure_weights(ctx))
     seen: dict[int, int] = {}
     values = np.zeros(n_mod, dtype=np.complex128)
     support: dict[int, int] = {}
-    phi_ratio = euler_phi(q) / q
     for z in range(1, ctx.M + 1):
         x = resc(z) % n_mod
         if x in seen:
@@ -177,11 +177,10 @@ def build_poly_prime_measure(ctx: WTrickContext) -> PolyPrimeMeasure:
                 f"psi_{{b,W}} collides mod N at z = {seen[x]} and z = {z} (x = {x})"
             )
         seen[x] = z
-        if prime_mask[z - 1]:
-            weight = resc.forward_difference(z - 1) * phi_ratio * math.log(q * z + c) / norm
-            values[x] = weight
+        if z in weights:
+            values[x] = weights[z] / norm
             support[z] = x
-    return PolyPrimeMeasure(values, ctx, support, norm)
+    return PolyPrimeMeasure(values, support)
 
 
 def build_prime_coloring_measure(members, ctx: WTrickContext) -> DensityFunction:
@@ -222,10 +221,9 @@ def large_spectrum(f: DensityFunction, eta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BohrStructure:
-    """Threshold, frequency set, radius, and the resulting Bohr set."""
+    """Frequency set, radius, and the resulting Bohr set."""
 
     modulus: int
-    eta: float | None
     frequencies: tuple[int, ...]
     radius: Fraction
     members: np.ndarray
@@ -252,7 +250,7 @@ def _as_fraction(eps) -> Fraction:
     raise ValueError("radius must be an exact rational (Fraction, int, 'p/q', or tuple)")
 
 
-def bohr_set(frequencies, eps, modulus: int, eta=None) -> BohrStructure:
+def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
     """B = {x : ||x r / N|| <= eps for all r}; membership and the pigeonhole
     bound |B| >= eps^{|R|} N are both exact integer comparisons."""
     eps = _as_fraction(eps)
@@ -272,7 +270,7 @@ def bohr_set(frequencies, eps, modulus: int, eta=None) -> BohrStructure:
         raise RuntimeError(
             f"Bohr bound violated: |B| = {len(members)} < eps^|R| * N"
         )
-    return BohrStructure(modulus, None if eta is None else float(eta), freqs, eps, members)
+    return BohrStructure(modulus, freqs, eps, members)
 
 
 def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
@@ -386,18 +384,14 @@ def weighted_exp_sum(ctx: WTrickContext, alpha, form: str = "measure") -> comple
     measure transform.  form="ap": sum over x in [1, N] of the logarithmic
     prime weight of the progression times e(alpha * psi_{b,W}(x)).
     """
-    c, q = ctx.progression
-    phi_ratio = euler_phi(q) / q
     total = 0j
     if form == "measure":
-        mask = ap_prime_mask(c, q, ctx.M)
-        for z in range(1, ctx.M + 1):
-            if not mask[z - 1]:
-                continue
-            w = ctx.rescaled.forward_difference(z - 1) * phi_ratio * math.log(q * z + c)
+        for z, w in _measure_weights(ctx):
             total += w * _phase_for(ctx.rescaled(z), alpha)
         return total
     if form == "ap":
+        c, q = ctx.progression
+        phi_ratio = euler_phi(q) / q
         mask = ap_prime_mask(c, q, ctx.N)
         for x in (np.flatnonzero(mask) + 1).tolist():
             w = phi_ratio * math.log(q * x + c)

@@ -35,6 +35,7 @@ __all__ = [
     "check_cp",
     "compute_K",
     "find_nonroot",
+    "level_exponents",
     "select_bp",
     "suggest_smooth_exponents",
     "verify_gcd_identity",
@@ -338,9 +339,22 @@ class WTrickContext:
 
 
 def _primes_upto(limit: int) -> list[int]:
-    if limit < 2:
-        return []
-    return [p for p in sieve_primes(limit).primes.tolist() if p <= limit]
+    return sieve_primes(limit).primes.tolist() if limit >= 2 else []
+
+
+def level_exponents(level: int) -> dict[int, int]:
+    """Smooth exponents of smoothing level `level`: 1 for each prime <= level."""
+    return dict.fromkeys(_primes_upto(level), 1)
+
+
+def _admissible_cp(psi: IntPolynomial, b0: int, w0: int, bound: int) -> dict[int, int]:
+    """c_p for every prime p <= bound (the prime-coloring residues); raises
+    NecessityViolationError naming every prime that has none."""
+    cp = {p: check_cp(psi, b0, w0, p) for p in _primes_upto(bound)}
+    missing = [p for p, c in cp.items() if c is None]
+    if missing:
+        raise NecessityViolationError(missing)
+    return cp
 
 
 def suggest_smooth_exponents(
@@ -352,17 +366,7 @@ def suggest_smooth_exponents(
     precondition and K divides W.
     """
     bound = psi_bound(psi, w0, variant)
-    cp: dict[int, int] = {}
-    if variant == PRIME_COLORING:
-        missing = []
-        for p in _primes_upto(bound):
-            c = check_cp(psi, b0, w0, p)
-            if c is None:
-                missing.append(p)
-            else:
-                cp[p] = c
-        if missing:
-            raise NecessityViolationError(missing)
+    cp = _admissible_cp(psi, b0, w0, bound) if variant == PRIME_COLORING else {}
     dpsi = psi.derivative()
     out = {}
     for p in _primes_upto(bound):
@@ -409,18 +413,7 @@ def build_context(
             raise ValueError(f"smooth modulus key {p} is not prime")
 
     bound = psi_bound(psi, w0, variant)
-    cp: dict[int, int] | None = None
-    if variant == PRIME_COLORING:
-        cp = {}
-        missing = []
-        for p in _primes_upto(bound):
-            c = check_cp(psi, b0, w0, p)
-            if c is None:
-                missing.append(p)
-            else:
-                cp[p] = c
-        if missing:
-            raise NecessityViolationError(missing)
+    cp = _admissible_cp(psi, b0, w0, bound) if variant == PRIME_COLORING else None
 
     w_modulus = math.prod(p**e for p, e in exps.items())
     lo = (2 * n) // w_modulus  # N > 2n/W  <=>  N >= lo + 1

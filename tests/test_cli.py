@@ -22,6 +22,7 @@ from polyprimelab.experiments import (
     run_verify,
     write_report,
 )
+from polyprimelab.spectral import DensityFunction
 
 BLOCKING = ["--psi", "6,0,0", "--b0", "1", "--w0", "1", "--p", "3"]
 
@@ -69,6 +70,21 @@ class TestConfigParsing:
         path.write_text("n = 100\nseed = 1\n")
         cfg = config_from_sources(path, {"n": 2000})
         assert cfg.n == 2000 and cfg.seed == 1
+
+    @pytest.mark.parametrize(
+        "flag,key,text",
+        [("--eta", "eta", "1/0"), ("--eps", "eps", "1/0"), ("--n", "n", "1e6"), ("--arc-B", "arc_b", "x")],
+    )
+    def test_bad_flag_value_matches_config_file(self, tmp_path, capsys, flag, key, text):
+        # a flag gets the config file's parser and the same one-line error
+        assert main(["transfer", flag, text, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad value for {key!r}") and err.count("\n") == 1
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {text}\n")
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == err.replace("error: ", "error: line 1: ", 1)
+        assert not (tmp_path / "transfer.json").exists()
 
 
 class TestVerifyCommand:
@@ -361,6 +377,35 @@ class TestSpectrumCommand:
         assert (tmp_path / "spectrum.csv").exists()
         header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
         assert header == "index,real,imaginary"
+
+    def test_one_context_per_trend_point(self, monkeypatch):
+        built = []
+        real = experiments.build_context
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "build_context", counted)
+        cfg = config_from_sources(None, {"trend_n": (2003, 4001), "trend_w": (1, 3)})
+        run_spectrum(cfg)
+        assert len(built) == 1 + len(cfg.trend_w) + len(cfg.trend_n)
+
+    @pytest.mark.parametrize("rows", [1, 2 * experiments._CSV_BLOCK + 3])
+    @pytest.mark.parametrize("spectrum", [False, True])
+    def test_density_csv_bytes_match_csv_writer(self, tmp_path, rows, spectrum):
+        special = [-0.0, 5e-324, 1e16, float("nan"), -1 / 3]
+        rng = np.random.default_rng(rows)
+        values = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
+        values[: len(special)] = [complex(a, b) for a, b in zip(special, special[::-1])][:rows]
+        f = DensityFunction(values)
+        experiments.dump_density_csv(f, tmp_path / "blocks.csv", spectrum=spectrum)
+        with open(tmp_path / "writer.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["index", "real", "imaginary"])
+            for i, v in enumerate(f.spectrum if spectrum else f.values):
+                writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
 
 class TestReportDeterminism:

@@ -56,7 +56,7 @@ def exhaustive_triples(f, g, h):
 
 class TestTripleCounts:
     def test_indicator_example(self):
-        f = DensityFunction.indicator([1, 2], 5)
+        f = DensityFunction(np.array([0, 1, 1, 0, 0]))
         h = DensityFunction.delta(3, 5)
         assert triple_count_bruteforce(f, f, h) == pytest.approx(2)
 
@@ -70,7 +70,7 @@ class TestTripleCounts:
         assert triple_count_bruteforce(f, f, z) == 0
 
     def test_fourier_matches_example(self):
-        f = DensityFunction.indicator([1, 2], 5)
+        f = DensityFunction(np.array([0, 1, 1, 0, 0]))
         h = DensityFunction.delta(3, 5)
         assert triple_count(f, f, h) == pytest.approx(2, abs=1e-9)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyprimelab.numtheory import (
     ap_primes,
@@ -143,6 +145,19 @@ class TestCrt:
             assert 0 <= r < mod
             for ri, mi in zip(rs, moduli):
                 assert r % mi == ri
+
+    @settings(max_examples=200, deadline=None)
+    @given(candidates=st.lists(st.integers(1, 10**6), min_size=1, max_size=8), data=st.data())
+    def test_pairwise_coprime_systems_property(self, candidates, data):
+        moduli = []
+        for m in candidates:
+            if all(math.gcd(m, k) == 1 for k in moduli):
+                moduli.append(m)
+        residues = [data.draw(st.integers(-(10**12), 10**12)) for _ in moduli]
+        r, mod = crt(list(zip(residues, moduli)))
+        assert mod == math.prod(moduli)
+        assert 0 <= r < mod
+        assert all((r - ri) % mi == 0 for ri, mi in zip(residues, moduli))
 
 
 class TestPrimeInInterval:

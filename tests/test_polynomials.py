@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyprimelab.polynomials import (
     INTEGER_COLORING,
@@ -75,6 +77,21 @@ class TestRescale:
             for x in rng.integers(-100, 101, size=20):
                 x = int(x)
                 assert w * resc(x) == poly(w * x + b) - poly(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=6).filter(
+            lambda c: c[0] != 0
+        ),
+        w=st.integers(1, 10**4),
+        b=st.integers(0, 10**4),
+        x=st.integers(-(10**6), 10**6),
+    )
+    def test_identity_property(self, coeffs, w, b, x):
+        poly = IntPolynomial(tuple(coeffs))
+        resc = rescale(poly, w, b)
+        assert w * resc(x) == poly(w * x + b) - poly(b)
+        assert resc.linear_coeff == poly.derivative()(b)
 
 
 class TestPsiBound:

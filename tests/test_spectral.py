@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyprimelab.numtheory import euler_phi, is_prime
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial, rescale
@@ -64,7 +66,7 @@ class TestDft:
         assert np.allclose(spec[1:], 0, atol=1e-9)
 
     def test_mass_is_zeroth_coefficient(self):
-        f = DensityFunction.indicator([1, 2], 5)
+        f = DensityFunction(np.array([0, 1, 1, 0, 0]))
         assert f.spectrum[0] == pytest.approx(f.mass) == pytest.approx(2)
 
     def test_direct_vs_chirp(self):
@@ -254,6 +256,19 @@ class TestBohrSet:
             b = bohr_set(r, eps, n)
             p, q = eps.numerator, eps.denominator
             assert b.size * q ** len(b.frequencies) >= p ** len(b.frequencies) * n
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from([p for p in range(3, 400) if is_prime(p)]),
+        freqs=st.lists(st.integers(0, 10**6), max_size=5),
+        eps=st.fractions(Fraction(1, 1000), Fraction(499, 1000), max_denominator=1000),
+    )
+    def test_pigeonhole_bound_property(self, n, freqs, eps):
+        p, q = eps.numerator, eps.denominator
+        # ||x r / N|| <= p/q in exact integers, by direct scan
+        want = [x for x in range(n) if all(q * min(x * r % n, n - x * r % n) <= p * n for r in freqs)]
+        assert bohr_set(freqs, eps, n).members.tolist() == want
+        assert len(want) * q ** len(freqs) >= p ** len(freqs) * n
 
     def test_eps_range_enforced(self):
         with pytest.raises(ValueError):

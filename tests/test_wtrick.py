@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from polyprimelab.numtheory import is_prime, p_adic_valuation, sieve_primes
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial
@@ -271,6 +273,25 @@ class TestContextJson:
         for name, ctx in context_suite:
             back = WTrickContext.from_json(ctx.to_json())
             assert back == ctx, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        leading=st.integers(1, 12),
+        lower=st.lists(st.integers(-12, 12), min_size=1, max_size=3),
+        progression=st.sampled_from([(1, 1), (1, 2), (3, 4), (1, 3), (2, 3)]),
+        variant=st.sampled_from([INTEGER_COLORING, PRIME_COLORING]),
+        m=st.integers(1, 3),
+        exps=st.dictionaries(st.sampled_from([2, 3, 5, 7]), st.integers(0, 3), min_size=1, max_size=4),
+        n_target=st.integers(200, 20_000),
+    )
+    def test_round_trip_property(self, leading, lower, progression, variant, m, exps, n_target):
+        b0, w0 = progression
+        n = n_target * math.prod(p**e for p, e in exps.items()) // 2
+        try:
+            ctx = build_context(IntPolynomial((leading, *lower)), b0, w0, m, variant, exps, n)
+        except ValueError:
+            reject()  # only contexts that build are round-tripped
+        assert WTrickContext.from_json(ctx.to_json()) == ctx
 
     def test_integers_as_strings(self, ctx_w6):
         d = ctx_w6.to_json_dict()
