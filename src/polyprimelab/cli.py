@@ -61,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--w0")
         p.add_argument("--m", help="number of colors")
         p.add_argument("--p", help="blocking prime (counterexample)")
-        p.add_argument("--variant", choices=["integer-coloring", "prime-coloring"])
+        p.add_argument("--variant", help="integer-coloring | prime-coloring")
         p.add_argument("--coloring-rule", dest="coloring", help="random | residue:<q> | interval:<cuts>")
         if name == "search":
             p.add_argument("--coloring", dest="coloring_file", required=True, help="coloring file to search")

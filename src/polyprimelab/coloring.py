@@ -160,7 +160,7 @@ class TransferredSet:
     meta: dict = field(default_factory=dict)
 
     def indicator_values(self) -> np.ndarray:
-        v = np.zeros(self.context.N, dtype=np.complex128)
+        v = np.zeros(self.context.N)
         v[self.members] = 1.0
         return v
 

@@ -22,6 +22,8 @@ from .spectral import (
     build_prime_coloring_measure,
     large_spectrum,
     smooth,
+    smooth_pair,
+    transform_pair,
 )
 from .wtrick import WTrickContext
 
@@ -90,6 +92,14 @@ def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> 
     hs = h.spectrum
     h_neg = np.concatenate((hs[:1], hs[1:][::-1]))
     return complex((f.spectrum * g.spectrum * h_neg).sum() / f.modulus)
+
+
+def _at_double(v: np.ndarray) -> np.ndarray:
+    """v((2x) mod N) for x in [0, N), N = len(v) odd: the even-index half of
+    v followed by its odd-index half, with no index array."""
+    if len(v) % 2 == 0:
+        raise ValueError(f"v(2x mod N) by halves needs odd N, got N = {len(v)}")
+    return np.concatenate((v[0::2], v[1::2]))
 
 
 @dataclass(frozen=True)
@@ -299,24 +309,33 @@ def transference_report(
     else:
         f = build_prime_coloring_measure(a_set.members, ctx)
 
+    # Each stage runs right after the transform it needs, and a spectrum no
+    # later stage reads is dropped before the next transform: each transform
+    # peaks at the live set plus the FFT's own scratch.
+    transform_pair(measure, f)
+    raw = triple_count(f, f, measure).real
+    # exact diagonals sum_x g(x)^2 measure(2x), against the subtracted bound
+    measure_at_double = _at_double(measure.values)
+    diag_exact = float((f.values**2 * measure_at_double).sum())
+    if ctx.variant != INTEGER_COLORING:
+        indicator = DensityFunction(a_set.indicator_values())
+        unweighted = triple_count(indicator, indicator, measure).real
+        diag_unweighted = float((indicator.values**2 * measure_at_double).sum())
+        del indicator
+    del measure_at_double
+
     spec_r = large_spectrum(measure, float(eta))
     bohr = bohr_set(spec_r, eps, n_mod)
-    smoothed_measure = smooth(measure, bohr)
     if ctx.variant == INTEGER_COLORING:
+        smoothed_measure = smooth(measure, bohr)
         f_smooth = f
     else:
         spec_r2 = large_spectrum(f, float(eta))
         bohr2 = bohr_set(spec_r2, eps, n_mod)
-        f_smooth = smooth(f, bohr2)
-
-    raw = triple_count(f, f, measure).real
+        smoothed_measure, f_smooth = smooth_pair(measure, bohr, f, bohr2)
     smoothed = triple_count(f_smooth, f_smooth, smoothed_measure).real
 
-    # exact diagonal sum_x f(x)^2 measure(2x) versus the subtracted bound
-    xs = np.arange(n_mod)
-    diag_exact = float((f.values[xs] ** 2 * measure.values[(2 * xs) % n_mod]).sum().real)
-
-    frak_a = np.flatnonzero(smoothed_measure.values.real >= kappa / n_mod)
+    frak_a = np.flatnonzero(smoothed_measure.values >= kappa / n_mod)
     report = {
         "variant": ctx.variant,
         "N": n_mod,
@@ -351,15 +370,9 @@ def transference_report(
         report["final_holds_diag_bound"] = bool(raw - mass_measure >= kappa**4 * n_mod / 3)
         report["final_holds_diag_exact"] = bool(raw - diag_exact >= kappa**4 * n_mod / 3)
     else:
-        a_dash = np.flatnonzero(f_smooth.values.real >= kappa / n_mod)
+        a_dash = np.flatnonzero(f_smooth.values >= kappa / n_mod)
         kw = ctx.K * ctx.W
         amax = euler_phi(kw) / kw * math.log(kw * n_mod + ctx.psi(ctx.b)) / n_mod
-        # one indicator object, so its spectrum is computed once for both slots
-        indicator = DensityFunction(a_set.indicator_values())
-        unweighted = triple_count(indicator, indicator, measure).real
-        diag_unweighted = float(
-            (indicator.values[xs] ** 2 * measure.values[(2 * xs) % n_mod]).sum().real
-        )
         report["mass_prime_class"] = f.mass.real
         report["mass_prime_class_mark"] = 1 / (3 * ctx.num_colors * ctx.K)
         report["mass_prime_class_meets_mark"] = bool(

@@ -32,7 +32,7 @@ from .counting import (
     triple_count_bruteforce,
 )
 from .numtheory import ap_primes, crt, is_prime, lambda_weight, sieve_primes
-from .polynomials import INTEGER_COLORING, IntPolynomial, rescale
+from .polynomials import INTEGER_COLORING, VARIANTS, IntPolynomial, rescale
 from .spectral import (
     DensityFunction,
     bohr_set,
@@ -118,12 +118,19 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
+def _parse_variant(text: str) -> str:
+    variant = text.strip()
+    if variant not in VARIANTS:
+        raise ValueError(f"{variant!r} is not one of {', '.join(VARIANTS)}")
+    return variant
+
+
 _CONFIG_PARSERS = {
     "psi": lambda s: tuple(int(c) for c in s.replace("[", "").replace("]", "").split(",")),
     "b0": int,
     "w0": int,
     "m": int,
-    "variant": lambda s: s.strip(),
+    "variant": _parse_variant,
     "w": _parse_w_spec,
     "w_config": _parse_w_spec,
     "n": int,

@@ -6,6 +6,14 @@ classification, and weighted exponential sums.
 Transform convention: fhat(r) = sum_x f(x) e(-x r / N) with e(t) = exp(2 pi i t),
 computed by numpy's FFT.  Every other phase is reduced with exact integer
 arithmetic before trig.
+
+Real functions are stored as float64, complex ones as complex128.  Two real
+functions share one transform: `dft_pair` transforms a + i b and splits the
+result, and `idft_pair` inverts two Hermitian spectra X + i Y at once.  The
+partner is scaled by a power of two before packing, so that neither part is
+lost in the other's rounding, and unscaled after (both exactly).  This way
+`counting.transference_report` runs 3 length-N transforms for an integer
+coloring and 4 for a prime coloring.
 """
 
 from __future__ import annotations
@@ -34,11 +42,15 @@ __all__ = [
     "convolve",
     "dft",
     "dft_direct",
+    "dft_pair",
     "idft",
+    "idft_pair",
     "large_spectrum",
     "major_arc_main_term",
     "restriction_norm",
     "smooth",
+    "smooth_pair",
+    "transform_pair",
     "weighted_exp_sum",
 ]
 
@@ -73,28 +85,95 @@ def idft(spectrum: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.asarray(spectrum, dtype=np.complex128))
 
 
+def _pow2_ratio(num: float, den: float) -> float:
+    """2^round(log2(num / den)) for positive norms, 1 when one is not finite."""
+    if not (num < math.inf and den < math.inf):
+        return 1.0
+    return math.ldexp(1.0, round(math.log2(num) - math.log2(den)))
+
+
+def _alone(transform, values: np.ndarray, norm: float) -> np.ndarray:
+    """transform(values), or exact complex zeros when the norm is zero."""
+    return transform(values) if norm else np.zeros(len(values), dtype=np.complex128)
+
+
+def dft_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of two real arrays from one dft of Z = dft(a + i b).
+
+    A(r) = (Z(r) + conj Z(-r))/2 and B(r) = (Z(r) - conj Z(-r))/2i, so both
+    come out exactly Hermitian.  b is packed as b / 2^k with
+    k = round(log2(|b|_1 / |a|_1)) and B is multiplied back by 2^k, so a
+    small a is not lost in the rounding of a large b, nor the reverse.  An
+    all-zero array gets the zero spectrum exactly, and the other its own dft.
+    """
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        raise ValueError("dft_pair transforms real arrays only")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    norm_a, norm_b = float(np.abs(a).sum()), float(np.abs(b).sum())
+    if not (norm_a and norm_b):
+        return _alone(dft, a, norm_a), _alone(dft, b, norm_b)
+    scale = _pow2_ratio(norm_b, norm_a)
+    z = np.empty(len(a), dtype=np.complex128)
+    z.real = a
+    z.imag = b / scale
+    z = dft(z)
+    conj_neg = np.roll(z[::-1], 1)  # Z(-r)
+    np.conjugate(conj_neg, out=conj_neg)
+    spec_a = z + conj_neg
+    spec_a *= 0.5
+    z -= conj_neg
+    z *= -0.5j * scale  # a pure-imaginary power of two: exact
+    return spec_a, z
+
+
+def idft_pair(x_spec: np.ndarray, y_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real x and y from their Hermitian spectra by one idft of X + i Y.
+
+    Y is packed as Y / 2^k with k = round(log2(|Y|_2 / |X|_2)), which by
+    Parseval balances |x|_2 against |y|_2, and y is multiplied back by 2^k.
+    An all-zero spectrum gives zeros exactly, and the other its own idft.
+    """
+    norm_x, norm_y = float(np.linalg.norm(x_spec)), float(np.linalg.norm(y_spec))
+    if not (norm_x and norm_y):
+        return _alone(idft, x_spec, norm_x).real, _alone(idft, y_spec, norm_y).real
+    scale = _pow2_ratio(norm_y, norm_x)
+    z = y_spec * (1j / scale)
+    z += x_spec
+    z = idft(z)
+    return z.real, z.imag * scale
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class DensityFunction:
-    """Complex-valued function on Z_N with a lazily cached spectrum."""
+    """Function on Z_N with a lazily cached spectrum; real values are kept
+    as float64, complex ones as complex128."""
 
     __slots__ = ("modulus", "values", "_spectrum")
 
     def __init__(self, values: np.ndarray, modulus: int | None = None):
-        v = np.array(values, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+        v = np.array(values, dtype=dtype)
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("values must be a nonempty 1-d array")
         if modulus is not None and modulus != len(v):
             raise ValueError("modulus disagrees with array length")
-        v.setflags(write=False)
         self.modulus = len(v)
-        self.values = v
+        self.values = _frozen(v)
         self._spectrum = None
+
+    @property
+    def is_real(self) -> bool:
+        return self.values.dtype == np.float64
 
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            s = dft(self.values)
-            s.setflags(write=False)
-            self._spectrum = s
+            self._spectrum = _frozen(dft(self.values))
         return self._spectrum
 
     @property
@@ -102,26 +181,38 @@ class DensityFunction:
         return complex(self.values.sum())
 
     @classmethod
-    def from_spectrum(cls, spectrum: np.ndarray) -> "DensityFunction":
-        """idft(spectrum), keeping `spectrum` (made read-only) as its transform."""
-        f = cls(idft(spectrum))
-        f._spectrum = np.asarray(spectrum, dtype=np.complex128)
-        f._spectrum.setflags(write=False)
+    def with_spectrum(cls, values: np.ndarray, spectrum: np.ndarray) -> "DensityFunction":
+        """A function whose transform the caller already has; `spectrum` is
+        kept as is (made read-only)."""
+        f = cls(values)
+        f._spectrum = _frozen(np.asarray(spectrum, dtype=np.complex128))
         return f
 
     @classmethod
+    def from_spectrum(cls, spectrum: np.ndarray) -> "DensityFunction":
+        """idft(spectrum), keeping `spectrum` (made read-only) as its transform."""
+        return cls.with_spectrum(idft(spectrum), spectrum)
+
+    @classmethod
     def zeros(cls, modulus: int) -> "DensityFunction":
-        return cls(np.zeros(modulus, dtype=np.complex128))
+        return cls(np.zeros(modulus))
 
     @classmethod
     def delta(cls, x: int, modulus: int) -> "DensityFunction":
-        v = np.zeros(modulus, dtype=np.complex128)
+        v = np.zeros(modulus)
         v[x % modulus] = 1.0
         return cls(v)
 
     @classmethod
     def constant(cls, c: complex, modulus: int) -> "DensityFunction":
-        return cls(np.full(modulus, c, dtype=np.complex128))
+        return cls(np.full(modulus, c))
+
+
+def transform_pair(f: DensityFunction, g: DensityFunction) -> None:
+    """Cache the spectra of real f and g from one dft (see `dft_pair`);
+    when either is already cached, the other is left to its own dft."""
+    if f._spectrum is None and g._spectrum is None:
+        f._spectrum, g._spectrum = map(_frozen, dft_pair(f.values, g.values))
 
 
 def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
@@ -168,7 +259,7 @@ def build_poly_prime_measure(ctx: WTrickContext) -> PolyPrimeMeasure:
     norm = resc(ctx.M)
     weights = dict(_measure_weights(ctx))
     seen: dict[int, int] = {}
-    values = np.zeros(n_mod, dtype=np.complex128)
+    values = np.zeros(n_mod)
     support: dict[int, int] = {}
     for z in range(1, ctx.M + 1):
         x = resc(z) % n_mod
@@ -205,7 +296,7 @@ def build_prime_coloring_measure(members, ctx: WTrickContext) -> DensityFunction
     head = [is_prime(ctx.W * x + c) for x in range(min(s + 1, ctx.N))]
     source_prime = np.concatenate((head, ap_prime_mask(c + ctx.W * s, ctx.W, ctx.N - 1 - s)))
     xs = xs[xs % ctx.K == 0]
-    values = np.zeros(ctx.N, dtype=np.complex128)
+    values = np.zeros(ctx.N)
     for x in xs[source_prime[xs]].tolist():
         values[x] = phi_ratio * math.log(ctx.W * x + c) / ctx.N
     return DensityFunction(values)
@@ -233,7 +324,7 @@ class BohrStructure:
         return len(self.members)
 
     def normalized_indicator(self) -> DensityFunction:
-        v = np.zeros(self.modulus, dtype=np.complex128)
+        v = np.zeros(self.modulus)
         v[self.members] = 1.0 / len(self.members)
         return DensityFunction(v)
 
@@ -259,9 +350,12 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
     freqs = tuple(sorted(int(r) % modulus for r in frequencies))
     p, q = eps.numerator, eps.denominator
     # filter survivors one frequency at a time; the candidate set collapses
-    # quickly, so the work is O(N) plus small tails
+    # quickly, so the work is O(N) plus small tails.  0 is always a member,
+    # so once it is the only survivor no later frequency can remove it
     members = np.arange(modulus, dtype=np.int64)
     for r in freqs:
+        if len(members) == 1:
+            break
         t = (members * r) % modulus
         dist = np.minimum(t, modulus - t)
         members = members[dist <= p * modulus // q]
@@ -274,9 +368,33 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
 
 
 def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
-    """f * b * b with b the normalized Bohr indicator; mass is preserved."""
-    b_spec = bohr.normalized_indicator().spectrum
-    return DensityFunction.from_spectrum(f.spectrum * b_spec * b_spec)
+    """f * b * b with b the normalized Bohr indicator; mass is preserved.
+
+    b is even (x in B iff -x in B), so its spectrum is real and the real part
+    of its dft is kept; a real f then has a Hermitian smoothed spectrum and
+    real smoothed values."""
+    b_spec = dft(bohr.normalized_indicator().values).real
+    spec = f.spectrum * b_spec * b_spec
+    del b_spec  # and the complex array it views, before the inverse
+    values = idft(spec)
+    return DensityFunction.with_spectrum(values.real if f.is_real else values, spec)
+
+
+def smooth_pair(
+    f: DensityFunction, bohr_f: BohrStructure, g: DensityFunction, bohr_g: BohrStructure
+) -> tuple[DensityFunction, DensityFunction]:
+    """smooth(f, bohr_f) and smooth(g, bohr_g) for real f and g, in two
+    transforms: one `dft_pair` of the two (even) Bohr indicators, whose
+    spectra are the real parts of its halves, and one `idft_pair`."""
+    if not (f.is_real and g.is_real):
+        raise ValueError("smooth_pair needs real functions")
+    bf, bg = dft_pair(bohr_f.normalized_indicator().values, bohr_g.normalized_indicator().values)
+    bf, bg = bf.real, bg.real
+    f_spec = f.spectrum * bf * bf
+    g_spec = g.spectrum * bg * bg
+    del bf, bg
+    x, y = idft_pair(f_spec, g_spec)
+    return DensityFunction.with_spectrum(x, f_spec), DensityFunction.with_spectrum(y, g_spec)
 
 
 def restriction_norm(f: DensityFunction, rho: float) -> float:

@@ -390,10 +390,11 @@ def build_context(
 ) -> WTrickContext:
     """Assemble and validate the full parameter bundle at scale n.
 
-    The prime modulus N is the smallest prime above 2n/W.  The target
-    interval (2n/W, (2+kappa)n/W] is widened by factors of (1+kappa) up to
-    eight times and, failing that, once more to the Bertrand-safe bound
-    4n/W; the number of widening steps is recorded on the context.
+    The prime modulus N is the smallest prime above 2n/W, and must be odd
+    (the spectral side relies on it).  The target interval
+    (2n/W, (2+kappa)n/W] is widened by factors of (1+kappa) up to eight
+    times and, failing that, once more to the Bertrand-safe bound 4n/W;
+    the number of widening steps is recorded on the context.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -442,6 +443,8 @@ def build_context(
     found = prime_in_interval(lo, bertrand_hi)
     if found is None:
         raise ScaleError(f"no prime in (2n/W, 4n/W] = ({lo}, {bertrand_hi}]")
+    if found == 2:
+        raise ScaleError(f"N = 2 at n={n}, W={w_modulus}; the spectral side needs an odd N")
     widen_steps = 0
     fallback = False
     base_upper = (2 + kappa) * Fraction(n, w_modulus)

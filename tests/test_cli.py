@@ -86,6 +86,22 @@ class TestConfigParsing:
         assert capsys.readouterr().err == err.replace("error: ", "error: line 1: ", 1)
         assert not (tmp_path / "transfer.json").exists()
 
+    @pytest.mark.parametrize("command", ["transfer", "search"])
+    def test_bad_variant_same_for_flag_and_config_file(self, tmp_path, capsys, command):
+        # both forms exit 2 with one line, before any context or coloring is read
+        extra = ["--coloring", str(tmp_path / "absent.txt")] if command == "search" else []
+        assert main([command, "--variant", "bogus", *extra, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: bad value for 'variant': 'bogus' is not one of "
+            "integer-coloring, prime-coloring\n"
+        )
+        path = tmp_path / "bad.cfg"
+        path.write_text("variant = bogus\n")
+        assert main([command, "--config", str(path), *extra, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == err.replace("error: ", "error: line 1: ", 1)
+        assert not list(tmp_path.glob("*.json"))
+
 
 class TestVerifyCommand:
     def test_default_passes(self, tmp_path):
@@ -336,7 +352,7 @@ class TestTransferCommand:
 
     @pytest.mark.parametrize(
         "cfg,transforms",
-        [({"n": 30000, "seed": 5}, 4), (PRIME_TRANSFER, 7)],
+        [({"n": 30000, "seed": 5}, 3), (PRIME_TRANSFER, 4)],
         ids=["integer", "prime"],
     )
     def test_length_n_transform_count(self, monkeypatch, cfg, transforms):

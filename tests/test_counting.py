@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyprimelab.coloring import blocking_partition, dense_class, make_coloring
+from polyprimelab.coloring import (
+    blocking_partition,
+    dense_class,
+    dense_prime_class,
+    make_coloring,
+)
 from polyprimelab.counting import (
     LiftingError,
+    _at_double,
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
@@ -16,9 +23,15 @@ from polyprimelab.counting import (
     triple_count,
     triple_count_bruteforce,
 )
-from polyprimelab.numtheory import is_prime
-from polyprimelab.polynomials import IntPolynomial
-from polyprimelab.spectral import DensityFunction, build_poly_prime_measure
+from polyprimelab.numtheory import euler_phi, is_prime
+from polyprimelab.polynomials import INTEGER_COLORING, IntPolynomial
+from polyprimelab.spectral import (
+    DensityFunction,
+    bohr_set,
+    build_poly_prime_measure,
+    build_prime_coloring_measure,
+    large_spectrum,
+)
 
 X2X = IntPolynomial((1, 1, 0))
 
@@ -236,8 +249,175 @@ class TestLifting:
         with pytest.raises(ValueError):
             lift_solution(0, 0, ctx_w6.M + 1, ctx_w6)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_synthetic_solutions_lift_property(self, context_suite, data):
+        # x' + y' = psi_{b,W}(z') exactly, with x', y' residues mod N and z'
+        # admissible, is the image of an integer triple x + y = psi(z) with
+        # x = W x' + psi(b)/2, y = W y' + psi(b)/2, z = W z' + b
+        name, ctx = data.draw(st.sampled_from(context_suite))
+        c, q = ctx.progression
+        vals = {
+            zp: ctx.rescaled(zp)
+            for zp in range(1, ctx.M + 1)
+            if is_prime(q * zp + c) and ctx.rescaled(zp) <= 2 * ctx.N - 2
+        }
+        zp = data.draw(st.sampled_from(sorted(vals)))
+        val = vals[zp]
+        xp = data.draw(st.integers(max(0, val - ctx.N + 1), min(val, ctx.N - 1)))
+        yp = val - xp
+        t = lift_solution(xp, yp, zp, ctx)
+        half = ctx.half_psi_b
+        assert (t.x, t.y, t.z) == (ctx.W * xp + half, ctx.W * yp + half, ctx.W * zp + ctx.b), name
+        assert t.x + t.y == ctx.psi(t.z) and is_prime(ctx.w0 * t.z + ctx.b0)
+        # shifting any one coordinate breaks the identity and must be refused
+        coord = data.draw(st.sampled_from([0, 1, 2]))
+        limit = ctx.M + 5 if coord == 2 else 2 * ctx.N
+        shift = data.draw(st.integers(-limit, limit).filter(bool))
+        triple = [xp, yp, zp]
+        triple[coord] += shift
+        with pytest.raises((LiftingError, ValueError)):
+            lift_solution(*triple, ctx)
+
+
+def unpacked_transference_report(a_set, eta, eps) -> dict:
+    """Oracle: the report with every function complex and transformed on its
+    own (7 transforms for a prime coloring, 4 for an integer one), hhat(-r)
+    by index reversal, and the diagonal by the index array (2x) mod N."""
+    ctx = a_set.context
+    n_mod = ctx.N
+    kappa = float(ctx.kappa)
+
+    def complex_copy(f):
+        return DensityFunction(f.values.astype(np.complex128))
+
+    def smooth_unpacked(f, bohr):
+        b_spec = complex_copy(bohr.normalized_indicator()).spectrum
+        return DensityFunction.from_spectrum(f.spectrum * b_spec * b_spec)
+
+    measure = complex_copy(build_poly_prime_measure(ctx))
+    indicator = DensityFunction(a_set.indicator_values().astype(np.complex128))
+    if ctx.variant == INTEGER_COLORING:
+        f = indicator
+    else:
+        f = complex_copy(build_prime_coloring_measure(a_set.members, ctx))
+    mass_measure = measure.mass.real
+    spec_r = large_spectrum(measure, float(eta))
+    bohr = bohr_set(spec_r, eps, n_mod)
+    smoothed_measure = smooth_unpacked(measure, bohr)
+    if ctx.variant == INTEGER_COLORING:
+        f_smooth = f
+    else:
+        f_smooth = smooth_unpacked(f, bohr_set(large_spectrum(f, float(eta)), eps, n_mod))
+    raw = triple_count(f, f, measure).real
+    smoothed = triple_count(f_smooth, f_smooth, smoothed_measure).real
+    xs = np.arange(n_mod)
+    at_double = measure.values[(2 * xs) % n_mod]
+    diag_exact = float((f.values**2 * at_double).sum().real)
+    frak_a = np.flatnonzero(smoothed_measure.values.real >= kappa / n_mod)
+    max_smoothed = float(np.abs(smoothed_measure.values).max())
+    mass_smoothed = smoothed_measure.mass.real
+    lhs = (1 + 2 * kappa) * len(frak_a) / n_mod + kappa * (n_mod - len(frak_a)) / n_mod
+    report = {
+        "variant": ctx.variant,
+        "N": n_mod,
+        "kappa": f"{ctx.kappa.numerator}/{ctx.kappa.denominator}",
+        "mass_measure": mass_measure,
+        "mass_smoothed_measure": mass_smoothed,
+        "max_smoothed_measure": max_smoothed,
+        "smoothed_pointwise_mark": (1 + 2 * kappa) / n_mod,
+        "large_spectrum_size": int(len(spec_r)),
+        "bohr_size": bohr.size,
+        "raw_count": raw,
+        "smoothed_count": smoothed,
+        "count_difference": raw - smoothed,
+        "diagonal_exact": diag_exact,
+        "diagonal_bound": mass_measure,
+        "frak_A_size": int(len(frak_a)),
+        "frak_A_mark": (1 - 3 * kappa) * n_mod,
+        "frak_A_meets_mark": bool(len(frak_a) >= (1 - 3 * kappa) * n_mod),
+        "pointwise_bound_holds": max_smoothed <= (1 + 2 * kappa) / n_mod,
+        "frak_A_chain_consistent": bool(
+            max_smoothed > (1 + 2 * kappa) / n_mod or lhs >= mass_smoothed - 1e-9
+        ),
+    }
+    if ctx.variant == INTEGER_COLORING:
+        final_mark = kappa**4 * n_mod / 3
+        report.update(
+            set_size=int(len(a_set.members)),
+            raw_minus_diagonal_bound=raw - mass_measure,
+            raw_minus_diagonal_exact=raw - diag_exact,
+            final_mark=final_mark,
+            final_holds_diag_bound=bool(raw - mass_measure >= final_mark),
+            final_holds_diag_exact=bool(raw - diag_exact >= final_mark),
+        )
+        return report
+    kw = ctx.K * ctx.W
+    amax = euler_phi(kw) / kw * math.log(kw * n_mod + ctx.psi(ctx.b)) / n_mod
+    unweighted = triple_count(indicator, indicator, measure).real
+    diag_unweighted = float((indicator.values**2 * at_double).sum().real)
+    a_dash = np.flatnonzero(f_smooth.values.real >= kappa / n_mod)
+    mass_f = f.mass.real
+    final_mark = kappa**6 / (3 * n_mod) / amax**2
+    report.update(
+        mass_prime_class=mass_f,
+        mass_prime_class_mark=1 / (3 * ctx.num_colors * ctx.K),
+        mass_prime_class_meets_mark=bool(mass_f >= 1 / (3 * ctx.num_colors * ctx.K)),
+        A_dash_size=int(len(a_dash)),
+        A_dash_mark=2 * kappa * n_mod,
+        A_dash_meets_mark=bool(len(a_dash) >= 2 * kappa * n_mod),
+        max_smoothed_class=float(np.abs(f_smooth.values).max()),
+        smoothed_class_mark=2 / n_mod,
+        pointwise_weight_cap=amax,
+        unweighted_count=unweighted,
+        unweighted_minus_diagonal=unweighted - diag_unweighted,
+        final_mark=final_mark,
+        final_holds=bool(unweighted - diag_unweighted >= final_mark),
+    )
+    return report
+
+
+# a difference of two report counts is compared at the scale of its operands,
+# where the rounding of either operand shows
+DIFFERENCE_SCALE = {
+    "count_difference": "raw_count",
+    "raw_minus_diagonal_bound": "raw_count",
+    "raw_minus_diagonal_exact": "raw_count",
+    "unweighted_minus_diagonal": "unweighted_count",
+}
+
 
 class TestTransferenceReport:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["integer", "prime"])
+    def test_matches_unpacked_oracle(self, ctx_w6, ctx_prime, variant, seed):
+        # paired transforms change rounding only: every non-float field is
+        # identical and every float agrees to a relative 1e-12; a flip of
+        # large_spectrum_size at the eta threshold would fail here, not pass
+        if variant == "integer":
+            ctx, eta = ctx_w6, Fraction(1, 4)
+            dens = dense_class(make_coloring("integers", ctx.n, 2, "random", seed), ctx)
+        else:
+            ctx, eta = ctx_prime, Fraction(1, 20)
+            dens = dense_prime_class(make_coloring("primes", ctx.n, 2, "random", seed), ctx)
+        got = transference_report(dens, eta=eta, eps=Fraction(1, 8))
+        want = unpacked_transference_report(dens, eta, Fraction(1, 8))
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if not isinstance(value, float):
+                assert got[key] == value and type(got[key]) is type(value), key
+                continue
+            scale = max(abs(value), abs(want.get(DIFFERENCE_SCALE.get(key), 0.0)))
+            assert abs(got[key] - value) <= 1e-12 * scale, key
+
+    def test_diagonal_by_halves_matches_index_formula(self):
+        rng = np.random.default_rng(12)
+        for n in (1, 3, 5, 97, 1001, 10007):
+            v = rng.standard_normal(n)
+            assert np.array_equal(_at_double(v), v[(2 * np.arange(n)) % n])
+        with pytest.raises(ValueError, match="odd N"):
+            _at_double(np.zeros(10))
+
     def test_full_set_identity(self, ctx_w6):
         # A = Z_N: the weighted count is mass * N, and (N odd) the exact
         # diagonal sums the whole measure once

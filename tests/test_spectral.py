@@ -20,11 +20,15 @@ from polyprimelab.spectral import (
     convolve,
     dft,
     dft_direct,
+    dft_pair,
     idft,
+    idft_pair,
     large_spectrum,
     major_arc_main_term,
     restriction_norm,
     smooth,
+    smooth_pair,
+    transform_pair,
     weighted_exp_sum,
 )
 from polyprimelab.wtrick import WTrickContext, build_context
@@ -95,6 +99,89 @@ class TestDft:
             lhs = float((np.abs(v) ** 2).sum())
             rhs = float((np.abs(f.spectrum) ** 2).sum()) / n
             assert rhs == pytest.approx(lhs, rel=1e-9)
+
+
+def real_test_array(rng, n: int, kind: str, log10_mass: int) -> np.ndarray:
+    """A real array of l1 mass about 10^log10_mass: zeros, a 0/1 indicator,
+    a nonnegative sparse weight, or signed noise."""
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "indicator":
+        v = (rng.random(n) < 0.3).astype(np.float64)
+        v[rng.integers(n)] = 1.0
+    elif kind == "sparse":
+        v = np.where(rng.random(n) < 0.1, rng.random(n), 0.0)
+        v[rng.integers(n)] = 0.5
+    else:
+        v = rng.standard_normal(n)
+    return v * (10.0**log10_mass / np.abs(v).sum())
+
+
+def assert_close_to_own_max(got, want):
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+PAIR_SIZES = [1, 2, 3, 4, 9, 15, 64, 97, 100, 211, 256, 1000, 1009, 4096]
+PAIR_KINDS = ["zero", "indicator", "sparse", "noise"]
+
+
+class TestPairedTransforms:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.sampled_from(PAIR_SIZES),
+        kinds=st.tuples(st.sampled_from(PAIR_KINDS), st.sampled_from(PAIR_KINDS)),
+        masses=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pair_matches_separate_transforms(self, n, kinds, masses, seed):
+        # l1 masses differ by up to 1e12, prime and composite N; each
+        # spectrum (and each inverse) agrees to 1e-12 of its own max
+        rng = np.random.default_rng(seed)
+        a, b = (real_test_array(rng, n, k, m) for k, m in zip(kinds, masses))
+        spec_a, spec_b = dft_pair(a, b)
+        assert_close_to_own_max(spec_a, dft(a))
+        assert_close_to_own_max(spec_b, dft(b))
+        x, y = idft_pair(dft(a), dft(b))
+        assert x.dtype == y.dtype == np.float64
+        assert_close_to_own_max(x, idft(dft(a)).real)
+        assert_close_to_own_max(y, idft(dft(b)).real)
+
+    def test_split_is_exactly_hermitian(self):
+        rng = np.random.default_rng(14)
+        spec_a, spec_b = dft_pair(rng.standard_normal(101), rng.random(101) < 0.5)
+        for spec in (spec_a, spec_b):
+            assert np.array_equal(spec[1:], np.conj(spec[:0:-1]))
+            assert spec[0].imag == 0
+
+    def test_zero_partner_exact(self):
+        a = np.arange(7.0)
+        spec_a, spec_b = dft_pair(a, np.zeros(7))
+        assert not spec_b.any() and np.array_equal(spec_a, dft(a))
+        x, y = idft_pair(np.zeros(7, dtype=complex), dft(a))
+        assert not x.any() and np.allclose(y, a, atol=1e-12)
+
+    def test_complex_rejected(self):
+        with pytest.raises(ValueError, match="real"):
+            dft_pair(np.ones(5, dtype=complex), np.ones(5))
+
+    def test_transform_pair_caches_both(self, monkeypatch):
+        from polyprimelab import spectral
+
+        calls = []
+        real = spectral.dft
+        monkeypatch.setattr(spectral, "dft", lambda v: calls.append(len(v)) or real(v))
+        rng = np.random.default_rng(15)
+        f, g = DensityFunction(rng.random(31)), DensityFunction(rng.random(31) < 0.5)
+        transform_pair(f, g)
+        assert calls == [31]
+        assert np.allclose(f.spectrum, real(f.values), atol=1e-12)
+        assert np.allclose(g.spectrum, real(g.values), atol=1e-12)
+        assert calls == [31] and not f.spectrum.flags.writeable
+
+    def test_real_values_are_float64(self, ctx_w6):
+        assert build_poly_prime_measure(ctx_w6).values.dtype == np.float64
+        assert DensityFunction([1, 0, 1]).values.dtype == np.float64
+        assert DensityFunction([1j, 0, 1]).values.dtype == np.complex128
 
 
 class TestConvolve:
@@ -337,6 +424,16 @@ class TestSmooth:
         for out in (smooth(f, bohr_set([3, 40], Fraction(1, 6), n)), convolve(f, g)):
             assert not out.spectrum.flags.writeable
             assert np.allclose(dft(out.values), out.spectrum, rtol=0, atol=1e-9 * n)
+
+    def test_pair_matches_single(self):
+        rng = np.random.default_rng(11)
+        n = 1009
+        f, g = DensityFunction(rng.random(n)), DensityFunction(rng.random(n) < 0.5)
+        b_f, b_g = bohr_set([3, 40], Fraction(1, 6), n), bohr_set([7], Fraction(1, 5), n)
+        for out, want in zip(smooth_pair(f, b_f, g, b_g), (smooth(f, b_f), smooth(g, b_g))):
+            assert out.values.dtype == np.float64
+            assert_close_to_own_max(out.values, want.values)
+            assert_close_to_own_max(out.spectrum, want.spectrum)
 
     def test_pointwise_diagnostic_reported(self, ctx_w6):
         m = build_poly_prime_measure(ctx_w6)

@@ -216,6 +216,11 @@ class TestBuildContext:
         with pytest.raises(ScaleError):
             build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 4, 3: 3, 5: 2}, 100)
 
+    def test_even_modulus_rejected(self):
+        # at n = 4 and W = 6 the only prime in (2n/W, 4n/W] = (1, 2] is N = 2
+        with pytest.raises(ScaleError, match="needs an odd N"):
+            build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 4)
+
     def test_all_invariants_assert(self, context_suite):
         for name, ctx in context_suite:
             failures = [(n, info) for n, ok, info in ctx.verify_invariants() if not ok]
@@ -291,6 +296,7 @@ class TestContextJson:
             ctx = build_context(IntPolynomial((leading, *lower)), b0, w0, m, variant, exps, n)
         except ValueError:
             reject()  # only contexts that build are round-tripped
+        assert ctx.N % 2 == 1
         assert WTrickContext.from_json(ctx.to_json()) == ctx
 
     def test_integers_as_strings(self, ctx_w6):
