@@ -4,6 +4,7 @@ of the residue condition, and the pigeonhole-dense transferred classes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -296,7 +297,14 @@ def load_coloring(path) -> ColoringInstance:
                 raise ValueError(f"line {i}: color {c} outside 1..{m}")
             elements.append(x)
             colors.append(c)
+    # a pair count no total coloring has fails before the domain is built, so
+    # memory is bounded by the file, not by the header: [1, n] has n integers,
+    # and pi(n) > n / ln n for n >= 17 (Rosser-Schoenfeld)
+    if domain == DOMAIN_INTEGERS:
+        impossible = len(elements) != n
+    else:
+        impossible = n >= 17 and len(elements) <= n / math.log(n)
     el = np.asarray(elements, dtype=np.int64)
-    if not np.array_equal(np.sort(el), _domain_elements(domain, n)):
+    if impossible or not np.array_equal(np.sort(el), _domain_elements(domain, n)):
         raise ValueError("coloring is not total over its declared domain")
     return ColoringInstance(domain, n, m, rule, _color_table(n, m, el, colors))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .coloring import ColoringInstance, TransferredSet
-from .numtheory import euler_phi, is_prime
+from .numtheory import ap_primes, euler_phi, is_prime
 from .polynomials import INTEGER_COLORING, IntPolynomial
 from .spectral import (
     DensityFunction,
@@ -263,15 +263,13 @@ def find_zn_solutions(
     members: np.ndarray, ctx: WTrickContext, limit: int = 100
 ) -> list[tuple[int, int, int]]:
     """(x', y', z') with x', y' in the set, z' admissible, x'+y' = psi_{b,W}(z')
-    in Z_N, and x' != y'; at most `limit` triples."""
+    in Z_N, and x' != y'; at most `limit` triples.  The admissible z' are the
+    support of the measure: `ap_primes` of the progression over [1, M]."""
     n_mod = ctx.N
     in_set = np.zeros(n_mod, dtype=bool)
     in_set[members] = True
     out = []
-    c, q = ctx.progression
-    for zp in range(1, ctx.M + 1):
-        if not is_prime(q * zp + c):
-            continue
+    for zp in ap_primes(*ctx.progression, ctx.M).support.tolist():
         t = ctx.rescaled(zp) % n_mod
         ys = (t - members) % n_mod
         ok = in_set[ys] & (members != ys)

@@ -132,7 +132,6 @@ _CONFIG_PARSERS = {
     "m": int,
     "variant": _parse_variant,
     "w": _parse_w_spec,
-    "w_config": _parse_w_spec,
     "n": int,
     "eta": _parse_fraction,
     "eps": _parse_fraction,
@@ -146,7 +145,7 @@ _CONFIG_PARSERS = {
     "trend_w": lambda s: tuple(int(x) for x in s.split(",")),
 }
 
-_CONFIG_FIELDS = {"w": "w_config", "w_config": "w_config"}
+_CONFIG_FIELDS = {"w": "w_config"}
 
 
 def parse_setting(key: str, text: str) -> tuple[str, object]:
@@ -344,26 +343,30 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
         f"N={nn}",
     )
 
-    # measure well-definedness + mass conservation under smoothing
+    # measure well-definedness, the Bohr pigeonhole bound and mass
+    # conservation under smoothing: a failing stage is recorded under its
+    # own name, and each stage after it as not reached
+    stages = iter(("spectral.measure-well-defined", "spectral.bohr-bound", "spectral.smoothing-mass"))
     try:
         measure = build_poly_prime_measure(ctx)
-        record("spectral.measure-well-defined", True, f"M={ctx.M}")
-        spec_r = large_spectrum(measure, float(cfg.eta))
-        bohr = bohr_set(spec_r, cfg.eps, ctx.N)
+        record(next(stages), True, f"M={ctx.M}")
+        bohr = bohr_set(large_spectrum(measure, float(cfg.eta)), cfg.eps, ctx.N)
         p_, q_ = cfg.eps.numerator, cfg.eps.denominator
         record(
-            "spectral.bohr-bound",
+            next(stages),
             bohr.size * q_ ** len(bohr.frequencies) >= p_ ** len(bohr.frequencies) * ctx.N,
             f"|B|={bohr.size}, |R|={len(bohr.frequencies)}",
         )
         smoothed = smooth(measure, bohr)
         record(
-            "spectral.smoothing-mass",
+            next(stages),
             abs(smoothed.mass - measure.mass) < 1e-9 * max(1.0, abs(measure.mass)),
             f"mass={measure.mass.real:.6f}",
         )
     except (ValueError, RuntimeError) as e:
-        record("spectral.measure-well-defined", False, str(e))
+        record(next(stages), False, str(e))
+        for name in stages:
+            record(name, False, "not reached")
 
     # Gauss dichotomy over divisors of W
     ok = True

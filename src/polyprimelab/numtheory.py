@@ -1,5 +1,9 @@
-"""Exact integer number theory: sieves, primes in arithmetic progressions,
-totient, p-adic valuations, CRT, and logarithmic prime weights.
+"""Exact integer number theory: the prime sieve, primes in arithmetic
+progressions, totient, p-adic valuations, CRT, and logarithmic prime weights.
+
+One segmented sieve lists the primes up to any limit.  `ap_primes` is the
+one producer of a progression's primes and log weights; the per-point
+Miller-Rabin `lambda_weight` stays only as its oracle.
 
 All modular and combinatorial data are exact integers; only the logarithmic
 weights are double precision.
@@ -38,13 +42,12 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 class PrimeTable:
-    """All primes <= limit: packed membership bits plus an ascending array."""
+    """All primes <= limit as one ascending int64 array."""
 
-    __slots__ = ("limit", "_bits", "primes")
+    __slots__ = ("limit", "primes")
 
-    def __init__(self, limit: int, bits: np.ndarray, primes: np.ndarray):
+    def __init__(self, limit: int, primes: np.ndarray):
         self.limit = int(limit)
-        self._bits = bits  # uint8, little-endian bit i <=> i prime
         self.primes = primes
         self.primes.setflags(write=False)
 
@@ -57,13 +60,12 @@ class PrimeTable:
     def is_prime(self, n: int) -> bool:
         if n > self.limit:
             raise ValueError(f"{n} exceeds table limit {self.limit}")
-        if n < 2:
-            return False
-        return bool((self._bits[n >> 3] >> (n & 7)) & 1)
+        i = int(np.searchsorted(self.primes, n))
+        return i < len(self.primes) and int(self.primes[i]) == n
 
 
 def _simple_mask(limit: int) -> np.ndarray:
-    """Boolean primality mask over [0, limit] by plain Eratosthenes."""
+    """Primality mask over [0, limit]: the base primes of `sieve_primes`."""
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
@@ -73,17 +75,11 @@ def _simple_mask(limit: int) -> np.ndarray:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Sieve all primes <= limit; segmented above the memory threshold."""
+    """All primes <= limit, sieved _SEGMENT integers at a time."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2 (table would be empty)")
-    if limit <= _SEGMENT:
-        mask = _simple_mask(limit)
-        bits = np.packbits(mask, bitorder="little")
-        return PrimeTable(limit, bits, np.flatnonzero(mask).astype(np.int64))
-
     base = np.flatnonzero(_simple_mask(math.isqrt(limit))).tolist()
-    bit_chunks = []
-    prime_chunks = []
+    chunks = []
     lo = 0
     while lo <= limit:
         hi = min(lo + _SEGMENT, limit + 1)  # exclusive
@@ -94,13 +90,12 @@ def sieve_primes(limit: int) -> PrimeTable:
             if p * p >= hi:
                 break
             start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                seg[start - lo :: p] = False
-        bit_chunks.append(np.packbits(seg, bitorder="little"))
-        prime_chunks.append((np.flatnonzero(seg) + lo).astype(np.int64))
+            seg[start - lo :: p] = False
+        chunk = np.flatnonzero(seg).astype(np.int64, copy=False)
+        chunk += lo
+        chunks.append(chunk)
         lo = hi
-    bits = np.concatenate(bit_chunks)
-    return PrimeTable(limit, bits, np.concatenate(prime_chunks))
+    return PrimeTable(limit, np.concatenate(chunks))
 
 
 def is_prime(n: int) -> bool:
@@ -223,8 +218,8 @@ def lambda_weight(b: int, w: int, x: int) -> float:
 
 
 def _check_progression(b: int, w: int) -> None:
-    if w < 1 or not 1 <= b <= w:
-        raise ValueError(f"requires 1 <= b <= w, got b={b}, w={w}")
+    if w < 1:
+        raise ValueError(f"requires w >= 1, got w={w}")
     if math.gcd(b, w) != 1:
         raise ValueError(f"gcd({b}, {w}) != 1")
 
@@ -232,27 +227,20 @@ def _check_progression(b: int, w: int) -> None:
 def ap_prime_mask(b: int, w: int, count: int) -> np.ndarray:
     """Boolean mask over x = 1..count marking where w*x + b is prime.
 
-    Sieves the progression directly, so b may exceed w (only gcd(b, w) = 1
-    is required); used for bulk weight evaluation.
+    Sieves the progression directly; any offset b coprime to w is accepted.
     """
-    if w < 1 or b < 1:
-        raise ValueError("requires w >= 1 and b >= 1")
-    if math.gcd(b, w) != 1:
-        raise ValueError(f"gcd({b}, {w}) != 1")
+    _check_progression(b, w)
     if count <= 0:
         return np.zeros(0, dtype=bool)
     top = w * count + b
     mask = np.ones(count, dtype=bool)
-    for p in sieve_primes(max(2, math.isqrt(top))).primes.tolist():
+    mask[: max(0, (1 - b) // w)] = False  # w*x + b <= 1
+    for p in sieve_primes(max(2, math.isqrt(max(top, 0)))).primes.tolist():
         if w % p == 0:
             continue
-        x0 = (-b * pow(w, -1, p)) % p
-        if x0 == 0:
-            x0 = p
-        if w * x0 + b == p:  # the value p itself is prime, skip past it
-            x0 += p
-        if x0 <= count:
-            mask[x0 - 1 :: p] = False
+        lo = max(1, (p - b) // w + 1)  # first x with w*x + b > p
+        x0 = lo + (-b * pow(w, -1, p) - lo) % p
+        mask[x0 - 1 :: p] = False
     return mask
 
 
@@ -278,8 +266,8 @@ class WeightedAPPrimes:
 
 
 def ap_primes(b: int, w: int, limit: int) -> WeightedAPPrimes:
-    """All weighted primes of the progression w*x + b with x in [1, limit]."""
-    _check_progression(b, w)
+    """All weighted primes of the progression w*x + b with x in [1, limit],
+    for any offset b coprime to w (values below 2 are not prime)."""
     mask = ap_prime_mask(b, w, limit)
     support = (np.flatnonzero(mask) + 1).astype(np.int64)
     values = w * support + b

@@ -3,6 +3,9 @@ polynomial-prime measure and the prime-coloring measure, large spectra,
 Bohr sets, smoothing, restriction norms, complete Gauss sums, arc
 classification, and weighted exponential sums.
 
+Both measures and `weighted_exp_sum` take their primes and log weights from
+`numtheory.ap_primes`.
+
 Transform convention: fhat(r) = sum_x f(x) e(-x r / N) with e(t) = exp(2 pi i t),
 computed by numpy's FFT.  Every other phase is reduced with exact integer
 arithmetic before trig.
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numtheory import ap_prime_mask, euler_phi, is_prime
+from .numtheory import ap_primes, euler_phi
 from .wtrick import WTrickContext
 
 __all__ = [
@@ -240,12 +243,11 @@ class PolyPrimeMeasure(DensityFunction):
 def _measure_weights(ctx: WTrickContext):
     """(z, weight) for each z in [1, M] whose progression value q z + c is
     prime; the un-normalized weight is psi_{b,W}(z) - psi_{b,W}(z-1) times
-    (phi(q)/q) log(q z + c)."""
-    c, q = ctx.progression
-    phi_ratio = euler_phi(q) / q
+    the progression's log weight (phi(q)/q) log(q z + c) from `ap_primes`."""
+    ap = ap_primes(*ctx.progression, ctx.M)
     fd = ctx.rescaled.forward_difference
-    for z in (np.flatnonzero(ap_prime_mask(c, q, ctx.M)) + 1).tolist():
-        yield z, fd(z - 1) * phi_ratio * math.log(q * z + c)
+    for z, weight in zip(ap.support.tolist(), ap.weights.tolist()):
+        yield z, fd(z - 1) * weight
 
 
 def build_poly_prime_measure(ctx: WTrickContext) -> PolyPrimeMeasure:
@@ -279,26 +281,21 @@ def build_prime_coloring_measure(members, ctx: WTrickContext) -> DensityFunction
 
     The weight at x is (phi(KW)/KW) * log(W*x + psi(b)/2) / N when the source
     value W*x + psi(b)/2 is prime and K | x (transferred points always sit in
-    K Z); the offset psi(b)/2 must be coprime to KW.
+    K Z); the offset psi(b)/2 must be coprime to KW.  At x = K (t - 1) the
+    source value is KW t + psi(b)/2 - KW, a progression in t for `ap_primes`.
     """
-    c = ctx.half_psi_b
     kw = ctx.K * ctx.W
-    if math.gcd(c, kw) != 1:
-        raise ValueError(f"gcd(psi(b)/2, K*W) = {math.gcd(c, kw)} != 1")
-    phi_ratio = euler_phi(kw) / kw
     xs = np.asarray(members, dtype=np.int64)
     outside = xs[(xs < 0) | (xs >= ctx.N)]
     if len(outside):
         raise ValueError(f"member {outside[0]} outside [0, N)")
-    # primality of W*x + c: direct tests up to the first x = s with c + W*s >= 1
-    # (s = 0 unless c <= 0), a progression sieve with offset c + W*s beyond it
-    s = max(0, -((c - 1) // ctx.W))
-    head = [is_prime(ctx.W * x + c) for x in range(min(s + 1, ctx.N))]
-    source_prime = np.concatenate((head, ap_prime_mask(c + ctx.W * s, ctx.W, ctx.N - 1 - s)))
-    xs = xs[xs % ctx.K == 0]
+    in_class = np.zeros(ctx.N, dtype=bool)
+    in_class[xs] = True
+    ap = ap_primes(ctx.half_psi_b - kw, kw, (ctx.N - 1) // ctx.K + 1)
+    xs = ctx.K * (ap.support - 1)
+    keep = in_class[xs]
     values = np.zeros(ctx.N)
-    for x in xs[source_prime[xs]].tolist():
-        values[x] = phi_ratio * math.log(ctx.W * x + c) / ctx.N
+    values[xs[keep]] = ap.weights[keep] / ctx.N
     return DensityFunction(values)
 
 
@@ -363,6 +360,7 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
     if len(members) * q ** len(freqs) < p ** len(freqs) * modulus:
         raise RuntimeError(
             f"Bohr bound violated: |B| = {len(members)} < eps^|R| * N"
+            f" = ({eps})^{len(freqs)} * {modulus}"
         )
     return BohrStructure(modulus, freqs, eps, members)
 
@@ -508,11 +506,8 @@ def weighted_exp_sum(ctx: WTrickContext, alpha, form: str = "measure") -> comple
             total += w * _phase_for(ctx.rescaled(z), alpha)
         return total
     if form == "ap":
-        c, q = ctx.progression
-        phi_ratio = euler_phi(q) / q
-        mask = ap_prime_mask(c, q, ctx.N)
-        for x in (np.flatnonzero(mask) + 1).tolist():
-            w = phi_ratio * math.log(q * x + c)
+        ap = ap_primes(*ctx.progression, ctx.N)
+        for x, w in zip(ap.support.tolist(), ap.weights.tolist()):
             total += w * _phase_for(ctx.rescaled(x), alpha)
         return total
     raise ValueError(f"unknown form {form!r}")

@@ -65,6 +65,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 2"):
             parse_config_file(path)
 
+    def test_w_config_key_unknown(self, tmp_path, capsys):
+        # the smooth modulus has one config key, `w`
+        path = tmp_path / "old.cfg"
+        path.write_text("w_config = 2:1\n")
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 1: unknown key 'w_config'\n"
+
     def test_flag_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("n = 100\nseed = 1\n")
@@ -121,6 +129,20 @@ class TestVerifyCommand:
         assert not ok
         assert not report["checks"]["wtrick.context-invariants"]["pass"]
 
+    def test_bohr_failure_recorded_under_its_own_name(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("Bohr bound violated: |B| = 1 < eps^|R| * N = (1/8)^2 * 10007")
+
+        monkeypatch.setattr(experiments, "bohr_set", fail)
+        assert main(["verify", "--out", str(tmp_path)]) == 1
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert checks["spectral.measure-well-defined"] == {"info": "M=40", "pass": True}
+        assert checks["spectral.bohr-bound"] == {
+            "info": "Bohr bound violated: |B| = 1 < eps^|R| * N = (1/8)^2 * 10007",
+            "pass": False,
+        }
+        assert checks["spectral.smoothing-mass"] == {"info": "not reached", "pass": False}
+
     def test_empty_config_usage_error(self, tmp_path):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("\n")
@@ -171,6 +193,22 @@ class TestSearchCommand:
             ["search", "--coloring", str(path), "--out", str(tmp_path)]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("domain", ["integers", "primes"])
+    def test_header_n_beyond_the_file_rejected_before_the_domain(
+        self, tmp_path, monkeypatch, capsys, domain
+    ):
+        # three lines cannot color a domain of n = 10^12, and the domain
+        # (8 TB of int64 for the integers) must never be built to find out
+        def never(*args, **kwargs):
+            raise AssertionError("domain built from an unbacked header")
+
+        monkeypatch.setattr("polyprimelab.coloring._domain_elements", never)
+        path = tmp_path / "huge.txt"
+        path.write_text(f"{domain} {10**12} 2 random\n2 1\n3 2\n5 1\n")
+        assert main(["search", "--coloring", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: coloring is not total over its declared domain\n"
 
     def test_optimized_interpreter_same_solutions(self, tmp_path):
         # the search's exact re-check must not live in an assert that -O strips

@@ -54,19 +54,20 @@ class TestSieve:
         for n in range(2, 501):
             assert table.is_prime(n) == (n in listed)
 
-    def test_segmented_matches_simple(self):
-        # force the segmented path by shrinking the segment size
+    def test_segmented_matches_trial_division(self, monkeypatch):
+        # 1000-integer segments: limits at, just off and well past segment ends
         import polyprimelab.numtheory as nt
 
-        old = nt._SEGMENT
-        nt._SEGMENT = 1000
-        try:
-            seg = sieve_primes(25_000)
-        finally:
-            nt._SEGMENT = old
-        plain = sieve_primes(25_000)
-        assert np.array_equal(seg.primes, plain.primes)
-        assert seg.is_prime(24_989) == plain.is_prime(24_989)
+        monkeypatch.setattr(nt, "_SEGMENT", 1000)
+        for limit in (999, 1000, 1001, 2999, 3000, 25_000):
+            table = sieve_primes(limit)
+            assert table.primes.tolist() == [
+                n for n in range(limit + 1) if trial_division_is_prime(n)
+            ]
+            for n in (0, 1, 2, limit):
+                assert table.is_prime(n) == trial_division_is_prime(n)
+            with pytest.raises(ValueError, match="exceeds table limit"):
+                table.is_prime(limit + 1)
 
     def test_agrees_with_miller_rabin(self):
         table = sieve_primes(10**6)
@@ -205,6 +206,23 @@ class TestApPrimes:
                 if trial_division_is_prime(w * x + b)
             )
             assert bundle.total == pytest.approx(expect, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.integers(1, 60), b=st.integers(-200, 200), limit=st.integers(0, 3000))
+    def test_any_coprime_offset_property(self, w, b, limit):
+        if math.gcd(b, w) != 1:
+            with pytest.raises(ValueError, match="gcd"):
+                ap_primes(b, w, limit)
+            return
+        bundle = ap_primes(b, w, limit)
+        # values below 2, negative ones included, are not prime
+        assert bundle.support.tolist() == [
+            x for x in range(1, limit + 1) if is_prime(w * x + b)
+        ]
+        phi_ratio = euler_phi(w) / w
+        for x, weight in zip(bundle.support.tolist(), bundle.weights.tolist()):
+            want = phi_ratio * math.log(w * x + b)
+            assert abs(weight - want) <= 1e-15 * want
 
     def test_weight_at(self):
         bundle = ap_primes(1, 4, 10)
