@@ -1,8 +1,11 @@
 """Command-line front end: verify | search | counterexample | transfer | spectrum.
 
-Flags override config-file values and go through the config file's parsers,
-so a bad value gets the same message either way.  Reports land in the output
-directory as deterministic JSON (integers as decimal strings), bulk data as CSV.
+A setting is declared once, on its `ExperimentConfig` field, and the setting
+flags are built from those fields: every config key but `trend_n` and
+`trend_w` is also a flag.  Flags override config-file values and go through
+the config file's parsers, so a bad value gets the same message either way.
+Reports land in the output directory as deterministic JSON (integers as
+decimal strings), bulk data as CSV.
 
 Exit codes: 0 success; 1 bad input, infeasible scale or a failed `verify`
 check; 2 usage or config error; 3 a broken internal invariant (RuntimeError,
@@ -18,6 +21,7 @@ import os
 import sys
 
 from .experiments import (
+    SETTINGS,
     config_from_sources,
     parse_setting,
     run_counterexample,
@@ -29,8 +33,6 @@ from .experiments import (
 )
 
 __all__ = ["main"]
-
-_NON_SETTINGS = {"command", "config", "coloring_file"}  # flags that are not config keys
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,21 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", help="key-value config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", help="master seed (recorded in reports)")
-        p.add_argument("--n", help="ambient scale")
-        p.add_argument("--w", help="smooth modulus: level like '3' or exponents '2:1,3:2'")
-        p.add_argument("--eta", help="spectrum threshold as a rational 'p/q'")
-        p.add_argument("--eps", help="Bohr radius as a rational 'p/q'")
-        p.add_argument("--rho", help="comma list of restriction exponents")
-        p.add_argument("--arc-B", dest="arc_b", help="arc exponent B")
-        p.add_argument("--psi", help="polynomial coefficients, highest degree first")
-        p.add_argument("--b0")
-        p.add_argument("--w0")
-        p.add_argument("--m", help="number of colors")
-        p.add_argument("--p", help="blocking prime (counterexample)")
-        p.add_argument("--variant", help="integer-coloring | prime-coloring")
-        p.add_argument("--coloring-rule", dest="coloring", help="random | residue:<q> | interval:<cuts>")
+        for key, f in SETTINGS.items():
+            if f.metadata["flag"]:
+                p.add_argument(f.metadata["flag"], dest=key, help=f.metadata["help"])
         if name == "search":
             p.add_argument("--coloring", dest="coloring_file", required=True, help="coloring file to search")
     return parser
@@ -70,11 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _overrides(args: argparse.Namespace) -> dict:
     """Every setting flag given, parsed as its config-file key would be."""
-    return dict(
-        parse_setting(key, text)
-        for key, text in vars(args).items()
-        if key not in _NON_SETTINGS and text is not None
-    )
+    given = vars(args)
+    return dict(parse_setting(key, given[key]) for key in SETTINGS if given.get(key) is not None)
 
 
 def main(argv=None) -> int:

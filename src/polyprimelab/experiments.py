@@ -1,7 +1,8 @@
 """Batch orchestration: experiment configuration, the invariant verification
 suite, monochromatic search, the blocking counterexample, the transference
 pipeline, and spectrum/diagnostic dumps.  Reports are deterministic JSON
-with every integer rendered as a decimal string."""
+with every integer rendered as a decimal string.  A setting is declared once,
+on its `ExperimentConfig` field, with its default, config key, parser and flag."""
 
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ from .wtrick import WTrickContext, build_context, level_exponents, verify_gcd_id
 
 __all__ = [
     "ExperimentConfig",
+    "SETTINGS",
     "parse_config_file",
     "parse_setting",
     "run_counterexample",
@@ -65,41 +67,6 @@ __all__ = [
 GOLDEN = (math.sqrt(5) - 1) / 2
 
 
-@dataclass
-class ExperimentConfig:
-    """Free parameters of one experiment; every field is echoed into reports."""
-
-    psi: tuple[int, ...] = (1, 1, 0)  # highest degree first
-    b0: int = 1
-    w0: int = 2
-    m: int = 2
-    variant: str = INTEGER_COLORING
-    w_config: dict[int, int] = field(default_factory=lambda: {2: 1, 3: 1})
-    n: int = 30000
-    eta: Fraction = Fraction(1, 4)
-    eps: Fraction = Fraction(1, 8)
-    rho: tuple[float, ...] = (4.0, 64.0)
-    arc_b: float = 10.0
-    seed: int = 1
-    coloring: str = "random"
-    p: int = 3  # blocking prime for the counterexample command
-    out: str = "out"
-    trend_n: tuple[int, ...] = (2003, 4001, 8009)
-    trend_w: tuple[int, ...] = (1, 2, 3)  # smoothing levels: primes up to these
-
-    def polynomial(self) -> IntPolynomial:
-        return IntPolynomial(tuple(self.psi))
-
-    def context(self) -> WTrickContext:
-        return build_context(
-            self.polynomial(), self.b0, self.w0, self.m, self.variant, self.w_config, self.n
-        )
-
-    def echo(self) -> dict:
-        """Every field but `out`; write_report renders the values."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
-
-
 def _parse_w_spec(text: str) -> dict[int, int]:
     """Either a bare level "3" (exponent 1 for each prime <= 3) or "2:1,3:2"."""
     text = text.strip()
@@ -110,6 +77,8 @@ def _parse_w_spec(text: str) -> dict[int, int]:
     out = {}
     for part in text.split(","):
         p, e = part.split(":")
+        if int(p) in out:
+            raise ValueError(f"prime {int(p)} named twice")
         out[int(p)] = int(e)
     return out
 
@@ -125,39 +94,85 @@ def _parse_variant(text: str) -> str:
     return variant
 
 
-_CONFIG_PARSERS = {
-    "psi": lambda s: tuple(int(c) for c in s.replace("[", "").replace("]", "").split(",")),
-    "b0": int,
-    "w0": int,
-    "m": int,
-    "variant": _parse_variant,
-    "w": _parse_w_spec,
-    "n": int,
-    "eta": _parse_fraction,
-    "eps": _parse_fraction,
-    "rho": lambda s: tuple(float(x) for x in s.split(",")),
-    "arc_b": float,
-    "seed": int,
-    "coloring": lambda s: s.strip(),
-    "p": int,
-    "out": lambda s: s.strip(),
-    "trend_n": lambda s: tuple(int(x) for x in s.split(",")),
-    "trend_w": lambda s: tuple(int(x) for x in s.split(",")),
-}
+def _int_tuple(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
 
-_CONFIG_FIELDS = {"w": "w_config"}
+
+def _setting(default, parse, flag=None, help=None, key=None):
+    """A field declared as a setting: its config key (`key`, else the field's
+    name), the parser of its text, and its command-line `flag` with `help`
+    (None for a config-only setting).  A dict default is copied per instance."""
+    meta = {"key": key, "parse": parse, "flag": flag, "help": help}
+    if isinstance(default, dict):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class ExperimentConfig:
+    """Free parameters of one experiment; every field is echoed into reports."""
+
+    psi: tuple[int, ...] = _setting(
+        (1, 1, 0), lambda s: _int_tuple(s.replace("[", "").replace("]", "")),
+        "--psi", "polynomial coefficients, highest degree first",
+    )
+    b0: int = _setting(1, int, "--b0")
+    w0: int = _setting(2, int, "--w0")
+    m: int = _setting(2, int, "--m", "number of colors")
+    variant: str = _setting(
+        INTEGER_COLORING, _parse_variant, "--variant", "integer-coloring | prime-coloring"
+    )
+    w_config: dict[int, int] = _setting(
+        {2: 1, 3: 1}, _parse_w_spec, "--w",
+        "smooth modulus: level like '3' or exponents '2:1,3:2'", key="w",
+    )
+    n: int = _setting(30000, int, "--n", "ambient scale")
+    eta: Fraction = _setting(
+        Fraction(1, 4), _parse_fraction, "--eta", "spectrum threshold as a rational 'p/q'"
+    )
+    eps: Fraction = _setting(
+        Fraction(1, 8), _parse_fraction, "--eps", "Bohr radius as a rational 'p/q'"
+    )
+    rho: tuple[float, ...] = _setting(
+        (4.0, 64.0), lambda s: tuple(float(x) for x in s.split(",")),
+        "--rho", "comma list of restriction exponents",
+    )
+    arc_b: float = _setting(10.0, float, "--arc-B", "arc exponent B")
+    seed: int = _setting(1, int, "--seed", "master seed (recorded in reports)")
+    coloring: str = _setting(
+        "random", str.strip, "--coloring-rule", "random | residue:<q> | interval:<cuts>"
+    )
+    p: int = _setting(3, int, "--p", "blocking prime (counterexample)")
+    out: str = _setting("out", str.strip, "--out", "output directory")
+    trend_n: tuple[int, ...] = _setting((2003, 4001, 8009), _int_tuple)
+    trend_w: tuple[int, ...] = _setting((1, 2, 3), _int_tuple)  # smoothing levels: primes <= these
+
+    def polynomial(self) -> IntPolynomial:
+        return IntPolynomial(tuple(self.psi))
+
+    def context(self) -> WTrickContext:
+        return build_context(
+            self.polynomial(), self.b0, self.w0, self.m, self.variant, self.w_config, self.n
+        )
+
+    def echo(self) -> dict:
+        """Every field but `out`; write_report renders the values."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+
+
+SETTINGS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}  # by config key
 
 
 def parse_setting(key: str, text: str) -> tuple[str, object]:
     """(config field, parsed value) for one setting, from a config-file line
     or a command-line flag alike; any bad value raises ValueError naming key."""
-    if key not in _CONFIG_PARSERS:
+    if key not in SETTINGS:
         raise ValueError(f"unknown key {key!r}")
     try:
-        value = _CONFIG_PARSERS[key](text)
+        value = SETTINGS[key].metadata["parse"](text)
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"bad value for {key!r}: {e}") from e
-    return _CONFIG_FIELDS.get(key, key), value
+    return SETTINGS[key].name, value
 
 
 def parse_config_file(path) -> dict:
@@ -244,13 +259,16 @@ def dump_density_csv(f: DensityFunction, path, spectrum: bool = False) -> None:
     _write_csv(path, "index,real,imaginary", "%d,%r,%r\r\n", (range(len(data)), data.real, data.imag))
 
 
+def _nonzero_sup(f: DensityFunction) -> float:
+    """max over r != 0 of |f^(r)| (0 when the modulus is 1)."""
+    return float(np.abs(f.spectrum[1:]).max()) if f.modulus > 1 else 0.0
+
+
 def density_summary(f: DensityFunction, rho_list) -> dict:
-    spec = np.abs(f.spectrum)
-    nonzero_max = float(spec[1:].max()) if f.modulus > 1 else 0.0
     return {
         "modulus": f.modulus,
         "mass": f.mass.real,
-        "max_nonzero_spectral_value": nonzero_max,
+        "max_nonzero_spectral_value": _nonzero_sup(f),
         "restriction_norms": {str(r): restriction_norm(f, r) for r in rho_list},
     }
 
@@ -527,8 +545,7 @@ def run_transfer(cfg: ExperimentConfig) -> dict:
             continue
         lifted.append({"x": t.x, "y": t.y, "z": t.z})
     # measured stand-ins for the unspecified constants in the parameter conditions
-    spec_abs = np.abs(measure.spectrum)
-    sup_nonzero = float(spec_abs[1:].max()) if ctx.N > 1 else 0.0
+    sup_nonzero = _nonzero_sup(measure)
     k_deg = ctx.psi.degree
     w_level = max(ctx.smoothing_level, 2)
     c1_measured = sup_nonzero * w_level ** (1 / (k_deg * (k_deg + 3))) / ctx.K
@@ -581,15 +598,8 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
         n_here = max(cfg.trend_n[0] * w_mod // 2, w_mod * 8)
         try:
             c2 = replace(cfg, w_config=exps, n=n_here).context()
-            m2 = build_poly_prime_measure(c2)
-            spec_abs = np.abs(m2.spectrum)
-            w_trend.append(
-                {
-                    "W": c2.W,
-                    "N": c2.N,
-                    "max_nonzero_spectral_value": float(spec_abs[1:].max()),
-                }
-            )
+            sup = _nonzero_sup(build_poly_prime_measure(c2))
+            w_trend.append({"W": c2.W, "N": c2.N, "max_nonzero_spectral_value": sup})
         except ValueError as e:
             w_trend.append({"W": w_mod, "error": str(e)})
     report["spectral_sup_vs_W"] = w_trend

@@ -456,11 +456,15 @@ class ArcDecomposition:
         for p, q in _convergents(frac, self.q_limit):
             cands.append((q, q if p == 0 else p, p))
         for q, a, p in sorted(set(cands)):
-            d = abs(af - p / q)
-            err = q * min(d, 1 - d)
-            if err <= self.threshold and err < 1 / (2 * q * q):
+            if self.contains(af, p, q):
                 return ArcLabel(True, a, q)
         return ArcLabel(False)
+
+    def contains(self, af: float, a: int, q: int) -> bool:
+        """Whether the point af of [0, 1) lies in the major arc around a/q."""
+        d = abs(af - a / q)
+        err = q * min(d, 1 - d)
+        return err <= self.threshold and err < 1 / (2 * q * q)
 
 
 def _convergents(frac: Fraction, q_limit: int) -> list[tuple[int, int]]:
@@ -557,9 +561,7 @@ def major_arc_main_term(
     if arc is None:
         arc = ArcDecomposition.from_context(ctx, arc_exponent)
     frac = Fraction(alpha) % 1
-    d = abs(float(frac) - a / q)
-    err = q * min(d, 1 - d)
-    if err > arc.threshold or err >= 1 / (2 * q * q):
+    if not arc.contains(float(frac), a, q):
         raise ValueError(f"alpha = {alpha} is outside the ({a}, {q}) major arc")
     _, big_q = ctx.progression
     prefactor = euler_phi(big_q) / euler_phi(big_q * q)

@@ -172,19 +172,13 @@ def select_bp(
     raise RuntimeError("residue scan exhausted")
 
 
-def compute_K(
-    bp: dict[int, int],
-    psi: IntPolynomial,
-    b0: int,
-    w0: int,
-    coeff_bound: int,
-) -> int:
-    """Product over p <= coeff_bound of p^(v_p of psi'((b_p - b0)/w0))."""
+def _derivative_valuations(
+    bp: dict[int, int], psi: IntPolynomial, b0: int, w0: int, coeff_bound: int
+) -> dict[int, int]:
+    """{p: v_p(psi'((b_p - b0)/w0))} for every prime p <= coeff_bound."""
     dpsi = psi.derivative()
-    k_factor = 1
-    for p in sieve_primes(max(2, coeff_bound)).primes.tolist():
-        if p > coeff_bound:
-            break
+    out = {}
+    for p in _primes_upto(coeff_bound):
         if p not in bp:
             raise ValueError(f"b_p missing for p = {p}")
         t, rem = divmod(bp[p] - b0, w0)
@@ -193,8 +187,19 @@ def compute_K(
         d = dpsi(t)
         if d == 0:
             raise ValueError(f"psi'((b_{p} - b0)/w0) = 0; valuation undefined")
-        k_factor *= p ** p_adic_valuation(p, d)
-    return k_factor
+        out[p] = p_adic_valuation(p, d)
+    return out
+
+
+def compute_K(
+    bp: dict[int, int],
+    psi: IntPolynomial,
+    b0: int,
+    w0: int,
+    coeff_bound: int,
+) -> int:
+    """Product over p <= coeff_bound of p^(v_p of psi'((b_p - b0)/w0))."""
+    return math.prod(p**v for p, v in _derivative_valuations(bp, psi, b0, w0, coeff_bound).items())
 
 
 @dataclass
@@ -367,12 +372,8 @@ def suggest_smooth_exponents(
     """
     bound = psi_bound(psi, w0, variant)
     cp = _admissible_cp(psi, b0, w0, bound) if variant == PRIME_COLORING else {}
-    dpsi = psi.derivative()
-    out = {}
-    for p in _primes_upto(bound):
-        bp = select_bp(psi, b0, w0, bound, p, variant, cp.get(p))
-        v = p_adic_valuation(p, dpsi((bp - b0) // w0))
-        out[p] = v + margin
+    bp = {p: select_bp(psi, b0, w0, bound, p, variant, cp.get(p)) for p in _primes_upto(bound)}
+    out = {p: v + margin for p, v in _derivative_valuations(bp, psi, b0, w0, bound).items()}
     if variant == PRIME_COLORING and 2 in out:
         # pin b mod 4 so psi(b) = psi(t_2) mod 4, keeping psi(b)/2 odd
         out[2] = max(out[2], 2)
@@ -419,7 +420,7 @@ def build_context(
     w_modulus = math.prod(p**e for p, e in exps.items())
     lo = (2 * n) // w_modulus  # N > 2n/W  <=>  N >= lo + 1
     bertrand_hi = (4 * n) // w_modulus
-    if bertrand_hi <= lo:
+    if bertrand_hi <= max(lo, 1):  # lo = 0 means 4n/W < 2: no prime in (lo, 4n/W]
         raise ScaleError(f"no room for a prime modulus: n={n}, W={w_modulus}")
 
     needed = sorted(set(_primes_upto(bound)) | set(exps))
@@ -494,12 +495,10 @@ def verify_gcd_identity(ctx: WTrickContext) -> bool | None:
     coefficient bound strictly exceeds the corresponding valuation of
     psi'((b_p - b0)/w0); the identity is only a theorem beyond that point.
     """
-    dpsi = ctx.psi.derivative()
-    for p in _primes_upto(ctx.coeff_bound):
-        v = p_adic_valuation(p, dpsi((ctx.bp[p] - ctx.b0) // ctx.w0))
-        if ctx.smooth_exponents.get(p, 0) <= v:
-            return None
-    d_b = dpsi(ctx.b)
+    vals = _derivative_valuations(ctx.bp, ctx.psi, ctx.b0, ctx.w0, ctx.coeff_bound)
+    if any(ctx.smooth_exponents.get(p, 0) <= v for p, v in vals.items()):
+        return None
+    d_b = ctx.psi.derivative()(ctx.b)
     g_w = math.gcd(d_b, ctx.W)
     g_lead = math.gcd(d_b, ctx.psi.leading * ctx.W ** (ctx.psi.degree - 1))
     return g_w == ctx.K and g_lead == g_w

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -94,6 +95,17 @@ class TestConfigParsing:
         assert capsys.readouterr().err == err.replace("error: ", "error: line 1: ", 1)
         assert not (tmp_path / "transfer.json").exists()
 
+    def test_prime_named_twice_in_w_rejected(self, tmp_path, capsys):
+        # `2:1,2:3` must not silently keep the last exponent of 2
+        assert main(["transfer", "--w", "2:1,2:3,3:1", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad value for 'w': prime 2 named twice\n"
+        path = tmp_path / "bad.cfg"
+        path.write_text("w = 2:1,2:3,3:1\n")
+        assert main(["transfer", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == err.replace("error: ", "error: line 1: ", 1)
+        assert not (tmp_path / "transfer.json").exists()
+
     @pytest.mark.parametrize("command", ["transfer", "search"])
     def test_bad_variant_same_for_flag_and_config_file(self, tmp_path, capsys, command):
         # both forms exit 2 with one line, before any context or coloring is read
@@ -109,6 +121,49 @@ class TestConfigParsing:
         assert main([command, "--config", str(path), *extra, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == err.replace("error: ", "error: line 1: ", 1)
         assert not list(tmp_path.glob("*.json"))
+
+
+SETTING_FLAGS = [
+    (("--arc-B",), "arc_b", "arc exponent B"),
+    (("--b0",), "b0", None),
+    (("--coloring-rule",), "coloring", "random | residue:<q> | interval:<cuts>"),
+    (("--config",), "config", "key-value config file"),
+    (("--eps",), "eps", "Bohr radius as a rational 'p/q'"),
+    (("--eta",), "eta", "spectrum threshold as a rational 'p/q'"),
+    (("--m",), "m", "number of colors"),
+    (("--n",), "n", "ambient scale"),
+    (("--out",), "out", "output directory"),
+    (("--p",), "p", "blocking prime (counterexample)"),
+    (("--psi",), "psi", "polynomial coefficients, highest degree first"),
+    (("--rho",), "rho", "comma list of restriction exponents"),
+    (("--seed",), "seed", "master seed (recorded in reports)"),
+    (("--variant",), "variant", "integer-coloring | prime-coloring"),
+    (("--w",), "w", "smooth modulus: level like '3' or exponents '2:1,3:2'"),
+    (("--w0",), "w0", None),
+    (("-h", "--help"), "help", "show this help message and exit"),
+]
+
+
+class TestFlagInventory:
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("verify", []),
+            ("search", [(("--coloring",), "coloring_file", "coloring file to search")]),
+            ("counterexample", []),
+            ("transfer", []),
+            ("spectrum", []),
+        ],
+    )
+    def test_every_command_takes_every_setting_flag(self, command, extra):
+        # the option strings, destinations and help texts each subcommand exposes
+        from polyprimelab.cli import _build_parser
+
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = sub.choices[command]._actions
+        got = sorted((tuple(a.option_strings), a.dest, a.help) for a in actions)
+        assert got == sorted(SETTING_FLAGS + extra)
 
 
 class TestVerifyCommand:
@@ -386,6 +441,16 @@ class TestTransferCommand:
         code = main(["transfer", "--w", "2:1,3:1,10000019:1", "--out", str(tmp_path)])
         assert code == 1
         assert "no room for a prime modulus" in capsys.readouterr().err
+        assert not (tmp_path / "transfer.json").exists()
+
+    def test_no_room_below_the_first_prime(self, tmp_path, monkeypatch, capsys):
+        # n = 1, W = 3: 2n/W rounds down to 0, and (0, 4n/W] = (0, 1] holds no prime
+        def never(*args, **kwargs):
+            pytest.fail("prime_in_interval ran on an interval without room")
+
+        monkeypatch.setattr("polyprimelab.wtrick.prime_in_interval", never)
+        assert main(["transfer", "--n", "1", "--w", "3:1", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: no room for a prime modulus: n=1, W=3\n"
         assert not (tmp_path / "transfer.json").exists()
 
     @pytest.mark.parametrize(
