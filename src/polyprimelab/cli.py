@@ -2,8 +2,10 @@
 
 A setting is declared once, on its `ExperimentConfig` field, and the setting
 flags are built from those fields: every config key but `trend_n` and
-`trend_w` is also a flag.  Flags override config-file values and go through
-the config file's parsers, so a bad value gets the same message either way.
+`trend_w` is also a flag.  Flags are spelled in full, so `search`'s
+`--coloring` is never taken for `--coloring-rule`.  Flags override
+config-file values and go through the config file's parsers, so a bad value
+gets the same message either way.
 Reports land in the output directory as deterministic JSON (integers as
 decimal strings), bulk data as CSV.
 
@@ -48,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("transfer", "run the full transference pipeline"),
         ("spectrum", "dump spectra and report-only diagnostics"),
     ]:
-        p = sub.add_parser(name, help=desc)
+        p = sub.add_parser(name, help=desc, allow_abbrev=False)
         p.add_argument("--config", help="key-value config file")
         for key, f in SETTINGS.items():
             if f.metadata["flag"]:

@@ -54,11 +54,6 @@ class ColoringInstance:
         """Colors aligned with `elements`, values in 1..m."""
         return self.color_at[self.color_at != 0]
 
-    def color_of(self, x: int) -> int | None:
-        """Color of x, or None when x is outside the domain."""
-        c = int(self.color_at[x]) if 1 <= x <= self.n else 0
-        return c or None
-
     def class_members(self, color: int) -> np.ndarray:
         return np.flatnonzero(self.color_at == color)
 
@@ -164,18 +159,6 @@ class TransferredSet:
         v = np.zeros(self.context.N)
         v[self.members] = 1.0
         return v
-
-    def verify_membership(self, coloring: ColoringInstance) -> bool:
-        """Recheck the defining conditions for every member."""
-        ctx = self.context
-        half = ctx.half_psi_b
-        xs = ctx.W * self.members + half
-        admissible = (
-            (xs >= ctx.psi(ctx.W))
-            & (xs <= min(ctx.n, coloring.n))
-            & ((xs - half) % (ctx.K * ctx.W) == 0)
-        )
-        return bool(admissible.all() and (coloring.color_at[xs] == self.color_index).all())
 
 
 def _candidates(ctx: WTrickContext) -> np.ndarray:
@@ -293,6 +276,8 @@ def load_coloring(path) -> ColoringInstance:
                 x, c = int(bits[0]), int(bits[1])
             except ValueError as e:
                 raise ValueError(f"line {i}: {e}") from e
+            if not 1 <= x <= n:
+                raise ValueError(f"line {i}: element {x} outside 1..{n}")
             if not 1 <= c <= m:
                 raise ValueError(f"line {i}: color {c} outside 1..{m}")
             elements.append(x)

@@ -16,9 +16,7 @@ from .numtheory import ap_primes, euler_phi, is_prime
 from .polynomials import INTEGER_COLORING, IntPolynomial
 from .spectral import (
     DensityFunction,
-    PolyPrimeMeasure,
     bohr_set,
-    build_poly_prime_measure,
     build_prime_coloring_measure,
     large_spectrum,
     smooth,
@@ -114,9 +112,6 @@ class PopularityProfile:
     bound: Fraction
     bound_holds: bool | None  # None when the bound is vacuous
 
-    def value(self, x: int) -> int:
-        return int(self.nu[x % self.modulus])
-
 
 def popularity(set_a, set_b, modulus: int) -> PopularityProfile:
     """Exact integer popularity profile with the bound checked at every x."""
@@ -153,22 +148,17 @@ def _monotone_tail(psi: IntPolynomial) -> int:
 
 
 def find_monochromatic(
-    coloring: ColoringInstance,
-    psi: IntPolynomial,
-    b0: int,
-    w0: int,
-    n: int,
-    first_only: bool = False,
+    coloring: ColoringInstance, psi: IntPolynomial, b0: int, w0: int, n: int
 ) -> np.ndarray:
-    """All (or the first) monochromatic x != y with x + y = psi(z), w0*z + b0
-    prime, and x, y in the coloring's domain below n.
+    """All monochromatic x != y with x + y = psi(z), w0*z + b0 prime, and
+    x, y in the coloring's domain below n.
 
     Returns an int64 array of shape (k, 4) with columns (color, x, y, z),
-    ordered by z and then x; its shape is (0, 4) without hits and (1, 4) at
-    most with first_only.  z is enumerated in the outer loop (few admissible
-    values); for each admissible z the domain elements x below psi(z)/2 are
-    paired with psi(z) - x in one gather from the coloring's color table, and
-    the hit rows are kept as array slices and joined once at the end.  Only
+    ordered by z and then x; its shape is (0, 4) without hits.  z is
+    enumerated in the outer loop (few admissible values); for each
+    admissible z the domain elements x below psi(z)/2 are paired with
+    psi(z) - x in one gather from the coloring's color table, and the hit
+    rows are kept as array slices and joined once at the end.  Only
     z with s = psi(z) <= 2n are searched and n <= coloring.n, so x, y, s and
     x + y are exact in int64, and so is the closing re-check of x != y and
     x + y = psi(z) over every row.
@@ -196,14 +186,12 @@ def find_monochromatic(
         xs = elements[i0:i1]
         ys = s - xs
         cx = color_at[xs]
-        idx = np.flatnonzero((cx == color_at[ys]) & (cx != 0))[: 1 if first_only else None]
+        idx = np.flatnonzero((cx == color_at[ys]) & (cx != 0))
         if len(idx):
             parts.append((cx[idx], xs[idx], ys[idx]))
             zs.append(z)
             sums.append(s)
             counts.append(len(idx))
-            if first_only:
-                break
     out = np.empty((sum(counts), 4), dtype=np.int64)
     if not parts:
         return out
@@ -283,11 +271,12 @@ def find_zn_solutions(
 
 def transference_report(
     a_set: TransferredSet,
-    measure: PolyPrimeMeasure | None = None,
+    measure: DensityFunction,
     eta=Fraction(1, 4),
     eps=Fraction(1, 8),
 ) -> dict:
-    """End-to-end weighted-count comparison for one transferred set.
+    """End-to-end weighted-count comparison for one transferred set against
+    its context's measure (`spectral.build_poly_prime_measure`).
 
     Computes the raw and smoothed triple counts, both diagonal corrections
     (the exact diagonal and the full-mass bound actually subtracted in the
@@ -298,8 +287,6 @@ def transference_report(
     ctx = a_set.context
     n_mod = ctx.N
     kappa = float(ctx.kappa)
-    if measure is None:
-        measure = build_poly_prime_measure(ctx)
     mass_measure = measure.mass.real
 
     if ctx.variant == INTEGER_COLORING:
@@ -379,6 +366,8 @@ def transference_report(
         report["A_dash_size"] = int(len(a_dash))
         report["A_dash_mark"] = 2 * kappa * n_mod
         report["A_dash_meets_mark"] = bool(len(a_dash) >= 2 * kappa * n_mod)
+        report["class_large_spectrum_size"] = int(len(spec_r2))
+        report["class_bohr_size"] = bohr2.size
         report["max_smoothed_class"] = float(np.abs(f_smooth.values).max())
         report["smoothed_class_mark"] = 2 / n_mod
         report["pointwise_weight_cap"] = amax

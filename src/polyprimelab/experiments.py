@@ -449,15 +449,9 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
     return results
 
 
-def run_verify(cfg: ExperimentConfig, corrupt_context=None) -> tuple[bool, dict]:
-    """Run the named invariant suite; zero exit iff every hard check passes.
-
-    `corrupt_context` is a test hook mutating the built context before the
-    checks run.
-    """
+def run_verify(cfg: ExperimentConfig) -> tuple[bool, dict]:
+    """Run the named invariant suite; zero exit iff every hard check passes."""
     ctx = cfg.context()
-    if corrupt_context is not None:
-        ctx = corrupt_context(ctx)
     checks = _verify_checks(cfg, ctx)
     report = _base_report(cfg, "verify")
     report["checks"] = {name: {"pass": ok, "info": info} for name, ok, info in checks}
@@ -475,9 +469,7 @@ def write_solutions_csv(sols: np.ndarray, path) -> None:
 
 def run_search(cfg: ExperimentConfig, coloring_path, out_csv=None) -> tuple[np.ndarray, dict]:
     coloring = load_coloring(coloring_path)
-    sols = find_monochromatic(
-        coloring, cfg.polynomial(), cfg.b0, cfg.w0, coloring.n, first_only=False
-    )
+    sols = find_monochromatic(coloring, cfg.polynomial(), cfg.b0, cfg.w0, coloring.n)
     report = _base_report(cfg, "search")
     report["coloring"] = {
         "domain": coloring.domain,
@@ -499,7 +491,7 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
     """Build the blocking partition and exhaustively verify emptiness."""
     psi = cfg.polynomial()
     part = blocking_partition(psi, cfg.b0, cfg.w0, cfg.p, cfg.n)
-    sols = find_monochromatic(part, psi, cfg.b0, cfg.w0, cfg.n, first_only=False)
+    sols = find_monochromatic(part, psi, cfg.b0, cfg.w0, cfg.n)
     hits_per_class = np.bincount(sols[:, 0], minlength=3 * cfg.p + 1)
     by_class = {}
     t_threshold = psi((cfg.p - cfg.b0) // cfg.w0)

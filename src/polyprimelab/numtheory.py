@@ -54,9 +54,6 @@ class PrimeTable:
     def __len__(self) -> int:
         return len(self.primes)
 
-    def __contains__(self, n: int) -> bool:
-        return self.is_prime(n)
-
     def is_prime(self, n: int) -> bool:
         if n > self.limit:
             raise ValueError(f"{n} exceeds table limit {self.limit}")
@@ -253,12 +250,6 @@ class WeightedAPPrimes:
     limit: int
     support: np.ndarray  # ascending x with w*x + b prime
     weights: np.ndarray  # aligned with support
-
-    def weight_at(self, x: int) -> float:
-        i = int(np.searchsorted(self.support, x))
-        if i < len(self.support) and self.support[i] == x:
-            return float(self.weights[i])
-        return 0.0
 
     @property
     def total(self) -> float:

@@ -38,10 +38,6 @@ class IntPolynomial:
             trimmed = trimmed[1:]
         object.__setattr__(self, "coeffs", tuple(trimmed))
 
-    @classmethod
-    def of(cls, *coeffs: int) -> IntPolynomial:
-        return cls(tuple(coeffs))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -83,17 +79,6 @@ class IntPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return IntPolynomial(tuple(out))
-
-    def __str__(self) -> str:
-        parts = []
-        k = self.degree
-        for i, c in enumerate(self.coeffs):
-            if c == 0 and self.degree > 0:
-                continue
-            e = k - i
-            term = f"{c}" if e == 0 else (f"{c}*x" if e == 1 else f"{c}*x^{e}")
-            parts.append(term)
-        return " + ".join(parts) if parts else "0"
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Fourier analysis over Z_N: transforms, cyclic convolution, the weighted
 polynomial-prime measure and the prime-coloring measure, large spectra,
-Bohr sets, smoothing, restriction norms, complete Gauss sums, arc
-classification, and weighted exponential sums.
+Bohr sets, smoothing, restriction norms, complete Gauss sums, major arcs
+and their main terms, and weighted exponential sums.
 
 Both measures and `weighted_exp_sum` take their primes and log weights from
 `numtheory.ap_primes`.
@@ -33,11 +33,9 @@ from .wtrick import WTrickContext
 
 __all__ = [
     "ArcDecomposition",
-    "ArcLabel",
     "BohrStructure",
     "CollisionError",
     "DensityFunction",
-    "PolyPrimeMeasure",
     "bohr_set",
     "build_poly_prime_measure",
     "build_prime_coloring_measure",
@@ -158,13 +156,11 @@ class DensityFunction:
 
     __slots__ = ("modulus", "values", "_spectrum")
 
-    def __init__(self, values: np.ndarray, modulus: int | None = None):
+    def __init__(self, values: np.ndarray):
         dtype = np.complex128 if np.iscomplexobj(values) else np.float64
         v = np.array(values, dtype=dtype)
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("values must be a nonempty 1-d array")
-        if modulus is not None and modulus != len(v):
-            raise ValueError("modulus disagrees with array length")
         self.modulus = len(v)
         self.values = _frozen(v)
         self._spectrum = None
@@ -196,20 +192,6 @@ class DensityFunction:
         """idft(spectrum), keeping `spectrum` (made read-only) as its transform."""
         return cls.with_spectrum(idft(spectrum), spectrum)
 
-    @classmethod
-    def zeros(cls, modulus: int) -> "DensityFunction":
-        return cls(np.zeros(modulus))
-
-    @classmethod
-    def delta(cls, x: int, modulus: int) -> "DensityFunction":
-        v = np.zeros(modulus)
-        v[x % modulus] = 1.0
-        return cls(v)
-
-    @classmethod
-    def constant(cls, c: complex, modulus: int) -> "DensityFunction":
-        return cls(np.full(modulus, c))
-
 
 def transform_pair(f: DensityFunction, g: DensityFunction) -> None:
     """Cache the spectra of real f and g from one dft (see `dft_pair`);
@@ -225,21 +207,6 @@ def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
     return DensityFunction.from_spectrum(f.spectrum * g.spectrum)
 
 
-class PolyPrimeMeasure(DensityFunction):
-    """The normalized forward-difference-weighted prime measure on Z_N.
-
-    Supported at x = psi_{b,W}(z) mod N for z in [1, M] with the progression
-    value prime; the weight there is the forward difference at z-1 times the
-    logarithmic prime weight, normalized by psi_{b,W}(M).
-    """
-
-    __slots__ = ("support",)
-
-    def __init__(self, values, support: dict[int, int]):
-        super().__init__(values)
-        self.support = support  # z -> psi_{b,W}(z) mod N, prime z only
-
-
 def _measure_weights(ctx: WTrickContext):
     """(z, weight) for each z in [1, M] whose progression value q z + c is
     prime; the un-normalized weight is psi_{b,W}(z) - psi_{b,W}(z-1) times
@@ -250,11 +217,15 @@ def _measure_weights(ctx: WTrickContext):
         yield z, fd(z - 1) * weight
 
 
-def build_poly_prime_measure(ctx: WTrickContext) -> PolyPrimeMeasure:
-    """Construct the measure, exhaustively checking well-definedness.
+def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:
+    """The normalized forward-difference-weighted prime measure on Z_N,
+    exhaustively checking well-definedness.
 
-    Every z in [1, M] must land on a distinct residue mod N; a collision
-    means the K-divisibility reasoning behind the context is violated.
+    Supported at x = psi_{b,W}(z) mod N for z in [1, M] with the progression
+    value prime; the weight there is the forward difference at z-1 times the
+    logarithmic prime weight, normalized by psi_{b,W}(M).  Every z in [1, M]
+    must land on a distinct residue mod N; a collision means the
+    K-divisibility reasoning behind the context is violated.
     """
     n_mod = ctx.N
     resc = ctx.rescaled
@@ -262,7 +233,6 @@ def build_poly_prime_measure(ctx: WTrickContext) -> PolyPrimeMeasure:
     weights = dict(_measure_weights(ctx))
     seen: dict[int, int] = {}
     values = np.zeros(n_mod)
-    support: dict[int, int] = {}
     for z in range(1, ctx.M + 1):
         x = resc(z) % n_mod
         if x in seen:
@@ -272,8 +242,7 @@ def build_poly_prime_measure(ctx: WTrickContext) -> PolyPrimeMeasure:
         seen[x] = z
         if z in weights:
             values[x] = weights[z] / norm
-            support[z] = x
-    return PolyPrimeMeasure(values, support)
+    return DensityFunction(values)
 
 
 def build_prime_coloring_measure(members, ctx: WTrickContext) -> DensityFunction:
@@ -420,69 +389,30 @@ def complete_gauss_sum(ctx: WTrickContext, a: int, q: int) -> complex:
 
 
 @dataclass(frozen=True)
-class ArcLabel:
-    major: bool
-    a: int | None = None
-    q: int | None = None
-
-
-@dataclass(frozen=True)
 class ArcDecomposition:
-    """Major/minor arc classifier at cutoff M with exponent B.
+    """Major arcs at cutoff M with exponent B.
 
-    Major arcs are |alpha*q - a| <= (log M)^B / psi_{b,W}(M) over coprime
-    1 <= a <= q <= (log M)^B, with the threshold capped strictly below
-    1/(2 q^2) so arcs stay pairwise disjoint at desk scale; distances are
-    measured on the circle (a = q covers alpha near 0).
+    The major arc around a/q, for coprime 1 <= a <= q, is
+    |alpha*q - a| <= (log M)^B / psi_{b,W}(M), with the threshold capped
+    strictly below 1/(2 q^2) so arcs stay pairwise disjoint at desk scale;
+    distances are measured on the circle (a = q covers alpha near 0).
     """
 
     cutoff: int
     arc_exponent: float
     threshold: float
-    q_limit: int
 
     @classmethod
     def from_context(cls, ctx: WTrickContext, arc_exponent: float = 10.0) -> "ArcDecomposition":
         log_m = math.log(ctx.M) if ctx.M >= 2 else 1.0
-        raw = log_m**arc_exponent
-        threshold = raw / float(ctx.rescaled(ctx.M))
-        q_limit = int(min(raw, 10**9))
-        return cls(ctx.M, arc_exponent, threshold, max(1, q_limit))
-
-    def classify(self, alpha) -> ArcLabel:
-        frac = Fraction(alpha) % 1
-        af = float(frac)
-        cands = []
-        for p, q in _convergents(frac, self.q_limit):
-            cands.append((q, q if p == 0 else p, p))
-        for q, a, p in sorted(set(cands)):
-            if self.contains(af, p, q):
-                return ArcLabel(True, a, q)
-        return ArcLabel(False)
+        threshold = log_m**arc_exponent / float(ctx.rescaled(ctx.M))
+        return cls(ctx.M, arc_exponent, threshold)
 
     def contains(self, af: float, a: int, q: int) -> bool:
         """Whether the point af of [0, 1) lies in the major arc around a/q."""
         d = abs(af - a / q)
         err = q * min(d, 1 - d)
         return err <= self.threshold and err < 1 / (2 * q * q)
-
-
-def _convergents(frac: Fraction, q_limit: int) -> list[tuple[int, int]]:
-    """Continued-fraction convergents (p, q) of frac in [0, 1) with q <= q_limit."""
-    x, y = frac.numerator, frac.denominator
-    hm2, km2 = 0, 1
-    hm1, km1 = 1, 0
-    out = []
-    while y:
-        a = x // y
-        h = a * hm1 + hm2
-        k = a * km1 + km2
-        if k > q_limit:
-            break
-        out.append((h, k))
-        hm2, km2, hm1, km1 = hm1, km1, h, k
-        x, y = y, x - a * y
-    return out
 
 
 def _e_exact(numer: int, denom: int) -> complex:

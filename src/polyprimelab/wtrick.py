@@ -8,7 +8,6 @@ modulus N near 2n/W, and the rescaled polynomial with its cutoff M.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -334,13 +333,6 @@ class WTrickContext:
             widen_steps=int(d["widen_steps"]),
             bertrand_fallback=bool(d["bertrand_fallback"]),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, s: str) -> "WTrickContext":
-        return cls.from_json_dict(json.loads(s))
 
 
 def _primes_upto(limit: int) -> list[int]:

@@ -147,7 +147,7 @@ def test_criterion_06_well_definedness_and_lifting(context_suite):
         dens = dense_class(col, ctx)
         for xp, yp, zp in find_zn_solutions(dens.members, ctx, limit=10):
             t = lift_solution(xp, yp, zp, ctx)
-            assert col.color_of(t.x) == col.color_of(t.y) == dens.color_index
+            assert col.color_at[t.x] == col.color_at[t.y] == dens.color_index
             lifted_total += 1
     assert lifted_total >= 100
     _report("6", f"zero collisions, zero lifting failures, {lifted_total} lifts")
@@ -174,7 +174,7 @@ def test_criterion_08_random_colorings_always_yield_triples(tmp_path):
     misses = []
     for trial in range(100):
         col = make_coloring("integers", 10**4, 2, "random", 88_000 + trial)
-        sols = find_monochromatic(col, psi, 1, 2, 10**4, first_only=True)
+        sols = find_monochromatic(col, psi, 1, 2, 10**4)
         if len(sols):
             found += 1
         else:

@@ -166,6 +166,30 @@ class TestFlagInventory:
         assert got == sorted(SETTING_FLAGS + extra)
 
 
+class TestExactFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexample", "--coloring", "x.txt", *BLOCKING, "--n", "100"],
+            ["transfer", "--coloring", "residue:3"],
+        ],
+        ids=["counterexample-file", "transfer-rule"],
+    )
+    def test_prefix_of_a_flag_is_a_usage_error(self, tmp_path, capsys, argv):
+        # --coloring is search's file flag, not an abbreviation of --coloring-rule
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --coloring" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_search_coloring_flag_is_the_file(self):
+        from polyprimelab.cli import _build_parser
+
+        args = _build_parser().parse_args(["search", "--coloring", "x.txt"])
+        assert args.coloring_file == "x.txt" and args.coloring is None
+
+
 class TestVerifyCommand:
     def test_default_passes(self, tmp_path):
         assert main(["verify", "--out", str(tmp_path)]) == 0
@@ -174,13 +198,17 @@ class TestVerifyCommand:
         assert report["version"]
         assert report["config"]["n"] == "30000"
 
-    def test_corrupted_context_fails_named_invariant(self):
+    def test_corrupted_context_fails_named_invariant(self, monkeypatch):
         import dataclasses
 
-        def corrupt(ctx):
+        build = ExperimentConfig.context
+
+        def corrupt(cfg):
+            ctx = build(cfg)
             return dataclasses.replace(ctx, K=ctx.K * 7)
 
-        ok, report = run_verify(ExperimentConfig(), corrupt_context=corrupt)
+        monkeypatch.setattr(ExperimentConfig, "context", corrupt)
+        ok, report = run_verify(ExperimentConfig())
         assert not ok
         assert not report["checks"]["wtrick.context-invariants"]["pass"]
 
@@ -248,6 +276,13 @@ class TestSearchCommand:
             ["search", "--coloring", str(path), "--out", str(tmp_path)]
         )
         assert code == 1
+
+    @pytest.mark.parametrize("element", ["99999999999999999999999", "0", "2"])
+    def test_element_outside_domain_rejected(self, tmp_path, capsys, element):
+        path = tmp_path / "outside.txt"
+        path.write_text(f"integers 1 2 random\n{element} 1\n")
+        assert main(["search", "--coloring", str(path), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: line 2: element {element} outside 1..1\n"
 
     @pytest.mark.parametrize("domain", ["integers", "primes"])
     def test_header_n_beyond_the_file_rejected_before_the_domain(

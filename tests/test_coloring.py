@@ -17,10 +17,25 @@ from polyprimelab.wtrick import ScaleError
 SIX_X2 = IntPolynomial((6, 0, 0))
 
 
+def members_admissible(dens, coloring) -> bool:
+    """Recheck the defining conditions of a transferred class: each member
+    x' maps back to x = W x' + psi(b)/2 in [psi(W), n], x = psi(b)/2 mod KW,
+    with color the class's."""
+    ctx = dens.context
+    half = ctx.half_psi_b
+    xs = ctx.W * dens.members + half
+    admissible = (
+        (xs >= ctx.psi(ctx.W))
+        & (xs <= min(ctx.n, coloring.n))
+        & ((xs - half) % (ctx.K * ctx.W) == 0)
+    )
+    return bool(admissible.all() and (coloring.color_at[xs] == dens.color_index).all())
+
+
 class TestMakeColoring:
     def test_residue_rule(self):
         c = make_coloring("integers", 6, 2, "residue:2")
-        assert [c.color_of(x) for x in range(1, 7)] == [1, 2, 1, 2, 1, 2]
+        assert c.color_at[1:7].tolist() == [1, 2, 1, 2, 1, 2]
 
     def test_monochrome(self):
         c = make_coloring("integers", 10, 1, "random", 3)
@@ -31,11 +46,11 @@ class TestMakeColoring:
         b = make_coloring("primes", 20, 3, "random", 42)
         assert np.array_equal(a.colors, b.colors)
         assert len(a.elements) == 8  # primes up to 20
-        assert a.color_of(4) is None and a.color_of(19) in (1, 2, 3)
+        assert a.color_at[4] == 0 and a.color_at[19] in (1, 2, 3)
 
     def test_interval_rule(self):
         c = make_coloring("integers", 10, 2, "interval:4,8")
-        assert c.color_of(3) == 1 and c.color_of(5) == 2 and c.color_of(9) == 1
+        assert c.color_at[3] == 1 and c.color_at[5] == 2 and c.color_at[9] == 1
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
@@ -73,9 +88,9 @@ class TestBlockingPartition:
     def test_class_memberships(self):
         part = blocking_partition(SIX_X2, 1, 1, 3, 100)
         # T = psi(2) = 24; low range <= 12, high > 24, middle otherwise
-        assert part.color_of(11) == 2
-        assert part.color_of(29) == 3 + 2
-        assert part.color_of(13) == 6 + 1
+        assert part.color_at[11] == 2
+        assert part.color_at[29] == 3 + 2
+        assert part.color_at[13] == 6 + 1
         assert part.num_colors == 9
 
     def test_degenerate_low_range(self):
@@ -115,7 +130,7 @@ class TestDenseClass:
         assert cand > 0
         other = 1 + dens.color_index % 2
         assert not any(
-            col.color_of(int(ctx_w6.W * m + ctx_w6.half_psi_b)) == other
+            col.color_at[ctx_w6.W * m + ctx_w6.half_psi_b] == other
             for m in dens.members[:50]
         )
 
@@ -123,7 +138,7 @@ class TestDenseClass:
         col = make_coloring("integers", ctx_w6.n, 2, "random", 99)
         dens = dense_class(col, ctx_w6)
         assert 4 * 2 * ctx_w6.K * int(dens.meta["count"]) >= ctx_w6.N
-        assert dens.verify_membership(col)
+        assert members_admissible(dens, col)
         assert int(dens.members.max()) < ctx_w6.N and int(dens.members.min()) >= 0
 
     def test_scale_error(self, ctx_w6):
@@ -146,7 +161,7 @@ class TestDenseClass:
         cand = [x for x in range(lo + (half - lo) % kw, ctx3.n + 1, kw)]
         counts = [0, 0, 0, 0]
         for x in cand:
-            counts[col.color_of(x)] += 1
+            counts[col.color_at[x]] += 1
         assert sum(counts) == len(cand)
         assert int(dens.meta["count"]) == max(counts)
         assert max(counts) * 3 >= len(cand)

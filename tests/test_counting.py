@@ -32,6 +32,7 @@ from polyprimelab.spectral import (
     build_prime_coloring_measure,
     large_spectrum,
 )
+from polyprimelab.wtrick import build_context
 
 X2X = IntPolynomial((1, 1, 0))
 
@@ -40,20 +41,18 @@ SEARCH_PSIS = [(1, 1, 0), (6, 0, 0), (1, 0, 4), (1, -5, 0), (2, 3), (1, 0, 1, 0)
 SEARCH_Z_MAX = 100
 
 
-def monochromatic_scan(coloring, psi, b0, w0, n, first_only=False):
-    """Independent oracle: the per-element scan, one color_of per candidate;
-    rows [color, x, y, z] in search order."""
+def monochromatic_scan(coloring, psi, b0, w0, n):
+    """Independent oracle: the per-element scan, one color lookup per
+    candidate (0 off the domain); rows [color, x, y, z] in search order."""
     out = []
     for z in range(1, SEARCH_Z_MAX):
         s = psi(z)
         if not is_prime(w0 * z + b0):
             continue
         for x in range(max(1, s - n), (s - 1) // 2 + 1):
-            c = coloring.color_of(x)
-            if c is not None and coloring.color_of(s - x) == c:
+            c = int(coloring.color_at[x])
+            if c and coloring.color_at[s - x] == c:
                 out.append([c, x, s - x, z])
-                if first_only:
-                    return out
     return out
 
 
@@ -70,25 +69,25 @@ def exhaustive_triples(f, g, h):
 class TestTripleCounts:
     def test_indicator_example(self):
         f = DensityFunction(np.array([0, 1, 1, 0, 0]))
-        h = DensityFunction.delta(3, 5)
+        h = DensityFunction(np.eye(5)[3])
         assert triple_count_bruteforce(f, f, h) == pytest.approx(2)
 
     def test_all_ones(self):
-        ones = DensityFunction.constant(1, 7)
+        ones = DensityFunction(np.ones(7))
         assert triple_count_bruteforce(ones, ones, ones) == pytest.approx(49)
 
     def test_zero_factor(self):
-        f = DensityFunction.constant(1, 7)
-        z = DensityFunction.zeros(7)
+        f = DensityFunction(np.ones(7))
+        z = DensityFunction(np.zeros(7))
         assert triple_count_bruteforce(f, f, z) == 0
 
     def test_fourier_matches_example(self):
         f = DensityFunction(np.array([0, 1, 1, 0, 0]))
-        h = DensityFunction.delta(3, 5)
+        h = DensityFunction(np.eye(5)[3])
         assert triple_count(f, f, h) == pytest.approx(2, abs=1e-9)
 
     def test_delta_triple(self):
-        d = DensityFunction.delta(0, 5)
+        d = DensityFunction(np.eye(5)[0])
         assert triple_count(d, d, d) == pytest.approx(1, abs=1e-12)
 
     def test_fourier_matches_bruteforce_up_to_oracle_limit(self):
@@ -99,7 +98,7 @@ class TestTripleCounts:
             assert abs(triple_count(f, g, h) - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_size_limit(self):
-        big = DensityFunction.zeros(4001)
+        big = DensityFunction(np.zeros(4001))
         with pytest.raises(ValueError, match="Fourier"):
             triple_count_bruteforce(big, big, big)
 
@@ -117,13 +116,13 @@ class TestTripleCounts:
 class TestPopularity:
     def test_full_cycle(self):
         prof = popularity(range(5), range(5), 5)
-        assert prof.value(0) == 25
+        assert prof.nu[0] == 25
         assert prof.bound == Fraction(25, 8)
         assert prof.bound_holds is True
 
     def test_singletons_vacuous(self):
         prof = popularity([0], [0], 5)
-        assert prof.value(0) == 1
+        assert prof.nu[0] == 1
         assert prof.bound_holds is None
 
     def test_matches_exhaustive_count(self):
@@ -141,7 +140,7 @@ class TestPopularity:
                     for x3 in b
                     if (x1 + x2 - x3 - x) % n == 0
                 )
-                assert prof.value(x) == want
+                assert prof.nu[x] == want
 
 
 class TestFindMonochromatic:
@@ -151,11 +150,6 @@ class TestFindMonochromatic:
         assert any((x, y, z) == (2, 10, 3) for x, y, z in sols[:, 1:].tolist())
         for x, y, z in sols[:, 1:].tolist():
             assert x != y and x + y == X2X(z) and is_prime(2 * z + 1)
-
-    def test_first_only_stops_early(self):
-        col = make_coloring("integers", 12, 1, "random", 0)
-        sols = find_monochromatic(col, X2X, 1, 2, 12, first_only=True)
-        assert len(sols) == 1
 
     def test_too_small_range_empty(self):
         col = make_coloring("integers", 1, 1, "random", 0)
@@ -171,18 +165,17 @@ class TestFindMonochromatic:
         col = make_coloring("integers", 1, 1, "random", 0)
         for sols in (
             find_monochromatic(part, IntPolynomial((6, 0, 0)), 1, 1, 2000),
-            find_monochromatic(part, IntPolynomial((6, 0, 0)), 1, 1, 2000, first_only=True),
             find_monochromatic(col, X2X, 1, 2, 1),
         ):
             assert sols.dtype == np.int64 and sols.shape == (0, 4)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_first_only_is_oracle_first_row(self, seed):
+        # the whole search, first row included, is the oracle's, and not empty
         col = make_coloring("integers", 80, 3, "random", seed)
-        sols = find_monochromatic(col, X2X, 1, 2, 80, first_only=True)
+        sols = find_monochromatic(col, X2X, 1, 2, 80)
         want = monochromatic_scan(col, X2X, 1, 2, 80)
-        assert want and sols.dtype == np.int64 and sols.shape == (1, 4)
-        assert sols.tolist() == want[:1]
+        assert want and sols.dtype == np.int64 and sols.tolist() == want
 
     @pytest.mark.parametrize("domain", ["integers", "primes"])
     def test_bound_beyond_coloring_rejected(self, domain):
@@ -198,18 +191,15 @@ class TestFindMonochromatic:
         seed=st.integers(0, 2**16),
         coeffs=st.sampled_from(SEARCH_PSIS),
         progression=st.sampled_from([(1, 1), (1, 2), (3, 4), (5, 6), (2, 1)]),
-        first_only=st.booleans(),
         shrink=st.integers(0, 10),
     )
-    def test_matches_per_element_scan(
-        self, domain, n, m, seed, coeffs, progression, first_only, shrink
-    ):
+    def test_matches_per_element_scan(self, domain, n, m, seed, coeffs, progression, shrink):
         col = make_coloring(domain, n, m, "random", seed)
         psi = IntPolynomial(coeffs)
         b0, w0 = progression
         bound = max(1, n - shrink)
-        got = find_monochromatic(col, psi, b0, w0, bound, first_only=first_only)
-        want = monochromatic_scan(col, psi, b0, w0, bound, first_only)
+        got = find_monochromatic(col, psi, b0, w0, bound)
+        want = monochromatic_scan(col, psi, b0, w0, bound)
         assert got.dtype == np.int64 and got.shape == (len(want), 4)
         assert got.tolist() == want
 
@@ -243,7 +233,7 @@ class TestLifting:
             assert t.x + t.y == ctx_w6.psi(t.z)
             assert is_prime(ctx_w6.w0 * t.z + ctx_w6.b0)
             # both endpoints map back into the chosen color class
-            assert col.color_of(t.x) == col.color_of(t.y) == dens.color_index
+            assert col.color_at[t.x] == col.color_at[t.y] == dens.color_index
 
     def test_bad_zp_rejected(self, ctx_w6):
         with pytest.raises(ValueError):
@@ -308,7 +298,9 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
     if ctx.variant == INTEGER_COLORING:
         f_smooth = f
     else:
-        f_smooth = smooth_unpacked(f, bohr_set(large_spectrum(f, float(eta)), eps, n_mod))
+        spec_r2 = large_spectrum(f, float(eta))
+        bohr2 = bohr_set(spec_r2, eps, n_mod)
+        f_smooth = smooth_unpacked(f, bohr2)
     raw = triple_count(f, f, measure).real
     smoothed = triple_count(f_smooth, f_smooth, smoothed_measure).real
     xs = np.arange(n_mod)
@@ -366,6 +358,8 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
         A_dash_size=int(len(a_dash)),
         A_dash_mark=2 * kappa * n_mod,
         A_dash_meets_mark=bool(len(a_dash) >= 2 * kappa * n_mod),
+        class_large_spectrum_size=int(len(spec_r2)),
+        class_bohr_size=bohr2.size,
         max_smoothed_class=float(np.abs(f_smooth.values).max()),
         smoothed_class_mark=2 / n_mod,
         pointwise_weight_cap=amax,
@@ -389,19 +383,28 @@ DIFFERENCE_SCALE = {
 
 class TestTransferenceReport:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("variant", ["integer", "prime"])
+    @pytest.mark.parametrize("variant", ["integer", "prime", "integer-wide"])
     def test_matches_unpacked_oracle(self, ctx_w6, ctx_prime, variant, seed):
         # paired transforms change rounding only: every non-float field is
         # identical and every float agrees to a relative 1e-12; a flip of
         # large_spectrum_size at the eta threshold would fail here, not pass
+        eps = Fraction(1, 8)
         if variant == "integer":
             ctx, eta = ctx_w6, Fraction(1, 4)
+        elif variant == "prime":
+            ctx, eta = ctx_prime, Fraction(1, 20)
+        else:
+            # a wide radius at small N: |R| = 25 leaves a Bohr set of 33 points
+            ctx = build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 3000)
+            eta, eps = Fraction(1, 2), Fraction(1, 4)
+        if ctx.variant == INTEGER_COLORING:
             dens = dense_class(make_coloring("integers", ctx.n, 2, "random", seed), ctx)
         else:
-            ctx, eta = ctx_prime, Fraction(1, 20)
             dens = dense_prime_class(make_coloring("primes", ctx.n, 2, "random", seed), ctx)
-        got = transference_report(dens, eta=eta, eps=Fraction(1, 8))
-        want = unpacked_transference_report(dens, eta, Fraction(1, 8))
+        got = transference_report(dens, build_poly_prime_measure(ctx), eta=eta, eps=eps)
+        want = unpacked_transference_report(dens, eta, eps)
+        if variant == "integer-wide":
+            assert (got["large_spectrum_size"], got["bohr_size"]) == (25, 33)
         assert got.keys() == want.keys()
         for key, value in want.items():
             if not isinstance(value, float):
@@ -433,7 +436,8 @@ class TestTransferenceReport:
     def test_report_fields_integer(self, ctx_w6):
         col = make_coloring("integers", ctx_w6.n, 2, "random", 33)
         dens = dense_class(col, ctx_w6)
-        rep = transference_report(dens, eta=Fraction(1, 4), eps=Fraction(1, 8))
+        m = build_poly_prime_measure(ctx_w6)
+        rep = transference_report(dens, m, eta=Fraction(1, 4), eps=Fraction(1, 8))
         for key in (
             "raw_count",
             "smoothed_count",
@@ -455,7 +459,7 @@ class TestTransferenceReport:
         from polyprimelab.coloring import TransferredSet
 
         empty = TransferredSet(ctx_w6, 1, np.zeros(0, dtype=np.int64))
-        rep = transference_report(empty)
+        rep = transference_report(empty, build_poly_prime_measure(ctx_w6))
         assert rep["raw_count"] == 0 and rep["smoothed_count"] == pytest.approx(0, abs=1e-12)
 
     def test_report_fields_prime(self, ctx_prime):
@@ -463,7 +467,8 @@ class TestTransferenceReport:
 
         col = make_coloring("primes", ctx_prime.n, 2, "random", 44)
         dens = dense_prime_class(col, ctx_prime)
-        rep = transference_report(dens, eta=Fraction(1, 20), eps=Fraction(1, 8))
+        m = build_poly_prime_measure(ctx_prime)
+        rep = transference_report(dens, m, eta=Fraction(1, 20), eps=Fraction(1, 8))
         for key in (
             "mass_prime_class",
             "mass_prime_class_mark",
@@ -474,6 +479,8 @@ class TestTransferenceReport:
             "unweighted_count",
             "final_mark",
             "final_holds",
+            "class_large_spectrum_size",
+            "class_bohr_size",
         ):
             assert key in rep
         # the class-mass mark 1/(3mK) is reliably met from n = 1e6 up
