@@ -12,8 +12,9 @@ decimal strings), bulk data as CSV.
 Exit codes: 0 success; 1 bad input, infeasible scale or a failed `verify`
 check; 2 usage or config error; 3 a broken internal invariant (RuntimeError,
 or a sampled `transfer` solution that fails to lift, in which case the report
-is still written); 4 out of memory.  Each error prints one `error:` line to
-stderr; a failed `verify` lists its checks on stdout instead.
+is still written); 4 out of memory.  Each error, a usage error included,
+prints one `error:` line to stderr; a failed `verify` lists its checks on
+stdout instead.
 """
 
 from __future__ import annotations
@@ -37,8 +38,16 @@ from .experiments import (
 __all__ = ["main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error prints one `error:` line and exits 2; the subcommand
+    parsers are built from this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polyprimelab",
         description="Experiments on monochromatic x + y = psi(z) with z from a prime progression",
     )

@@ -81,7 +81,7 @@ def _domain_elements(domain: str, n: int) -> np.ndarray:
     if domain == DOMAIN_PRIMES:
         if n < 2:
             raise ValueError("empty prime domain")
-        return sieve_primes(n).primes
+        return sieve_primes(n)
     raise ValueError(f"unknown domain {domain!r}")
 
 
@@ -130,7 +130,7 @@ def blocking_partition(
     arg, rem = divmod(p - b0, w0)
     note = "" if rem == 0 else f";T-arg-floored({p}-{b0})/{w0}"
     t_threshold = psi(arg)
-    primes = sieve_primes(n).primes
+    primes = sieve_primes(n)
     j = np.where(primes % p == 0, p, primes % p).astype(np.int64)
     colors = np.where(
         2 * primes <= t_threshold,

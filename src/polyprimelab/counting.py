@@ -230,7 +230,7 @@ def lift_solution(xp: int, yp: int, zp: int, ctx: WTrickContext) -> SolutionTrip
     if (xp + yp) % k:
         raise LiftingError(f"K = {k} does not divide x' + y' = {xp + yp}")
     for i in range(1, resc.degree + 1):
-        if resc.poly.coefficient(i) % k:
+        if resc.coefficient(i) % k:
             raise LiftingError(f"K = {k} does not divide the coefficient of x^{i}")
     if l % k:
         raise LiftingError(f"K | l fails: l = {l}, K = {k}")

@@ -18,7 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "PrimeTable",
     "WeightedAPPrimes",
     "ap_prime_mask",
     "ap_primes",
@@ -41,26 +40,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
-class PrimeTable:
-    """All primes <= limit as one ascending int64 array."""
-
-    __slots__ = ("limit", "primes")
-
-    def __init__(self, limit: int, primes: np.ndarray):
-        self.limit = int(limit)
-        self.primes = primes
-        self.primes.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def is_prime(self, n: int) -> bool:
-        if n > self.limit:
-            raise ValueError(f"{n} exceeds table limit {self.limit}")
-        i = int(np.searchsorted(self.primes, n))
-        return i < len(self.primes) and int(self.primes[i]) == n
-
-
 def _simple_mask(limit: int) -> np.ndarray:
     """Primality mask over [0, limit]: the base primes of `sieve_primes`."""
     mask = np.ones(limit + 1, dtype=bool)
@@ -71,8 +50,9 @@ def _simple_mask(limit: int) -> np.ndarray:
     return mask
 
 
-def sieve_primes(limit: int) -> PrimeTable:
-    """All primes <= limit, sieved _SEGMENT integers at a time."""
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes <= limit as one read-only ascending int64 array, sieved
+    _SEGMENT integers at a time."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2 (table would be empty)")
     base = np.flatnonzero(_simple_mask(math.isqrt(limit))).tolist()
@@ -92,7 +72,9 @@ def sieve_primes(limit: int) -> PrimeTable:
         chunk += lo
         chunks.append(chunk)
         lo = hi
-    return PrimeTable(limit, np.concatenate(chunks))
+    primes = np.concatenate(chunks)
+    primes.setflags(write=False)
+    return primes
 
 
 def is_prime(n: int) -> bool:
@@ -232,7 +214,7 @@ def ap_prime_mask(b: int, w: int, count: int) -> np.ndarray:
     top = w * count + b
     mask = np.ones(count, dtype=bool)
     mask[: max(0, (1 - b) // w)] = False  # w*x + b <= 1
-    for p in sieve_primes(max(2, math.isqrt(max(top, 0)))).primes.tolist():
+    for p in sieve_primes(max(2, math.isqrt(max(top, 0)))).tolist():
         if w % p == 0:
             continue
         lo = max(1, (p - b) // w + 1)  # first x with w*x + b > p

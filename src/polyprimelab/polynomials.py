@@ -11,7 +11,6 @@ __all__ = [
     "PRIME_COLORING",
     "VARIANTS",
     "IntPolynomial",
-    "RescaledPolynomial",
     "compute_M",
     "psi_bound",
     "rescale",
@@ -81,40 +80,12 @@ class IntPolynomial:
         return IntPolynomial(tuple(out))
 
 
-@dataclass(frozen=True)
-class RescaledPolynomial:
+def rescale(psi: IntPolynomial, w: int, b: int) -> IntPolynomial:
     """The integral polynomial (psi(w*x + b) - psi(b)) / w.
 
-    Construction verifies: zero constant term, linear coefficient equal to
+    Verifies exactly: zero constant term, linear coefficient equal to
     psi'(b), and divisibility of every coefficient of x^i, i >= 2, by w.
     """
-
-    base: IntPolynomial
-    w: int
-    b: int
-    poly: IntPolynomial
-
-    def __call__(self, x: int) -> int:
-        return self.poly(x)
-
-    def forward_difference(self, x: int) -> int:
-        return self.poly.forward_difference(x)
-
-    @property
-    def linear_coeff(self) -> int:
-        return self.poly.coefficient(1)
-
-    @property
-    def degree(self) -> int:
-        return self.poly.degree
-
-    @property
-    def leading(self) -> int:
-        return self.poly.leading
-
-
-def rescale(psi: IntPolynomial, w: int, b: int) -> RescaledPolynomial:
-    """Build (psi(w*x + b) - psi(b)) / w with exact divisibility checks."""
     if w < 1:
         raise ValueError("requires w >= 1")
     if b < 0:
@@ -153,7 +124,7 @@ def rescale(psi: IntPolynomial, w: int, b: int) -> RescaledPolynomial:
     for i in range(2, poly.degree + 1):
         if poly.coefficient(i) % w:
             raise ValueError(f"internal consistency failure: w does not divide coefficient of x^{i}")
-    return RescaledPolynomial(psi, w, b, poly)
+    return poly
 
 
 def psi_bound(psi: IntPolynomial, w0: int, variant: str) -> int:

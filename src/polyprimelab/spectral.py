@@ -1,7 +1,7 @@
 """Fourier analysis over Z_N: transforms, cyclic convolution, the weighted
 polynomial-prime measure and the prime-coloring measure, large spectra,
-Bohr sets, smoothing, restriction norms, complete Gauss sums, major arcs
-and their main terms, and weighted exponential sums.
+Bohr sets, smoothing, restriction norms, complete Gauss sums, and the
+weighted exponential sum of the progression.
 
 Both measures and `weighted_exp_sum` take their primes and log weights from
 `numtheory.ap_primes`.
@@ -28,11 +28,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numtheory import ap_primes, euler_phi
+from .numtheory import ap_primes
 from .wtrick import WTrickContext
 
 __all__ = [
-    "ArcDecomposition",
     "BohrStructure",
     "CollisionError",
     "DensityFunction",
@@ -47,7 +46,6 @@ __all__ = [
     "idft",
     "idft_pair",
     "large_spectrum",
-    "major_arc_main_term",
     "restriction_norm",
     "smooth",
     "smooth_pair",
@@ -207,30 +205,25 @@ def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
     return DensityFunction.from_spectrum(f.spectrum * g.spectrum)
 
 
-def _measure_weights(ctx: WTrickContext):
-    """(z, weight) for each z in [1, M] whose progression value q z + c is
-    prime; the un-normalized weight is psi_{b,W}(z) - psi_{b,W}(z-1) times
-    the progression's log weight (phi(q)/q) log(q z + c) from `ap_primes`."""
-    ap = ap_primes(*ctx.progression, ctx.M)
-    fd = ctx.rescaled.forward_difference
-    for z, weight in zip(ap.support.tolist(), ap.weights.tolist()):
-        yield z, fd(z - 1) * weight
-
-
 def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:
     """The normalized forward-difference-weighted prime measure on Z_N,
     exhaustively checking well-definedness.
 
     Supported at x = psi_{b,W}(z) mod N for z in [1, M] with the progression
-    value prime; the weight there is the forward difference at z-1 times the
-    logarithmic prime weight, normalized by psi_{b,W}(M).  Every z in [1, M]
-    must land on a distinct residue mod N; a collision means the
-    K-divisibility reasoning behind the context is violated.
+    value q z + c prime; the weight there is psi_{b,W}(z) - psi_{b,W}(z-1)
+    times the progression's log weight (phi(q)/q) log(q z + c) from
+    `ap_primes`, normalized by psi_{b,W}(M).  Every z in [1, M] must land on
+    a distinct residue mod N; a collision means the K-divisibility reasoning
+    behind the context is violated.
     """
     n_mod = ctx.N
     resc = ctx.rescaled
     norm = resc(ctx.M)
-    weights = dict(_measure_weights(ctx))
+    ap = ap_primes(*ctx.progression, ctx.M)
+    weights = {
+        z: resc.forward_difference(z - 1) * w
+        for z, w in zip(ap.support.tolist(), ap.weights.tolist())
+    }
     seen: dict[int, int] = {}
     values = np.zeros(n_mod)
     for z in range(1, ctx.M + 1):
@@ -388,33 +381,6 @@ def complete_gauss_sum(ctx: WTrickContext, a: int, q: int) -> complex:
     return total
 
 
-@dataclass(frozen=True)
-class ArcDecomposition:
-    """Major arcs at cutoff M with exponent B.
-
-    The major arc around a/q, for coprime 1 <= a <= q, is
-    |alpha*q - a| <= (log M)^B / psi_{b,W}(M), with the threshold capped
-    strictly below 1/(2 q^2) so arcs stay pairwise disjoint at desk scale;
-    distances are measured on the circle (a = q covers alpha near 0).
-    """
-
-    cutoff: int
-    arc_exponent: float
-    threshold: float
-
-    @classmethod
-    def from_context(cls, ctx: WTrickContext, arc_exponent: float = 10.0) -> "ArcDecomposition":
-        log_m = math.log(ctx.M) if ctx.M >= 2 else 1.0
-        threshold = log_m**arc_exponent / float(ctx.rescaled(ctx.M))
-        return cls(ctx.M, arc_exponent, threshold)
-
-    def contains(self, af: float, a: int, q: int) -> bool:
-        """Whether the point af of [0, 1) lies in the major arc around a/q."""
-        d = abs(af - a / q)
-        err = q * min(d, 1 - d)
-        return err <= self.threshold and err < 1 / (2 * q * q)
-
-
 def _e_exact(numer: int, denom: int) -> complex:
     return cmath.exp(2j * cmath.pi * ((numer % denom) / denom))
 
@@ -426,76 +392,11 @@ def _phase_for(value: int, alpha) -> complex:
     return cmath.exp(2j * cmath.pi * math.fmod(value * alpha, 1.0))
 
 
-def weighted_exp_sum(ctx: WTrickContext, alpha, form: str = "measure") -> complex:
-    """Weighted exponential sums attached to the context.
-
-    form="measure": sum over z in [1, M] of the forward-difference-weighted
-    logarithmic prime weight times e(alpha * psi_{b,W}(z)) - the un-normalized
-    measure transform.  form="ap": sum over x in [1, N] of the logarithmic
-    prime weight of the progression times e(alpha * psi_{b,W}(x)).
-    """
+def weighted_exp_sum(ctx: WTrickContext, alpha) -> complex:
+    """sum over x in [1, N] of the progression's logarithmic prime weight
+    times e(alpha * psi_{b,W}(x))."""
+    ap = ap_primes(*ctx.progression, ctx.N)
     total = 0j
-    if form == "measure":
-        for z, w in _measure_weights(ctx):
-            total += w * _phase_for(ctx.rescaled(z), alpha)
-        return total
-    if form == "ap":
-        ap = ap_primes(*ctx.progression, ctx.N)
-        for x, w in zip(ap.support.tolist(), ap.weights.tolist()):
-            total += w * _phase_for(ctx.rescaled(x), alpha)
-        return total
-    raise ValueError(f"unknown form {form!r}")
-
-
-def _geometric_phase_sum(beta, top: int) -> complex:
-    """sum_{x=1}^{top} e(beta x) = e(beta (top+1)/2) sin(pi beta top)/sin(pi beta).
-
-    Arguments are reduced mod 2 (the period of sin(pi .)) before trig, exactly
-    when beta is rational.
-    """
-
-    def red2(v) -> float:
-        if isinstance(v, Fraction):
-            return float(v % 2)
-        r = math.fmod(v, 2.0)
-        return r + 2.0 if r < 0 else r
-
-    if isinstance(beta, Fraction):
-        beta = beta % 1
-    else:
-        beta = math.fmod(beta, 1.0)
-        if beta < 0:
-            beta += 1.0
-    if beta == 0:
-        return complex(top)
-    den = math.sin(math.pi * float(beta))
-    if den == 0.0:
-        return complex(top)
-    num = math.sin(math.pi * red2(beta * top))
-    pref = cmath.exp(1j * math.pi * red2(beta * (top + 1)))
-    return pref * (num / den)
-
-
-def major_arc_main_term(
-    ctx: WTrickContext,
-    a: int,
-    q: int,
-    alpha,
-    arc: ArcDecomposition | None = None,
-    arc_exponent: float = 10.0,
-) -> complex:
-    """Main term (phi(WW0)/phi(WW0 q)) * GaussSum(a, q) * sum_{x<=psi(M)} e((alpha-a/q) x).
-
-    alpha must lie in the (a, q) major arc of the decomposition.
-    """
-    if arc is None:
-        arc = ArcDecomposition.from_context(ctx, arc_exponent)
-    frac = Fraction(alpha) % 1
-    if not arc.contains(float(frac), a, q):
-        raise ValueError(f"alpha = {alpha} is outside the ({a}, {q}) major arc")
-    _, big_q = ctx.progression
-    prefactor = euler_phi(big_q) / euler_phi(big_q * q)
-    gauss = complete_gauss_sum(ctx, a, q)
-    beta = frac - Fraction(a, q)
-    top = ctx.rescaled(ctx.M)
-    return prefactor * gauss * _geometric_phase_sum(beta, top)
+    for x, w in zip(ap.support.tolist(), ap.weights.tolist()):
+        total += w * _phase_for(ctx.rescaled(x), alpha)
+    return total

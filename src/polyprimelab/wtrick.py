@@ -18,7 +18,6 @@ from .polynomials import (
     PRIME_COLORING,
     VARIANTS,
     IntPolynomial,
-    RescaledPolynomial,
     compute_M,
     rescale,
     psi_bound,
@@ -228,7 +227,7 @@ class WTrickContext:
     b: int
     n: int
     N: int
-    rescaled: RescaledPolynomial
+    rescaled: IntPolynomial
     M: int
     widen_steps: int = 0
     bertrand_fallback: bool = False
@@ -295,7 +294,7 @@ class WTrickContext:
             "b": str(self.b),
             "n": str(self.n),
             "N": str(self.N),
-            "rescaled": [str(x) for x in self.rescaled.poly.coeffs],
+            "rescaled": [str(x) for x in self.rescaled.coeffs],
             "M": str(self.M),
             "widen_steps": str(self.widen_steps),
             "bertrand_fallback": self.bertrand_fallback,
@@ -309,7 +308,7 @@ class WTrickContext:
         w = int(d["W"])
         b = int(d["b"])
         resc = rescale(psi, w, b)
-        if tuple(str(x) for x in resc.poly.coeffs) != tuple(d["rescaled"]):
+        if tuple(str(x) for x in resc.coeffs) != tuple(d["rescaled"]):
             raise ValueError("stored rescaled coefficients do not match")
         num, den = d["kappa"].split("/")
         return cls(
@@ -336,7 +335,7 @@ class WTrickContext:
 
 
 def _primes_upto(limit: int) -> list[int]:
-    return sieve_primes(limit).primes.tolist() if limit >= 2 else []
+    return sieve_primes(limit).tolist() if limit >= 2 else []
 
 
 def level_exponents(level: int) -> dict[int, int]:

@@ -39,7 +39,7 @@ def _report(criterion: str, detail: str) -> None:
 def test_criterion_01_fourier_counting_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(101)
-    primes = [int(p) for p in sieve_primes(512).primes.tolist() if p >= 5]
+    primes = [int(p) for p in sieve_primes(512).tolist() if p >= 5]
     worst = 0.0
     for _ in range(200):
         n = int(rng.choice(primes))
@@ -59,7 +59,7 @@ def test_criterion_01_fourier_counting_equivalence():
 def test_criterion_02_bohr_pigeonhole():
     start = time.perf_counter()
     rng = np.random.default_rng(102)
-    primes = [int(p) for p in sieve_primes(499).primes.tolist() if p >= 11]
+    primes = [int(p) for p in sieve_primes(499).tolist() if p >= 11]
     for _ in range(200):
         n = int(rng.choice(primes))
         size = int(rng.integers(0, 5))
@@ -77,7 +77,7 @@ def test_criterion_02_bohr_pigeonhole():
 def test_criterion_03_popularity_cube_bound():
     start = time.perf_counter()
     rng = np.random.default_rng(103)
-    primes = [int(p) for p in sieve_primes(199).primes.tolist() if p >= 11]
+    primes = [int(p) for p in sieve_primes(199).tolist() if p >= 11]
     checked = 0
     while checked < 200:
         n = int(rng.choice(primes))
@@ -159,7 +159,7 @@ def test_criterion_07_necessity_counterexample():
     part = blocking_partition(psi, 1, 1, 3, 10**5)
     assert part.num_colors == 9
     counts = part.class_counts()
-    assert int(counts[1:].sum()) == len(sieve_primes(10**5).primes)
+    assert int(counts[1:].sum()) == len(sieve_primes(10**5))
     sols = find_monochromatic(part, psi, 1, 1, 10**5)
     assert len(sols) == 0
     elapsed = time.perf_counter() - start
@@ -204,12 +204,12 @@ def test_criterion_09_measure_mass():
         mass = measure.mass.real
         # independent Chebyshev-style oracle: re-sum the weights from a sieve
         c, q = ctx.progression
-        table = sieve_primes(q * ctx.M + c)
+        primes = set(sieve_primes(q * ctx.M + c).tolist())
         phi_ratio = euler_phi(q) / q
         oracle = sum(
             ctx.rescaled.forward_difference(z - 1) * phi_ratio * math.log(q * z + c)
             for z in range(1, ctx.M + 1)
-            if table.is_prime(q * z + c)
+            if q * z + c in primes
         ) / ctx.rescaled(ctx.M)
         assert mass == pytest.approx(oracle, rel=1e-9)
         assert 0.7 <= mass <= 1.3, (ctx.W, ctx.N, mass)

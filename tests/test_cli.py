@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from polyprimelab.experiments import (
     run_verify,
     write_report,
 )
+from polyprimelab.numtheory import lambda_weight
 from polyprimelab.spectral import DensityFunction
 
 BLOCKING = ["--psi", "6,0,0", "--b0", "1", "--w0", "1", "--p", "3"]
@@ -74,6 +76,14 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err == "error: line 1: unknown key 'w_config'\n"
 
+    def test_arc_b_config_key_unknown(self, tmp_path, capsys):
+        # the arc exponent set no output and was removed with its flag
+        path = tmp_path / "old.cfg"
+        path.write_text("arc_b = 10\n")
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: line 1: unknown key 'arc_b'\n"
+        assert not list(tmp_path.glob("*.json"))
+
     def test_flag_overrides(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("n = 100\nseed = 1\n")
@@ -82,7 +92,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "flag,key,text",
-        [("--eta", "eta", "1/0"), ("--eps", "eps", "1/0"), ("--n", "n", "1e6"), ("--arc-B", "arc_b", "x")],
+        [("--eta", "eta", "1/0"), ("--eps", "eps", "1/0"), ("--n", "n", "1e6")],
     )
     def test_bad_flag_value_matches_config_file(self, tmp_path, capsys, flag, key, text):
         # a flag gets the config file's parser and the same one-line error
@@ -124,7 +134,6 @@ class TestConfigParsing:
 
 
 SETTING_FLAGS = [
-    (("--arc-B",), "arc_b", "arc exponent B"),
     (("--b0",), "b0", None),
     (("--coloring-rule",), "coloring", "random | residue:<q> | interval:<cuts>"),
     (("--config",), "config", "key-value config file"),
@@ -188,6 +197,27 @@ class TestExactFlags:
 
         args = _build_parser().parse_args(["search", "--coloring", "x.txt"])
         assert args.coloring_file == "x.txt" and args.coloring is None
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["transfer", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["counterexample", "--coloring", "x.txt"], "unrecognized arguments: --coloring x.txt"),
+            ([], "the following arguments are required: command"),
+            (["spectrum", "--arc-B", "10"], "unrecognized arguments: --arc-B 10"),
+        ],
+        ids=["unknown-flag", "abbreviated-flag", "missing-subcommand", "removed-arc-B"],
+    )
+    def test_one_stderr_line(self, tmp_path, monkeypatch, capsys, argv, message):
+        # no usage line before the error, on the main parser or a subcommand's
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestVerifyCommand:
@@ -531,6 +561,24 @@ class TestSpectrumCommand:
         assert (tmp_path / "spectrum.csv").exists()
         header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
         assert header == "index,real,imaginary"
+
+    def test_residual_ratio_matches_lambda_oracle(self):
+        # at a = q = 1 and alpha = 0 the main term is psi_{b,W}(M), so each
+        # ratio is |sum_z fd(z - 1) lambda(c, Q, z) / psi_{b,W}(M) - 1|
+        cfg = config_from_sources(None, {"trend_w": (1,)})
+        report = run_spectrum(cfg)
+        w_mod = cfg.context().W
+        rows = report["main_term_residual_trend"]
+        assert len(rows) == len(cfg.trend_n)
+        for n_target, row in zip(cfg.trend_n, rows):
+            ctx = replace(cfg, n=max(n_target * w_mod // 2, w_mod * 8)).context()
+            assert row["N"] == ctx.N
+            c, q = ctx.progression
+            resc = ctx.rescaled
+            total = sum(
+                resc.forward_difference(z - 1) * lambda_weight(c, q, z) for z in range(1, ctx.M + 1)
+            )
+            assert row["residual_ratio"] == pytest.approx(abs(total / resc(ctx.M) - 1), abs=1e-12)
 
     def test_one_context_per_trend_point(self, monkeypatch):
         built = []

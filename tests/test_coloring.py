@@ -70,7 +70,7 @@ class TestColorTable:
 
     def test_zero_marks_outside_domain(self):
         col = make_coloring("primes", 30, 2, "random", 4)
-        primes = set(sieve_primes(30).primes.tolist())
+        primes = set(sieve_primes(30).tolist())
         assert len(col.color_at) == 31
         assert np.flatnonzero(col.color_at == 0).tolist() == [
             x for x in range(31) if x not in primes
@@ -105,7 +105,7 @@ class TestBlockingPartition:
 
     def test_genuine_partition(self):
         part = blocking_partition(SIX_X2, 1, 1, 3, 10**4)
-        primes = sieve_primes(10**4).primes
+        primes = sieve_primes(10**4)
         assert np.array_equal(part.elements, primes)
         assert int(part.class_counts()[1:].sum()) == len(primes)
         assert np.all((part.colors >= 1) & (part.colors <= 9))

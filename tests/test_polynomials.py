@@ -55,9 +55,9 @@ class TestForwardDifference:
 
 class TestRescale:
     def test_examples(self):
-        assert rescale(IntPolynomial((1, 0, 0)), 6, 1).poly.coeffs == (6, 2, 0)
-        assert rescale(IntPolynomial((1, 1, 0)), 1, 0).poly.coeffs == (1, 1, 0)
-        assert rescale(IntPolynomial((1, 0, 0)), 2, 3).poly.coeffs == (2, 6, 0)
+        assert rescale(IntPolynomial((1, 0, 0)), 6, 1).coeffs == (6, 2, 0)
+        assert rescale(IntPolynomial((1, 1, 0)), 1, 0).coeffs == (1, 1, 0)
+        assert rescale(IntPolynomial((1, 0, 0)), 2, 3).coeffs == (2, 6, 0)
 
     def test_random_identity_and_structure(self):
         rng = np.random.default_rng(17)
@@ -70,10 +70,10 @@ class TestRescale:
             w = int(rng.integers(1, 101))
             b = int(rng.integers(0, 101))
             resc = rescale(poly, w, b)
-            assert resc.poly.constant == 0
-            assert resc.linear_coeff == poly.derivative()(b)
-            for i in range(2, resc.poly.degree + 1):
-                assert resc.poly.coefficient(i) % w == 0
+            assert resc.constant == 0
+            assert resc.coefficient(1) == poly.derivative()(b)
+            for i in range(2, resc.degree + 1):
+                assert resc.coefficient(i) % w == 0
             for x in rng.integers(-100, 101, size=20):
                 x = int(x)
                 assert w * resc(x) == poly(w * x + b) - poly(b)
@@ -91,7 +91,7 @@ class TestRescale:
         poly = IntPolynomial(tuple(coeffs))
         resc = rescale(poly, w, b)
         assert w * resc(x) == poly(w * x + b) - poly(b)
-        assert resc.linear_coeff == poly.derivative()(b)
+        assert resc.coefficient(1) == poly.derivative()(b)
 
 
 class TestPsiBound:

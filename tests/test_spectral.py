@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyprimelab.numtheory import euler_phi, is_prime
+from polyprimelab.numtheory import euler_phi, is_prime, lambda_weight
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial, rescale
 from polyprimelab.spectral import (
-    ArcDecomposition,
     CollisionError,
     DensityFunction,
     bohr_set,
@@ -24,7 +23,6 @@ from polyprimelab.spectral import (
     idft,
     idft_pair,
     large_spectrum,
-    major_arc_main_term,
     restriction_norm,
     smooth,
     smooth_pair,
@@ -476,85 +474,27 @@ class TestCompleteGaussSum:
             complete_gauss_sum(ctx_w6, 2, 4)
 
 
-def coprime_fractions(q_max: int):
-    """(a, q) with 1 <= a <= q <= q_max and gcd(a, q) = 1."""
-    return [(a, q) for q in range(1, q_max + 1) for a in range(1, q + 1) if math.gcd(a, q) == 1]
-
-
-class TestArcs:
-    def test_alpha_zero_wraps(self, ctx_w6):
-        arc = ArcDecomposition.from_context(ctx_w6, 10.0)
-        assert arc.contains(0.0, 1, 1) and arc.contains(1 - 1e-12, 1, 1)
-
-    def test_one_half(self, ctx_w6):
-        arc = ArcDecomposition.from_context(ctx_w6, 10.0)
-        assert arc.contains(0.5, 1, 2) and not arc.contains(0.5, 1, 1)
-
-    def test_golden_minor_under_tight_threshold(self, ctx_w6):
-        tight = ArcDecomposition(
-            cutoff=ctx_w6.M,
-            arc_exponent=1.0,
-            threshold=math.log(ctx_w6.M) / float(ctx_w6.rescaled(ctx_w6.M)),
-        )
-        assert not any(tight.contains(GOLDEN, a, q) for a, q in coprime_fractions(200))
-        assert tight.contains(0.5, 1, 2)
-        assert tight.contains(2 / 7, 2, 7)
-
-    def test_rationals_classified_to_their_own_arc(self, ctx_w6):
-        arc = ArcDecomposition.from_context(ctx_w6, 10.0)
-        for a, q in [(1, 3), (2, 5), (3, 7)]:
-            assert arc.contains(a / q, a, q)
-            assert not arc.contains(a / q + 1 / q**3, a, q)
-
-
 class TestWeightedExpSum:
-    def test_measure_form_at_zero(self, ctx_w6):
-        m = build_poly_prime_measure(ctx_w6)
-        s = weighted_exp_sum(ctx_w6, 0.0, form="measure")
-        assert s.real == pytest.approx(float(ctx_w6.rescaled(ctx_w6.M)) * m.mass.real, rel=1e-9)
-        assert abs(s.imag) < 1e-9
-
     def test_ap_form_matches_chebyshev(self, ctx_w1):
         # sum of lambda_{1,2} up to N: frozen from the trial-division oracle
-        s = weighted_exp_sum(ctx_w1, 0.0, form="ap")
+        s = weighted_exp_sum(ctx_w1, 0.0)
         assert ctx_w1.N == 10007
         assert s.real == pytest.approx(9907.260257264306, rel=1e-9)
         assert abs(s.real / ctx_w1.N - 1) < 0.05
 
     def test_minor_arc_decay_reported(self, ctx_w1):
-        s0 = abs(weighted_exp_sum(ctx_w1, 0.0, form="ap"))
-        sg = abs(weighted_exp_sum(ctx_w1, GOLDEN, form="ap"))
+        s0 = abs(weighted_exp_sum(ctx_w1, 0.0))
+        sg = abs(weighted_exp_sum(ctx_w1, GOLDEN))
         assert sg < s0  # decay diagnostic; no hard threshold
 
     def test_exact_rational_phase(self, ctx_w6):
-        sf = weighted_exp_sum(ctx_w6, Fraction(1, 3), form="measure")
-        sd = weighted_exp_sum(ctx_w6, 1 / 3, form="measure")
-        assert sf == pytest.approx(sd, rel=1e-6)
-
-
-class TestMajorArcMainTerm:
-    def test_at_center_q1(self, ctx_w6):
-        main = major_arc_main_term(ctx_w6, 1, 1, Fraction(0))
-        want = (
-            euler_phi(ctx_w6.W * ctx_w6.w0)
-            / euler_phi(ctx_w6.W * ctx_w6.w0)
-            * float(ctx_w6.rescaled(ctx_w6.M))
+        # the Fraction phase is reduced mod 3 in exact integers: the oracle
+        # sums lambda * e(r / 3) over the residues r of psi_{b,W}(x) mod 3
+        c, q = ctx_w6.progression
+        want = sum(
+            lambda_weight(c, q, x) * cmath.exp(2j * cmath.pi * (ctx_w6.rescaled(x) % 3) / 3)
+            for x in range(1, ctx_w6.N + 1)
         )
-        assert main.real == pytest.approx(want, rel=1e-12)
-
-    def test_at_center_general(self, ctx_w6):
-        q = 5
-        gauss = complete_gauss_sum(ctx_w6, 2, q)
-        main = major_arc_main_term(ctx_w6, 2, q, Fraction(2, 5))
-        big_q = ctx_w6.W * ctx_w6.w0
-        want = euler_phi(big_q) / euler_phi(big_q * q) * gauss * ctx_w6.rescaled(ctx_w6.M)
-        assert main == pytest.approx(want, rel=1e-9)
-
-    def test_outside_arc_rejected(self, ctx_w6):
-        with pytest.raises(ValueError, match="outside"):
-            major_arc_main_term(ctx_w6, 1, 2, Fraction(1, 3))
-
-    def test_residual_small_at_zero(self, ctx_w6):
-        s = weighted_exp_sum(ctx_w6, 0.0, form="measure")
-        main = major_arc_main_term(ctx_w6, 1, 1, Fraction(0))
-        assert abs(s - main) / float(ctx_w6.rescaled(ctx_w6.M)) < 0.5  # soft diagnostic
+        sf = weighted_exp_sum(ctx_w6, Fraction(1, 3))
+        assert sf == pytest.approx(want, rel=1e-12)
+        assert weighted_exp_sum(ctx_w6, 1 / 3) == pytest.approx(sf, rel=1e-6, abs=1e-6 * ctx_w6.N)
