@@ -1,7 +1,7 @@
 """Solution counting: additive triple counts by brute force and via the
 spectrum, popularity profiles with their cube lower bound, monochromatic
 solution search for x + y = psi(z) with z restricted to a progression's
-primes, and the exact lift of Z_N solutions back to the integers."""
+primes, and the exact lift of Z_N solutions to integer triples (x, y, z)."""
 
 from __future__ import annotations
 
@@ -29,7 +29,6 @@ __all__ = [
     "LiftingError",
     "PopularityProfile",
     "SearchVerificationError",
-    "SolutionTriple",
     "find_monochromatic",
     "find_zn_solutions",
     "lift_solution",
@@ -48,15 +47,6 @@ class LiftingError(ValueError):
 
 class SearchVerificationError(RuntimeError):
     """A monochromatic triple failed its exact re-check before being reported."""
-
-
-@dataclass(frozen=True)
-class SolutionTriple:
-    """A lifted solution: x + y = psi(z) in the integers, with x != y."""
-
-    x: int
-    y: int
-    z: int
 
 
 def triple_count_bruteforce(
@@ -105,9 +95,6 @@ class PopularityProfile:
     """nu(x) = #{(x1, x2, x3): x1, x2 in A, x3 in B, x1 + x2 - x3 = x} with
     the cube lower bound (min{|A|, |B|, (2|A|+|B|-N)/4})^3 / N."""
 
-    modulus: int
-    set_a: frozenset
-    set_b: frozenset
     nu: np.ndarray
     bound: Fraction
     bound_holds: bool | None  # None when the bound is vacuous
@@ -135,7 +122,7 @@ def popularity(set_a, set_b, modulus: int) -> PopularityProfile:
         holds = None
     else:
         holds = bool(np.all(64 * modulus * nu.astype(object) >= m4**3))
-    return PopularityProfile(modulus, a, b, nu, bound, holds)
+    return PopularityProfile(nu, bound, holds)
 
 
 def _monotone_tail(psi: IntPolynomial) -> int:
@@ -207,8 +194,9 @@ def find_monochromatic(
     return out
 
 
-def lift_solution(xp: int, yp: int, zp: int, ctx: WTrickContext) -> SolutionTriple:
-    """Lift x' + y' = psi_{b,W}(z') from Z_N to the integers.
+def lift_solution(xp: int, yp: int, zp: int, ctx: WTrickContext) -> tuple[int, int, int]:
+    """Lift x' + y' = psi_{b,W}(z') from Z_N to (x, y, z) with x + y = psi(z)
+    in the integers.
 
     Replays the divisibility argument: the gap l*N between the integer sum
     and the polynomial value must satisfy 0 <= l < K and K | l, forcing l = 0;
@@ -244,7 +232,7 @@ def lift_solution(xp: int, yp: int, zp: int, ctx: WTrickContext) -> SolutionTrip
         raise LiftingError(f"lift failed: {x} + {y} != psi({z})")
     if not is_prime(ctx.w0 * z + ctx.b0):
         raise LiftingError(f"lifted z = {z} leaves the progression")
-    return SolutionTriple(x, y, z)
+    return x, y, z
 
 
 def find_zn_solutions(
@@ -257,7 +245,7 @@ def find_zn_solutions(
     in_set = np.zeros(n_mod, dtype=bool)
     in_set[members] = True
     out = []
-    for zp in ap_primes(*ctx.progression, ctx.M).support.tolist():
+    for zp in ap_primes(*ctx.progression, ctx.M)[0].tolist():
         t = ctx.rescaled(zp) % n_mod
         ys = (t - members) % n_mod
         ok = in_set[ys] & (members != ys)
@@ -270,10 +258,7 @@ def find_zn_solutions(
 
 
 def transference_report(
-    a_set: TransferredSet,
-    measure: DensityFunction,
-    eta=Fraction(1, 4),
-    eps=Fraction(1, 8),
+    a_set: TransferredSet, measure: DensityFunction, eta: Fraction, eps: Fraction
 ) -> dict:
     """End-to-end weighted-count comparison for one transferred set against
     its context's measure (`spectral.build_poly_prime_measure`).

@@ -1,9 +1,9 @@
 """Exact integer number theory: the prime sieve, primes in arithmetic
 progressions, totient, p-adic valuations, CRT, and logarithmic prime weights.
 
-One segmented sieve lists the primes up to any limit.  `ap_primes` is the
-one producer of a progression's primes and log weights; the per-point
-Miller-Rabin `lambda_weight` stays only as its oracle.
+One segmented sieve, which lists its own base primes, gives the primes up to
+any limit.  `ap_primes` returns a progression's primes and log weights as
+(support, weights); the per-point Miller-Rabin `lambda_weight` is its oracle.
 
 All modular and combinatorial data are exact integers; only the logarithmic
 weights are double precision.
@@ -12,13 +12,11 @@ weights are double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "WeightedAPPrimes",
     "ap_prime_mask",
     "ap_primes",
     "crt",
@@ -40,22 +38,13 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 
 
-def _simple_mask(limit: int) -> np.ndarray:
-    """Primality mask over [0, limit]: the base primes of `sieve_primes`."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
-
-
 def sieve_primes(limit: int) -> np.ndarray:
     """All primes <= limit as one read-only ascending int64 array, sieved
-    _SEGMENT integers at a time."""
+    _SEGMENT integers at a time by the base primes <= isqrt(limit), which
+    this same sieve lists."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2 (table would be empty)")
-    base = np.flatnonzero(_simple_mask(math.isqrt(limit))).tolist()
+    base = sieve_primes(math.isqrt(limit)).tolist() if limit >= 4 else []  # isqrt >= 2
     chunks = []
     lo = 0
     while lo <= limit:
@@ -223,26 +212,12 @@ def ap_prime_mask(b: int, w: int, count: int) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class WeightedAPPrimes:
-    """Support and weights of the progression w*x + b on x in [1, limit]."""
-
-    b: int
-    w: int
-    limit: int
-    support: np.ndarray  # ascending x with w*x + b prime
-    weights: np.ndarray  # aligned with support
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-
-def ap_primes(b: int, w: int, limit: int) -> WeightedAPPrimes:
-    """All weighted primes of the progression w*x + b with x in [1, limit],
-    for any offset b coprime to w (values below 2 are not prime)."""
+def ap_primes(b: int, w: int, limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(support, weights) of the progression w*x + b over x in [1, limit]:
+    the ascending int64 x with w*x + b prime, for any offset b coprime to w
+    (values below 2 are not prime), and their log weights
+    (phi(w)/w) log(w*x + b)."""
     mask = ap_prime_mask(b, w, limit)
     support = (np.flatnonzero(mask) + 1).astype(np.int64)
     values = w * support + b
-    weights = euler_phi(w) / w * np.log(values.astype(np.float64))
-    return WeightedAPPrimes(b, w, limit, support, weights)
+    return support, euler_phi(w) / w * np.log(values.astype(np.float64))

@@ -219,10 +219,10 @@ def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:
     n_mod = ctx.N
     resc = ctx.rescaled
     norm = resc(ctx.M)
-    ap = ap_primes(*ctx.progression, ctx.M)
+    support, log_weights = ap_primes(*ctx.progression, ctx.M)
     weights = {
         z: resc.forward_difference(z - 1) * w
-        for z, w in zip(ap.support.tolist(), ap.weights.tolist())
+        for z, w in zip(support.tolist(), log_weights.tolist())
     }
     seen: dict[int, int] = {}
     values = np.zeros(n_mod)
@@ -253,11 +253,11 @@ def build_prime_coloring_measure(members, ctx: WTrickContext) -> DensityFunction
         raise ValueError(f"member {outside[0]} outside [0, N)")
     in_class = np.zeros(ctx.N, dtype=bool)
     in_class[xs] = True
-    ap = ap_primes(ctx.half_psi_b - kw, kw, (ctx.N - 1) // ctx.K + 1)
-    xs = ctx.K * (ap.support - 1)
+    support, weights = ap_primes(ctx.half_psi_b - kw, kw, (ctx.N - 1) // ctx.K + 1)
+    xs = ctx.K * (support - 1)
     keep = in_class[xs]
     values = np.zeros(ctx.N)
-    values[xs[keep]] = ap.weights[keep] / ctx.N
+    values[xs[keep]] = weights[keep] / ctx.N
     return DensityFunction(values)
 
 
@@ -271,11 +271,11 @@ def large_spectrum(f: DensityFunction, eta) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BohrStructure:
-    """Frequency set, radius, and the resulting Bohr set."""
+    """Frequency set R (sorted, reduced mod N, duplicates kept) and the
+    resulting Bohr set, both read-only int64 arrays."""
 
     modulus: int
-    frequencies: tuple[int, ...]
-    radius: Fraction
+    frequencies: np.ndarray
     members: np.ndarray
 
     @property
@@ -306,7 +306,7 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
     eps = _as_fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("requires 0 < eps < 1/2")
-    freqs = tuple(sorted(int(r) % modulus for r in frequencies))
+    freqs = _frozen(np.sort(np.asarray(frequencies, dtype=np.int64) % modulus))
     p, q = eps.numerator, eps.denominator
     # filter survivors one frequency at a time; the candidate set collapses
     # quickly, so the work is O(N) plus small tails.  0 is always a member,
@@ -324,7 +324,7 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
             f"Bohr bound violated: |B| = {len(members)} < eps^|R| * N"
             f" = ({eps})^{len(freqs)} * {modulus}"
         )
-    return BohrStructure(modulus, freqs, eps, members)
+    return BohrStructure(modulus, freqs, members)
 
 
 def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
@@ -395,8 +395,8 @@ def _phase_for(value: int, alpha) -> complex:
 def weighted_exp_sum(ctx: WTrickContext, alpha) -> complex:
     """sum over x in [1, N] of the progression's logarithmic prime weight
     times e(alpha * psi_{b,W}(x))."""
-    ap = ap_primes(*ctx.progression, ctx.N)
+    support, weights = ap_primes(*ctx.progression, ctx.N)
     total = 0j
-    for x, w in zip(ap.support.tolist(), ap.weights.tolist()):
+    for x, w in zip(support.tolist(), weights.tolist()):
         total += w * _phase_for(ctx.rescaled(x), alpha)
     return total

@@ -3,13 +3,14 @@
 Builds the full bundle: per-prime residues b_p (non-root search for large
 primes, positivity-constrained scan for small ones), the derivative's
 small-prime part K, the smooth modulus W with its CRT residue b, the prime
-modulus N near 2n/W, and the rescaled polynomial with its cutoff M.
+modulus N near 2n/W, and the rescaled polynomial with its cutoff M.  Its
+JSON codec walks the dataclass fields, with one decoder per annotation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .numtheory import crt, is_prime, p_adic_valuation, prime_in_interval, sieve_primes
@@ -277,61 +278,48 @@ class WTrickContext:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "format": "wtrick-context/1",
-            "variant": self.variant,
-            "psi": [str(x) for x in self.psi.coeffs],
-            "b0": str(self.b0),
-            "w0": str(self.w0),
-            "num_colors": str(self.num_colors),
-            "coeff_bound": str(self.coeff_bound),
-            "bp": {str(p): str(v) for p, v in sorted(self.bp.items())},
-            "cp": None if self.cp is None else {str(p): str(v) for p, v in sorted(self.cp.items())},
-            "K": str(self.K),
-            "kappa": f"{self.kappa.numerator}/{self.kappa.denominator}",
-            "smooth_exponents": {str(p): str(e) for p, e in sorted(self.smooth_exponents.items())},
-            "W": str(self.W),
-            "b": str(self.b),
-            "n": str(self.n),
-            "N": str(self.N),
-            "rescaled": [str(x) for x in self.rescaled.coeffs],
-            "M": str(self.M),
-            "widen_steps": str(self.widen_steps),
-            "bertrand_fallback": self.bertrand_fallback,
-        }
+        """Every field under its own name, each integer as a decimal string."""
+        fields_json = {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+        return {"format": "wtrick-context/1", **fields_json}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WTrickContext":
+        """Inverse of `to_json_dict`; the stored rescaled coefficients must be
+        those of rescale(psi, W, b)."""
         if d.get("format") != "wtrick-context/1":
             raise ValueError("unrecognized context format")
-        psi = IntPolynomial(tuple(int(x) for x in d["psi"]))
-        w = int(d["W"])
-        b = int(d["b"])
-        resc = rescale(psi, w, b)
-        if tuple(str(x) for x in resc.coeffs) != tuple(d["rescaled"]):
+        ctx = cls(**{f.name: _decode(f.type, d[f.name]) for f in fields(cls)})
+        if _encode(rescale(ctx.psi, ctx.W, ctx.b)) != list(d["rescaled"]):
             raise ValueError("stored rescaled coefficients do not match")
-        num, den = d["kappa"].split("/")
-        return cls(
-            variant=d["variant"],
-            psi=psi,
-            b0=int(d["b0"]),
-            w0=int(d["w0"]),
-            num_colors=int(d["num_colors"]),
-            coeff_bound=int(d["coeff_bound"]),
-            bp={int(p): int(v) for p, v in d["bp"].items()},
-            cp=None if d["cp"] is None else {int(p): int(v) for p, v in d["cp"].items()},
-            K=int(d["K"]),
-            kappa=Fraction(int(num), int(den)),
-            smooth_exponents={int(p): int(e) for p, e in d["smooth_exponents"].items()},
-            W=w,
-            b=b,
-            n=int(d["n"]),
-            N=int(d["N"]),
-            rescaled=resc,
-            M=int(d["M"]),
-            widen_steps=int(d["widen_steps"]),
-            bertrand_fallback=bool(d["bertrand_fallback"]),
-        )
+        return ctx
+
+
+def _encode(value):
+    """A context field as JSON: an integer as its decimal string, a Fraction
+    as "p/q", a polynomial as its coefficient list, a dict sorted by key."""
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, IntPolynomial):
+        return [str(c) for c in value.coeffs]
+    if isinstance(value, dict):
+        return {str(k): str(v) for k, v in sorted(value.items())}
+    return str(value) if type(value) is int else value  # str, bool and None as they are
+
+
+_DECODERS = {  # by field annotation, less any " | None"
+    "str": str,
+    "bool": bool,
+    "int": int,
+    "Fraction": Fraction,
+    "IntPolynomial": lambda coeffs: IntPolynomial(tuple(int(c) for c in coeffs)),
+    "dict[int, int]": lambda d: {int(k): int(v) for k, v in d.items()},
+}
+
+
+def _decode(annotation: str, value):
+    if value is None and annotation.endswith(" | None"):
+        return None
+    return _DECODERS[annotation.removesuffix(" | None")](value)
 
 
 def _primes_upto(limit: int) -> list[int]:

@@ -134,8 +134,8 @@ def test_criterion_06_well_definedness_and_lifting(context_suite):
         synthetic = np.arange(0, half_n, ctx.K, dtype=np.int64)
         sols = find_zn_solutions(synthetic, ctx, limit=20)
         for xp, yp, zp in sols:
-            t = lift_solution(xp, yp, zp, ctx)  # raises LiftingError on failure
-            assert t.x + t.y == ctx.psi(t.z)
+            x, y, z = lift_solution(xp, yp, zp, ctx)  # raises LiftingError on failure
+            assert x + y == ctx.psi(z)
             lifted_total += 1
     # pipeline solutions through the dense class where the scale admits one
     for name, ctx in context_suite:
@@ -146,8 +146,8 @@ def test_criterion_06_well_definedness_and_lifting(context_suite):
         col = make_coloring("integers", ctx.n, ctx.num_colors, "random", 1000 + ctx.N)
         dens = dense_class(col, ctx)
         for xp, yp, zp in find_zn_solutions(dens.members, ctx, limit=10):
-            t = lift_solution(xp, yp, zp, ctx)
-            assert col.color_at[t.x] == col.color_at[t.y] == dens.color_index
+            x, y, _ = lift_solution(xp, yp, zp, ctx)
+            assert col.color_at[x] == col.color_at[y] == dens.color_index
             lifted_total += 1
     assert lifted_total >= 100
     _report("6", f"zero collisions, zero lifting failures, {lifted_total} lifts")

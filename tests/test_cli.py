@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,6 +26,7 @@ from polyprimelab.experiments import (
 )
 from polyprimelab.numtheory import lambda_weight
 from polyprimelab.spectral import DensityFunction
+from polyprimelab.wtrick import WTrickContext
 
 BLOCKING = ["--psi", "6,0,0", "--b0", "1", "--w0", "1", "--p", "3"]
 
@@ -261,6 +262,18 @@ class TestVerifyCommand:
         cfg.write_text("\n")
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    def test_broken_convolution_fails(self, tmp_path, monkeypatch):
+        # right spectrum, wrong values: only a check on the values can see it
+        def zero_values(f, g):
+            return DensityFunction.with_spectrum(np.zeros(f.modulus), f.spectrum * g.spectrum)
+
+        monkeypatch.setattr(experiments, "convolve", zero_values)
+        assert main(["verify", "--out", str(tmp_path)]) == 1
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert [name for name, c in checks.items() if not c["pass"]] == [
+            "spectral.convolution-theorem"
+        ]
+
 
 class TestSearchCommand:
     def test_monochrome_example(self, tmp_path):
@@ -464,6 +477,29 @@ class TestTransferCommand:
         for sol in report["lifted_solutions"][:5]:
             x, y, z = int(sol["x"]), int(sol["y"]), int(sol["z"])
             assert x + y == z * z + z
+
+    def test_context_as_written(self, tmp_path):
+        # one key per context field besides the format tag, no JSON number
+        # anywhere, each integer field its decimal string, and the object
+        # reads back to the context the run built
+        assert main(["transfer", "--n", "30000", "--out", str(tmp_path)]) == 0
+        written = json.loads((tmp_path / "transfer.json").read_text())["context"]
+        assert set(written) == {"format"} | {f.name for f in fields(WTrickContext)}
+
+        def numbers(v):
+            if isinstance(v, dict):
+                v = list(v.values())
+            if isinstance(v, list):
+                return [x for item in v for x in numbers(item)]
+            return [v] if isinstance(v, (int, float)) and not isinstance(v, bool) else []
+
+        assert numbers(written) == []
+        ctx = ExperimentConfig().context()
+        for f in fields(WTrickContext):
+            value = getattr(ctx, f.name)
+            if type(value) is int:
+                assert written[f.name] == str(value), f.name
+        assert WTrickContext.from_json_dict(written) == ctx
 
     def test_lifting_failure_counted(self, tmp_path, monkeypatch, capsys):
         from polyprimelab import experiments

@@ -214,8 +214,7 @@ class TestFindMonochromatic:
 class TestLifting:
     def test_identity_context(self, ctx_w1):
         assert ctx_w1.W == 1 and ctx_w1.b == 0 and ctx_w1.K == 1
-        t = lift_solution(2, 10, 3, ctx_w1)
-        assert (t.x, t.y, t.z) == (2, 10, 3)
+        assert lift_solution(2, 10, 3, ctx_w1) == (2, 10, 3)
 
     def test_synthetic_violation(self, ctx_w1):
         zp = 5
@@ -229,11 +228,11 @@ class TestLifting:
         sols = find_zn_solutions(dens.members, ctx_w6, limit=40)
         assert sols
         for xp, yp, zp in sols:
-            t = lift_solution(xp, yp, zp, ctx_w6)
-            assert t.x + t.y == ctx_w6.psi(t.z)
-            assert is_prime(ctx_w6.w0 * t.z + ctx_w6.b0)
+            x, y, z = lift_solution(xp, yp, zp, ctx_w6)
+            assert x + y == ctx_w6.psi(z)
+            assert is_prime(ctx_w6.w0 * z + ctx_w6.b0)
             # both endpoints map back into the chosen color class
-            assert col.color_at[t.x] == col.color_at[t.y] == dens.color_index
+            assert col.color_at[x] == col.color_at[y] == dens.color_index
 
     def test_bad_zp_rejected(self, ctx_w6):
         with pytest.raises(ValueError):
@@ -256,10 +255,10 @@ class TestLifting:
         val = vals[zp]
         xp = data.draw(st.integers(max(0, val - ctx.N + 1), min(val, ctx.N - 1)))
         yp = val - xp
-        t = lift_solution(xp, yp, zp, ctx)
+        x, y, z = lift_solution(xp, yp, zp, ctx)
         half = ctx.half_psi_b
-        assert (t.x, t.y, t.z) == (ctx.W * xp + half, ctx.W * yp + half, ctx.W * zp + ctx.b), name
-        assert t.x + t.y == ctx.psi(t.z) and is_prime(ctx.w0 * t.z + ctx.b0)
+        assert (x, y, z) == (ctx.W * xp + half, ctx.W * yp + half, ctx.W * zp + ctx.b), name
+        assert x + y == ctx.psi(z) and is_prime(ctx.w0 * z + ctx.b0)
         # shifting any one coordinate breaks the identity and must be refused
         coord = data.draw(st.sampled_from([0, 1, 2]))
         limit = ctx.M + 5 if coord == 2 else 2 * ctx.N
@@ -428,7 +427,7 @@ class TestTransferenceReport:
 
         full = TransferredSet(ctx_w6, 1, np.arange(ctx_w6.N, dtype=np.int64))
         m = build_poly_prime_measure(ctx_w6)
-        rep = transference_report(full, m)
+        rep = transference_report(full, m, eta=Fraction(1, 4), eps=Fraction(1, 8))
         assert rep["raw_count"] == pytest.approx(m.mass.real * ctx_w6.N, rel=1e-9)
         assert rep["diagonal_exact"] == pytest.approx(m.mass.real, rel=1e-9)
         assert rep["raw_minus_diagonal_exact"] >= 0
@@ -459,7 +458,9 @@ class TestTransferenceReport:
         from polyprimelab.coloring import TransferredSet
 
         empty = TransferredSet(ctx_w6, 1, np.zeros(0, dtype=np.int64))
-        rep = transference_report(empty, build_poly_prime_measure(ctx_w6))
+        rep = transference_report(
+            empty, build_poly_prime_measure(ctx_w6), eta=Fraction(1, 4), eps=Fraction(1, 8)
+        )
         assert rep["raw_count"] == 0 and rep["smoothed_count"] == pytest.approx(0, abs=1e-12)
 
     def test_report_fields_prime(self, ctx_prime):

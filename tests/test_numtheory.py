@@ -57,11 +57,12 @@ class TestSieve:
             assert (n in listed) == trial_division_is_prime(n)
 
     def test_segmented_matches_trial_division(self, monkeypatch):
-        # 1000-integer segments: limits at, just off and well past segment ends
+        # 1000-integer segments: limits at, just off and well past segment ends,
+        # and every limit up to 11^2, around each base-prime square
         import polyprimelab.numtheory as nt
 
         monkeypatch.setattr(nt, "_SEGMENT", 1000)
-        for limit in (999, 1000, 1001, 2999, 3000, 25_000):
+        for limit in (*range(2, 122), 999, 1000, 1001, 2999, 3000, 25_000):
             assert sieve_primes(limit).tolist() == [
                 n for n in range(limit + 1) if trial_division_is_prime(n)
             ]
@@ -181,10 +182,10 @@ class TestLambdaWeight:
 
 class TestApPrimes:
     def test_support_example(self):
-        assert ap_primes(1, 4, 10).support.tolist() == [1, 3, 4, 7, 9, 10]
+        assert ap_primes(1, 4, 10)[0].tolist() == [1, 3, 4, 7, 9, 10]
 
     def test_small_progression(self):
-        assert ap_primes(1, 2, 3).support.tolist() == [1, 2, 3]
+        assert ap_primes(1, 2, 3)[0].tolist() == [1, 2, 3]
 
     def test_noncoprime_rejected(self):
         with pytest.raises(ValueError):
@@ -193,16 +194,16 @@ class TestApPrimes:
     def test_weight_sum_matches_direct_primality(self):
         # cross-check the sieved progression against point-by-point testing
         for b, w in [(1, 2), (3, 4), (1, 1), (7, 10)]:
-            bundle = ap_primes(b, w, 10**4)
+            total = float(ap_primes(b, w, 10**4)[1].sum())
             direct = sum(lambda_weight(b, w, x) for x in range(1, 10**4 + 1))
-            assert bundle.total == pytest.approx(direct, rel=1e-12)
+            assert total == pytest.approx(direct, rel=1e-12)
             phi_ratio = euler_phi(w) / w
             expect = phi_ratio * sum(
                 math.log(w * x + b)
                 for x in range(1, 10**4 + 1)
                 if trial_division_is_prime(w * x + b)
             )
-            assert bundle.total == pytest.approx(expect, rel=1e-12)
+            assert total == pytest.approx(expect, rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(w=st.integers(1, 60), b=st.integers(-200, 200), limit=st.integers(0, 3000))
@@ -211,18 +212,18 @@ class TestApPrimes:
             with pytest.raises(ValueError, match="gcd"):
                 ap_primes(b, w, limit)
             return
-        bundle = ap_primes(b, w, limit)
+        support, weights = ap_primes(b, w, limit)
         # values below 2, negative ones included, are not prime
-        assert bundle.support.tolist() == [
+        assert support.tolist() == [
             x for x in range(1, limit + 1) if is_prime(w * x + b)
         ]
         phi_ratio = euler_phi(w) / w
-        for x, weight in zip(bundle.support.tolist(), bundle.weights.tolist()):
+        for x, weight in zip(support.tolist(), weights.tolist()):
             want = phi_ratio * math.log(w * x + b)
             assert abs(weight - want) <= 1e-15 * want
 
     def test_weight_at(self):
-        bundle = ap_primes(1, 4, 10)
-        weight_at = dict(zip(bundle.support.tolist(), bundle.weights.tolist()))
+        support, weights = ap_primes(1, 4, 10)
+        weight_at = dict(zip(support.tolist(), weights.tolist()))
         assert weight_at[3] == pytest.approx(0.5 * math.log(13))
         assert 2 not in weight_at
