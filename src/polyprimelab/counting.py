@@ -20,7 +20,6 @@ from .spectral import (
     build_prime_coloring_measure,
     large_spectrum,
     smooth,
-    smooth_pair,
     transform_pair,
 )
 from .wtrick import WTrickContext
@@ -296,20 +295,20 @@ def transference_report(
 
     spec_r = large_spectrum(measure, float(eta))
     bohr = bohr_set(spec_r, eps, n_mod)
+    smoothed_measure = smooth(measure, bohr)
     if ctx.variant == INTEGER_COLORING:
-        smoothed_measure = smooth(measure, bohr)
         f_smooth = f
     else:
         spec_r2 = large_spectrum(f, float(eta))
         bohr2 = bohr_set(spec_r2, eps, n_mod)
-        smoothed_measure, f_smooth = smooth_pair(measure, bohr, f, bohr2)
+        f_smooth = smooth(f, bohr2)
     smoothed = triple_count(f_smooth, f_smooth, smoothed_measure).real
 
     frak_a = np.flatnonzero(smoothed_measure.values >= kappa / n_mod)
     report = {
         "variant": ctx.variant,
         "N": n_mod,
-        "kappa": f"{ctx.kappa.numerator}/{ctx.kappa.denominator}",
+        "kappa": ctx.kappa,
         "mass_measure": mass_measure,
         "mass_smoothed_measure": smoothed_measure.mass.real,
         "max_smoothed_measure": float(np.abs(smoothed_measure.values).max()),

@@ -362,8 +362,9 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
     )
 
     # measure well-definedness, the Bohr pigeonhole bound and mass
-    # conservation under smoothing: a failing stage is recorded under its
-    # own name, and each stage after it as not reached
+    # conservation under smoothing, of the measure and, by a proper Bohr set
+    # that takes the transform path, of f: a failing stage is recorded under
+    # its own name, and each stage after it as not reached
     stages = iter(("spectral.measure-well-defined", "spectral.bohr-bound", "spectral.smoothing-mass"))
     try:
         measure = build_poly_prime_measure(ctx)
@@ -375,11 +376,14 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
             bohr.size * q_ ** len(bohr.frequencies) >= p_ ** len(bohr.frequencies) * ctx.N,
             f"|B|={bohr.size}, |R|={len(bohr.frequencies)}",
         )
-        smoothed = smooth(measure, bohr)
+        small_bohr = bohr_set([1, 5], Fraction(1, 5), nn)
         record(
             next(stages),
-            abs(smoothed.mass - measure.mass) < 1e-9 * max(1.0, abs(measure.mass)),
-            f"mass={measure.mass.real:.6f}",
+            all(
+                abs(smooth(g, b).mass - g.mass) < 1e-9 * max(1.0, abs(g.mass))
+                for g, b in ((measure, bohr), (f, small_bohr))
+            ),
+            f"mass={measure.mass.real:.6f}, |B|={bohr.size}; N={nn}: |B|={small_bohr.size}",
         )
     except (ValueError, RuntimeError) as e:
         record(next(stages), False, str(e))

@@ -12,11 +12,17 @@ arithmetic before trig.
 
 Real functions are stored as float64, complex ones as complex128.  Two real
 functions share one transform: `dft_pair` transforms a + i b and splits the
-result, and `idft_pair` inverts two Hermitian spectra X + i Y at once.  The
-partner is scaled by a power of two before packing, so that neither part is
-lost in the other's rounding, and unscaled after (both exactly).  This way
-`counting.transference_report` runs 3 length-N transforms for an integer
-coloring and 4 for a prime coloring.
+result.  The partner is scaled by a power of two before packing, so that
+neither part is lost in the other's rounding, and unscaled after (both
+exactly).
+
+`smooth` is the one smoothing routine.  It runs no transform when the Bohr
+set's size settles the answer: B = {0} returns f itself, and B = Z_N returns
+the constant f.mass / N with its spectrum (f.mass at r = 0, 0 elsewhere).
+Any other B takes the transform path.  So `counting.transference_report`
+runs 1 length-N transform for an integer coloring when B = {0}, and 2 for a
+prime coloring when the measure's B is {0} and the class's is Z_N; each
+proper, nontrivial Bohr set adds 2.
 """
 
 from __future__ import annotations
@@ -44,11 +50,9 @@ __all__ = [
     "dft_direct",
     "dft_pair",
     "idft",
-    "idft_pair",
     "large_spectrum",
     "restriction_norm",
     "smooth",
-    "smooth_pair",
     "transform_pair",
     "weighted_exp_sum",
 ]
@@ -91,9 +95,9 @@ def _pow2_ratio(num: float, den: float) -> float:
     return math.ldexp(1.0, round(math.log2(num) - math.log2(den)))
 
 
-def _alone(transform, values: np.ndarray, norm: float) -> np.ndarray:
-    """transform(values), or exact complex zeros when the norm is zero."""
-    return transform(values) if norm else np.zeros(len(values), dtype=np.complex128)
+def _alone(values: np.ndarray, norm: float) -> np.ndarray:
+    """dft(values), or exact complex zeros when the norm is zero."""
+    return dft(values) if norm else np.zeros(len(values), dtype=np.complex128)
 
 
 def dft_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +115,7 @@ def dft_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b, dtype=np.float64)
     norm_a, norm_b = float(np.abs(a).sum()), float(np.abs(b).sum())
     if not (norm_a and norm_b):
-        return _alone(dft, a, norm_a), _alone(dft, b, norm_b)
+        return _alone(a, norm_a), _alone(b, norm_b)
     scale = _pow2_ratio(norm_b, norm_a)
     z = np.empty(len(a), dtype=np.complex128)
     z.real = a
@@ -124,23 +128,6 @@ def dft_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     z -= conj_neg
     z *= -0.5j * scale  # a pure-imaginary power of two: exact
     return spec_a, z
-
-
-def idft_pair(x_spec: np.ndarray, y_spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real x and y from their Hermitian spectra by one idft of X + i Y.
-
-    Y is packed as Y / 2^k with k = round(log2(|Y|_2 / |X|_2)), which by
-    Parseval balances |x|_2 against |y|_2, and y is multiplied back by 2^k.
-    An all-zero spectrum gives zeros exactly, and the other its own idft.
-    """
-    norm_x, norm_y = float(np.linalg.norm(x_spec)), float(np.linalg.norm(y_spec))
-    if not (norm_x and norm_y):
-        return _alone(idft, x_spec, norm_x).real, _alone(idft, y_spec, norm_y).real
-    scale = _pow2_ratio(norm_y, norm_x)
-    z = y_spec * (1j / scale)
-    z += x_spec
-    z = idft(z)
-    return z.real, z.imag * scale
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -288,22 +275,11 @@ class BohrStructure:
         return DensityFunction(v)
 
 
-def _as_fraction(eps) -> Fraction:
-    if isinstance(eps, Fraction):
-        return eps
-    if isinstance(eps, int):
-        return Fraction(eps)
-    if isinstance(eps, str):
-        return Fraction(eps)
-    if isinstance(eps, tuple):
-        return Fraction(*eps)
-    raise ValueError("radius must be an exact rational (Fraction, int, 'p/q', or tuple)")
-
-
 def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
     """B = {x : ||x r / N|| <= eps for all r}; membership and the pigeonhole
     bound |B| >= eps^{|R|} N are both exact integer comparisons."""
-    eps = _as_fraction(eps)
+    if not isinstance(eps, Fraction):
+        raise ValueError("radius must be an exact rational (a Fraction)")
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("requires 0 < eps < 1/2")
     freqs = _frozen(np.sort(np.asarray(frequencies, dtype=np.int64) % modulus))
@@ -330,31 +306,26 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
 def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
     """f * b * b with b the normalized Bohr indicator; mass is preserved.
 
-    b is even (x in B iff -x in B), so its spectrum is real and the real part
-    of its dft is kept; a real f then has a Hermitian smoothed spectrum and
-    real smoothed values."""
+    When B = {0}, b is the delta at 0 and the answer is f itself.  When
+    B = Z_N, b is the constant 1/N and the answer is the constant f.mass / N,
+    whose spectrum is f.mass at r = 0 and 0 elsewhere.  Neither case builds b
+    or runs a transform.  Otherwise b is even (x in B iff -x in B), so its
+    spectrum is real and the real part of its dft is kept; a real f then has
+    a Hermitian smoothed spectrum and real smoothed values."""
+    if f.modulus != bohr.modulus:
+        raise ValueError(f"modulus mismatch: {f.modulus} vs {bohr.modulus}")
+    if bohr.size == 1:
+        return f
+    if bohr.size == bohr.modulus:
+        mass = f.values.sum()
+        spec = np.zeros(f.modulus, dtype=np.complex128)
+        spec[0] = mass
+        return DensityFunction.with_spectrum(np.full(f.modulus, mass / f.modulus), spec)
     b_spec = dft(bohr.normalized_indicator().values).real
     spec = f.spectrum * b_spec * b_spec
     del b_spec  # and the complex array it views, before the inverse
     values = idft(spec)
     return DensityFunction.with_spectrum(values.real if f.is_real else values, spec)
-
-
-def smooth_pair(
-    f: DensityFunction, bohr_f: BohrStructure, g: DensityFunction, bohr_g: BohrStructure
-) -> tuple[DensityFunction, DensityFunction]:
-    """smooth(f, bohr_f) and smooth(g, bohr_g) for real f and g, in two
-    transforms: one `dft_pair` of the two (even) Bohr indicators, whose
-    spectra are the real parts of its halves, and one `idft_pair`."""
-    if not (f.is_real and g.is_real):
-        raise ValueError("smooth_pair needs real functions")
-    bf, bg = dft_pair(bohr_f.normalized_indicator().values, bohr_g.normalized_indicator().values)
-    bf, bg = bf.real, bg.real
-    f_spec = f.spectrum * bf * bf
-    g_spec = g.spectrum * bg * bg
-    del bf, bg
-    x, y = idft_pair(f_spec, g_spec)
-    return DensityFunction.with_spectrum(x, f_spec), DensityFunction.with_spectrum(y, g_spec)
 
 
 def restriction_norm(f: DensityFunction, rho: float) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "find_nonroot",
     "level_exponents",
     "select_bp",
-    "suggest_smooth_exponents",
     "verify_gcd_identity",
 ]
 
@@ -278,32 +277,24 @@ class WTrickContext:
         return out
 
     def to_json_dict(self) -> dict:
-        """Every field under its own name, each integer as a decimal string."""
-        fields_json = {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
-        return {"format": "wtrick-context/1", **fields_json}
+        """Every field under its own name, a polynomial as its coefficient
+        tuple; `experiments.write_report` renders the integers as strings."""
+        out = {"format": "wtrick-context/1"}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.coeffs if isinstance(value, IntPolynomial) else value
+        return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WTrickContext":
-        """Inverse of `to_json_dict`; the stored rescaled coefficients must be
-        those of rescale(psi, W, b)."""
+        """Inverse of `to_json_dict` as written to JSON; the stored rescaled
+        coefficients must be those of rescale(psi, W, b)."""
         if d.get("format") != "wtrick-context/1":
             raise ValueError("unrecognized context format")
         ctx = cls(**{f.name: _decode(f.type, d[f.name]) for f in fields(cls)})
-        if _encode(rescale(ctx.psi, ctx.W, ctx.b)) != list(d["rescaled"]):
+        if ctx.rescaled != rescale(ctx.psi, ctx.W, ctx.b):
             raise ValueError("stored rescaled coefficients do not match")
         return ctx
-
-
-def _encode(value):
-    """A context field as JSON: an integer as its decimal string, a Fraction
-    as "p/q", a polynomial as its coefficient list, a dict sorted by key."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, IntPolynomial):
-        return [str(c) for c in value.coeffs]
-    if isinstance(value, dict):
-        return {str(k): str(v) for k, v in sorted(value.items())}
-    return str(value) if type(value) is int else value  # str, bool and None as they are
 
 
 _DECODERS = {  # by field annotation, less any " | None"
@@ -339,24 +330,6 @@ def _admissible_cp(psi: IntPolynomial, b0: int, w0: int, bound: int) -> dict[int
     if missing:
         raise NecessityViolationError(missing)
     return cp
-
-
-def suggest_smooth_exponents(
-    psi: IntPolynomial, b0: int, w0: int, variant: str, margin: int = 1
-) -> dict[int, int]:
-    """Exponents e_p = v_p + margin for every p <= coeff_bound.
-
-    With margin >= 1 the resulting context satisfies the gcd-identity
-    precondition and K divides W.
-    """
-    bound = psi_bound(psi, w0, variant)
-    cp = _admissible_cp(psi, b0, w0, bound) if variant == PRIME_COLORING else {}
-    bp = {p: select_bp(psi, b0, w0, bound, p, variant, cp.get(p)) for p in _primes_upto(bound)}
-    out = {p: v + margin for p, v in _derivative_valuations(bp, psi, b0, w0, bound).items()}
-    if variant == PRIME_COLORING and 2 in out:
-        # pin b mod 4 so psi(b) = psi(t_2) mod 4, keeping psi(b)/2 odd
-        out[2] = max(out[2], 2)
-    return out
 
 
 def build_context(

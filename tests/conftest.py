@@ -4,8 +4,27 @@ from __future__ import annotations
 
 import pytest
 
-from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial
-from polyprimelab.wtrick import build_context, suggest_smooth_exponents
+from polyprimelab.numtheory import p_adic_valuation, sieve_primes
+from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial, psi_bound
+from polyprimelab.wtrick import build_context, check_cp, select_bp
+
+
+def suggest_smooth_exponents(psi, b0, w0, variant):
+    """Exponents e_p = v_p(psi'((b_p - b0)/w0)) + 1 for every prime p up to
+    the coefficient bound; the context built from them satisfies the
+    gcd-identity precondition, and K divides W.  For a prime coloring e_2 is
+    at least 2, which pins b mod 4 so that psi(b)/2 stays odd."""
+    bound = psi_bound(psi, w0, variant)
+    dpsi = psi.derivative()
+    out = {}
+    for p in (sieve_primes(bound).tolist() if bound >= 2 else []):
+        cp = check_cp(psi, b0, w0, p) if variant == PRIME_COLORING else None
+        bp = select_bp(psi, b0, w0, bound, p, variant, cp)
+        out[p] = p_adic_valuation(p, dpsi((bp - b0) // w0)) + 1
+    if variant == PRIME_COLORING and 2 in out:
+        out[2] = max(out[2], 2)
+    return out
+
 
 # (name, coeffs, b0, w0, m, variant, exps_override, extra_exps, N_target)
 SUITE_SPECS = [

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from polyprimelab.experiments import (
     write_report,
 )
 from polyprimelab.numtheory import lambda_weight
-from polyprimelab.spectral import DensityFunction
+from polyprimelab.spectral import BohrStructure, DensityFunction
 from polyprimelab.wtrick import WTrickContext
 
 BLOCKING = ["--psi", "6,0,0", "--b0", "1", "--w0", "1", "--p", "3"]
@@ -274,6 +275,21 @@ class TestVerifyCommand:
             "spectral.convolution-theorem"
         ]
 
+    def test_broken_smoothing_fails(self, tmp_path, monkeypatch):
+        # at the default config B = {0} needs no indicator; the fixed proper
+        # Bohr set at N = 211 still takes the transform path
+        real = BohrStructure.normalized_indicator
+
+        def doubled(self):
+            return DensityFunction(2 * real(self).values)
+
+        monkeypatch.setattr(BohrStructure, "normalized_indicator", doubled)
+        assert main(["verify", "--out", str(tmp_path)]) == 1
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert [name for name, c in checks.items() if not c["pass"]] == [
+            "spectral.smoothing-mass"
+        ]
+
 
 class TestSearchCommand:
     def test_monochrome_example(self, tmp_path):
@@ -461,7 +477,7 @@ PRIME_TRANSFER = {
     "variant": "prime-coloring",
     "w_config": {2: 2, 3: 1, 5: 1},
     "n": 600_000,
-    "eta": __import__("fractions").Fraction(1, 20),
+    "eta": Fraction(1, 20),
     "seed": 3,
 }
 
@@ -556,8 +572,17 @@ class TestTransferCommand:
 
     @pytest.mark.parametrize(
         "cfg,transforms",
-        [({"n": 30000, "seed": 5}, 3), (PRIME_TRANSFER, 4)],
-        ids=["integer", "prime"],
+        [
+            # B = {0}: only the packed transform of the measure and the class
+            ({"n": 30000, "seed": 5}, 1),
+            # the class's |R| = 0 makes its B = Z_N: no smoothing transform
+            ({**PRIME_TRANSFER, "eta": Fraction(1, 4)}, 2),
+            # the class's |B| = 1667 takes the transform path
+            (PRIME_TRANSFER, 4),
+            # |R| = 25 leaves a measure Bohr set of 33 points
+            ({"n": 3000, "eta": Fraction(1, 2), "eps": Fraction(1, 4)}, 3),
+        ],
+        ids=["integer", "prime-full-bohr", "prime", "integer-wide"],
     )
     def test_length_n_transform_count(self, monkeypatch, cfg, transforms):
         from polyprimelab import spectral

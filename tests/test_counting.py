@@ -312,7 +312,7 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
     report = {
         "variant": ctx.variant,
         "N": n_mod,
-        "kappa": f"{ctx.kappa.numerator}/{ctx.kappa.denominator}",
+        "kappa": ctx.kappa,
         "mass_measure": mass_measure,
         "mass_smoothed_measure": mass_smoothed,
         "max_smoothed_measure": max_smoothed,

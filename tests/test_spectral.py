@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from polyprimelab.numtheory import euler_phi, is_prime, lambda_weight
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial, rescale
 from polyprimelab.spectral import (
+    BohrStructure,
     CollisionError,
     DensityFunction,
     bohr_set,
@@ -21,11 +22,9 @@ from polyprimelab.spectral import (
     dft_direct,
     dft_pair,
     idft,
-    idft_pair,
     large_spectrum,
     restriction_norm,
     smooth,
-    smooth_pair,
     transform_pair,
     weighted_exp_sum,
 )
@@ -139,10 +138,6 @@ class TestPairedTransforms:
         spec_a, spec_b = dft_pair(a, b)
         assert_close_to_own_max(spec_a, dft(a))
         assert_close_to_own_max(spec_b, dft(b))
-        x, y = idft_pair(dft(a), dft(b))
-        assert x.dtype == y.dtype == np.float64
-        assert_close_to_own_max(x, idft(dft(a)).real)
-        assert_close_to_own_max(y, idft(dft(b)).real)
 
     def test_split_is_exactly_hermitian(self):
         rng = np.random.default_rng(14)
@@ -155,8 +150,6 @@ class TestPairedTransforms:
         a = np.arange(7.0)
         spec_a, spec_b = dft_pair(a, np.zeros(7))
         assert not spec_b.any() and np.array_equal(spec_a, dft(a))
-        x, y = idft_pair(np.zeros(7, dtype=complex), dft(a))
-        assert not x.any() and np.allclose(y, a, atol=1e-12)
 
     def test_complex_rejected(self):
         with pytest.raises(ValueError, match="real"):
@@ -423,15 +416,37 @@ class TestSmooth:
             assert not out.spectrum.flags.writeable
             assert np.allclose(dft(out.values), out.spectrum, rtol=0, atol=1e-9 * n)
 
-    def test_pair_matches_single(self):
-        rng = np.random.default_rng(11)
-        n = 1009
-        f, g = DensityFunction(rng.random(n)), DensityFunction(rng.random(n) < 0.5)
-        b_f, b_g = bohr_set([3, 40], Fraction(1, 6), n), bohr_set([7], Fraction(1, 5), n)
-        for out, want in zip(smooth_pair(f, b_f, g, b_g), (smooth(f, b_f), smooth(g, b_g))):
-            assert out.values.dtype == np.float64
-            assert_close_to_own_max(out.values, want.values)
-            assert_close_to_own_max(out.spectrum, want.spectrum)
+    @pytest.mark.parametrize("full", [False, True], ids=["zero", "full"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_trivial_bohr_matches_fft_formula(self, monkeypatch, full, dtype):
+        # B = {0} and B = Z_N run no transform and build no indicator, yet
+        # agree with ifft(fft(f) fft(b)^2) for the indicator b built here
+        from polyprimelab import spectral
+
+        rng = np.random.default_rng(16)
+        n = 101
+        v = rng.random(n)
+        f = DensityFunction(v + 1j * rng.random(n) if dtype is np.complex128 else v)
+        bohr = bohr_set([] if full else [1], Fraction(1, 3) if full else Fraction(1, 1000), n)
+        assert bohr.size == (n if full else 1)
+        b = np.zeros(n)
+        b[bohr.members] = 1 / bohr.size
+        want_spec = np.fft.fft(f.values) * np.fft.fft(b).real ** 2
+        want = np.fft.ifft(want_spec)
+        with monkeypatch.context() as m:
+            for name in ("dft", "idft"):
+                m.setattr(spectral, name, lambda v: pytest.fail("transform ran"))
+            m.setattr(BohrStructure, "normalized_indicator", lambda self: pytest.fail("built b"))
+            out = smooth(f, bohr)
+        assert out.values.dtype == f.values.dtype
+        assert_close_to_own_max(out.values, want if dtype is np.complex128 else want.real)
+        assert_close_to_own_max(out.spectrum, want_spec)
+
+    def test_modulus_mismatch_rejected(self):
+        # the B = {0} shortcut must not accept a Bohr set of another modulus
+        f = DensityFunction(np.ones(31))
+        with pytest.raises(ValueError, match="modulus mismatch"):
+            smooth(f, bohr_set([1], Fraction(1, 1000), 11))
 
     def test_pointwise_diagnostic_reported(self, ctx_w6):
         m = build_poly_prime_measure(ctx_w6)
