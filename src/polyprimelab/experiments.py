@@ -67,17 +67,22 @@ GOLDEN = (math.sqrt(5) - 1) / 2
 
 
 def _parse_w_spec(text: str) -> dict[int, int]:
-    """Either a bare level "3" (exponent 1 for each prime <= 3) or "2:1,3:2"."""
+    """Either a bare level "3" (exponent 1 for each prime <= 3) or "2:1,3:2";
+    a level or an exponent must be >= 0."""
     text = text.strip()
     if not text:
         return {}
     if ":" not in text:
+        if int(text) < 0:
+            raise ValueError(f"negative level {int(text)}")
         return level_exponents(int(text))
     out = {}
     for part in text.split(","):
         p, e = part.split(":")
         if int(p) in out:
             raise ValueError(f"prime {int(p)} named twice")
+        if int(e) < 0:
+            raise ValueError(f"negative exponent {int(e)} of {int(p)}")
         out[int(p)] = int(e)
     return out
 

@@ -81,50 +81,25 @@ class IntPolynomial:
 
 
 def rescale(psi: IntPolynomial, w: int, b: int) -> IntPolynomial:
-    """The integral polynomial (psi(w*x + b) - psi(b)) / w.
+    """The integral polynomial psi_{b,w}(x) = (psi(w*x + b) - psi(b)) / w.
 
-    Verifies exactly: zero constant term, linear coefficient equal to
-    psi'(b), and divisibility of every coefficient of x^i, i >= 2, by w.
+    With t_j = psi^(j)(b) / j!, the integer Taylor coefficients of psi at b,
+    psi(w*x + b) = sum_j t_j w^j x^j, so the coefficient of x^j here is
+    t_j w^(j-1).  The constant term is 0, the linear coefficient is psi'(b),
+    and w divides every coefficient of x^j, j >= 2, by construction.
     """
     if w < 1:
         raise ValueError("requires w >= 1")
     if b < 0:
         raise ValueError("requires b >= 0")
-    # Coefficients of psi(w*x + b), lowest degree first.
-    comp = [0]
-    power = [1]  # (w*x + b)^j, lowest first
-    for j in range(psi.degree + 1):
-        if j > 0:
-            nxt = [0] * (len(power) + 1)
-            for i, c in enumerate(power):
-                nxt[i] += c * b
-                nxt[i + 1] += c * w
-            power = nxt
-        cj = psi.coefficient(j)
-        if cj:
-            while len(comp) < len(power):
-                comp.append(0)
-            for i, c in enumerate(power):
-                comp[i] += cj * c
-    comp[0] -= psi(b)
-    if comp[0] != 0:
-        raise ValueError("internal consistency failure: nonzero constant term")
-    scaled = []
-    for i, c in enumerate(comp):
-        if i == 0:
-            scaled.append(0)
-            continue
-        if c % w:
-            raise ValueError(f"internal consistency failure: w does not divide coefficient of x^{i}")
-        scaled.append(c // w)
-    poly = IntPolynomial(tuple(reversed(scaled)))
-    dpsi_b = psi.derivative()(b)
-    if poly.coefficient(1) != dpsi_b:
-        raise ValueError("internal consistency failure: linear coefficient != psi'(b)")
-    for i in range(2, poly.degree + 1):
-        if poly.coefficient(i) % w:
-            raise ValueError(f"internal consistency failure: w does not divide coefficient of x^{i}")
-    return poly
+    # each synthetic division by (x - b) leaves the next t_j as remainder
+    quotient = list(psi.coeffs)
+    taylor = []  # t_0, t_1, ..., t_deg
+    while quotient:
+        for i in range(1, len(quotient)):
+            quotient[i] += b * quotient[i - 1]
+        taylor.append(quotient.pop())
+    return IntPolynomial(tuple(t * w ** (j - 1) for j, t in enumerate(taylor) if j)[::-1] + (0,))
 
 
 def psi_bound(psi: IntPolynomial, w0: int, variant: str) -> int:

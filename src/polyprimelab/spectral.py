@@ -7,8 +7,10 @@ Both measures and `weighted_exp_sum` take their primes and log weights from
 `numtheory.ap_primes`.
 
 Transform convention: fhat(r) = sum_x f(x) e(-x r / N) with e(t) = exp(2 pi i t),
-computed by numpy's FFT.  Every other phase is reduced with exact integer
-arithmetic before trig.
+computed by numpy's FFT.  Every other phase goes through `_e`, which reduces
+it mod 1 in exact integers before trig: `complete_gauss_sum` and
+`weighted_exp_sum` for every alpha, a float alpha taken as its exact binary
+fraction.
 
 Real functions are stored as float64, complex ones as complex128.  Two real
 functions share one transform: `dft_pair` transforms a + i b and splits the
@@ -141,14 +143,18 @@ class DensityFunction:
 
     __slots__ = ("modulus", "values", "_spectrum")
 
-    def __init__(self, values: np.ndarray):
+    def __init__(self, values: np.ndarray, spectrum: np.ndarray | None = None):
+        """`spectrum`, when given, is the transform the caller already has; it
+        is kept as complex128 and made read-only."""
         dtype = np.complex128 if np.iscomplexobj(values) else np.float64
         v = np.array(values, dtype=dtype)
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("values must be a nonempty 1-d array")
         self.modulus = len(v)
         self.values = _frozen(v)
-        self._spectrum = None
+        if spectrum is not None:
+            spectrum = _frozen(np.asarray(spectrum, dtype=np.complex128))
+        self._spectrum = spectrum
 
     @property
     def is_real(self) -> bool:
@@ -164,19 +170,6 @@ class DensityFunction:
     def mass(self) -> complex:
         return complex(self.values.sum())
 
-    @classmethod
-    def with_spectrum(cls, values: np.ndarray, spectrum: np.ndarray) -> "DensityFunction":
-        """A function whose transform the caller already has; `spectrum` is
-        kept as is (made read-only)."""
-        f = cls(values)
-        f._spectrum = _frozen(np.asarray(spectrum, dtype=np.complex128))
-        return f
-
-    @classmethod
-    def from_spectrum(cls, spectrum: np.ndarray) -> "DensityFunction":
-        """idft(spectrum), keeping `spectrum` (made read-only) as its transform."""
-        return cls.with_spectrum(idft(spectrum), spectrum)
-
 
 def transform_pair(f: DensityFunction, g: DensityFunction) -> None:
     """Cache the spectra of real f and g from one dft (see `dft_pair`);
@@ -189,7 +182,8 @@ def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
     """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y), via spectra."""
     if f.modulus != g.modulus:
         raise ValueError(f"modulus mismatch: {f.modulus} vs {g.modulus}")
-    return DensityFunction.from_spectrum(f.spectrum * g.spectrum)
+    spec = f.spectrum * g.spectrum
+    return DensityFunction(idft(spec), spec)
 
 
 def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:
@@ -320,24 +314,30 @@ def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
         mass = f.values.sum()
         spec = np.zeros(f.modulus, dtype=np.complex128)
         spec[0] = mass
-        return DensityFunction.with_spectrum(np.full(f.modulus, mass / f.modulus), spec)
+        return DensityFunction(np.full(f.modulus, mass / f.modulus), spec)
     b_spec = dft(bohr.normalized_indicator().values).real
     spec = f.spectrum * b_spec * b_spec
     del b_spec  # and the complex array it views, before the inverse
     values = idft(spec)
-    return DensityFunction.with_spectrum(values.real if f.is_real else values, spec)
+    return DensityFunction(values.real if f.is_real else values, spec)
 
 
 def restriction_norm(f: DensityFunction, rho: float) -> float:
-    """sum_r |fhat(r)|^rho."""
-    if rho <= 0:
-        raise ValueError("requires rho > 0")
+    """sum_r |fhat(r)|^rho, for 0 < rho < inf (a NaN rho is rejected)."""
+    if not 0 < rho < math.inf:
+        raise ValueError("requires 0 < rho < inf")
     return float((np.abs(f.spectrum) ** rho).sum())
+
+
+def _e(numer: int, denom: int) -> complex:
+    """e(numer / denom), the numerator reduced mod denom in exact integers and
+    the quotient rounded once."""
+    return cmath.exp(2j * cmath.pi * ((numer % denom) / denom))
 
 
 def complete_gauss_sum(ctx: WTrickContext, a: int, q: int) -> complex:
     """sum over 1 <= s <= q, with the progression value coprime to q, of
-    e(psi_{b,W}(s) a / q); phases reduced mod q in exact integers."""
+    e(psi_{b,W}(s) a / q)."""
     if q < 1 or not 1 <= a <= q:
         raise ValueError("requires 1 <= a <= q")
     if math.gcd(a, q) != 1:
@@ -345,29 +345,20 @@ def complete_gauss_sum(ctx: WTrickContext, a: int, q: int) -> complex:
     c, big_q = ctx.progression
     total = 0j
     for s in range(1, q + 1):
-        if math.gcd(big_q * s + c, q) != 1:
-            continue
-        t = (ctx.rescaled(s) * a) % q
-        total += cmath.exp(2j * cmath.pi * t / q)
+        if math.gcd(big_q * s + c, q) == 1:
+            total += _e(ctx.rescaled(s) * a, q)
     return total
-
-
-def _e_exact(numer: int, denom: int) -> complex:
-    return cmath.exp(2j * cmath.pi * ((numer % denom) / denom))
-
-
-def _phase_for(value: int, alpha) -> complex:
-    """e(alpha * value) with exact reduction when alpha is rational."""
-    if isinstance(alpha, Fraction):
-        return _e_exact(value * alpha.numerator, alpha.denominator)
-    return cmath.exp(2j * cmath.pi * math.fmod(value * alpha, 1.0))
 
 
 def weighted_exp_sum(ctx: WTrickContext, alpha) -> complex:
     """sum over x in [1, N] of the progression's logarithmic prime weight
-    times e(alpha * psi_{b,W}(x))."""
+    times e(alpha * psi_{b,W}(x)).  alpha is an int, a Fraction or a float;
+    a float is taken as its exact binary fraction, so every phase is reduced
+    exactly."""
+    a = Fraction(alpha)
+    numer, denom, resc = a.numerator, a.denominator, ctx.rescaled
     support, weights = ap_primes(*ctx.progression, ctx.N)
     total = 0j
     for x, w in zip(support.tolist(), weights.tolist()):
-        total += w * _phase_for(ctx.rescaled(x), alpha)
+        total += w * _e(resc(x) * numer, denom)
     return total

@@ -347,7 +347,8 @@ def build_context(
     (the spectral side relies on it).  The target interval
     (2n/W, (2+kappa)n/W] is widened by factors of (1+kappa) up to eight
     times and, failing that, once more to the Bertrand-safe bound 4n/W;
-    the number of widening steps is recorded on the context.
+    the number of widening steps is recorded on the context.  A smooth
+    exponent must be >= 0; an exponent of 0 contributes p^0 = 1 to W.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -361,6 +362,8 @@ def build_context(
         raise ValueError("requires num_colors >= 1")
     ParityCertificate.check(psi, b0, w0)
 
+    if any(e < 0 for e in smooth_exponents.values()):
+        raise ValueError(f"negative smooth exponent in {smooth_exponents}")
     exps = {int(p): int(e) for p, e in smooth_exponents.items() if e > 0}
     for p in exps:
         if not is_prime(p):

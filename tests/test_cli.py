@@ -118,6 +118,14 @@ class TestConfigParsing:
         assert capsys.readouterr().err == err.replace("error: ", "error: line 1: ", 1)
         assert not (tmp_path / "transfer.json").exists()
 
+    @pytest.mark.parametrize("text", ["2:-1", "-3", "2:1,3:-5"])
+    def test_negative_w_rejected(self, tmp_path, capsys, text):
+        # a negative exponent or level must not be dropped in silence
+        assert main(["transfer", "--w", text, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad value for 'w': negative") and err.count("\n") == 1
+        assert not (tmp_path / "transfer.json").exists()
+
     @pytest.mark.parametrize("command", ["transfer", "search"])
     def test_bad_variant_same_for_flag_and_config_file(self, tmp_path, capsys, command):
         # both forms exit 2 with one line, before any context or coloring is read
@@ -266,7 +274,7 @@ class TestVerifyCommand:
     def test_broken_convolution_fails(self, tmp_path, monkeypatch):
         # right spectrum, wrong values: only a check on the values can see it
         def zero_values(f, g):
-            return DensityFunction.with_spectrum(np.zeros(f.modulus), f.spectrum * g.spectrum)
+            return DensityFunction(np.zeros(f.modulus), f.spectrum * g.spectrum)
 
         monkeypatch.setattr(experiments, "convolve", zero_values)
         assert main(["verify", "--out", str(tmp_path)]) == 1
@@ -610,6 +618,13 @@ class TestTransferCommand:
 
 
 class TestSpectrumCommand:
+    @pytest.mark.parametrize("rho", ["nan", "inf"])
+    def test_non_finite_rho_rejected(self, tmp_path, capsys, rho):
+        # NaN and Infinity are not JSON, so no report is written
+        assert main(["spectrum", "--rho", f"0.5,{rho}", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: requires 0 < rho < inf\n"
+        assert not (tmp_path / "spectrum.json").exists()
+
     def test_diagnostics_present(self, tmp_path):
         cfg = config_from_sources(None, {"n": 30000, "trend_n": (2003, 4001), "trend_w": (1, 3)})
         report = run_spectrum(cfg, str(tmp_path))

@@ -30,6 +30,7 @@ from polyprimelab.spectral import (
     bohr_set,
     build_poly_prime_measure,
     build_prime_coloring_measure,
+    idft,
     large_spectrum,
 )
 from polyprimelab.wtrick import build_context
@@ -282,7 +283,8 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
 
     def smooth_unpacked(f, bohr):
         b_spec = complex_copy(bohr.normalized_indicator()).spectrum
-        return DensityFunction.from_spectrum(f.spectrum * b_spec * b_spec)
+        spec = f.spectrum * b_spec * b_spec
+        return DensityFunction(idft(spec), spec)
 
     measure = complex_copy(build_poly_prime_measure(ctx))
     indicator = DensityFunction(a_set.indicator_values().astype(np.complex128))

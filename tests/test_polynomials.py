@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,24 @@ class TestRescale:
         resc = rescale(poly, w, b)
         assert w * resc(x) == poly(w * x + b) - poly(b)
         assert resc.coefficient(1) == poly.derivative()(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=7),
+        w=st.integers(1, 10**4),
+        b=st.integers(0, 10**4),
+    )
+    def test_coefficients_are_scaled_taylor_coefficients(self, coeffs, w, b):
+        # the coefficient of x^j is t_j w^(j-1), with t_j = psi^(j)(b) / j!
+        poly = IntPolynomial(tuple(coeffs))
+        resc = rescale(poly, w, b)
+        assert resc.degree == poly.degree and resc.constant == 0
+        deriv = poly
+        for j in range(1, poly.degree + 1):
+            deriv = deriv.derivative()
+            t_j, rem = divmod(deriv(b), math.factorial(j))
+            assert rem == 0
+            assert resc.coefficient(j) == t_j * w ** (j - 1)
 
 
 class TestPsiBound:

@@ -1,4 +1,5 @@
 import cmath
+import decimal
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyprimelab.numtheory import euler_phi, is_prime, lambda_weight
+from polyprimelab.numtheory import ap_primes, euler_phi, is_prime, lambda_weight
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial, rescale
 from polyprimelab.spectral import (
     BohrStructure,
@@ -173,6 +174,16 @@ class TestPairedTransforms:
         assert build_poly_prime_measure(ctx_w6).values.dtype == np.float64
         assert DensityFunction([1, 0, 1]).values.dtype == np.float64
         assert DensityFunction([1j, 0, 1]).values.dtype == np.complex128
+
+
+class TestDensityFunction:
+    def test_given_spectrum_kept_without_a_transform(self, monkeypatch):
+        from polyprimelab import spectral
+
+        monkeypatch.setattr(spectral, "dft", lambda v: pytest.fail("transform ran"))
+        f = DensityFunction(np.eye(5)[1], [1, 2, 3, 4, 5])
+        assert f.spectrum.dtype == np.complex128 and not f.spectrum.flags.writeable
+        assert f.spectrum.tolist() == [1, 2, 3, 4, 5]
 
 
 class TestConvolve:
@@ -513,3 +524,21 @@ class TestWeightedExpSum:
         sf = weighted_exp_sum(ctx_w6, Fraction(1, 3))
         assert sf == pytest.approx(want, rel=1e-12)
         assert weighted_exp_sum(ctx_w6, 1 / 3) == pytest.approx(sf, rel=1e-6, abs=1e-6 * ctx_w6.N)
+
+    def test_float_phase_exact_at_large_n(self):
+        # a float alpha is its exact binary fraction.  The oracle reduces each
+        # phase alpha * psi_{b,W}(x) mod 1 in 80-digit decimals, where
+        # Decimal(float), the ~90-bit product and the remainder are all exact
+        ctx = build_context(
+            IntPolynomial((1, 1, 0)), 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 300_000
+        )
+        assert ctx.N >= 10**5
+        support, weights = ap_primes(*ctx.progression, ctx.N)
+        want = 0j
+        with decimal.localcontext() as dctx:
+            dctx.prec = 80
+            golden = decimal.Decimal(GOLDEN)
+            for x, w in zip(support.tolist(), weights.tolist()):
+                phase = float(decimal.Decimal(ctx.rescaled(x)) * golden % 1)
+                want += w * cmath.exp(2j * cmath.pi * phase)
+        assert abs(weighted_exp_sum(ctx, GOLDEN) - want) <= 1e-12 * abs(want)

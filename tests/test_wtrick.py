@@ -223,6 +223,13 @@ class TestBuildContext:
         with pytest.raises(ScaleError, match="needs an odd N"):
             build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 4)
 
+    def test_negative_smooth_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative smooth exponent"):
+            build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 1, 3: -1}, 10**4)
+        # an exponent of 0 is p^0 = 1
+        with_zero = build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1, 5: 0}, 10**4)
+        assert with_zero == build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 10**4)
+
     def test_all_invariants_assert(self, context_suite):
         for name, ctx in context_suite:
             failures = [(n, info) for n, ok, info in ctx.verify_invariants() if not ok]
