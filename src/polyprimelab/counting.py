@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _BRUTE_LIMIT = 2048  # largest N the O(N^2) oracle accepts
+_PAIR_BLOCK = 1 << 16  # pairs per block of the exact unweighted count
 
 
 class LiftingError(ValueError):
@@ -256,6 +257,28 @@ def find_zn_solutions(
     return out
 
 
+def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:
+    """sum over x, y in A of measure(x + y), A the distinct members in
+    [0, N), by the cost rule in `transference_report`.  The exact pair
+    counts are taken _PAIR_BLOCK pairs at a time from a membership table
+    over [0, 2N), which holds (s - x) mod N at s + (N - x)."""
+    n_mod = measure.modulus
+    support = np.flatnonzero(measure.values)
+    in_a = np.zeros(2 * n_mod, dtype=bool)
+    in_a[members] = True
+    if len(support) * len(members) > n_mod * n_mod.bit_length():
+        indicator = DensityFunction(in_a[:n_mod])  # as float64 0/1 values
+        return triple_count(indicator, indicator, measure).real
+    in_a[n_mod:] = in_a[:n_mod]
+    neg = n_mod - members
+    counts = np.empty(len(support), dtype=np.int64)
+    rows = max(1, _PAIR_BLOCK // max(1, len(members)))
+    for lo in range(0, len(support), rows):
+        pairs = np.add.outer(support[lo : lo + rows], neg)
+        counts[lo : lo + rows] = np.count_nonzero(in_a[pairs], axis=1)
+    return float(counts @ measure.values[support])
+
+
 def transference_report(
     a_set: TransferredSet, measure: DensityFunction, eta: Fraction, eps: Fraction
 ) -> dict:
@@ -266,7 +289,16 @@ def transference_report(
     (the exact diagonal and the full-mass bound actually subtracted in the
     inequality chain), the dense-model set sizes against their (1-3kappa)N
     and 2kappa*N marks, and the final lower-bound comparisons.  Asymptotic
-    bounds are recorded, never enforced.
+    bounds are recorded, never enforced.  When neither Bohr set smooths
+    anything (both are {0}), the smoothed count is the raw count.
+
+    For a prime coloring the final inequality counts the class's unweighted
+    pairs, `unweighted_count` = sum over x, y in A of measure(x + y), with
+    the diagonal sum over x in A of measure(2x) read from the members.  When
+    |supp measure| * |A| <= N * N.bit_length(), at most one transform's
+    work, it is the sum over s in the support of measure(s) times the exact
+    integer count #{x in A : (s - x) mod N in A}, and no transform runs;
+    above that cost it is the triple count of A's indicator, one transform.
     """
     ctx = a_set.context
     n_mod = ctx.N
@@ -283,15 +315,11 @@ def transference_report(
     # peaks at the live set plus the FFT's own scratch.
     transform_pair(measure, f)
     raw = triple_count(f, f, measure).real
-    # exact diagonals sum_x g(x)^2 measure(2x), against the subtracted bound
-    measure_at_double = _at_double(measure.values)
-    diag_exact = float((f.values**2 * measure_at_double).sum())
+    # exact diagonal sum_x f(x)^2 measure(2x), against the subtracted bound
+    diag_exact = float((f.values**2 * _at_double(measure.values)).sum())
     if ctx.variant != INTEGER_COLORING:
-        indicator = DensityFunction(a_set.indicator_values())
-        unweighted = triple_count(indicator, indicator, measure).real
-        diag_unweighted = float((indicator.values**2 * measure_at_double).sum())
-        del indicator
-    del measure_at_double
+        unweighted = _unweighted_count(a_set.members, measure)
+        diag_unweighted = float(measure.values[(2 * a_set.members) % n_mod].sum())
 
     spec_r = large_spectrum(measure, float(eta))
     bohr = bohr_set(spec_r, eps, n_mod)
@@ -302,7 +330,10 @@ def transference_report(
         spec_r2 = large_spectrum(f, float(eta))
         bohr2 = bohr_set(spec_r2, eps, n_mod)
         f_smooth = smooth(f, bohr2)
-    smoothed = triple_count(f_smooth, f_smooth, smoothed_measure).real
+    if f_smooth is f and smoothed_measure is measure:
+        smoothed = raw  # both Bohr sets are {0}: the same triple count
+    else:
+        smoothed = triple_count(f_smooth, f_smooth, smoothed_measure).real
 
     frak_a = np.flatnonzero(smoothed_measure.values >= kappa / n_mod)
     report = {

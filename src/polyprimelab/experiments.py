@@ -102,6 +102,13 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _nonnegative_int_tuple(text: str) -> tuple[int, ...]:
+    values = _int_tuple(text)
+    if any(v < 0 for v in values):
+        raise ValueError(f"negative entry {min(values)}")
+    return values
+
+
 def _setting(default, parse, flag=None, help=None, key=None):
     """A field declared as a setting: its config key (`key`, else the field's
     name), the parser of its text, and its command-line `flag` with `help`
@@ -147,8 +154,9 @@ class ExperimentConfig:
     )
     p: int = _setting(3, int, "--p", "blocking prime (counterexample)")
     out: str = _setting("out", str.strip, "--out", "output directory")
-    trend_n: tuple[int, ...] = _setting((2003, 4001, 8009), _int_tuple)
-    trend_w: tuple[int, ...] = _setting((1, 2, 3), _int_tuple)  # smoothing levels: primes <= these
+    trend_n: tuple[int, ...] = _setting((2003, 4001, 8009), _nonnegative_int_tuple)
+    # smoothing levels: primes <= these
+    trend_w: tuple[int, ...] = _setting((1, 2, 3), _nonnegative_int_tuple)
 
     def polynomial(self) -> IntPolynomial:
         return IntPolynomial(tuple(self.psi))

@@ -1,9 +1,10 @@
 """Exact integer number theory: the prime sieve, primes in arithmetic
 progressions, totient, p-adic valuations, CRT, and logarithmic prime weights.
 
-One segmented sieve, which lists its own base primes, gives the primes up to
-any limit.  `ap_primes` returns a progression's primes and log weights as
-(support, weights); the per-point Miller-Rabin `lambda_weight` is its oracle.
+One segmented sieve over the odd numbers, which lists its own base primes,
+gives the primes up to any limit.  `ap_primes` returns a progression's
+primes and log weights as (support, weights); the per-point Miller-Rabin
+`lambda_weight` is its oracle.
 
 All modular and combinatorial data are exact integers; only the logarithmic
 weights are double precision.
@@ -29,7 +30,8 @@ __all__ = [
     "sieve_primes",
 ]
 
-# Segment size for the segmented sieve; bounds peak memory for large limits.
+# Integers per segment of the segmented sieve (half as many odd-number
+# flags); bounds peak memory for large limits.
 _SEGMENT = 8_000_000
 
 # The first 13 primes as Miller-Rabin witnesses: exact below psi_13, the
@@ -39,28 +41,32 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as one read-only ascending int64 array, sieved
-    _SEGMENT integers at a time by the base primes <= isqrt(limit), which
-    this same sieve lists."""
+    """All primes <= limit as one read-only ascending int64 array: 2, then the
+    odd primes, sieved over the odd numbers only (index i stands for 2i + 1),
+    _SEGMENT integers at a time, by the odd base primes <= isqrt(limit),
+    which this same sieve lists."""
     if limit < 2:
         raise ValueError("sieve limit must be >= 2 (table would be empty)")
-    base = sieve_primes(math.isqrt(limit)).tolist() if limit >= 4 else []  # isqrt >= 2
-    chunks = []
-    lo = 0
-    while lo <= limit:
-        hi = min(lo + _SEGMENT, limit + 1)  # exclusive
+    base = sieve_primes(math.isqrt(limit))[1:].tolist() if limit >= 9 else []
+    odd_count = (limit + 1) // 2  # 1, 3, ..., the largest odd number <= limit
+    step = max(1, _SEGMENT // 2)
+    chunks = [np.array([2], dtype=np.int64)]
+    for lo in range(0, odd_count, step):
+        hi = min(lo + step, odd_count)  # exclusive, in odd indices
         seg = np.ones(hi - lo, dtype=bool)
         if lo == 0:
-            seg[:2] = False
+            seg[0] = False  # 1
         for p in base:
-            if p * p >= hi:
+            if p * p > 2 * hi - 1:
                 break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            seg[start - lo :: p] = False
+            start = max(p * p, -(-(2 * lo + 1) // p) * p)
+            if start % 2 == 0:
+                start += p  # odd multiples are 2p apart: p apart in index
+            seg[(start - 1) // 2 - lo :: p] = False
         chunk = np.flatnonzero(seg).astype(np.int64, copy=False)
-        chunk += lo
+        chunk *= 2
+        chunk += 2 * lo + 1
         chunks.append(chunk)
-        lo = hi
     primes = np.concatenate(chunks)
     primes.setflags(write=False)
     return primes

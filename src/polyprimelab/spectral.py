@@ -22,9 +22,14 @@ exactly).
 set's size settles the answer: B = {0} returns f itself, and B = Z_N returns
 the constant f.mass / N with its spectrum (f.mass at r = 0, 0 elsewhere).
 Any other B takes the transform path.  So `counting.transference_report`
-runs 1 length-N transform for an integer coloring when B = {0}, and 2 for a
-prime coloring when the measure's B is {0} and the class's is Z_N; each
+runs 1 length-N transform for an integer coloring when B = {0}, and 1 for a
+prime coloring when the measure's B is {0} and the class's is Z_N (its
+unweighted pair count adds 1 only above the cost cutoff stated there); each
 proper, nontrivial Bohr set adds 2.
+
+`bohr_set` filters its candidates one frequency at a time until at most
+_BOHR_TAIL survive, then tests the survivors against the remaining
+frequencies in 2-D blocks of at most N products, all in exact integers.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ __all__ = [
 ]
 
 _DIRECT_BLOCK = 128
+_BOHR_TAIL = 1024  # survivors from which bohr_set tests frequencies in blocks
 
 
 class CollisionError(ValueError):
@@ -278,16 +284,24 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
         raise ValueError("requires 0 < eps < 1/2")
     freqs = _frozen(np.sort(np.asarray(frequencies, dtype=np.int64) % modulus))
     p, q = eps.numerator, eps.denominator
-    # filter survivors one frequency at a time; the candidate set collapses
-    # quickly, so the work is O(N) plus small tails.  0 is always a member,
-    # so once it is the only survivor no later frequency can remove it
+    # ||x r / N|| <= p/q  iff  min(t, N - t) <= L, t = x r mod N, L = pN // q;
+    # as 2L < N, that is (x r + L) mod N <= 2L
+    radius = p * modulus // q
+    # filter survivors one frequency at a time while more than _BOHR_TAIL
+    # remain; the candidate set collapses quickly, so this is O(N) plus small
+    # tails.  The last survivors meet the remaining frequencies in 2-D blocks
+    # of at most N products each.  r = 0 removes nothing, and 0 is always a
+    # member, so once it is the only survivor no later frequency can remove it
+    nonzero = freqs[freqs != 0]
     members = np.arange(modulus, dtype=np.int64)
-    for r in freqs:
-        if len(members) == 1:
-            break
-        t = (members * r) % modulus
-        dist = np.minimum(t, modulus - t)
-        members = members[dist <= p * modulus // q]
+    i = 0
+    while i < len(nonzero) and len(members) > 1:
+        k = 1 if len(members) > _BOHR_TAIL else max(1, modulus // len(members))
+        t = np.multiply.outer(members, nonzero[i : i + k])
+        t += radius
+        t %= modulus
+        members = members[(t <= 2 * radius).all(axis=1)]
+        i += k
     members.setflags(write=False)
     if len(members) * q ** len(freqs) < p ** len(freqs) * modulus:
         raise RuntimeError(

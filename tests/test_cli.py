@@ -126,6 +126,17 @@ class TestConfigParsing:
         assert err.startswith("error: bad value for 'w': negative") and err.count("\n") == 1
         assert not (tmp_path / "transfer.json").exists()
 
+    @pytest.mark.parametrize("key,text", [("trend_w", "-3,1"), ("trend_n", "-5")])
+    def test_negative_trend_rejected(self, tmp_path, capsys, key, text):
+        # a negative level or scale must not run as W = 1 or a clamped n
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{key} = {text}\n")
+        assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 1: bad value for {key!r}: negative")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "spectrum.json").exists()
+
     @pytest.mark.parametrize("command", ["transfer", "search"])
     def test_bad_variant_same_for_flag_and_config_file(self, tmp_path, capsys, command):
         # both forms exit 2 with one line, before any context or coloring is read
@@ -464,6 +475,18 @@ class TestCounterexampleCommand:
         )
         assert code == 1  # c_3 = 1 exists
 
+    def test_odd_psi_value_is_no_error(self, tmp_path, capsys):
+        # psi = x^2 + 1 is odd at even z; c_3 exists (psi(2) = 5), so the
+        # blocking construction itself declines
+        args = ["--psi", "1,0,1", "--b0", "1", "--w0", "2", "--out", str(tmp_path)]
+        assert main(["counterexample", "--p", "3", *args]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: c_3 exists; the blocking construction's guarantee fails\n"
+        assert main(["transfer", "--variant", "prime-coloring", *args]) == 0
+        report = json.loads((tmp_path / "transfer.json").read_text())
+        assert report["context"]["cp"] == {"2": "1", "3": "2", "5": "1", "7": "1"}
+        assert report["lifting_failures"] == "0"
+
     def test_pair_sum_extremes_respect_threshold(self):
         cfg = config_from_sources(None, {"psi": (6, 0, 0), "b0": 1, "w0": 1, "p": 3, "n": 5000})
         report = run_counterexample(cfg)
@@ -583,10 +606,11 @@ class TestTransferCommand:
         [
             # B = {0}: only the packed transform of the measure and the class
             ({"n": 30000, "seed": 5}, 1),
-            # the class's |R| = 0 makes its B = Z_N: no smoothing transform
-            ({**PRIME_TRANSFER, "eta": Fraction(1, 4)}, 2),
+            # the class's |R| = 0 makes its B = Z_N: no smoothing transform,
+            # and the unweighted count is an exact sum over the support
+            ({**PRIME_TRANSFER, "eta": Fraction(1, 4)}, 1),
             # the class's |B| = 1667 takes the transform path
-            (PRIME_TRANSFER, 4),
+            (PRIME_TRANSFER, 3),
             # |R| = 25 leaves a measure Bohr set of 33 points
             ({"n": 3000, "eta": Fraction(1, 2), "eps": Fraction(1, 4)}, 3),
         ],

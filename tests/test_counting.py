@@ -12,9 +12,11 @@ from polyprimelab.coloring import (
     dense_prime_class,
     make_coloring,
 )
+from polyprimelab import counting
 from polyprimelab.counting import (
     LiftingError,
     _at_double,
+    _unweighted_count,
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
@@ -380,6 +382,58 @@ DIFFERENCE_SCALE = {
     "raw_minus_diagonal_exact": "raw_count",
     "unweighted_minus_diagonal": "unweighted_count",
 }
+
+
+def random_unweighted_instance(n, support_size, set_size, seed, weights=None):
+    """(members, measure): a random set A and a measure on a random support."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros(n)
+    support = rng.choice(n, support_size, replace=False)
+    values[support] = rng.random(support_size) if weights is None else weights(rng, support_size)
+    members = np.sort(rng.choice(n, set_size, replace=False)).astype(np.int64)
+    return members, DensityFunction(values)
+
+
+class TestUnweightedCount:
+    @pytest.mark.parametrize(
+        "n,support_size,set_size,transforms",
+        [
+            (101, 7, 40, 0),
+            (1009, 30, 300, 0),
+            (2027, 11, 2000, 0),  # 22,000 pairs against a cutoff of 22,297
+            (2039, 2039, 1, 0),
+            (997, 5, 0, 0),
+            (1999, 0, 500, 0),
+            (2027, 300, 1000, 1),  # 300,000 pairs: over the cutoff
+        ],
+    )
+    def test_matches_bruteforce(self, monkeypatch, n, support_size, set_size, transforms):
+        # |supp| * |A| <= N * N.bit_length() sums exact pair counts over the
+        # support; above it the indicator's triple count runs one transform
+        members, measure = random_unweighted_instance(n, support_size, set_size, n + set_size)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return triple_count(*args)
+
+        monkeypatch.setattr(counting, "triple_count", counted)
+        got = _unweighted_count(members, measure)
+        assert len(calls) == transforms
+        indicator = np.zeros(n)
+        indicator[members] = 1.0
+        ind = DensityFunction(indicator)
+        want = triple_count_bruteforce(ind, ind, measure).real
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_integer_weights_give_the_exact_count(self):
+        # integer measure values: the support sum is an exact integer
+        members, measure = random_unweighted_instance(
+            1009, 60, 150, 4, weights=lambda rng, k: rng.integers(1, 10, size=k)
+        )
+        a = members.tolist()
+        want = sum(int(measure.values[(x + y) % 1009]) for x in a for y in a)
+        assert _unweighted_count(members, measure) == want
 
 
 class TestTransferenceReport:

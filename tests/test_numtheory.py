@@ -67,6 +67,10 @@ class TestSieve:
                 n for n in range(limit + 1) if trial_division_is_prime(n)
             ]
 
+    def test_odd_only_sieve_matches_miller_rabin(self):
+        for limit in range(2, 201):
+            assert sieve_primes(limit).tolist() == [n for n in range(limit + 1) if is_prime(n)]
+
     def test_agrees_with_miller_rabin(self):
         samples = np.random.default_rng(7).integers(2, 10**6 + 1, size=1000)
         listed = np.isin(samples, sieve_primes(10**6))

@@ -359,6 +359,28 @@ class TestBohrSet:
         assert bohr_set(freqs, eps, n).members.tolist() == want
         assert len(want) * q ** len(freqs) >= p ** len(freqs) * n
 
+    @pytest.mark.parametrize("tail", [1024, 16])
+    def test_blocked_tail_matches_bruteforce(self, monkeypatch, tail):
+        # random (N, R, eps) with repeated frequencies and r = 0; survivors at
+        # or below the tail meet the remaining frequencies in 2-D blocks
+        import polyprimelab.spectral as spectral
+
+        monkeypatch.setattr(spectral, "_BOHR_TAIL", tail)
+        rng = np.random.default_rng(tail)
+        for _ in range(30):
+            n = int(rng.choice([1031, 2003, 4099]))
+            r = rng.integers(0, n, size=int(rng.integers(1, 40)))
+            r = np.concatenate((r, r[: int(rng.integers(0, len(r) + 1))], [0]))
+            rng.shuffle(r)
+            eps = Fraction(int(rng.integers(1, 50)), 100)
+            p, q = eps.numerator, eps.denominator
+            # every (x, r) product at once, ||x r / N|| <= p/q as q * dist <= p * N
+            t = np.outer(np.arange(n), r) % n
+            want = np.flatnonzero((q * np.minimum(t, n - t) <= p * n).all(axis=1))
+            b = bohr_set(r, eps, n)
+            assert b.members.tolist() == want.tolist()
+            assert b.frequencies.tolist() == sorted(r.tolist())
+
     def test_eps_range_enforced(self):
         with pytest.raises(ValueError):
             bohr_set([1], Fraction(1, 2), 11)

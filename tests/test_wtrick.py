@@ -71,8 +71,33 @@ class TestCheckCp:
         assert check_cp(X2X, 1, 2, 3) is None
 
     def test_parity_error(self):
-        with pytest.raises(ValueError, match="odd"):
-            check_cp(X2, 1, 1, 3)  # psi(1) = 1 is odd
+        # an odd psi(c) is no error: at p = 3, c = 1 stands for z = 4, where
+        # psi(4)/2 = 8; at p = 2 both c are out (psi(1) odd, psi(2)/2 even)
+        assert check_cp(X2, 1, 1, 3) == 1
+        assert check_cp(X2, 1, 1, 2) is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-20, 20), min_size=1, max_size=5).filter(lambda c: c[0]),
+        w0=st.integers(1, 12),
+        b0=st.integers(1, 12),
+        p=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    )
+    def test_returned_cp_meets_its_condition(self, coeffs, w0, b0, p):
+        # the docstring's condition, by its definition: p divides neither
+        # w0*c + b0 nor psi(z)/2 at some z = c (mod p) with psi(z) even
+        psi = IntPolynomial(tuple(coeffs))
+        if psi(0) % 2 and psi(1) % 2:
+            reject()  # psi takes no even value: the parity hypothesis fails
+
+        def meets(c: int) -> bool:
+            zs = (c,) if p == 2 else (c, c + p)  # c + p has the other parity
+            return bool((w0 * c + b0) % p) and any(
+                psi(z) % 2 == 0 and (psi(z) // 2) % p for z in zs
+            )
+
+        admissible = [c for c in range(1, p + 1) if meets(c)]
+        assert check_cp(psi, b0, w0, p) == (admissible[0] if admissible else None)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(29)
