@@ -26,10 +26,6 @@ runs 1 length-N transform for an integer coloring when B = {0}, and 1 for a
 prime coloring when the measure's B is {0} and the class's is Z_N (its
 unweighted pair count adds 1 only above the cost cutoff stated there); each
 proper, nontrivial Bohr set adds 2.
-
-`bohr_set` filters its candidates one frequency at a time until at most
-_BOHR_TAIL survive, then tests the survivors against the remaining
-frequencies in 2-D blocks of at most N products, all in exact integers.
 """
 
 from __future__ import annotations

@@ -103,21 +103,23 @@ def find_nonroot(h: IntPolynomial, p: int, candidates) -> int:
 
 
 def check_cp(psi: IntPolynomial, b0: int, w0: int, p: int) -> int | None:
-    """Smallest 1 <= c <= p with p dividing neither w0*c + b0 nor psi(z)/2 at
-    some z = c (mod p) with psi(z) even; None when there is none.
+    """Smallest c >= 1 such that p divides neither w0*c + b0 nor psi(z)/2 at
+    some z = c (mod p) with psi(z) even, scanned over one period: c <= p at
+    odd p, c <= 4 at p = 2.  None when there is none.
 
-    At p = 2 that is z = c: a c with psi(c) odd is skipped, and psi(c)/2
-    must be odd.  At odd p the test is p not dividing psi(c), whatever the
-    parity of psi(c).  By CRT, z = c (mod p) can take either parity, and
-    psi(z) mod 2 depends on z mod 2 only, so some such z has psi(z) even
-    whenever psi takes an even value (the parity hypothesis asks that it
-    does).  There psi(z) = psi(c) (mod p), and 2 is invertible mod p, so p
-    divides psi(z)/2 iff p divides psi(c).  The context reads c_p mod p
-    only (b = c_p mod p); the parity of b comes from p = 2.
+    At p = 2 that is z = c with psi(c)/2 odd, which depends on c mod 4; a c
+    with psi(c) odd is skipped (the search for b_2 steps by 2 from c_2 and
+    again asks psi(t) = 2 mod 4).  At odd p the test is p not dividing
+    psi(c), whatever the parity of psi(c).  By CRT, z = c (mod p) can take
+    either parity, and psi(z) mod 2 depends on z mod 2 only, so some such z
+    has psi(z) even whenever psi takes an even value (the parity hypothesis
+    asks that it does).  There psi(z) = psi(c) (mod p), and 2 is invertible
+    mod p, so p divides psi(z)/2 iff p divides psi(c).  The context reads
+    c_p mod p only (b = c_p mod p); the parity of b comes from p = 2.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    for c in range(1, p + 1):
+    for c in range(1, 5 if p == 2 else p + 1):
         v = psi(c)
         if p == 2 and v % 2:
             continue

@@ -75,6 +75,8 @@ class TestCheckCp:
         # psi(4)/2 = 8; at p = 2 both c are out (psi(1) odd, psi(2)/2 even)
         assert check_cp(X2, 1, 1, 3) == 1
         assert check_cp(X2, 1, 1, 2) is None
+        # psi(c)/2 mod 2 has period 4: x^2 - 3x - 2 has c_2 = 4 (psi(4)/2 = 1)
+        assert check_cp(IntPolynomial((1, -3, -2)), 1, 1, 2) == 4
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -85,7 +87,8 @@ class TestCheckCp:
     )
     def test_returned_cp_meets_its_condition(self, coeffs, w0, b0, p):
         # the docstring's condition, by its definition: p divides neither
-        # w0*c + b0 nor psi(z)/2 at some z = c (mod p) with psi(z) even
+        # w0*c + b0 nor psi(z)/2 at some z = c (mod p) with psi(z) even; at
+        # p = 2, z = c over a full period 1..4 of psi(c)/2 mod 2
         psi = IntPolynomial(tuple(coeffs))
         if psi(0) % 2 and psi(1) % 2:
             reject()  # psi takes no even value: the parity hypothesis fails
@@ -96,7 +99,7 @@ class TestCheckCp:
                 psi(z) % 2 == 0 and (psi(z) // 2) % p for z in zs
             )
 
-        admissible = [c for c in range(1, p + 1) if meets(c)]
+        admissible = [c for c in range(1, 5 if p == 2 else p + 1) if meets(c)]
         assert check_cp(psi, b0, w0, p) == (admissible[0] if admissible else None)
 
     def test_matches_bruteforce(self):
