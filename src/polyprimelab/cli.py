@@ -11,8 +11,9 @@ decimal strings), bulk data as CSV.
 
 Exit codes: 0 success; 1 bad input, infeasible scale or a failed `verify`
 check; 2 usage or config error; 3 a broken internal invariant (RuntimeError,
-or a sampled `transfer` solution that fails to lift, in which case the report
-is still written); 4 out of memory.  Each error, a usage error included,
+a sampled `transfer` solution that fails to lift, or a `counterexample`
+partition that holds a monochromatic solution; in the last two cases the
+report is still written); 4 out of memory.  Each error, a usage error included,
 prints one `error:` line to stderr; a failed `verify` lists its checks on
 stdout instead.
 """
@@ -103,6 +104,10 @@ def main(argv=None) -> int:
             report = run_counterexample(cfg)
             write_report(report, os.path.join(out_dir, "counterexample.json"))
             print(f"empty: {report['empty']} across {3 * cfg.p} classes up to n = {cfg.n}")
+            if not report["empty"]:
+                raise RuntimeError(
+                    f"the blocking partition holds {report['solutions_found']} monochromatic solution(s)"
+                )
             return 0
         if args.command == "transfer":
             report = run_transfer(cfg)

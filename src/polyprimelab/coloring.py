@@ -5,6 +5,7 @@ of the residue condition, and the pigeonhole-dense transferred classes."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ __all__ = [
     "load_coloring",
     "make_coloring",
     "save_coloring",
+    "write_int_rows",
 ]
 
 DOMAIN_INTEGERS = "integers"
@@ -241,16 +243,119 @@ def dense_prime_class(coloring: ColoringInstance, ctx: WTrickContext) -> Transfe
     )
 
 
+_ROW_BLOCK = 4096  # rows encoded per write by write_int_rows
+
+
+def _encode_rows(columns: list[np.ndarray], sep: bytes, end: bytes) -> bytes:
+    """One block of rows as decimal text.  Each column fills one contiguous
+    uint8 digit plane per decimal position, most significant first, by
+    repeated // 10; a position above a value's leading digit is zeroed by the
+    mask value >= 10**p, and the zero bytes of the block are dropped at once."""
+    k = len(columns[0])
+    planes = []
+    for j, v in enumerate(columns):
+        top = int(v.max())
+        width = len(str(top))
+        rest = v.astype(np.uint32 if top < 2**32 else np.uint64)
+        digits = np.empty((width, k), dtype=np.uint8)
+        for p in range(width - 1, 0, -1):
+            quot = rest // 10
+            digits[p] = rest - 10 * quot
+            rest = quot
+        digits[0] = rest
+        digits += ord("0")
+        for p in range(width - 1):
+            digits[p] *= v >= 10 ** (width - 1 - p)
+        planes.append(digits)
+        tail = np.frombuffer(sep if j < len(columns) - 1 else end, dtype=np.uint8)
+        planes.append(np.broadcast_to(tail[:, None], (len(tail), k)))
+    return np.concatenate(planes).T.tobytes().replace(b"\0", b"")
+
+
+def write_int_rows(fh, columns, sep: str, end: str) -> None:
+    """Write one row per index of the equal-length integer `columns` to the
+    text file `fh`: each value in decimal without leading zeros, `sep`
+    between values and `end` after each row, the text of
+    `sep.join(map(str, row)) + end` (for "," and "\r\n", what csv.writer
+    writes).  Rows are encoded with numpy, _ROW_BLOCK at a time, so memory
+    stays bounded.  The columns must have an int or uint dtype and hold no
+    negative value (so every value is below 2**64); otherwise ValueError is
+    raised before anything is written.  `sep` and `end` are ASCII without
+    NUL, the byte the encoder drops."""
+    columns = [np.asarray(c) for c in columns]
+    for c in columns:
+        if c.dtype.kind not in "iu":
+            raise ValueError(f"integer rows need an integer dtype, not {c.dtype}")
+        if c.dtype.kind == "i" and len(c) and c.min() < 0:
+            raise ValueError(f"integer rows hold nonnegative values only, not {c.min()}")
+    sep_b, end_b = sep.encode("ascii"), end.encode("ascii")
+    for i in range(0, len(columns[0]), _ROW_BLOCK):
+        block = [c[i : i + _ROW_BLOCK] for c in columns]
+        fh.write(_encode_rows(block, sep_b, end_b).decode("ascii"))
+
+
 def save_coloring(inst: ColoringInstance, path) -> None:
-    """Write the exchange format: header "domain n m rule", then element/color pairs."""
+    """Write the exchange format: header "domain n m rule", then one
+    "element color" line per domain element, through write_int_rows."""
     with open(path, "w") as fh:
         fh.write(f"{inst.domain} {inst.n} {inst.num_colors} {inst.provenance}\n")
-        for x, c in zip(inst.elements.tolist(), inst.colors.tolist()):
-            fh.write(f"{x} {c}\n")
+        write_int_rows(fh, (inst.elements, inst.colors), " ", "\n")
+
+
+def _parse_pairs(fh, n: int, m: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """load_coloring's fast path: the elements and colors of the text file
+    `fh`'s remaining lines as int64 arrays from one np.loadtxt call, or None
+    when that call fails in any way (a warning included), there is no pair,
+    a line has other than two fields, or an element or color is out of
+    range.  Where it returns the arrays, _scan_pairs returns the same pairs:
+    np.loadtxt splits fields on the whitespace str.split splits on and lines
+    where iterating the file does, and reads a subset of int()'s spellings."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if len(pairs) == 0 or pairs.shape[1] != 2:
+        return None
+    elements, colors = pairs[:, 0], pairs[:, 1]
+    if elements.min() < 1 or int(elements.max()) > n or colors.min() < 1 or int(colors.max()) > m:
+        return None
+    return elements, colors
+
+
+def _scan_pairs(lines, n: int, m: int) -> tuple[list[int], list[int]]:
+    """load_coloring's line-by-line path: the elements and colors of the
+    body `lines`, or ValueError naming the first malformed or out-of-range
+    line by its number in the file (the header is line 1); blank lines are
+    skipped."""
+    elements = []
+    colors = []
+    for i, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        bits = line.split()
+        if len(bits) != 2:
+            raise ValueError(f"line {i}: expected 'element color', got {line.strip()!r}")
+        try:
+            x, c = int(bits[0]), int(bits[1])
+        except ValueError as e:
+            raise ValueError(f"line {i}: {e}") from e
+        if not 1 <= x <= n:
+            raise ValueError(f"line {i}: element {x} outside 1..{n}")
+        if not 1 <= c <= m:
+            raise ValueError(f"line {i}: color {c} outside 1..{m}")
+        elements.append(x)
+        colors.append(c)
+    return elements, colors
 
 
 def load_coloring(path) -> ColoringInstance:
-    """Parse the exchange format; malformed lines report their line number."""
+    """Parse the exchange format.  The body is parsed by one numpy call
+    (_parse_pairs); if that fails in any way, or the file cannot seek, it is
+    scanned line by line (_scan_pairs), so a malformed line reports its line
+    number, with the message the line scan alone gives.  The fast path reads
+    elements and colors as int64; larger values take the line scan."""
     with open(path) as fh:
         header = fh.readline()
         parts = header.split()
@@ -264,32 +369,21 @@ def load_coloring(path) -> ColoringInstance:
             n, m = int(n_s), int(m_s)
         except ValueError as e:
             raise ValueError(f"line 1: {e}") from e
-        elements = []
-        colors = []
-        for i, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            bits = line.split()
-            if len(bits) != 2:
-                raise ValueError(f"line {i}: expected 'element color', got {line.strip()!r}")
-            try:
-                x, c = int(bits[0]), int(bits[1])
-            except ValueError as e:
-                raise ValueError(f"line {i}: {e}") from e
-            if not 1 <= x <= n:
-                raise ValueError(f"line {i}: element {x} outside 1..{n}")
-            if not 1 <= c <= m:
-                raise ValueError(f"line {i}: color {c} outside 1..{m}")
-            elements.append(x)
-            colors.append(c)
+        pairs = None
+        if fh.seekable():
+            body = fh.tell()
+            pairs = _parse_pairs(fh, n, m)
+            if pairs is None:
+                fh.seek(body)
+        elements, colors = pairs if pairs is not None else _scan_pairs(fh, n, m)
     # a pair count no total coloring has fails before the domain is built, so
     # memory is bounded by the file, not by the header: [1, n] has n integers,
-    # and pi(n) > n / ln n for n >= 17 (Rosser-Schoenfeld)
+    # and pi(n) > n / ln n for n >= 17 (Rosser-Schoenfeld); past this check
+    # n, and so every element, is small enough to sort as int64
     if domain == DOMAIN_INTEGERS:
         impossible = len(elements) != n
     else:
         impossible = n >= 17 and len(elements) <= n / math.log(n)
-    el = np.asarray(elements, dtype=np.int64)
-    if impossible or not np.array_equal(np.sort(el), _domain_elements(domain, n)):
+    if impossible or not np.array_equal(np.sort(elements), _domain_elements(domain, n)):
         raise ValueError("coloring is not total over its declared domain")
-    return ColoringInstance(domain, n, m, rule, _color_table(n, m, el, colors))
+    return ColoringInstance(domain, n, m, rule, _color_table(n, m, elements, colors))

@@ -21,6 +21,7 @@ from .coloring import (
     dense_prime_class,
     load_coloring,
     make_coloring,
+    write_int_rows,
 )
 from .counting import (
     LiftingError,
@@ -248,26 +249,29 @@ def _base_report(cfg: ExperimentConfig, command: str) -> dict:
     return {"command": command, "version": __version__, "config": cfg.echo()}
 
 
-_CSV_BLOCK = 4096  # rows formatted per write in _write_csv
+_CSV_BLOCK = 4096  # rows formatted per write in dump_density_csv
 
 
-def _write_csv(path, header: str, row_format: str, columns) -> None:
-    """The header line, then one row per index of the equal-length columns,
-    in the bytes csv.writer writes (CRLF line ends).  Rows are formatted one
-    block at a time, so memory stays bounded."""
+def _open_csv(path, header: str):
+    """A new CSV file open for writing, its header line written; rows are
+    written with CRLF line ends, as csv.writer writes them."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for i in range(0, len(columns[0]), _CSV_BLOCK):
-            rows = np.column_stack([c[i : i + _CSV_BLOCK] for c in columns])
-            fh.write((row_format * len(rows)) % tuple(rows.ravel().tolist()))
+    fh = open(path, "w", newline="")
+    fh.write(header + "\r\n")
+    return fh
 
 
 def dump_density_csv(f: DensityFunction, path, spectrum: bool = False) -> None:
     """index,real,imaginary rows, each part written as repr of its float (the
-    indices share the float64 block, exact far beyond any feasible N)."""
+    indices share the float64 block, exact far beyond any feasible N).  A
+    float's repr has no vectorised equivalent, so rows are %-formatted one
+    block at a time, which keeps memory bounded."""
     data = f.spectrum if spectrum else f.values
-    _write_csv(path, "index,real,imaginary", "%d,%r,%r\r\n", (range(len(data)), data.real, data.imag))
+    with _open_csv(path, "index,real,imaginary") as fh:
+        for i in range(0, len(data), _CSV_BLOCK):
+            block = data[i : i + _CSV_BLOCK]
+            rows = np.column_stack((np.arange(i, i + len(block)), block.real, block.imag))
+            fh.write(("%d,%r,%r\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def _nonzero_sup(f: DensityFunction) -> float:
@@ -480,8 +484,12 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 
 def write_solutions_csv(sols: np.ndarray, path) -> None:
-    """The (k, 4) hit array as color,x,y,z rows."""
-    _write_csv(path, "color,x,y,z", "%d,%d,%d,%d\r\n", sols.T)
+    """The (k, 4) hit array as color,x,y,z rows, in the bytes csv.writer
+    writes.  The rows are encoded with numpy by write_int_rows, which takes
+    nonnegative integers only: a negative entry raises ValueError before any
+    row is written."""
+    with _open_csv(path, "color,x,y,z") as fh:
+        write_int_rows(fh, sols.T, ",", "\r\n")
 
 
 def run_search(cfg: ExperimentConfig, coloring_path, out_csv=None) -> tuple[np.ndarray, dict]:

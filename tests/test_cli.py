@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import polyprimelab
-from polyprimelab import experiments
+from polyprimelab import coloring, experiments
 from polyprimelab.cli import main
 from polyprimelab.coloring import make_coloring, save_coloring
 from polyprimelab.experiments import (
@@ -336,7 +336,7 @@ class TestSearchCommand:
         )
         assert len(sols) == 0 and report["status"] == "none-found"
 
-    @pytest.mark.parametrize("rows", [0, 1, 2 * experiments._CSV_BLOCK + 3])
+    @pytest.mark.parametrize("rows", [0, 1, 2 * coloring._ROW_BLOCK + 3])
     def test_csv_bytes_match_csv_writer(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         sols = rng.integers(0, 10**12, size=(rows, 4), dtype=np.int64)
@@ -486,6 +486,24 @@ class TestCounterexampleCommand:
         report = json.loads((tmp_path / "transfer.json").read_text())
         assert report["context"]["cp"] == {"2": "1", "3": "2", "5": "1", "7": "1"}
         assert report["lifting_failures"] == "0"
+
+    def test_broken_guarantee_exits_3(self, tmp_path, monkeypatch, capsys):
+        # one monochromatic row in a blocking partition breaks the guarantee:
+        # the report is written, then the run ends as a broken invariant
+        def one_row(*args, **kwargs):
+            return np.array([[1, 2, 5, 1]], dtype=np.int64)
+
+        monkeypatch.setattr("polyprimelab.experiments.find_monochromatic", one_row)
+        code = main(["counterexample", "--n", "2000", "--out", str(tmp_path)] + BLOCKING)
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == "empty: False across 9 classes up to n = 2000\n"
+        assert err == (
+            "error: invariant violated: the blocking partition holds 1 monochromatic solution(s)\n"
+        )
+        report = json.loads((tmp_path / "counterexample.json").read_text())
+        assert report["empty"] is False and report["solutions_found"] == "1"
+        assert report["classes"]["1"]["empty"] is False
 
     def test_pair_sum_extremes_respect_threshold(self):
         cfg = config_from_sources(None, {"psi": (6, 0, 0), "b0": 1, "w0": 1, "p": 3, "n": 5000})

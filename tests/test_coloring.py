@@ -1,6 +1,17 @@
+import csv
+import io
+import os
+import tempfile
+import threading
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from polyprimelab import coloring
 from polyprimelab.coloring import (
     ConstructionInapplicableError,
     blocking_partition,
@@ -9,6 +20,7 @@ from polyprimelab.coloring import (
     load_coloring,
     make_coloring,
     save_coloring,
+    write_int_rows,
 )
 from polyprimelab.numtheory import sieve_primes
 from polyprimelab.polynomials import IntPolynomial
@@ -219,3 +231,166 @@ class TestColoringFiles:
         path.write_text("integers 3 2 rule\n1 1\n3 2\n")
         with pytest.raises(ValueError, match="total"):
             load_coloring(path)
+
+    def test_element_above_int64_under_a_huge_header(self, tmp_path):
+        # the pair count rules the file out before any element is converted
+        path = tmp_path / "big.txt"
+        path.write_text(f"integers {10**23} 2 rule\n{10**23 - 1} 1\n")
+        with pytest.raises(ValueError, match="not total"):
+            load_coloring(path)
+
+
+# field spellings that int() and np.loadtxt may read differently, or not at all
+ODD_FIELDS = [
+    "+3", "1_0", "4.0", "-0", "007", "0x1", "1e0", "\u0663", "\u00b3",
+    str(2**63 - 1), str(2**63), str(10**20), "#", "",
+]
+
+
+@st.composite
+def coloring_bodies(draw):
+    """(header, body) of a small coloring file: a total coloring in varied
+    whitespace, or lines of 1-3 fields drawn from valid, out-of-range and odd
+    spellings; blank, whitespace-only and CRLF lines throughout."""
+    domain = draw(st.sampled_from(["integers", "primes"]))
+    n = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 3))
+    elements = [x for x in sieve_primes(n + 1).tolist() if x <= n] if domain == "primes" else list(range(1, n + 1))
+    field_ = st.one_of(st.integers(-1, n + 1).map(str), st.sampled_from(ODD_FIELDS))
+    if draw(st.booleans()):
+        rows = [[str(x), str(draw(st.integers(1, m)))] for x in draw(st.permutations(elements))]
+        if rows and draw(st.booleans()):
+            rows[draw(st.integers(0, len(rows) - 1))] = draw(st.lists(field_, min_size=1, max_size=3))
+    else:
+        rows = draw(st.lists(st.lists(field_, min_size=1, max_size=3), max_size=6))
+    lines = []
+    for row in rows:
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t "])))
+        sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(pad + sep.join(row) + pad)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    body = "".join(line + end for line, end in zip(lines, ends))
+    if body and draw(st.booleans()):
+        body = body.rstrip("\r\n")  # no line end on the last line
+    return f"{domain} {n} {m} rule\n", body
+
+
+def _load_outcome(path):
+    try:
+        inst = load_coloring(path)
+    except ValueError as e:
+        return "error", str(e)
+    return inst.domain, inst.n, inst.num_colors, inst.provenance, inst.color_at.dtype, inst.color_at.tolist()
+
+
+class TestColoringParser:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(coloring_bodies())
+    def test_fast_path_matches_line_scan(self, text):
+        header, body = text
+        n, m = (int(v) for v in header.split()[1:3])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.txt")
+            with open(path, "wb") as fh:
+                fh.write((header + body).encode())
+            with open(path) as fh:
+                fh.readline()
+                start = fh.tell()
+                fast = coloring._parse_pairs(fh, n, m)
+                if fast is not None:
+                    fh.seek(start)
+                    assert [a.tolist() for a in fast] == list(coloring._scan_pairs(fh, n, m))
+            outcome = _load_outcome(path)
+            with mock.patch.object(coloring, "_parse_pairs", lambda *args: None):
+                assert _load_outcome(path) == outcome
+
+    def test_fast_path_takes_plain_files(self, tmp_path):
+        col = make_coloring("integers", 1000, 3, "random", 4)
+        path = tmp_path / "c.txt"
+        save_coloring(col, path)
+        with open(path) as fh:
+            fh.readline()
+            pairs = coloring._parse_pairs(fh, 1000, 3)
+        assert pairs is not None and np.array_equal(pairs[1], col.colors)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes need POSIX")
+    def test_unseekable_file_takes_the_line_scan(self, tmp_path):
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        col = make_coloring("primes", 30, 2, "random", 1)
+        with mock.patch.object(coloring, "_parse_pairs", side_effect=AssertionError):
+            writer = threading.Thread(target=save_coloring, args=(col, path))
+            writer.start()
+            back = load_coloring(path)
+            writer.join()
+        assert np.array_equal(back.color_at, col.color_at)
+
+    def test_empty_body_warns_nothing(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("integers 2 1 rule\n\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="not total"):
+                load_coloring(path)
+        assert caught == []
+
+    def test_bad_line_found_on_the_fallback(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("integers 3 2 rule\n1 1\n\n2 1 2\n3 2\n")
+        with pytest.raises(ValueError, match="^line 4: expected 'element color', got '2 1 2'$"):
+            load_coloring(path)
+
+
+def _csv_writer_text(rows) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _write_rows(columns, sep, end) -> str:
+    buf = io.StringIO(newline="")
+    write_int_rows(buf, columns, sep, end)
+    return buf.getvalue()
+
+
+class TestIntRows:
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            np.zeros((0, 3), dtype=np.int64),
+            np.zeros((1, 3), dtype=np.int64),
+            np.array([[9, 10, 99], [100, 0, 1], [99, 100, 9]], dtype=np.int64),
+            np.array([[2**63 - 1, 0, 10**18], [1, 10**18 - 1, 2**63 - 1]], dtype=np.int64),
+            np.random.default_rng(5).integers(0, 10**6, size=(2 * coloring._ROW_BLOCK + 1, 3)),
+        ],
+        ids=["empty", "zeros", "digit-boundaries", "int64-max", "across-blocks"],
+    )
+    def test_matches_csv_writer(self, rows):
+        assert _write_rows(rows.T, ",", "\r\n") == _csv_writer_text(rows.tolist())
+
+    def test_unsigned_up_to_uint64_max(self):
+        values = np.array([0, 9, 2**63, 2**64 - 1], dtype=np.uint64)
+        assert _write_rows((values, values[::-1]), " ", "\n") == "".join(
+            f"{a} {b}\n" for a, b in zip(values.tolist(), values[::-1].tolist())
+        )
+
+    @pytest.mark.parametrize("bad", [np.array([3, -1]), np.array([1.0, 2.0])])
+    def test_negative_or_float_raises_before_writing(self, bad):
+        buf = io.StringIO()
+        with pytest.raises(ValueError):
+            write_int_rows(buf, (np.arange(2), bad), ",", "\r\n")
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "domain,n,m", [("integers", 1, 1), ("integers", 2 * coloring._ROW_BLOCK + 7, 3), ("primes", 50000, 300)]
+    )
+    def test_save_matches_the_line_writer(self, tmp_path, domain, n, m):
+        col = make_coloring(domain, n, m, "random", n)
+        save_coloring(col, tmp_path / "new.txt")
+        with open(tmp_path / "old.txt", "w") as fh:
+            fh.write(f"{col.domain} {col.n} {col.num_colors} {col.provenance}\n")
+            for x, c in zip(col.elements.tolist(), col.colors.tolist()):
+                fh.write(f"{x} {c}\n")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
