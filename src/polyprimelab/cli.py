@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, desc in [
-        ("verify", "run every module invariant suite; nonzero exit on failure"),
+        ("verify", "check the run's configuration; nonzero exit on failure"),
         ("search", "search a coloring file for monochromatic solutions"),
         ("counterexample", "build the blocking partition and verify emptiness"),
         ("transfer", "run the full transference pipeline"),

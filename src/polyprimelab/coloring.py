@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numtheory import euler_phi, sieve_primes
+from .numtheory import check_progression, euler_phi, sieve_primes
 from .polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial
 from .wtrick import ScaleError, WTrickContext, check_cp
 
@@ -123,8 +123,10 @@ def blocking_partition(
 
     Requires that no admissible residue c_p exists.  With T = psi of the
     integer part of (p - b0)/w0, primes split by size range (<= T/2, > T,
-    or between) and by residue class mod p.
+    or between) and by residue class mod p.  The progression w0*z + b0 must
+    have w0 >= 1 and gcd(b0, w0) = 1.
     """
+    check_progression(b0, w0)
     if check_cp(psi, b0, w0, p) is not None:
         raise ConstructionInapplicableError(
             f"c_{p} exists; the blocking construction's guarantee fails"
@@ -324,14 +326,26 @@ def _parse_pairs(fh, n: int, m: int) -> tuple[np.ndarray, np.ndarray] | None:
     return elements, colors
 
 
+def _check_utf8(line: str, i: int) -> None:
+    """ValueError naming line i, and the position in it, of a byte that is
+    not UTF-8; the file was opened with errors="surrogateescape", which kept
+    such a byte as a lone surrogate."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"line {i}: {e}") from None
+
+
 def _scan_pairs(lines, n: int, m: int) -> tuple[list[int], list[int]]:
     """load_coloring's line-by-line path: the elements and colors of the
-    body `lines`, or ValueError naming the first malformed or out-of-range
-    line by its number in the file (the header is line 1); blank lines are
-    skipped."""
+    body `lines`, or ValueError naming the first malformed, non-UTF-8 or
+    out-of-range line by its number in the file (the header is line 1);
+    blank lines are skipped."""
     elements = []
     colors = []
     for i, line in enumerate(lines, start=2):
+        _check_utf8(line, i)
         if not line.strip():
             continue
         bits = line.split()
@@ -355,9 +369,11 @@ def load_coloring(path) -> ColoringInstance:
     (_parse_pairs); if that fails in any way, or the file cannot seek, it is
     scanned line by line (_scan_pairs), so a malformed line reports its line
     number, with the message the line scan alone gives.  The fast path reads
-    elements and colors as int64; larger values take the line scan."""
-    with open(path) as fh:
+    elements and colors as int64; larger values take the line scan.  The
+    file is UTF-8; a byte that is not is reported by its line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
+        _check_utf8(header, 1)
         parts = header.split()
         if len(parts) < 4:
             raise ValueError("line 1: header must be 'domain n m rule'")

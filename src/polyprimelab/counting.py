@@ -1,18 +1,17 @@
-"""Solution counting: additive triple counts by brute force and via the
-spectrum, popularity profiles with their cube lower bound, monochromatic
-solution search for x + y = psi(z) with z restricted to a progression's
-primes, and the exact lift of Z_N solutions to integer triples (x, y, z)."""
+"""Solution counting: additive triple counts via the spectrum (the explicit
+O(N^2) sum is a test oracle only), monochromatic solution search for
+x + y = psi(z) with z restricted to a progression's primes, and the exact
+lift of Z_N solutions to integer triples (x, y, z)."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .coloring import ColoringInstance, TransferredSet
-from .numtheory import ap_primes, euler_phi, is_prime
+from .numtheory import ap_primes, check_progression, euler_phi, is_prime
 from .polynomials import INTEGER_COLORING, IntPolynomial
 from .spectral import (
     DensityFunction,
@@ -26,18 +25,14 @@ from .wtrick import WTrickContext
 
 __all__ = [
     "LiftingError",
-    "PopularityProfile",
     "SearchVerificationError",
     "find_monochromatic",
     "find_zn_solutions",
     "lift_solution",
-    "popularity",
     "transference_report",
     "triple_count",
-    "triple_count_bruteforce",
 ]
 
-_BRUTE_LIMIT = 2048  # largest N the O(N^2) oracle accepts
 _PAIR_BLOCK = 1 << 16  # pairs per block of the exact unweighted count
 
 
@@ -47,25 +42,6 @@ class LiftingError(ValueError):
 
 class SearchVerificationError(RuntimeError):
     """A monochromatic triple failed its exact re-check before being reported."""
-
-
-def triple_count_bruteforce(
-    f: DensityFunction, g: DensityFunction, h: DensityFunction
-) -> complex:
-    """sum over x, y of f(x) g(y) h(x+y mod N) by explicit summation."""
-    if not f.modulus == g.modulus == h.modulus:
-        raise ValueError("modulus mismatch")
-    n = f.modulus
-    if n > _BRUTE_LIMIT:
-        raise ValueError(f"N = {n} > {_BRUTE_LIMIT}; use triple_count, the Fourier path")
-    hv = h.values
-    total = 0j
-    for x in range(n):
-        fx = f.values[x]
-        if fx == 0:
-            continue
-        total += fx * complex(np.dot(g.values, np.roll(hv, -x)))
-    return total
 
 
 def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> complex:
@@ -88,41 +64,6 @@ def _at_double(v: np.ndarray) -> np.ndarray:
     if len(v) % 2 == 0:
         raise ValueError(f"v(2x mod N) by halves needs odd N, got N = {len(v)}")
     return np.concatenate((v[0::2], v[1::2]))
-
-
-@dataclass(frozen=True)
-class PopularityProfile:
-    """nu(x) = #{(x1, x2, x3): x1, x2 in A, x3 in B, x1 + x2 - x3 = x} with
-    the cube lower bound (min{|A|, |B|, (2|A|+|B|-N)/4})^3 / N."""
-
-    nu: np.ndarray
-    bound: Fraction
-    bound_holds: bool | None  # None when the bound is vacuous
-
-
-def popularity(set_a, set_b, modulus: int) -> PopularityProfile:
-    """Exact integer popularity profile with the bound checked at every x."""
-    a = frozenset(int(x) % modulus for x in set_a)
-    b = frozenset(int(x) % modulus for x in set_b)
-    ind_a = np.zeros(modulus, dtype=np.int64)
-    for x in a:
-        ind_a[x] = 1
-    lin = np.convolve(ind_a, ind_a)  # exact integer linear convolution
-    pair_sums = np.zeros(modulus, dtype=np.int64)
-    pair_sums[: min(modulus, len(lin))] += lin[:modulus]
-    if len(lin) > modulus:
-        tail = lin[modulus:]
-        pair_sums[: len(tail)] += tail
-    nu = np.zeros(modulus, dtype=np.int64)
-    for x3 in b:
-        nu += np.roll(pair_sums, -x3)
-    m4 = min(4 * len(a), 4 * len(b), 2 * len(a) + len(b) - modulus)
-    bound = Fraction(m4, 4) ** 3 / modulus
-    if m4 <= 0:
-        holds = None
-    else:
-        holds = bool(np.all(64 * modulus * nu.astype(object) >= m4**3))
-    return PopularityProfile(nu, bound, holds)
 
 
 def _monotone_tail(psi: IntPolynomial) -> int:
@@ -148,8 +89,10 @@ def find_monochromatic(
     rows are kept as array slices and joined once at the end.  Only
     z with s = psi(z) <= 2n are searched and n <= coloring.n, so x, y, s and
     x + y are exact in int64, and so is the closing re-check of x != y and
-    x + y = psi(z) over every row.
+    x + y = psi(z) over every row.  A progression with w0 < 1 or
+    gcd(b0, w0) != 1 raises ValueError.
     """
+    check_progression(b0, w0)
     if psi.degree < 1 or psi.leading <= 0:
         raise ValueError("psi must have degree >= 1 and positive leading coefficient")
     if n > coloring.n:

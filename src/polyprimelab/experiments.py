@@ -1,6 +1,6 @@
-"""Batch orchestration: experiment configuration, the invariant verification
-suite, monochromatic search, the blocking counterexample, the transference
-pipeline, and spectrum/diagnostic dumps.  Reports are deterministic JSON
+"""Batch orchestration: experiment configuration, the checks `verify` makes
+of a configuration, monochromatic search, the blocking counterexample, the
+transference pipeline, and spectrum/diagnostic dumps.  Reports are deterministic JSON
 with every integer rendered as a decimal string.  A setting is declared once,
 on its `ExperimentConfig` field, with its default, config key, parser and flag."""
 
@@ -28,22 +28,14 @@ from .counting import (
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
-    popularity,
     transference_report,
-    triple_count,
-    triple_count_bruteforce,
 )
-from .numtheory import ap_primes, crt, is_prime, lambda_weight, sieve_primes
-from .polynomials import INTEGER_COLORING, VARIANTS, IntPolynomial, rescale
+from .polynomials import INTEGER_COLORING, VARIANTS, IntPolynomial
 from .spectral import (
     DensityFunction,
     bohr_set,
     build_poly_prime_measure,
     complete_gauss_sum,
-    dft,
-    dft_direct,
-    convolve,
-    idft,
     large_spectrum,
     restriction_norm,
     smooth,
@@ -292,53 +284,12 @@ def density_summary(f: DensityFunction, rho_list) -> dict:
 
 
 def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str, bool, str]]:
-    rng = np.random.default_rng(cfg.seed)
+    """The checks that read the run's configuration; the library's own
+    identities are tested in tests/."""
     results: list[tuple[str, bool, str]] = []
 
     def record(name: str, ok: bool, info: str = "") -> None:
         results.append((name, bool(ok), info))
-
-    # numtheory: sieve vs independent Miller-Rabin
-    primes = sieve_primes(100_000)
-    samples = rng.integers(2, 100_001, size=1000)
-    listed = primes[np.minimum(np.searchsorted(primes, samples), len(primes) - 1)] == samples
-    ok = all(bool(hit) == is_prime(int(s)) for hit, s in zip(listed, samples))
-    record("numtheory.sieve-vs-miller-rabin", ok, "1000 samples <= 1e5")
-
-    # numtheory: weighted progression sum against direct primality
-    total = float(ap_primes(1, 4, 2000)[1].sum())
-    direct = sum(lambda_weight(1, 4, x) for x in range(1, 2001))
-    record("numtheory.ap-weight-sum", abs(total - direct) < 1e-9, f"total={total:.6f}")
-
-    # numtheory: CRT residues reduce correctly
-    ok = True
-    for _ in range(50):
-        moduli = [2, 3, 5, 7, 11]
-        rs = [int(rng.integers(0, m)) for m in moduli]
-        r, mod = crt(list(zip(rs, moduli)))
-        ok &= all(r % m == ri for ri, m in zip(rs, moduli)) and mod == 2310
-    record("numtheory.crt-reduction", ok, "50 random systems")
-
-    # polynomial: rescale identity on random data
-    ok = True
-    for _ in range(100):
-        coeffs = tuple(int(c) for c in rng.integers(-9, 10, size=3))
-        if all(c == 0 for c in coeffs):
-            continue
-        poly = IntPolynomial(coeffs)
-        wv = int(rng.integers(1, 30))
-        bv = int(rng.integers(0, 30))
-        resc = rescale(poly, wv, bv)
-        for _ in range(5):
-            x = int(rng.integers(-50, 50))
-            ok &= wv * resc(x) == poly(wv * x + bv) - poly(bv)
-        ok &= resc.coefficient(1) == poly.derivative()(bv)
-    record("polynomial.rescale-identity", ok, "100 random polynomials")
-
-    # polynomial: telescoping forward differences
-    poly = cfg.polynomial()
-    tel = sum(poly.forward_difference(x) for x in range(0, 40))
-    record("polynomial.telescoping", tel == poly(40) - poly(0), f"sum={tel}")
 
     # context invariants
     inv = ctx.verify_invariants()
@@ -348,40 +299,9 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
     g = verify_gcd_identity(ctx)
     record("wtrick.gcd-identity", g is not False, f"result={g}")
 
-    # spectral identities on a random density over a small prime modulus
-    nn = 211
-    f = DensityFunction(rng.standard_normal(nn) + 1j * rng.standard_normal(nn))
-    spec = f.spectrum
-    rec = idft(spec)
-    record(
-        "spectral.fourier-inversion",
-        float(np.abs(rec - f.values).max()) < 1e-9 * max(1.0, float(np.abs(f.values).max())),
-        f"N={nn}",
-    )
-    lhs = float((np.abs(f.values) ** 2).sum())
-    rhs = float((np.abs(spec) ** 2).sum()) / nn
-    record("spectral.parseval", abs(lhs - rhs) < 1e-9 * max(1.0, lhs), f"{lhs:.6f} vs {rhs:.6f}")
-    g2 = DensityFunction(rng.standard_normal(nn) + 1j * rng.standard_normal(nn))
-    # the direct cyclic sum: sum_y f(y) g(x - y)
-    cyclic = g2.values[(np.arange(nn)[:, None] - np.arange(nn)) % nn] @ f.values
-    record(
-        "spectral.convolution-theorem",
-        float(np.abs(convolve(f, g2).values - cyclic).max())
-        < 1e-9 * max(1.0, float(np.abs(cyclic).max())),
-        "",
-    )
-    direct = dft_direct(f.values)
-    fast = dft(f.values)
-    record(
-        "spectral.dft-direct-vs-fft",
-        float(np.abs(direct - fast).max()) < 1e-9 * float(np.abs(direct).max()),
-        f"N={nn}",
-    )
-
     # measure well-definedness, the Bohr pigeonhole bound and mass
-    # conservation under smoothing, of the measure and, by a proper Bohr set
-    # that takes the transform path, of f: a failing stage is recorded under
-    # its own name, and each stage after it as not reached
+    # conservation of the measure under smoothing: a failing stage is
+    # recorded under its own name, and each stage after it as not reached
     stages = iter(("spectral.measure-well-defined", "spectral.bohr-bound", "spectral.smoothing-mass"))
     try:
         measure = build_poly_prime_measure(ctx)
@@ -393,14 +313,11 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
             bohr.size * q_ ** len(bohr.frequencies) >= p_ ** len(bohr.frequencies) * ctx.N,
             f"|B|={bohr.size}, |R|={len(bohr.frequencies)}",
         )
-        small_bohr = bohr_set([1, 5], Fraction(1, 5), nn)
+        mass = measure.mass
         record(
             next(stages),
-            all(
-                abs(smooth(g, b).mass - g.mass) < 1e-9 * max(1.0, abs(g.mass))
-                for g, b in ((measure, bohr), (f, small_bohr))
-            ),
-            f"mass={measure.mass.real:.6f}, |B|={bohr.size}; N={nn}: |B|={small_bohr.size}",
+            abs(smooth(measure, bohr).mass - mass) < 1e-9 * max(1.0, abs(mass)),
+            f"mass={mass.real:.6f}, |B|={bohr.size}",
         )
     except (ValueError, RuntimeError) as e:
         record(next(stages), False, str(e))
@@ -418,38 +335,6 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
         ok &= abs(s - want) <= 1e-6 * q
         info.append(f"q={q}:{s.real:.3f}")
     record("spectral.gauss-dichotomy", ok, ",".join(info))
-
-    # counting: Fourier vs brute force
-    ok = True
-    for _ in range(20):
-        nn2 = int(rng.choice([101, 211, 307]))
-        fa = DensityFunction(rng.standard_normal(nn2))
-        fb = DensityFunction(rng.standard_normal(nn2))
-        fc = DensityFunction(rng.standard_normal(nn2))
-        bf = triple_count_bruteforce(fa, fb, fc)
-        ff = triple_count(fa, fb, fc)
-        ok &= abs(bf - ff) <= 1e-6 * max(1.0, abs(bf))
-    record("counting.fourier-vs-bruteforce", ok, "20 random instances")
-
-    # counting: popularity cube bound
-    ok = True
-    for _ in range(20):
-        nn3 = int(rng.choice([53, 97, 151]))
-        a = rng.choice(nn3, size=int(rng.integers(nn3 // 2, nn3)), replace=False)
-        bset = rng.choice(nn3, size=int(rng.integers(nn3 // 2, nn3)), replace=False)
-        prof = popularity(a, bset, nn3)
-        ok &= prof.bound_holds is not False
-    record("counting.popularity-bound", ok, "20 random instances")
-
-    # coloring: blocking partition is a genuine partition
-    part = blocking_partition(IntPolynomial((6, 0, 0)), 1, 1, 3, 5000)
-    counts = part.class_counts()
-    total = int(counts[1:].sum())
-    record(
-        "coloring.partition-exactness",
-        total == len(sieve_primes(5000)),
-        f"total={total}",
-    )
 
     # coloring + counting: dense class, solutions, and lifting
     if ctx.variant == INTEGER_COLORING:
@@ -471,7 +356,7 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
 
 
 def run_verify(cfg: ExperimentConfig) -> tuple[bool, dict]:
-    """Run the named invariant suite; zero exit iff every hard check passes."""
+    """Run the configuration checks; zero exit iff every check passes."""
     ctx = cfg.context()
     checks = _verify_checks(cfg, ctx)
     report = _base_report(cfg, "verify")

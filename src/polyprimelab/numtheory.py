@@ -3,8 +3,8 @@ progressions, totient, p-adic valuations, CRT, and logarithmic prime weights.
 
 One segmented sieve over the odd numbers, which lists its own base primes,
 gives the primes up to any limit.  `ap_primes` returns a progression's
-primes and log weights as (support, weights); the per-point Miller-Rabin
-`lambda_weight` is its oracle.
+primes and log weights as (support, weights), after `check_progression`
+has checked that w >= 1 and gcd(b, w) = 1.
 
 All modular and combinatorial data are exact integers; only the logarithmic
 weights are double precision.
@@ -20,11 +20,11 @@ import numpy as np
 __all__ = [
     "ap_prime_mask",
     "ap_primes",
+    "check_progression",
     "crt",
     "euler_phi",
     "factorize",
     "is_prime",
-    "lambda_weight",
     "p_adic_valuation",
     "prime_in_interval",
     "sieve_primes",
@@ -180,18 +180,9 @@ def prime_in_interval(lo: int, hi: int) -> int | None:
     return None
 
 
-def lambda_weight(b: int, w: int, x: int) -> float:
-    """Logarithmic prime weight (phi(w)/w) * log(w*x + b), zero off primes."""
-    _check_progression(b, w)
-    if x < 1:
-        raise ValueError("requires x >= 1")
-    v = w * x + b
-    if not is_prime(v):
-        return 0.0
-    return euler_phi(w) / w * math.log(v)
-
-
-def _check_progression(b: int, w: int) -> None:
+def check_progression(b: int, w: int) -> None:
+    """ValueError unless w*x + b is a progression of primes: w >= 1 and
+    gcd(b, w) = 1."""
     if w < 1:
         raise ValueError(f"requires w >= 1, got w={w}")
     if math.gcd(b, w) != 1:
@@ -203,7 +194,7 @@ def ap_prime_mask(b: int, w: int, count: int) -> np.ndarray:
 
     Sieves the progression directly; any offset b coprime to w is accepted.
     """
-    _check_progression(b, w)
+    check_progression(b, w)
     if count <= 0:
         return np.zeros(0, dtype=bool)
     top = w * count + b

@@ -1,16 +1,16 @@
-"""Fourier analysis over Z_N: transforms, cyclic convolution, the weighted
-polynomial-prime measure and the prime-coloring measure, large spectra,
-Bohr sets, smoothing, restriction norms, complete Gauss sums, and the
-weighted exponential sum of the progression.
+"""Fourier analysis over Z_N: transforms, the weighted polynomial-prime
+measure and the prime-coloring measure, large spectra, Bohr sets,
+smoothing, restriction norms, complete Gauss sums, and the weighted
+exponential sum of the progression.
 
 Both measures and `weighted_exp_sum` take their primes and log weights from
 `numtheory.ap_primes`.
 
 Transform convention: fhat(r) = sum_x f(x) e(-x r / N) with e(t) = exp(2 pi i t),
-computed by numpy's FFT.  Every other phase goes through `_e`, which reduces
-it mod 1 in exact integers before trig: `complete_gauss_sum` and
-`weighted_exp_sum` for every alpha, a float alpha taken as its exact binary
-fraction.
+computed by numpy's FFT (the O(N^2) sum by definition is a test oracle
+only).  Every other phase goes through `_e`, which reduces it mod 1 in
+exact integers before trig: `complete_gauss_sum` and `weighted_exp_sum` for
+every alpha, a float alpha taken as its exact binary fraction.
 
 Real functions are stored as float64, complex ones as complex128.  Two real
 functions share one transform: `dft_pair` transforms a + i b and splits the
@@ -48,9 +48,7 @@ __all__ = [
     "build_poly_prime_measure",
     "build_prime_coloring_measure",
     "complete_gauss_sum",
-    "convolve",
     "dft",
-    "dft_direct",
     "dft_pair",
     "idft",
     "large_spectrum",
@@ -60,26 +58,11 @@ __all__ = [
     "weighted_exp_sum",
 ]
 
-_DIRECT_BLOCK = 128
 _BOHR_TAIL = 1024  # survivors from which bohr_set tests frequencies in blocks
 
 
 class CollisionError(ValueError):
     """Two support points of the polynomial-prime measure collide mod N."""
-
-
-def dft_direct(values: np.ndarray) -> np.ndarray:
-    """O(N^2) transform by explicit summation, in row blocks; the oracle."""
-    v = np.asarray(values, dtype=np.complex128)
-    n = len(v)
-    table = np.exp(-2j * np.pi * np.arange(n) / n)
-    x = np.arange(n, dtype=np.int64)
-    out = np.empty(n, dtype=np.complex128)
-    for lo in range(0, n, _DIRECT_BLOCK):
-        rows = np.arange(lo, min(lo + _DIRECT_BLOCK, n), dtype=np.int64)
-        idx = (rows[:, None] * x[None, :]) % n
-        out[lo : lo + len(rows)] = table[idx] @ v
-    return out
 
 
 def dft(values: np.ndarray) -> np.ndarray:
@@ -178,14 +161,6 @@ def transform_pair(f: DensityFunction, g: DensityFunction) -> None:
     when either is already cached, the other is left to its own dft."""
     if f._spectrum is None and g._spectrum is None:
         f._spectrum, g._spectrum = map(_frozen, dft_pair(f.values, g.values))
-
-
-def convolve(f: DensityFunction, g: DensityFunction) -> DensityFunction:
-    """Cyclic convolution (f*g)(x) = sum_y f(y) g(x-y), via spectra."""
-    if f.modulus != g.modulus:
-        raise ValueError(f"modulus mismatch: {f.modulus} vs {g.modulus}")
-    spec = f.spectrum * g.spectrum
-    return DensityFunction(idft(spec), spec)
 
 
 def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:

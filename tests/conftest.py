@@ -1,12 +1,107 @@
-"""Shared fixtures: reference contexts and the 20-context acceptance suite."""
+"""Shared fixtures: reference contexts and the 20-context acceptance suite,
+and the slow exact oracles the library's fast paths are tested against."""
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
 import pytest
 
-from polyprimelab.numtheory import p_adic_valuation, sieve_primes
+from polyprimelab.numtheory import (
+    check_progression,
+    euler_phi,
+    is_prime,
+    p_adic_valuation,
+    sieve_primes,
+)
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial, psi_bound
+from polyprimelab.spectral import DensityFunction
 from polyprimelab.wtrick import build_context, check_cp, select_bp
+
+_DIRECT_BLOCK = 128
+_BRUTE_LIMIT = 2048  # largest N the O(N^2) oracle accepts
+
+
+def dft_direct(values: np.ndarray) -> np.ndarray:
+    """O(N^2) transform by explicit summation, in row blocks; the oracle."""
+    v = np.asarray(values, dtype=np.complex128)
+    n = len(v)
+    table = np.exp(-2j * np.pi * np.arange(n) / n)
+    x = np.arange(n, dtype=np.int64)
+    out = np.empty(n, dtype=np.complex128)
+    for lo in range(0, n, _DIRECT_BLOCK):
+        rows = np.arange(lo, min(lo + _DIRECT_BLOCK, n), dtype=np.int64)
+        idx = (rows[:, None] * x[None, :]) % n
+        out[lo : lo + len(rows)] = table[idx] @ v
+    return out
+
+
+def triple_count_bruteforce(
+    f: DensityFunction, g: DensityFunction, h: DensityFunction
+) -> complex:
+    """sum over x, y of f(x) g(y) h(x+y mod N) by explicit summation."""
+    if not f.modulus == g.modulus == h.modulus:
+        raise ValueError("modulus mismatch")
+    n = f.modulus
+    if n > _BRUTE_LIMIT:
+        raise ValueError(f"N = {n} > {_BRUTE_LIMIT}; use triple_count, the Fourier path")
+    hv = h.values
+    total = 0j
+    for x in range(n):
+        fx = f.values[x]
+        if fx == 0:
+            continue
+        total += fx * complex(np.dot(g.values, np.roll(hv, -x)))
+    return total
+
+
+@dataclass(frozen=True)
+class PopularityProfile:
+    """nu(x) = #{(x1, x2, x3): x1, x2 in A, x3 in B, x1 + x2 - x3 = x} with
+    the cube lower bound (min{|A|, |B|, (2|A|+|B|-N)/4})^3 / N."""
+
+    nu: np.ndarray
+    bound: Fraction
+    bound_holds: bool | None  # None when the bound is vacuous
+
+
+def popularity(set_a, set_b, modulus: int) -> PopularityProfile:
+    """Exact integer popularity profile with the bound checked at every x."""
+    a = frozenset(int(x) % modulus for x in set_a)
+    b = frozenset(int(x) % modulus for x in set_b)
+    ind_a = np.zeros(modulus, dtype=np.int64)
+    for x in a:
+        ind_a[x] = 1
+    lin = np.convolve(ind_a, ind_a)  # exact integer linear convolution
+    pair_sums = np.zeros(modulus, dtype=np.int64)
+    pair_sums[: min(modulus, len(lin))] += lin[:modulus]
+    if len(lin) > modulus:
+        tail = lin[modulus:]
+        pair_sums[: len(tail)] += tail
+    nu = np.zeros(modulus, dtype=np.int64)
+    for x3 in b:
+        nu += np.roll(pair_sums, -x3)
+    m4 = min(4 * len(a), 4 * len(b), 2 * len(a) + len(b) - modulus)
+    bound = Fraction(m4, 4) ** 3 / modulus
+    if m4 <= 0:
+        holds = None
+    else:
+        holds = bool(np.all(64 * modulus * nu.astype(object) >= m4**3))
+    return PopularityProfile(nu, bound, holds)
+
+
+def lambda_weight(b: int, w: int, x: int) -> float:
+    """Logarithmic prime weight (phi(w)/w) * log(w*x + b), zero off primes."""
+    check_progression(b, w)
+    if x < 1:
+        raise ValueError("requires x >= 1")
+    v = w * x + b
+    if not is_prime(v):
+        return 0.0
+    return euler_phi(w) / w * math.log(v)
 
 
 def suggest_smooth_exponents(psi, b0, w0, variant):

@@ -8,14 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import dft_direct, popularity, triple_count_bruteforce
 from polyprimelab.coloring import blocking_partition, dense_class, make_coloring, save_coloring
 from polyprimelab.counting import (
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
-    popularity,
     triple_count,
-    triple_count_bruteforce,
 )
 from polyprimelab.numtheory import euler_phi, sieve_primes
 from polyprimelab.polynomials import INTEGER_COLORING, IntPolynomial
@@ -25,7 +24,6 @@ from polyprimelab.spectral import (
     build_poly_prime_measure,
     complete_gauss_sum,
     dft,
-    dft_direct,
 )
 from polyprimelab.wtrick import build_context, verify_gcd_identity
 

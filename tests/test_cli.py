@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import lambda_weight
 import polyprimelab
 from polyprimelab import coloring, experiments
 from polyprimelab.cli import main
@@ -25,7 +26,6 @@ from polyprimelab.experiments import (
     run_verify,
     write_report,
 )
-from polyprimelab.numtheory import lambda_weight
 from polyprimelab.spectral import BohrStructure, DensityFunction
 from polyprimelab.wtrick import WTrickContext
 
@@ -282,28 +282,16 @@ class TestVerifyCommand:
         cfg.write_text("\n")
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
-    def test_broken_convolution_fails(self, tmp_path, monkeypatch):
-        # right spectrum, wrong values: only a check on the values can see it
-        def zero_values(f, g):
-            return DensityFunction(np.zeros(f.modulus), f.spectrum * g.spectrum)
-
-        monkeypatch.setattr(experiments, "convolve", zero_values)
-        assert main(["verify", "--out", str(tmp_path)]) == 1
-        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
-        assert [name for name, c in checks.items() if not c["pass"]] == [
-            "spectral.convolution-theorem"
-        ]
-
     def test_broken_smoothing_fails(self, tmp_path, monkeypatch):
-        # at the default config B = {0} needs no indicator; the fixed proper
-        # Bohr set at N = 211 still takes the transform path
+        # at the default config B = {0} needs no indicator; at eta = 7/10
+        # (N = 10007, |R| = 5, |B| = 621) the measure takes the transform path
         real = BohrStructure.normalized_indicator
 
         def doubled(self):
             return DensityFunction(2 * real(self).values)
 
         monkeypatch.setattr(BohrStructure, "normalized_indicator", doubled)
-        assert main(["verify", "--out", str(tmp_path)]) == 1
+        assert main(["verify", "--eta", "7/10", "--out", str(tmp_path)]) == 1
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
         assert [name for name, c in checks.items() if not c["pass"]] == [
             "spectral.smoothing-mass"
@@ -377,6 +365,21 @@ class TestSearchCommand:
         assert main(["search", "--coloring", str(path), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err == "error: coloring is not total over its declared domain\n"
+
+    def test_non_utf8_byte_reported_by_line(self, tmp_path, capsys):
+        # one 0xff byte at the start of line 3001, offset 19,916: past the
+        # text decoder's first chunk, so the decoder's own position is not it
+        path = tmp_path / "col.txt"
+        save_coloring(make_coloring("integers", 4999, 2, "random", 1), path)
+        data = bytearray(path.read_bytes())
+        assert data.count(b"\n") == 5000 and data[19916 - 1 : 19916 + 5] == b"\n3000 "
+        data[19916] = 0xFF
+        path.write_bytes(bytes(data))
+        assert main(["search", "--coloring", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            "error: line 3001: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n"
+        )
 
     def test_optimized_interpreter_same_solutions(self, tmp_path):
         # the search's exact re-check must not live in an assert that -O strips
@@ -456,6 +459,30 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert err == "error: invariant violated: (3, 3, 2) fails x != y, x + y = psi(z)\n"
         assert not (out / "solutions.csv").exists() and not (out / "search.json").exists()
+
+
+class TestInvalidProgression:
+    @pytest.mark.parametrize("command", ["search", "counterexample"])
+    @pytest.mark.parametrize(
+        "b0,w0,message",
+        [
+            ("1", "0", "requires w >= 1, got w=0"),
+            ("1", "-1", "requires w >= 1, got w=-1"),
+            ("2", "4", "gcd(2, 4) != 1"),
+        ],
+    )
+    def test_rejected_with_one_line(self, tmp_path, capsys, command, b0, w0, message):
+        # no w0*z + b0 is prime, so an answer would be vacuous
+        extra = ["--p", "3"]
+        if command == "search":
+            path = tmp_path / "col.txt"
+            save_coloring(make_coloring("integers", 200, 2, "random", 1), path)
+            extra = ["--coloring", str(path)]
+        out = tmp_path / "out"
+        argv = [command, *extra, "--psi", "6,0,0", "--b0", b0, "--w0", w0, "--n", "100"]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestCounterexampleCommand:

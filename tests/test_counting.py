@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import popularity, triple_count_bruteforce
 from polyprimelab.coloring import (
     blocking_partition,
     dense_class,
@@ -20,10 +21,8 @@ from polyprimelab.counting import (
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
-    popularity,
     transference_report,
     triple_count,
-    triple_count_bruteforce,
 )
 from polyprimelab.numtheory import euler_phi, is_prime
 from polyprimelab.polynomials import INTEGER_COLORING, IntPolynomial

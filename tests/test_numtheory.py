@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lambda_weight
 from polyprimelab.numtheory import (
     ap_primes,
     crt,
     euler_phi,
     is_prime,
-    lambda_weight,
     p_adic_valuation,
     prime_in_interval,
     sieve_primes,
@@ -197,10 +197,10 @@ class TestApPrimes:
 
     def test_weight_sum_matches_direct_primality(self):
         # cross-check the sieved progression against point-by-point testing
-        for b, w in [(1, 2), (3, 4), (1, 1), (7, 10)]:
+        for b, w in [(1, 2), (1, 4), (3, 4), (1, 1), (7, 10)]:
             total = float(ap_primes(b, w, 10**4)[1].sum())
             direct = sum(lambda_weight(b, w, x) for x in range(1, 10**4 + 1))
-            assert total == pytest.approx(direct, rel=1e-12)
+            assert total == pytest.approx(direct, rel=1e-13)
             phi_ratio = euler_phi(w) / w
             expect = phi_ratio * sum(
                 math.log(w * x + b)
