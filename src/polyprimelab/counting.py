@@ -289,6 +289,7 @@ def transference_report(
         "smoothed_pointwise_mark": (1 + 2 * kappa) / n_mod,
         "large_spectrum_size": int(len(spec_r)),
         "bohr_size": bohr.size,
+        "smoothing_regime": bohr.smoothing_regime,
         "raw_count": raw,
         "smoothed_count": smoothed,
         "count_difference": raw - smoothed,
@@ -326,6 +327,7 @@ def transference_report(
         report["A_dash_meets_mark"] = bool(len(a_dash) >= 2 * kappa * n_mod)
         report["class_large_spectrum_size"] = int(len(spec_r2))
         report["class_bohr_size"] = bohr2.size
+        report["class_smoothing_regime"] = bohr2.smoothing_regime
         report["max_smoothed_class"] = float(np.abs(f_smooth.values).max())
         report["smoothed_class_mark"] = 2 / n_mod
         report["pointwise_weight_cap"] = amax

@@ -35,6 +35,7 @@ from .spectral import (
     DensityFunction,
     bohr_set,
     build_poly_prime_measure,
+    build_prime_coloring_measure,
     complete_gauss_sum,
     large_spectrum,
     restriction_norm,
@@ -317,7 +318,7 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
         record(
             next(stages),
             abs(smooth(measure, bohr).mass - mass) < 1e-9 * max(1.0, abs(mass)),
-            f"mass={mass.real:.6f}, |B|={bohr.size}",
+            f"mass={mass.real:.6f}, |B|={bohr.size}, regime={bohr.smoothing_regime}",
         )
     except (ValueError, RuntimeError) as e:
         record(next(stages), False, str(e))
@@ -336,9 +337,10 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
         info.append(f"q={q}:{s.real:.3f}")
     record("spectral.gauss-dichotomy", ok, ",".join(info))
 
-    # coloring + counting: dense class, solutions, and lifting
-    if ctx.variant == INTEGER_COLORING:
-        try:
+    # coloring + counting: the dense class against its mark, its Z_N
+    # solutions, and their lifts
+    try:
+        if ctx.variant == INTEGER_COLORING:
             col = make_coloring("integers", ctx.n, ctx.num_colors, "random", cfg.seed)
             dens = dense_class(col, ctx)
             record(
@@ -346,12 +348,22 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
                 int(dens.meta["count"]) * ctx.num_colors * 4 * ctx.K >= ctx.N,
                 f"count={dens.meta['count']}",
             )
-            sols = find_zn_solutions(dens.members, ctx, limit=25)
-            lifted = [lift_solution(xp, yp, zp, ctx) for xp, yp, zp in sols]
-            ok = all(x + y == ctx.psi(z) for x, y, z in lifted)
-            record("counting.lifting", ok and len(lifted) > 0, f"{len(lifted)} solutions lifted")
-        except (ValueError, RuntimeError) as e:
-            record("counting.lifting", False, str(e))
+        else:
+            col = make_coloring("primes", ctx.n, ctx.num_colors, "random", cfg.seed)
+            dens = dense_prime_class(col, ctx)
+            class_mass = build_prime_coloring_measure(dens.members, ctx).mass.real
+            mark = 1 / (3 * ctx.num_colors * ctx.K)
+            record(
+                "coloring.dense_prime_class",
+                class_mass >= mark,
+                f"mass={class_mass:.6g}, mark={mark:.6g}",
+            )
+        sols = find_zn_solutions(dens.members, ctx, limit=25)
+        lifted = [lift_solution(xp, yp, zp, ctx) for xp, yp, zp in sols]
+        ok = all(x + y == ctx.psi(z) for x, y, z in lifted)
+        record("counting.lifting", ok and len(lifted) > 0, f"{len(lifted)} solutions lifted")
+    except (ValueError, RuntimeError) as e:
+        record("counting.lifting", False, str(e))
     return results
 
 

@@ -7,10 +7,21 @@ Both measures and `weighted_exp_sum` take their primes and log weights from
 `numtheory.ap_primes`.
 
 Transform convention: fhat(r) = sum_x f(x) e(-x r / N) with e(t) = exp(2 pi i t),
-computed by numpy's FFT (the O(N^2) sum by definition is a test oracle
-only).  Every other phase goes through `_e`, which reduces it mod 1 in
-exact integers before trig: `complete_gauss_sum` and `weighted_exp_sum` for
-every alpha, a float alpha taken as its exact binary fraction.
+computed by one Bluestein (chirp-z) transform at every length N (the O(N^2)
+sum by definition is a test oracle only).  With x r = (x^2 + r^2 - (r - x)^2)/2,
+fhat(r) = w(r) sum_x f(x) w(x) conj w(r - x) for the chirp w(k) = e(-k^2 / 2N),
+a cyclic convolution of length L, the least 7-smooth L >= 2N - 1.  Each
+length-L FFT is a four-step FFT over an L2 x L1 grid (L1 <= L2, both near
+sqrt L) made of numpy's batched FFTs along one axis, computed in place.  The
+forward FFTs leave their output in transposed order, in which the pointwise
+product and the inverse FFT work, so no transpose is copied.  Every pass is
+split into two fixed halves, one on a helper thread and one on the caller
+(numpy's FFT and ufunc loops release the GIL), so the result does not depend
+on scheduling and is the same to the bit on every call.  The chirp phases
+k^2 mod 2N and the twiddle phases mod L are reduced in exact integers before
+trig, as `_e` reduces every other phase: `complete_gauss_sum` and
+`weighted_exp_sum` for every alpha, a float alpha taken as its exact binary
+fraction.
 
 Real functions are stored as float64, complex ones as complex128.  Two real
 functions share one transform: `dft_pair` transforms a + i b and splits the
@@ -32,6 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,14 +77,145 @@ class CollisionError(ValueError):
     """Two support points of the polynomial-prime measure collide mod N."""
 
 
+def _smooth_at_least(n: int) -> int:
+    """The least 7-smooth integer >= n, for n >= 1: the least s * 2^j >= n
+    over the odd 7-smooth s < 2n."""
+    best = 1 << (n - 1).bit_length()
+    p7 = 1
+    while p7 < 2 * n:
+        p5 = p7
+        while p5 < 2 * n:
+            s = p5
+            while s < 2 * n:
+                best = min(best, s << ((n - 1) // s).bit_length())
+                s *= 3
+            p5 *= 5
+        p7 *= 7
+    return best
+
+
+def _halves(task, n: int) -> None:
+    """task(0, n // 2) on a helper thread and task(n // 2, n) on the caller.
+    The split is fixed, so the work each thread does never depends on
+    scheduling; an exception raised on the helper is re-raised here."""
+    errors = []
+
+    def helper():
+        try:
+            task(0, n // 2)
+        except BaseException as e:  # handed to the caller, which re-raises it
+            errors.append(e)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        task(n // 2, n)
+    finally:
+        thread.join()
+        if errors:  # chained to the caller's own exception, if any
+            raise errors[0]
+
+
+def _unit_phases(p: np.ndarray, d: int, out: np.ndarray) -> None:
+    """out = e(-p / d) for int64 phases p >= 0, p overwritten: p is reduced
+    into [-d/2, d/2) in exact integers before trig."""
+    p += d // 2
+    p %= d
+    p -= d // 2
+    angle = p * (-2 * math.pi / d)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+
+
+def _chirp_dft(v: np.ndarray) -> np.ndarray:
+    """dft of a float64 or complex128 array v by Bluestein's algorithm (see
+    the module docstring), as a new complex128 array.
+
+    a = v w and b = conj w / L (b(L - k) = b(k)) fill L2 x L1 grids whose
+    row-major order is the natural one, zero-padded.  A forward FFT runs
+    length-L2 FFTs down the columns, multiplies by the twiddles e(-k2 n1 / L)
+    and runs length-L1 FFTs along the rows, which leaves A(k2 + L2 k1) at
+    [k2, k1]; the inverse undoes those steps in reverse, ending in natural
+    order.  The twiddles come block by block, blk rows at a time, as the
+    product of two small tables, e(-(k2 - c blk) n1 / L) and e(-c blk n1 / L)
+    for block c: no length-L twiddle array is built.  The product and the
+    inverse run inside the row pass, one block at a time.
+    """
+    n = len(v)
+    size = _smooth_at_least(2 * n - 1)
+    l1 = max(d for d in range(1, math.isqrt(size) + 1) if size % d == 0)
+    l2 = size // l1
+    blk = math.isqrt(l2)
+    cols = np.arange(l1, dtype=np.int64)
+    near = np.empty((blk, l1), dtype=np.complex128)
+    _unit_phases(np.multiply.outer(np.arange(blk), cols), size, near)
+    far = np.empty((-(-l2 // blk), l1), dtype=np.complex128)
+    _unit_phases(np.multiply.outer(np.arange(0, l2, blk), cols), size, far)
+    near_inv, far_inv = near.conj(), far.conj()
+
+    chirp = np.empty(n, dtype=np.complex128)
+    a = np.zeros((l2, l1), dtype=np.complex128)
+    b = np.zeros((l2, l1), dtype=np.complex128)
+    a_flat, b_flat = a.reshape(-1), b.reshape(-1)
+
+    def fill(lo, hi):
+        k = np.arange(lo, hi, dtype=np.int64)
+        k *= k
+        _unit_phases(k, 2 * n, chirp[lo:hi])
+        np.multiply(v[lo:hi], chirp[lo:hi], out=a_flat[lo:hi])
+        np.conjugate(chirp[lo:hi], out=b_flat[lo:hi])
+        b_flat[lo:hi] *= 1 / size  # so the inverse FFT runs unscaled
+        lo = max(lo, 1)
+        if lo < hi:
+            b_flat[size - hi + 1 : size - lo + 1] = b_flat[lo:hi][::-1]
+
+    def columns_forward(lo, hi):
+        for grid in (a, b):
+            np.fft.fft(grid[:, lo:hi], axis=0, out=grid[:, lo:hi])
+
+    def rows(lo, hi):
+        for c in range(lo // blk, -(-hi // blk)):
+            r0, r1 = max(lo, c * blk), min(hi, (c + 1) * blk)
+            ra, rb = a[r0:r1], b[r0:r1]
+            tn = slice(r0 - c * blk, r1 - c * blk)
+            for grid in (ra, rb):
+                grid *= near[tn]
+                grid *= far[c]
+                np.fft.fft(grid, axis=1, out=grid)
+            ra *= rb
+            np.fft.ifft(ra, axis=1, out=ra, norm="forward")
+            ra *= near_inv[tn]
+            ra *= far_inv[c]
+
+    def columns_inverse(lo, hi):
+        np.fft.ifft(a[:, lo:hi], axis=0, out=a[:, lo:hi], norm="forward")
+
+    def unchirp(lo, hi):
+        chirp[lo:hi] *= a_flat[lo:hi]
+
+    _halves(fill, n)
+    _halves(columns_forward, l1)
+    _halves(rows, l2)
+    del b, b_flat
+    _halves(columns_inverse, l1)
+    _halves(unchirp, n)
+    return chirp
+
+
 def dft(values: np.ndarray) -> np.ndarray:
-    """Transform fhat(r) = sum_x f(x) e(-x r / N), by numpy's FFT."""
-    return np.fft.fft(np.asarray(values, dtype=np.complex128))
+    """Transform fhat(r) = sum_x f(x) e(-x r / N), as a new complex128 array,
+    by the two-thread Bluestein transform described in the module docstring."""
+    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+    return _chirp_dft(np.asarray(values, dtype=dtype))
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
-    """Inverse transform f(x) = (1/N) sum_r fhat(r) e(x r / N)."""
-    return np.fft.ifft(np.asarray(spectrum, dtype=np.complex128))
+    """Inverse transform f(x) = (1/N) sum_r fhat(r) e(x r / N), as the
+    conjugate of the forward transform of the conjugate."""
+    out = _chirp_dft(np.conjugate(np.asarray(spectrum, dtype=np.complex128)))
+    np.conjugate(out, out=out)
+    out /= len(out)
+    return out
 
 
 def _pow2_ratio(num: float, den: float) -> float:
@@ -240,6 +383,14 @@ class BohrStructure:
     def size(self) -> int:
         return len(self.members)
 
+    @property
+    def smoothing_regime(self) -> str:
+        """How `smooth` treats a function with this Bohr set: "identity" when
+        B = {0}, "constant" when B = Z_N, "fft" otherwise."""
+        if self.size == 1:
+            return "identity"
+        return "constant" if self.size == self.modulus else "fft"
+
     def normalized_indicator(self) -> DensityFunction:
         v = np.zeros(self.modulus)
         v[self.members] = 1.0 / len(self.members)
@@ -293,9 +444,10 @@ def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
     a Hermitian smoothed spectrum and real smoothed values."""
     if f.modulus != bohr.modulus:
         raise ValueError(f"modulus mismatch: {f.modulus} vs {bohr.modulus}")
-    if bohr.size == 1:
+    regime = bohr.smoothing_regime
+    if regime == "identity":
         return f
-    if bohr.size == bohr.modulus:
+    if regime == "constant":
         mass = f.values.sum()
         spec = np.zeros(f.modulus, dtype=np.complex128)
         spec[0] = mass

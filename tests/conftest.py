@@ -21,21 +21,24 @@ from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolyno
 from polyprimelab.spectral import DensityFunction
 from polyprimelab.wtrick import build_context, check_cp, select_bp
 
-_DIRECT_BLOCK = 128
+_DIRECT_CELLS = 1 << 20  # (frequency, point) pairs per block of dft_direct
 _BRUTE_LIMIT = 2048  # largest N the O(N^2) oracle accepts
 
 
-def dft_direct(values: np.ndarray) -> np.ndarray:
-    """O(N^2) transform by explicit summation, in row blocks; the oracle."""
+def dft_direct(values: np.ndarray, rows=None) -> np.ndarray:
+    """O(N^2) transform by explicit summation, in row blocks; the oracle.
+    `rows` are the frequencies to sum at, all N of them by default."""
     v = np.asarray(values, dtype=np.complex128)
     n = len(v)
     table = np.exp(-2j * np.pi * np.arange(n) / n)
     x = np.arange(n, dtype=np.int64)
-    out = np.empty(n, dtype=np.complex128)
-    for lo in range(0, n, _DIRECT_BLOCK):
-        rows = np.arange(lo, min(lo + _DIRECT_BLOCK, n), dtype=np.int64)
-        idx = (rows[:, None] * x[None, :]) % n
-        out[lo : lo + len(rows)] = table[idx] @ v
+    rows = np.arange(n, dtype=np.int64) if rows is None else np.asarray(rows, dtype=np.int64)
+    out = np.empty(len(rows), dtype=np.complex128)
+    step = max(1, _DIRECT_CELLS // n)
+    for lo in range(0, len(rows), step):
+        block = rows[lo : lo + step]
+        idx = (block[:, None] * x[None, :]) % n
+        out[lo : lo + len(block)] = table[idx] @ v
     return out
 
 

@@ -246,6 +246,10 @@ class TestVerifyCommand:
         assert main(["verify", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["all_pass"] is True
+        # B = {0}: the smoothed measure is the measure, which the info says
+        assert report["checks"]["spectral.smoothing-mass"]["info"].endswith(
+            "|B|=1, regime=identity"
+        )
         assert report["version"]
         assert report["config"]["n"] == "30000"
 
@@ -277,6 +281,35 @@ class TestVerifyCommand:
         }
         assert checks["spectral.smoothing-mass"] == {"info": "not reached", "pass": False}
 
+    def test_prime_coloring_checks_its_class(self, tmp_path):
+        # the prime class stands in for the integer pigeonhole check: its
+        # measure's mass against 1/(3 m K), and the lift of its Z_N solutions
+        args = ["--variant", "prime-coloring", "--psi", "1,1,4", "--b0", "1", "--w0", "1",
+                "--w", "2:2,3:1,5:1", "--n", "600000", "--out", str(tmp_path)]
+        assert main(["verify", *args]) == 0
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert len(checks) == 8
+        assert checks["coloring.dense_prime_class"] == {
+            "info": "mass=0.256569, mark=0.166667", "pass": True
+        }
+        assert checks["counting.lifting"] == {"info": "25 solutions lifted", "pass": True}
+
+    def test_light_prime_class_fails(self, tmp_path, monkeypatch):
+        real = experiments.build_prime_coloring_measure
+
+        def light(members, ctx):
+            return DensityFunction(real(members, ctx).values / 2)
+
+        monkeypatch.setattr(experiments, "build_prime_coloring_measure", light)
+        args = ["--variant", "prime-coloring", "--psi", "1,1,4", "--b0", "1", "--w0", "1",
+                "--w", "2:2,3:1,5:1", "--n", "600000", "--out", str(tmp_path)]
+        assert main(["verify", *args]) == 1
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert [name for name, c in checks.items() if not c["pass"]] == [
+            "coloring.dense_prime_class"
+        ]
+        assert checks["coloring.dense_prime_class"]["info"] == "mass=0.128285, mark=0.166667"
+
     def test_empty_config_usage_error(self, tmp_path):
         cfg = tmp_path / "empty.cfg"
         cfg.write_text("\n")
@@ -296,6 +329,7 @@ class TestVerifyCommand:
         assert [name for name, c in checks.items() if not c["pass"]] == [
             "spectral.smoothing-mass"
         ]
+        assert checks["spectral.smoothing-mass"]["info"].endswith("|B|=621, regime=fft")
 
 
 class TestSearchCommand:
@@ -647,21 +681,21 @@ class TestTransferCommand:
         assert not (tmp_path / "transfer.json").exists()
 
     @pytest.mark.parametrize(
-        "cfg,transforms",
+        "cfg,transforms,regimes",
         [
             # B = {0}: only the packed transform of the measure and the class
-            ({"n": 30000, "seed": 5}, 1),
+            ({"n": 30000, "seed": 5}, 1, ["identity"]),
             # the class's |R| = 0 makes its B = Z_N: no smoothing transform,
             # and the unweighted count is an exact sum over the support
-            ({**PRIME_TRANSFER, "eta": Fraction(1, 4)}, 1),
+            ({**PRIME_TRANSFER, "eta": Fraction(1, 4)}, 1, ["identity", "constant"]),
             # the class's |B| = 1667 takes the transform path
-            (PRIME_TRANSFER, 3),
+            (PRIME_TRANSFER, 3, ["identity", "fft"]),
             # |R| = 25 leaves a measure Bohr set of 33 points
-            ({"n": 3000, "eta": Fraction(1, 2), "eps": Fraction(1, 4)}, 3),
+            ({"n": 3000, "eta": Fraction(1, 2), "eps": Fraction(1, 4)}, 3, ["fft"]),
         ],
         ids=["integer", "prime-full-bohr", "prime", "integer-wide"],
     )
-    def test_length_n_transform_count(self, monkeypatch, cfg, transforms):
+    def test_length_n_transform_count(self, monkeypatch, cfg, transforms, regimes):
         from polyprimelab import spectral
 
         calls = []
@@ -677,6 +711,11 @@ class TestTransferCommand:
             monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
         report = run_transfer(config_from_sources(None, cfg))
         assert calls == [int(report["context"]["N"])] * transforms
+        rep = report["transference"]
+        named = [rep["smoothing_regime"]]
+        if "class_smoothing_regime" in rep:
+            named.append(rep["class_smoothing_regime"])
+        assert named == regimes
 
     def test_prime_pipeline(self, tmp_path):
         cfg = config_from_sources(None, PRIME_TRANSFER)

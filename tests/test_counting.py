@@ -282,6 +282,9 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
     def complex_copy(f):
         return DensityFunction(f.values.astype(np.complex128))
 
+    def regime(bohr):  # which shortcut, if any, smooth may take
+        return {n_mod: "constant", 1: "identity"}.get(bohr.size, "fft")
+
     def smooth_unpacked(f, bohr):
         b_spec = complex_copy(bohr.normalized_indicator()).spectrum
         spec = f.spectrum * b_spec * b_spec
@@ -322,6 +325,7 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
         "smoothed_pointwise_mark": (1 + 2 * kappa) / n_mod,
         "large_spectrum_size": int(len(spec_r)),
         "bohr_size": bohr.size,
+        "smoothing_regime": regime(bohr),
         "raw_count": raw,
         "smoothed_count": smoothed,
         "count_difference": raw - smoothed,
@@ -362,6 +366,7 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
         A_dash_meets_mark=bool(len(a_dash) >= 2 * kappa * n_mod),
         class_large_spectrum_size=int(len(spec_r2)),
         class_bohr_size=bohr2.size,
+        class_smoothing_regime=regime(bohr2),
         max_smoothed_class=float(np.abs(f_smooth.values).max()),
         smoothed_class_mark=2 / n_mod,
         pointwise_weight_cap=amax,

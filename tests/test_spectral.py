@@ -71,13 +71,72 @@ class TestDft:
         assert f.spectrum[0] == pytest.approx(f.mass) == pytest.approx(2)
 
     def test_direct_vs_chirp(self):
-        # dft_direct is the oracle for the FFT path at every length
-        for n in (1, 3, 101, 2003, 8009):
+        # dft_direct is the oracle at every length; at N = 100003 it sums at
+        # 200 frequencies, the ends and the middle among them
+        for n in (1, 2, 3, 4, 211, 1024, 2039, 100003):
             rng = np.random.default_rng(n)
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            d = dft_direct(v)
-            c = dft(v)
-            assert float(np.abs(d - c).max()) <= 1e-9 * float(np.abs(d).max())
+            rows = np.arange(n)
+            if n > 10_000:
+                rows = np.concatenate(([0, 1, n // 2, n - 1], rng.integers(0, n, 196)))
+            d = dft_direct(v, rows)
+            c = dft(v)[rows]
+            assert float(np.abs(d - c).max()) <= 1e-9 * float(np.abs(d).max()), n
+
+    @pytest.mark.parametrize("n", [400009, 1000003])
+    def test_matches_numpy_fft_at_large_n(self, n):
+        # np.fft.fft is a test oracle only; the two transforms agree far
+        # below the 1e-9 of the direct oracle
+        v = np.random.default_rng(n).standard_normal(n)
+        want = np.fft.fft(v)
+        assert np.abs(dft(v) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_bit_identical_under_concurrent_calls(self):
+        # the halves are fixed, so neither a second call nor three callers
+        # at once with a 1 us switch interval (six threads on any core
+        # count) changes a bit
+        import sys
+        import threading
+
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal(100003) + 1j * rng.standard_normal(100003)
+        want = dft(v)
+        assert np.array_equal(dft(v), want)
+        results = [None] * 3
+
+        def call(i):
+            results[i] = dft(v)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for got in results:
+            assert np.array_equal(got, want)
+
+    def test_helper_thread_error_reaches_caller(self, monkeypatch):
+        import threading
+
+        real = np.fft.fft
+        main = threading.main_thread()
+
+        def fail_off_main(*args, **kwargs):
+            if threading.current_thread() is not main:
+                raise FloatingPointError("helper FFT failed")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", fail_off_main)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="helper FFT failed"):
+            dft(np.arange(1009.0))
+        assert threading.active_count() == before
 
     def test_matches_definition(self):
         rng = np.random.default_rng(1)
@@ -89,7 +148,7 @@ class TestDft:
 
     def test_inversion_and_parseval(self):
         rng = np.random.default_rng(2)
-        for n in (5, 101, 499):
+        for n in (1, 5, 101, 499, 100003):
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             f = DensityFunction(v)
             assert np.allclose(idft(f.spectrum), v, rtol=0, atol=1e-9 * np.abs(v).max())
@@ -412,6 +471,7 @@ class TestSmooth:
         rng = np.random.default_rng(9)
         f = DensityFunction(rng.standard_normal(101))
         b = bohr_set([1, 5], Fraction(1, 5), 101)
+        assert b.smoothing_regime == "fft"
         out = smooth(f, b)
         want = f.spectrum * b.normalized_indicator().spectrum ** 2
         assert np.allclose(out.spectrum, want, atol=1e-9 * 101)
@@ -437,6 +497,7 @@ class TestSmooth:
         f = DensityFunction(v + 1j * rng.random(n) if dtype is np.complex128 else v)
         bohr = bohr_set([] if full else [1], Fraction(1, 3) if full else Fraction(1, 1000), n)
         assert bohr.size == (n if full else 1)
+        assert bohr.smoothing_regime == ("constant" if full else "identity")
         b = np.zeros(n)
         b[bohr.members] = 1 / bohr.size
         want_spec = np.fft.fft(f.values) * np.fft.fft(b).real ** 2
