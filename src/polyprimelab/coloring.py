@@ -24,6 +24,7 @@ __all__ = [
     "dense_prime_class",
     "load_coloring",
     "make_coloring",
+    "parse_coloring_rule",
     "save_coloring",
     "write_int_rows",
 ]
@@ -87,32 +88,54 @@ def _domain_elements(domain: str, n: int) -> np.ndarray:
     raise ValueError(f"unknown domain {domain!r}")
 
 
+def _rule_int(text: str, what: str) -> int:
+    """An integer of a rule spec; it must fit the int64 arrays it meets."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise ValueError(f"{what} {text!r} is not an integer") from None
+    if not -(2**63) <= value < 2**63:
+        raise ValueError(f"{what} {value} does not fit in int64")
+    return value
+
+
+def parse_coloring_rule(rule: str) -> tuple[str, tuple[int, ...]]:
+    """A rule spec's kind and its integers: ("random", ()), ("residue", (q,))
+    with q >= 1, or ("interval", the sorted cuts).  A malformed spec raises
+    ValueError saying what is wrong with it."""
+    kind, sep, arg = rule.partition(":")
+    if rule == "random":
+        return "random", ()
+    if sep and kind == "residue":
+        q = _rule_int(arg, "residue modulus")
+        if q < 1:
+            raise ValueError("residue modulus must be >= 1")
+        return kind, (q,)
+    if sep and kind == "interval":
+        return kind, tuple(sorted(_rule_int(c, "interval cut") for c in arg.split(",") if c))
+    raise ValueError(f"unknown coloring rule {rule!r}")
+
+
 def make_coloring(domain: str, n: int, m: int, rule: str = "random", seed: int = 0) -> ColoringInstance:
-    """Build a coloring from a rule spec.
+    """Build a coloring from a rule spec (see `parse_coloring_rule`).
 
     Rules: "random" (seeded), "residue:<q>" (color = ((x-1) mod q) mod m + 1),
     "interval:<c1,c2,...>" (blocks between cuts, cycled through the colors).
     """
     if m < 1:
         raise ValueError("requires at least one color")
+    kind, args = parse_coloring_rule(rule)
     elements = _domain_elements(domain, n)
-    if rule == "random":
+    provenance = rule
+    if kind == "random":
         rng = np.random.default_rng(seed)
         colors = rng.integers(1, m + 1, size=len(elements), dtype=np.int64)
         provenance = f"random;seed={seed}"
-    elif rule.startswith("residue:"):
-        q = int(rule.split(":", 1)[1])
-        if q < 1:
-            raise ValueError("residue modulus must be >= 1")
-        colors = ((elements - 1) % q) % m + 1
-        provenance = rule
-    elif rule.startswith("interval:"):
-        cuts = sorted(int(c) for c in rule.split(":", 1)[1].split(",") if c)
-        blocks = np.searchsorted(np.asarray(cuts, dtype=np.int64), elements, side="left")
-        colors = blocks % m + 1
-        provenance = rule
+    elif kind == "residue":
+        colors = ((elements - 1) % args[0]) % m + 1
     else:
-        raise ValueError(f"unknown coloring rule {rule!r}")
+        blocks = np.searchsorted(np.asarray(args, dtype=np.int64), elements, side="left")
+        colors = blocks % m + 1
     return ColoringInstance(domain, n, m, provenance, _color_table(n, m, elements, colors))
 
 

@@ -16,11 +16,13 @@ import numpy as np
 
 from . import __version__
 from .coloring import (
+    TransferredSet,
     blocking_partition,
     dense_class,
     dense_prime_class,
     load_coloring,
     make_coloring,
+    parse_coloring_rule,
     write_int_rows,
 )
 from .counting import (
@@ -35,7 +37,6 @@ from .spectral import (
     DensityFunction,
     bohr_set,
     build_poly_prime_measure,
-    build_prime_coloring_measure,
     complete_gauss_sum,
     large_spectrum,
     restriction_norm,
@@ -92,6 +93,12 @@ def _parse_variant(text: str) -> str:
     return variant
 
 
+def _parse_coloring_rule(text: str) -> str:
+    rule = text.strip()
+    parse_coloring_rule(rule)
+    return rule
+
+
 def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
@@ -144,7 +151,7 @@ class ExperimentConfig:
     )
     seed: int = _setting(1, int, "--seed", "master seed (recorded in reports)")
     coloring: str = _setting(
-        "random", str.strip, "--coloring-rule", "random | residue:<q> | interval:<cuts>"
+        "random", _parse_coloring_rule, "--coloring-rule", "random | residue:<q> | interval:<cuts>"
     )
     p: int = _setting(3, int, "--p", "blocking prime (counterexample)")
     out: str = _setting("out", str.strip, "--out", "output directory")
@@ -284,13 +291,13 @@ def density_summary(f: DensityFunction, rho_list) -> dict:
 # ----------------------------------------------------------------- verify
 
 
-def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str, bool, str]]:
-    """The checks that read the run's configuration; the library's own
-    identities are tested in tests/."""
-    results: list[tuple[str, bool, str]] = []
+def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> dict[str, tuple[bool, str]]:
+    """The checks that read the run's configuration, (pass, info) by name;
+    the library's own identities are tested in tests/."""
+    results: dict[str, tuple[bool, str]] = {}
 
     def record(name: str, ok: bool, info: str = "") -> None:
-        results.append((name, bool(ok), info))
+        results[name] = (bool(ok), info)
 
     # context invariants
     inv = ctx.verify_invariants()
@@ -299,31 +306,6 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
     # gcd identity (inconclusive counts as pass only when expected)
     g = verify_gcd_identity(ctx)
     record("wtrick.gcd-identity", g is not False, f"result={g}")
-
-    # measure well-definedness, the Bohr pigeonhole bound and mass
-    # conservation of the measure under smoothing: a failing stage is
-    # recorded under its own name, and each stage after it as not reached
-    stages = iter(("spectral.measure-well-defined", "spectral.bohr-bound", "spectral.smoothing-mass"))
-    try:
-        measure = build_poly_prime_measure(ctx)
-        record(next(stages), True, f"M={ctx.M}")
-        bohr = bohr_set(large_spectrum(measure, float(cfg.eta)), cfg.eps, ctx.N)
-        p_, q_ = cfg.eps.numerator, cfg.eps.denominator
-        record(
-            next(stages),
-            bohr.size * q_ ** len(bohr.frequencies) >= p_ ** len(bohr.frequencies) * ctx.N,
-            f"|B|={bohr.size}, |R|={len(bohr.frequencies)}",
-        )
-        mass = measure.mass
-        record(
-            next(stages),
-            abs(smooth(measure, bohr).mass - mass) < 1e-9 * max(1.0, abs(mass)),
-            f"mass={mass.real:.6f}, |B|={bohr.size}, regime={bohr.smoothing_regime}",
-        )
-    except (ValueError, RuntimeError) as e:
-        record(next(stages), False, str(e))
-        for name in stages:
-            record(name, False, "not reached")
 
     # Gauss dichotomy over divisors of W
     ok = True
@@ -337,33 +319,41 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> list[tuple[str,
         info.append(f"q={q}:{s.real:.3f}")
     record("spectral.gauss-dichotomy", ok, ",".join(info))
 
-    # coloring + counting: the dense class against its mark, its Z_N
-    # solutions, and their lifts
+    # transfer's stages in its order (measure, dense class, transference,
+    # lifts), each check read from its stage's results: a failing stage is
+    # recorded under its own name, and each check after it as not reached
+    integers = ctx.variant == INTEGER_COLORING
+    dense_check = "coloring.pigeonhole" if integers else "coloring.dense_prime_class"
+    stage = "spectral.measure-well-defined"
     try:
-        if ctx.variant == INTEGER_COLORING:
-            col = make_coloring("integers", ctx.n, ctx.num_colors, "random", cfg.seed)
-            dens = dense_class(col, ctx)
-            record(
-                "coloring.pigeonhole",
-                int(dens.meta["count"]) * ctx.num_colors * 4 * ctx.K >= ctx.N,
-                f"count={dens.meta['count']}",
-            )
-        else:
-            col = make_coloring("primes", ctx.n, ctx.num_colors, "random", cfg.seed)
-            dens = dense_prime_class(col, ctx)
-            class_mass = build_prime_coloring_measure(dens.members, ctx).mass.real
-            mark = 1 / (3 * ctx.num_colors * ctx.K)
-            record(
-                "coloring.dense_prime_class",
-                class_mass >= mark,
-                f"mass={class_mass:.6g}, mark={mark:.6g}",
-            )
-        sols = find_zn_solutions(dens.members, ctx, limit=25)
-        lifted = [lift_solution(xp, yp, zp, ctx) for xp, yp, zp in sols]
-        ok = all(x + y == ctx.psi(z) for x, y, z in lifted)
-        record("counting.lifting", ok and len(lifted) > 0, f"{len(lifted)} solutions lifted")
+        measure = build_poly_prime_measure(ctx)
+        record(stage, True, f"M={ctx.M}")
+        stage = dense_check
+        dens = _dense_class(cfg, ctx)
+        if integers:
+            count = int(dens.meta["count"])
+            record(stage, count * ctx.num_colors * 4 * ctx.K >= ctx.N, f"count={count}")
+        stage = "spectral.bohr-bound"
+        rep = transference_report(dens, measure, eta=cfg.eta, eps=cfg.eps)
+        r_size, b_size, mass = rep["large_spectrum_size"], rep["bohr_size"], rep["mass_measure"]
+        record(stage, b_size >= cfg.eps**r_size * ctx.N, f"|B|={b_size}, |R|={r_size}")
+        record(
+            "spectral.smoothing-mass",
+            abs(rep["mass_smoothed_measure"] - mass) < 1e-9 * max(1.0, abs(mass)),
+            f"mass={mass:.6f}, |B|={b_size}, regime={rep['smoothing_regime']}",
+        )
+        if not integers:
+            info = f"mass={rep['mass_prime_class']:.6g}, mark={rep['mass_prime_class_mark']:.6g}"
+            record(dense_check, rep["mass_prime_class_meets_mark"], info)
+        stage = "counting.lifting"
+        sols, lifted = _lift_sample(dens, ctx)
+        info = f" of {len(sols)} sampled" if len(lifted) < len(sols) else ""
+        record(stage, 0 < len(lifted) == len(sols), f"{len(lifted)} solutions lifted{info}")
     except (ValueError, RuntimeError) as e:
-        record("counting.lifting", False, str(e))
+        record(stage, False, str(e))
+    for name in (dense_check, "spectral.bohr-bound", "spectral.smoothing-mass",
+                 "counting.lifting"):
+        results.setdefault(name, (False, "not reached"))
     return results
 
 
@@ -372,8 +362,8 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, dict]:
     ctx = cfg.context()
     checks = _verify_checks(cfg, ctx)
     report = _base_report(cfg, "verify")
-    report["checks"] = {name: {"pass": ok, "info": info} for name, ok, info in checks}
-    report["all_pass"] = all(ok for _, ok, _ in checks)
+    report["checks"] = {name: {"pass": ok, "info": info} for name, (ok, info) in checks.items()}
+    report["all_pass"] = all(ok for ok, _ in checks.values())
     return report["all_pass"], report
 
 
@@ -437,27 +427,38 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
 # ----------------------------------------------------------------- transfer
 
 
+def _dense_class(cfg: ExperimentConfig, ctx: WTrickContext) -> TransferredSet:
+    """The densest class of the configured coloring: of [1, n] for an
+    integer coloring, of the primes <= n for a prime coloring."""
+    integers = ctx.variant == INTEGER_COLORING
+    col = make_coloring(
+        "integers" if integers else "primes", ctx.n, ctx.num_colors, cfg.coloring, cfg.seed
+    )
+    return (dense_class if integers else dense_prime_class)(col, ctx)
+
+
+def _lift_sample(dens: TransferredSet, ctx: WTrickContext) -> tuple[list, list]:
+    """The class's sampled Z_N solutions (at most 50) and the exact lifts of
+    those that lift; a solution that raises LiftingError is left out."""
+    sols = find_zn_solutions(dens.members, ctx, limit=50)
+    lifted = []
+    for xp, yp, zp in sols:
+        try:
+            lifted.append(lift_solution(xp, yp, zp, ctx))
+        except LiftingError:
+            pass
+    return sols, lifted
+
+
 def run_transfer(cfg: ExperimentConfig) -> dict:
     """End-to-end pipeline: context, coloring, dense class, measures, Bohr
     smoothing, counts, and exact lifting of sampled Z_N solutions; a solution
     that fails to lift is left out of `lifted_solutions` and counted."""
     ctx = cfg.context()
     measure = build_poly_prime_measure(ctx)
-    if ctx.variant == INTEGER_COLORING:
-        col = make_coloring("integers", ctx.n, ctx.num_colors, cfg.coloring, cfg.seed)
-        dens = dense_class(col, ctx)
-    else:
-        col = make_coloring("primes", ctx.n, ctx.num_colors, cfg.coloring, cfg.seed)
-        dens = dense_prime_class(col, ctx)
+    dens = _dense_class(cfg, ctx)
     rep = transference_report(dens, measure, eta=cfg.eta, eps=cfg.eps)
-    sols = find_zn_solutions(dens.members, ctx, limit=50)
-    lifted = []
-    for xp, yp, zp in sols:
-        try:
-            x, y, z = lift_solution(xp, yp, zp, ctx)
-        except LiftingError:
-            continue
-        lifted.append({"x": x, "y": y, "z": z})
+    sols, lifted = _lift_sample(dens, ctx)
     # measured stand-ins for the unspecified constants in the parameter conditions
     sup_nonzero = _nonzero_sup(measure)
     k_deg = ctx.psi.degree
@@ -474,7 +475,7 @@ def run_transfer(cfg: ExperimentConfig) -> dict:
     }
     report["transference"] = rep
     report["solutions_sampled"] = len(sols)
-    report["lifted_solutions"] = lifted
+    report["lifted_solutions"] = [{"x": x, "y": y, "z": z} for x, y, z in lifted]
     report["lifting_failures"] = len(sols) - len(lifted)
     report["parameter_conditions"] = {
         "C1_measured": c1_measured,
@@ -563,6 +564,7 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
         "mark_prime_class": 2 / ctx.N,
         "bohr_size": bohr.size,
         "large_spectrum_size": int(len(spec_r)),
+        "smoothing_regime": bohr.smoothing_regime,
     }
     if out_dir is not None:
         dump_density_csv(smoothed, os.path.join(out_dir, "smoothed.csv"))

@@ -12,7 +12,7 @@ import pytest
 
 from conftest import lambda_weight
 import polyprimelab
-from polyprimelab import coloring, experiments
+from polyprimelab import coloring, counting, experiments
 from polyprimelab.cli import main
 from polyprimelab.coloring import make_coloring, save_coloring
 from polyprimelab.experiments import (
@@ -153,6 +153,28 @@ class TestConfigParsing:
         assert capsys.readouterr().err == err.replace("error: ", "error: line 1: ", 1)
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command", ["verify", "transfer"])
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("bogus", "unknown coloring rule 'bogus'"),
+            ("residue:0", "residue modulus must be >= 1"),
+            ("interval:a", "interval cut 'a' is not an integer"),
+            (f"interval:1,{-(2**63) - 1}", f"interval cut {-(2**63) - 1} does not fit in int64"),
+        ],
+    )
+    def test_bad_coloring_rule_rejected(self, tmp_path, capsys, command, text, message):
+        # a malformed rule is a bad setting, refused before any stage runs
+        assert main([command, "--coloring-rule", text, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad value for 'coloring': {message}\n"
+        assert captured.out == ""
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"coloring = {text}\n")
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: line 1: bad value for 'coloring': {message}\n"
+        assert not list(tmp_path.glob("*.json"))
+
 
 SETTING_FLAGS = [
     (("--b0",), "b0", None),
@@ -271,7 +293,7 @@ class TestVerifyCommand:
         def fail(*args, **kwargs):
             raise RuntimeError("Bohr bound violated: |B| = 1 < eps^|R| * N = (1/8)^2 * 10007")
 
-        monkeypatch.setattr(experiments, "bohr_set", fail)
+        monkeypatch.setattr("polyprimelab.counting.bohr_set", fail)
         assert main(["verify", "--out", str(tmp_path)]) == 1
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
         assert checks["spectral.measure-well-defined"] == {"info": "M=40", "pass": True}
@@ -292,15 +314,15 @@ class TestVerifyCommand:
         assert checks["coloring.dense_prime_class"] == {
             "info": "mass=0.256569, mark=0.166667", "pass": True
         }
-        assert checks["counting.lifting"] == {"info": "25 solutions lifted", "pass": True}
+        assert checks["counting.lifting"] == {"info": "50 solutions lifted", "pass": True}
 
     def test_light_prime_class_fails(self, tmp_path, monkeypatch):
-        real = experiments.build_prime_coloring_measure
+        real = counting.build_prime_coloring_measure
 
         def light(members, ctx):
             return DensityFunction(real(members, ctx).values / 2)
 
-        monkeypatch.setattr(experiments, "build_prime_coloring_measure", light)
+        monkeypatch.setattr(counting, "build_prime_coloring_measure", light)
         args = ["--variant", "prime-coloring", "--psi", "1,1,4", "--b0", "1", "--w0", "1",
                 "--w", "2:2,3:1,5:1", "--n", "600000", "--out", str(tmp_path)]
         assert main(["verify", *args]) == 1
@@ -330,6 +352,47 @@ class TestVerifyCommand:
             "spectral.smoothing-mass"
         ]
         assert checks["spectral.smoothing-mass"]["info"].endswith("|B|=621, regime=fft")
+
+    def test_checks_the_configured_coloring(self, tmp_path):
+        # the class verify checks is the one transfer uses at the same config
+        args = ["--coloring-rule", "residue:3", "--out", str(tmp_path)]
+        assert main(["verify", *args]) == 0
+        assert main(["transfer", *args]) == 0
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        dense = json.loads((tmp_path / "transfer.json").read_text())["dense_class"]
+        assert dense["count"] == "4994"
+        assert checks["coloring.pigeonhole"] == {"info": "count=4994", "pass": True}
+
+    def test_scale_error_recorded_under_the_dense_class(self, tmp_path):
+        # n = 200 is too small for the dense class: the stages after it do not run
+        assert main(["verify", "--n", "200", "--out", str(tmp_path)]) == 1
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert len(checks) == 8
+        assert checks["spectral.measure-well-defined"] == {"info": "M=3", "pass": True}
+        assert checks["coloring.pigeonhole"] == {
+            "info": "n/(mKW) - psi(W) <= 0 at n = 200", "pass": False
+        }
+        for name in ("spectral.bohr-bound", "spectral.smoothing-mass", "counting.lifting"):
+            assert checks[name] == {"info": "not reached", "pass": False}
+
+    def test_lifting_failure_fails_the_check(self, tmp_path, monkeypatch):
+        from polyprimelab.counting import LiftingError
+
+        real = experiments.lift_solution
+        calls = []
+
+        def fail_once(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise LiftingError("nonzero gap multiplier l = 1")
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "lift_solution", fail_once)
+        assert main(["verify", "--out", str(tmp_path)]) == 1
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert [name for name, c in checks.items() if not c["pass"]] == ["counting.lifting"]
+        assert len(calls) == 50
+        assert checks["counting.lifting"]["info"] == "49 solutions lifted of 50 sampled"
 
 
 class TestSearchCommand:
@@ -741,10 +804,19 @@ class TestSpectrumCommand:
         assert report["minor_arc_decay"]["ratio"] is not None
         assert all(r["residual_ratio"] >= 0 for r in report["main_term_residual_trend"])
         assert "max_smoothed_measure" in report["smoothed_pointwise"]
+        assert report["smoothed_pointwise"]["smoothing_regime"] == "identity"
         assert (tmp_path / "measure.csv").exists()
         assert (tmp_path / "spectrum.csv").exists()
         header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
         assert header == "index,real,imaginary"
+
+    def test_smoothing_regime_recorded(self):
+        # eta = 7/10 leaves |B| = 621, so the measure takes the transform path
+        cfg = config_from_sources(
+            None, {"eta": Fraction(7, 10), "trend_n": (2003,), "trend_w": (1,)}
+        )
+        pointwise = run_spectrum(cfg)["smoothed_pointwise"]
+        assert (pointwise["bohr_size"], pointwise["smoothing_regime"]) == (621, "fft")
 
     def test_residual_ratio_matches_lambda_oracle(self):
         # at a = q = 1 and alpha = 0 the main term is psi_{b,W}(M), so each

@@ -19,6 +19,7 @@ from polyprimelab.coloring import (
     dense_prime_class,
     load_coloring,
     make_coloring,
+    parse_coloring_rule,
     save_coloring,
     write_int_rows,
 )
@@ -71,6 +72,29 @@ class TestMakeColoring:
             make_coloring("integers", 0, 2, "random")
         with pytest.raises(ValueError):
             make_coloring("integers", 10, 2, "nonsense")
+
+    @pytest.mark.parametrize(
+        "rule,parsed",
+        [("random", ("random", ())), ("residue:7", ("residue", (7,))),
+         ("interval:8,,4", ("interval", (4, 8))), ("interval:", ("interval", ())),
+         (f"residue:{2**63 - 1}", ("residue", (2**63 - 1,)))],
+    )
+    def test_rule_parsed(self, rule, parsed):
+        assert parse_coloring_rule(rule) == parsed
+
+    @pytest.mark.parametrize(
+        "rule",
+        ["residue", "residue:x", "residue:-2", f"residue:{2**63}", "interval:1,b", "Random"],
+    )
+    def test_malformed_rule_rejected_before_the_domain(self, monkeypatch, rule):
+        def never(*args):
+            pytest.fail("the domain was built for a malformed rule")
+
+        monkeypatch.setattr(coloring, "_domain_elements", never)
+        with pytest.raises(ValueError):
+            parse_coloring_rule(rule)
+        with pytest.raises(ValueError):
+            make_coloring("integers", 10, 2, rule)
 
 
 class TestColorTable:
