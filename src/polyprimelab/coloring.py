@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numtheory import check_progression, euler_phi, sieve_primes
+from .numtheory import check_progression, sieve_primes
 from .polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial
 from .wtrick import ScaleError, WTrickContext, check_cp
 
@@ -234,9 +234,9 @@ def dense_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSe
 def dense_prime_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSet:
     """Log-weighted densest prime class among admissible primes, mapped to Z_N.
 
-    The prime-number-theorem margin (1-kappa) n / (m phi(KW)) is recorded but
-    never enforced: theta(n)/n falls short of 1-kappa for every reachable n,
-    so the comparison is diagnostic only.
+    Its log weight is compared with the prime-number-theorem margin
+    (1-kappa) n / (m phi(KW)) by the `class_weight` link of
+    `counting.transference_report`, never enforced here.
     """
     if ctx.variant != PRIME_COLORING:
         raise ValueError("dense_prime_class requires a prime-coloring context")
@@ -254,18 +254,8 @@ def dense_prime_class(coloring: ColoringInstance, ctx: WTrickContext) -> Transfe
     weights = np.zeros(m + 1)
     np.add.at(weights, cand_colors, logs)
     best = int(np.argmax(weights[1:])) + 1
-    threshold = (1 - float(ctx.kappa)) * ctx.n / (m * euler_phi(ctx.K * ctx.W))
     members = (cand[cand_colors == best] - ctx.half_psi_b) // ctx.W
-    return TransferredSet(
-        ctx,
-        best,
-        members,
-        {
-            "weighted_sum": float(weights[best]),
-            "threshold": threshold,
-            "threshold_met": bool(weights[best] >= threshold),
-        },
-    )
+    return TransferredSet(ctx, best, members, {"weighted_sum": float(weights[best])})
 
 
 _ROW_BLOCK = 4096  # rows encoded per write by write_int_rows

@@ -1,11 +1,13 @@
 """Solution counting: additive triple counts via the spectrum (the explicit
 O(N^2) sum is a test oracle only), monochromatic solution search for
-x + y = psi(z) with z restricted to a progression's primes, and the exact
-lift of Z_N solutions to integer triples (x, y, z)."""
+x + y = psi(z) with z restricted to a progression's primes, the exact lift
+of Z_N solutions to integer triples (x, y, z), and the transference report,
+whose chain of inequalities is one `bound_link` record per link."""
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -26,14 +28,17 @@ from .wtrick import WTrickContext
 __all__ = [
     "LiftingError",
     "SearchVerificationError",
+    "bound_link",
     "find_monochromatic",
     "find_zn_solutions",
     "lift_solution",
+    "pointwise_link",
     "transference_report",
     "triple_count",
 ]
 
 _PAIR_BLOCK = 1 << 16  # pairs per block of the exact unweighted count
+_RELATIONS = {">=": operator.ge, "<=": operator.le}
 
 
 class LiftingError(ValueError):
@@ -222,18 +227,47 @@ def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:
     return float(counts @ measure.values[support])
 
 
+def bound_link(measured, relation: str, bound=None, log10_bound=None) -> dict:
+    """A link of the transference chain: `measured` `relation` (">=" or "<=")
+    `bound`, `holds` the relation applied, and log10(measured / bound) where
+    both are positive.  A bound beyond float range is given as `log10_bound`."""
+    link = {"measured": measured, "relation": relation}
+    if bound is None:
+        link["log10_bound"] = log10_bound
+        link["holds"] = _RELATIONS[relation](math.log10(measured), log10_bound)
+    else:
+        link["bound"] = bound
+        link["holds"] = bool(_RELATIONS[relation](measured, bound))
+        log10_bound = math.log10(bound) if bound > 0 else None
+    if measured > 0 and log10_bound is not None:
+        link["log10_ratio"] = math.log10(measured) - log10_bound
+    return link
+
+
+def pointwise_link(smoothed: DensityFunction, ctx: WTrickContext) -> dict:
+    """max |smoothed measure| against the pointwise bound (1 + 2 kappa)/N."""
+    bound = (1 + 2 * float(ctx.kappa)) / ctx.N
+    return bound_link(float(np.abs(smoothed.values).max()), "<=", bound)
+
+
+def _bohr_link(bohr, eps: Fraction) -> dict:
+    """|B| >= eps^|R| N, the bound as its log10: the power underflows."""
+    log10_eps = math.log10(eps.numerator) - math.log10(eps.denominator)
+    log10_bound = len(bohr.frequencies) * log10_eps + math.log10(bohr.modulus)
+    return bound_link(bohr.size, ">=", log10_bound=log10_bound)
+
+
 def transference_report(
     a_set: TransferredSet, measure: DensityFunction, eta: Fraction, eps: Fraction
 ) -> dict:
     """End-to-end weighted-count comparison for one transferred set against
     its context's measure (`spectral.build_poly_prime_measure`).
 
-    Computes the raw and smoothed triple counts, both diagonal corrections
-    (the exact diagonal and the full-mass bound actually subtracted in the
-    inequality chain), the dense-model set sizes against their (1-3kappa)N
-    and 2kappa*N marks, and the final lower-bound comparisons.  Asymptotic
-    bounds are recorded, never enforced.  When neither Bohr set smooths
-    anything (both are {0}), the smoothed count is the raw count.
+    Computes the raw and smoothed triple counts and the exact diagonal, and
+    states each inequality of the argument once, as a `bound_link` record
+    under `chain`.  Asymptotic bounds are recorded, never enforced.  When
+    neither Bohr set smooths anything (both are {0}), the smoothed count is
+    the raw count.  A prime class's `meta` must hold its `weighted_sum`.
 
     For a prime coloring the final inequality counts the class's unweighted
     pairs, `unweighted_count` = sum over x, y in A of measure(x + y), with
@@ -278,15 +312,22 @@ def transference_report(
     else:
         smoothed = triple_count(f_smooth, f_smooth, smoothed_measure).real
 
-    frak_a = np.flatnonzero(smoothed_measure.values >= kappa / n_mod)
+    mass_smoothed = smoothed_measure.mass.real
+    frak_a = int(np.count_nonzero(smoothed_measure.values >= kappa / n_mod))
+    chain = {  # frak A = {smoothed measure >= kappa/N}
+        "pointwise_measure": pointwise_link(smoothed_measure, ctx),
+        "frak_A": bound_link(frak_a, ">=", (1 - 3 * kappa) * n_mod),
+        "bohr_measure": _bohr_link(bohr, eps),
+        "smoothing_mass": bound_link(
+            abs(mass_smoothed - mass_measure), "<=", 1e-9 * max(1.0, abs(mass_measure))
+        ),
+    }
     report = {
         "variant": ctx.variant,
         "N": n_mod,
         "kappa": ctx.kappa,
         "mass_measure": mass_measure,
-        "mass_smoothed_measure": smoothed_measure.mass.real,
-        "max_smoothed_measure": float(np.abs(smoothed_measure.values).max()),
-        "smoothed_pointwise_mark": (1 + 2 * kappa) / n_mod,
+        "mass_smoothed_measure": mass_smoothed,
         "large_spectrum_size": int(len(spec_r)),
         "bohr_size": bohr.size,
         "smoothing_regime": bohr.smoothing_regime,
@@ -294,47 +335,33 @@ def transference_report(
         "smoothed_count": smoothed,
         "count_difference": raw - smoothed,
         "diagonal_exact": diag_exact,
-        "diagonal_bound": mass_measure,
-        "frak_A_size": int(len(frak_a)),
-        "frak_A_mark": (1 - 3 * kappa) * n_mod,
-        "frak_A_meets_mark": bool(len(frak_a) >= (1 - 3 * kappa) * n_mod),
+        "chain": chain,
     }
-    max_smooth_ok = report["max_smoothed_measure"] <= report["smoothed_pointwise_mark"]
-    lhs = (1 + 2 * kappa) * len(frak_a) / n_mod + kappa * (n_mod - len(frak_a)) / n_mod
-    report["pointwise_bound_holds"] = bool(max_smooth_ok)
-    report["frak_A_chain_consistent"] = bool(
-        (not max_smooth_ok) or lhs >= report["mass_smoothed_measure"] - 1e-9
-    )
 
     if ctx.variant == INTEGER_COLORING:
-        report["set_size"] = int(len(a_set.members))
-        report["raw_minus_diagonal_bound"] = raw - mass_measure
-        report["raw_minus_diagonal_exact"] = raw - diag_exact
-        report["final_mark"] = kappa**4 * n_mod / 3
-        report["final_holds_diag_bound"] = bool(raw - mass_measure >= kappa**4 * n_mod / 3)
-        report["final_holds_diag_exact"] = bool(raw - diag_exact >= kappa**4 * n_mod / 3)
+        final = kappa**4 * n_mod / 3
+        chain["dense_class"] = bound_link(
+            len(a_set.members), ">=", n_mod / (4 * ctx.num_colors * ctx.K)
+        )
+        chain["final_diag_bound"] = bound_link(raw - mass_measure, ">=", final)
+        chain["final_diag_exact"] = bound_link(raw - diag_exact, ">=", final)
     else:
-        a_dash = np.flatnonzero(f_smooth.values >= kappa / n_mod)
         kw = ctx.K * ctx.W
         amax = euler_phi(kw) / kw * math.log(kw * n_mod + ctx.psi(ctx.b)) / n_mod
-        report["mass_prime_class"] = f.mass.real
-        report["mass_prime_class_mark"] = 1 / (3 * ctx.num_colors * ctx.K)
-        report["mass_prime_class_meets_mark"] = bool(
-            f.mass.real >= 1 / (3 * ctx.num_colors * ctx.K)
+        a_dash = int(np.count_nonzero(f_smooth.values >= kappa / n_mod))  # A'
+        chain["class_mass"] = bound_link(f.mass.real, ">=", 1 / (3 * ctx.num_colors * ctx.K))
+        # the class's log weight against the prime-number-theorem margin
+        weight_bound = (1 - kappa) * ctx.n / (ctx.num_colors * euler_phi(kw))
+        chain["class_weight"] = bound_link(a_set.meta["weighted_sum"], ">=", weight_bound)
+        chain["A_dash"] = bound_link(a_dash, ">=", 2 * kappa * n_mod)
+        chain["pointwise_class"] = bound_link(float(np.abs(f_smooth.values).max()), "<=", 2 / n_mod)
+        chain["bohr_class"] = _bohr_link(bohr2, eps)
+        chain["final"] = bound_link(
+            unweighted - diag_unweighted, ">=", kappa**6 / (3 * n_mod) / amax**2
         )
-        report["A_dash_size"] = int(len(a_dash))
-        report["A_dash_mark"] = 2 * kappa * n_mod
-        report["A_dash_meets_mark"] = bool(len(a_dash) >= 2 * kappa * n_mod)
         report["class_large_spectrum_size"] = int(len(spec_r2))
         report["class_bohr_size"] = bohr2.size
         report["class_smoothing_regime"] = bohr2.smoothing_regime
-        report["max_smoothed_class"] = float(np.abs(f_smooth.values).max())
-        report["smoothed_class_mark"] = 2 / n_mod
         report["pointwise_weight_cap"] = amax
         report["unweighted_count"] = unweighted
-        report["unweighted_minus_diagonal"] = unweighted - diag_unweighted
-        report["final_mark"] = kappa**6 / (3 * n_mod) / amax**2
-        report["final_holds"] = bool(
-            unweighted - diag_unweighted >= kappa**6 / (3 * n_mod) / amax**2
-        )
     return report

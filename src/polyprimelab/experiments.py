@@ -1,6 +1,7 @@
 """Batch orchestration: experiment configuration, the checks `verify` makes
-of a configuration, monochromatic search, the blocking counterexample, the
-transference pipeline, and spectrum/diagnostic dumps.  Reports are deterministic JSON
+of a configuration (read from the transference chain's records where it has
+one), monochromatic search, the blocking counterexample, the transference
+pipeline, and spectrum/diagnostic dumps.  Reports are deterministic JSON
 with every integer rendered as a decimal string.  A setting is declared once,
 on its `ExperimentConfig` field, with its default, config key, parser and flag."""
 
@@ -30,6 +31,7 @@ from .counting import (
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
+    pointwise_link,
     transference_report,
 )
 from .polynomials import INTEGER_COLORING, VARIANTS, IntPolynomial
@@ -219,30 +221,25 @@ def config_from_sources(path=None, overrides: dict | None = None) -> ExperimentC
 
 def _stringify(obj):
     """Render every integer as a decimal string (bools stay bools)."""
-    if isinstance(obj, bool):
+    if isinstance(obj, (bool, float)):  # numpy's float64 is a float
         return obj
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return obj
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
     if isinstance(obj, (list, tuple)):
         return [_stringify(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): _stringify(v) for k, v in obj.items()}
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (np.integer,)):
-        return str(int(obj))
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
+    return float(obj) if isinstance(obj, np.floating) else obj
 
 
 def write_report(report: dict, path) -> None:
+    """The report as JSON; a NaN or an infinity raises before the file opens."""
+    text = json.dumps(_stringify(report), sort_keys=True, indent=2, allow_nan=False)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_stringify(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _base_report(cfg: ExperimentConfig, command: str) -> dict:
@@ -279,16 +276,15 @@ def _nonzero_sup(f: DensityFunction) -> float:
     return float(np.abs(f.spectrum[1:]).max()) if f.modulus > 1 else 0.0
 
 
-def density_summary(f: DensityFunction, rho_list) -> dict:
-    return {
-        "modulus": f.modulus,
-        "mass": f.mass.real,
-        "max_nonzero_spectral_value": _nonzero_sup(f),
-        "restriction_norms": {str(r): restriction_norm(f, r) for r in rho_list},
-    }
-
-
 # ----------------------------------------------------------------- verify
+
+
+def _link_info(key: str, link: dict) -> str:
+    """`dense_class: measured=4994 >= bound=1250.88`; a log10 bound reads `10^-3649`."""
+    m = link["measured"]
+    measured = m if isinstance(m, int) else f"{m:.6g}"
+    bound = f"{link['bound']:.6g}" if "bound" in link else f"10^{link['log10_bound']:.6g}"
+    return f"{key}: measured={measured} {link['relation']} bound={bound}"
 
 
 def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> dict[str, tuple[bool, str]]:
@@ -299,9 +295,10 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> dict[str, tuple
     def record(name: str, ok: bool, info: str = "") -> None:
         results[name] = (bool(ok), info)
 
-    # context invariants
+    # context invariants: the info names each failing one with its values
     inv = ctx.verify_invariants()
-    record("wtrick.context-invariants", all(ok for _, ok, _ in inv), str(inv))
+    failed = "; ".join(f"{name}: {info}" for name, ok, info in inv if not ok)
+    record("wtrick.context-invariants", not failed, failed or f"{len(inv)} invariants hold")
 
     # gcd identity (inconclusive counts as pass only when expected)
     g = verify_gcd_identity(ctx)
@@ -330,21 +327,17 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> dict[str, tuple
         record(stage, True, f"M={ctx.M}")
         stage = dense_check
         dens = _dense_class(cfg, ctx)
-        if integers:
-            count = int(dens.meta["count"])
-            record(stage, count * ctx.num_colors * 4 * ctx.K >= ctx.N, f"count={count}")
         stage = "spectral.bohr-bound"
         rep = transference_report(dens, measure, eta=cfg.eta, eps=cfg.eps)
-        r_size, b_size, mass = rep["large_spectrum_size"], rep["bohr_size"], rep["mass_measure"]
-        record(stage, b_size >= cfg.eps**r_size * ctx.N, f"|B|={b_size}, |R|={r_size}")
-        record(
-            "spectral.smoothing-mass",
-            abs(rep["mass_smoothed_measure"] - mass) < 1e-9 * max(1.0, abs(mass)),
-            f"mass={mass:.6f}, |B|={b_size}, regime={rep['smoothing_regime']}",
-        )
-        if not integers:
-            info = f"mass={rep['mass_prime_class']:.6g}, mark={rep['mass_prime_class_mark']:.6g}"
-            record(dense_check, rep["mass_prime_class_meets_mark"], info)
+        regime = f", regime={rep['smoothing_regime']}"
+        for name, keys, tail in (
+            (dense_check, ("dense_class", "class_mass"), ""),
+            ("spectral.bohr-bound", ("bohr_measure", "bohr_class"), ""),
+            ("spectral.smoothing-mass", ("smoothing_mass",), regime),
+        ):
+            links = [(key, rep["chain"][key]) for key in keys if key in rep["chain"]]
+            info = "; ".join(_link_info(key, link) for key, link in links)
+            record(name, all(link["holds"] for _, link in links), info + tail)
         stage = "counting.lifting"
         sols, lifted = _lift_sample(dens, ctx)
         info = f" of {len(sols)} sampled" if len(lifted) < len(sols) else ""
@@ -459,13 +452,6 @@ def run_transfer(cfg: ExperimentConfig) -> dict:
     dens = _dense_class(cfg, ctx)
     rep = transference_report(dens, measure, eta=cfg.eta, eps=cfg.eps)
     sols, lifted = _lift_sample(dens, ctx)
-    # measured stand-ins for the unspecified constants in the parameter conditions
-    sup_nonzero = _nonzero_sup(measure)
-    k_deg = ctx.psi.degree
-    w_level = max(ctx.smoothing_level, 2)
-    c1_measured = sup_nonzero * w_level ** (1 / (k_deg * (k_deg + 3))) / ctx.K
-    eps_cond_rhs = (1 / float(ctx.kappa)) * sup_nonzero
-    r_size = rep["large_spectrum_size"]
     report = _base_report(cfg, "transfer")
     report["context"] = ctx.to_json_dict()
     report["dense_class"] = {
@@ -477,12 +463,6 @@ def run_transfer(cfg: ExperimentConfig) -> dict:
     report["solutions_sampled"] = len(sols)
     report["lifted_solutions"] = [{"x": x, "y": y, "z": z} for x, y, z in lifted]
     report["lifting_failures"] = len(sols) - len(lifted)
-    report["parameter_conditions"] = {
-        "C1_measured": c1_measured,
-        "eps_power_R": float(Fraction(cfg.eps) ** r_size),
-        "eps_condition_rhs_measured": eps_cond_rhs,
-        "eps_condition_holds_measured": bool(float(Fraction(cfg.eps) ** r_size) >= eps_cond_rhs),
-    }
     return report
 
 
@@ -500,8 +480,12 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
     report["context_N"] = ctx.N
     report["context_kappa"] = ctx.kappa
     measure = build_poly_prime_measure(ctx)
-    summary = density_summary(measure, cfg.rho)
-    report["measure_summary"] = summary
+    report["measure_summary"] = {
+        "modulus": measure.modulus,
+        "mass": measure.mass.real,
+        "max_nonzero_spectral_value": _nonzero_sup(measure),
+        "restriction_norms": {str(r): restriction_norm(measure, r) for r in cfg.rho},
+    }
 
     if out_dir is not None:
         dump_density_csv(measure, os.path.join(out_dir, "measure.csv"))
@@ -552,16 +536,12 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
         "ratio": (s_golden / s0) if s0 else None,
     }
 
-    # diagnostic: smoothed pointwise maxima against (1+2kappa)/N, with the
-    # 2/N mark used for prime-coloring classes
+    # diagnostic: the smoothed measure's pointwise maximum against (1+2kappa)/N
     spec_r = large_spectrum(measure, float(cfg.eta))
     bohr = bohr_set(spec_r, cfg.eps, ctx.N)
     smoothed = smooth(measure, bohr)
-    kappa = float(ctx.kappa)
     report["smoothed_pointwise"] = {
-        "max_smoothed_measure": float(np.abs(smoothed.values).max()),
-        "mark_measure": (1 + 2 * kappa) / ctx.N,
-        "mark_prime_class": 2 / ctx.N,
+        "measure": pointwise_link(smoothed, ctx),
         "bohr_size": bohr.size,
         "large_spectrum_size": int(len(spec_r)),
         "smoothing_regime": bohr.smoothing_regime,

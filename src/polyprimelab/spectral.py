@@ -460,10 +460,15 @@ def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
 
 
 def restriction_norm(f: DensityFunction, rho: float) -> float:
-    """sum_r |fhat(r)|^rho, for 0 < rho < inf (a NaN rho is rejected)."""
+    """sum_r |fhat(r)|^rho, for 0 < rho < inf (a NaN rho is rejected); a sum
+    beyond float64 raises ValueError."""
     if not 0 < rho < math.inf:
         raise ValueError("requires 0 < rho < inf")
-    return float((np.abs(f.spectrum) ** rho).sum())
+    with np.errstate(over="ignore"):
+        total = float((np.abs(f.spectrum) ** rho).sum())
+    if not math.isfinite(total):
+        raise ValueError(f"sum_r |fhat(r)|^rho overflows float64 at rho = {rho}")
+    return total
 
 
 def _e(numer: int, denom: int) -> complex:

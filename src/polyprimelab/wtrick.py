@@ -246,11 +246,6 @@ class WTrickContext:
     bertrand_fallback: bool = False
 
     @property
-    def smoothing_level(self) -> int:
-        """Largest prime in the smooth modulus (0 when W = 1)."""
-        return max(self.smooth_exponents, default=0)
-
-    @property
     def progression(self) -> tuple[int, int]:
         """(residue, modulus) of the progression carrying the measure."""
         return self.w0 * self.b + self.b0, self.W * self.w0

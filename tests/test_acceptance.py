@@ -250,15 +250,15 @@ def test_criterion_11_diagnostics_emitted(tmp_path):
     # minor-arc decay ratio
     decay = report["minor_arc_decay"]
     assert 0 <= decay["ratio"] < 1
-    # smoothed pointwise maxima against the (1+2kappa)/N and 2/N marks
-    sp = report["smoothed_pointwise"]
-    assert sp["max_smoothed_measure"] > 0
-    assert sp["mark_measure"] == pytest.approx((1 + 2 * 1 / 20000) / int(report["context_N"]))
-    assert sp["mark_prime_class"] == pytest.approx(2 / int(report["context_N"]))
+    # the smoothed measure's pointwise maximum against (1+2kappa)/N
+    sp = report["smoothed_pointwise"]["measure"]
+    assert sp["measured"] > 0
+    assert sp["bound"] == pytest.approx((1 + 2 * 1 / 20000) / int(report["context_N"]))
+    assert sp["holds"] == (sp["measured"] <= sp["bound"])
     write_report(report, tmp_path / "diag.json")
     assert (tmp_path / "diag.json").exists()
     _report(
         "11",
         f"sup-vs-W {len(sups)} pts, norm trend {len(norms)} pts, "
-        f"decay ratio {decay['ratio']:.4f}, pointwise marks present",
+        f"decay ratio {decay['ratio']:.4f}, pointwise bound present",
     )

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -268,26 +269,38 @@ class TestVerifyCommand:
         assert main(["verify", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify.json").read_text())
         assert report["all_pass"] is True
-        # B = {0}: the smoothed measure is the measure, which the info says
-        assert report["checks"]["spectral.smoothing-mass"]["info"].endswith(
-            "|B|=1, regime=identity"
+        # B = {0}: the smoothed measure is the measure, which the info says;
+        # each info shows the measured value against its bound
+        checks = report["checks"]
+        assert checks["spectral.smoothing-mass"]["info"] == (
+            "smoothing_mass: measured=0 <= bound=1e-09, regime=identity"
         )
+        # (1/8)^3649 * 10007 underflows a float: the bound is shown as its log10
+        assert checks["spectral.bohr-bound"]["info"] == "bohr_measure: measured=1 >= bound=10^-3649"
+        assert checks["wtrick.context-invariants"]["info"] == "6 invariants hold"
         assert report["version"]
         assert report["config"]["n"] == "30000"
 
-    def test_corrupted_context_fails_named_invariant(self, monkeypatch):
+    def test_corrupted_context_fails_named_invariant(self, tmp_path, monkeypatch, capsys):
         import dataclasses
 
         build = ExperimentConfig.context
 
         def corrupt(cfg):
+            # K and kappa = 1/(10^4 K m) stay consistent, so only the
+            # recomputed product K breaks
             ctx = build(cfg)
-            return dataclasses.replace(ctx, K=ctx.K * 7)
+            k = ctx.K * 7
+            return dataclasses.replace(ctx, K=k, kappa=Fraction(1, 10**4 * k * ctx.num_colors))
 
         monkeypatch.setattr(ExperimentConfig, "context", corrupt)
         ok, report = run_verify(ExperimentConfig())
         assert not ok
-        assert not report["checks"]["wtrick.context-invariants"]["pass"]
+        assert report["checks"]["wtrick.context-invariants"] == {
+            "info": "k-product: K=7 vs 1", "pass": False
+        }
+        assert main(["verify", "--out", str(tmp_path)]) == 1
+        assert "FAIL  wtrick.context-invariants  k-product: K=7 vs 1\n" in capsys.readouterr().out
 
     def test_bohr_failure_recorded_under_its_own_name(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
@@ -312,8 +325,13 @@ class TestVerifyCommand:
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
         assert len(checks) == 8
         assert checks["coloring.dense_prime_class"] == {
-            "info": "mass=0.256569, mark=0.166667", "pass": True
+            "info": "class_mass: measured=0.256569 >= bound=0.166667", "pass": True
         }
+        # the measure's Bohr bound and the class's, each against its bound
+        assert checks["spectral.bohr-bound"]["info"] == (
+            "bohr_measure: measured=1 >= bound=10^-12730.2; "
+            "bohr_class: measured=20011 >= bound=10^3.39818"
+        )
         assert checks["counting.lifting"] == {"info": "50 solutions lifted", "pass": True}
 
     def test_light_prime_class_fails(self, tmp_path, monkeypatch):
@@ -330,7 +348,9 @@ class TestVerifyCommand:
         assert [name for name, c in checks.items() if not c["pass"]] == [
             "coloring.dense_prime_class"
         ]
-        assert checks["coloring.dense_prime_class"]["info"] == "mass=0.128285, mark=0.166667"
+        assert checks["coloring.dense_prime_class"]["info"] == (
+            "class_mass: measured=0.128285 >= bound=0.166667"
+        )
 
     def test_empty_config_usage_error(self, tmp_path):
         cfg = tmp_path / "empty.cfg"
@@ -351,7 +371,11 @@ class TestVerifyCommand:
         assert [name for name, c in checks.items() if not c["pass"]] == [
             "spectral.smoothing-mass"
         ]
-        assert checks["spectral.smoothing-mass"]["info"].endswith("|B|=621, regime=fft")
+        info = checks["spectral.smoothing-mass"]["info"]
+        assert info.startswith("smoothing_mass: measured=") and info.endswith("regime=fft")
+        # b's spectrum doubles, so smoothing by b twice scales the mass by 4
+        measured = float(info.split("measured=")[1].split(" ")[0])
+        assert measured > 2 and "<= bound=1e-09" in info
 
     def test_checks_the_configured_coloring(self, tmp_path):
         # the class verify checks is the one transfer uses at the same config
@@ -361,7 +385,9 @@ class TestVerifyCommand:
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
         dense = json.loads((tmp_path / "transfer.json").read_text())["dense_class"]
         assert dense["count"] == "4994"
-        assert checks["coloring.pigeonhole"] == {"info": "count=4994", "pass": True}
+        assert checks["coloring.pigeonhole"] == {
+            "info": "dense_class: measured=4994 >= bound=1250.88", "pass": True
+        }
 
     def test_scale_error_recorded_under_the_dense_class(self, tmp_path):
         # n = 200 is too small for the dense class: the stages after it do not run
@@ -662,7 +688,7 @@ class TestTransferCommand:
         report = json.loads((tmp_path / "transfer.json").read_text())
         assert report["lifting_failures"] == "0"
         assert int(report["solutions_sampled"]) > 0
-        assert "transference" in report and "parameter_conditions" in report
+        assert "chain" in report["transference"] and "parameter_conditions" not in report
         for sol in report["lifted_solutions"][:5]:
             x, y, z = int(sol["x"]), int(sol["y"]), int(sol["z"])
             assert x + y == z * z + z
@@ -784,8 +810,9 @@ class TestTransferCommand:
         cfg = config_from_sources(None, PRIME_TRANSFER)
         report = run_transfer(cfg)
         assert report["lifting_failures"] == 0
-        assert report["transference"]["mass_prime_class"] > 0
-        assert "A_dash_size" in report["transference"]
+        chain = report["transference"]["chain"]
+        assert chain["class_mass"]["measured"] > 0
+        assert "A_dash" in chain
 
 
 class TestSpectrumCommand:
@@ -796,6 +823,17 @@ class TestSpectrumCommand:
         assert capsys.readouterr().err == "error: requires 0 < rho < inf\n"
         assert not (tmp_path / "spectrum.json").exists()
 
+    def test_overflowing_restriction_norm_writes_no_report(self, tmp_path, capsys):
+        # |fhat(0)|^100000 is beyond float64: one error line and no report,
+        # where the sum used to be written as Infinity
+        args = ["--variant", "prime-coloring", "--psi", "1,1,4", "--b0", "1", "--w0", "1",
+                "--w", "2:2,3:1,5:1", "--n", "600000", "--rho", "4,64,100000"]
+        assert main(["spectrum", *args, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: sum_r |fhat(r)|^rho overflows float64 at rho = 100000.0\n"
+        )
+        assert not (tmp_path / "spectrum.json").exists()
+
     def test_diagnostics_present(self, tmp_path):
         cfg = config_from_sources(None, {"n": 30000, "trend_n": (2003, 4001), "trend_w": (1, 3)})
         report = run_spectrum(cfg, str(tmp_path))
@@ -803,7 +841,7 @@ class TestSpectrumCommand:
         assert len(report["restriction_norm_trend"]) == 2
         assert report["minor_arc_decay"]["ratio"] is not None
         assert all(r["residual_ratio"] >= 0 for r in report["main_term_residual_trend"])
-        assert "max_smoothed_measure" in report["smoothed_pointwise"]
+        assert report["smoothed_pointwise"]["measure"]["relation"] == "<="
         assert report["smoothed_pointwise"]["smoothing_regime"] == "identity"
         assert (tmp_path / "measure.csv").exists()
         assert (tmp_path / "spectrum.csv").exists()
@@ -876,6 +914,13 @@ class TestReportDeterminism:
         write_report(b, pb)
         assert pa.read_bytes() == pb.read_bytes()
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "r.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_report({"ok": 1.0, "bad": {"x": value}}, path)
+        assert not path.exists()
+
     def test_integers_rendered_as_strings(self, tmp_path):
         cfg = config_from_sources(None, {"n": 30000, "seed": 17})
         report = run_counterexample(
@@ -886,3 +931,114 @@ class TestReportDeterminism:
         data = json.loads(path.read_text())
         assert isinstance(data["threshold_T"], str)
         assert isinstance(data["classes"]["1"]["count"], str)
+
+
+def bench_argv(name: str) -> list[str]:
+    """A workload's argv as the benchmark harness runs it."""
+    import importlib.util
+
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)  # run.py imports its sibling modules
+    spec = importlib.util.spec_from_file_location("perfbench_run", os.path.join(perfbench, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS[name]
+
+
+def chain_records(node, path=""):
+    """(path, record) for every bound record in a report: a dict with a relation."""
+    if isinstance(node, dict):
+        if "relation" in node:
+            yield path, node
+        for key, value in node.items():
+            yield from chain_records(value, f"{path}.{key}" if path else key)
+
+
+def floats(node, path=""):
+    """(path, value) for every float in a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from floats(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from floats(value, f"{path}.{i}")
+    elif isinstance(node, float):
+        yield path, node
+
+
+def read_strict(path) -> dict:
+    """A report read back with NaN and Infinity refused."""
+
+    def refuse(name):
+        raise AssertionError(f"{name} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+# zeros that are exact, not rounded: under the identity regime the smoothed
+# measure is the measure itself and the smoothed count is the raw count
+EXACT_ZEROS = {"transference.count_difference", "transference.chain.smoothing_mass.measured"}
+
+
+def check_records(report: dict) -> int:
+    """Each record's holds and log10_ratio against its measured and bound,
+    and no float of the report made 0.0 by rounding; returns the record count."""
+    records = list(chain_records(report))
+    for path, rec in records:
+        assert rec["relation"] in (">=", "<="), path
+        measured = float(rec["measured"])
+        if "bound" in rec:
+            lhs, rhs = measured, rec["bound"]
+            log10_bound = math.log10(rhs) if rhs > 0 else None
+        else:
+            lhs, rhs = math.log10(measured), rec["log10_bound"]
+            log10_bound = rhs
+        assert rec["holds"] is (lhs >= rhs if rec["relation"] == ">=" else lhs <= rhs), path
+        if measured > 0 and log10_bound is not None:
+            ratio = rec["log10_ratio"]
+            assert math.isfinite(ratio), path
+            assert ratio == pytest.approx(math.log10(measured) - log10_bound, abs=1e-9), path
+        else:
+            assert "log10_ratio" not in rec, path
+    for path, value in floats(report):
+        if value == 0.0:
+            assert path in EXACT_ZEROS, path
+            assert report["transference"]["smoothing_regime"] == "identity", path
+    return len(records)
+
+
+class TestChainRecords:
+    @pytest.mark.parametrize("workload,links", [("transfer-int", 7), ("transfer-prime", 10)])
+    def test_transfer_at_bench_config(self, tmp_path, workload, links):
+        assert main([*bench_argv(workload), "--seed", "7", "--out", str(tmp_path)]) == 0
+        report = read_strict(tmp_path / "transfer.json")
+        assert "parameter_conditions" not in report
+        assert check_records(report) == links == len(report["transference"]["chain"])
+        if workload == "transfer-int":
+            # (1/8)^455 * 1000003, which used to be written as a literal 0.0
+            bohr = report["transference"]["chain"]["bohr_measure"]
+            assert report["transference"]["large_spectrum_size"] == "455"
+            assert bohr["log10_bound"] == pytest.approx(455 * math.log10(1 / 8) + 6.0, abs=1e-5)
+
+    def test_verify_reads_the_records(self, tmp_path, monkeypatch):
+        seen = []
+        real = experiments.transference_report
+
+        def kept(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(experiments, "transference_report", kept)
+        assert main(["verify", "--out", str(tmp_path)]) == 0
+        (rep,) = seen
+        write_report({"transference": rep}, tmp_path / "chain.json")
+        assert check_records(read_strict(tmp_path / "chain.json")) == 7
+        checks = read_strict(tmp_path / "verify.json")["checks"]
+        for name, key in [
+            ("coloring.pigeonhole", "dense_class"),
+            ("spectral.bohr-bound", "bohr_measure"),
+            ("spectral.smoothing-mass", "smoothing_mass"),
+        ]:
+            assert checks[name]["pass"] is rep["chain"][key]["holds"], name
+            assert checks[name]["info"].startswith(f"{key}: measured="), name

@@ -4,6 +4,7 @@ import os
 import tempfile
 import threading
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -212,9 +213,19 @@ class TestDensePrimeClass:
         assert dens.meta["weighted_sum"] > 0
 
     def test_threshold_reported_not_enforced(self, ctx_prime):
+        # the class's log weight against (1 - kappa) n / (m phi(KW)) is a
+        # link of the transference chain: recorded, and nothing raises
+        from polyprimelab.counting import transference_report
+        from polyprimelab.spectral import build_poly_prime_measure
+
         col = make_coloring("primes", ctx_prime.n, 2, "random", 13)
         dens = dense_prime_class(col, ctx_prime)
-        assert "threshold" in dens.meta and "threshold_met" in dens.meta
+        rep = transference_report(
+            dens, build_poly_prime_measure(ctx_prime), Fraction(1, 20), Fraction(1, 8)
+        )
+        link = rep["chain"]["class_weight"]
+        assert link["measured"] == dens.meta["weighted_sum"]
+        assert link["holds"] is (link["measured"] >= link["bound"])
         assert len(dens.members) > 0
         assert all(m % ctx_prime.K == 0 for m in dens.members[:20].tolist())
 

@@ -18,6 +18,7 @@ from polyprimelab.counting import (
     LiftingError,
     _at_double,
     _unweighted_count,
+    bound_link,
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
@@ -314,15 +315,30 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
     frak_a = np.flatnonzero(smoothed_measure.values.real >= kappa / n_mod)
     max_smoothed = float(np.abs(smoothed_measure.values).max())
     mass_smoothed = smoothed_measure.mass.real
-    lhs = (1 + 2 * kappa) * len(frak_a) / n_mod + kappa * (n_mod - len(frak_a)) / n_mod
+
+    def link(measured, relation, bound):
+        holds = bool(measured >= bound if relation == ">=" else measured <= bound)
+        return {"measured": measured, "relation": relation, "bound": bound, "holds": holds}
+
+    def bohr_link(spec, bohr):
+        log10_bound = len(spec) * math.log10(eps) + math.log10(n_mod)
+        holds = math.log10(bohr.size) >= log10_bound
+        return {"measured": bohr.size, "relation": ">=", "log10_bound": log10_bound, "holds": holds}
+
+    chain = {
+        "pointwise_measure": link(max_smoothed, "<=", (1 + 2 * kappa) / n_mod),
+        "frak_A": link(int(len(frak_a)), ">=", (1 - 3 * kappa) * n_mod),
+        "bohr_measure": bohr_link(spec_r, bohr),
+        "smoothing_mass": link(
+            abs(mass_smoothed - mass_measure), "<=", 1e-9 * max(1.0, abs(mass_measure))
+        ),
+    }
     report = {
         "variant": ctx.variant,
         "N": n_mod,
         "kappa": ctx.kappa,
         "mass_measure": mass_measure,
         "mass_smoothed_measure": mass_smoothed,
-        "max_smoothed_measure": max_smoothed,
-        "smoothed_pointwise_mark": (1 + 2 * kappa) / n_mod,
         "large_spectrum_size": int(len(spec_r)),
         "bohr_size": bohr.size,
         "smoothing_regime": regime(bohr),
@@ -330,24 +346,14 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
         "smoothed_count": smoothed,
         "count_difference": raw - smoothed,
         "diagonal_exact": diag_exact,
-        "diagonal_bound": mass_measure,
-        "frak_A_size": int(len(frak_a)),
-        "frak_A_mark": (1 - 3 * kappa) * n_mod,
-        "frak_A_meets_mark": bool(len(frak_a) >= (1 - 3 * kappa) * n_mod),
-        "pointwise_bound_holds": max_smoothed <= (1 + 2 * kappa) / n_mod,
-        "frak_A_chain_consistent": bool(
-            max_smoothed > (1 + 2 * kappa) / n_mod or lhs >= mass_smoothed - 1e-9
-        ),
+        "chain": chain,
     }
     if ctx.variant == INTEGER_COLORING:
-        final_mark = kappa**4 * n_mod / 3
-        report.update(
-            set_size=int(len(a_set.members)),
-            raw_minus_diagonal_bound=raw - mass_measure,
-            raw_minus_diagonal_exact=raw - diag_exact,
-            final_mark=final_mark,
-            final_holds_diag_bound=bool(raw - mass_measure >= final_mark),
-            final_holds_diag_exact=bool(raw - diag_exact >= final_mark),
+        final_bound = kappa**4 * n_mod / 3
+        chain.update(
+            dense_class=link(int(len(a_set.members)), ">=", n_mod / (4 * ctx.num_colors * ctx.K)),
+            final_diag_bound=link(raw - mass_measure, ">=", final_bound),
+            final_diag_exact=link(raw - diag_exact, ">=", final_bound),
         )
         return report
     kw = ctx.K * ctx.W
@@ -355,36 +361,47 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
     unweighted = triple_count(indicator, indicator, measure).real
     diag_unweighted = float((indicator.values**2 * at_double).sum().real)
     a_dash = np.flatnonzero(f_smooth.values.real >= kappa / n_mod)
-    mass_f = f.mass.real
-    final_mark = kappa**6 / (3 * n_mod) / amax**2
+    chain.update(
+        class_mass=link(f.mass.real, ">=", 1 / (3 * ctx.num_colors * ctx.K)),
+        class_weight=link(
+            a_set.meta["weighted_sum"], ">=", (1 - kappa) * ctx.n / (ctx.num_colors * euler_phi(kw))
+        ),
+        A_dash=link(int(len(a_dash)), ">=", 2 * kappa * n_mod),
+        pointwise_class=link(float(np.abs(f_smooth.values).max()), "<=", 2 / n_mod),
+        bohr_class=bohr_link(spec_r2, bohr2),
+        final=link(
+            unweighted - diag_unweighted, ">=", kappa**6 / (3 * n_mod) / amax**2
+        ),
+    )
     report.update(
-        mass_prime_class=mass_f,
-        mass_prime_class_mark=1 / (3 * ctx.num_colors * ctx.K),
-        mass_prime_class_meets_mark=bool(mass_f >= 1 / (3 * ctx.num_colors * ctx.K)),
-        A_dash_size=int(len(a_dash)),
-        A_dash_mark=2 * kappa * n_mod,
-        A_dash_meets_mark=bool(len(a_dash) >= 2 * kappa * n_mod),
         class_large_spectrum_size=int(len(spec_r2)),
         class_bohr_size=bohr2.size,
         class_smoothing_regime=regime(bohr2),
-        max_smoothed_class=float(np.abs(f_smooth.values).max()),
-        smoothed_class_mark=2 / n_mod,
         pointwise_weight_cap=amax,
         unweighted_count=unweighted,
-        unweighted_minus_diagonal=unweighted - diag_unweighted,
-        final_mark=final_mark,
-        final_holds=bool(unweighted - diag_unweighted >= final_mark),
     )
     return report
+
+
+def flatten(report: dict, prefix: str = "") -> dict:
+    """A nested report as one dict keyed by dotted paths."""
+    out = {}
+    for key, value in report.items():
+        if isinstance(value, dict):
+            out.update(flatten(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
 
 
 # a difference of two report counts is compared at the scale of its operands,
 # where the rounding of either operand shows
 DIFFERENCE_SCALE = {
     "count_difference": "raw_count",
-    "raw_minus_diagonal_bound": "raw_count",
-    "raw_minus_diagonal_exact": "raw_count",
-    "unweighted_minus_diagonal": "unweighted_count",
+    "chain.final_diag_bound.measured": "raw_count",
+    "chain.final_diag_exact.measured": "raw_count",
+    "chain.final.measured": "unweighted_count",
+    "chain.smoothing_mass.measured": "mass_measure",
 }
 
 
@@ -460,11 +477,12 @@ class TestTransferenceReport:
             dens = dense_class(make_coloring("integers", ctx.n, 2, "random", seed), ctx)
         else:
             dens = dense_prime_class(make_coloring("primes", ctx.n, 2, "random", seed), ctx)
-        got = transference_report(dens, build_poly_prime_measure(ctx), eta=eta, eps=eps)
-        want = unpacked_transference_report(dens, eta, eps)
+        got = flatten(transference_report(dens, build_poly_prime_measure(ctx), eta=eta, eps=eps))
+        want = flatten(unpacked_transference_report(dens, eta, eps))
         if variant == "integer-wide":
             assert (got["large_spectrum_size"], got["bohr_size"]) == (25, 33)
-        assert got.keys() == want.keys()
+        # log10_ratio is derived from measured and bound (TestBoundLink)
+        assert {k for k in got if not k.endswith(".log10_ratio")} == want.keys()
         for key, value in want.items():
             if not isinstance(value, float):
                 assert got[key] == value and type(got[key]) is type(value), key
@@ -490,7 +508,7 @@ class TestTransferenceReport:
         rep = transference_report(full, m, eta=Fraction(1, 4), eps=Fraction(1, 8))
         assert rep["raw_count"] == pytest.approx(m.mass.real * ctx_w6.N, rel=1e-9)
         assert rep["diagonal_exact"] == pytest.approx(m.mass.real, rel=1e-9)
-        assert rep["raw_minus_diagonal_exact"] >= 0
+        assert rep["chain"]["final_diag_exact"]["measured"] >= 0
 
     def test_report_fields_integer(self, ctx_w6):
         col = make_coloring("integers", ctx_w6.n, 2, "random", 33)
@@ -502,17 +520,14 @@ class TestTransferenceReport:
             "smoothed_count",
             "count_difference",
             "diagonal_exact",
-            "diagonal_bound",
-            "frak_A_size",
-            "frak_A_mark",
-            "final_mark",
-            "final_holds_diag_bound",
-            "final_holds_diag_exact",
-            "frak_A_chain_consistent",
         ):
             assert key in rep
+        assert rep["chain"].keys() == {
+            "pointwise_measure", "frak_A", "bohr_measure", "smoothing_mass",
+            "dense_class", "final_diag_bound", "final_diag_exact",
+        }
+        assert rep["chain"]["dense_class"]["measured"] == len(dens.members)
         assert rep["raw_count"] >= 0
-        assert rep["frak_A_chain_consistent"]
 
     def test_empty_set(self, ctx_w6):
         from polyprimelab.coloring import TransferredSet
@@ -531,19 +546,55 @@ class TestTransferenceReport:
         m = build_poly_prime_measure(ctx_prime)
         rep = transference_report(dens, m, eta=Fraction(1, 20), eps=Fraction(1, 8))
         for key in (
-            "mass_prime_class",
-            "mass_prime_class_mark",
-            "A_dash_size",
-            "A_dash_mark",
-            "max_smoothed_class",
-            "smoothed_class_mark",
             "unweighted_count",
-            "final_mark",
-            "final_holds",
             "class_large_spectrum_size",
             "class_bohr_size",
         ):
             assert key in rep
-        # the class-mass mark 1/(3mK) is reliably met from n = 1e6 up
+        assert rep["chain"].keys() == {
+            "pointwise_measure", "frak_A", "bohr_measure", "smoothing_mass",
+            "class_mass", "class_weight", "A_dash", "pointwise_class", "bohr_class", "final",
+        }
+        # the class-mass bound 1/(3mK) is reliably met from n = 1e6 up
         assert ctx_prime.n >= 10**6
-        assert rep["mass_prime_class_meets_mark"] is True
+        assert rep["chain"]["class_mass"]["holds"] is True
+
+
+class TestBoundLink:
+    @pytest.mark.parametrize(
+        "measured,relation,bound,holds",
+        [
+            (5, ">=", 3.0, True),
+            (3, ">=", 3.0, True),
+            (2, ">=", 3.0, False),
+            (0.5, "<=", 0.5, True),
+            (0.6, "<=", 0.5, False),
+        ],
+    )
+    def test_holds_is_the_relation(self, measured, relation, bound, holds):
+        link = bound_link(measured, relation, bound)
+        assert link == {
+            "measured": measured,
+            "relation": relation,
+            "bound": bound,
+            "holds": holds,
+            "log10_ratio": pytest.approx(math.log10(measured / bound), abs=1e-15),
+        }
+
+    @pytest.mark.parametrize("measured,bound", [(0, 2.0), (0.0, 1e-9), (3, 0.0), (-1.5, 2.0)])
+    def test_no_ratio_unless_both_positive(self, measured, bound):
+        assert "log10_ratio" not in bound_link(measured, ">=", bound)
+
+    def test_log10_bound_never_forms_the_power(self):
+        # (1/8)^455 * 1000003 is below the smallest float64: the bound is
+        # kept as its log10 and compared in logs
+        log10_bound = 455 * math.log10(1 / 8) + math.log10(1000003)
+        assert float(Fraction(1, 8) ** 455) == 0.0
+        link = bound_link(1, ">=", log10_bound=log10_bound)
+        assert link["holds"] is True and "bound" not in link
+        assert link["log10_ratio"] == -log10_bound
+        assert bound_link(10, ">=", log10_bound=1.5)["holds"] is False
+
+    def test_ratio_of_extreme_values_is_finite(self):
+        link = bound_link(1e300, ">=", 1e-300)
+        assert link["log10_ratio"] == pytest.approx(600)
