@@ -7,7 +7,8 @@ flags are built from those fields: every config key but `trend_n` and
 config-file values and go through the config file's parsers, so a bad value
 gets the same message either way.
 Reports land in the output directory as deterministic JSON (integers as
-decimal strings), bulk data as CSV.
+decimal strings); `search`'s hits as `solutions.csv`, and `spectrum`'s
+arrays as exact `.npy` files.
 
 Exit codes: 0 success; 1 bad input, infeasible scale or a failed `verify`
 check; 2 usage or config error; 3 a broken internal invariant (RuntimeError,
@@ -58,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ("search", "search a coloring file for monochromatic solutions"),
         ("counterexample", "build the blocking partition and verify emptiness"),
         ("transfer", "run the full transference pipeline"),
-        ("spectrum", "dump spectra and report-only diagnostics"),
+        ("spectrum", "report-only diagnostics; save the measure and its spectra as .npy"),
     ]:
         p = sub.add_parser(name, help=desc, allow_abbrev=False)
         p.add_argument("--config", help="key-value config file")

@@ -228,7 +228,7 @@ def dense_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSe
     members = (cand[cand_colors == best] - ctx.half_psi_b) // w
     if len(members) and not (0 <= members[0] and members[-1] < ctx.N):
         raise RuntimeError("transferred member outside [0, N)")
-    return TransferredSet(ctx, best, members.astype(np.int64), {"count": best_count})
+    return TransferredSet(ctx, best, members.astype(np.int64))
 
 
 def dense_prime_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSet:

@@ -257,6 +257,14 @@ def _bohr_link(bohr, eps: Fraction) -> dict:
     return bound_link(bohr.size, ">=", log10_bound=log10_bound)
 
 
+def _smoothing(f: DensityFunction, eta: Fraction, eps: Fraction):
+    """(R, B, smoothed f): f's large spectrum at eta, its Bohr set at radius
+    eps, and f smoothed over that Bohr set."""
+    spec_r = large_spectrum(f, float(eta))
+    bohr = bohr_set(spec_r, eps, f.modulus)
+    return spec_r, bohr, smooth(f, bohr)
+
+
 def transference_report(
     a_set: TransferredSet, measure: DensityFunction, eta: Fraction, eps: Fraction
 ) -> dict:
@@ -298,15 +306,11 @@ def transference_report(
         unweighted = _unweighted_count(a_set.members, measure)
         diag_unweighted = float(measure.values[(2 * a_set.members) % n_mod].sum())
 
-    spec_r = large_spectrum(measure, float(eta))
-    bohr = bohr_set(spec_r, eps, n_mod)
-    smoothed_measure = smooth(measure, bohr)
+    spec_r, bohr, smoothed_measure = _smoothing(measure, eta, eps)
     if ctx.variant == INTEGER_COLORING:
         f_smooth = f
     else:
-        spec_r2 = large_spectrum(f, float(eta))
-        bohr2 = bohr_set(spec_r2, eps, n_mod)
-        f_smooth = smooth(f, bohr2)
+        spec_r2, bohr2, f_smooth = _smoothing(f, eta, eps)
     if f_smooth is f and smoothed_measure is measure:
         smoothed = raw  # both Bohr sets are {0}: the same triple count
     else:

@@ -1,9 +1,11 @@
 """Batch orchestration: experiment configuration, the checks `verify` makes
 of a configuration (read from the transference chain's records where it has
 one), monochromatic search, the blocking counterexample, the transference
-pipeline, and spectrum/diagnostic dumps.  Reports are deterministic JSON
-with every integer rendered as a decimal string.  A setting is declared once,
-on its `ExperimentConfig` field, with its default, config key, parser and flag."""
+pipeline, and the spectrum diagnostics.  Reports are deterministic JSON
+with every integer rendered as a decimal string; `spectrum`'s arrays are
+saved as exact `.npy` files, one numpy call each.  A setting is declared
+once, on its `ExperimentConfig` field, with its default, config key, parser
+and flag."""
 
 from __future__ import annotations
 
@@ -28,21 +30,21 @@ from .coloring import (
 )
 from .counting import (
     LiftingError,
+    _smoothing,
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
     pointwise_link,
     transference_report,
 )
+from .numtheory import ap_primes
 from .polynomials import INTEGER_COLORING, VARIANTS, IntPolynomial
 from .spectral import (
     DensityFunction,
-    bohr_set,
     build_poly_prime_measure,
     complete_gauss_sum,
-    large_spectrum,
+    restriction_nonzero,
     restriction_norm,
-    smooth,
     weighted_exp_sum,
 )
 from .wtrick import WTrickContext, build_context, level_exponents, verify_gcd_identity
@@ -246,31 +248,6 @@ def _base_report(cfg: ExperimentConfig, command: str) -> dict:
     return {"command": command, "version": __version__, "config": cfg.echo()}
 
 
-_CSV_BLOCK = 4096  # rows formatted per write in dump_density_csv
-
-
-def _open_csv(path, header: str):
-    """A new CSV file open for writing, its header line written; rows are
-    written with CRLF line ends, as csv.writer writes them."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    fh = open(path, "w", newline="")
-    fh.write(header + "\r\n")
-    return fh
-
-
-def dump_density_csv(f: DensityFunction, path, spectrum: bool = False) -> None:
-    """index,real,imaginary rows, each part written as repr of its float (the
-    indices share the float64 block, exact far beyond any feasible N).  A
-    float's repr has no vectorised equivalent, so rows are %-formatted one
-    block at a time, which keeps memory bounded."""
-    data = f.spectrum if spectrum else f.values
-    with _open_csv(path, "index,real,imaginary") as fh:
-        for i in range(0, len(data), _CSV_BLOCK):
-            block = data[i : i + _CSV_BLOCK]
-            rows = np.column_stack((np.arange(i, i + len(block)), block.real, block.imag))
-            fh.write(("%d,%r,%r\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
-
-
 def _nonzero_sup(f: DensityFunction) -> float:
     """max over r != 0 of |f^(r)| (0 when the modulus is 1)."""
     return float(np.abs(f.spectrum[1:]).max()) if f.modulus > 1 else 0.0
@@ -365,10 +342,12 @@ def run_verify(cfg: ExperimentConfig) -> tuple[bool, dict]:
 
 def write_solutions_csv(sols: np.ndarray, path) -> None:
     """The (k, 4) hit array as color,x,y,z rows, in the bytes csv.writer
-    writes.  The rows are encoded with numpy by write_int_rows, which takes
-    nonnegative integers only: a negative entry raises ValueError before any
-    row is written."""
-    with _open_csv(path, "color,x,y,z") as fh:
+    writes (CRLF line ends).  The rows are encoded with numpy by
+    write_int_rows, which takes nonnegative integers only: a negative entry
+    raises ValueError before any row is written."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write("color,x,y,z\r\n")
         write_int_rows(fh, sols.T, ",", "\r\n")
 
 
@@ -470,11 +449,13 @@ def run_transfer(cfg: ExperimentConfig) -> dict:
 
 
 def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """Spectrum dumps plus the report-only diagnostics: the nonzero spectral
-    sup across smoothing levels, restriction norms and main-term residuals
-    across doubling N, the progression sum at the golden ratio against
-    alpha = 0 (`minor_arc_decay`), and smoothed pointwise maxima against
-    their marks."""
+    """The report-only diagnostics: the smoothed measure's pointwise maximum
+    against its bound, the nonzero spectral sup across smoothing levels, the
+    mass and normalized nonzero restriction norm across doubling N, and the
+    progression sum at the golden ratio against alpha = 0
+    (`minor_arc_decay`).  With `out_dir`, the measure, its spectrum and the
+    smoothed measure are then saved there as `.npy` arrays, once every
+    diagnostic has succeeded."""
     report = _base_report(cfg, "spectrum")
     ctx = cfg.context()
     report["context_N"] = ctx.N
@@ -487,9 +468,14 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
         "restriction_norms": {str(r): restriction_norm(measure, r) for r in cfg.rho},
     }
 
-    if out_dir is not None:
-        dump_density_csv(measure, os.path.join(out_dir, "measure.csv"))
-        dump_density_csv(measure, os.path.join(out_dir, "spectrum.csv"), spectrum=True)
+    # diagnostic: the smoothed measure's pointwise maximum against (1+2kappa)/N
+    spec_r, bohr, smoothed = _smoothing(measure, cfg.eta, cfg.eps)
+    report["smoothed_pointwise"] = {
+        "measure": pointwise_link(smoothed, ctx),
+        "bohr_size": bohr.size,
+        "large_spectrum_size": int(len(spec_r)),
+        "smoothing_regime": bohr.smoothing_regime,
+    }
 
     # diagnostic: nonzero spectral sup across smoothing levels
     w_trend = []
@@ -505,30 +491,27 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
             w_trend.append({"W": w_mod, "error": str(e)})
     report["spectral_sup_vs_W"] = w_trend
 
-    # diagnostics across doubling N, one context each: restriction norm / K,
-    # and the main-term residual at alpha = 0 (a soft trend).  There the main
-    # term is psi_{b,W}(M) and the measure's un-normalized transform is
-    # psi_{b,W}(M) times its mass, so the residual ratio is |mass - 1|
+    # diagnostic across doubling N, one context each: the mass nu^(0) and the
+    # restriction norm over r != 0 relative to it, at rho* = k 2^(k+3)
     k_deg = ctx.psi.degree
     rho_star = k_deg * 2 ** (k_deg + 3)
-    norm_trend = []
-    residuals = []
+    trend = []
     for n_target in cfg.trend_n:
         c2 = replace(cfg, n=max(n_target * ctx.W // 2, ctx.W * 8)).context()
         m2 = build_poly_prime_measure(c2)
-        norm_trend.append(
+        trend.append(
             {
                 "N": c2.N,
                 "rho": rho_star,
-                "restriction_norm_over_K": restriction_norm(m2, rho_star) / c2.K,
+                "mass": m2.mass.real,
+                "restriction_nonzero": restriction_nonzero(m2, rho_star),
             }
         )
-        residuals.append({"N": c2.N, "residual_ratio": abs(m2.mass - 1)})
-    report["restriction_norm_trend"] = norm_trend
-    report["main_term_residual_trend"] = residuals
+    report["restriction_norm_trend"] = trend
 
-    # diagnostic: the progression sum at the golden ratio against alpha = 0
-    s0 = abs(weighted_exp_sum(ctx, 0.0))
+    # diagnostic: the progression sum at the golden ratio against alpha = 0,
+    # where every phase is e(0) = 1 and the sum is the sum of the weights
+    s0 = abs(float(ap_primes(*ctx.progression, ctx.N)[1].sum()))
     s_golden = abs(weighted_exp_sum(ctx, GOLDEN))
     report["minor_arc_decay"] = {
         "abs_sum_alpha_zero": s0,
@@ -536,16 +519,9 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
         "ratio": (s_golden / s0) if s0 else None,
     }
 
-    # diagnostic: the smoothed measure's pointwise maximum against (1+2kappa)/N
-    spec_r = large_spectrum(measure, float(cfg.eta))
-    bohr = bohr_set(spec_r, cfg.eps, ctx.N)
-    smoothed = smooth(measure, bohr)
-    report["smoothed_pointwise"] = {
-        "measure": pointwise_link(smoothed, ctx),
-        "bohr_size": bohr.size,
-        "large_spectrum_size": int(len(spec_r)),
-        "smoothing_regime": bohr.smoothing_regime,
-    }
     if out_dir is not None:
-        dump_density_csv(smoothed, os.path.join(out_dir, "smoothed.csv"))
+        os.makedirs(out_dir, exist_ok=True)
+        for name, array in (("measure", measure.values), ("spectrum", measure.spectrum),
+                            ("smoothed", smoothed.values)):
+            np.save(os.path.join(out_dir, f"{name}.npy"), array)
     return report

@@ -65,6 +65,7 @@ __all__ = [
     "idft",
     "large_spectrum",
     "restriction_norm",
+    "restriction_nonzero",
     "smooth",
     "transform_pair",
     "weighted_exp_sum",
@@ -469,6 +470,21 @@ def restriction_norm(f: DensityFunction, rho: float) -> float:
     if not math.isfinite(total):
         raise ValueError(f"sum_r |fhat(r)|^rho overflows float64 at rho = {rho}")
     return total
+
+
+def restriction_nonzero(f: DensityFunction, rho: float) -> float:
+    """(sum_{r != 0} |fhat(r) / fhat(0)|^rho)^(1/rho), for 0 < rho < inf and
+    fhat(0) != 0 (0 when N = 1).  The sum is taken in units of its largest
+    term, so it neither overflows nor underflows."""
+    if not 0 < rho < math.inf:
+        raise ValueError("requires 0 < rho < inf")
+    a = np.abs(f.spectrum)
+    if a[0] == 0:
+        raise ValueError("requires fhat(0) != 0")
+    top = a[1:].max(initial=0.0)
+    if top == 0:
+        return 0.0
+    return float(top / a[0] * ((a[1:] / top) ** rho).sum() ** (1 / rho))
 
 
 def _e(numer: int, denom: int) -> complex:

@@ -243,10 +243,10 @@ def test_criterion_11_diagnostics_emitted(tmp_path):
     # nonzero spectral sup across smoothing levels
     sups = report["spectral_sup_vs_W"]
     assert len(sups) == 3 and all("max_nonzero_spectral_value" in e for e in sups)
-    # restriction norm / K across doubling N
+    # mass and normalized nonzero restriction norm across doubling N
     norms = report["restriction_norm_trend"]
     assert [e["N"] for e in norms] == sorted(e["N"] for e in norms)
-    assert all(np.isfinite(e["restriction_norm_over_K"]) for e in norms)
+    assert all(0 < e["restriction_nonzero"] < 1 for e in norms)
     # minor-arc decay ratio
     decay = report["minor_arc_decay"]
     assert 0 <= decay["ratio"] < 1

@@ -27,7 +27,7 @@ from polyprimelab.experiments import (
     run_verify,
     write_report,
 )
-from polyprimelab.spectral import BohrStructure, DensityFunction
+from polyprimelab.spectral import BohrStructure, DensityFunction, build_poly_prime_measure
 from polyprimelab.wtrick import WTrickContext
 
 BLOCKING = ["--psi", "6,0,0", "--b0", "1", "--w0", "1", "--p", "3"]
@@ -384,7 +384,7 @@ class TestVerifyCommand:
         assert main(["transfer", *args]) == 0
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
         dense = json.loads((tmp_path / "transfer.json").read_text())["dense_class"]
-        assert dense["count"] == "4994"
+        assert dense["size"] == "4994"
         assert checks["coloring.pigeonhole"] == {
             "info": "dense_class: measured=4994 >= bound=1250.88", "pass": True
         }
@@ -838,15 +838,38 @@ class TestSpectrumCommand:
         cfg = config_from_sources(None, {"n": 30000, "trend_n": (2003, 4001), "trend_w": (1, 3)})
         report = run_spectrum(cfg, str(tmp_path))
         assert len(report["spectral_sup_vs_W"]) == 2
-        assert len(report["restriction_norm_trend"]) == 2
+        trend = report["restriction_norm_trend"]
+        assert [sorted(row) for row in trend] == [["N", "mass", "restriction_nonzero", "rho"]] * 2
+        assert all(0 < row["restriction_nonzero"] < 1 for row in trend)
+        assert "main_term_residual_trend" not in report
         assert report["minor_arc_decay"]["ratio"] is not None
-        assert all(r["residual_ratio"] >= 0 for r in report["main_term_residual_trend"])
         assert report["smoothed_pointwise"]["measure"]["relation"] == "<="
         assert report["smoothed_pointwise"]["smoothing_regime"] == "identity"
-        assert (tmp_path / "measure.csv").exists()
-        assert (tmp_path / "spectrum.csv").exists()
-        header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
-        assert header == "index,real,imaginary"
+        assert sorted(os.listdir(tmp_path)) == ["measure.npy", "smoothed.npy", "spectrum.npy"]
+
+    @pytest.mark.parametrize("eta", [Fraction(1, 4), Fraction(7, 10)], ids=["identity", "fft"])
+    def test_arrays_saved_exactly(self, tmp_path, eta):
+        cfg = config_from_sources(None, {"eta": eta, "trend_n": (2003,), "trend_w": (1,)})
+        run_spectrum(cfg, str(tmp_path))
+        ctx = cfg.context()
+        measure = build_poly_prime_measure(ctx)
+        smoothed = counting._smoothing(measure, cfg.eta, cfg.eps)[2]
+        for name, want in (("measure", measure.values), ("spectrum", measure.spectrum),
+                           ("smoothed", smoothed.values)):
+            got = np.load(tmp_path / f"{name}.npy")
+            assert got.dtype == want.dtype == (np.complex128 if name == "spectrum" else np.float64)
+            assert got.tobytes() == want.tobytes()
+        assert not any(name.endswith(".csv") for name in os.listdir(tmp_path))
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--eta", "0", "requires eta > 0"), ("--eps", "1/2", "requires 0 < eps < 1/2")],
+    )
+    def test_bad_smoothing_input_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out"
+        assert main(["spectrum", flag, value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists() or os.listdir(out) == []
 
     def test_smoothing_regime_recorded(self):
         # eta = 7/10 leaves |B| = 621, so the measure takes the transform path
@@ -857,12 +880,11 @@ class TestSpectrumCommand:
         assert (pointwise["bohr_size"], pointwise["smoothing_regime"]) == (621, "fft")
 
     def test_residual_ratio_matches_lambda_oracle(self):
-        # at a = q = 1 and alpha = 0 the main term is psi_{b,W}(M), so each
-        # ratio is |sum_z fd(z - 1) lambda(c, Q, z) / psi_{b,W}(M) - 1|
+        # each trend point's mass is sum_z fd(z - 1) lambda(c, Q, z) / psi_{b,W}(M)
         cfg = config_from_sources(None, {"trend_w": (1,)})
         report = run_spectrum(cfg)
         w_mod = cfg.context().W
-        rows = report["main_term_residual_trend"]
+        rows = report["restriction_norm_trend"]
         assert len(rows) == len(cfg.trend_n)
         for n_target, row in zip(cfg.trend_n, rows):
             ctx = replace(cfg, n=max(n_target * w_mod // 2, w_mod * 8)).context()
@@ -872,7 +894,7 @@ class TestSpectrumCommand:
             total = sum(
                 resc.forward_difference(z - 1) * lambda_weight(c, q, z) for z in range(1, ctx.M + 1)
             )
-            assert row["residual_ratio"] == pytest.approx(abs(total / resc(ctx.M) - 1), abs=1e-12)
+            assert row["mass"] == pytest.approx(total / resc(ctx.M), abs=1e-12)
 
     def test_one_context_per_trend_point(self, monkeypatch):
         built = []
@@ -886,22 +908,6 @@ class TestSpectrumCommand:
         cfg = config_from_sources(None, {"trend_n": (2003, 4001), "trend_w": (1, 3)})
         run_spectrum(cfg)
         assert len(built) == 1 + len(cfg.trend_w) + len(cfg.trend_n)
-
-    @pytest.mark.parametrize("rows", [1, 2 * experiments._CSV_BLOCK + 3])
-    @pytest.mark.parametrize("spectrum", [False, True])
-    def test_density_csv_bytes_match_csv_writer(self, tmp_path, rows, spectrum):
-        special = [-0.0, 5e-324, 1e16, float("nan"), -1 / 3]
-        rng = np.random.default_rng(rows)
-        values = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
-        values[: len(special)] = [complex(a, b) for a, b in zip(special, special[::-1])][:rows]
-        f = DensityFunction(values)
-        experiments.dump_density_csv(f, tmp_path / "blocks.csv", spectrum=spectrum)
-        with open(tmp_path / "writer.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "real", "imaginary"])
-            for i, v in enumerate(f.spectrum if spectrum else f.values):
-                writer.writerow([i, repr(float(v.real)), repr(float(v.imag))])
-        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "writer.csv").read_bytes()
 
 
 class TestReportDeterminism:

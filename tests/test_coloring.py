@@ -174,7 +174,7 @@ class TestDenseClass:
     def test_random_meets_pigeonhole(self, ctx_w6):
         col = make_coloring("integers", ctx_w6.n, 2, "random", 99)
         dens = dense_class(col, ctx_w6)
-        assert 4 * 2 * ctx_w6.K * int(dens.meta["count"]) >= ctx_w6.N
+        assert 4 * 2 * ctx_w6.K * len(dens.members) >= ctx_w6.N
         assert members_admissible(dens, col)
         assert int(dens.members.max()) < ctx_w6.N and int(dens.members.min()) >= 0
 
@@ -200,7 +200,7 @@ class TestDenseClass:
         for x in cand:
             counts[col.color_at[x]] += 1
         assert sum(counts) == len(cand)
-        assert int(dens.meta["count"]) == max(counts)
+        assert len(dens.members) == max(counts)
         assert max(counts) * 3 >= len(cand)
 
 

@@ -23,6 +23,7 @@ from polyprimelab.spectral import (
     dft_pair,
     idft,
     large_spectrum,
+    restriction_nonzero,
     restriction_norm,
     smooth,
     transform_pair,
@@ -536,6 +537,41 @@ class TestRestrictionNorm:
     def test_monotone_in_rho_for_subunit_spectra(self):
         f = DensityFunction(np.full(7, 1 / 7))
         assert restriction_norm(f, 8) <= restriction_norm(f, 4) + 1e-12
+
+
+# the measure `spectrum` reports at its default config (N = 10007)
+DEFAULT_MEASURE = build_poly_prime_measure(
+    build_context(IntPolynomial((1, 1, 0)), 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 30000)
+)
+
+
+class TestRestrictionNonzero:
+    @pytest.mark.parametrize("rho", [1.0, 4.0, 64.0])
+    def test_matches_definition(self, rho):
+        spec = DEFAULT_MEASURE.spectrum
+        want = (np.abs(spec[1:] / spec[0]) ** rho).sum() ** (1 / rho)
+        assert restriction_nonzero(DEFAULT_MEASURE, rho) == pytest.approx(want, rel=1e-12)
+
+    def test_finite_where_the_plain_sum_overflows(self):
+        f = DensityFunction(np.full(5, 2.0) + np.eye(5)[0])  # fhat(0) = 11, fhat(r != 0) = 1
+        with pytest.raises(ValueError, match="overflows"):
+            restriction_norm(f, 1e5)
+        assert restriction_nonzero(f, 1e5) == pytest.approx(4 ** 1e-5 / 11, rel=1e-12)
+
+    def test_single_point_and_zero_mass(self):
+        assert restriction_nonzero(DensityFunction(np.ones(1)), 4) == 0.0
+        with pytest.raises(ValueError, match="fhat"):
+            restriction_nonzero(DensityFunction(np.array([1.0, -1.0])), 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.floats(1e-100, 1e100),
+        rho=st.sampled_from([1.0, 4.0, 64.0, 1e5]),
+    )
+    def test_scale_invariant(self, c, rho):
+        scaled = DensityFunction(DEFAULT_MEASURE.values * c)
+        base = restriction_nonzero(DEFAULT_MEASURE, rho)
+        assert abs(restriction_nonzero(scaled, rho) - base) < 1e-12 * base
 
 
 class TestCompleteGaussSum:
