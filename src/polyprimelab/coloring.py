@@ -1,17 +1,18 @@
 """Coloring generation and set constructions: random/rule colorings of an
 integer range or of the primes, the blocking partition witnessing necessity
-of the residue condition, and the pigeonhole-dense transferred classes."""
+of the residue condition, and the pigeonhole-dense transferred classes; a
+prime class carries its log weights, taken from `numtheory.ap_primes`."""
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .numtheory import check_progression, sieve_primes
+from .numtheory import ap_primes, check_progression, sieve_primes
 from .polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial
 from .wtrick import ScaleError, WTrickContext, check_cp
 
@@ -175,12 +176,14 @@ def blocking_partition(
 
 @dataclass
 class TransferredSet:
-    """A color class mapped into Z_N: x -> (x - psi(b)/2) / W."""
+    """A color class mapped into Z_N: x -> (x - psi(b)/2) / W.  A prime
+    class carries its members' weights (phi(KW)/KW) log(W x + psi(b)/2),
+    aligned with `members`; an integer class carries None."""
 
     context: WTrickContext
     color_index: int
     members: np.ndarray  # ascending, values in [0, N)
-    meta: dict = field(default_factory=dict)
+    weights: np.ndarray | None = None
 
     def indicator_values(self) -> np.ndarray:
         v = np.zeros(self.context.N)
@@ -234,28 +237,35 @@ def dense_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSe
 def dense_prime_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSet:
     """Log-weighted densest prime class among admissible primes, mapped to Z_N.
 
-    Its log weight is compared with the prime-number-theorem margin
-    (1-kappa) n / (m phi(KW)) by the `class_weight` link of
+    The admissible x, from the least one x_0 up, form the progression
+    KW t + x_0 - KW, t = 1, 2, ..., whose primes and weights
+    (phi(KW)/KW) log x come from one `ap_primes` call (so psi(b)/2 must be
+    coprime to KW); every such prime is in the coloring's domain.  The
+    class with the largest weight sum wins, the smallest index on a tie,
+    and keeps its members' weights.  That sum is compared with the prime-number-theorem margin
+    (1-kappa) n / (m K W) by the `class_weight` link of
     `counting.transference_report`, never enforced here.
     """
     if ctx.variant != PRIME_COLORING:
         raise ValueError("dense_prime_class requires a prime-coloring context")
     if coloring.domain != DOMAIN_PRIMES or coloring.n < ctx.n:
         raise ValueError("coloring must cover the primes up to n")
-    m = ctx.num_colors
+    m, kw = ctx.num_colors, ctx.K * ctx.W
     if m != coloring.num_colors:
         raise ValueError("coloring color count disagrees with the context")
     cand = _candidates(ctx)
-    cand_colors = coloring.color_at[cand]
-    cand, cand_colors = cand[cand_colors != 0], cand_colors[cand_colors != 0]
     if len(cand) == 0:
+        raise ScaleError("no admissible points below n")
+    support, weights = ap_primes(int(cand[0]) - kw, kw, len(cand))
+    if len(support) == 0:
         raise ScaleError("no admissible primes below n")
-    logs = np.log(cand.astype(np.float64))
-    weights = np.zeros(m + 1)
-    np.add.at(weights, cand_colors, logs)
-    best = int(np.argmax(weights[1:])) + 1
-    members = (cand[cand_colors == best] - ctx.half_psi_b) // ctx.W
-    return TransferredSet(ctx, best, members, {"weighted_sum": float(weights[best])})
+    primes = cand[support - 1]
+    del cand, support  # freed before the class's arrays are made, which outlive the call
+    colors = coloring.color_at[primes]
+    best = int(np.argmax(np.bincount(colors, weights=weights, minlength=m + 1)[1:])) + 1
+    chosen = colors == best
+    members = (primes[chosen] - ctx.half_psi_b) // ctx.W
+    return TransferredSet(ctx, best, members, weights[chosen])
 
 
 _ROW_BLOCK = 4096  # rows encoded per write by write_int_rows

@@ -63,14 +63,6 @@ def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> 
     return complex((f.spectrum * g.spectrum * h_neg).sum() / f.modulus)
 
 
-def _at_double(v: np.ndarray) -> np.ndarray:
-    """v((2x) mod N) for x in [0, N), N = len(v) odd: the even-index half of
-    v followed by its odd-index half, with no index array."""
-    if len(v) % 2 == 0:
-        raise ValueError(f"v(2x mod N) by halves needs odd N, got N = {len(v)}")
-    return np.concatenate((v[0::2], v[1::2]))
-
-
 def _monotone_tail(psi: IntPolynomial) -> int:
     """An integer beyond which psi is strictly increasing (Cauchy bound on psi')."""
     d = psi.derivative()
@@ -275,7 +267,7 @@ def transference_report(
     states each inequality of the argument once, as a `bound_link` record
     under `chain`.  Asymptotic bounds are recorded, never enforced.  When
     neither Bohr set smooths anything (both are {0}), the smoothed count is
-    the raw count.  A prime class's `meta` must hold its `weighted_sum`.
+    the raw count.  A prime class must carry its `weights`.
 
     For a prime coloring the final inequality counts the class's unweighted
     pairs, `unweighted_count` = sum over x, y in A of measure(x + y), with
@@ -293,18 +285,20 @@ def transference_report(
     if ctx.variant == INTEGER_COLORING:
         f = DensityFunction(a_set.indicator_values())
     else:
-        f = build_prime_coloring_measure(a_set.members, ctx)
+        f = build_prime_coloring_measure(a_set)
 
     # Each stage runs right after the transform it needs, and a spectrum no
     # later stage reads is dropped before the next transform: each transform
     # peaks at the live set plus the FFT's own scratch.
     transform_pair(measure, f)
     raw = triple_count(f, f, measure).real
-    # exact diagonal sum_x f(x)^2 measure(2x), against the subtracted bound
-    diag_exact = float((f.values**2 * _at_double(measure.values)).sum())
+    # exact diagonal sum_x f(x)^2 measure(2x), against the subtracted bound,
+    # and its unweighted sum_x measure(2x): f vanishes off the members
+    mu2 = measure.values[(2 * a_set.members) % n_mod]
+    diag_exact = float((f.values[a_set.members] ** 2 * mu2).sum())
     if ctx.variant != INTEGER_COLORING:
         unweighted = _unweighted_count(a_set.members, measure)
-        diag_unweighted = float(measure.values[(2 * a_set.members) % n_mod].sum())
+        diag_unweighted = float(mu2.sum())
 
     spec_r, bohr, smoothed_measure = _smoothing(measure, eta, eps)
     if ctx.variant == INTEGER_COLORING:
@@ -325,6 +319,8 @@ def transference_report(
         "smoothing_mass": bound_link(
             abs(mass_smoothed - mass_measure), "<=", 1e-9 * max(1.0, abs(mass_measure))
         ),
+        # the paper's window for N; the context takes the least prime above 2n/W
+        "N_window": bound_link(n_mod, "<=", float((2 + ctx.kappa) * Fraction(ctx.n, ctx.W))),
     }
     report = {
         "variant": ctx.variant,
@@ -354,9 +350,9 @@ def transference_report(
         amax = euler_phi(kw) / kw * math.log(kw * n_mod + ctx.psi(ctx.b)) / n_mod
         a_dash = int(np.count_nonzero(f_smooth.values >= kappa / n_mod))  # A'
         chain["class_mass"] = bound_link(f.mass.real, ">=", 1 / (3 * ctx.num_colors * ctx.K))
-        # the class's log weight against the prime-number-theorem margin
-        weight_bound = (1 - kappa) * ctx.n / (ctx.num_colors * euler_phi(kw))
-        chain["class_weight"] = bound_link(a_set.meta["weighted_sum"], ">=", weight_bound)
+        # the class's weight against the prime-number-theorem margin
+        weight_bound = (1 - kappa) * ctx.n / (ctx.num_colors * kw)
+        chain["class_weight"] = bound_link(float(a_set.weights.sum()), ">=", weight_bound)
         chain["A_dash"] = bound_link(a_dash, ">=", 2 * kappa * n_mod)
         chain["pointwise_class"] = bound_link(float(np.abs(f_smooth.values).max()), "<=", 2 / n_mod)
         chain["bohr_class"] = _bohr_link(bohr2, eps)

@@ -44,7 +44,6 @@ from .spectral import (
     build_poly_prime_measure,
     complete_gauss_sum,
     restriction_nonzero,
-    restriction_norm,
     weighted_exp_sum,
 )
 from .wtrick import WTrickContext, build_context, level_exponents, verify_gcd_identity
@@ -433,11 +432,7 @@ def run_transfer(cfg: ExperimentConfig) -> dict:
     sols, lifted = _lift_sample(dens, ctx)
     report = _base_report(cfg, "transfer")
     report["context"] = ctx.to_json_dict()
-    report["dense_class"] = {
-        "color_index": dens.color_index,
-        "size": int(len(dens.members)),
-        **{k: v for k, v in dens.meta.items()},
-    }
+    report["dense_class"] = {"color_index": dens.color_index, "size": int(len(dens.members))}
     report["transference"] = rep
     report["solutions_sampled"] = len(sols)
     report["lifted_solutions"] = [{"x": x, "y": y, "z": z} for x, y, z in lifted]
@@ -449,9 +444,10 @@ def run_transfer(cfg: ExperimentConfig) -> dict:
 
 
 def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
-    """The report-only diagnostics: the smoothed measure's pointwise maximum
-    against its bound, the nonzero spectral sup across smoothing levels, the
-    mass and normalized nonzero restriction norm across doubling N, and the
+    """The report-only diagnostics: the measure's mass and its normalized
+    nonzero restriction norm at each configured rho, the smoothed measure's
+    pointwise maximum against its bound, the nonzero spectral sup across
+    smoothing levels, the same mass and norm across doubling N, and the
     progression sum at the golden ratio against alpha = 0
     (`minor_arc_decay`).  With `out_dir`, the measure, its spectrum and the
     smoothed measure are then saved there as `.npy` arrays, once every
@@ -465,7 +461,7 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
         "modulus": measure.modulus,
         "mass": measure.mass.real,
         "max_nonzero_spectral_value": _nonzero_sup(measure),
-        "restriction_norms": {str(r): restriction_norm(measure, r) for r in cfg.rho},
+        "restriction_nonzero": {str(r): restriction_nonzero(measure, r) for r in cfg.rho},
     }
 
     # diagnostic: the smoothed measure's pointwise maximum against (1+2kappa)/N

@@ -1,10 +1,11 @@
 """Fourier analysis over Z_N: transforms, the weighted polynomial-prime
 measure and the prime-coloring measure, large spectra, Bohr sets,
-smoothing, restriction norms, complete Gauss sums, and the weighted
-exponential sum of the progression.
+smoothing, the normalized restriction norm over nonzero frequencies,
+complete Gauss sums, and the weighted exponential sum of the progression.
 
-Both measures and `weighted_exp_sum` take their primes and log weights from
-`numtheory.ap_primes`.
+Every log weight comes from `numtheory.ap_primes`: the polynomial-prime
+measure and `weighted_exp_sum` call it, and the prime-coloring measure
+places the weights its class took from it (`coloring.dense_prime_class`).
 
 Transform convention: fhat(r) = sum_x f(x) e(-x r / N) with e(t) = exp(2 pi i t),
 computed by one Bluestein (chirp-z) transform at every length N (the O(N^2)
@@ -49,6 +50,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .coloring import TransferredSet
 from .numtheory import ap_primes
 from .wtrick import WTrickContext
 
@@ -64,7 +66,6 @@ __all__ = [
     "dft_pair",
     "idft",
     "large_spectrum",
-    "restriction_norm",
     "restriction_nonzero",
     "smooth",
     "transform_pair",
@@ -340,26 +341,16 @@ def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:
     return DensityFunction(values)
 
 
-def build_prime_coloring_measure(members, ctx: WTrickContext) -> DensityFunction:
-    """Normalized log-weighted indicator of a transferred prime class.
-
-    The weight at x is (phi(KW)/KW) * log(W*x + psi(b)/2) / N when the source
-    value W*x + psi(b)/2 is prime and K | x (transferred points always sit in
-    K Z); the offset psi(b)/2 must be coprime to KW.  At x = K (t - 1) the
-    source value is KW t + psi(b)/2 - KW, a progression in t for `ap_primes`.
-    """
-    kw = ctx.K * ctx.W
-    xs = np.asarray(members, dtype=np.int64)
-    outside = xs[(xs < 0) | (xs >= ctx.N)]
+def build_prime_coloring_measure(a_set: TransferredSet) -> DensityFunction:
+    """Normalized log-weighted indicator of a transferred prime class: its
+    weight (phi(KW)/KW) log(W x + psi(b)/2), from `coloring.dense_prime_class`,
+    divided by N at each member x, and 0 elsewhere."""
+    n_mod = a_set.context.N
+    outside = a_set.members[(a_set.members < 0) | (a_set.members >= n_mod)]
     if len(outside):
         raise ValueError(f"member {outside[0]} outside [0, N)")
-    in_class = np.zeros(ctx.N, dtype=bool)
-    in_class[xs] = True
-    support, weights = ap_primes(ctx.half_psi_b - kw, kw, (ctx.N - 1) // ctx.K + 1)
-    xs = ctx.K * (support - 1)
-    keep = in_class[xs]
-    values = np.zeros(ctx.N)
-    values[xs[keep]] = weights[keep] / ctx.N
+    values = np.zeros(n_mod)
+    values[a_set.members] = a_set.weights / n_mod
     return DensityFunction(values)
 
 
@@ -458,18 +449,6 @@ def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
     del b_spec  # and the complex array it views, before the inverse
     values = idft(spec)
     return DensityFunction(values.real if f.is_real else values, spec)
-
-
-def restriction_norm(f: DensityFunction, rho: float) -> float:
-    """sum_r |fhat(r)|^rho, for 0 < rho < inf (a NaN rho is rejected); a sum
-    beyond float64 raises ValueError."""
-    if not 0 < rho < math.inf:
-        raise ValueError("requires 0 < rho < inf")
-    with np.errstate(over="ignore"):
-        total = float((np.abs(f.spectrum) ** rho).sum())
-    if not math.isfinite(total):
-        raise ValueError(f"sum_r |fhat(r)|^rho overflows float64 at rho = {rho}")
-    return total
 
 
 def restriction_nonzero(f: DensityFunction, rho: float) -> float:

@@ -3,8 +3,9 @@
 Builds the full bundle: per-prime residues b_p (non-root search for large
 primes, positivity-constrained scan for small ones), the derivative's
 small-prime part K, the smooth modulus W with its CRT residue b, the prime
-modulus N near 2n/W, and the rescaled polynomial with its cutoff M.  Its
-JSON codec walks the dataclass fields, with one decoder per annotation.
+modulus N (the least prime above 2n/W), and the rescaled polynomial with
+its cutoff M.  Its JSON codec walks the dataclass fields, with one decoder
+per annotation.
 """
 
 from __future__ import annotations
@@ -242,8 +243,6 @@ class WTrickContext:
     N: int
     rescaled: IntPolynomial
     M: int
-    widen_steps: int = 0
-    bertrand_fallback: bool = False
 
     @property
     def progression(self) -> tuple[int, int]:
@@ -276,12 +275,13 @@ class WTrickContext:
             out.append(("k-product", k_check == self.K, f"K={self.K} vs {k_check}"))
         except ValueError as e:
             out.append(("k-product", False, str(e)))
-        n_ok = is_prime(self.N) and self.N * self.W > 2 * self.n
-        if self.widen_steps == 0 and not self.bertrand_fallback:
-            n_ok = n_ok and Fraction(self.N) <= (2 + self.kappa) * Fraction(self.n, self.W)
-        else:
-            n_ok = n_ok and self.N * self.W <= 4 * self.n
-        out.append(("n-in-interval", n_ok, f"N={self.N}, widen={self.widen_steps}"))
+        # N is the least prime above 2n/W, so above lo, and N W <= 4n; lo >= 1,
+        # as prime_in_interval asks, leaves out only 1, which is not prime
+        lo = max(2 * self.n // self.W, 1)
+        n_ok = is_prime(self.N) and self.N > lo and self.N * self.W <= 4 * self.n
+        if n_ok and self.N - 1 > lo:
+            n_ok = prime_in_interval(lo, self.N - 1) is None
+        out.append(("n-in-interval", n_ok, f"N={self.N}, 2n/W={Fraction(2 * self.n, self.W)}"))
         return out
 
     def to_json_dict(self) -> dict:
@@ -307,7 +307,6 @@ class WTrickContext:
 
 _DECODERS = {  # by field annotation, less any " | None"
     "str": str,
-    "bool": bool,
     "int": int,
     "Fraction": Fraction,
     "IntPolynomial": lambda coeffs: IntPolynomial(tuple(int(c) for c in coeffs)),
@@ -352,11 +351,10 @@ def build_context(
     """Assemble and validate the full parameter bundle at scale n.
 
     The prime modulus N is the smallest prime above 2n/W, and must be odd
-    (the spectral side relies on it).  The target interval
-    (2n/W, (2+kappa)n/W] is widened by factors of (1+kappa) up to eight
-    times and, failing that, once more to the Bertrand-safe bound 4n/W;
-    the number of widening steps is recorded on the context.  A smooth
-    exponent must be >= 0; an exponent of 0 contributes p^0 = 1 to W.
+    (the spectral side relies on it); Bertrand's postulate puts it at most
+    4n/W.  The paper's window N <= (2+kappa)n/W is recorded by the
+    transference report (`N_window`), not enforced.  A smooth exponent must
+    be >= 0; an exponent of 0 contributes p^0 = 1 to W.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -409,14 +407,6 @@ def build_context(
         raise ScaleError(f"no prime in (2n/W, 4n/W] = ({lo}, {bertrand_hi}]")
     if found == 2:
         raise ScaleError(f"N = 2 at n={n}, W={w_modulus}; the spectral side needs an odd N")
-    widen_steps = 0
-    fallback = False
-    base_upper = (2 + kappa) * Fraction(n, w_modulus)
-    while widen_steps <= 8 and Fraction(found) > base_upper * (1 + kappa) ** widen_steps:
-        widen_steps += 1
-    if widen_steps > 8:
-        widen_steps = 8
-        fallback = True
 
     resc = rescale(psi, w_modulus, b)
     try:
@@ -442,8 +432,6 @@ def build_context(
         N=found,
         rescaled=resc,
         M=cutoff,
-        widen_steps=widen_steps,
-        bertrand_fallback=fallback,
     )
     bad = [name for name, ok, _ in ctx.verify_invariants() if not ok]
     if bad:

@@ -302,6 +302,18 @@ class TestVerifyCommand:
         assert main(["verify", "--out", str(tmp_path)]) == 1
         assert "FAIL  wtrick.context-invariants  k-product: K=7 vs 1\n" in capsys.readouterr().out
 
+    def test_next_prime_modulus_fails_n_in_interval(self, tmp_path, monkeypatch, capsys):
+        # N = 10009 is prime and N W <= 4n, but 10007 is the least prime
+        # above 2n/W = 10000
+        build = ExperimentConfig.context
+        monkeypatch.setattr(ExperimentConfig, "context", lambda cfg: replace(build(cfg), N=10009))
+        assert main(["verify", "--out", str(tmp_path)]) == 1
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert checks["wtrick.context-invariants"] == {
+            "info": "n-in-interval: N=10009, 2n/W=10000", "pass": False
+        }
+        assert "FAIL  wtrick.context-invariants" in capsys.readouterr().out
+
     def test_bohr_failure_recorded_under_its_own_name(self, tmp_path, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("Bohr bound violated: |B| = 1 < eps^|R| * N = (1/8)^2 * 10007")
@@ -337,8 +349,8 @@ class TestVerifyCommand:
     def test_light_prime_class_fails(self, tmp_path, monkeypatch):
         real = counting.build_prime_coloring_measure
 
-        def light(members, ctx):
-            return DensityFunction(real(members, ctx).values / 2)
+        def light(a_set):
+            return DensityFunction(real(a_set).values / 2)
 
         monkeypatch.setattr(counting, "build_prime_coloring_measure", light)
         args = ["--variant", "prime-coloring", "--psi", "1,1,4", "--b0", "1", "--w0", "1",
@@ -823,16 +835,16 @@ class TestSpectrumCommand:
         assert capsys.readouterr().err == "error: requires 0 < rho < inf\n"
         assert not (tmp_path / "spectrum.json").exists()
 
-    def test_overflowing_restriction_norm_writes_no_report(self, tmp_path, capsys):
-        # |fhat(0)|^100000 is beyond float64: one error line and no report,
-        # where the sum used to be written as Infinity
-        args = ["--variant", "prime-coloring", "--psi", "1,1,4", "--b0", "1", "--w0", "1",
-                "--w", "2:2,3:1,5:1", "--n", "600000", "--rho", "4,64,100000"]
-        assert main(["spectrum", *args, "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: sum_r |fhat(r)|^rho overflows float64 at rho = 100000.0\n"
-        )
-        assert not (tmp_path / "spectrum.json").exists()
+    def test_huge_rho_reported(self, tmp_path):
+        # |nu^(0)|^100000 is beyond float64; the norm over r != 0, relative
+        # to nu^(0), is reported at every rho, with the mass beside it
+        assert main(["spectrum", "--rho", "4,64,100000", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "spectrum.json").read_text())["measure_summary"]
+        assert "restriction_norms" not in summary
+        norms = summary["restriction_nonzero"]
+        assert set(norms) == {"4.0", "64.0", "100000.0"}
+        assert norms["100000.0"] < norms["64.0"] < norms["4.0"]
+        assert 0 < summary["mass"] < 2
 
     def test_diagnostics_present(self, tmp_path):
         cfg = config_from_sources(None, {"n": 30000, "trend_n": (2003, 4001), "trend_w": (1, 3)})
@@ -1015,7 +1027,7 @@ def check_records(report: dict) -> int:
 
 
 class TestChainRecords:
-    @pytest.mark.parametrize("workload,links", [("transfer-int", 7), ("transfer-prime", 10)])
+    @pytest.mark.parametrize("workload,links", [("transfer-int", 8), ("transfer-prime", 11)])
     def test_transfer_at_bench_config(self, tmp_path, workload, links):
         assert main([*bench_argv(workload), "--seed", "7", "--out", str(tmp_path)]) == 0
         report = read_strict(tmp_path / "transfer.json")
@@ -1039,7 +1051,7 @@ class TestChainRecords:
         assert main(["verify", "--out", str(tmp_path)]) == 0
         (rep,) = seen
         write_report({"transference": rep}, tmp_path / "chain.json")
-        assert check_records(read_strict(tmp_path / "chain.json")) == 7
+        assert check_records(read_strict(tmp_path / "chain.json")) == 8
         checks = read_strict(tmp_path / "verify.json")["checks"]
         for name, key in [
             ("coloring.pigeonhole", "dense_class"),

@@ -210,10 +210,10 @@ class TestDensePrimeClass:
         col.color_at[col.elements] = 1
         dens = dense_prime_class(col, ctx_prime)
         assert dens.color_index == 1
-        assert dens.meta["weighted_sum"] > 0
+        assert dens.weights.sum() > 0
 
     def test_threshold_reported_not_enforced(self, ctx_prime):
-        # the class's log weight against (1 - kappa) n / (m phi(KW)) is a
+        # the class's weight against (1 - kappa) n / (m K W) is a
         # link of the transference chain: recorded, and nothing raises
         from polyprimelab.counting import transference_report
         from polyprimelab.spectral import build_poly_prime_measure
@@ -224,7 +224,7 @@ class TestDensePrimeClass:
             dens, build_poly_prime_measure(ctx_prime), Fraction(1, 20), Fraction(1, 8)
         )
         link = rep["chain"]["class_weight"]
-        assert link["measured"] == dens.meta["weighted_sum"]
+        assert link["measured"] == dens.weights.sum()
         assert link["holds"] is (link["measured"] >= link["bound"])
         assert len(dens.members) > 0
         assert all(m % ctx_prime.K == 0 for m in dens.members[:20].tolist())

@@ -16,7 +16,6 @@ from polyprimelab.coloring import (
 from polyprimelab import counting
 from polyprimelab.counting import (
     LiftingError,
-    _at_double,
     _unweighted_count,
     bound_link,
     find_monochromatic,
@@ -296,7 +295,7 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
     if ctx.variant == INTEGER_COLORING:
         f = indicator
     else:
-        f = complex_copy(build_prime_coloring_measure(a_set.members, ctx))
+        f = complex_copy(build_prime_coloring_measure(a_set))
     mass_measure = measure.mass.real
     spec_r = large_spectrum(measure, float(eta))
     bohr = bohr_set(spec_r, eps, n_mod)
@@ -332,6 +331,7 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
         "smoothing_mass": link(
             abs(mass_smoothed - mass_measure), "<=", 1e-9 * max(1.0, abs(mass_measure))
         ),
+        "N_window": link(n_mod, "<=", float((2 + ctx.kappa) * ctx.n / ctx.W)),
     }
     report = {
         "variant": ctx.variant,
@@ -364,7 +364,9 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
     chain.update(
         class_mass=link(f.mass.real, ">=", 1 / (3 * ctx.num_colors * ctx.K)),
         class_weight=link(
-            a_set.meta["weighted_sum"], ">=", (1 - kappa) * ctx.n / (ctx.num_colors * euler_phi(kw))
+            sum(euler_phi(kw) / kw * math.log(ctx.W * x + ctx.half_psi_b)
+                for x in a_set.members.tolist()),
+            ">=", (1 - kappa) * ctx.n / (ctx.num_colors * kw),
         ),
         A_dash=link(int(len(a_dash)), ">=", 2 * kappa * n_mod),
         pointwise_class=link(float(np.abs(f_smooth.values).max()), "<=", 2 / n_mod),
@@ -490,14 +492,6 @@ class TestTransferenceReport:
             scale = max(abs(value), abs(want.get(DIFFERENCE_SCALE.get(key), 0.0)))
             assert abs(got[key] - value) <= 1e-12 * scale, key
 
-    def test_diagonal_by_halves_matches_index_formula(self):
-        rng = np.random.default_rng(12)
-        for n in (1, 3, 5, 97, 1001, 10007):
-            v = rng.standard_normal(n)
-            assert np.array_equal(_at_double(v), v[(2 * np.arange(n)) % n])
-        with pytest.raises(ValueError, match="odd N"):
-            _at_double(np.zeros(10))
-
     def test_full_set_identity(self, ctx_w6):
         # A = Z_N: the weighted count is mass * N, and (N odd) the exact
         # diagonal sums the whole measure once
@@ -523,7 +517,7 @@ class TestTransferenceReport:
         ):
             assert key in rep
         assert rep["chain"].keys() == {
-            "pointwise_measure", "frak_A", "bohr_measure", "smoothing_mass",
+            "pointwise_measure", "frak_A", "bohr_measure", "smoothing_mass", "N_window",
             "dense_class", "final_diag_bound", "final_diag_exact",
         }
         assert rep["chain"]["dense_class"]["measured"] == len(dens.members)
@@ -552,7 +546,7 @@ class TestTransferenceReport:
         ):
             assert key in rep
         assert rep["chain"].keys() == {
-            "pointwise_measure", "frak_A", "bohr_measure", "smoothing_mass",
+            "pointwise_measure", "frak_A", "bohr_measure", "smoothing_mass", "N_window",
             "class_mass", "class_weight", "A_dash", "pointwise_class", "bohr_class", "final",
         }
         # the class-mass bound 1/(3mK) is reliably met from n = 1e6 up

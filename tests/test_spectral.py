@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dft_direct, lambda_weight
+from polyprimelab.coloring import TransferredSet, dense_prime_class, make_coloring
 from polyprimelab.numtheory import ap_primes, euler_phi, is_prime
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial, rescale
 from polyprimelab.spectral import (
@@ -24,7 +25,6 @@ from polyprimelab.spectral import (
     idft,
     large_spectrum,
     restriction_nonzero,
-    restriction_norm,
     smooth,
     transform_pair,
     weighted_exp_sum,
@@ -274,21 +274,18 @@ class TestPrimeColoringMeasure:
         if isinstance(request.param, str):
             return dict(context_suite)[request.param]
         coeffs, b0, w0 = request.param
-        return build_context(IntPolynomial(coeffs), b0, w0, 1, PRIME_COLORING, {}, 10**4)
+        return build_context(IntPolynomial(coeffs), b0, w0, 2, PRIME_COLORING, {}, 10**4)
 
     def test_empty_set(self, ctx_prime):
-        assert build_prime_coloring_measure([], ctx_prime).mass == 0
+        empty = TransferredSet(ctx_prime, 1, np.zeros(0, dtype=np.int64), np.zeros(0))
+        assert build_prime_coloring_measure(empty).mass == 0
 
     def test_single_point(self, ctx_prime):
-        # K = 1 here, so the weight reads (phi(KW)/KW) log(KW x + psi(b)/2) / N
-        ctx = ctx_prime
-        assert ctx.K == 1
-        kw = ctx.K * ctx.W
-        half = ctx.half_psi_b
-        x0 = next(x for x in range(1, ctx.N) if is_prime(kw * x + half))
-        f = build_prime_coloring_measure([x0], ctx)
-        want = euler_phi(kw) / kw * math.log(kw * x0 + half) / ctx.N
-        assert f.values[x0].real == pytest.approx(want, rel=1e-12)
+        # a member's weight divided by N, and nothing elsewhere
+        x0 = 7 * ctx_prime.K
+        one = TransferredSet(ctx_prime, 1, np.array([x0]), np.array([2.5]))
+        f = build_prime_coloring_measure(one)
+        assert f.values[x0] == 2.5 / ctx_prime.N
         assert np.count_nonzero(f.values) == 1
 
     @pytest.mark.parametrize(
@@ -303,43 +300,49 @@ class TestPrimeColoringMeasure:
         indirect=True,
     )
     def test_matches_per_member_primality(self, ctx):
-        members = list(range(0, 4000)) + [ctx.N - 1]
-        f = build_prime_coloring_measure(members, ctx)
-        kw = ctx.K * ctx.W
-        want = np.zeros(ctx.N, dtype=np.complex128)
-        for x in members:
-            v = ctx.W * x + ctx.half_psi_b
-            if x % ctx.K == 0 and is_prime(v):
-                want[x] = euler_phi(kw) / kw * math.log(v) / ctx.N
-        assert np.array_equal(f.values, want)
-        assert (f.values[0] != 0) == is_prime(ctx.half_psi_b)
+        # the densest class, its weights and its measure against a
+        # prime-by-prime oracle over the admissible x = psi(b)/2 (mod KW)
+        kw, half, m = ctx.K * ctx.W, ctx.half_psi_b, ctx.num_colors
+        lo = max(ctx.psi(ctx.W), half)
+        primes = [x for x in range(lo + (half - lo) % kw, ctx.n + 1, kw) if is_prime(x)]
+        for rule in ("random", "residue:7"):
+            col = make_coloring("primes", ctx.n, m, rule, 11)
+            dens = dense_prime_class(col, ctx)
+            sums = [0.0] * (m + 1)
+            for p in primes:
+                sums[col.color_at[p]] += math.log(p)
+            assert dens.color_index == max(range(1, m + 1), key=sums.__getitem__), rule
+            sources = (ctx.W * dens.members + half).tolist()
+            assert sources == [p for p in primes if col.color_at[p] == dens.color_index]
+            assert all(x % ctx.K == 0 for x in dens.members.tolist())
+            assert all(is_prime(v) for v in sources)
+            want = np.array([euler_phi(kw) / kw * math.log(v) for v in sources])
+            assert np.all(np.abs(dens.weights - want) <= 1e-15 * want), rule
+            f = build_prime_coloring_measure(dens)
+            assert np.array_equal(f.values[dens.members], dens.weights / ctx.N)
+            assert np.count_nonzero(f.values) == len(dens.members)
 
     def test_member_outside_range_rejected(self, ctx_prime):
+        bad = TransferredSet(ctx_prime, 1, np.array([0, ctx_prime.N]), np.ones(2))
         with pytest.raises(ValueError, match="outside"):
-            build_prime_coloring_measure([0, ctx_prime.N], ctx_prime)
-
-    def test_composite_source_gets_zero(self, ctx_prime):
-        ctx = ctx_prime
-        x0 = next(
-            x for x in range(1, ctx.N) if not is_prime(ctx.W * x + ctx.half_psi_b)
-        )
-        f = build_prime_coloring_measure([x0], ctx)
-        assert f.mass == 0
+            build_prime_coloring_measure(bad)
 
     def test_noncoprime_offset_rejected(self):
         import dataclasses
 
-        # psi(b)/2 = 2 shares the factor 2 with K*W once W is even
+        # psi(b)/2 = 2 shares the factor 2 with K*W once W is even: the
+        # class's weights come from a progression that carries no primes
         psi = IntPolynomial((1, 0, 4))
         bad = dataclasses.replace(
-            toy_context(),
+            toy_context(101),
+            variant=PRIME_COLORING,
             psi=psi,
             smooth_exponents={2: 1},
             W=2,
             rescaled=rescale(psi, 2, 0),
         )
         with pytest.raises(ValueError, match="gcd"):
-            build_prime_coloring_measure([1], bad)
+            dense_prime_class(make_coloring("primes", bad.n, 1, "random", 0), bad)
 
 
 class TestLargeSpectrum:
@@ -527,18 +530,6 @@ class TestSmooth:
         assert peak > 0 and mark > 0  # diagnostic only; no hard threshold
 
 
-class TestRestrictionNorm:
-    def test_delta(self):
-        assert restriction_norm(DensityFunction(np.eye(5)[0]), 4) == pytest.approx(5)
-
-    def test_uniform(self):
-        assert restriction_norm(DensityFunction(np.full(5, 1 / 5)), 4) == pytest.approx(1)
-
-    def test_monotone_in_rho_for_subunit_spectra(self):
-        f = DensityFunction(np.full(7, 1 / 7))
-        assert restriction_norm(f, 8) <= restriction_norm(f, 4) + 1e-12
-
-
 # the measure `spectrum` reports at its default config (N = 10007)
 DEFAULT_MEASURE = build_poly_prime_measure(
     build_context(IntPolynomial((1, 1, 0)), 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 30000)
@@ -553,9 +544,8 @@ class TestRestrictionNonzero:
         assert restriction_nonzero(DEFAULT_MEASURE, rho) == pytest.approx(want, rel=1e-12)
 
     def test_finite_where_the_plain_sum_overflows(self):
-        f = DensityFunction(np.full(5, 2.0) + np.eye(5)[0])  # fhat(0) = 11, fhat(r != 0) = 1
-        with pytest.raises(ValueError, match="overflows"):
-            restriction_norm(f, 1e5)
+        # fhat(0) = 11 and fhat(r != 0) = 1: 11^100000 is beyond float64
+        f = DensityFunction(np.full(5, 2.0) + np.eye(5)[0])
         assert restriction_nonzero(f, 1e5) == pytest.approx(4 ** 1e-5 / 11, rel=1e-12)
 
     def test_single_point_and_zero_mass(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -225,13 +226,21 @@ class TestBuildContext:
         assert ctx_w6.kappa == Fraction(1, 20000)
         assert is_prime(ctx_w6.N) and ctx_w6.N * ctx_w6.W > 2 * ctx_w6.n
 
-    def test_widening_recorded_at_small_scale(self):
+    def test_least_prime_above_2n_over_w_at_small_scale(self):
         # at n = 1e4 the first prime above 2n/W = 3333.3 is 3343, far past the
-        # kappa-width interval, so the recorded fallback widening must fire
+        # paper's window (2 + kappa) n/W, which the context does not enforce
         ctx = build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 10**4)
-        assert ctx.N == 3343
-        assert ctx.bertrand_fallback and ctx.N * ctx.W <= 4 * ctx.n
+        assert ctx.N == 3343 and not any(is_prime(x) for x in range(3334, 3343))
+        assert ctx.N > (2 + ctx.kappa) * Fraction(ctx.n, ctx.W)
+        assert ctx.N * ctx.W <= 4 * ctx.n
         assert all(ok for _, ok, _ in ctx.verify_invariants())
+
+    @pytest.mark.parametrize("n_mod, ok", [(10007, True), (10009, False), (9973, False)])
+    def test_n_in_interval_names_the_least_prime(self, ctx_w6, n_mod, ok):
+        # 2n/W = 10000 at the reference context: 10009 is a later prime
+        # inside 4n/W, 9973 a prime below 2n/W
+        ctx = dataclasses.replace(ctx_w6, N=n_mod)
+        assert dict((name, good) for name, good, _ in ctx.verify_invariants())["n-in-interval"] is ok
 
     def test_necessity_violation(self):
         with pytest.raises(NecessityViolationError) as exc:
