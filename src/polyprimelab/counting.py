@@ -59,8 +59,10 @@ def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> 
     if not f.modulus == g.modulus == h.modulus:
         raise ValueError("modulus mismatch")
     hs = h.spectrum
-    h_neg = np.concatenate((hs[:1], hs[1:][::-1]))
-    return complex((f.spectrum * g.spectrum * h_neg).sum() / f.modulus)
+    prod = f.spectrum * g.spectrum
+    prod[:1] *= hs[:1]
+    prod[1:] *= hs[:0:-1]  # hhat(-r), a reversed view
+    return complex(prod.sum() / f.modulus)
 
 
 def _monotone_tail(psi: IntPolynomial) -> int:

@@ -16,19 +16,31 @@ length-L FFT is a four-step FFT over an L2 x L1 grid (L1 <= L2, both near
 sqrt L) made of numpy's batched FFTs along one axis, computed in place.  The
 forward FFTs leave their output in transposed order, in which the pointwise
 product and the inverse FFT work, so no transpose is copied.  Every pass is
-split into two fixed halves, one on a helper thread and one on the caller
-(numpy's FFT and ufunc loops release the GIL), so the result does not depend
+split into two fixed halves; a pass over at least _THREAD_MIN_POINTS points
+runs one half on a helper thread (numpy's FFT and ufunc loops release the
+GIL), a shorter one runs both on the caller, where a thread costs more than
+it saves.  The split is the same either way, so the result does not depend
 on scheduling and is the same to the bit on every call.  The chirp phases
 k^2 mod 2N and the twiddle phases mod L are reduced in exact integers before
 trig, as `_e` reduces every other phase: `complete_gauss_sum` and
 `weighted_exp_sum` for every alpha, a float alpha taken as its exact binary
 fraction.
 
+A transform's working set is its output (16N bytes), which holds the chirp
+until the last pass, the two length-L grids (32L bytes, L about 2N), and a
+small allowance: the twiddle tables (64 L^(3/4) bytes, 3.4 MB at N = 1e6)
+and the fill pass's phase temporaries, 16 bytes a point in blocks of
+_FILL_BLOCK points, one block per thread.  `dft(v, out=v)` writes the
+spectrum over a complex input, so the input costs nothing more.
+
 Real functions are stored as float64, complex ones as complex128.  Two real
-functions share one transform: `dft_pair` transforms a + i b and splits the
-result.  The partner is scaled by a power of two before packing, so that
-neither part is lost in the other's rounding, and unscaled after (both
-exactly).
+functions share one transform: `dft_pair` packs a + i b into its own array,
+transforms it in place and splits the result in place.  The partner is
+scaled by a power of two before packing, so that neither part is lost in
+the other's rounding, and unscaled after (both exactly).  The split computes
+both spectra at r in [1, (N - 1)/2] from a half-length conjugate and writes
+each mirror entry -r as the conjugate, r = 0 and r = N/2 on their own: the
+second spectrum takes Z's cells, the first one new array.
 
 `smooth` is the one smoothing routine.  It runs no transform when the Bohr
 set's size settles the answer: B = {0} returns f itself, and B = Z_N returns
@@ -73,6 +85,8 @@ __all__ = [
 ]
 
 _BOHR_TAIL = 1024  # survivors from which bohr_set tests frequencies in blocks
+_FILL_BLOCK = 1 << 15  # points per block of the transform's fill pass
+_THREAD_MIN_POINTS = 1 << 16  # a pass over fewer points runs on the caller only
 
 
 class CollisionError(ValueError):
@@ -96,10 +110,16 @@ def _smooth_at_least(n: int) -> int:
     return best
 
 
-def _halves(task, n: int) -> None:
-    """task(0, n // 2) on a helper thread and task(n // 2, n) on the caller.
-    The split is fixed, so the work each thread does never depends on
-    scheduling; an exception raised on the helper is re-raised here."""
+def _halves(task, n: int, points: int) -> None:
+    """task(0, n // 2) and task(n // 2, n), for a pass over `points` points:
+    below _THREAD_MIN_POINTS both run on the caller, in turn; otherwise the
+    first runs on a helper thread.  The split is fixed, so the work each
+    thread does never depends on scheduling; an exception raised on the
+    helper is re-raised here."""
+    if points < _THREAD_MIN_POINTS:
+        task(0, n // 2)
+        task(n // 2, n)
+        return
     errors = []
 
     def helper():
@@ -129,12 +149,17 @@ def _unit_phases(p: np.ndarray, d: int, out: np.ndarray) -> None:
     np.sin(angle, out=out.imag)
 
 
-def _chirp_dft(v: np.ndarray) -> np.ndarray:
+def _chirp_dft(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """dft of a float64 or complex128 array v by Bluestein's algorithm (see
-    the module docstring), as a new complex128 array.
+    the module docstring), written into the complex128 array `out` of the
+    same length, which holds the chirp w until the last pass multiplies it
+    by the convolution; `out` may be v itself.
 
     a = v w and b = conj w / L (b(L - k) = b(k)) fill L2 x L1 grids whose
-    row-major order is the natural one, zero-padded.  A forward FFT runs
+    row-major order is the natural one, zero-padded, in blocks of
+    _FILL_BLOCK points: each block makes its chirp in b's cells, reads its
+    part of v into a and only then copies the chirp over that part of
+    `out`.  A forward FFT runs
     length-L2 FFTs down the columns, multiplies by the twiddles e(-k2 n1 / L)
     and runs length-L1 FFTs along the rows, which leaves A(k2 + L2 k1) at
     [k2, k1]; the inverse undoes those steps in reverse, ending in natural
@@ -155,21 +180,24 @@ def _chirp_dft(v: np.ndarray) -> np.ndarray:
     _unit_phases(np.multiply.outer(np.arange(0, l2, blk), cols), size, far)
     near_inv, far_inv = near.conj(), far.conj()
 
-    chirp = np.empty(n, dtype=np.complex128)
     a = np.zeros((l2, l1), dtype=np.complex128)
     b = np.zeros((l2, l1), dtype=np.complex128)
     a_flat, b_flat = a.reshape(-1), b.reshape(-1)
 
     def fill(lo, hi):
-        k = np.arange(lo, hi, dtype=np.int64)
-        k *= k
-        _unit_phases(k, 2 * n, chirp[lo:hi])
-        np.multiply(v[lo:hi], chirp[lo:hi], out=a_flat[lo:hi])
-        np.conjugate(chirp[lo:hi], out=b_flat[lo:hi])
-        b_flat[lo:hi] *= 1 / size  # so the inverse FFT runs unscaled
-        lo = max(lo, 1)
-        if lo < hi:
-            b_flat[size - hi + 1 : size - lo + 1] = b_flat[lo:hi][::-1]
+        for start in range(lo, hi, _FILL_BLOCK):
+            stop = min(hi, start + _FILL_BLOCK)
+            k = np.arange(start, stop, dtype=np.int64)
+            k *= k
+            chirp = b_flat[start:stop]
+            _unit_phases(k, 2 * n, chirp)
+            np.multiply(v[start:stop], chirp, out=a_flat[start:stop])
+            out[start:stop] = chirp
+            np.conjugate(chirp, out=chirp)
+            chirp *= 1 / size  # so the inverse FFT runs unscaled
+            first = max(start, 1)
+            if first < stop:
+                b_flat[size - stop + 1 : size - first + 1] = b_flat[first:stop][::-1]
 
     def columns_forward(lo, hi):
         for grid in (a, b):
@@ -193,28 +221,41 @@ def _chirp_dft(v: np.ndarray) -> np.ndarray:
         np.fft.ifft(a[:, lo:hi], axis=0, out=a[:, lo:hi], norm="forward")
 
     def unchirp(lo, hi):
-        chirp[lo:hi] *= a_flat[lo:hi]
+        out[lo:hi] *= a_flat[lo:hi]
 
-    _halves(fill, n)
-    _halves(columns_forward, l1)
-    _halves(rows, l2)
+    _halves(fill, n, n)
+    _halves(columns_forward, l1, size)
+    _halves(rows, l2, size)
     del b, b_flat
-    _halves(columns_inverse, l1)
-    _halves(unchirp, n)
-    return chirp
+    _halves(columns_inverse, l1, size)
+    _halves(unchirp, n, n)
+    return out
 
 
-def dft(values: np.ndarray) -> np.ndarray:
-    """Transform fhat(r) = sum_x f(x) e(-x r / N), as a new complex128 array,
-    by the two-thread Bluestein transform described in the module docstring."""
+def dft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Transform fhat(r) = sum_x f(x) e(-x r / N) by the Bluestein transform
+    described in the module docstring, into `out` (a new complex128 array
+    when None).  `out` is a writeable complex128 array of length N: the
+    input itself, or one sharing no memory with it; otherwise ValueError."""
     dtype = np.complex128 if np.iscomplexobj(values) else np.float64
-    return _chirp_dft(np.asarray(values, dtype=dtype))
+    v = np.asarray(values, dtype=dtype)
+    if out is None:
+        out = np.empty(len(v), dtype=np.complex128)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.complex128 and out.shape == (len(v),)):
+        raise ValueError(f"out must be a complex128 array of length {len(v)}")
+    elif not out.flags.writeable:
+        raise ValueError("out must be writeable")
+    elif np.may_share_memory(out, v) and (out.ctypes.data, out.strides) != (v.ctypes.data, v.strides):
+        raise ValueError("out must be the input itself or share no memory with it")
+    return _chirp_dft(v, out)
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
     """Inverse transform f(x) = (1/N) sum_r fhat(r) e(x r / N), as the
-    conjugate of the forward transform of the conjugate."""
-    out = _chirp_dft(np.conjugate(np.asarray(spectrum, dtype=np.complex128)))
+    conjugate of the forward transform of the conjugate, written over that
+    conjugated copy."""
+    out = np.conjugate(np.asarray(spectrum, dtype=np.complex128))
+    _chirp_dft(out, out)
     np.conjugate(out, out=out)
     out /= len(out)
     return out
@@ -233,13 +274,16 @@ def _alone(values: np.ndarray, norm: float) -> np.ndarray:
 
 
 def dft_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of two real arrays from one dft of Z = dft(a + i b).
+    """Spectra of two real arrays from one dft of Z = dft(a + i b), taken
+    over the packed array.
 
-    A(r) = (Z(r) + conj Z(-r))/2 and B(r) = (Z(r) - conj Z(-r))/2i, so both
-    come out exactly Hermitian.  b is packed as b / 2^k with
-    k = round(log2(|b|_1 / |a|_1)) and B is multiplied back by 2^k, so a
-    small a is not lost in the rounding of a large b, nor the reverse.  An
-    all-zero array gets the zero spectrum exactly, and the other its own dft.
+    A(r) = (Z(r) + conj Z(-r))/2 and B(r) = (Z(r) - conj Z(-r))/2i, computed
+    at r = 0, at N/2 when N is even and at r in [1, (N - 1)/2], with A(-r)
+    and B(-r) written as their conjugates, so both are exactly Hermitian.
+    b is packed as b / 2^k with k = round(log2(|b|_1 / |a|_1)) and B is
+    multiplied back by 2^k, so a small a is not lost in the rounding of a
+    large b, nor the reverse.  An all-zero array gets the zero spectrum
+    exactly, and the other its own dft.
     """
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         raise ValueError("dft_pair transforms real arrays only")
@@ -249,16 +293,35 @@ def dft_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not (norm_a and norm_b):
         return _alone(a, norm_a), _alone(b, norm_b)
     scale = _pow2_ratio(norm_b, norm_a)
-    z = np.empty(len(a), dtype=np.complex128)
+    n = len(a)
+    z = np.empty(n, dtype=np.complex128)
     z.real = a
-    z.imag = b / scale
-    z = dft(z)
-    conj_neg = np.roll(z[::-1], 1)  # Z(-r)
-    np.conjugate(conj_neg, out=conj_neg)
-    spec_a = z + conj_neg
-    spec_a *= 0.5
-    z -= conj_neg
-    z *= -0.5j * scale  # a pure-imaginary power of two: exact
+    np.divide(b, scale, out=z.imag)
+    dft(z, out=z)
+    spec_a = np.empty(n, dtype=np.complex128)
+    factor = -0.5j * scale  # a pure-imaginary power of two: exact
+
+    def split(r, m):
+        # A and B at the indices r from Z there and at m = -r, B over Z;
+        # a slice m other than r is disjoint from it and takes the conjugates
+        zr, ar = z[r], spec_a[r]
+        conj_m = np.conjugate(z[m])
+        np.add(zr, conj_m, out=ar)
+        ar *= 0.5
+        zr -= conj_m
+        zr *= factor
+        if m != r:
+            np.conjugate(ar, out=spec_a[m])
+            np.conjugate(zr, out=z[m])
+
+    split(slice(0, 1), slice(0, 1))
+    if n % 2 == 0:
+        split(slice(n // 2, n // 2 + 1), slice(n // 2, n // 2 + 1))
+    _halves(
+        lambda lo, hi: split(slice(lo + 1, hi + 1), slice(n - 1 - lo, n - 1 - hi, -1)),
+        (n - 1) // 2,
+        n,
+    )
     return spec_a, z
 
 

@@ -802,9 +802,9 @@ class TestTransferCommand:
         calls = []
 
         def counted(real):
-            def wrapper(values):
-                calls.append(len(values))
-                return real(values)
+            def wrapper(*args, **kwargs):
+                calls.append(len(args[0]))
+                return real(*args, **kwargs)
 
             return wrapper
 

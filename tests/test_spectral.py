@@ -133,11 +133,104 @@ class TestDft:
                 raise FloatingPointError("helper FFT failed")
             return real(*args, **kwargs)
 
+        from polyprimelab import spectral
+
+        # a length whose FFT passes are long enough to run a helper thread
+        n = 100003
+        assert spectral._smooth_at_least(2 * n - 1) >= spectral._THREAD_MIN_POINTS
         monkeypatch.setattr(np.fft, "fft", fail_off_main)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="helper FFT failed"):
-            dft(np.arange(1009.0))
+            dft(np.arange(float(n)))
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 101, 32767, 32769, 65537, 100003])
+    def test_out_is_bit_identical(self, n):
+        # into a fresh buffer, over a complex input itself, and over a real
+        # input held in the output's real parts; idft writes over its own copy
+        rng = np.random.default_rng(n)
+        re = rng.standard_normal(n)
+        c = re + 1j * rng.standard_normal(n)
+        for v in (re, c):
+            want = dft(v)
+            buf = np.full(n, np.nan, dtype=np.complex128)
+            assert dft(v, out=buf) is buf and bits_equal(buf, want)
+        own = c.copy()
+        assert dft(own, out=own) is own and bits_equal(own, dft(c))
+        held = re.astype(np.complex128)
+        assert dft(held.real, out=held) is held and bits_equal(held, dft(re))
+        spec = dft(c)
+        frozen = spec.copy()
+        frozen.setflags(write=False)
+        want = np.conjugate(dft(np.conjugate(spec)))
+        want /= n
+        assert bits_equal(idft(frozen), want) and bits_equal(frozen, spec)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.zeros(7, dtype=np.complex64),
+            np.zeros(7),
+            np.zeros(6, dtype=np.complex128),
+            np.zeros((7, 1), dtype=np.complex128),
+            [0j] * 7,
+        ],
+        ids=["complex64", "float64", "short", "2-d", "list"],
+    )
+    def test_out_of_wrong_kind_rejected(self, out):
+        with pytest.raises(ValueError, match="complex128 array of length 7"):
+            dft(np.ones(7), out=out)
+
+    def test_read_only_or_overlapping_out_rejected(self):
+        out = np.zeros(7, dtype=np.complex128)
+        out.setflags(write=False)
+        with pytest.raises(ValueError, match="writeable"):
+            dft(np.ones(7), out=out)
+        z = np.arange(8, dtype=np.complex128)
+        with pytest.raises(ValueError, match="share no memory"):
+            dft(z[:7], out=z[1:])
+        with pytest.raises(ValueError, match="share no memory"):
+            dft(z[:7][::-1], out=z[:7])
+
+    @pytest.mark.parametrize("n", [101, 1009, 10007, 65537, 100003])
+    def test_threads_do_not_change_a_bit(self, monkeypatch, n):
+        # every pass on helper threads, and every pass on the caller, give
+        # the transform the cutoff picks, on both sides of it
+        from polyprimelab import spectral
+
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        a, b = rng.standard_normal(n), rng.random(n)
+        got = []
+        for cutoff in (spectral._THREAD_MIN_POINTS, 0, math.inf):
+            monkeypatch.setattr(spectral, "_THREAD_MIN_POINTS", cutoff)
+            got.append((dft(v), idft(v), *dft_pair(a, b)))
+        for other in got[1:]:
+            assert all(bits_equal(x, y) for x, y in zip(got[0], other))
+
+    def test_small_transforms_run_on_the_caller(self, monkeypatch):
+        # at N <= 1e4 no helper thread starts, and a transform costs at most
+        # 1.2 times the caller-only transform (best of interleaved runs)
+        import threading
+        import time
+
+        from polyprimelab import spectral
+
+        cutoff = spectral._THREAD_MIN_POINTS
+        for n in (101, 1009, 10007):
+            v = np.random.default_rng(n).standard_normal(n)
+            with monkeypatch.context() as m:
+                m.setattr(threading, "Thread", lambda **kw: pytest.fail("helper thread"))
+                dft(v)
+                dft_pair(v, v[::-1].copy())
+            best = {cutoff: math.inf, math.inf: math.inf}
+            for _ in range(15):
+                for c in best:
+                    monkeypatch.setattr(spectral, "_THREAD_MIN_POINTS", c)
+                    t0 = time.perf_counter()
+                    dft(v)
+                    best[c] = min(best[c], time.perf_counter() - t0)
+            assert best[cutoff] <= 1.2 * best[math.inf], (n, best)
 
     def test_matches_definition(self):
         rng = np.random.default_rng(1)
@@ -172,6 +265,11 @@ def real_test_array(rng, n: int, kind: str, log10_mass: int) -> np.ndarray:
     else:
         v = rng.standard_normal(n)
     return v * (10.0**log10_mass / np.abs(v).sum())
+
+
+def bits_equal(got, want) -> bool:
+    """Equal to the bit, the sign of each zero included."""
+    return np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
 def assert_close_to_own_max(got, want):
@@ -215,12 +313,56 @@ class TestPairedTransforms:
         with pytest.raises(ValueError, match="real"):
             dft_pair(np.ones(5, dtype=complex), np.ones(5))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 100, 101, 4096, 100003, 131072])
+    def test_split_matches_full_length_formula(self, n):
+        # the oracle splits Z over every r with Z(-r) from a rolled copy; the
+        # half-range split with conjugate mirrors agrees to the bit, up to
+        # the sign of an exact zero
+        from polyprimelab.spectral import _pow2_ratio
+
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n), (rng.random(n) < 0.3) * 1e-6
+        b[-1] = 1e-6  # not all zero, so Z is split
+        scale = _pow2_ratio(float(np.abs(b).sum()), float(np.abs(a).sum()))
+        z = np.empty(n, dtype=np.complex128)
+        z.real = a
+        z.imag = b / scale
+        z = dft(z)
+        conj_neg = np.conjugate(np.roll(z[::-1], 1))
+        want_a = (z + conj_neg) * 0.5
+        want_b = (z - conj_neg) * (-0.5j * scale)
+        for got, want in zip(dft_pair(a, b), (want_a, want_b)):
+            assert bits_equal(got + 0.0, want + 0.0)  # -0.0 + 0.0 is 0.0
+
+    def test_pair_working_set(self):
+        # the traced peak is the packed input (16N), the two length-L grids
+        # (32L) and a fixed allowance, at N = 1000003
+        import tracemalloc
+
+        from polyprimelab.spectral import _smooth_at_least
+
+        n = 1_000_003
+        size = _smooth_at_least(2 * n - 1)
+        rng = np.random.default_rng(17)
+        a, b = rng.standard_normal(n), rng.random(n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            spectra = dft_pair(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(spectra[0]) == n
+        assert peak - base - (16 * n + 32 * size) <= 8 << 20
+
     def test_transform_pair_caches_both(self, monkeypatch):
         from polyprimelab import spectral
 
         calls = []
         real = spectral.dft
-        monkeypatch.setattr(spectral, "dft", lambda v: calls.append(len(v)) or real(v))
+        monkeypatch.setattr(
+            spectral, "dft", lambda *args, **kwargs: calls.append(len(args[0])) or real(*args, **kwargs)
+        )
         rng = np.random.default_rng(15)
         f, g = DensityFunction(rng.random(31)), DensityFunction(rng.random(31) < 0.5)
         transform_pair(f, g)
@@ -239,7 +381,7 @@ class TestDensityFunction:
     def test_given_spectrum_kept_without_a_transform(self, monkeypatch):
         from polyprimelab import spectral
 
-        monkeypatch.setattr(spectral, "dft", lambda v: pytest.fail("transform ran"))
+        monkeypatch.setattr(spectral, "dft", lambda *args, **kwargs: pytest.fail("transform ran"))
         f = DensityFunction(np.eye(5)[1], [1, 2, 3, 4, 5])
         assert f.spectrum.dtype == np.complex128 and not f.spectrum.flags.writeable
         assert f.spectrum.tolist() == [1, 2, 3, 4, 5]
@@ -508,7 +650,7 @@ class TestSmooth:
         want = np.fft.ifft(want_spec)
         with monkeypatch.context() as m:
             for name in ("dft", "idft"):
-                m.setattr(spectral, name, lambda v: pytest.fail("transform ran"))
+                m.setattr(spectral, name, lambda *args, **kwargs: pytest.fail("transform ran"))
             m.setattr(BohrStructure, "normalized_indicator", lambda self: pytest.fail("built b"))
             out = smooth(f, bohr)
         assert out.values.dtype == f.values.dtype
