@@ -158,7 +158,7 @@ def blocking_partition(
     arg, rem = divmod(p - b0, w0)
     note = "" if rem == 0 else f";T-arg-floored({p}-{b0})/{w0}"
     t_threshold = psi(arg)
-    primes = sieve_primes(n)
+    primes = _domain_elements(DOMAIN_PRIMES, n)
     j = np.where(primes % p == 0, p, primes % p).astype(np.int64)
     colors = np.where(
         2 * primes <= t_threshold,

@@ -106,11 +106,15 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative value {value}")
+    return value
+
+
 def _nonnegative_int_tuple(text: str) -> tuple[int, ...]:
-    values = _int_tuple(text)
-    if any(v < 0 for v in values):
-        raise ValueError(f"negative entry {min(values)}")
-    return values
+    return tuple(_nonnegative_int(x) for x in text.split(","))
 
 
 def _setting(default, parse, flag=None, help=None, key=None):
@@ -152,7 +156,7 @@ class ExperimentConfig:
         (4.0, 64.0), lambda s: tuple(float(x) for x in s.split(",")),
         "--rho", "comma list of restriction exponents",
     )
-    seed: int = _setting(1, int, "--seed", "master seed (recorded in reports)")
+    seed: int = _setting(1, _nonnegative_int, "--seed", "master seed (recorded in reports)")
     coloring: str = _setting(
         "random", _parse_coloring_rule, "--coloring-rule", "random | residue:<q> | interval:<cuts>"
     )

@@ -1,10 +1,12 @@
 """Exact integer number theory: the prime sieve, primes in arithmetic
 progressions, totient, p-adic valuations, CRT, and logarithmic prime weights.
 
-One segmented sieve over the odd numbers, which lists its own base primes,
-gives the primes up to any limit.  `ap_primes` returns a progression's
-primes and log weights as (support, weights), after `check_progression`
-has checked that w >= 1 and gcd(b, w) = 1.
+One progression sieve, `ap_prime_mask`, marks the composites of any
+progression w*x + b with w >= 1 and gcd(b, w) = 1 (`check_progression`).
+`sieve_primes` is its odd-number case, the progression 2x + 1, run one
+segment at a time; the base primes of each segment come from `sieve_primes`
+again.  `ap_primes` returns a progression's primes and log weights as
+(support, weights).
 
 All modular and combinatorial data are exact integers; only the logarithmic
 weights are double precision.
@@ -41,31 +43,18 @@ _MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes <= limit as one read-only ascending int64 array: 2, then the
-    odd primes, sieved over the odd numbers only (index i stands for 2i + 1),
-    _SEGMENT integers at a time, by the odd base primes <= isqrt(limit),
-    which this same sieve lists."""
-    if limit < 2:
-        raise ValueError("sieve limit must be >= 2 (table would be empty)")
-    base = sieve_primes(math.isqrt(limit))[1:].tolist() if limit >= 9 else []
-    odd_count = (limit + 1) // 2  # 1, 3, ..., the largest odd number <= limit
+    """All primes <= limit as one read-only ascending int64 array (empty
+    below 2): 2, then the odd numbers 2x + 1 that `ap_prime_mask` marks
+    prime, _SEGMENT integers at a time; the segment from 2 lo + 3 on is the
+    progression 2x + (2 lo + 1)."""
+    odd_count = max(0, (limit - 1) // 2)  # 3, 5, ..., the largest odd number <= limit
     step = max(1, _SEGMENT // 2)
-    chunks = [np.array([2], dtype=np.int64)]
+    chunks = [np.array([2] if limit >= 2 else [], dtype=np.int64)]
     for lo in range(0, odd_count, step):
-        hi = min(lo + step, odd_count)  # exclusive, in odd indices
-        seg = np.ones(hi - lo, dtype=bool)
-        if lo == 0:
-            seg[0] = False  # 1
-        for p in base:
-            if p * p > 2 * hi - 1:
-                break
-            start = max(p * p, -(-(2 * lo + 1) // p) * p)
-            if start % 2 == 0:
-                start += p  # odd multiples are 2p apart: p apart in index
-            seg[(start - 1) // 2 - lo :: p] = False
-        chunk = np.flatnonzero(seg).astype(np.int64, copy=False)
+        chunk = np.flatnonzero(ap_prime_mask(2 * lo + 1, 2, min(step, odd_count - lo)))
+        chunk = chunk.astype(np.int64, copy=False)
         chunk *= 2
-        chunk += 2 * lo + 1
+        chunk += 2 * lo + 3
         chunks.append(chunk)
     primes = np.concatenate(chunks)
     primes.setflags(write=False)
@@ -193,6 +182,9 @@ def ap_prime_mask(b: int, w: int, count: int) -> np.ndarray:
     """Boolean mask over x = 1..count marking where w*x + b is prime.
 
     Sieves the progression directly; any offset b coprime to w is accepted.
+    Each prime p not dividing w strikes its multiples from p^2 on: a composite
+    w*x + b is coprime to w, so its least prime factor is such a p, and
+    p^2 <= w*x + b.  This is the only code that marks composites.
     """
     check_progression(b, w)
     if count <= 0:
@@ -200,10 +192,10 @@ def ap_prime_mask(b: int, w: int, count: int) -> np.ndarray:
     top = w * count + b
     mask = np.ones(count, dtype=bool)
     mask[: max(0, (1 - b) // w)] = False  # w*x + b <= 1
-    for p in sieve_primes(max(2, math.isqrt(max(top, 0)))).tolist():
+    for p in sieve_primes(math.isqrt(max(top, 0))).tolist():
         if w % p == 0:
             continue
-        lo = max(1, (p - b) // w + 1)  # first x with w*x + b > p
+        lo = max(1, -((b - p * p) // w))  # first x with w*x + b >= p^2
         x0 = lo + (-b * pow(w, -1, p) - lo) % p
         mask[x0 - 1 :: p] = False
     return mask

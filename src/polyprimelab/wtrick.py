@@ -28,11 +28,11 @@ from .polynomials import (
 __all__ = [
     "HypothesisError",
     "NecessityViolationError",
-    "ParityCertificate",
     "ScaleError",
     "WTrickContext",
     "build_context",
     "check_cp",
+    "check_parity",
     "compute_K",
     "find_nonroot",
     "level_exponents",
@@ -59,25 +59,16 @@ class ScaleError(ValueError):
     """The requested scale n is too small for the context's parameters."""
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
-    """Which branch of the parity hypothesis holds, with its witness."""
-
-    w0_even: bool
-    witness_arg: int
-    witness_value: int
-
-    @classmethod
-    def check(cls, psi: IntPolynomial, b0: int, w0: int) -> "ParityCertificate":
-        if w0 % 2 == 0:
-            for arg in (1, 0):
-                if psi(arg) % 2 == 0:
-                    return cls(True, arg, psi(arg))
+def check_parity(psi: IntPolynomial, b0: int, w0: int) -> None:
+    """HypothesisError unless the parity hypothesis holds: psi(1) or psi(0)
+    even when w0 is even, psi(b0 - 1) even when w0 is odd."""
+    if w0 % 2 == 0:
+        if psi(1) % 2 and psi(0) % 2:
             raise HypothesisError("psi(1) and psi(0) both odd with w0 even")
-        v = psi(b0 - 1)
-        if v % 2:
-            raise HypothesisError(f"psi(b0-1) = {v} odd with w0 odd")
-        return cls(False, b0 - 1, v)
+        return
+    v = psi(b0 - 1)
+    if v % 2:
+        raise HypothesisError(f"psi(b0-1) = {v} odd with w0 odd")
 
 
 def find_nonroot(h: IntPolynomial, p: int, candidates) -> int:
@@ -190,7 +181,7 @@ def _derivative_valuations(
     """{p: v_p(psi'((b_p - b0)/w0))} for every prime p <= coeff_bound."""
     dpsi = psi.derivative()
     out = {}
-    for p in _primes_upto(coeff_bound):
+    for p in sieve_primes(coeff_bound).tolist():
         if p not in bp:
             raise ValueError(f"b_p missing for p = {p}")
         t, rem = divmod(bp[p] - b0, w0)
@@ -320,19 +311,15 @@ def _decode(annotation: str, value):
     return _DECODERS[annotation.removesuffix(" | None")](value)
 
 
-def _primes_upto(limit: int) -> list[int]:
-    return sieve_primes(limit).tolist() if limit >= 2 else []
-
-
 def level_exponents(level: int) -> dict[int, int]:
     """Smooth exponents of smoothing level `level`: 1 for each prime <= level."""
-    return dict.fromkeys(_primes_upto(level), 1)
+    return dict.fromkeys(sieve_primes(level).tolist(), 1)
 
 
 def _admissible_cp(psi: IntPolynomial, b0: int, w0: int, bound: int) -> dict[int, int]:
     """c_p for every prime p <= bound (the prime-coloring residues); raises
     NecessityViolationError naming every prime that has none."""
-    cp = {p: check_cp(psi, b0, w0, p) for p in _primes_upto(bound)}
+    cp = {p: check_cp(psi, b0, w0, p) for p in sieve_primes(bound).tolist()}
     missing = [p for p, c in cp.items() if c is None]
     if missing:
         raise NecessityViolationError(missing)
@@ -366,7 +353,7 @@ def build_context(
         raise ValueError("psi must have degree >= 1 and positive leading coefficient")
     if num_colors < 1:
         raise ValueError("requires num_colors >= 1")
-    ParityCertificate.check(psi, b0, w0)
+    check_parity(psi, b0, w0)
 
     if any(e < 0 for e in smooth_exponents.values()):
         raise ValueError(f"negative smooth exponent in {smooth_exponents}")
@@ -384,7 +371,7 @@ def build_context(
     if bertrand_hi <= max(lo, 1):  # lo = 0 means 4n/W < 2: no prime in (lo, 4n/W]
         raise ScaleError(f"no room for a prime modulus: n={n}, W={w_modulus}")
 
-    needed = sorted(set(_primes_upto(bound)) | set(exps))
+    needed = sorted(set(sieve_primes(bound).tolist()) | set(exps))
     bp = {
         p: select_bp(psi, b0, w0, bound, p, variant, cp.get(p) if cp else None)
         for p in needed

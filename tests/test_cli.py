@@ -138,6 +138,14 @@ class TestConfigParsing:
         assert err.count("\n") == 1
         assert not (tmp_path / "spectrum.json").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "search", "counterexample", "transfer"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command):
+        # a negative seed is a bad setting on every command, refused before any stage runs
+        extra = ["--coloring", str(tmp_path / "absent.txt")] if command == "search" else []
+        assert main([command, "--seed", "-1", *extra, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: bad value for 'seed': negative value -1\n"
+        assert not list(tmp_path.glob("*.json"))
+
     @pytest.mark.parametrize("command", ["transfer", "search"])
     def test_bad_variant_same_for_flag_and_config_file(self, tmp_path, capsys, command):
         # both forms exit 2 with one line, before any context or coloring is read
@@ -629,6 +637,12 @@ class TestCounterexampleCommand:
         assert len(report["classes"]) == 9
         cls1 = report["classes"]["1"]
         assert "max_pair_sum" in cls1 or int(cls1["count"]) < 2
+
+    def test_empty_prime_domain(self, tmp_path, capsys):
+        # with no prime <= n to color there is no partition to report
+        assert main(["counterexample", "--n", "1", "--out", str(tmp_path)] + BLOCKING) == 1
+        assert capsys.readouterr().err == "error: empty prime domain\n"
+        assert not (tmp_path / "counterexample.json").exists()
 
     def test_inapplicable(self, tmp_path):
         code = main(

@@ -44,9 +44,10 @@ class TestSieve:
         assert len(sieve_primes(10**4)) == 1229
         assert len(sieve_primes(10**6)) == 78498
 
-    def test_below_two_rejected(self):
-        with pytest.raises(ValueError):
-            sieve_primes(1)
+    def test_below_two_empty(self):
+        for limit in (0, 1):
+            primes = sieve_primes(limit)
+            assert primes.size == 0 and primes.dtype == np.int64 and not primes.flags.writeable
 
     def test_membership_vs_list(self):
         primes = sieve_primes(500)
@@ -62,7 +63,7 @@ class TestSieve:
         import polyprimelab.numtheory as nt
 
         monkeypatch.setattr(nt, "_SEGMENT", 1000)
-        for limit in (*range(2, 122), 999, 1000, 1001, 2999, 3000, 25_000):
+        for limit in (*range(0, 122), 999, 1000, 1001, 2999, 3000, 25_000):
             assert sieve_primes(limit).tolist() == [
                 n for n in range(limit + 1) if trial_division_is_prime(n)
             ]

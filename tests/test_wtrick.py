@@ -15,11 +15,11 @@ from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolyno
 from polyprimelab.wtrick import (
     HypothesisError,
     NecessityViolationError,
-    ParityCertificate,
     ScaleError,
     WTrickContext,
     build_context,
     check_cp,
+    check_parity,
     compute_K,
     find_nonroot,
     select_bp,
@@ -206,16 +206,14 @@ class TestComputeK:
 
 class TestParityCertificate:
     def test_even_w0_branch(self):
-        cert = ParityCertificate.check(X2X, 1, 2)
-        assert cert.w0_even and cert.witness_value % 2 == 0
+        check_parity(X2X, 1, 2)
 
     def test_odd_w0_branch(self):
-        cert = ParityCertificate.check(X2X, 1, 1)
-        assert not cert.w0_even and cert.witness_arg == 0
+        check_parity(X2X, 1, 1)
 
     def test_failure(self):
         with pytest.raises(HypothesisError):
-            ParityCertificate.check(IntPolynomial((1, 1, 1)), 1, 2)  # psi(0), psi(1) odd
+            check_parity(IntPolynomial((1, 1, 1)), 1, 2)  # psi(0), psi(1) odd
 
 
 class TestBuildContext:
@@ -307,7 +305,7 @@ class TestVerifyGcdIdentity:
             w0 = int(rng.choice([1, 2]))
             b0 = 1
             try:
-                ParityCertificate.check(poly, b0, w0)
+                check_parity(poly, b0, w0)
                 exps = suggest_smooth_exponents(poly, b0, w0, INTEGER_COLORING)
                 ctx = build_context(
                     poly, b0, w0, int(rng.integers(1, 4)), INTEGER_COLORING, exps,
