@@ -61,10 +61,6 @@ class ColoringInstance:
     def class_members(self, color: int) -> np.ndarray:
         return np.flatnonzero(self.color_at == color)
 
-    def class_counts(self) -> np.ndarray:
-        """Counts per color, index 0 unused."""
-        return np.bincount(self.colors, minlength=self.num_colors + 1)
-
 
 def _color_table(n: int, m: int, elements: np.ndarray, colors: np.ndarray) -> np.ndarray:
     """`color_at` of a coloring of `elements` by `colors`: length n + 1, the

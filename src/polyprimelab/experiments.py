@@ -117,6 +117,14 @@ def _nonnegative_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(_nonnegative_int(x) for x in text.split(","))
 
 
+def _positive_float_tuple(text: str) -> tuple[float, ...]:
+    values = tuple(float(x) for x in text.split(","))
+    for value in values:
+        if not 0 < value < math.inf:  # nan fails too
+            raise ValueError(f"{value} is not positive and finite")
+    return values
+
+
 def _setting(default, parse, flag=None, help=None, key=None):
     """A field declared as a setting: its config key (`key`, else the field's
     name), the parser of its text, and its command-line `flag` with `help`
@@ -153,7 +161,7 @@ class ExperimentConfig:
         Fraction(1, 8), _parse_fraction, "--eps", "Bohr radius as a rational 'p/q'"
     )
     rho: tuple[float, ...] = _setting(
-        (4.0, 64.0), lambda s: tuple(float(x) for x in s.split(",")),
+        (4.0, 64.0), _positive_float_tuple,
         "--rho", "comma list of restriction exponents",
     )
     seed: int = _setting(1, _nonnegative_int, "--seed", "master seed (recorded in reports)")

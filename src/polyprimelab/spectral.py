@@ -26,12 +26,15 @@ trig, as `_e` reduces every other phase: `complete_gauss_sum` and
 `weighted_exp_sum` for every alpha, a float alpha taken as its exact binary
 fraction.
 
-A transform's working set is its output (16N bytes), which holds the chirp
-until the last pass, the two length-L grids (32L bytes, L about 2N), and a
-small allowance: the twiddle tables (64 L^(3/4) bytes, 3.4 MB at N = 1e6)
-and the fill pass's phase temporaries, 16 bytes a point in blocks of
-_FILL_BLOCK points, one block per thread.  `dft(v, out=v)` writes the
-spectrum over a complex input, so the input costs nothing more.
+A transform's working set is 16N + 24L bytes and a small allowance: its
+output (16N), which holds the chirp until the last pass, the length-L grid
+of v w (16L, L about 2N) and half the kernel's spectrum (8L).  The kernel
+conj w / L is even, so its spectrum is even too, and the half not kept is
+the kept half read backwards.  The allowance is the twiddle tables
+(64 L^(3/4) bytes, 3.4 MB at N = 1e6) and each pass's block temporaries,
+16 bytes a point in blocks of about _FILL_BLOCK points, one block per
+thread.  `dft(v, out=v)` writes the spectrum over a complex input, so the
+input costs nothing more.
 
 Real functions are stored as float64, complex ones as complex128.  Two real
 functions share one transform: `dft_pair` packs a + i b into its own array,
@@ -149,29 +152,42 @@ def _unit_phases(p: np.ndarray, d: int, out: np.ndarray) -> None:
     np.sin(angle, out=out.imag)
 
 
+def _row_blocks(lo: int, hi: int, blk: int):
+    """(r0, r1, c): rows [r0, r1) of [lo, hi) that lie in twiddle block c."""
+    for c in range(lo // blk, -(-hi // blk)):
+        yield max(lo, c * blk), min(hi, (c + 1) * blk), c
+
+
 def _chirp_dft(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     """dft of a float64 or complex128 array v by Bluestein's algorithm (see
     the module docstring), written into the complex128 array `out` of the
     same length, which holds the chirp w until the last pass multiplies it
     by the convolution; `out` may be v itself.
 
-    a = v w and b = conj w / L (b(L - k) = b(k)) fill L2 x L1 grids whose
-    row-major order is the natural one, zero-padded, in blocks of
-    _FILL_BLOCK points: each block makes its chirp in b's cells, reads its
-    part of v into a and only then copies the chirp over that part of
-    `out`.  A forward FFT runs
-    length-L2 FFTs down the columns, multiplies by the twiddles e(-k2 n1 / L)
-    and runs length-L1 FFTs along the rows, which leaves A(k2 + L2 k1) at
-    [k2, k1]; the inverse undoes those steps in reverse, ending in natural
-    order.  The twiddles come block by block, blk rows at a time, as the
-    product of two small tables, e(-(k2 - c blk) n1 / L) and e(-c blk n1 / L)
-    for block c: no length-L twiddle array is built.  The product and the
-    inverse run inside the row pass, one block at a time.
+    a = v w fills an L2 x L1 grid whose row-major order is the natural one,
+    zero-padded, in blocks of _FILL_BLOCK points: each block copies its part
+    of v into a, writes its chirp over that part of `out` and multiplies.
+    A forward FFT runs length-L2 FFTs down the columns, multiplies by the
+    twiddles e(-k2 n1 / L) and runs length-L1 FFTs along the rows, which
+    leaves A(k2 + L2 k1) at [k2, k1]; the inverse undoes those steps in
+    reverse, ending in natural order.  The twiddles come block by block, blk
+    rows at a time, as the product of two small tables, e(-(k2 - c blk) n1 / L)
+    and e(-c blk n1 / L) for block c: no length-L twiddle array is built.
+
+    The kernel b = conj w / L, b(k) = b(L - k) = conj w(k) / L for k < N and
+    0 between the bands, is even, so its spectrum is too: B at [k2, k1]
+    equals B at [L2 - k2, L1 - 1 - k1] for k2 >= 1.  Only rows 0 .. L2 // 2
+    of B are kept: b is gathered from the chirp in `out` about _FILL_BLOCK
+    points (whole columns) at a time, its column FFTs keep their first
+    L2 // 2 + 1 rows, and the twiddles and row FFTs run on those rows alone.
+    The product and the inverse run inside a's row pass, one block at a
+    time; a row past L2 / 2 is multiplied by its mirror row read backwards.
     """
     n = len(v)
     size = _smooth_at_least(2 * n - 1)
     l1 = max(d for d in range(1, math.isqrt(size) + 1) if size % d == 0)
     l2 = size // l1
+    half = l2 // 2 + 1  # rows of B kept
     blk = math.isqrt(l2)
     cols = np.arange(l1, dtype=np.int64)
     near = np.empty((blk, l1), dtype=np.complex128)
@@ -181,40 +197,58 @@ def _chirp_dft(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     near_inv, far_inv = near.conj(), far.conj()
 
     a = np.zeros((l2, l1), dtype=np.complex128)
-    b = np.zeros((l2, l1), dtype=np.complex128)
-    a_flat, b_flat = a.reshape(-1), b.reshape(-1)
+    a_flat = a.reshape(-1)
+    kern = np.empty((half, l1), dtype=np.complex128)
+    # b's rows wholly below N are w read forwards, those wholly past L - N
+    # are w read backwards; the few rows between are gathered by index
+    low, high = n // l1, -(-(size - n + 1) // l1)
+    lower = out[: low * l1].reshape(low, l1)
+    upper = out[::-1][high * l1 - size + n - 1 : n - 1].reshape(l2 - high, l1)
+    middle = np.arange(low * l1, high * l1, l1, dtype=np.int64)[:, None]
+    span = max(1, _FILL_BLOCK // l2)  # kernel columns gathered at a time
 
     def fill(lo, hi):
         for start in range(lo, hi, _FILL_BLOCK):
             stop = min(hi, start + _FILL_BLOCK)
             k = np.arange(start, stop, dtype=np.int64)
             k *= k
-            chirp = b_flat[start:stop]
-            _unit_phases(k, 2 * n, chirp)
-            np.multiply(v[start:stop], chirp, out=a_flat[start:stop])
-            out[start:stop] = chirp
-            np.conjugate(chirp, out=chirp)
-            chirp *= 1 / size  # so the inverse FFT runs unscaled
-            first = max(start, 1)
-            if first < stop:
-                b_flat[size - stop + 1 : size - first + 1] = b_flat[first:stop][::-1]
+            a_flat[start:stop] = v[start:stop]
+            _unit_phases(k, 2 * n, out[start:stop])
+            a_flat[start:stop] *= out[start:stop]
 
     def columns_forward(lo, hi):
-        for grid in (a, b):
-            np.fft.fft(grid[:, lo:hi], axis=0, out=grid[:, lo:hi])
+        np.fft.fft(a[:, lo:hi], axis=0, out=a[:, lo:hi])
+        buf = np.empty((l2, span), dtype=np.complex128)
+        for c0 in range(lo, hi, span):
+            c1 = min(hi, c0 + span)
+            b = buf[:, : c1 - c0]
+            np.conjugate(lower[:, c0:c1], out=b[:low])
+            np.conjugate(upper[:, c0:c1], out=b[high:])
+            k = middle + np.arange(c0, c1)
+            np.minimum(k, size - k, out=k)
+            b[low:high] = np.where(k < n, np.conjugate(out[np.minimum(k, n - 1)]), 0)
+            b *= 1 / size  # so the inverse FFT runs unscaled
+            np.fft.fft(b, axis=0, out=b)
+            kern[:, c0:c1] = b[:half]
+
+    def twiddled_fft(grid, r0, r1, c):
+        grid *= near[r0 - c * blk : r1 - c * blk]
+        grid *= far[c]
+        np.fft.fft(grid, axis=1, out=grid)
+
+    def kernel_rows(lo, hi):
+        for r0, r1, c in _row_blocks(lo, hi, blk):
+            twiddled_fft(kern[r0:r1], r0, r1, c)
 
     def rows(lo, hi):
-        for c in range(lo // blk, -(-hi // blk)):
-            r0, r1 = max(lo, c * blk), min(hi, (c + 1) * blk)
-            ra, rb = a[r0:r1], b[r0:r1]
-            tn = slice(r0 - c * blk, r1 - c * blk)
-            for grid in (ra, rb):
-                grid *= near[tn]
-                grid *= far[c]
-                np.fft.fft(grid, axis=1, out=grid)
-            ra *= rb
+        for r0, r1, c in _row_blocks(lo, hi, blk):
+            ra = a[r0:r1]
+            twiddled_fft(ra, r0, r1, c)
+            m = min(max(r0, half), r1)  # rows [r0, m) kept, [m, r1) mirrored
+            ra[: m - r0] *= kern[r0:m]
+            ra[m - r0 :] *= kern[l2 - m : l2 - r1 : -1, ::-1]
             np.fft.ifft(ra, axis=1, out=ra, norm="forward")
-            ra *= near_inv[tn]
+            ra *= near_inv[r0 - c * blk : r1 - c * blk]
             ra *= far_inv[c]
 
     def columns_inverse(lo, hi):
@@ -225,8 +259,9 @@ def _chirp_dft(v: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     _halves(fill, n, n)
     _halves(columns_forward, l1, size)
+    _halves(kernel_rows, half, half * l1)
     _halves(rows, l2, size)
-    del b, b_flat
+    del kern
     _halves(columns_inverse, l1, size)
     _halves(unchirp, n, n)
     return out

@@ -146,6 +146,22 @@ class TestConfigParsing:
         assert capsys.readouterr().err == "error: bad value for 'seed': negative value -1\n"
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("command", ["verify", "search", "counterexample", "transfer", "spectrum"])
+    @pytest.mark.parametrize("text", ["-1", "0", "4,-64", "nan", "inf"])
+    def test_rho_not_positive_and_finite_rejected(self, tmp_path, capsys, command, text):
+        # every command refuses the setting before any stage runs, from a flag
+        # or a config file alike
+        extra = ["--coloring", str(tmp_path / "absent.txt")] if command == "search" else []
+        bad = next(x for x in text.split(",") if not 0 < float(x) < math.inf)
+        message = f"bad value for 'rho': {float(bad)} is not positive and finite\n"
+        assert main([command, "--rho", text, *extra, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}"
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"rho = {text}\n")
+        assert main([command, "--config", str(path), *extra, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: line 1: {message}"
+        assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.npy"))
+
     @pytest.mark.parametrize("command", ["transfer", "search"])
     def test_bad_variant_same_for_flag_and_config_file(self, tmp_path, capsys, command):
         # both forms exit 2 with one line, before any context or coloring is read
@@ -845,8 +861,8 @@ class TestSpectrumCommand:
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     def test_non_finite_rho_rejected(self, tmp_path, capsys, rho):
         # NaN and Infinity are not JSON, so no report is written
-        assert main(["spectrum", "--rho", f"0.5,{rho}", "--out", str(tmp_path)]) == 1
-        assert capsys.readouterr().err == "error: requires 0 < rho < inf\n"
+        assert main(["spectrum", "--rho", f"0.5,{rho}", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: bad value for 'rho': {rho} is not positive and finite\n"
         assert not (tmp_path / "spectrum.json").exists()
 
     def test_huge_rho_reported(self, tmp_path):

@@ -84,10 +84,12 @@ class TestDft:
             c = dft(v)[rows]
             assert float(np.abs(d - c).max()) <= 1e-9 * float(np.abs(d).max()), n
 
-    @pytest.mark.parametrize("n", [400009, 1000003])
+    @pytest.mark.parametrize("n", [101, 1009, 65537, 211, 2039, 100003, 400009, 1000003])
     def test_matches_numpy_fft_at_large_n(self, n):
         # np.fft.fft is a test oracle only; the two transforms agree far
-        # below the 1e-9 of the direct oracle
+        # below the 1e-9 of the direct oracle.  L2 is odd at 101, 1009 and
+        # 65537 and even at 211, 2039 and 100003, and each has a block of
+        # rows that straddles the last kept row of the kernel's spectrum
         v = np.random.default_rng(n).standard_normal(n)
         want = np.fft.fft(v)
         assert np.abs(dft(v) - want).max() <= 1e-13 * np.abs(want).max()
@@ -335,8 +337,9 @@ class TestPairedTransforms:
             assert bits_equal(got + 0.0, want + 0.0)  # -0.0 + 0.0 is 0.0
 
     def test_pair_working_set(self):
-        # the traced peak is the packed input (16N), the two length-L grids
-        # (32L) and a fixed allowance, at N = 1000003
+        # the traced peak is the packed input (16N), the length-L grid (16L),
+        # the kept half of the kernel's spectrum (8L) and a fixed allowance,
+        # at N = 1000003
         import tracemalloc
 
         from polyprimelab.spectral import _smooth_at_least
@@ -353,7 +356,33 @@ class TestPairedTransforms:
         finally:
             tracemalloc.stop()
         assert len(spectra[0]) == n
-        assert peak - base - (16 * n + 32 * size) <= 8 << 20
+        assert peak - base - (16 * n + 24 * size) <= 8 << 20
+
+    def test_scratch_freed_on_return(self):
+        # with the cycle collector off, a transform leaves only its output
+        # behind: a reference cycle through a pass would keep the grid or
+        # the kernel alive until the next collection
+        import gc
+        import tracemalloc
+
+        n = 100003
+        rng = np.random.default_rng(18)
+        v, a, b = rng.standard_normal(n), rng.standard_normal(n), rng.random(n)
+        dft_pair(v[:7], b[:7])  # first-call allocations of numpy's FFT
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            spectrum = dft(v)
+            after_dft = tracemalloc.get_traced_memory()[0] - base
+            spectra = dft_pair(a, b)
+            after_pair = tracemalloc.get_traced_memory()[0] - base - after_dft
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert len(spectrum) == len(spectra[1]) == n
+        assert 16 * n <= after_dft <= 16 * n + (64 << 10)
+        assert 32 * n <= after_pair <= 32 * n + (64 << 10)
 
     def test_transform_pair_caches_both(self, monkeypatch):
         from polyprimelab import spectral
