@@ -10,11 +10,12 @@ Reports land in the output directory as deterministic JSON (integers as
 decimal strings); `search`'s hits as `solutions.csv`, and `spectrum`'s
 arrays as exact `.npy` files.
 
-Exit codes: 0 success; 1 bad input, infeasible scale or a failed `verify`
-check; 2 usage or config error; 3 a broken internal invariant (RuntimeError,
-a sampled `transfer` solution that fails to lift, or a `counterexample`
-partition that holds a monochromatic solution; in the last two cases the
-report is still written); 4 out of memory.  Each error, a usage error included,
+Exit codes: 0 success; 1 bad input met at run time, infeasible scale or a
+failed `verify` check; 2 usage or config error, a setting outside its fixed
+range included; 3 a broken internal invariant (RuntimeError, a sampled
+`transfer` solution that fails to lift, or a `counterexample` partition
+that holds a monochromatic solution; in the last two cases the report is
+still written); 4 out of memory.  Each error, a usage error included,
 prints one `error:` line to stderr; a failed `verify` lists its checks on
 stdout instead.
 """

@@ -33,11 +33,11 @@ __all__ = [
     "find_zn_solutions",
     "lift_solution",
     "pointwise_link",
+    "sum_pairs",
     "transference_report",
     "triple_count",
 ]
 
-_PAIR_BLOCK = 1 << 16  # pairs per block of the exact unweighted count
 _RELATIONS = {">=": operator.ge, "<=": operator.le}
 
 
@@ -74,6 +74,19 @@ def _monotone_tail(psi: IntPolynomial) -> int:
     return 2 + max(abs(c) for c in d.coeffs) // lead
 
 
+def sum_pairs(elements: np.ndarray, s: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xs, ys): the pairs x < y = s - x <= top, x from the sorted int64
+    `elements` and x, y between its least and greatest element, by one
+    `np.searchsorted` window, skipped when empty; the caller tests y.  Over Z_N,
+    x' < y' with x' + y' = t (mod N) are the pairs with sum t or t + N, top N - 1."""
+    lo, hi = s - top, (s - 1) // 2
+    if len(elements):
+        lo = max(s - min(top, int(elements[-1])), int(elements[0]))
+    i0, i1 = np.searchsorted(elements, (lo, hi + 1)) if lo <= hi else (0, 0)
+    xs = elements[i0:i1]
+    return xs, s - xs
+
+
 def find_monochromatic(
     coloring: ColoringInstance, psi: IntPolynomial, b0: int, w0: int, n: int
 ) -> np.ndarray:
@@ -81,15 +94,13 @@ def find_monochromatic(
     x, y in the coloring's domain below n.
 
     Returns an int64 array of shape (k, 4) with columns (color, x, y, z),
-    ordered by z and then x; its shape is (0, 4) without hits.  z is
-    enumerated in the outer loop (few admissible values); for each
-    admissible z the domain elements x below psi(z)/2 are paired with
-    psi(z) - x in one gather from the coloring's color table, and the hit
-    rows are kept as array slices and joined once at the end.  Only
-    z with s = psi(z) <= 2n are searched and n <= coloring.n, so x, y, s and
-    x + y are exact in int64, and so is the closing re-check of x != y and
-    x + y = psi(z) over every row.  A progression with w0 < 1 or
-    gcd(b0, w0) != 1 raises ValueError.
+    ordered by z and then x; its shape is (0, 4) without hits.  For each
+    admissible z, the pairs x < y = psi(z) - x <= n of `sum_pairs` over the
+    domain are tested in one gather of the color table, and the hit rows are
+    joined once at the end.  Only z with s = psi(z) <= 2n are searched and
+    n <= coloring.n, so x, y, s and x + y are exact in int64, and so is the
+    closing re-check of x != y and x + y = psi(z) over every row.  A
+    progression with w0 < 1 or gcd(b0, w0) != 1 raises ValueError.
     """
     check_progression(b0, w0)
     if psi.degree < 1 or psi.leading <= 0:
@@ -97,7 +108,6 @@ def find_monochromatic(
     if n > coloring.n:
         raise ValueError(f"search bound n = {n} exceeds the coloring's n = {coloring.n}")
     tail = _monotone_tail(psi)
-    color_at = coloring.color_at
     elements = coloring.elements
     parts = []  # (colors, xs, ys) of the hits at each z that has any
     zs, sums, counts = [], [], []
@@ -107,15 +117,11 @@ def find_monochromatic(
         s = psi(z)
         if s > 2 * n and z >= tail:
             break
-        lo = max(1, s - n)
-        hi = (s - 1) // 2  # x < y, both <= n
-        if s > 2 * n or hi < lo or not is_prime(w0 * z + b0):
+        if s > 2 * n or not is_prime(w0 * z + b0):
             continue
-        i0, i1 = np.searchsorted(elements, (lo, hi + 1))
-        xs = elements[i0:i1]
-        ys = s - xs
-        cx = color_at[xs]
-        idx = np.flatnonzero((cx == color_at[ys]) & (cx != 0))
+        xs, ys = sum_pairs(elements, s, n)
+        cx = coloring.color_at[xs]
+        idx = np.flatnonzero((cx == coloring.color_at[ys]) & (cx != 0))
         if len(idx):
             parts.append((cx[idx], xs[idx], ys[idx]))
             zs.append(z)
@@ -178,46 +184,42 @@ def lift_solution(xp: int, yp: int, zp: int, ctx: WTrickContext) -> tuple[int, i
 
 
 def find_zn_solutions(
-    members: np.ndarray, ctx: WTrickContext, limit: int = 100
+    members: np.ndarray, ctx: WTrickContext, limit: int
 ) -> list[tuple[int, int, int]]:
-    """(x', y', z') with x', y' in the set, z' admissible, x'+y' = psi_{b,W}(z')
-    in Z_N, and x' != y'; at most `limit` triples.  The admissible z' are the
-    support of the measure: `ap_primes` of the progression over [1, M]."""
+    """The first `limit` (x', y', z') by z', then x': x' < y' in the set (ascending,
+    in [0, N)), z' admissible (`ap_primes` of the progression over [1, M]), and
+    x' + y' = t = psi_{b,W}(z') in Z_N, from `sum_pairs` at sums t and t + N."""
     n_mod = ctx.N
     in_set = np.zeros(n_mod, dtype=bool)
     in_set[members] = True
     out = []
     for zp in ap_primes(*ctx.progression, ctx.M)[0].tolist():
         t = ctx.rescaled(zp) % n_mod
-        ys = (t - members) % n_mod
-        ok = in_set[ys] & (members != ys)
-        for xp, yp in zip(members[ok].tolist(), ys[ok].tolist()):
-            if xp < yp:  # report each unordered pair once
-                out.append((int(xp), int(yp), zp))
-                if len(out) >= limit:
-                    return out
+        for s in (t, t + n_mod):
+            xs, ys = sum_pairs(members, s, n_mod - 1)
+            hits = np.flatnonzero(in_set[ys])[: limit - len(out)]
+            out.extend(zip(xs[hits].tolist(), ys[hits].tolist(), [zp] * len(hits)))
+        if len(out) >= limit:
+            return out
     return out
 
 
 def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:
-    """sum over x, y in A of measure(x + y), A the distinct members in
-    [0, N), by the cost rule in `transference_report`.  The exact pair
-    counts are taken _PAIR_BLOCK pairs at a time from a membership table
-    over [0, 2N), which holds (s - x) mod N at s + (N - x)."""
+    """sum over x, y in A (ascending, in [0, N)) of measure(x + y), by the cost
+    rule in `transference_report`; exactly, at each support point t, twice the
+    pairs of `sum_pairs` at sums s = t, t + N, plus 1 where s = 2x, x in A."""
     n_mod = measure.modulus
     support = np.flatnonzero(measure.values)
-    in_a = np.zeros(2 * n_mod, dtype=bool)
+    in_a = np.zeros(n_mod, dtype=bool)
     in_a[members] = True
     if len(support) * len(members) > n_mod * n_mod.bit_length():
-        indicator = DensityFunction(in_a[:n_mod])  # as float64 0/1 values
+        indicator = DensityFunction(in_a)  # as float64 0/1 values
         return triple_count(indicator, indicator, measure).real
-    in_a[n_mod:] = in_a[:n_mod]
-    neg = n_mod - members
-    counts = np.empty(len(support), dtype=np.int64)
-    rows = max(1, _PAIR_BLOCK // max(1, len(members)))
-    for lo in range(0, len(support), rows):
-        pairs = np.add.outer(support[lo : lo + rows], neg)
-        counts[lo : lo + rows] = np.count_nonzero(in_a[pairs], axis=1)
+    counts = np.zeros(len(support), dtype=np.int64)
+    for i, t in enumerate(support.tolist()):
+        for s in (t, t + n_mod):
+            ys = sum_pairs(members, s, n_mod - 1)[1]
+            counts[i] += 2 * np.count_nonzero(in_a[ys]) + (s % 2 == 0 and bool(in_a[s // 2]))
     return float(counts @ measure.values[support])
 
 
@@ -273,11 +275,9 @@ def transference_report(
 
     For a prime coloring the final inequality counts the class's unweighted
     pairs, `unweighted_count` = sum over x, y in A of measure(x + y), with
-    the diagonal sum over x in A of measure(2x) read from the members.  When
-    |supp measure| * |A| <= N * N.bit_length(), at most one transform's
-    work, it is the sum over s in the support of measure(s) times the exact
-    integer count #{x in A : (s - x) mod N in A}, and no transform runs;
-    above that cost it is the triple count of A's indicator, one transform.
+    the diagonal sum over x in A of measure(2x) read from the members.  The
+    count is exact and runs no transform when |supp measure| * |A| <=
+    N * N.bit_length(); above that it is A's indicator's triple count.
     """
     ctx = a_set.context
     n_mod = ctx.N

@@ -37,7 +37,7 @@ from .counting import (
     pointwise_link,
     transference_report,
 )
-from .numtheory import ap_primes
+from .numtheory import ap_primes, is_prime
 from .polynomials import INTEGER_COLORING, VARIANTS, IntPolynomial
 from .spectral import (
     DensityFunction,
@@ -106,23 +106,32 @@ def _int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"negative value {value}")
-    return value
+def _checked(parse, ok, message: str):
+    """`parse`, then a ValueError with `message` (formatted with the value)
+    for a value outside the setting's range, where `ok` is false."""
+
+    def parse_checked(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(message.format(value))
+        return value
+
+    return parse_checked
+
+
+_nonnegative_int = _checked(int, lambda v: v >= 0, "negative value {}")
 
 
 def _nonnegative_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(_nonnegative_int(x) for x in text.split(","))
 
 
+# nan fails the range test too
+_positive_float = _checked(float, lambda v: 0 < v < math.inf, "{} is not positive and finite")
+
+
 def _positive_float_tuple(text: str) -> tuple[float, ...]:
-    values = tuple(float(x) for x in text.split(","))
-    for value in values:
-        if not 0 < value < math.inf:  # nan fails too
-            raise ValueError(f"{value} is not positive and finite")
-    return values
+    return tuple(_positive_float(x) for x in text.split(","))
 
 
 def _setting(default, parse, flag=None, help=None, key=None):
@@ -145,7 +154,9 @@ class ExperimentConfig:
     )
     b0: int = _setting(1, int, "--b0")
     w0: int = _setting(2, int, "--w0")
-    m: int = _setting(2, int, "--m", "number of colors")
+    m: int = _setting(
+        2, _checked(int, lambda v: v >= 1, "requires m >= 1"), "--m", "number of colors"
+    )
     variant: str = _setting(
         INTEGER_COLORING, _parse_variant, "--variant", "integer-coloring | prime-coloring"
     )
@@ -155,10 +166,13 @@ class ExperimentConfig:
     )
     n: int = _setting(30000, int, "--n", "ambient scale")
     eta: Fraction = _setting(
-        Fraction(1, 4), _parse_fraction, "--eta", "spectrum threshold as a rational 'p/q'"
+        Fraction(1, 4), _checked(_parse_fraction, lambda v: v > 0, "requires eta > 0"),
+        "--eta", "spectrum threshold as a rational 'p/q'",
     )
     eps: Fraction = _setting(
-        Fraction(1, 8), _parse_fraction, "--eps", "Bohr radius as a rational 'p/q'"
+        Fraction(1, 8),
+        _checked(_parse_fraction, lambda v: 0 < v < Fraction(1, 2), "requires 0 < eps < 1/2"),
+        "--eps", "Bohr radius as a rational 'p/q'",
     )
     rho: tuple[float, ...] = _setting(
         (4.0, 64.0), _positive_float_tuple,
@@ -168,7 +182,9 @@ class ExperimentConfig:
     coloring: str = _setting(
         "random", _parse_coloring_rule, "--coloring-rule", "random | residue:<q> | interval:<cuts>"
     )
-    p: int = _setting(3, int, "--p", "blocking prime (counterexample)")
+    p: int = _setting(
+        3, _checked(int, is_prime, "{} is not prime"), "--p", "blocking prime (counterexample)"
+    )
     out: str = _setting("out", str.strip, "--out", "output directory")
     trend_n: tuple[int, ...] = _setting((2003, 4001, 8009), _nonnegative_int_tuple)
     # smoothing levels: primes <= these

@@ -201,6 +201,61 @@ class TestConfigParsing:
         assert not list(tmp_path.glob("*.json"))
 
 
+# One bad value per setting, by field name; a field that has none is named
+# in NO_BAD_VALUE instead, so a new field must be declared in one of them.
+BAD_VALUES = {
+    "psi": "1,x,0",
+    "b0": "one",
+    "w0": "2.5",
+    "m": "0",
+    "variant": "bogus",
+    "w_config": "2:-1",
+    "n": "1e6",
+    "eta": "0",
+    "eps": "1/2",
+    "rho": "-1",
+    "seed": "-1",
+    "coloring": "residue:0",
+    "p": "4",
+    "trend_n": "-5",
+    "trend_w": "-3,1",
+}
+NO_BAD_VALUE = {"out"}  # any text names a directory
+
+
+class TestBadValues:
+    def test_every_field_declared(self):
+        names = {f.name for f in fields(ExperimentConfig)}
+        assert set(BAD_VALUES) | NO_BAD_VALUE == names
+        assert not set(BAD_VALUES) & NO_BAD_VALUE
+
+    @pytest.mark.parametrize("command", ["verify", "search", "counterexample", "transfer", "spectrum"])
+    def test_refused_when_parsed(self, tmp_path, capsys, command):
+        # each bad value ends in exit 2 and one line naming its key before
+        # any stage runs, from a flag or, for a config-only setting, a file
+        extra = []
+        if command == "search":
+            path = tmp_path / "col.txt"
+            save_coloring(make_coloring("integers", 50, 2, "random", 1), path)
+            extra = ["--coloring", str(path)]
+        out = tmp_path / "out"
+        for f in fields(ExperimentConfig):
+            if f.name in NO_BAD_VALUE:
+                continue
+            key, flag, text = f.metadata["key"] or f.name, f.metadata["flag"], BAD_VALUES[f.name]
+            if flag:
+                args, prefix = [f"{flag}={text}"], ""
+            else:
+                cfg = tmp_path / "bad.cfg"
+                cfg.write_text(f"{key} = {text}\n")
+                args, prefix = ["--config", str(cfg)], "line 1: "
+            assert main([command, *args, *extra, "--out", str(out)]) == 2, key
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {prefix}bad value for {key!r}: "), err
+            assert err.count("\n") == 1
+            assert not out.exists()
+
+
 SETTING_FLAGS = [
     (("--b0",), "b0", None),
     (("--coloring-rule",), "coloring", "random | residue:<q> | interval:<cuts>"),
@@ -908,9 +963,22 @@ class TestSpectrumCommand:
         [("--eta", "0", "requires eta > 0"), ("--eps", "1/2", "requires 0 < eps < 1/2")],
     )
     def test_bad_smoothing_input_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        # refused when the flag is parsed, before any stage runs
         out = tmp_path / "out"
-        assert main(["spectrum", flag, value, "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert main(["spectrum", flag, value, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: bad value for {flag[2:]!r}: {message}\n"
+        assert not out.exists() or os.listdir(out) == []
+
+    def test_failed_stage_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # the last diagnostic fails after every other stage has run: no array
+        # is saved, and the run exits 1 with the stage's one line
+        def fail(*args):
+            raise ValueError("golden-ratio sum failed")
+
+        monkeypatch.setattr(experiments, "weighted_exp_sum", fail)
+        out = tmp_path / "out"
+        assert main(["spectrum", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: golden-ratio sum failed\n"
         assert not out.exists() or os.listdir(out) == []
 
     def test_smoothing_regime_recorded(self):

@@ -39,7 +39,9 @@ from polyprimelab.wtrick import build_context
 X2X = IntPolynomial((1, 1, 0))
 
 # Polynomials for the search property test; each exceeds 2 * 80 for z >= 100.
-SEARCH_PSIS = [(1, 1, 0), (6, 0, 0), (1, 0, 4), (1, -5, 0), (2, 3), (1, 0, 1, 0)]
+# x^2 - 5x + 10 is 6 at both z = 1 and z = 4, where z + 1 is prime: a search
+# keyed by the sum instead of by z would merge or drop one of them.
+SEARCH_PSIS = [(1, 1, 0), (6, 0, 0), (1, 0, 4), (1, -5, 0), (1, -5, 10), (2, 3), (1, 0, 1, 0)]
 SEARCH_Z_MAX = 100
 
 
@@ -211,6 +213,45 @@ class TestFindMonochromatic:
         sols = find_monochromatic(col, X2X, 1, 2, 50)
         assert all(is_prime(x) and is_prime(y) for x, y in sols[:, 1:3].tolist())
         assert any((x, y, z) == (5, 7, 3) for x, y, z in sols[:, 1:].tolist())
+
+
+def zn_pairs_scan(members, ctx):
+    """Independent oracle: every (x', y', z') with x' < y' in the set and
+    x' + y' = psi_{b,W}(z') mod N, z' in [1, M] with q z' + c prime, by a
+    scan over all |A|^2 pairs; ordered by z' and then x'."""
+    c, q = ctx.progression
+    a = sorted(set(members))
+    rows = []
+    for zp in range(1, ctx.M + 1):
+        if is_prime(q * zp + c):
+            t = ctx.rescaled(zp) % ctx.N
+            rows += [(x, y, zp) for x in a for y in a if x < y and (x + y) % ctx.N == t]
+    return rows
+
+
+class TestZnSolutions:
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_matches_pair_scan(self, context_suite, data):
+        # random sets, with 0 and N - 1 as possible members and some planted
+        # pairs, so that one z' often holds several rows and a limit can cut
+        # inside it
+        name, ctx = data.draw(st.sampled_from(context_suite))
+        n_mod = ctx.N
+        c, q = ctx.progression
+        admissible = [zp for zp in range(1, ctx.M + 1) if is_prime(q * zp + c)]
+        a = set(data.draw(st.lists(st.integers(0, n_mod - 1), max_size=25)))
+        a |= set(data.draw(st.lists(st.sampled_from([0, n_mod - 1]), max_size=2)))
+        for _ in range(data.draw(st.integers(0, 8))):
+            zp = data.draw(st.sampled_from(admissible))
+            x = data.draw(st.sampled_from([0, n_mod - 1, *range(0, n_mod, max(1, n_mod // 97))]))
+            a |= {x, (ctx.rescaled(zp) - x) % n_mod}
+        members = np.array(sorted(a), dtype=np.int64)
+        want = zn_pairs_scan(a, ctx)
+        assert find_zn_solutions(members, ctx, limit=len(want) + 1) == want, name
+        for cut in range(1, len(want)):
+            if want[cut - 1][2] == want[cut][2]:  # the limit falls inside one z'
+                assert find_zn_solutions(members, ctx, limit=cut) == want[:cut], name
 
 
 class TestLifting:
