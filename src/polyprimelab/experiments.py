@@ -85,10 +85,6 @@ def _parse_w_spec(text: str) -> dict[int, int]:
     return out
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def _parse_variant(text: str) -> str:
     variant = text.strip()
     if variant not in VARIANTS:
@@ -100,10 +96,6 @@ def _parse_coloring_rule(text: str) -> str:
     rule = text.strip()
     parse_coloring_rule(rule)
     return rule
-
-
-def _int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
 
 
 def _checked(parse, ok, message: str):
@@ -119,19 +111,14 @@ def _checked(parse, ok, message: str):
     return parse_checked
 
 
+def _tuple_of(parse):
+    """A parser of a comma list, each entry read by `parse`."""
+    return lambda text: tuple(parse(x) for x in text.split(","))
+
+
 _nonnegative_int = _checked(int, lambda v: v >= 0, "negative value {}")
-
-
-def _nonnegative_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(_nonnegative_int(x) for x in text.split(","))
-
-
 # nan fails the range test too
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "{} is not positive and finite")
-
-
-def _positive_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(_positive_float(x) for x in text.split(","))
 
 
 def _setting(default, parse, flag=None, help=None, key=None):
@@ -149,11 +136,16 @@ class ExperimentConfig:
     """Free parameters of one experiment; every field is echoed into reports."""
 
     psi: tuple[int, ...] = _setting(
-        (1, 1, 0), lambda s: _int_tuple(s.replace("[", "").replace("]", "")),
+        (1, 1, 0),
+        _checked(
+            lambda s: _tuple_of(int)(s.replace("[", "").replace("]", "")),
+            lambda v: IntPolynomial(v).degree >= 1 and IntPolynomial(v).leading > 0,
+            "requires degree >= 1 and a positive leading coefficient",
+        ),
         "--psi", "polynomial coefficients, highest degree first",
     )
     b0: int = _setting(1, int, "--b0")
-    w0: int = _setting(2, int, "--w0")
+    w0: int = _setting(2, _checked(int, lambda v: v >= 1, "requires w0 >= 1"), "--w0")
     m: int = _setting(
         2, _checked(int, lambda v: v >= 1, "requires m >= 1"), "--m", "number of colors"
     )
@@ -164,18 +156,20 @@ class ExperimentConfig:
         {2: 1, 3: 1}, _parse_w_spec, "--w",
         "smooth modulus: level like '3' or exponents '2:1,3:2'", key="w",
     )
-    n: int = _setting(30000, int, "--n", "ambient scale")
+    n: int = _setting(
+        30000, _checked(int, lambda v: v >= 1, "requires n >= 1"), "--n", "ambient scale"
+    )
     eta: Fraction = _setting(
-        Fraction(1, 4), _checked(_parse_fraction, lambda v: v > 0, "requires eta > 0"),
+        Fraction(1, 4), _checked(Fraction, lambda v: v > 0, "requires eta > 0"),
         "--eta", "spectrum threshold as a rational 'p/q'",
     )
     eps: Fraction = _setting(
         Fraction(1, 8),
-        _checked(_parse_fraction, lambda v: 0 < v < Fraction(1, 2), "requires 0 < eps < 1/2"),
+        _checked(Fraction, lambda v: 0 < v < Fraction(1, 2), "requires 0 < eps < 1/2"),
         "--eps", "Bohr radius as a rational 'p/q'",
     )
     rho: tuple[float, ...] = _setting(
-        (4.0, 64.0), _positive_float_tuple,
+        (4.0, 64.0), _tuple_of(_positive_float),
         "--rho", "comma list of restriction exponents",
     )
     seed: int = _setting(1, _nonnegative_int, "--seed", "master seed (recorded in reports)")
@@ -186,9 +180,9 @@ class ExperimentConfig:
         3, _checked(int, is_prime, "{} is not prime"), "--p", "blocking prime (counterexample)"
     )
     out: str = _setting("out", str.strip, "--out", "output directory")
-    trend_n: tuple[int, ...] = _setting((2003, 4001, 8009), _nonnegative_int_tuple)
+    trend_n: tuple[int, ...] = _setting((2003, 4001, 8009), _tuple_of(_nonnegative_int))
     # smoothing levels: primes <= these
-    trend_w: tuple[int, ...] = _setting((1, 2, 3), _nonnegative_int_tuple)
+    trend_w: tuple[int, ...] = _setting((1, 2, 3), _tuple_of(_nonnegative_int))
 
     def polynomial(self) -> IntPolynomial:
         return IntPolynomial(tuple(self.psi))
@@ -409,10 +403,9 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
     for j in range(1, 3 * cfg.p + 1):
         members = part.class_members(j)
         entry = {"count": int(len(members))}
-        if len(members) >= 2:
-            ms = np.sort(members)
-            entry["max_pair_sum"] = int(ms[-1] + ms[-2])
-            entry["min_pair_sum"] = int(ms[0] + ms[1])
+        if len(members) >= 2:  # class_members is in ascending order
+            entry["max_pair_sum"] = int(members[-1] + members[-2])
+            entry["min_pair_sum"] = int(members[0] + members[1])
         entry["empty"] = not hits_per_class[j]
         by_class[str(j)] = entry
     report = _base_report(cfg, "counterexample")

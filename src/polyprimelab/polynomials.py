@@ -45,10 +45,6 @@ class IntPolynomial:
     def leading(self) -> int:
         return self.coeffs[0]
 
-    @property
-    def constant(self) -> int:
-        return self.coeffs[-1]
-
     def coefficient(self, i: int) -> int:
         """Coefficient of x^i (0 for i above the degree)."""
         if i < 0:

@@ -4,8 +4,8 @@ Builds the full bundle: per-prime residues b_p (non-root search for large
 primes, positivity-constrained scan for small ones), the derivative's
 small-prime part K, the smooth modulus W with its CRT residue b, the prime
 modulus N (the least prime above 2n/W), and the rescaled polynomial with
-its cutoff M.  Its JSON codec walks the dataclass fields, with one decoder
-per annotation.
+its cutoff M.  `to_json_dict` writes every dataclass field for the
+reports; no code reads a context back from JSON.
 """
 
 from __future__ import annotations
@@ -283,32 +283,6 @@ class WTrickContext:
             value = getattr(self, f.name)
             out[f.name] = value.coeffs if isinstance(value, IntPolynomial) else value
         return out
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "WTrickContext":
-        """Inverse of `to_json_dict` as written to JSON; the stored rescaled
-        coefficients must be those of rescale(psi, W, b)."""
-        if d.get("format") != "wtrick-context/1":
-            raise ValueError("unrecognized context format")
-        ctx = cls(**{f.name: _decode(f.type, d[f.name]) for f in fields(cls)})
-        if ctx.rescaled != rescale(ctx.psi, ctx.W, ctx.b):
-            raise ValueError("stored rescaled coefficients do not match")
-        return ctx
-
-
-_DECODERS = {  # by field annotation, less any " | None"
-    "str": str,
-    "int": int,
-    "Fraction": Fraction,
-    "IntPolynomial": lambda coeffs: IntPolynomial(tuple(int(c) for c in coeffs)),
-    "dict[int, int]": lambda d: {int(k): int(v) for k, v in d.items()},
-}
-
-
-def _decode(annotation: str, value):
-    if value is None and annotation.endswith(" | None"):
-        return None
-    return _DECODERS[annotation.removesuffix(" | None")](value)
 
 
 def level_exponents(level: int) -> dict[int, int]:

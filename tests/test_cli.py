@@ -25,8 +25,11 @@ from polyprimelab.experiments import (
     run_spectrum,
     run_transfer,
     run_verify,
+    _stringify,
     write_report,
 )
+from polyprimelab.numtheory import check_progression
+from polyprimelab.polynomials import IntPolynomial
 from polyprimelab.spectral import BohrStructure, DensityFunction, build_poly_prime_measure
 from polyprimelab.wtrick import WTrickContext
 
@@ -138,6 +141,22 @@ class TestConfigParsing:
         assert err.count("\n") == 1
         assert not (tmp_path / "spectrum.json").exists()
 
+    @pytest.mark.parametrize(
+        "text,ok",
+        [("5", False), ("0,0,5", False), ("-1,1,0", False), ("0,-1,0", False),
+         ("0,1,1,0", True), ("[2,0]", True)],
+    )
+    def test_psi_range(self, text, ok):
+        # degree >= 1 and a positive leading coefficient, leading zeros trimmed
+        if ok:
+            assert experiments.parse_setting("psi", text)[0] == "psi"
+            return
+        with pytest.raises(ValueError) as e:
+            experiments.parse_setting("psi", text)
+        assert str(e.value) == (
+            "bad value for 'psi': requires degree >= 1 and a positive leading coefficient"
+        )
+
     @pytest.mark.parametrize("command", ["verify", "search", "counterexample", "transfer"])
     def test_negative_seed_rejected(self, tmp_path, capsys, command):
         # a negative seed is a bad setting on every command, refused before any stage runs
@@ -221,6 +240,9 @@ BAD_VALUES = {
     "trend_w": "-3,1",
 }
 NO_BAD_VALUE = {"out"}  # any text names a directory
+# values that parse but lie outside a fixed range, for fields whose entry
+# above does not parse
+OUT_OF_RANGE = {"psi": "5", "n": "0", "w0": "0"}
 
 
 class TestBadValues:
@@ -239,10 +261,13 @@ class TestBadValues:
             save_coloring(make_coloring("integers", 50, 2, "random", 1), path)
             extra = ["--coloring", str(path)]
         out = tmp_path / "out"
-        for f in fields(ExperimentConfig):
-            if f.name in NO_BAD_VALUE:
-                continue
-            key, flag, text = f.metadata["key"] or f.name, f.metadata["flag"], BAD_VALUES[f.name]
+        for f, text in [
+            (f, values[f.name])
+            for values in (BAD_VALUES, OUT_OF_RANGE)
+            for f in fields(ExperimentConfig)
+            if f.name in values
+        ]:
+            key, flag = f.metadata["key"] or f.name, f.metadata["flag"]
             if flag:
                 args, prefix = [f"{flag}={text}"], ""
             else:
@@ -528,7 +553,6 @@ class TestSearchCommand:
 
     def test_blocking_instance_none_found(self, tmp_path):
         from polyprimelab.coloring import blocking_partition
-        from polyprimelab.polynomials import IntPolynomial
 
         part = blocking_partition(IntPolynomial((6, 0, 0)), 1, 1, 3, 2000)
         path = tmp_path / "blocking.txt"
@@ -686,7 +710,9 @@ class TestInvalidProgression:
         ],
     )
     def test_rejected_with_one_line(self, tmp_path, capsys, command, b0, w0, message):
-        # no w0*z + b0 is prime, so an answer would be vacuous
+        # no w0*z + b0 is prime, so an answer would be vacuous; w0 < 1 is
+        # outside w0's fixed range, so it is refused when parsed, and the
+        # library's own progression check refuses it too
         extra = ["--p", "3"]
         if command == "search":
             path = tmp_path / "col.txt"
@@ -694,8 +720,15 @@ class TestInvalidProgression:
             extra = ["--coloring", str(path)]
         out = tmp_path / "out"
         argv = [command, *extra, "--psi", "6,0,0", "--b0", b0, "--w0", w0, "--n", "100"]
-        assert main(argv + ["--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        if int(w0) < 1:
+            assert main(argv + ["--out", str(out)]) == 2
+            assert capsys.readouterr().err == "error: bad value for 'w0': requires w0 >= 1\n"
+            with pytest.raises(ValueError) as e:
+                check_progression(int(b0), int(w0))
+            assert str(e.value) == message
+        else:
+            assert main(argv + ["--out", str(out)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 
@@ -792,8 +825,8 @@ class TestTransferCommand:
 
     def test_context_as_written(self, tmp_path):
         # one key per context field besides the format tag, no JSON number
-        # anywhere, each integer field its decimal string, and the object
-        # reads back to the context the run built
+        # anywhere, the object is the encoder's dict as write_report renders
+        # it, and each field is written in full by its type
         assert main(["transfer", "--n", "30000", "--out", str(tmp_path)]) == 0
         written = json.loads((tmp_path / "transfer.json").read_text())["context"]
         assert set(written) == {"format"} | {f.name for f in fields(WTrickContext)}
@@ -807,11 +840,22 @@ class TestTransferCommand:
 
         assert numbers(written) == []
         ctx = ExperimentConfig().context()
+        assert written == json.loads(json.dumps(_stringify(ctx.to_json_dict())))
+        assert written["format"] == "wtrick-context/1"
         for f in fields(WTrickContext):
             value = getattr(ctx, f.name)
-            if type(value) is int:
-                assert written[f.name] == str(value), f.name
-        assert WTrickContext.from_json_dict(written) == ctx
+            if isinstance(value, IntPolynomial):  # its coefficients, highest first
+                want = [str(c) for c in value.coeffs]
+            elif isinstance(value, dict):  # keys and values as decimal strings
+                want = {str(k): str(v) for k, v in value.items()}
+            elif isinstance(value, Fraction):
+                want = f"{value.numerator}/{value.denominator}"
+            elif isinstance(value, int):
+                want = str(value)
+            else:  # the variant's name, and cp as null in this integer-coloring run
+                want = value
+            assert written[f.name] == want, f.name
+        assert written["cp"] is None
 
     def test_lifting_failure_counted(self, tmp_path, monkeypatch, capsys):
         from polyprimelab import experiments

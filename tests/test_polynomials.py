@@ -72,7 +72,7 @@ class TestRescale:
             w = int(rng.integers(1, 101))
             b = int(rng.integers(0, 101))
             resc = rescale(poly, w, b)
-            assert resc.constant == 0
+            assert resc.coefficient(0) == 0
             assert resc.coefficient(1) == poly.derivative()(b)
             for i in range(2, resc.degree + 1):
                 assert resc.coefficient(i) % w == 0
@@ -105,7 +105,7 @@ class TestRescale:
         # the coefficient of x^j is t_j w^(j-1), with t_j = psi^(j)(b) / j!
         poly = IntPolynomial(tuple(coeffs))
         resc = rescale(poly, w, b)
-        assert resc.degree == poly.degree and resc.constant == 0
+        assert resc.degree == poly.degree and resc.coefficient(0) == 0
         deriv = poly
         for j in range(1, poly.degree + 1):
             deriv = deriv.derivative()

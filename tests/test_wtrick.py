@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 from fractions import Fraction
 
@@ -9,14 +8,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import suggest_smooth_exponents
-from polyprimelab.experiments import _stringify
 from polyprimelab.numtheory import is_prime, p_adic_valuation, sieve_primes
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial
 from polyprimelab.wtrick import (
     HypothesisError,
     NecessityViolationError,
     ScaleError,
-    WTrickContext,
     build_context,
     check_cp,
     check_parity,
@@ -315,40 +312,3 @@ class TestVerifyGcdIdentity:
                 continue
             built += 1
             assert verify_gcd_identity(ctx) is True, poly
-
-
-def json_round_trip(ctx: WTrickContext) -> WTrickContext:
-    """The context read back from the JSON text `write_report` makes of its dict."""
-    return WTrickContext.from_json_dict(json.loads(json.dumps(_stringify(ctx.to_json_dict()))))
-
-
-class TestContextJson:
-    def test_round_trip_exact(self, context_suite):
-        for name, ctx in context_suite:
-            assert json_round_trip(ctx) == ctx, name
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        leading=st.integers(1, 12),
-        lower=st.lists(st.integers(-12, 12), min_size=1, max_size=3),
-        progression=st.sampled_from([(1, 1), (1, 2), (3, 4), (1, 3), (2, 3)]),
-        variant=st.sampled_from([INTEGER_COLORING, PRIME_COLORING]),
-        m=st.integers(1, 3),
-        exps=st.dictionaries(st.sampled_from([2, 3, 5, 7]), st.integers(0, 3), min_size=1, max_size=4),
-        n_target=st.integers(200, 20_000),
-    )
-    def test_round_trip_property(self, leading, lower, progression, variant, m, exps, n_target):
-        b0, w0 = progression
-        n = n_target * math.prod(p**e for p, e in exps.items()) // 2
-        try:
-            ctx = build_context(IntPolynomial((leading, *lower)), b0, w0, m, variant, exps, n)
-        except ValueError:
-            reject()  # only contexts that build are round-tripped
-        assert ctx.N % 2 == 1
-        assert json_round_trip(ctx) == ctx
-
-    def test_tampered_rescale_rejected(self, ctx_w6):
-        d = ctx_w6.to_json_dict()
-        d["rescaled"] = [str(int(c) + 1) for c in d["rescaled"]]
-        with pytest.raises(ValueError, match="rescaled"):
-            WTrickContext.from_json_dict(d)
