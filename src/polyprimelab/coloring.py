@@ -32,6 +32,7 @@ __all__ = [
 
 DOMAIN_INTEGERS = "integers"
 DOMAIN_PRIMES = "primes"
+_DRAW_CHUNK = 1 << 16  # random colors drawn at a time
 
 
 class ConstructionInapplicableError(ValueError):
@@ -62,14 +63,37 @@ class ColoringInstance:
         return np.flatnonzero(self.color_at == color)
 
 
-def _color_table(n: int, m: int, elements: np.ndarray, colors: np.ndarray) -> np.ndarray:
-    """`color_at` of a coloring of `elements` by `colors`: length n + 1, the
-    smallest unsigned dtype that holds m."""
+def _blank_table(n: int, m: int) -> np.ndarray:
+    """A zero `color_at` for n: length n + 1, the smallest unsigned dtype
+    that holds m."""
     dtype = np.min_scalar_type(m)
     if dtype.kind != "u":
         raise ValueError(f"{m} colors do not fit an unsigned integer type")
-    color_at = np.zeros(n + 1, dtype=dtype)
+    return np.zeros(n + 1, dtype=dtype)
+
+
+def _color_table(n: int, m: int, elements: np.ndarray, colors: np.ndarray) -> np.ndarray:
+    """`color_at` of a coloring of `elements` by `colors`."""
+    color_at = _blank_table(n, m)
     color_at[elements] = colors
+    return color_at
+
+
+def _random_table(domain: str, n: int, m: int, seed: int) -> np.ndarray:
+    """`color_at` of the seeded random coloring: colors drawn in ascending
+    element order, _DRAW_CHUNK at a time, straight into the table.  Chunked
+    draws continue one PCG64 stream, so they equal one draw of them all, and
+    the integer domain makes no n-element array but the table."""
+    if domain == DOMAIN_INTEGERS and n < 1:
+        raise ValueError("empty integer domain")
+    primes = None if domain == DOMAIN_INTEGERS else _domain_elements(domain, n)
+    count = n if primes is None else len(primes)
+    color_at = _blank_table(n, m)
+    rng = np.random.default_rng(seed)
+    for lo in range(0, count, _DRAW_CHUNK):
+        hi = min(count, lo + _DRAW_CHUNK)
+        at = slice(lo + 1, hi + 1) if primes is None else primes[lo:hi]
+        color_at[at] = rng.integers(1, m + 1, size=hi - lo, dtype=np.int64)
     return color_at
 
 
@@ -122,18 +146,16 @@ def make_coloring(domain: str, n: int, m: int, rule: str = "random", seed: int =
     if m < 1:
         raise ValueError("requires at least one color")
     kind, args = parse_coloring_rule(rule)
-    elements = _domain_elements(domain, n)
-    provenance = rule
     if kind == "random":
-        rng = np.random.default_rng(seed)
-        colors = rng.integers(1, m + 1, size=len(elements), dtype=np.int64)
-        provenance = f"random;seed={seed}"
-    elif kind == "residue":
+        table = _random_table(domain, n, m, seed)
+        return ColoringInstance(domain, n, m, f"random;seed={seed}", table)
+    elements = _domain_elements(domain, n)
+    if kind == "residue":
         colors = ((elements - 1) % args[0]) % m + 1
     else:
         blocks = np.searchsorted(np.asarray(args, dtype=np.int64), elements, side="left")
         colors = blocks % m + 1
-    return ColoringInstance(domain, n, m, provenance, _color_table(n, m, elements, colors))
+    return ColoringInstance(domain, n, m, rule, _color_table(n, m, elements, colors))
 
 
 def blocking_partition(
@@ -187,15 +209,12 @@ class TransferredSet:
         return v
 
 
-def _candidates(ctx: WTrickContext) -> np.ndarray:
+def _candidates(ctx: WTrickContext) -> range:
     """Integers x in [max(psi(W), psi(b)/2), n] with x = psi(b)/2 (mod KW)."""
     half = ctx.half_psi_b
     kw = ctx.K * ctx.W
     lo = max(ctx.psi(ctx.W), half)
-    start = lo + (half - lo) % kw
-    if start > ctx.n:
-        return np.zeros(0, dtype=np.int64)
-    return np.arange(start, ctx.n + 1, kw, dtype=np.int64)
+    return range(lo + (half - lo) % kw, ctx.n + 1, kw)
 
 
 def dense_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSet:
@@ -216,7 +235,7 @@ def dense_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSe
     cand = _candidates(ctx)
     if len(cand) == 0:
         raise ScaleError("no admissible points below n")
-    cand_colors = coloring.color_at[cand]
+    cand_colors = coloring.color_at[cand.start : cand.stop : cand.step]  # a strided view
     counts = np.bincount(cand_colors, minlength=m + 1)
     best = int(np.argmax(counts[1:])) + 1  # smallest index attaining the max
     best_count = int(counts[best])
@@ -224,10 +243,14 @@ def dense_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSe
         raise ScaleError(
             f"densest class holds {best_count} points < N/(4mK) = {ctx.N}/(4*{m}*{k})"
         )
-    members = (cand[cand_colors == best] - ctx.half_psi_b) // w
+    # the i-th candidate is start + KW i, and start = psi(b)/2 (mod W)
+    members = np.flatnonzero(cand_colors == best)
+    members *= cand.step
+    members += cand.start - ctx.half_psi_b
+    members //= w
     if len(members) and not (0 <= members[0] and members[-1] < ctx.N):
         raise RuntimeError("transferred member outside [0, N)")
-    return TransferredSet(ctx, best, members.astype(np.int64))
+    return TransferredSet(ctx, best, members)
 
 
 def dense_prime_class(coloring: ColoringInstance, ctx: WTrickContext) -> TransferredSet:
@@ -252,11 +275,11 @@ def dense_prime_class(coloring: ColoringInstance, ctx: WTrickContext) -> Transfe
     cand = _candidates(ctx)
     if len(cand) == 0:
         raise ScaleError("no admissible points below n")
-    support, weights = ap_primes(int(cand[0]) - kw, kw, len(cand))
-    if len(support) == 0:
+    primes, weights = ap_primes(cand.start - kw, kw, len(cand))
+    if len(primes) == 0:
         raise ScaleError("no admissible primes below n")
-    primes = cand[support - 1]
-    del cand, support  # freed before the class's arrays are made, which outlive the call
+    primes *= kw  # the prime kw z + start - kw, in place of its index z
+    primes += cand.start - kw
     colors = coloring.color_at[primes]
     best = int(np.argmax(np.bincount(colors, weights=weights, minlength=m + 1)[1:])) + 1
     chosen = colors == best

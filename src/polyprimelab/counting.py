@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _RELATIONS = {">=": operator.ge, "<=": operator.le}
+_TRIPLE_BLOCK = 1 << 16  # frequencies per block of triple_count's sum
 
 
 class LiftingError(ValueError):
@@ -58,11 +59,15 @@ def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> 
     """
     if not f.modulus == g.modulus == h.modulus:
         raise ValueError("modulus mismatch")
-    hs = h.spectrum
-    prod = f.spectrum * g.spectrum
-    prod[:1] *= hs[:1]
-    prod[1:] *= hs[:0:-1]  # hhat(-r), a reversed view
-    return complex(prod.sum() / f.modulus)
+    n = f.modulus
+    fs, gs, hs = f.spectrum, g.spectrum, h.spectrum
+    total = complex(fs[0] * gs[0] * hs[0])
+    for lo in range(1, n, _TRIPLE_BLOCK):  # in blocks: no length-N product
+        hi = min(n, lo + _TRIPLE_BLOCK)
+        prod = fs[lo:hi] * gs[lo:hi]
+        prod *= hs[n - lo : n - hi : -1]  # hhat(-r), a reversed view
+        total += complex(prod.sum())
+    return total / n
 
 
 def _monotone_tail(psi: IntPolynomial) -> int:

@@ -20,30 +20,35 @@ split into two fixed halves; a pass over at least _THREAD_MIN_POINTS points
 runs one half on a helper thread (numpy's FFT and ufunc loops release the
 GIL), a shorter one runs both on the caller, where a thread costs more than
 it saves.  The split is the same either way, so the result does not depend
-on scheduling and is the same to the bit on every call.  The chirp phases
-k^2 mod 2N and the twiddle phases mod L are reduced in exact integers before
-trig, as `_e` reduces every other phase: `complete_gauss_sum` and
-`weighted_exp_sum` for every alpha, a float alpha taken as its exact binary
-fraction.
+on scheduling and is the same to the bit on every call.  The twiddle
+phases mod L are reduced in exact integers before trig, as `_e` reduces
+every other phase: `complete_gauss_sum` and `weighted_exp_sum` for every
+alpha, a float alpha taken as its exact binary fraction.  The chirp is
+never stored: the three passes that use it (the fill, the kernel and the
+last pass) evaluate it block by block from k^2 mod 2N, reduced in exact
+int64, as the product of two tables of about sqrt(2N) entries, each entry
+from trig on an exactly reduced phase (`_chirp`); it is within 1e-15 of
+trig on the reduced phase itself.
 
-A transform's working set is 16N + 24L bytes and a small allowance: its
-output (16N), which holds the chirp until the last pass, the length-L grid
-of v w (16L, L about 2N) and half the kernel's spectrum (8L).  The kernel
-conj w / L is even, so its spectrum is even too, and the half not kept is
-the kept half read backwards.  The allowance is the twiddle tables
-(64 L^(3/4) bytes, 3.4 MB at N = 1e6) and each pass's block temporaries,
-16 bytes a point in blocks of about _FILL_BLOCK points, one block per
-thread.  `dft(v, out=v)` writes the spectrum over a complex input, so the
-input costs nothing more.
+A transform's working set is 24L bytes and a small allowance: the
+length-L grid of v w (16L, L about 2N) and half the kernel's spectrum
+(8L).  The kernel conj w / L is even, so its spectrum is even too, and the
+half not kept is the kept half read backwards.  The input is read in place,
+block by block, and the output (16N, at most 8L) is allocated only once
+the kernel's spectrum is freed.  The allowance is the twiddle tables
+(64 L^(3/4) bytes, 3.4 MB at N = 1e6), the chirp tables and each pass's
+block scratch, about 50 bytes a point in blocks of _BLOCK points, one block
+per thread.
 
 Real functions are stored as float64, complex ones as complex128.  Two real
-functions share one transform: `dft_pair` packs a + i b into its own array,
-transforms it in place and splits the result in place.  The partner is
-scaled by a power of two before packing, so that neither part is lost in
-the other's rounding, and unscaled after (both exactly).  The split computes
-both spectra at r in [1, (N - 1)/2] from a half-length conjugate and writes
-each mirror entry -r as the conjugate, r = 0 and r = N/2 on their own: the
-second spectrum takes Z's cells, the first one new array.
+functions share one transform: `dft_pair` has `dft` read a + i b / 2^k
+block by block, with no packed copy, and splits the result in place.  The
+partner is scaled by the power of two 2^-k as it is read, so that neither
+part is lost in the other's rounding, and unscaled after (both exactly).
+The split computes both spectra at r in [1, (N - 1)/2] from a half-length
+conjugate and writes each mirror entry -r as the conjugate, r = 0 and
+r = N/2 on their own: the second spectrum takes Z's cells, the first one
+new array.
 
 `smooth` is the one smoothing routine.  It runs no transform when the Bohr
 set's size settles the answer: B = {0} returns f itself, and B = Z_N returns
@@ -88,7 +93,8 @@ __all__ = [
 ]
 
 _BOHR_TAIL = 1024  # survivors from which bohr_set tests frequencies in blocks
-_FILL_BLOCK = 1 << 15  # points per block of the transform's fill pass
+_BOHR_BLOCK = 1 << 16  # points per block of bohr_set's first frequency
+_BLOCK = 1 << 14  # points per block of each transform pass that evaluates the chirp
 _THREAD_MIN_POINTS = 1 << 16  # a pass over fewer points runs on the caller only
 
 
@@ -158,32 +164,71 @@ def _row_blocks(lo: int, hi: int, blk: int):
         yield max(lo, c * blk), min(hi, (c + 1) * blk), c
 
 
-def _chirp_dft(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """dft of a float64 or complex128 array v by Bluestein's algorithm (see
-    the module docstring), written into the complex128 array `out` of the
-    same length, which holds the chirp w until the last pass multiplies it
-    by the convolution; `out` may be v itself.
+def _chirp(n: int):
+    """The chirp w(k) = e(-k^2 / 2N), evaluated where it is used.
+
+    p = k^2 mod 2N is taken in exact int64, and e(-p / 2N) is the product
+    hi[p >> s] lo[p & (2^s - 1)] of two tables of about sqrt(2N) entries,
+    e(-j 2^s / 2N) and e(-i / 2N), each from `_unit_phases` on an exactly
+    reduced phase.  _chirp(n)(size) is a function chirp(k, out) that writes
+    w(k) into the complex128 array `out` for a 1-d int64 array k >= 0 (which
+    it overwrites) of the same length, at most `size`; its scratch is made
+    once, so a pass that calls it block by block maps no fresh pages."""
+    d = 2 * n
+    shift = d.bit_length() // 2
+    mask = (1 << shift) - 1
+    lo = np.empty(mask + 1, dtype=np.complex128)
+    _unit_phases(np.arange(mask + 1, dtype=np.int64), d, lo)
+    hi = np.empty(-(-d >> shift), dtype=np.complex128)
+    _unit_phases(np.arange(0, d, mask + 1, dtype=np.int64), d, hi)
+
+    def evaluator(size: int):
+        quot = np.empty(size, dtype=np.int64)
+        low = np.empty(size, dtype=np.complex128)
+
+        def chirp(k: np.ndarray, out: np.ndarray) -> None:
+            q, g = quot[: len(k)], low[: len(k)]
+            k *= k
+            np.floor_divide(k, d, out=q)  # k mod d as k - (k // d) d: numpy's
+            q *= d  # floor division by a scalar is faster than its remainder
+            k -= q
+            np.right_shift(k, shift, out=q)
+            np.take(hi, q, out=out, mode="clip")  # in range; "clip" is unbuffered
+            k &= mask
+            np.take(lo, k, out=g, mode="clip")
+            out *= g
+
+        return chirp
+
+    return evaluator
+
+
+def _chirp_dft(n: int, read) -> np.ndarray:
+    """dft of a length-n input by Bluestein's algorithm (see the module
+    docstring), into a new complex128 array.  read(start, stop, dest) writes
+    input entries [start, stop) into the complex128 block `dest`.
 
     a = v w fills an L2 x L1 grid whose row-major order is the natural one,
-    zero-padded, in blocks of _FILL_BLOCK points: each block copies its part
-    of v into a, writes its chirp over that part of `out` and multiplies.
-    A forward FFT runs length-L2 FFTs down the columns, multiplies by the
-    twiddles e(-k2 n1 / L) and runs length-L1 FFTs along the rows, which
-    leaves A(k2 + L2 k1) at [k2, k1]; the inverse undoes those steps in
-    reverse, ending in natural order.  The twiddles come block by block, blk
-    rows at a time, as the product of two small tables, e(-(k2 - c blk) n1 / L)
-    and e(-c blk n1 / L) for block c: no length-L twiddle array is built.
+    zero-padded, in blocks of _BLOCK points: each block reads its part
+    of the input into a and multiplies it by the chirp there.  A forward FFT
+    runs length-L2 FFTs down the columns, multiplies by the twiddles
+    e(-k2 n1 / L) and runs length-L1 FFTs along the rows, which leaves
+    A(k2 + L2 k1) at [k2, k1]; the inverse undoes those steps in reverse,
+    ending in natural order.  The twiddles come block by block, blk rows at
+    a time, as the product of two small tables, e(-(k2 - c blk) n1 / L) and
+    e(-c blk n1 / L) for block c: no length-L twiddle array is built.
 
     The kernel b = conj w / L, b(k) = b(L - k) = conj w(k) / L for k < N and
     0 between the bands, is even, so its spectrum is too: B at [k2, k1]
     equals B at [L2 - k2, L1 - 1 - k1] for k2 >= 1.  Only rows 0 .. L2 // 2
-    of B are kept: b is gathered from the chirp in `out` about _FILL_BLOCK
-    points (whole columns) at a time, its column FFTs keep their first
-    L2 // 2 + 1 rows, and the twiddles and row FFTs run on those rows alone.
-    The product and the inverse run inside a's row pass, one block at a
-    time; a row past L2 / 2 is multiplied by its mirror row read backwards.
+    of B are kept: b is made from the chirp about _BLOCK points (whole
+    columns) at a time, its column FFTs keep their first L2 // 2 + 1 rows,
+    and the twiddles and row FFTs run on those rows alone.  The product and
+    the inverse run inside a's row pass, one block at a time; a row past
+    L2 / 2 is multiplied by its mirror row read backwards.  The output is
+    allocated once the kernel is freed, and the last pass writes the
+    convolution times the chirp into it.
     """
-    n = len(v)
     size = _smooth_at_least(2 * n - 1)
     l1 = max(d for d in range(1, math.isqrt(size) + 1) if size % d == 0)
     l2 = size // l1
@@ -195,41 +240,40 @@ def _chirp_dft(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     far = np.empty((-(-l2 // blk), l1), dtype=np.complex128)
     _unit_phases(np.multiply.outer(np.arange(0, l2, blk), cols), size, far)
     near_inv, far_inv = near.conj(), far.conj()
+    chirps = _chirp(n)
 
     a = np.zeros((l2, l1), dtype=np.complex128)
     a_flat = a.reshape(-1)
     kern = np.empty((half, l1), dtype=np.complex128)
-    # b's rows wholly below N are w read forwards, those wholly past L - N
-    # are w read backwards; the few rows between are gathered by index
-    low, high = n // l1, -(-(size - n + 1) // l1)
-    lower = out[: low * l1].reshape(low, l1)
-    upper = out[::-1][high * l1 - size + n - 1 : n - 1].reshape(l2 - high, l1)
-    middle = np.arange(low * l1, high * l1, l1, dtype=np.int64)[:, None]
-    span = max(1, _FILL_BLOCK // l2)  # kernel columns gathered at a time
+    span = max(1, _BLOCK // l2)  # kernel columns made at a time
+    row_starts = np.arange(0, size, l1, dtype=np.int64)[:, None]
+
+    def blocks(lo, hi):
+        for start in range(lo, hi, _BLOCK):
+            yield start, min(hi, start + _BLOCK)
 
     def fill(lo, hi):
-        for start in range(lo, hi, _FILL_BLOCK):
-            stop = min(hi, start + _FILL_BLOCK)
-            k = np.arange(start, stop, dtype=np.int64)
-            k *= k
-            a_flat[start:stop] = v[start:stop]
-            _unit_phases(k, 2 * n, out[start:stop])
-            a_flat[start:stop] *= out[start:stop]
+        chirp = chirps(_BLOCK)
+        w = np.empty(_BLOCK, dtype=np.complex128)
+        for start, stop in blocks(lo, hi):
+            read(start, stop, a_flat[start:stop])
+            chirp(np.arange(start, stop, dtype=np.int64), w[: stop - start])
+            a_flat[start:stop] *= w[: stop - start]
 
     def columns_forward(lo, hi):
         np.fft.fft(a[:, lo:hi], axis=0, out=a[:, lo:hi])
-        buf = np.empty((l2, span), dtype=np.complex128)
+        chirp = chirps(l2 * span)
         for c0 in range(lo, hi, span):
-            c1 = min(hi, c0 + span)
-            b = buf[:, : c1 - c0]
-            np.conjugate(lower[:, c0:c1], out=b[:low])
-            np.conjugate(upper[:, c0:c1], out=b[high:])
-            k = middle + np.arange(c0, c1)
+            k = row_starts + np.arange(c0, min(hi, c0 + span))
+            b = np.empty(k.shape, dtype=np.complex128)
             np.minimum(k, size - k, out=k)
-            b[low:high] = np.where(k < n, np.conjugate(out[np.minimum(k, n - 1)]), 0)
+            outside = k >= n
+            chirp(k.reshape(-1), b.reshape(-1))
+            np.conjugate(b, out=b)
             b *= 1 / size  # so the inverse FFT runs unscaled
+            b[outside] = 0
             np.fft.fft(b, axis=0, out=b)
-            kern[:, c0:c1] = b[:half]
+            kern[:, c0 : c0 + b.shape[1]] = b[:half]
 
     def twiddled_fft(grid, r0, r1, c):
         grid *= near[r0 - c * blk : r1 - c * blk]
@@ -255,7 +299,10 @@ def _chirp_dft(v: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.fft.ifft(a[:, lo:hi], axis=0, out=a[:, lo:hi], norm="forward")
 
     def unchirp(lo, hi):
-        out[lo:hi] *= a_flat[lo:hi]
+        chirp = chirps(_BLOCK)
+        for start, stop in blocks(lo, hi):
+            chirp(np.arange(start, stop, dtype=np.int64), out[start:stop])
+            out[start:stop] *= a_flat[start:stop]
 
     _halves(fill, n, n)
     _halves(columns_forward, l1, size)
@@ -263,34 +310,43 @@ def _chirp_dft(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     _halves(rows, l2, size)
     del kern
     _halves(columns_inverse, l1, size)
+    out = np.empty(n, dtype=np.complex128)
     _halves(unchirp, n, n)
     return out
 
 
-def dft(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def dft(values: np.ndarray, imag: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
     """Transform fhat(r) = sum_x f(x) e(-x r / N) by the Bluestein transform
-    described in the module docstring, into `out` (a new complex128 array
-    when None).  `out` is a writeable complex128 array of length N: the
-    input itself, or one sharing no memory with it; otherwise ValueError."""
-    dtype = np.complex128 if np.iscomplexobj(values) else np.float64
-    v = np.asarray(values, dtype=dtype)
-    if out is None:
-        out = np.empty(len(v), dtype=np.complex128)
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.complex128 and out.shape == (len(v),)):
-        raise ValueError(f"out must be a complex128 array of length {len(v)}")
-    elif not out.flags.writeable:
-        raise ValueError("out must be writeable")
-    elif np.may_share_memory(out, v) and (out.ctypes.data, out.strides) != (v.ctypes.data, v.strides):
-        raise ValueError("out must be the input itself or share no memory with it")
-    return _chirp_dft(v, out)
+    described in the module docstring, into a new complex128 array.  f is
+    `values`, or values + i imag / scale for two real arrays of one length
+    and a power of two `scale` (the packed pair of `dft_pair`).  The input
+    is read block by block, never copied."""
+    if imag is None:
+        dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+        v = np.asarray(values, dtype=dtype)
+
+        def read(start, stop, dest):
+            dest[...] = v[start:stop]
+
+    else:
+        v = np.asarray(values, dtype=np.float64)
+        b = np.asarray(imag, dtype=np.float64)
+        if b.shape != v.shape:
+            raise ValueError(f"imag has shape {b.shape}, values {v.shape}")
+
+        def read(start, stop, dest):
+            dest.real = v[start:stop]
+            np.divide(b[start:stop], scale, out=dest.imag)
+
+    return _chirp_dft(len(v), read)
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
     """Inverse transform f(x) = (1/N) sum_r fhat(r) e(x r / N), as the
-    conjugate of the forward transform of the conjugate, written over that
-    conjugated copy."""
-    out = np.conjugate(np.asarray(spectrum, dtype=np.complex128))
-    _chirp_dft(out, out)
+    conjugate of the forward transform of the conjugate, which the fill pass
+    reads block by block from `spectrum`."""
+    s = np.asarray(spectrum, dtype=np.complex128)
+    out = _chirp_dft(len(s), lambda start, stop, dest: np.conjugate(s[start:stop], out=dest))
     np.conjugate(out, out=out)
     out /= len(out)
     return out
@@ -309,13 +365,13 @@ def _alone(values: np.ndarray, norm: float) -> np.ndarray:
 
 
 def dft_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of two real arrays from one dft of Z = dft(a + i b), taken
-    over the packed array.
+    """Spectra of two real arrays from one dft, Z = dft(a, b, 2^k) of
+    a + i b / 2^k, which reads both in place.
 
     A(r) = (Z(r) + conj Z(-r))/2 and B(r) = (Z(r) - conj Z(-r))/2i, computed
     at r = 0, at N/2 when N is even and at r in [1, (N - 1)/2], with A(-r)
     and B(-r) written as their conjugates, so both are exactly Hermitian.
-    b is packed as b / 2^k with k = round(log2(|b|_1 / |a|_1)) and B is
+    b is read as b / 2^k with k = round(log2(|b|_1 / |a|_1)) and B is
     multiplied back by 2^k, so a small a is not lost in the rounding of a
     large b, nor the reverse.  An all-zero array gets the zero spectrum
     exactly, and the other its own dft.
@@ -329,10 +385,7 @@ def dft_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _alone(a, norm_a), _alone(b, norm_b)
     scale = _pow2_ratio(norm_b, norm_a)
     n = len(a)
-    z = np.empty(n, dtype=np.complex128)
-    z.real = a
-    np.divide(b, scale, out=z.imag)
-    dft(z, out=z)
+    z = dft(a, b, scale)
     spec_a = np.empty(n, dtype=np.complex128)
     factor = -0.5j * scale  # a pure-imaginary power of two: exact
 
@@ -499,20 +552,32 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
     # ||x r / N|| <= p/q  iff  min(t, N - t) <= L, t = x r mod N, L = pN // q;
     # as 2L < N, that is (x r + L) mod N <= 2L
     radius = p * modulus // q
-    # filter survivors one frequency at a time while more than _BOHR_TAIL
-    # remain; the candidate set collapses quickly, so this is O(N) plus small
-    # tails.  The last survivors meet the remaining frequencies in 2-D blocks
-    # of at most N products each.  r = 0 removes nothing, and 0 is always a
-    # member, so once it is the only survivor no later frequency can remove it
-    nonzero = freqs[freqs != 0]
-    members = np.arange(modulus, dtype=np.int64)
-    i = 0
-    while i < len(nonzero) and len(members) > 1:
-        k = 1 if len(members) > _BOHR_TAIL else max(1, modulus // len(members))
-        t = np.multiply.outer(members, nonzero[i : i + k])
+
+    def survivors(xs, rs):
+        t = np.multiply.outer(xs, rs)
         t += radius
         t %= modulus
-        members = members[(t <= 2 * radius).all(axis=1)]
+        return xs[(t <= 2 * radius).all(axis=1)]
+
+    # filter survivors one frequency at a time while more than _BOHR_TAIL
+    # remain; the candidate set collapses quickly, so this is O(N) plus small
+    # tails.  The first frequency meets Z_N in blocks of _BOHR_BLOCK points,
+    # so no length-N array is made unless B = Z_N.  The last survivors meet
+    # the remaining frequencies in 2-D blocks of at most N products each.
+    # r = 0 removes nothing, and 0 is always a member, so once it is the
+    # only survivor no later frequency can remove it
+    nonzero = freqs[freqs != 0]
+    if len(nonzero) == 0:
+        members = np.arange(modulus, dtype=np.int64)
+    else:
+        members = np.concatenate([
+            survivors(np.arange(x, min(modulus, x + _BOHR_BLOCK), dtype=np.int64), nonzero[:1])
+            for x in range(0, modulus, _BOHR_BLOCK)
+        ])
+    i = 1
+    while i < len(nonzero) and len(members) > 1:
+        k = 1 if len(members) > _BOHR_TAIL else max(1, modulus // len(members))
+        members = survivors(members, nonzero[i : i + k])
         i += k
     members.setflags(write=False)
     if len(members) * q ** len(freqs) < p ** len(freqs) * modulus:

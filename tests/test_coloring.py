@@ -120,6 +120,24 @@ class TestColorTable:
         want = np.random.default_rng(5).integers(1, 4, size=50, dtype=np.int64)
         assert np.array_equal(col.colors, want)
 
+    @pytest.mark.parametrize("m", [2, 3, 300])
+    @pytest.mark.parametrize("offset", [-1, 0, 1, 65537])
+    def test_chunked_draw_is_one_shot_draw(self, m, offset):
+        # colors drawn a chunk at a time equal one int64 draw of them all,
+        # at sizes on both sides of one and two chunk boundaries
+        n = coloring._DRAW_CHUNK + offset
+        col = make_coloring("integers", n, m, "random", 21)
+        want = np.random.default_rng(21).integers(1, m + 1, size=n, dtype=np.int64)
+        assert np.array_equal(col.color_at[1:], want) and col.color_at[0] == 0
+
+    def test_chunked_prime_draw_is_one_shot_draw(self):
+        # more primes than one chunk holds
+        primes = sieve_primes(1_000_000)
+        assert len(primes) > coloring._DRAW_CHUNK
+        col = make_coloring("primes", 1_000_000, 3, "random", 22)
+        want = np.random.default_rng(22).integers(1, 4, size=len(primes), dtype=np.int64)
+        assert np.array_equal(col.elements, primes) and np.array_equal(col.colors, want)
+
 
 class TestBlockingPartition:
     def test_class_memberships(self):

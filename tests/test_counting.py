@@ -94,6 +94,16 @@ class TestTripleCounts:
         d = DensityFunction(np.eye(5)[0])
         assert triple_count(d, d, d) == pytest.approx(1, abs=1e-12)
 
+    def test_blocked_sum_matches_full_product(self):
+        # over several blocks of frequencies, the last one short
+        from polyprimelab import counting
+
+        n = 3 * counting._TRIPLE_BLOCK + 5
+        rng = np.random.default_rng(13)
+        f, g, h = (DensityFunction(rng.random(n)) for _ in range(3))
+        want = (f.spectrum * g.spectrum * np.roll(h.spectrum[::-1], 1)).sum() / n
+        assert abs(triple_count(f, g, h) - want) <= 1e-12 * abs(want)
+
     def test_fourier_matches_bruteforce_up_to_oracle_limit(self):
         rng = np.random.default_rng(12)
         for n in (2, 101, 1024, 2039, 2048):

@@ -148,19 +148,14 @@ class TestDft:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 101, 32767, 32769, 65537, 100003])
     def test_out_is_bit_identical(self, n):
-        # into a fresh buffer, over a complex input itself, and over a real
-        # input held in the output's real parts; idft writes over its own copy
+        # the input is read in place, so a real input and its complex copy,
+        # and the pair read a + i b / 2^k and its packed copy, give the same
+        # bits; idft reads the conjugate of a read-only input, untouched
         rng = np.random.default_rng(n)
-        re = rng.standard_normal(n)
-        c = re + 1j * rng.standard_normal(n)
-        for v in (re, c):
-            want = dft(v)
-            buf = np.full(n, np.nan, dtype=np.complex128)
-            assert dft(v, out=buf) is buf and bits_equal(buf, want)
-        own = c.copy()
-        assert dft(own, out=own) is own and bits_equal(own, dft(c))
-        held = re.astype(np.complex128)
-        assert dft(held.real, out=held) is held and bits_equal(held, dft(re))
+        re, im = rng.standard_normal(n), rng.standard_normal(n)
+        assert bits_equal(dft(re), dft(re.astype(np.complex128)))
+        assert bits_equal(dft(re, im, 8.0), dft(re + 1j * (im / 8.0)))
+        c = re + 1j * im
         spec = dft(c)
         frozen = spec.copy()
         frozen.setflags(write=False)
@@ -168,31 +163,24 @@ class TestDft:
         want /= n
         assert bits_equal(idft(frozen), want) and bits_equal(frozen, spec)
 
-    @pytest.mark.parametrize(
-        "out",
-        [
-            np.zeros(7, dtype=np.complex64),
-            np.zeros(7),
-            np.zeros(6, dtype=np.complex128),
-            np.zeros((7, 1), dtype=np.complex128),
-            [0j] * 7,
-        ],
-        ids=["complex64", "float64", "short", "2-d", "list"],
-    )
-    def test_out_of_wrong_kind_rejected(self, out):
-        with pytest.raises(ValueError, match="complex128 array of length 7"):
-            dft(np.ones(7), out=out)
+    @pytest.mark.parametrize("n", [10007, 1000003, 5000011])
+    def test_table_chirp_matches_reduced_trig(self, n):
+        # the chirp from two small tables is within 1e-15 of trig on the
+        # exactly reduced phase k^2 mod 2N, at every k < N
+        from polyprimelab.spectral import _chirp, _unit_phases
 
-    def test_read_only_or_overlapping_out_rejected(self):
-        out = np.zeros(7, dtype=np.complex128)
-        out.setflags(write=False)
-        with pytest.raises(ValueError, match="writeable"):
-            dft(np.ones(7), out=out)
-        z = np.arange(8, dtype=np.complex128)
-        with pytest.raises(ValueError, match="share no memory"):
-            dft(z[:7], out=z[1:])
-        with pytest.raises(ValueError, match="share no memory"):
-            dft(z[:7][::-1], out=z[:7])
+        block = 1 << 18
+        chirp = _chirp(n)(block)
+        got = np.empty(block, dtype=np.complex128)
+        want = np.empty(block, dtype=np.complex128)
+        worst = 0.0
+        for start in range(0, n, block):
+            k = np.arange(start, min(n, start + block), dtype=np.int64)
+            m = len(k)
+            _unit_phases(k * k, 2 * n, want[:m])
+            chirp(k, got[:m])
+            worst = max(worst, float(np.abs(got[:m] - want[:m]).max()))
+        assert worst <= 1e-15
 
     @pytest.mark.parametrize("n", [101, 1009, 10007, 65537, 100003])
     def test_threads_do_not_change_a_bit(self, monkeypatch, n):
@@ -315,6 +303,10 @@ class TestPairedTransforms:
         with pytest.raises(ValueError, match="real"):
             dft_pair(np.ones(5, dtype=complex), np.ones(5))
 
+    def test_partner_of_other_length_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            dft(np.ones(5), np.ones(4))
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 100, 101, 4096, 100003, 131072])
     def test_split_matches_full_length_formula(self, n):
         # the oracle splits Z over every r with Z(-r) from a rolled copy; the
@@ -336,27 +328,41 @@ class TestPairedTransforms:
         for got, want in zip(dft_pair(a, b), (want_a, want_b)):
             assert bits_equal(got + 0.0, want + 0.0)  # -0.0 + 0.0 is 0.0
 
-    def test_pair_working_set(self):
-        # the traced peak is the packed input (16N), the length-L grid (16L),
-        # the kept half of the kernel's spectrum (8L) and a fixed allowance,
-        # at N = 1000003
+    @staticmethod
+    def traced_peak_over_24l(call) -> int:
+        """call()'s traced peak above 24L bytes, at N = 1000003."""
         import tracemalloc
 
         from polyprimelab.spectral import _smooth_at_least
 
-        n = 1_000_003
-        size = _smooth_at_least(2 * n - 1)
-        rng = np.random.default_rng(17)
-        a, b = rng.standard_normal(n), rng.random(n)
+        size = _smooth_at_least(2 * 1_000_003 - 1)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            spectra = dft_pair(a, b)
+            out = call()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(spectra[0]) == n
-        assert peak - base - (16 * n + 24 * size) <= 8 << 20
+        assert len(out[0]) == 1_000_003
+        return peak - base - 24 * size
+
+    def test_pair_working_set(self):
+        # the traced peak is the length-L grid (16L), the kept half of the
+        # kernel's spectrum (8L) and a fixed allowance, at N = 1000003: a and
+        # b are read in place, and the first spectrum (16N <= 8L) comes after
+        # the transform's scratch is freed
+        rng = np.random.default_rng(17)
+        a, b = rng.standard_normal(1_000_003), rng.random(1_000_003)
+        assert self.traced_peak_over_24l(lambda: dft_pair(a, b)) <= 8 << 20
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["dft", "idft"])
+    def test_transform_working_set(self, inverse):
+        # the same bound for one transform: its input is read in place and
+        # its output (16N <= 8L) is allocated after the kernel is freed
+        rng = np.random.default_rng(19)
+        v = rng.standard_normal(1_000_003) + 1j * rng.standard_normal(1_000_003)
+        call = (lambda: [idft(v)]) if inverse else (lambda: [dft(v)])
+        assert self.traced_peak_over_24l(call) <= 8 << 20
 
     def test_scratch_freed_on_return(self):
         # with the cycle collector off, a transform leaves only its output
@@ -590,6 +596,20 @@ class TestBohrSet:
             b = bohr_set(r, eps, n)
             assert b.members.tolist() == want.tolist()
             assert b.frequencies.tolist() == sorted(r.tolist())
+
+    @pytest.mark.parametrize("block", [1, 100, 1 << 16])
+    def test_first_frequency_in_blocks(self, monkeypatch, block):
+        # the first frequency meets Z_N block by block, the last block short
+        import polyprimelab.spectral as spectral
+
+        monkeypatch.setattr(spectral, "_BOHR_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for n in (2, 1031, 4099):
+            r = rng.integers(0, n, size=3)
+            eps = Fraction(int(rng.integers(1, 50)), 100)
+            t = np.outer(np.arange(n), r) % n
+            want = np.flatnonzero((eps.denominator * np.minimum(t, n - t) <= eps.numerator * n).all(axis=1))
+            assert bohr_set(r, eps, n).members.tolist() == want.tolist()
 
     def test_eps_range_enforced(self):
         with pytest.raises(ValueError):
