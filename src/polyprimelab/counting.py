@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from .coloring import ColoringInstance, TransferredSet
-from .numtheory import ap_primes, check_progression, euler_phi, is_prime
-from .polynomials import INTEGER_COLORING, IntPolynomial
+from .numtheory import ap_prime_mask, ap_primes, check_progression, euler_phi, is_prime
+from .polynomials import INTEGER_COLORING, IntPolynomial, compute_M
 from .spectral import (
     DensityFunction,
     bohr_set,
@@ -70,15 +70,6 @@ def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> 
     return total / n
 
 
-def _monotone_tail(psi: IntPolynomial) -> int:
-    """An integer beyond which psi is strictly increasing (Cauchy bound on psi')."""
-    d = psi.derivative()
-    if d.degree == 0:
-        return 1
-    lead = abs(d.leading)
-    return 2 + max(abs(c) for c in d.coeffs) // lead
-
-
 def sum_pairs(elements: np.ndarray, s: int, top: int) -> tuple[np.ndarray, np.ndarray]:
     """(xs, ys): the pairs x < y = s - x <= top, x from the sorted int64
     `elements` and x, y between its least and greatest element, by one
@@ -99,48 +90,50 @@ def find_monochromatic(
     x, y in the coloring's domain below n.
 
     Returns an int64 array of shape (k, 4) with columns (color, x, y, z),
-    ordered by z and then x; its shape is (0, 4) without hits.  For each
-    admissible z, the pairs x < y = psi(z) - x <= n of `sum_pairs` over the
-    domain are tested in one gather of the color table, and the hit rows are
-    joined once at the end.  Only z with s = psi(z) <= 2n are searched and
-    n <= coloring.n, so x, y, s and x + y are exact in int64, and so is the
-    closing re-check of x != y and x + y = psi(z) over every row.  A
-    progression with w0 < 1 or gcd(b0, w0) != 1 raises ValueError.
+    ordered by z and then x; its shape is (0, 4) without hits.  The z in
+    [1, top] come from one `ap_prime_mask` call and their s = psi(z) from
+    one `eval_mod` call, exact in int64 once the sum of |coefficient| top^j
+    is below 2^63 (else ValueError); top is the last z with psi(z) <= 2n
+    past the point where psi increases, by `compute_M`'s bisection.  At
+    each s <= 2n one gather of the color table tests the pairs of
+    `sum_pairs`.  The closing re-check recomputes psi(z) in Python ints for
+    each z that has hits and checks x != y and x + y = psi(z) over every
+    row.  A progression with w0 < 1 or gcd(b0, w0) != 1 raises ValueError.
     """
     check_progression(b0, w0)
     if psi.degree < 1 or psi.leading <= 0:
         raise ValueError("psi must have degree >= 1 and positive leading coefficient")
     if n > coloring.n:
         raise ValueError(f"search bound n = {n} exceeds the coloring's n = {coloring.n}")
-    tail = _monotone_tail(psi)
+    d = psi.derivative()  # psi increases from tail on: a Cauchy bound on the roots of psi'
+    tail = 1 if d.degree == 0 else 2 + max(abs(c) for c in d.coeffs) // abs(d.leading)
+    top = tail - 1
+    if psi(tail) <= 2 * n:
+        top += compute_M(lambda x: psi(x + tail - 1), 1, 2 * n + 1)
+    if IntPolynomial(tuple(map(abs, psi.coeffs)))(top) >= 1 << 63:
+        raise ValueError(f"psi may leave int64 on [1, {top}]")
+    zs = np.flatnonzero(ap_prime_mask(b0, w0, top)) + 1
+    sums = psi.eval_mod(zs, 1 << 64).view(np.int64)
     elements = coloring.elements
     parts = []  # (colors, xs, ys) of the hits at each z that has any
-    zs, sums, counts = [], [], []
-    z = 0
-    while True:
-        z += 1
-        s = psi(z)
-        if s > 2 * n and z >= tail:
-            break
-        if s > 2 * n or not is_prime(w0 * z + b0):
-            continue
+    hit_z, counts = [], []
+    for z, s in zip(zs[sums <= 2 * n].tolist(), sums[sums <= 2 * n].tolist()):
         xs, ys = sum_pairs(elements, s, n)
         cx = coloring.color_at[xs]
         idx = np.flatnonzero((cx == coloring.color_at[ys]) & (cx != 0))
         if len(idx):
             parts.append((cx[idx], xs[idx], ys[idx]))
-            zs.append(z)
-            sums.append(s)
+            hit_z.append(z)
             counts.append(len(idx))
     out = np.empty((sum(counts), 4), dtype=np.int64)
     if not parts:
         return out
     for col in range(3):
         np.concatenate([part[col] for part in parts], out=out[:, col])
-    out[:, 3] = np.repeat(zs, counts)
-    # re-verify the array arithmetic against psi(z), row by row
+    out[:, 3] = np.repeat(hit_z, counts)
+    # re-verify every row against psi(z) in Python ints, in int64 by the guard above
     x, y = out[:, 1], out[:, 2]
-    bad = np.flatnonzero((x == y) | (x + y != np.repeat(sums, counts)))
+    bad = np.flatnonzero((x == y) | (x + y != np.repeat([psi(z) for z in hit_z], counts)))
     if len(bad):
         _, bx, by, bz = out[bad[0]].tolist()
         raise SearchVerificationError(f"({bx}, {by}, {bz}) fails x != y, x + y = psi(z)")
@@ -193,13 +186,14 @@ def find_zn_solutions(
 ) -> list[tuple[int, int, int]]:
     """The first `limit` (x', y', z') by z', then x': x' < y' in the set (ascending,
     in [0, N)), z' admissible (`ap_primes` of the progression over [1, M]), and
-    x' + y' = t = psi_{b,W}(z') in Z_N, from `sum_pairs` at sums t and t + N."""
+    x' + y' = t = psi_{b,W}(z') in Z_N (every t from one `eval_mod` call, so
+    N < 2^32), from `sum_pairs` at sums t and t + N."""
     n_mod = ctx.N
     in_set = np.zeros(n_mod, dtype=bool)
     in_set[members] = True
     out = []
-    for zp in ap_primes(*ctx.progression, ctx.M)[0].tolist():
-        t = ctx.rescaled(zp) % n_mod
+    zps = ap_primes(*ctx.progression, ctx.M)[0]
+    for zp, t in zip(zps.tolist(), ctx.rescaled.eval_mod(zps, n_mod).tolist()):
         for s in (t, t + n_mod):
             xs, ys = sum_pairs(members, s, n_mod - 1)
             hits = np.flatnonzero(in_set[ys])[: limit - len(out)]

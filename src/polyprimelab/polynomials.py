@@ -1,10 +1,12 @@
 """Exact integer polynomials and their derived objects: formal derivative,
-forward difference, affine rescaling, coefficient bounds, and the cutoff
-search used to size the ambient cyclic group."""
+affine rescaling, coefficient bounds, the cutoff search used to size the
+ambient cyclic group, and the one array evaluator, `IntPolynomial.eval_mod`."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "INTEGER_COLORING",
@@ -65,8 +67,23 @@ class IntPolynomial:
         k = self.degree
         return IntPolynomial(tuple(c * (k - i) for i, c in enumerate(self.coeffs[:-1])))
 
-    def forward_difference(self, x: int) -> int:
-        return self(x + 1) - self(x)
+    def eval_mod(self, x: np.ndarray, d: int) -> np.ndarray:
+        """self(x) mod d over the int64 array x, as uint64, by Horner's rule:
+        exact for d < 2^32, reduced at each step, and for d dividing 2^64, as
+        uint64 wraps mod 2^64; any other d raises ValueError."""
+        small = 0 < d < 1 << 32
+        if not (small or 0 < d <= 1 << 64 and d & (d - 1) == 0):
+            raise ValueError(f"modulus {d} is neither below 2^32 nor a power of two <= 2^64")
+        m = d if small else 1 << 64
+        x = np.asarray(x, dtype=np.int64)
+        xs = (x % d if small else x).view(np.uint64)
+        acc = np.full(x.shape, self.coeffs[0] % m, dtype=np.uint64)
+        for c in self.coeffs[1:]:
+            acc *= xs
+            acc += np.uint64(c % m)
+            if small:
+                acc %= np.uint64(d)
+        return acc if small else acc & np.uint64(d - 1)
 
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

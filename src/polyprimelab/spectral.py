@@ -13,56 +13,39 @@ sum by definition is a test oracle only).  With x r = (x^2 + r^2 - (r - x)^2)/2,
 fhat(r) = w(r) sum_x f(x) w(x) conj w(r - x) for the chirp w(k) = e(-k^2 / 2N),
 a cyclic convolution of length L, the least 7-smooth L >= 2N - 1.  Each
 length-L FFT is a four-step FFT over an L2 x L1 grid (L1 <= L2, both near
-sqrt L) made of numpy's batched FFTs along one axis, computed in place.  The
-forward FFTs leave their output in transposed order, in which the pointwise
-product and the inverse FFT work, so no transpose is copied.  Every pass is
-split into two fixed halves; a pass over at least _THREAD_MIN_POINTS points
-runs one half on a helper thread (numpy's FFT and ufunc loops release the
-GIL), a shorter one runs both on the caller, where a thread costs more than
-it saves.  The split is the same either way, so the result does not depend
-on scheduling and is the same to the bit on every call.  The twiddle
-phases mod L are reduced in exact integers before trig, as `_e` reduces
-every other phase: `complete_gauss_sum` and `weighted_exp_sum` for every
-alpha, a float alpha taken as its exact binary fraction.  The chirp is
-never stored: the three passes that use it (the fill, the kernel and the
-last pass) evaluate it block by block from k^2 mod 2N, reduced in exact
-int64, as the product of two tables of about sqrt(2N) entries, each entry
-from trig on an exactly reduced phase (`_chirp`); it is within 1e-15 of
-trig on the reduced phase itself.
+sqrt L) made of numpy's batched FFTs along one axis, computed in place and
+never transposed (`_chirp_dft`).  Every pass is split into two fixed halves,
+one on a helper thread from _THREAD_MIN_POINTS points on (`_halves`; numpy's
+FFT and ufunc loops release the GIL), so the result does not depend on
+scheduling and is the same to the bit on every call.  `_unit_phases`
+reduces every phase in exact integers before trig: the twiddles' mod L, and
+those of `complete_gauss_sum` and `weighted_exp_sum`, taken by
+`IntPolynomial.eval_mod`.  The chirp is never stored: `_chirp` evaluates it
+where it is used, within 1e-15 of trig on the reduced phase itself.
 
 A transform's working set is 24L bytes and a small allowance: the
-length-L grid of v w (16L, L about 2N) and half the kernel's spectrum
-(8L).  The kernel conj w / L is even, so its spectrum is even too, and the
-half not kept is the kept half read backwards.  The input is read in place,
-block by block, and the output (16N, at most 8L) is allocated only once
-the kernel's spectrum is freed.  The allowance is the twiddle tables
+length-L grid of v w (16L, L about 2N) and half the kernel's spectrum (8L),
+the other half being the kept half read backwards.  The input is read in
+place, block by block, and the output (16N, at most 8L) is allocated only
+once the kernel's spectrum is freed.  The allowance is the twiddle tables
 (64 L^(3/4) bytes, 3.4 MB at N = 1e6), the chirp tables and each pass's
 block scratch, about 50 bytes a point in blocks of _BLOCK points, one block
 per thread.
 
 Real functions are stored as float64, complex ones as complex128.  Two real
-functions share one transform: `dft_pair` has `dft` read a + i b / 2^k
-block by block, with no packed copy, and splits the result in place.  The
-partner is scaled by the power of two 2^-k as it is read, so that neither
-part is lost in the other's rounding, and unscaled after (both exactly).
-The split computes both spectra at r in [1, (N - 1)/2] from a half-length
-conjugate and writes each mirror entry -r as the conjugate, r = 0 and
-r = N/2 on their own: the second spectrum takes Z's cells, the first one
-new array.
+functions share one transform, `dft_pair`, which splits it in place: the
+second spectrum takes its cells, the first one new array.
 
-`smooth` is the one smoothing routine.  It runs no transform when the Bohr
-set's size settles the answer: B = {0} returns f itself, and B = Z_N returns
-the constant f.mass / N with its spectrum (f.mass at r = 0, 0 elsewhere).
-Any other B takes the transform path.  So `counting.transference_report`
-runs 1 length-N transform for an integer coloring when B = {0}, and 1 for a
-prime coloring when the measure's B is {0} and the class's is Z_N (its
-unweighted pair count adds 1 only above the cost cutoff stated there); each
-proper, nontrivial Bohr set adds 2.
+`smooth` is the one smoothing routine; it runs no transform when B = {0}
+or B = Z_N.  So `counting.transference_report` runs 1 length-N transform
+for an integer coloring when B = {0}, and 1 for a prime coloring when the
+measure's B is {0} and the class's is Z_N (its unweighted pair count adds 1
+only above the cost cutoff stated there); each proper, nontrivial Bohr set
+adds 2.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -72,6 +55,7 @@ import numpy as np
 
 from .coloring import TransferredSet
 from .numtheory import ap_primes
+from .polynomials import IntPolynomial
 from .wtrick import WTrickContext
 
 __all__ = [
@@ -466,29 +450,26 @@ def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:
     Supported at x = psi_{b,W}(z) mod N for z in [1, M] with the progression
     value q z + c prime; the weight there is psi_{b,W}(z) - psi_{b,W}(z-1)
     times the progression's log weight (phi(q)/q) log(q z + c) from
-    `ap_primes`, normalized by psi_{b,W}(M).  Every z in [1, M] must land on
-    a distinct residue mod N; a collision means the K-divisibility reasoning
+    `ap_primes`, normalized by psi_{b,W}(M).  One `eval_mod` call gives every
+    psi_{b,W}(z), z in [0, M], exact in int64 once the sum of |coefficient|
+    M^j is below 2^62 (else ValueError).  Every z in [1, M] must land on a
+    distinct residue mod N; a collision means the K-divisibility reasoning
     behind the context is violated.
     """
-    n_mod = ctx.N
-    resc = ctx.rescaled
-    norm = resc(ctx.M)
-    support, log_weights = ap_primes(*ctx.progression, ctx.M)
-    weights = {
-        z: resc.forward_difference(z - 1) * w
-        for z, w in zip(support.tolist(), log_weights.tolist())
-    }
-    seen: dict[int, int] = {}
+    n_mod, resc, top = ctx.N, ctx.rescaled, ctx.M
+    if IntPolynomial(tuple(map(abs, resc.coeffs)))(top) >= 1 << 62:
+        raise ValueError(f"psi_{{b,W}} may leave int64 on [0, M], M = {top}")
+    support, log_weights = ap_primes(*ctx.progression, top)
+    psi_z = resc.eval_mod(np.arange(top + 1), 1 << 64).view(np.int64)
+    fd = psi_z[support] - psi_z[support - 1]
+    x = np.remainder(psi_z[1:], n_mod, out=psi_z[1:])  # z's residue at z - 1
+    ordered = np.sort(x)
+    if np.any(ordered[1:] == ordered[:-1]):  # name the least z whose x an earlier z took
+        z = np.argsort(x, kind="stable")[1:][ordered[1:] == ordered[:-1]].min() + 1
+        zp = np.flatnonzero(x == x[z - 1])[0] + 1
+        raise CollisionError(f"psi_{{b,W}} collides mod N at z = {zp} and z = {z} (x = {x[z - 1]})")
     values = np.zeros(n_mod)
-    for z in range(1, ctx.M + 1):
-        x = resc(z) % n_mod
-        if x in seen:
-            raise CollisionError(
-                f"psi_{{b,W}} collides mod N at z = {seen[x]} and z = {z} (x = {x})"
-            )
-        seen[x] = z
-        if z in weights:
-            values[x] = weights[z] / norm
+    values[x[support - 1]] = fd.astype(np.float64) * log_weights / float(resc(top))
     return DensityFunction(values)
 
 
@@ -629,36 +610,37 @@ def restriction_nonzero(f: DensityFunction, rho: float) -> float:
     return float(top / a[0] * ((a[1:] / top) ** rho).sum() ** (1 / rho))
 
 
-def _e(numer: int, denom: int) -> complex:
-    """e(numer / denom), the numerator reduced mod denom in exact integers and
-    the quotient rounded once."""
-    return cmath.exp(2j * cmath.pi * ((numer % denom) / denom))
-
-
 def complete_gauss_sum(ctx: WTrickContext, a: int, q: int) -> complex:
     """sum over 1 <= s <= q, with the progression value coprime to q, of
-    e(psi_{b,W}(s) a / q)."""
-    if q < 1 or not 1 <= a <= q:
-        raise ValueError("requires 1 <= a <= q")
+    e(psi_{b,W}(s) a / q), for q < 2^32."""
+    if not 1 <= a <= q < 1 << 32:
+        raise ValueError("requires 1 <= a <= q < 2^32")
     if math.gcd(a, q) != 1:
         raise ValueError(f"gcd({a}, {q}) != 1")
-    c, big_q = ctx.progression
-    total = 0j
-    for s in range(1, q + 1):
-        if math.gcd(big_q * s + c, q) == 1:
-            total += _e(ctx.rescaled(s) * a, q)
-    return total
+    s = np.arange(1, q + 1)
+    s = s[np.gcd(IntPolynomial(ctx.progression[::-1]).eval_mod(s, q), q) == 1]  # Q s + c
+    return _phase_sum(ctx.rescaled, a, q, s, 1.0)
 
 
 def weighted_exp_sum(ctx: WTrickContext, alpha) -> complex:
     """sum over x in [1, N] of the progression's logarithmic prime weight
-    times e(alpha * psi_{b,W}(x)).  alpha is an int, a Fraction or a float;
-    a float is taken as its exact binary fraction, so every phase is reduced
-    exactly."""
+    times e(alpha * psi_{b,W}(x)), for an int, Fraction or float alpha (a
+    float is its exact binary fraction) whose reduced denominator is below
+    2^32 or a power of two <= 2^62, else ValueError."""
     a = Fraction(alpha)
-    numer, denom, resc = a.numerator, a.denominator, ctx.rescaled
+    d = a.denominator
+    if d >= 1 << 32 and (d & (d - 1) or d > 1 << 62):
+        raise ValueError(f"alpha = {alpha!r} has denominator {d}, neither below 2^32 "
+                         "nor a power of two <= 2^62")
     support, weights = ap_primes(*ctx.progression, ctx.N)
-    total = 0j
-    for x, w in zip(support.tolist(), weights.tolist()):
-        total += w * _e(resc(x) * numer, denom)
-    return total
+    return _phase_sum(ctx.rescaled, a.numerator, d, support, weights)
+
+
+def _phase_sum(resc: IntPolynomial, numer: int, denom: int, xs: np.ndarray, weights) -> complex:
+    """sum of weights e(numer psi_{b,W}(x) / denom) over the int64 xs, each phase
+    reduced exactly by `eval_mod` and turned into e(.) by `_unit_phases`."""
+    terms = np.empty(len(xs), dtype=np.complex128)
+    phases = IntPolynomial(tuple(-numer * c for c in resc.coeffs)).eval_mod(xs, denom)
+    _unit_phases(phases.view(np.int64), denom, terms)
+    terms *= weights
+    return complex(terms.sum())

@@ -329,9 +329,17 @@ def build_context(
         raise ValueError("requires num_colors >= 1")
     check_parity(psi, b0, w0)
 
-    if any(e < 0 for e in smooth_exponents.values()):
-        raise ValueError(f"negative smooth exponent in {smooth_exponents}")
-    exps = {int(p): int(e) for p, e in smooth_exponents.items() if e > 0}
+    # W one prime power at a time, refused once above 4n (a p^e above 4n uncomputed)
+    exps, w_modulus = {}, 1
+    for p, e in smooth_exponents.items():
+        if e < 0:
+            raise ValueError(f"negative smooth exponent {e} of {p}")
+        bits = e * (int(p).bit_length() - 1) + 1  # p^e >= 2^(bits - 1)
+        if bits > (4 * n).bit_length() or abs(w_modulus := w_modulus * int(p) ** int(e)) > 4 * n:
+            raise ScaleError(f"no room for a prime modulus: the smooth modulus W from 'w' has at "
+                             f"least {max(bits, w_modulus.bit_length())} bits, above 4n = {4 * n}")
+        if e:
+            exps[int(p)] = int(e)
     for p in exps:
         if not is_prime(p):
             raise ValueError(f"smooth modulus key {p} is not prime")
@@ -339,7 +347,6 @@ def build_context(
     bound = psi_bound(psi, w0, variant)
     cp = _admissible_cp(psi, b0, w0, bound) if variant == PRIME_COLORING else None
 
-    w_modulus = math.prod(p**e for p, e in exps.items())
     lo = (2 * n) // w_modulus  # N > 2n/W  <=>  N >= lo + 1
     bertrand_hi = (4 * n) // w_modulus
     if bertrand_hi <= max(lo, 1):  # lo = 0 means 4n/W < 2: no prime in (lo, 4n/W]

@@ -205,7 +205,7 @@ def test_criterion_09_measure_mass():
         primes = set(sieve_primes(q * ctx.M + c).tolist())
         phi_ratio = euler_phi(q) / q
         oracle = sum(
-            ctx.rescaled.forward_difference(z - 1) * phi_ratio * math.log(q * z + c)
+            (ctx.rescaled(z) - ctx.rescaled(z - 1)) * phi_ratio * math.log(q * z + c)
             for z in range(1, ctx.M + 1)
             if q * z + c in primes
         ) / ctx.rescaled(ctx.M)

@@ -900,6 +900,23 @@ class TestTransferCommand:
         assert "no room for a prime modulus" in capsys.readouterr().err
         assert not (tmp_path / "transfer.json").exists()
 
+    @pytest.mark.parametrize(
+        "w, bits", [("1000", 19), ("100000", 19), ("2:1,3:100000000000000", 100000000000001)]
+    )
+    def test_large_w_refused_by_bit_length(self, tmp_path, monkeypatch, capsys, w, bits):
+        # W is built one prime power at a time and refused once above 4n =
+        # 120000, before any key is tested for primality; 3^(10^14) is refused
+        # from its bit length, never computed, and no message prints W's digits
+        def never(*args, **kwargs):
+            pytest.fail("is_prime ran on a key of w")
+
+        monkeypatch.setattr("polyprimelab.wtrick.is_prime", never)
+        assert main(["verify", "--w", w, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: no room for a prime modulus: the smooth modulus W from 'w' has at least"
+            f" {bits} bits, above 4n = 120000\n"
+        )
+
     def test_no_room_below_the_first_prime(self, tmp_path, monkeypatch, capsys):
         # n = 1, W = 3: 2n/W rounds down to 0, and (0, 4n/W] = (0, 1] holds no prime
         def never(*args, **kwargs):
@@ -1034,7 +1051,8 @@ class TestSpectrumCommand:
         assert (pointwise["bohr_size"], pointwise["smoothing_regime"]) == (621, "fft")
 
     def test_residual_ratio_matches_lambda_oracle(self):
-        # each trend point's mass is sum_z fd(z - 1) lambda(c, Q, z) / psi_{b,W}(M)
+        # each trend point's mass is sum_z (psi_{b,W}(z) - psi_{b,W}(z - 1)) lambda(c, Q, z)
+        # / psi_{b,W}(M)
         cfg = config_from_sources(None, {"trend_w": (1,)})
         report = run_spectrum(cfg)
         w_mod = cfg.context().W
@@ -1046,7 +1064,7 @@ class TestSpectrumCommand:
             c, q = ctx.progression
             resc = ctx.rescaled
             total = sum(
-                resc.forward_difference(z - 1) * lambda_weight(c, q, z) for z in range(1, ctx.M + 1)
+                (resc(z) - resc(z - 1)) * lambda_weight(c, q, z) for z in range(1, ctx.M + 1)
             )
             assert row["mass"] == pytest.approx(total / resc(ctx.M), abs=1e-12)
 

@@ -191,6 +191,13 @@ class TestFindMonochromatic:
         want = monochromatic_scan(col, X2X, 1, 2, 80)
         assert want and sols.dtype == np.int64 and sols.tolist() == want
 
+    def test_values_beyond_int64_rejected(self):
+        # psi = z^2 - 2^40 z dips to about -2^78 before it increases: refused
+        # from its coefficients before any z is sieved or evaluated
+        col = make_coloring("integers", 100, 2, "random", 0)
+        with pytest.raises(ValueError, match="may leave int64"):
+            find_monochromatic(col, IntPolynomial((1, -(2**40), 0)), 1, 2, 100)
+
     @pytest.mark.parametrize("domain", ["integers", "primes"])
     def test_bound_beyond_coloring_rejected(self, domain):
         col = make_coloring(domain, 100, 2, "random", 0)

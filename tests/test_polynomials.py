@@ -30,6 +30,31 @@ class TestEval:
             IntPolynomial((1.5, 0))
 
 
+class TestEvalMod:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(
+            st.one_of(st.integers(-(2**70), 2**70), st.integers(-9, 9)), min_size=1, max_size=6
+        ),
+        xs=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=0, max_size=20),
+        d=st.one_of(
+            st.integers(0, 64).map(lambda j: 1 << j),  # every d dividing 2^64, 1 and 2^64 included
+            st.integers(1, 2**32 - 1),
+        ),
+    )
+    def test_matches_python_ints(self, coeffs, xs, d):
+        # negative coefficients and coefficients of 2^64 or more are reduced exactly
+        poly = IntPolynomial(tuple(coeffs))
+        got = poly.eval_mod(np.array(xs, dtype=np.int64), d)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [poly(x) % d for x in xs]
+
+    @pytest.mark.parametrize("d", [0, -4, 2**32 + 1, 3 * 2**32, 2**64 - 1, 2**65])
+    def test_other_moduli_raise(self, d):
+        with pytest.raises(ValueError, match="neither below 2\\^32 nor a power of two"):
+            IntPolynomial((1, 1, 0)).eval_mod(np.arange(3), d)
+
+
 class TestDerivative:
     def test_examples(self):
         assert IntPolynomial((1, 1, 0)).derivative().coeffs == (2, 1)
@@ -38,21 +63,6 @@ class TestDerivative:
 
     def test_constant(self):
         assert IntPolynomial((5,)).derivative().coeffs == (0,)
-
-
-class TestForwardDifference:
-    def test_examples(self):
-        assert IntPolynomial((1, 0, 0)).forward_difference(3) == 7
-        assert IntPolynomial((1, 1, 0)).forward_difference(0) == 2
-        assert IntPolynomial((9,)).forward_difference(123) == 0
-
-    def test_telescoping(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            poly = IntPolynomial(tuple(int(c) for c in rng.integers(-9, 10, size=4)))
-            top = int(rng.integers(1, 60))
-            total = sum(poly.forward_difference(x) for x in range(top))
-            assert total == poly(top) - poly(0)
 
 
 class TestRescale:

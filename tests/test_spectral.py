@@ -1,6 +1,7 @@
 import cmath
 import decimal
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -431,8 +432,17 @@ class TestPolyPrimeMeasure:
         assert m.values[9].real == 0.0  # z = 3 has 1*3+1 = 4 composite
 
     def test_collision_on_composite_modulus(self):
-        with pytest.raises(CollisionError):
+        # z^2 mod 8 is 1, 4, 1 at z = 1, 2, 3: z = 3 is the first to repeat,
+        # and z = 1 took its x = 1 first
+        with pytest.raises(CollisionError) as exc:
             build_poly_prime_measure(toy_context(n_modulus=8))
+        assert str(exc.value) == "psi_{b,W} collides mod N at z = 1 and z = 3 (x = 1)"
+
+    def test_values_beyond_int64_rejected(self):
+        # psi_{b,W}(M) = M^2 = 2^62 leaves room for no forward difference in
+        # int64: refused before any array is made
+        with pytest.raises(ValueError, match="may leave int64"):
+            build_poly_prime_measure(toy_context(cutoff=2**31))
 
     def test_mass_in_band(self, ctx_w6):
         m = build_poly_prime_measure(ctx_w6)
@@ -774,6 +784,10 @@ class TestCompleteGaussSum:
         with pytest.raises(ValueError):
             complete_gauss_sum(ctx_w6, 2, 4)
 
+    def test_rejects_modulus_beyond_evaluator(self, ctx_w6):
+        with pytest.raises(ValueError, match="q < 2\\^32"):
+            complete_gauss_sum(ctx_w6, 1, 2**32)
+
 
 class TestWeightedExpSum:
     def test_ap_form_matches_chebyshev(self, ctx_w1):
@@ -799,6 +813,20 @@ class TestWeightedExpSum:
         sf = weighted_exp_sum(ctx_w6, Fraction(1, 3))
         assert sf == pytest.approx(want, rel=1e-12)
         assert weighted_exp_sum(ctx_w6, 1 / 3) == pytest.approx(sf, rel=1e-6, abs=1e-6 * ctx_w6.N)
+
+    @pytest.mark.parametrize(
+        "alpha", [GOLDEN, 1 / 3, Fraction(1, 3), Fraction(5, 2**32 - 1), Fraction(1, 2**62)]
+    )
+    def test_denominator_in_range_accepted(self, ctx_w6, alpha):
+        # GOLDEN has denominator 2^53 and the float 1/3 has 2^54
+        weighted_exp_sum(ctx_w6, alpha)
+
+    @pytest.mark.parametrize(
+        "alpha", [Fraction(1, 2**32 + 1), Fraction(1, 3 * 2**32), Fraction(1, 2**63), 2.0**-70]
+    )
+    def test_denominator_out_of_range_rejected(self, ctx_w6, alpha):
+        with pytest.raises(ValueError, match=f"^alpha = {re.escape(repr(alpha))} has denominator"):
+            weighted_exp_sum(ctx_w6, alpha)
 
     def test_float_phase_exact_at_large_n(self):
         # a float alpha is its exact binary fraction.  The oracle reduces each
