@@ -1,11 +1,23 @@
 """Command-line front end: verify | search | counterexample | transfer | spectrum.
 
-A setting is declared once, on its `ExperimentConfig` field, and the setting
-flags are built from those fields: every config key but `trend_n` and
-`trend_w` is also a flag.  Flags are spelled in full, so `search`'s
-`--coloring` is never taken for `--coloring-rule`.  Flags override
-config-file values and go through the config file's parsers, so a bad value
-gets the same message either way.
+A setting is declared once, on its `ExperimentConfig` field, with the
+commands that read it.  Each command reads these settings, plus `out`:
+
+    search              psi, b0, w0, seed
+    counterexample      psi, b0, w0, seed, p, n
+    verify, transfer    psi, b0, w0, seed, m, variant, w, n, eta, eps, coloring
+    spectrum            psi, b0, w0, seed, m, variant, w, n, eta, eps, rho,
+                        trend_n, trend_w
+
+`search`, `counterexample` and `spectrum` read the seed only to echo it.
+Each command takes `--config` and a flag for each setting it reads, but the
+config-only `trend_n` and `trend_w`; `coloring` is `--coloring-rule`, and
+`search` also takes `--coloring`, the file it searches.  Any other flag is
+a usage error.  A config file may hold every key: each is parsed and
+checked, and a key the command does not read is neither used nor echoed.
+Flags are spelled in full, so `search`'s `--coloring` is never taken for
+`--coloring-rule`.  Flags override config-file values and go through the
+config file's parsers, so a bad value gets the same message either way.
 Reports land in the output directory as deterministic JSON (integers as
 decimal strings); `search`'s hits as `solutions.csv`, and `spectrum`'s
 arrays as exact `.npy` files.
@@ -66,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=desc, allow_abbrev=False)
         p.add_argument("--config", help="key-value config file")
         for key, f in SETTINGS.items():
-            if f.metadata["flag"]:
+            if f.metadata["flag"] and name in f.metadata["commands"]:
                 p.add_argument(f.metadata["flag"], dest=key, help=f.metadata["help"])
         if name == "search":
             p.add_argument("--coloring", dest="coloring_file", required=True, help="coloring file to search")
@@ -76,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _overrides(args: argparse.Namespace) -> dict:
     """Every setting flag given, parsed as its config-file key would be."""
     given = vars(args)
-    return dict(parse_setting(key, given[key]) for key in SETTINGS if given.get(key) is not None)
+    return {key: parse_setting(key, given[key]) for key in SETTINGS if given.get(key) is not None}
 
 
 def main(argv=None) -> int:

@@ -146,7 +146,8 @@ def lift_solution(xp: int, yp: int, zp: int, ctx: WTrickContext) -> tuple[int, i
 
     Replays the divisibility argument: the gap l*N between the integer sum
     and the polynomial value must satisfy 0 <= l < K and K | l, forcing l = 0;
-    the lifted identity and primality are then re-verified exactly.
+    the lifted identity is then re-verified exactly.  z = W z' + b gives
+    w0 z + b0 = q z' + c, so the primality test of z' is that of the lift.
     """
     resc, n_mod, k = ctx.rescaled, ctx.N, ctx.K
     if not 1 <= zp <= ctx.M:
@@ -176,8 +177,6 @@ def lift_solution(xp: int, yp: int, zp: int, ctx: WTrickContext) -> tuple[int, i
     z = ctx.W * zp + ctx.b
     if x + y != ctx.psi(z):
         raise LiftingError(f"lift failed: {x} + {y} != psi({z})")
-    if not is_prime(ctx.w0 * z + ctx.b0):
-        raise LiftingError(f"lifted z = {z} leaves the progression")
     return x, y, z
 
 

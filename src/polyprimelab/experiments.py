@@ -4,8 +4,8 @@ one), monochromatic search, the blocking counterexample, the transference
 pipeline, and the spectrum diagnostics.  Reports are deterministic JSON
 with every integer rendered as a decimal string; `spectrum`'s arrays are
 saved as exact `.npy` files, one numpy call each.  A setting is declared
-once, on its `ExperimentConfig` field, with its default, config key, parser
-and flag."""
+once, on its `ExperimentConfig` field, with its default, parser, flag and
+the commands that read it."""
 
 from __future__ import annotations
 
@@ -49,6 +49,7 @@ from .spectral import (
 from .wtrick import WTrickContext, build_context, level_exponents, verify_gcd_identity
 
 __all__ = [
+    "COMMANDS",
     "ExperimentConfig",
     "SETTINGS",
     "parse_config_file",
@@ -121,11 +122,16 @@ _nonnegative_int = _checked(int, lambda v: v >= 0, "negative value {}")
 _positive_float = _checked(float, lambda v: 0 < v < math.inf, "{} is not positive and finite")
 
 
-def _setting(default, parse, flag=None, help=None, key=None):
-    """A field declared as a setting: its config key (`key`, else the field's
-    name), the parser of its text, and its command-line `flag` with `help`
-    (None for a config-only setting).  A dict default is copied per instance."""
-    meta = {"key": key, "parse": parse, "flag": flag, "help": help}
+COMMANDS = ("verify", "search", "counterexample", "transfer", "spectrum")
+_PIPELINE = ("verify", "transfer", "spectrum")  # the commands that build a context
+
+
+def _setting(default, parse, commands, flag=None, help=None):
+    """A field declared as a setting: the parser of its text (its config key
+    is the field's name), the commands that read it, and its command-line
+    `flag` with `help` (None for a config-only setting).  Only those commands
+    take the flag and echo the value.  A dict default is copied per instance."""
+    meta = {"parse": parse, "commands": commands, "flag": flag, "help": help}
     if isinstance(default, dict):
         return field(default_factory=default.copy, metadata=meta)
     return field(default=default, metadata=meta)
@@ -133,7 +139,8 @@ def _setting(default, parse, flag=None, help=None, key=None):
 
 @dataclass
 class ExperimentConfig:
-    """Free parameters of one experiment; every field is echoed into reports."""
+    """Free parameters of one experiment; a report echoes the fields its
+    command reads."""
 
     psi: tuple[int, ...] = _setting(
         (1, 1, 0),
@@ -142,74 +149,87 @@ class ExperimentConfig:
             lambda v: IntPolynomial(v).degree >= 1 and IntPolynomial(v).leading > 0,
             "requires degree >= 1 and a positive leading coefficient",
         ),
-        "--psi", "polynomial coefficients, highest degree first",
+        COMMANDS, "--psi", "polynomial coefficients, highest degree first",
     )
-    b0: int = _setting(1, int, "--b0")
-    w0: int = _setting(2, _checked(int, lambda v: v >= 1, "requires w0 >= 1"), "--w0")
+    b0: int = _setting(1, int, COMMANDS, "--b0")
+    w0: int = _setting(2, _checked(int, lambda v: v >= 1, "requires w0 >= 1"), COMMANDS, "--w0")
     m: int = _setting(
-        2, _checked(int, lambda v: v >= 1, "requires m >= 1"), "--m", "number of colors"
+        2, _checked(int, lambda v: v >= 1, "requires m >= 1"), _PIPELINE, "--m",
+        "number of colors",
     )
     variant: str = _setting(
-        INTEGER_COLORING, _parse_variant, "--variant", "integer-coloring | prime-coloring"
+        INTEGER_COLORING, _parse_variant, _PIPELINE, "--variant",
+        "integer-coloring | prime-coloring",
     )
-    w_config: dict[int, int] = _setting(
-        {2: 1, 3: 1}, _parse_w_spec, "--w",
-        "smooth modulus: level like '3' or exponents '2:1,3:2'", key="w",
+    w: dict[int, int] = _setting(
+        {2: 1, 3: 1}, _parse_w_spec, _PIPELINE, "--w",
+        "smooth modulus: level like '3' or exponents '2:1,3:2'",
     )
     n: int = _setting(
-        30000, _checked(int, lambda v: v >= 1, "requires n >= 1"), "--n", "ambient scale"
+        30000, _checked(int, lambda v: v >= 1, "requires n >= 1"),
+        ("counterexample", *_PIPELINE), "--n", "ambient scale",
     )
     eta: Fraction = _setting(
-        Fraction(1, 4), _checked(Fraction, lambda v: v > 0, "requires eta > 0"),
+        Fraction(1, 4), _checked(Fraction, lambda v: v > 0, "requires eta > 0"), _PIPELINE,
         "--eta", "spectrum threshold as a rational 'p/q'",
     )
     eps: Fraction = _setting(
         Fraction(1, 8),
         _checked(Fraction, lambda v: 0 < v < Fraction(1, 2), "requires 0 < eps < 1/2"),
-        "--eps", "Bohr radius as a rational 'p/q'",
+        _PIPELINE, "--eps", "Bohr radius as a rational 'p/q'",
     )
     rho: tuple[float, ...] = _setting(
-        (4.0, 64.0), _tuple_of(_positive_float),
+        (4.0, 64.0), _tuple_of(_positive_float), ("spectrum",),
         "--rho", "comma list of restriction exponents",
     )
-    seed: int = _setting(1, _nonnegative_int, "--seed", "master seed (recorded in reports)")
+    # every command echoes the seed as a label; verify and transfer color with it
+    seed: int = _setting(
+        1, _nonnegative_int, COMMANDS, "--seed", "master seed (recorded in reports)"
+    )
     coloring: str = _setting(
-        "random", _parse_coloring_rule, "--coloring-rule", "random | residue:<q> | interval:<cuts>"
+        "random", _parse_coloring_rule, ("verify", "transfer"), "--coloring-rule",
+        "random | residue:<q> | interval:<cuts>",
     )
     p: int = _setting(
-        3, _checked(int, is_prime, "{} is not prime"), "--p", "blocking prime (counterexample)"
+        3, _checked(int, is_prime, "{} is not prime"), ("counterexample",), "--p",
+        "blocking prime (counterexample)",
     )
-    out: str = _setting("out", str.strip, "--out", "output directory")
-    trend_n: tuple[int, ...] = _setting((2003, 4001, 8009), _tuple_of(_nonnegative_int))
+    out: str = _setting("out", str.strip, COMMANDS, "--out", "output directory")
+    trend_n: tuple[int, ...] = _setting(
+        (2003, 4001, 8009), _tuple_of(_nonnegative_int), ("spectrum",)
+    )
     # smoothing levels: primes <= these
-    trend_w: tuple[int, ...] = _setting((1, 2, 3), _tuple_of(_nonnegative_int))
+    trend_w: tuple[int, ...] = _setting((1, 2, 3), _tuple_of(_nonnegative_int), ("spectrum",))
 
     def polynomial(self) -> IntPolynomial:
         return IntPolynomial(tuple(self.psi))
 
     def context(self) -> WTrickContext:
         return build_context(
-            self.polynomial(), self.b0, self.w0, self.m, self.variant, self.w_config, self.n
+            self.polynomial(), self.b0, self.w0, self.m, self.variant, self.w, self.n
         )
 
-    def echo(self) -> dict:
-        """Every field but `out`; write_report renders the values."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+    def echo(self, command: str) -> dict:
+        """The fields `command` reads, but `out`; write_report renders the values."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if command in f.metadata["commands"] and f.name != "out"
+        }
 
 
-SETTINGS = {f.metadata["key"] or f.name: f for f in fields(ExperimentConfig)}  # by config key
+SETTINGS = {f.name: f for f in fields(ExperimentConfig)}
 
 
-def parse_setting(key: str, text: str) -> tuple[str, object]:
-    """(config field, parsed value) for one setting, from a config-file line
-    or a command-line flag alike; any bad value raises ValueError naming key."""
+def parse_setting(key: str, text: str):
+    """The parsed value of one setting, from a config-file line or a
+    command-line flag alike; any bad value raises ValueError naming key."""
     if key not in SETTINGS:
         raise ValueError(f"unknown key {key!r}")
     try:
-        value = SETTINGS[key].metadata["parse"](text)
+        return SETTINGS[key].metadata["parse"](text)
     except (ValueError, ZeroDivisionError) as e:
         raise ValueError(f"bad value for {key!r}: {e}") from e
-    return SETTINGS[key].name, value
 
 
 def parse_config_file(path) -> dict:
@@ -224,10 +244,9 @@ def parse_config_file(path) -> dict:
                 raise ValueError(f"line {i}: expected 'key = value', got {line!r}")
             key, value = (s.strip() for s in line.split("=", 1))
             try:
-                name, parsed = parse_setting(key, value)
+                raw[key] = parse_setting(key, value)
             except ValueError as e:
                 raise ValueError(f"line {i}: {e}") from e
-            raw[name] = parsed
     if not raw:
         raise ValueError("empty config: no keys found")
     return raw
@@ -266,7 +285,7 @@ def write_report(report: dict, path) -> None:
 
 
 def _base_report(cfg: ExperimentConfig, command: str) -> dict:
-    return {"command": command, "version": __version__, "config": cfg.echo()}
+    return {"command": command, "version": __version__, "config": cfg.echo(command)}
 
 
 def _nonzero_sup(f: DensityFunction) -> float:
@@ -501,7 +520,7 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
         w_mod = math.prod(exps)
         n_here = max(cfg.trend_n[0] * w_mod // 2, w_mod * 8)
         try:
-            c2 = replace(cfg, w_config=exps, n=n_here).context()
+            c2 = replace(cfg, w=exps, n=n_here).context()
             sup = _nonzero_sup(build_poly_prime_measure(c2))
             w_trend.append({"W": c2.W, "N": c2.N, "max_nonzero_spectral_value": sup})
         except ValueError as e:

@@ -17,6 +17,7 @@ from polyprimelab import coloring, counting, experiments
 from polyprimelab.cli import main
 from polyprimelab.coloring import make_coloring, save_coloring
 from polyprimelab.experiments import (
+    SETTINGS,
     ExperimentConfig,
     config_from_sources,
     parse_config_file,
@@ -54,13 +55,13 @@ class TestConfigParsing:
             "seed = 7\n"
         )
         cfg = config_from_sources(path)
-        assert cfg.psi == (1, 1, 0) and cfg.w_config == {2: 1, 3: 1}
+        assert cfg.psi == (1, 1, 0) and cfg.w == {2: 1, 3: 1}
         assert str(cfg.eta) == "1/4" and cfg.seed == 7
 
     def test_w_level_shorthand(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text("w = 3\n")
-        assert config_from_sources(path).w_config == {2: 1, 3: 1}
+        assert config_from_sources(path).w == {2: 1, 3: 1}
 
     def test_empty_config_rejected(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -149,7 +150,8 @@ class TestConfigParsing:
     def test_psi_range(self, text, ok):
         # degree >= 1 and a positive leading coefficient, leading zeros trimmed
         if ok:
-            assert experiments.parse_setting("psi", text)[0] == "psi"
+            want = tuple(int(c) for c in text.strip("[]").split(","))
+            assert experiments.parse_setting("psi", text) == want
             return
         with pytest.raises(ValueError) as e:
             experiments.parse_setting("psi", text)
@@ -168,13 +170,20 @@ class TestConfigParsing:
     @pytest.mark.parametrize("command", ["verify", "search", "counterexample", "transfer", "spectrum"])
     @pytest.mark.parametrize("text", ["-1", "0", "4,-64", "nan", "inf"])
     def test_rho_not_positive_and_finite_rejected(self, tmp_path, capsys, command, text):
-        # every command refuses the setting before any stage runs, from a flag
-        # or a config file alike
+        # every command refuses the setting before any stage runs from a
+        # config file, and spectrum, which reads it, from a flag alike; the
+        # flag is unknown to the other commands
         extra = ["--coloring", str(tmp_path / "absent.txt")] if command == "search" else []
         bad = next(x for x in text.split(",") if not 0 < float(x) < math.inf)
         message = f"bad value for 'rho': {float(bad)} is not positive and finite\n"
-        assert main([command, "--rho", text, *extra, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == f"error: {message}"
+        if command == "spectrum":
+            assert main([command, "--rho", text, *extra, "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"error: {message}"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--rho", text, *extra, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == f"error: unrecognized arguments: --rho {text}\n"
         path = tmp_path / "bad.cfg"
         path.write_text(f"rho = {text}\n")
         assert main([command, "--config", str(path), *extra, "--out", str(tmp_path)]) == 2
@@ -183,18 +192,22 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("command", ["transfer", "search"])
     def test_bad_variant_same_for_flag_and_config_file(self, tmp_path, capsys, command):
-        # both forms exit 2 with one line, before any context or coloring is read
+        # both forms exit 2 with one line, before any context or coloring is
+        # read; search, which does not read the setting, has no such flag
         extra = ["--coloring", str(tmp_path / "absent.txt")] if command == "search" else []
-        assert main([command, "--variant", "bogus", *extra, "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert err == (
-            "error: bad value for 'variant': 'bogus' is not one of "
-            "integer-coloring, prime-coloring\n"
-        )
+        message = "bad value for 'variant': 'bogus' is not one of integer-coloring, prime-coloring\n"
+        if command == "transfer":
+            assert main([command, "--variant", "bogus", *extra, "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"error: {message}"
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--variant", "bogus", *extra, "--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert capsys.readouterr().err == "error: unrecognized arguments: --variant bogus\n"
         path = tmp_path / "bad.cfg"
         path.write_text("variant = bogus\n")
         assert main([command, "--config", str(path), *extra, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == err.replace("error: ", "error: line 1: ", 1)
+        assert capsys.readouterr().err == f"error: line 1: {message}"
         assert not list(tmp_path.glob("*.json"))
 
     @pytest.mark.parametrize("command", ["verify", "transfer"])
@@ -228,7 +241,7 @@ BAD_VALUES = {
     "w0": "2.5",
     "m": "0",
     "variant": "bogus",
-    "w_config": "2:-1",
+    "w": "2:-1",
     "n": "1e6",
     "eta": "0",
     "eps": "1/2",
@@ -254,7 +267,9 @@ class TestBadValues:
     @pytest.mark.parametrize("command", ["verify", "search", "counterexample", "transfer", "spectrum"])
     def test_refused_when_parsed(self, tmp_path, capsys, command):
         # each bad value ends in exit 2 and one line naming its key before
-        # any stage runs, from a flag or, for a config-only setting, a file
+        # any stage runs: from a flag the command takes, else from a file,
+        # where every key is checked; a flag the command does not take is
+        # an unrecognized argument, whatever its value
         extra = []
         if command == "search":
             path = tmp_path / "col.txt"
@@ -267,10 +282,16 @@ class TestBadValues:
             for f in fields(ExperimentConfig)
             if f.name in values
         ]:
-            key, flag = f.metadata["key"] or f.name, f.metadata["flag"]
-            if flag:
+            key, flag = f.name, f.metadata["flag"]
+            if flag and command in f.metadata["commands"]:
                 args, prefix = [f"{flag}={text}"], ""
             else:
+                if flag:
+                    with pytest.raises(SystemExit) as exc:
+                        main([command, f"{flag}={text}", *extra, "--out", str(out)])
+                    assert exc.value.code == 2, key
+                    err = capsys.readouterr().err
+                    assert err == f"error: unrecognized arguments: {flag}={text}\n"
                 cfg = tmp_path / "bad.cfg"
                 cfg.write_text(f"{key} = {text}\n")
                 args, prefix = ["--config", str(cfg)], "line 1: "
@@ -281,6 +302,7 @@ class TestBadValues:
             assert not out.exists()
 
 
+# (option strings, destination, help) of every flag a command may take
 SETTING_FLAGS = [
     (("--b0",), "b0", None),
     (("--coloring-rule",), "coloring", "random | residue:<q> | interval:<cuts>"),
@@ -299,9 +321,33 @@ SETTING_FLAGS = [
     (("--w0",), "w0", None),
     (("-h", "--help"), "help", "show this help message and exit"),
 ]
+# the settings each command reads, besides `out` (README's table)
+_CONTEXT = {"psi", "b0", "w0", "seed", "m", "variant", "w", "n", "eta", "eps"}
+READS = {
+    "verify": _CONTEXT | {"coloring"},
+    "search": {"psi", "b0", "w0", "seed"},
+    "counterexample": {"psi", "b0", "w0", "seed", "p", "n"},
+    "transfer": _CONTEXT | {"coloring"},
+    "spectrum": _CONTEXT | {"rho", "trend_n", "trend_w"},
+}
+COMMANDS = list(READS)
+
+
+def subparser(command: str) -> argparse.ArgumentParser:
+    from polyprimelab.cli import _build_parser
+
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
 
 
 class TestFlagInventory:
+    def test_declaration_matches_table(self):
+        assert experiments.COMMANDS == tuple(COMMANDS)
+        for f in fields(ExperimentConfig):
+            readers = {c for c in COMMANDS if f.name in READS[c] | {"out"}}
+            assert set(f.metadata["commands"]) == readers, f.name
+
     @pytest.mark.parametrize(
         "command,extra",
         [
@@ -313,14 +359,75 @@ class TestFlagInventory:
         ],
     )
     def test_every_command_takes_every_setting_flag(self, command, extra):
-        # the option strings, destinations and help texts each subcommand exposes
-        from polyprimelab.cli import _build_parser
-
-        parser = _build_parser()
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        actions = sub.choices[command]._actions
+        # each subcommand exposes the flags of the settings it reads, and
+        # only those, with their destinations and help texts
+        actions = subparser(command)._actions
         got = sorted((tuple(a.option_strings), a.dest, a.help) for a in actions)
-        assert got == sorted(SETTING_FLAGS + extra)
+        declared = {
+            name for name, f in SETTINGS.items() if command in f.metadata["commands"]
+        } | {"config", "help"}
+        want = [flag for flag in SETTING_FLAGS if flag[1] in declared]
+        assert got == sorted(want + extra)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unread_flag_is_unrecognized(self, tmp_path, monkeypatch, capsys, command):
+        # argparse refuses every flag of a setting the command does not
+        # read: exit 2, one stderr line, and no file written
+        monkeypatch.chdir(tmp_path)
+        extra = ["--coloring", "absent.txt"] if command == "search" else []
+        unread = [opts[0] for opts, dest, _ in SETTING_FLAGS if dest in SETTINGS
+                  and dest not in READS[command] | {"out"}]
+        assert len(unread) == {"verify": 2, "search": 9, "counterexample": 7,
+                               "transfer": 2, "spectrum": 2}[command]
+        for flag in unread:
+            with pytest.raises(SystemExit) as exc:
+                main([command, flag, "1", *extra])
+            assert exc.value.code == 2, flag
+            assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} 1\n"
+        assert not list(tmp_path.iterdir())
+
+
+# two valid values of every setting, for the settings a command does not read
+OTHER_VALUES = {
+    "m": ("2", "3"),
+    "variant": ("integer-coloring", "prime-coloring"),
+    "w": ("2:1,3:1", "2:2"),
+    "n": ("3000", "5000"),
+    "eta": ("1/4", "1/3"),
+    "eps": ("1/8", "1/5"),
+    "rho": ("4,64", "3"),
+    "coloring": ("random", "residue:3"),
+    "p": ("3", "5"),
+    "trend_n": ("2003", "1009,2003"),
+    "trend_w": ("1,2,3", "2"),
+}
+
+
+class TestUnreadSettings:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_value_changes_no_output(self, tmp_path, capsys, command):
+        # a config file may hold every key; a key the command does not read
+        # changes neither its report nor any other output file
+        unread = [f.name for f in fields(ExperimentConfig)
+                  if f.name not in READS[command] | {"out"}]
+        assert set(unread) <= set(OTHER_VALUES)
+        base, extra = "n = 3000\n", []
+        if command == "counterexample":
+            base = "psi = 6,0,0\nb0 = 1\nw0 = 1\np = 3\nn = 2000\n"
+        elif command == "search":
+            path = tmp_path / "col.txt"
+            save_coloring(make_coloring("integers", 200, 2, "random", 1), path)
+            base, extra = "psi = 1,1,0\n", ["--coloring", str(path)]
+        for key in unread:
+            outputs = []
+            for i, value in enumerate(OTHER_VALUES[key]):
+                cfg, out = tmp_path / f"{key}{i}.cfg", tmp_path / f"{key}{i}"
+                cfg.write_text(f"{base}{key} = {value}\n")
+                code = main([command, "--config", str(cfg), *extra, "--out", str(out)])
+                files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                outputs.append((code, capsys.readouterr(), files))
+            assert outputs[0] == outputs[1], key
+            assert outputs[0][0] == 0 and outputs[0][2], key
 
 
 class TestExactFlags:
@@ -344,7 +451,7 @@ class TestExactFlags:
         from polyprimelab.cli import _build_parser
 
         args = _build_parser().parse_args(["search", "--coloring", "x.txt"])
-        assert args.coloring_file == "x.txt" and args.coloring is None
+        assert args.coloring_file == "x.txt" and "coloring" not in vars(args)
 
 
 class TestUsageErrors:
@@ -713,13 +820,13 @@ class TestInvalidProgression:
         # no w0*z + b0 is prime, so an answer would be vacuous; w0 < 1 is
         # outside w0's fixed range, so it is refused when parsed, and the
         # library's own progression check refuses it too
-        extra = ["--p", "3"]
+        extra = ["--p", "3", "--n", "100"]
         if command == "search":
             path = tmp_path / "col.txt"
             save_coloring(make_coloring("integers", 200, 2, "random", 1), path)
             extra = ["--coloring", str(path)]
         out = tmp_path / "out"
-        argv = [command, *extra, "--psi", "6,0,0", "--b0", b0, "--w0", w0, "--n", "100"]
+        argv = [command, *extra, "--psi", "6,0,0", "--b0", b0, "--w0", w0]
         if int(w0) < 1:
             assert main(argv + ["--out", str(out)]) == 2
             assert capsys.readouterr().err == "error: bad value for 'w0': requires w0 >= 1\n"
@@ -804,7 +911,7 @@ PRIME_TRANSFER = {
     "b0": 1,
     "w0": 1,
     "variant": "prime-coloring",
-    "w_config": {2: 2, 3: 1, 5: 1},
+    "w": {2: 2, 3: 1, 5: 1},
     "n": 600_000,
     "eta": Fraction(1, 20),
     "seed": 3,
