@@ -40,6 +40,7 @@ __all__ = [
 
 _RELATIONS = {">=": operator.ge, "<=": operator.le}
 _TRIPLE_BLOCK = 1 << 16  # frequencies per block of triple_count's sum
+_GATHER_BLOCK = 1 << 16  # (t, x) entries per gather of _unweighted_count
 
 
 class LiftingError(ValueError):
@@ -142,39 +143,22 @@ def find_monochromatic(
 
 def lift_solution(xp: int, yp: int, zp: int, ctx: WTrickContext) -> tuple[int, int, int]:
     """Lift x' + y' = psi_{b,W}(z') from Z_N to (x, y, z) with x + y = psi(z)
-    in the integers.
+    in the integers: x = W x' + psi(b)/2, y = W y' + psi(b)/2, z = W z' + b.
 
-    Replays the divisibility argument: the gap l*N between the integer sum
-    and the polynomial value must satisfy 0 <= l < K and K | l, forcing l = 0;
-    the lifted identity is then re-verified exactly.  z = W z' + b gives
-    w0 z + b0 = q z' + c, so the primality test of z' is that of the lift.
+    `build_context` proved that K divides psi_{b,W} and N does not divide K;
+    the identity, which holds iff x' + y' = psi_{b,W}(z') exactly, is checked
+    here exactly (LiftingError).  z = W z' + b gives w0 z + b0 = q z' + c, so
+    the primality test of z' is that of the lift.
     """
-    resc, n_mod, k = ctx.rescaled, ctx.N, ctx.K
     if not 1 <= zp <= ctx.M:
         raise ValueError(f"z' = {zp} outside [1, M]")
     c, q = ctx.progression
     if not is_prime(q * zp + c):
         raise ValueError(f"z' = {zp} is not in the admissible progression")
-    val = resc(zp)
-    gap = val - (xp + yp)
-    if gap % n_mod:
+    if (ctx.rescaled(zp) - xp - yp) % ctx.N:
         raise ValueError("x' + y' is not congruent to psi_{b,W}(z') mod N")
-    l = gap // n_mod
-    if not 0 <= l < k:
-        raise LiftingError(f"gap multiplier l = {l} outside [0, K)")
-    if (xp + yp) % k:
-        raise LiftingError(f"K = {k} does not divide x' + y' = {xp + yp}")
-    for i in range(1, resc.degree + 1):
-        if resc.coefficient(i) % k:
-            raise LiftingError(f"K = {k} does not divide the coefficient of x^{i}")
-    if l % k:
-        raise LiftingError(f"K | l fails: l = {l}, K = {k}")
-    if l != 0:
-        raise LiftingError(f"nonzero gap multiplier l = {l}")
     half = ctx.half_psi_b
-    x = ctx.W * xp + half
-    y = ctx.W * yp + half
-    z = ctx.W * zp + ctx.b
+    x, y, z = ctx.W * xp + half, ctx.W * yp + half, ctx.W * zp + ctx.b
     if x + y != ctx.psi(z):
         raise LiftingError(f"lift failed: {x} + {y} != psi({z})")
     return x, y, z
@@ -204,20 +188,23 @@ def find_zn_solutions(
 
 def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:
     """sum over x, y in A (ascending, in [0, N)) of measure(x + y), by the cost
-    rule in `transference_report`; exactly, at each support point t, twice the
-    pairs of `sum_pairs` at sums s = t, t + N, plus 1 where s = 2x, x in A."""
+    rule in `transference_report`; exactly, at each support point t, the x in
+    A with t + N - x in `table` (x and x + N for x in A), gathered in blocks of
+    at most `_GATHER_BLOCK` (t, x) entries."""
     n_mod = measure.modulus
     support = np.flatnonzero(measure.values)
-    in_a = np.zeros(n_mod, dtype=bool)
-    in_a[members] = True
+    table = np.zeros(2 * n_mod, dtype=bool)
+    table[members] = table[members + n_mod] = True
     if len(support) * len(members) > n_mod * n_mod.bit_length():
-        indicator = DensityFunction(in_a)  # as float64 0/1 values
+        indicator = DensityFunction(table[:n_mod])  # as float64 0/1 values
         return triple_count(indicator, indicator, measure).real
     counts = np.zeros(len(support), dtype=np.int64)
-    for i, t in enumerate(support.tolist()):
-        for s in (t, t + n_mod):
-            ys = sum_pairs(members, s, n_mod - 1)[1]
-            counts[i] += 2 * np.count_nonzero(in_a[ys]) + (s % 2 == 0 and bool(in_a[s // 2]))
+    for lo in range(0, len(members), _GATHER_BLOCK):
+        shifts = n_mod - members[lo : lo + _GATHER_BLOCK]
+        rows = _GATHER_BLOCK // len(shifts)
+        for r in range(0, len(support), rows):
+            block = table[support[r : r + rows, None] + shifts]
+            counts[r : r + rows] += np.count_nonzero(block, axis=1)
     return float(counts @ measure.values[support])
 
 
@@ -274,7 +261,7 @@ def transference_report(
     For a prime coloring the final inequality counts the class's unweighted
     pairs, `unweighted_count` = sum over x, y in A of measure(x + y), with
     the diagonal sum over x in A of measure(2x) read from the members.  The
-    count is exact and runs no transform when |supp measure| * |A| <=
+    count is exact, gathered from a table of A, when |supp measure| * |A| <=
     N * N.bit_length(); above that it is A's indicator's triple count.
     """
     ctx = a_set.context

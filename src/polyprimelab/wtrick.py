@@ -315,7 +315,9 @@ def build_context(
     (the spectral side relies on it); Bertrand's postulate puts it at most
     4n/W.  The paper's window N <= (2+kappa)n/W is recorded by the
     transference report (`N_window`), not enforced.  A smooth exponent must
-    be >= 0; an exponent of 0 contributes p^0 = 1 to W.
+    be >= 0; an exponent of 0 contributes p^0 = 1 to W.  The lift's
+    precondition is proved here, once: K divides every coefficient of
+    psi_{b,W} and N does not divide K, else ScaleError naming `w` (or `n`).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -376,7 +378,14 @@ def build_context(
     if found == 2:
         raise ScaleError(f"N = 2 at n={n}, W={w_modulus}; the spectral side needs an odd N")
 
-    resc = rescale(psi, w_modulus, b)
+    resc = rescale(psi, w_modulus, b)  # its constant term is 0
+    j = next((j for j in range(1, resc.degree + 1) if resc.coefficient(j) % k_factor), None)
+    if j is not None:
+        raise ScaleError(f"no solution lifts at the smooth modulus W = {w_modulus} from 'w': K = "
+                         f"{k_factor} does not divide {resc.coefficient(j)}, the coefficient of "
+                         f"x^{j} in psi_{{b,W}}; raise the exponents in 'w'")
+    if k_factor % found == 0:
+        raise ScaleError(f"no solution lifts: N = {found} divides K = {k_factor}; raise 'n'")
     try:
         cutoff = compute_M(resc, k_factor, found)
     except ValueError as e:

@@ -806,6 +806,21 @@ class TestErrorExitCodes:
         assert not (out / "solutions.csv").exists() and not (out / "search.json").exists()
 
 
+class TestUnliftableContext:
+    @pytest.mark.parametrize("command", ["verify", "transfer", "spectrum"])
+    def test_refused_with_one_line(self, tmp_path, capsys, command):
+        # K = 24 does not divide psi_{b,W} = 12x^2 at W = 2, so no Z_N solution
+        # lifts: the context build refuses the configuration, naming w
+        out = tmp_path / "out"
+        argv = ["--psi", "6,0,0", "--b0", "1", "--w0", "1", "--w", "2:1", "--n", "30000"]
+        assert main([command, *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: no solution lifts at the smooth modulus W = 2 from 'w': K = 24 does not "
+            "divide 12, the coefficient of x^2 in psi_{b,W}; raise the exponents in 'w'\n"
+        )
+        assert not out.exists()
+
+
 class TestInvalidProgression:
     @pytest.mark.parametrize("command", ["search", "counterexample"])
     @pytest.mark.parametrize(

@@ -516,6 +516,31 @@ class TestUnweightedCount:
         want = sum(int(measure.values[(x + y) % 1009]) for x in a for y in a)
         assert _unweighted_count(members, measure) == want
 
+    @pytest.mark.parametrize(
+        "n,support_size,set_size,block",
+        [
+            (1009, 30, 300, 64),  # 5 chunks of A, one row per gather
+            (2027, 11, 2000, 700),  # a short last chunk of A: 700, 700, 600
+            (2039, 2039, 1, 64),  # 64 rows per gather, a short last one
+            (100003, 20, 70000, None),  # |A| > 2^16: one row per gather, then 14
+            (100003, 1500, 1000, None),  # 65 rows per gather
+        ],
+    )
+    def test_several_gather_blocks(self, monkeypatch, n, support_size, set_size, block):
+        # integer weights: the exact path's value is the exact integer count,
+        # against a per-support-point membership test of t - x
+        if block is not None:
+            monkeypatch.setattr(counting, "_GATHER_BLOCK", block)
+        members, measure = random_unweighted_instance(
+            n, support_size, set_size, 7, weights=lambda rng, k: rng.integers(1, 10, size=k)
+        )
+        assert support_size * set_size <= n * n.bit_length()  # no transform
+        want = 0
+        for t in np.flatnonzero(measure.values).tolist():
+            pairs = int(np.isin((t - members) % n, members).sum())
+            want += pairs * int(measure.values[t])
+        assert _unweighted_count(members, measure) == want
+
 
 class TestTransferenceReport:
     @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import suggest_smooth_exponents
+from polyprimelab.coloring import dense_class, make_coloring
+from polyprimelab.counting import find_zn_solutions, lift_solution
 from polyprimelab.numtheory import is_prime, p_adic_valuation, sieve_primes
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial
 from polyprimelab.wtrick import (
@@ -25,6 +28,31 @@ from polyprimelab.wtrick import (
 
 X2 = IntPolynomial((1, 0, 0))
 X2X = IntPolynomial((1, 1, 0))
+
+
+def randomized_contexts(count=50):
+    """`count` integer-coloring contexts of random a x^2 + c x, 2z + 1 or
+    z + 1, at the conftest's suggested smooth exponents; draws that
+    build_context refuses are skipped."""
+    rng = np.random.default_rng(41)
+    built = 0
+    while built < count:
+        lead = int(rng.integers(1, 7))
+        lin = int(rng.integers(0, 7))
+        poly = IntPolynomial((lead, lin, 0))
+        w0 = int(rng.choice([1, 2]))
+        b0 = 1
+        try:
+            check_parity(poly, b0, w0)
+            exps = suggest_smooth_exponents(poly, b0, w0, INTEGER_COLORING)
+            ctx = build_context(
+                poly, b0, w0, int(rng.integers(1, 4)), INTEGER_COLORING, exps,
+                int(rng.integers(10**4, 10**6)),
+            )
+        except (ValueError, RuntimeError):
+            continue
+        built += 1
+        yield ctx
 
 
 class TestFindNonroot:
@@ -250,6 +278,30 @@ class TestBuildContext:
         with pytest.raises(ScaleError):
             build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 4, 3: 3, 5: 2}, 100)
 
+    @pytest.mark.parametrize(
+        "psi, b0, w0, exps, n, message",
+        [
+            # K = 4 does not divide the 6 of psi_{b,W} = 6x^2 + 8x
+            (X2, 1, 1, {2: 1, 3: 1}, 10**6, "K = 4 does not divide 6, the coefficient of x^2"),
+            # K = 24 does not divide 12x^2
+            (IntPolynomial((6, 0, 0)), 1, 1, {2: 1}, 30000,
+             "K = 24 does not divide 12, the coefficient of x^2"),
+            # K = 24 divides 24x^2 + 24x, but N = 3 divides K
+            (IntPolynomial((6, 0, 0)), 1, 1, {2: 2}, 4, "N = 3 divides K = 24"),
+        ],
+    )
+    def test_unliftable_context_refused(self, psi, b0, w0, exps, n, message):
+        # the lift's precondition: K divides psi_{b,W}, and N does not divide K
+        with pytest.raises(ScaleError, match=re.escape(message)) as exc:
+            build_context(psi, b0, w0, 2, INTEGER_COLORING, exps, n)
+        assert "\n" not in str(exc.value)
+        assert ("'w'" if "coefficient" in message else "'n'") in str(exc.value)
+
+    def test_liftable_w_accepted(self):
+        # raising the exponents in w lifts the refused 6x^2 at W = 2
+        ctx = build_context(IntPolynomial((6, 0, 0)), 1, 1, 2, INTEGER_COLORING, {2: 3, 3: 1}, 10**6)
+        assert (ctx.K, ctx.W, ctx.rescaled.coeffs) == (24, 24, (144, 120, 0))
+
     def test_even_modulus_rejected(self):
         # at n = 4 and W = 6 the only prime in (2n/W, 4n/W] = (1, 2] is N = 2
         with pytest.raises(ScaleError, match="needs an odd N"):
@@ -289,26 +341,30 @@ class TestVerifyGcdIdentity:
         assert verify_gcd_identity(ctx) is True
 
     def test_inconclusive_when_exponent_too_small(self):
-        ctx = build_context(X2, 1, 1, 1, INTEGER_COLORING, {2: 1, 3: 1}, 10**6)
+        # the default x^2 + x, 2z + 1 at W = 6: K = 1 divides psi_{b,W} = 6x^2 + x,
+        # but e_2 = 1 does not exceed the valuation at p = 2
+        ctx = build_context(X2X, 1, 2, 1, INTEGER_COLORING, {2: 1, 3: 1}, 10**6)
+        assert (ctx.K, ctx.rescaled.coeffs) == (1, (6, 1, 0))
         assert verify_gcd_identity(ctx) is None
 
     def test_true_on_randomized_suite(self):
-        rng = np.random.default_rng(41)
-        built = 0
-        while built < 50:
-            lead = int(rng.integers(1, 7))
-            lin = int(rng.integers(0, 7))
-            poly = IntPolynomial((lead, lin, 0))
-            w0 = int(rng.choice([1, 2]))
-            b0 = 1
+        for ctx in randomized_contexts():
+            assert verify_gcd_identity(ctx) is True, ctx.psi
+
+
+class TestLiftPrecondition:
+    def test_dense_class_solutions_lift(self):
+        # build_context proved K | psi_{b,W} and N not dividing K, so every
+        # sampled Z_N solution of the densest class lifts exactly
+        lifted = 0
+        for ctx in randomized_contexts():
+            col = make_coloring("integers", ctx.n, ctx.num_colors, "random", ctx.N)
             try:
-                check_parity(poly, b0, w0)
-                exps = suggest_smooth_exponents(poly, b0, w0, INTEGER_COLORING)
-                ctx = build_context(
-                    poly, b0, w0, int(rng.integers(1, 4)), INTEGER_COLORING, exps,
-                    int(rng.integers(10**4, 10**6)),
-                )
-            except (ValueError, RuntimeError):
+                dens = dense_class(col, ctx)
+            except ScaleError:  # n/(mKW) - psi(W) <= 0: no dense class at this scale
                 continue
-            built += 1
-            assert verify_gcd_identity(ctx) is True, poly
+            for xp, yp, zp in find_zn_solutions(dens.members, ctx, limit=50):
+                x, y, z = lift_solution(xp, yp, zp, ctx)
+                assert x + y == ctx.psi(z) and col.color_at[x] == col.color_at[y], ctx.psi
+                lifted += 1
+        assert lifted >= 300  # 400: 50 from each of the 8 contexts with a dense class
