@@ -25,12 +25,12 @@ arrays as exact `.npy` files.
 Exit codes: 0 success; 1 bad input met at run time, infeasible scale or a
 failed `verify` check; 2 usage or config error, a setting outside its fixed
 range included (a constant `psi`, `--n 0`, `--w0 0`, `--eps 1/2`, ...);
-3 a broken internal invariant (RuntimeError, a sampled `transfer` solution
-that fails to lift, or a `counterexample` partition that holds a
-monochromatic solution; in the last two cases the report is still
-written); 4 out of memory.  Each error, a usage error included,
-prints one `error:` line to stderr; a failed `verify` lists its checks on
-stdout instead.
+3 a broken internal invariant (RuntimeError: a sampled `transfer` solution
+that fails its exact lift, which writes no report, or a `counterexample`
+partition that holds a monochromatic solution, whose report is still
+written); 4 out of memory.  Each error, a usage error included, prints one
+`error:` line to stderr; a failed `verify` lists its checks on stdout
+instead, a failed lift under `counting.lifting`.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ def main(argv=None) -> int:
                 f"N = {report['context']['N']}, dense class size = "
                 f"{report['dense_class']['size']}, lifted = {len(report['lifted_solutions'])}"
             )
-            if report["lifting_failures"]:
-                raise RuntimeError(f"{report['lifting_failures']} sampled solution(s) failed to lift")
             return 0
         if args.command == "spectrum":
             report = run_spectrum(cfg, out_dir)

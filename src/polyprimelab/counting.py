@@ -43,8 +43,9 @@ _TRIPLE_BLOCK = 1 << 16  # frequencies per block of triple_count's sum
 _GATHER_BLOCK = 1 << 16  # (t, x) entries per gather of _unweighted_count
 
 
-class LiftingError(ValueError):
-    """A Z_N solution failed to lift to an exact integer identity."""
+class LiftingError(RuntimeError):
+    """A Z_N solution failed to lift to an exact integer identity: a broken
+    invariant, since `build_context` proved the lift's precondition."""
 
 
 class SearchVerificationError(RuntimeError):
@@ -121,7 +122,7 @@ def find_monochromatic(
     for z, s in zip(zs[sums <= 2 * n].tolist(), sums[sums <= 2 * n].tolist()):
         xs, ys = sum_pairs(elements, s, n)
         cx = coloring.color_at[xs]
-        idx = np.flatnonzero((cx == coloring.color_at[ys]) & (cx != 0))
+        idx = np.flatnonzero(cx == coloring.color_at[ys])  # xs are colored
         if len(idx):
             parts.append((cx[idx], xs[idx], ys[idx]))
             hit_z.append(z)
@@ -147,8 +148,9 @@ def lift_solution(xp: int, yp: int, zp: int, ctx: WTrickContext) -> tuple[int, i
 
     `build_context` proved that K divides psi_{b,W} and N does not divide K;
     the identity, which holds iff x' + y' = psi_{b,W}(z') exactly, is checked
-    here exactly (LiftingError).  z = W z' + b gives w0 z + b0 = q z' + c, so
-    the primality test of z' is that of the lift.
+    here exactly, and its failure is a broken invariant (LiftingError).
+    z = W z' + b gives w0 z + b0 = q z' + c, so the primality test of z' is
+    that of the lift.
     """
     if not 1 <= zp <= ctx.M:
         raise ValueError(f"z' = {zp} outside [1, M]")

@@ -29,7 +29,6 @@ from .coloring import (
     write_int_rows,
 )
 from .counting import (
-    LiftingError,
     _smoothing,
     find_monochromatic,
     find_zn_solutions,
@@ -356,9 +355,8 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> dict[str, tuple
             info = "; ".join(_link_info(key, link) for key, link in links)
             record(name, all(link["holds"] for _, link in links), info + tail)
         stage = "counting.lifting"
-        sols, lifted = _lift_sample(dens, ctx)
-        info = f" of {len(sols)} sampled" if len(lifted) < len(sols) else ""
-        record(stage, 0 < len(lifted) == len(sols), f"{len(lifted)} solutions lifted{info}")
+        lifted = _lift_sample(dens, ctx)
+        record(stage, len(lifted) > 0, f"{len(lifted)} solutions lifted")
     except (ValueError, RuntimeError) as e:
         record(stage, False, str(e))
     for name in (dense_check, "spectral.bohr-bound", "spectral.smoothing-mass",
@@ -448,35 +446,28 @@ def _dense_class(cfg: ExperimentConfig, ctx: WTrickContext) -> TransferredSet:
     return (dense_class if integers else dense_prime_class)(col, ctx)
 
 
-def _lift_sample(dens: TransferredSet, ctx: WTrickContext) -> tuple[list, list]:
-    """The class's sampled Z_N solutions (at most 50) and the exact lifts of
-    those that lift; a solution that raises LiftingError is left out."""
-    sols = find_zn_solutions(dens.members, ctx, limit=50)
-    lifted = []
-    for xp, yp, zp in sols:
-        try:
-            lifted.append(lift_solution(xp, yp, zp, ctx))
-        except LiftingError:
-            pass
-    return sols, lifted
+def _lift_sample(dens: TransferredSet, ctx: WTrickContext) -> list[tuple[int, int, int]]:
+    """The exact lifts of the class's sampled Z_N solutions (at most 50).
+    Each lifts, since the members are multiples of K in [0, N/2): x' + y' and
+    psi_{b,W}(z'), congruent mod KN, both lie in [0, KN).  A failed lift is a
+    broken invariant and raises LiftingError."""
+    return [lift_solution(*sol, ctx) for sol in find_zn_solutions(dens.members, ctx, limit=50)]
 
 
 def run_transfer(cfg: ExperimentConfig) -> dict:
     """End-to-end pipeline: context, coloring, dense class, measures, Bohr
-    smoothing, counts, and exact lifting of sampled Z_N solutions; a solution
-    that fails to lift is left out of `lifted_solutions` and counted."""
+    smoothing, counts, and exact lifting of sampled Z_N solutions."""
     ctx = cfg.context()
     measure = build_poly_prime_measure(ctx)
     dens = _dense_class(cfg, ctx)
     rep = transference_report(dens, measure, eta=cfg.eta, eps=cfg.eps)
-    sols, lifted = _lift_sample(dens, ctx)
+    lifted = _lift_sample(dens, ctx)
     report = _base_report(cfg, "transfer")
     report["context"] = ctx.to_json_dict()
     report["dense_class"] = {"color_index": dens.color_index, "size": int(len(dens.members))}
     report["transference"] = rep
-    report["solutions_sampled"] = len(sols)
+    report["solutions_sampled"] = len(lifted)
     report["lifted_solutions"] = [{"x": x, "y": y, "z": z} for x, y, z in lifted]
-    report["lifting_failures"] = len(sols) - len(lifted)
     return report
 
 
@@ -513,11 +504,12 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
         "smoothing_regime": bohr.smoothing_regime,
     }
 
-    # diagnostic: nonzero spectral sup across smoothing levels
+    # diagnostic: nonzero spectral sup across smoothing levels; a prime p <=
+    # level that divides K keeps its exponent in `w`, as the lift needs it
     w_trend = []
     for level in cfg.trend_w:
-        exps = level_exponents(level)
-        w_mod = math.prod(exps)
+        exps = {p: cfg.w.get(p, 1) if ctx.K % p == 0 else 1 for p in level_exponents(level)}
+        w_mod = math.prod(p**e for p, e in exps.items())
         n_here = max(cfg.trend_n[0] * w_mod // 2, w_mod * 8)
         try:
             c2 = replace(cfg, w=exps, n=n_here).context()

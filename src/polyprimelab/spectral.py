@@ -77,7 +77,6 @@ __all__ = [
 ]
 
 _BOHR_TAIL = 1024  # survivors from which bohr_set tests frequencies in blocks
-_BOHR_BLOCK = 1 << 16  # points per block of bohr_set's first frequency
 _BLOCK = 1 << 14  # points per block of each transform pass that evaluates the chirp
 _THREAD_MIN_POINTS = 1 << 16  # a pass over fewer points runs on the caller only
 
@@ -523,7 +522,9 @@ class BohrStructure:
 
 def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
     """B = {x : ||x r / N|| <= eps for all r}; membership and the pigeonhole
-    bound |B| >= eps^{|R|} N are both exact integer comparisons."""
+    bound |B| >= eps^{|R|} N are both exact integer comparisons.  Each nonzero
+    frequency must be a unit mod N (ValueError otherwise), as every one is
+    for a prime N."""
     if not isinstance(eps, Fraction):
         raise ValueError("radius must be an exact rational (a Fraction)")
     if not 0 < eps < Fraction(1, 2):
@@ -540,26 +541,26 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
         t %= modulus
         return xs[(t <= 2 * radius).all(axis=1)]
 
-    # filter survivors one frequency at a time while more than _BOHR_TAIL
-    # remain; the candidate set collapses quickly, so this is O(N) plus small
-    # tails.  The first frequency meets Z_N in blocks of _BOHR_BLOCK points,
-    # so no length-N array is made unless B = Z_N.  The last survivors meet
-    # the remaining frequencies in 2-D blocks of at most N products each.
-    # r = 0 removes nothing, and 0 is always a member, so once it is the
-    # only survivor no later frequency can remove it
+    # the first frequency's set in closed form: x r = j (mod N) with |j| <= L,
+    # so x = j r^-1, 2L + 1 distinct residues as 2L < N (no length-N array
+    # unless B = Z_N).  The survivors then meet the other frequencies one at a
+    # time while more than _BOHR_TAIL remain, and in 2-D blocks of at most N
+    # products each after that, and are sorted once at the end.  r = 0
+    # removes nothing, and 0 is always a member, so once it is the only
+    # survivor no later frequency can remove it
     nonzero = freqs[freqs != 0]
     if len(nonzero) == 0:
         members = np.arange(modulus, dtype=np.int64)
     else:
-        members = np.concatenate([
-            survivors(np.arange(x, min(modulus, x + _BOHR_BLOCK), dtype=np.int64), nonzero[:1])
-            for x in range(0, modulus, _BOHR_BLOCK)
-        ])
-    i = 1
-    while i < len(nonzero) and len(members) > 1:
-        k = 1 if len(members) > _BOHR_TAIL else max(1, modulus // len(members))
-        members = survivors(members, nonzero[i : i + k])
-        i += k
+        members = np.arange(-radius, radius + 1, dtype=np.int64)
+        members *= pow(int(nonzero[0]), -1, modulus)  # ValueError for a non-unit
+        members %= modulus
+        i = 1
+        while i < len(nonzero) and len(members) > 1:
+            k = 1 if len(members) > _BOHR_TAIL else max(1, modulus // len(members))
+            members = survivors(members, nonzero[i : i + k])
+            i += k
+        members.sort()
     members.setflags(write=False)
     if len(members) * q ** len(freqs) < p ** len(freqs) * modulus:
         raise RuntimeError(

@@ -312,12 +312,14 @@ def build_context(
     """Assemble and validate the full parameter bundle at scale n.
 
     The prime modulus N is the smallest prime above 2n/W, and must be odd
-    (the spectral side relies on it); Bertrand's postulate puts it at most
-    4n/W.  The paper's window N <= (2+kappa)n/W is recorded by the
-    transference report (`N_window`), not enforced.  A smooth exponent must
-    be >= 0; an exponent of 0 contributes p^0 = 1 to W.  The lift's
-    precondition is proved here, once: K divides every coefficient of
-    psi_{b,W} and N does not divide K, else ScaleError naming `w` (or `n`).
+    (the spectral side relies on it).  It is odd exactly when lo = floor(2n/W)
+    is at least 2, else ScaleError before any b_p is chosen; Bertrand's
+    postulate then puts it in (lo, 2 lo], so at most 4n/W.  The paper's
+    window N <= (2+kappa)n/W is recorded by the transference report
+    (`N_window`), not enforced.  A smooth exponent must be >= 0; an exponent
+    of 0 contributes p^0 = 1 to W.  The lift's precondition is proved here,
+    once: K divides every coefficient of psi_{b,W} and N does not divide K,
+    else ScaleError naming `w` (or `n`).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -349,9 +351,8 @@ def build_context(
     bound = psi_bound(psi, w0, variant)
     cp = _admissible_cp(psi, b0, w0, bound) if variant == PRIME_COLORING else None
 
-    lo = (2 * n) // w_modulus  # N > 2n/W  <=>  N >= lo + 1
-    bertrand_hi = (4 * n) // w_modulus
-    if bertrand_hi <= max(lo, 1):  # lo = 0 means 4n/W < 2: no prime in (lo, 4n/W]
+    lo = (2 * n) // w_modulus  # N > 2n/W  <=>  N > lo; at lo <= 1 that N is 2
+    if lo < 2:
         raise ScaleError(f"no room for a prime modulus: n={n}, W={w_modulus}")
 
     needed = sorted(set(sieve_primes(bound).tolist()) | set(exps))
@@ -372,11 +373,7 @@ def build_context(
             f"psi(b) = psi({b}) is odd; include p = 2 in the smooth modulus"
         )
 
-    found = prime_in_interval(lo, bertrand_hi)
-    if found is None:
-        raise ScaleError(f"no prime in (2n/W, 4n/W] = ({lo}, {bertrand_hi}]")
-    if found == 2:
-        raise ScaleError(f"N = 2 at n={n}, W={w_modulus}; the spectral side needs an odd N")
+    found = prime_in_interval(lo, 2 * lo)  # Bertrand: a prime in (lo, 2 lo]
 
     resc = rescale(psi, w_modulus, b)  # its constant term is 0
     j = next((j for j in range(1, resc.degree + 1) if resc.coefficient(j) % k_factor), None)

@@ -625,23 +625,22 @@ class TestVerifyCommand:
             assert checks[name] == {"info": "not reached", "pass": False}
 
     def test_lifting_failure_fails_the_check(self, tmp_path, monkeypatch):
+        # a failed lift is a broken invariant: the first one ends the stage,
+        # filed under its own check with the error's text
         from polyprimelab.counting import LiftingError
 
-        real = experiments.lift_solution
         calls = []
 
-        def fail_once(*args):
+        def fail(*args):
             calls.append(args)
-            if len(calls) == 1:
-                raise LiftingError("nonzero gap multiplier l = 1")
-            return real(*args)
+            raise LiftingError("lift failed: 1 + 2 != psi(3)")
 
-        monkeypatch.setattr(experiments, "lift_solution", fail_once)
+        monkeypatch.setattr(experiments, "lift_solution", fail)
         assert main(["verify", "--out", str(tmp_path)]) == 1
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
         assert [name for name, c in checks.items() if not c["pass"]] == ["counting.lifting"]
-        assert len(calls) == 50
-        assert checks["counting.lifting"]["info"] == "49 solutions lifted of 50 sampled"
+        assert len(calls) == 1
+        assert checks["counting.lifting"]["info"] == "lift failed: 1 + 2 != psi(3)"
 
 
 class TestSearchCommand:
@@ -887,7 +886,7 @@ class TestCounterexampleCommand:
         assert main(["transfer", "--variant", "prime-coloring", *args]) == 0
         report = json.loads((tmp_path / "transfer.json").read_text())
         assert report["context"]["cp"] == {"2": "1", "3": "2", "5": "1", "7": "1"}
-        assert report["lifting_failures"] == "0"
+        assert len(report["lifted_solutions"]) == int(report["solutions_sampled"]) > 0
 
     def test_broken_guarantee_exits_3(self, tmp_path, monkeypatch, capsys):
         # one monochromatic row in a blocking partition breaks the guarantee:
@@ -938,8 +937,8 @@ class TestTransferCommand:
         code = main(["transfer", "--n", "30000", "--seed", "5", "--out", str(tmp_path)])
         assert code == 0
         report = json.loads((tmp_path / "transfer.json").read_text())
-        assert report["lifting_failures"] == "0"
-        assert int(report["solutions_sampled"]) > 0
+        assert "lifting_failures" not in report
+        assert len(report["lifted_solutions"]) == int(report["solutions_sampled"]) > 0
         assert "chain" in report["transference"] and "parameter_conditions" not in report
         for sol in report["lifted_solutions"][:5]:
             x, y, z = int(sol["x"]), int(sol["y"]), int(sol["z"])
@@ -979,30 +978,27 @@ class TestTransferCommand:
             assert written[f.name] == want, f.name
         assert written["cp"] is None
 
-    def test_lifting_failure_counted(self, tmp_path, monkeypatch, capsys):
+    def test_lifting_failure_is_a_broken_invariant(self, tmp_path, monkeypatch, capsys):
+        # the exact identity of lift_solution fails at the first sampled
+        # solution: exit 3 with one line, raised where the lift finds it
         from polyprimelab import experiments
-        from polyprimelab.counting import LiftingError
 
         real = experiments.lift_solution
         calls = []
 
-        def fail_once(*args):
-            calls.append(args)
-            if len(calls) == 1:
-                raise LiftingError("nonzero gap multiplier l = 1")
-            return real(*args)
+        def lift_wrong_psi(xp, yp, zp, ctx):
+            # psi + 2(x - b) has the same psi(b), and the checks before the
+            # identity read psi_{b,W} and the progression only; psi(z) gains 2Wz'
+            calls.append((xp, yp, zp))
+            *high, a1, a0 = ctx.psi.coeffs
+            return real(xp, yp, zp, replace(ctx, psi=IntPolynomial((*high, a1 + 2, a0 - 2 * ctx.b))))
 
-        monkeypatch.setattr(experiments, "lift_solution", fail_once)
+        monkeypatch.setattr(experiments, "lift_solution", lift_wrong_psi)
         assert main(["transfer", "--n", "30000", "--seed", "5", "--out", str(tmp_path)]) == 3
+        assert len(calls) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: invariant violated: 1 ") and err.count("\n") == 1
-        report = json.loads((tmp_path / "transfer.json").read_text())
-        assert report["lifting_failures"] == "1"
-        sampled = int(report["solutions_sampled"])
-        assert sampled == len(calls) > 1
-        assert len(report["lifted_solutions"]) == sampled - 1
-        x, y, z = calls[0][:3]
-        assert {"x": str(x), "y": str(y), "z": str(z)} not in report["lifted_solutions"]
+        assert err.startswith("error: invariant violated: lift failed: ") and err.count("\n") == 1
+        assert not (tmp_path / "transfer.json").exists()
 
     def test_infeasible_scale_fails_cleanly(self, tmp_path):
         code = main(
@@ -1089,7 +1085,7 @@ class TestTransferCommand:
     def test_prime_pipeline(self, tmp_path):
         cfg = config_from_sources(None, PRIME_TRANSFER)
         report = run_transfer(cfg)
-        assert report["lifting_failures"] == 0
+        assert len(report["lifted_solutions"]) == report["solutions_sampled"] > 0
         chain = report["transference"]["chain"]
         assert chain["class_mass"]["measured"] > 0
         assert "A_dash" in chain
@@ -1113,6 +1109,18 @@ class TestSpectrumCommand:
         assert set(norms) == {"4.0", "64.0", "100000.0"}
         assert norms["100000.0"] < norms["64.0"] < norms["4.0"]
         assert 0 < summary["mass"] < 2
+
+    def test_levels_keep_the_exponents_k_needs(self):
+        # K = 24 for 6x^2 at 1 (mod 1): a prime dividing K keeps its exponent
+        # in w, 2^3, and lifts from level 2 on; level 1 (W = 1) cannot lift
+        cfg = config_from_sources(
+            None, {"psi": (6, 0, 0), "b0": 1, "w0": 1, "w": {2: 3, 3: 1}, "n": 600_000}
+        )
+        w1, w8, w24 = run_spectrum(cfg)["spectral_sup_vs_W"]
+        assert w1["W"] == 1 and "K = 24 does not divide 6" in w1["error"]
+        assert (w8["W"], w24["W"]) == (8, 24)
+        assert w8["max_nonzero_spectral_value"] == pytest.approx(0.8551066, abs=1e-6)
+        assert w24["max_nonzero_spectral_value"] == pytest.approx(0.7612897, abs=1e-6)
 
     def test_diagnostics_present(self, tmp_path):
         cfg = config_from_sources(None, {"n": 30000, "trend_n": (2003, 4001), "trend_w": (1, 3)})

@@ -594,19 +594,21 @@ class TestBohrSet:
             assert b.members.tolist() == want.tolist()
             assert b.frequencies.tolist() == sorted(r.tolist())
 
-    @pytest.mark.parametrize("block", [1, 100, 1 << 16])
-    def test_first_frequency_in_blocks(self, monkeypatch, block):
-        # the first frequency meets Z_N block by block, the last block short
-        import polyprimelab.spectral as spectral
-
-        monkeypatch.setattr(spectral, "_BOHR_BLOCK", block)
-        rng = np.random.default_rng(block)
+    def test_first_frequency_in_closed_form(self):
+        # the x with ||x r / N|| <= eps for a unit r are j r^-1 for |j| <= eps N,
+        # alone (|R| = 1) and with more frequencies after it
+        rng = np.random.default_rng(1)
         for n in (2, 1031, 4099):
-            r = rng.integers(0, n, size=3)
-            eps = Fraction(int(rng.integers(1, 50)), 100)
-            t = np.outer(np.arange(n), r) % n
-            want = np.flatnonzero((eps.denominator * np.minimum(t, n - t) <= eps.numerator * n).all(axis=1))
-            assert bohr_set(r, eps, n).members.tolist() == want.tolist()
+            for size in (1, 3):
+                r = rng.integers(1, n, size=size)
+                eps = Fraction(int(rng.integers(1, 50)), 100)
+                t = np.outer(np.arange(n), r) % n
+                want = np.flatnonzero((eps.denominator * np.minimum(t, n - t) <= eps.numerator * n).all(axis=1))
+                assert bohr_set(r, eps, n).members.tolist() == want.tolist()
+
+    def test_non_unit_first_frequency_rejected(self):
+        with pytest.raises(ValueError, match="not invertible"):
+            bohr_set([4, 6], Fraction(1, 8), 12)  # 4 comes first, a non-unit mod 12
 
     def test_eps_range_enforced(self):
         with pytest.raises(ValueError):

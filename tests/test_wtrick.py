@@ -9,7 +9,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from conftest import suggest_smooth_exponents
-from polyprimelab.coloring import dense_class, make_coloring
+from polyprimelab.coloring import dense_class, dense_prime_class, make_coloring
 from polyprimelab.counting import find_zn_solutions, lift_solution
 from polyprimelab.numtheory import is_prime, p_adic_valuation, sieve_primes
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial
@@ -304,8 +304,29 @@ class TestBuildContext:
 
     def test_even_modulus_rejected(self):
         # at n = 4 and W = 6 the only prime in (2n/W, 4n/W] = (1, 2] is N = 2
-        with pytest.raises(ScaleError, match="needs an odd N"):
+        with pytest.raises(ScaleError, match="no room for a prime modulus: n=4, W=6"):
             build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 4)
+
+    @pytest.mark.parametrize(
+        "psi, w0, exps, n",
+        [
+            (X2X, 2, {2: 1, 3: 1}, 4),  # lo = 1: N would be 2
+            (X2, 1, {3: 1}, 2),  # lo = 1, and psi(b) = psi(1) is odd
+        ],
+        ids=["n-4-w-6", "odd-psi-b"],
+    )
+    def test_no_odd_modulus_refused_before_select_bp(self, monkeypatch, psi, w0, exps, n):
+        # lo = floor(2n/W) < 2 leaves no odd prime above 2n/W: refused before
+        # any b_p is chosen, so before the parity of psi(b) is known
+        def never(*args, **kwargs):
+            pytest.fail("ran at a scale with no odd prime modulus")
+
+        monkeypatch.setattr("polyprimelab.wtrick.select_bp", never)
+        monkeypatch.setattr("polyprimelab.wtrick.prime_in_interval", never)
+        w_mod = math.prod(p**e for p, e in exps.items())
+        with pytest.raises(ScaleError) as exc:
+            build_context(psi, 1, w0, 2, INTEGER_COLORING, exps, n)
+        assert str(exc.value) == f"no room for a prime modulus: n={n}, W={w_mod}"
 
     def test_negative_smooth_exponent_rejected(self):
         with pytest.raises(ValueError, match="negative smooth exponent"):
@@ -353,6 +374,24 @@ class TestVerifyGcdIdentity:
 
 
 class TestLiftPrecondition:
+    def test_transferred_members_meet_the_lift_premises(self, context_suite):
+        # every member x' of a transferred class has 0 <= 2x' < N and K | x':
+        # x' + y' and psi_{b,W}(z'), congruent mod KN, then both lie in [0, KN)
+        admitted = 0
+        for name, ctx in context_suite:
+            integers = ctx.variant == INTEGER_COLORING
+            domain = "integers" if integers else "primes"
+            col = make_coloring(domain, ctx.n, ctx.num_colors, "random", ctx.N)
+            try:
+                dens = (dense_class if integers else dense_prime_class)(col, ctx)
+            except ScaleError:  # no dense class at this scale
+                continue
+            x = dens.members
+            assert len(x) and x.min() >= 0 and 2 * x.max() < ctx.N, name
+            assert not (x % ctx.K).any(), name
+            admitted += 1
+        assert admitted == 13
+
     def test_dense_class_solutions_lift(self):
         # build_context proved K | psi_{b,W} and N not dividing K, so every
         # sampled Z_N solution of the densest class lifts exactly
