@@ -594,10 +594,11 @@ class TestBohrSet:
             assert b.members.tolist() == want.tolist()
             assert b.frequencies.tolist() == sorted(r.tolist())
 
-    def test_first_frequency_in_closed_form(self):
-        # the x with ||x r / N|| <= eps for a unit r are j r^-1 for |j| <= eps N,
-        # alone (|R| = 1) and with more frequencies after it
-        rng = np.random.default_rng(1)
+    @pytest.mark.parametrize("seed", [1, 100, 65536])
+    def test_first_frequency_in_blocks(self, seed):
+        # the x with ||x r / N|| <= eps for a unit r are the block j r^-1 for
+        # |j| <= eps N, alone (|R| = 1) and with more frequencies after it
+        rng = np.random.default_rng(seed)
         for n in (2, 1031, 4099):
             for size in (1, 3):
                 r = rng.integers(1, n, size=size)
