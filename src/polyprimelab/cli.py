@@ -118,7 +118,7 @@ def main(argv=None) -> int:
         if args.command == "counterexample":
             report = run_counterexample(cfg)
             write_report(report, os.path.join(out_dir, "counterexample.json"))
-            print(f"empty: {report['empty']} across {3 * cfg.p} classes up to n = {cfg.n}")
+            print(f"empty: {report['empty']} across {len(report['classes'])} classes up to n = {cfg.n}")
             if not report["empty"]:
                 raise RuntimeError(
                     f"the blocking partition holds {report['solutions_found']} monochromatic solution(s)"

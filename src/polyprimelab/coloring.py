@@ -161,35 +161,33 @@ def make_coloring(domain: str, n: int, m: int, rule: str = "random", seed: int =
 def blocking_partition(
     psi: IntPolynomial, b0: int, w0: int, p: int, n: int
 ) -> ColoringInstance:
-    """The 3p-class coloring of the primes <= n that blocks all solutions.
+    """The 3q-class coloring of the primes <= n that blocks all solutions.
 
     Requires that no admissible residue c_p exists.  With T = psi of the
     integer part of (p - b0)/w0, primes split by size range (<= T/2, > T,
-    or between) and by residue class mod p.  The progression w0*z + b0 must
-    have w0 >= 1 and gcd(b0, w0) = 1.
+    or between) and by residue class mod q: q = p at odd p, q = 4 at p = 2,
+    where two odd primes can sum to 0 mod 2 but not mod 4.  The progression
+    w0*z + b0 must have w0 >= 1 and gcd(b0, w0) = 1.
     """
     check_progression(b0, w0)
     if check_cp(psi, b0, w0, p) is not None:
         raise ConstructionInapplicableError(
             f"c_{p} exists; the blocking construction's guarantee fails"
         )
+    q = 4 if p == 2 else p
     arg, rem = divmod(p - b0, w0)
     note = "" if rem == 0 else f";T-arg-floored({p}-{b0})/{w0}"
     t_threshold = psi(arg)
     primes = _domain_elements(DOMAIN_PRIMES, n)
-    j = np.where(primes % p == 0, p, primes % p).astype(np.int64)
+    j = np.where(primes % q == 0, q, primes % q).astype(np.int64)
     colors = np.where(
         2 * primes <= t_threshold,
         j,
-        np.where(primes > t_threshold, p + j, 2 * p + j),
+        np.where(primes > t_threshold, q + j, 2 * q + j),
     )
-    return ColoringInstance(
-        DOMAIN_PRIMES,
-        n,
-        3 * p,
-        f"blocking:p={p};T={t_threshold}{note}",
-        _color_table(n, 3 * p, primes, colors),
-    )
+    provenance = f"blocking:p={p}{'' if q == p else f';q={q}'};T={t_threshold}{note}"
+    color_at = _color_table(n, 3 * q, primes, colors)
+    return ColoringInstance(DOMAIN_PRIMES, n, 3 * q, provenance, color_at)
 
 
 @dataclass

@@ -28,11 +28,11 @@ from .wtrick import WTrickContext
 __all__ = [
     "LiftingError",
     "SearchVerificationError",
+    "bohr_smoothing",
     "bound_link",
     "find_monochromatic",
     "find_zn_solutions",
     "lift_solution",
-    "pointwise_link",
     "sum_pairs",
     "transference_report",
     "triple_count",
@@ -227,12 +227,6 @@ def bound_link(measured, relation: str, bound=None, log10_bound=None) -> dict:
     return link
 
 
-def pointwise_link(smoothed: DensityFunction, ctx: WTrickContext) -> dict:
-    """max |smoothed measure| against the pointwise bound (1 + 2 kappa)/N."""
-    bound = (1 + 2 * float(ctx.kappa)) / ctx.N
-    return bound_link(float(np.abs(smoothed.values).max()), "<=", bound)
-
-
 def _bohr_link(bohr, eps: Fraction) -> dict:
     """|B| >= eps^|R| N, the bound as its log10: the power underflows."""
     log10_eps = math.log10(eps.numerator) - math.log10(eps.denominator)
@@ -246,6 +240,31 @@ def _smoothing(f: DensityFunction, eta: Fraction, eps: Fraction):
     spec_r = large_spectrum(f, float(eta))
     bohr = bohr_set(spec_r, eps, f.modulus)
     return spec_r, bohr, smooth(f, bohr)
+
+
+def bohr_smoothing(
+    f: DensityFunction, ctx: WTrickContext, eta: Fraction, eps: Fraction, of_class: bool = False
+) -> tuple[DensityFunction, dict, dict]:
+    """(smoothed f, links, sizes): f smoothed by `_smoothing`; its links max
+    |smoothed f| <= a pointwise bound, #{smoothed f >= kappa/N} >= a count
+    bound (the measure's frak A, the class's A') and |B| >= eps^|R| N; and
+    |R|, |B| and the regime.  `of_class` takes the prime class's bounds."""
+    spec_r, bohr, smoothed = _smoothing(f, eta, eps)
+    kappa, n_mod = float(ctx.kappa), ctx.N
+    if of_class:
+        names, prefix = ("pointwise_class", "A_dash", "bohr_class"), "class_"
+        pointwise, count = 2 / n_mod, 2 * kappa * n_mod
+    else:
+        names, prefix = ("pointwise_measure", "frak_A", "bohr_measure"), ""
+        pointwise, count = (1 + 2 * kappa) / n_mod, (1 - 3 * kappa) * n_mod
+    links = (
+        bound_link(float(np.abs(smoothed.values).max()), "<=", pointwise),
+        bound_link(int(np.count_nonzero(smoothed.values >= kappa / n_mod)), ">=", count),
+        _bohr_link(bohr, eps),
+    )
+    sizes = {"large_spectrum_size": int(len(spec_r)), "bohr_size": bohr.size,
+             "smoothing_regime": bohr.smoothing_regime}
+    return smoothed, dict(zip(names, links)), {prefix + k: v for k, v in sizes.items()}
 
 
 def transference_report(
@@ -289,37 +308,25 @@ def transference_report(
         unweighted = _unweighted_count(a_set.members, measure)
         diag_unweighted = float(mu2.sum())
 
-    spec_r, bohr, smoothed_measure = _smoothing(measure, eta, eps)
-    if ctx.variant == INTEGER_COLORING:
-        f_smooth = f
-    else:
-        spec_r2, bohr2, f_smooth = _smoothing(f, eta, eps)
-    if f_smooth is f and smoothed_measure is measure:
-        smoothed = raw  # both Bohr sets are {0}: the same triple count
-    else:
-        smoothed = triple_count(f_smooth, f_smooth, smoothed_measure).real
+    smoothed_measure, chain, sizes = bohr_smoothing(measure, ctx, eta, eps)
+    f_smooth = f
+    if ctx.variant != INTEGER_COLORING:
+        f_smooth, class_links, class_sizes = bohr_smoothing(f, ctx, eta, eps, of_class=True)
+    same = f_smooth is f and smoothed_measure is measure  # both Bohr sets are {0}
+    smoothed = raw if same else triple_count(f_smooth, f_smooth, smoothed_measure).real
 
     mass_smoothed = smoothed_measure.mass.real
-    frak_a = int(np.count_nonzero(smoothed_measure.values >= kappa / n_mod))
-    chain = {  # frak A = {smoothed measure >= kappa/N}
-        "pointwise_measure": pointwise_link(smoothed_measure, ctx),
-        "frak_A": bound_link(frak_a, ">=", (1 - 3 * kappa) * n_mod),
-        "bohr_measure": _bohr_link(bohr, eps),
-        "smoothing_mass": bound_link(
-            abs(mass_smoothed - mass_measure), "<=", 1e-9 * max(1.0, abs(mass_measure))
-        ),
-        # the paper's window for N; the context takes the least prime above 2n/W
-        "N_window": bound_link(n_mod, "<=", float((2 + ctx.kappa) * Fraction(ctx.n, ctx.W))),
-    }
+    mass_bound = 1e-9 * max(1.0, abs(mass_measure))
+    chain["smoothing_mass"] = bound_link(abs(mass_smoothed - mass_measure), "<=", mass_bound)
+    # the paper's window for N; the context takes the least prime above 2n/W
+    chain["N_window"] = bound_link(n_mod, "<=", float((2 + ctx.kappa) * Fraction(ctx.n, ctx.W)))
     report = {
         "variant": ctx.variant,
         "N": n_mod,
         "kappa": ctx.kappa,
         "mass_measure": mass_measure,
         "mass_smoothed_measure": mass_smoothed,
-        "large_spectrum_size": int(len(spec_r)),
-        "bohr_size": bohr.size,
-        "smoothing_regime": bohr.smoothing_regime,
+        **sizes,
         "raw_count": raw,
         "smoothed_count": smoothed,
         "count_difference": raw - smoothed,
@@ -329,28 +336,21 @@ def transference_report(
 
     if ctx.variant == INTEGER_COLORING:
         final = kappa**4 * n_mod / 3
-        chain["dense_class"] = bound_link(
-            len(a_set.members), ">=", n_mod / (4 * ctx.num_colors * ctx.K)
-        )
+        dense_bound = n_mod / (4 * ctx.num_colors * ctx.K)
+        chain["dense_class"] = bound_link(len(a_set.members), ">=", dense_bound)
         chain["final_diag_bound"] = bound_link(raw - mass_measure, ">=", final)
         chain["final_diag_exact"] = bound_link(raw - diag_exact, ">=", final)
     else:
         kw = ctx.K * ctx.W
         amax = euler_phi(kw) / kw * math.log(kw * n_mod + ctx.psi(ctx.b)) / n_mod
-        a_dash = int(np.count_nonzero(f_smooth.values >= kappa / n_mod))  # A'
         chain["class_mass"] = bound_link(f.mass.real, ">=", 1 / (3 * ctx.num_colors * ctx.K))
         # the class's weight against the prime-number-theorem margin
         weight_bound = (1 - kappa) * ctx.n / (ctx.num_colors * kw)
         chain["class_weight"] = bound_link(float(a_set.weights.sum()), ">=", weight_bound)
-        chain["A_dash"] = bound_link(a_dash, ">=", 2 * kappa * n_mod)
-        chain["pointwise_class"] = bound_link(float(np.abs(f_smooth.values).max()), "<=", 2 / n_mod)
-        chain["bohr_class"] = _bohr_link(bohr2, eps)
-        chain["final"] = bound_link(
-            unweighted - diag_unweighted, ">=", kappa**6 / (3 * n_mod) / amax**2
-        )
-        report["class_large_spectrum_size"] = int(len(spec_r2))
-        report["class_bohr_size"] = bohr2.size
-        report["class_smoothing_regime"] = bohr2.smoothing_regime
+        chain.update(class_links)
+        final = kappa**6 / (3 * n_mod) / amax**2
+        chain["final"] = bound_link(unweighted - diag_unweighted, ">=", final)
+        report.update(class_sizes)
         report["pointwise_weight_cap"] = amax
         report["unweighted_count"] = unweighted
     return report

@@ -29,11 +29,10 @@ from .coloring import (
     write_int_rows,
 )
 from .counting import (
-    _smoothing,
+    bohr_smoothing,
     find_monochromatic,
     find_zn_solutions,
     lift_solution,
-    pointwise_link,
     transference_report,
 )
 from .numtheory import ap_primes, is_prime
@@ -414,10 +413,10 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
     psi = cfg.polynomial()
     part = blocking_partition(psi, cfg.b0, cfg.w0, cfg.p, cfg.n)
     sols = find_monochromatic(part, psi, cfg.b0, cfg.w0, cfg.n)
-    hits_per_class = np.bincount(sols[:, 0], minlength=3 * cfg.p + 1)
+    hits_per_class = np.bincount(sols[:, 0], minlength=part.num_colors + 1)
     by_class = {}
     t_threshold = psi((cfg.p - cfg.b0) // cfg.w0)
-    for j in range(1, 3 * cfg.p + 1):
+    for j in range(1, part.num_colors + 1):
         members = part.class_members(j)
         entry = {"count": int(len(members))}
         if len(members) >= 2:  # class_members is in ascending order
@@ -474,6 +473,14 @@ def run_transfer(cfg: ExperimentConfig) -> dict:
 # ----------------------------------------------------------------- spectrum
 
 
+def _rung(cfg: ExperimentConfig, w: dict[int, int], n_target: int):
+    """(context, measure) of one rung of `spectrum`'s ladders: smooth
+    exponents w at n = max(n_target W/2, 8W), so that N is about n_target."""
+    w_mod = math.prod(p**e for p, e in w.items())
+    ctx = replace(cfg, w=w, n=max(n_target * w_mod // 2, w_mod * 8)).context()
+    return ctx, build_poly_prime_measure(ctx)
+
+
 def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
     """The report-only diagnostics: the measure's mass and its normalized
     nonzero restriction norm at each configured rho, the smoothed measure's
@@ -496,27 +503,20 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
     }
 
     # diagnostic: the smoothed measure's pointwise maximum against (1+2kappa)/N
-    spec_r, bohr, smoothed = _smoothing(measure, cfg.eta, cfg.eps)
-    report["smoothed_pointwise"] = {
-        "measure": pointwise_link(smoothed, ctx),
-        "bohr_size": bohr.size,
-        "large_spectrum_size": int(len(spec_r)),
-        "smoothing_regime": bohr.smoothing_regime,
-    }
+    smoothed, links, sizes = bohr_smoothing(measure, ctx, cfg.eta, cfg.eps)
+    report["smoothed_pointwise"] = {"measure": links["pointwise_measure"], **sizes}
 
     # diagnostic: nonzero spectral sup across smoothing levels; a prime p <=
     # level that divides K keeps its exponent in `w`, as the lift needs it
     w_trend = []
     for level in cfg.trend_w:
         exps = {p: cfg.w.get(p, 1) if ctx.K % p == 0 else 1 for p in level_exponents(level)}
-        w_mod = math.prod(p**e for p, e in exps.items())
-        n_here = max(cfg.trend_n[0] * w_mod // 2, w_mod * 8)
         try:
-            c2 = replace(cfg, w=exps, n=n_here).context()
-            sup = _nonzero_sup(build_poly_prime_measure(c2))
-            w_trend.append({"W": c2.W, "N": c2.N, "max_nonzero_spectral_value": sup})
-        except ValueError as e:
-            w_trend.append({"W": w_mod, "error": str(e)})
+            c2, m2 = _rung(cfg, exps, cfg.trend_n[0])
+            w_trend.append({"W": c2.W, "N": c2.N, "max_nonzero_spectral_value": _nonzero_sup(m2)})
+        except ValueError as e:  # the rung's W comes from its level, not from w
+            error = f"level {level}: {getattr(e, 'reason', e)}"
+            w_trend.append({"W": math.prod(p**x for p, x in exps.items()), "error": error})
     report["spectral_sup_vs_W"] = w_trend
 
     # diagnostic across doubling N, one context each: the mass nu^(0) and the
@@ -525,16 +525,9 @@ def run_spectrum(cfg: ExperimentConfig, out_dir=None) -> dict:
     rho_star = k_deg * 2 ** (k_deg + 3)
     trend = []
     for n_target in cfg.trend_n:
-        c2 = replace(cfg, n=max(n_target * ctx.W // 2, ctx.W * 8)).context()
-        m2 = build_poly_prime_measure(c2)
-        trend.append(
-            {
-                "N": c2.N,
-                "rho": rho_star,
-                "mass": m2.mass.real,
-                "restriction_nonzero": restriction_nonzero(m2, rho_star),
-            }
-        )
+        c2, m2 = _rung(cfg, cfg.w, n_target)
+        trend.append({"N": c2.N, "rho": rho_star, "mass": m2.mass.real,
+                      "restriction_nonzero": restriction_nonzero(m2, rho_star)})
     report["restriction_norm_trend"] = trend
 
     # diagnostic: the progression sum at the golden ratio against alpha = 0,

@@ -29,6 +29,7 @@ __all__ = [
     "HypothesisError",
     "NecessityViolationError",
     "ScaleError",
+    "UnliftableError",
     "WTrickContext",
     "build_context",
     "check_cp",
@@ -57,6 +58,15 @@ class NecessityViolationError(ValueError):
 
 class ScaleError(ValueError):
     """The requested scale n is too small for the context's parameters."""
+
+
+class UnliftableError(ScaleError):
+    """No Z_N solution lifts at W; `reason` says why without naming 'w'."""
+
+    def __init__(self, w_modulus: int, why: str):
+        self.reason = f"no solution lifts at the smooth modulus W = {w_modulus}: {why}"
+        super().__init__(f"no solution lifts at the smooth modulus W = {w_modulus} from 'w': "
+                         f"{why}; raise the exponents in 'w'")
 
 
 def check_parity(psi: IntPolynomial, b0: int, w0: int) -> None:
@@ -316,10 +326,10 @@ def build_context(
     is at least 2, else ScaleError before any b_p is chosen; Bertrand's
     postulate then puts it in (lo, 2 lo], so at most 4n/W.  The paper's
     window N <= (2+kappa)n/W is recorded by the transference report
-    (`N_window`), not enforced.  A smooth exponent must be >= 0; an exponent
-    of 0 contributes p^0 = 1 to W.  The lift's precondition is proved here,
-    once: K divides every coefficient of psi_{b,W} and N does not divide K,
-    else ScaleError naming `w` (or `n`).
+    (`N_window`), not enforced.  Every key of `smooth_exponents` must be
+    prime and its exponent >= 0; p^0 = 1 adds nothing to W.  The lift's
+    precondition is proved here, once: K divides every coefficient of
+    psi_{b,W} (else UnliftableError) and N does not divide K (ScaleError).
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -344,7 +354,7 @@ def build_context(
                              f"least {max(bits, w_modulus.bit_length())} bits, above 4n = {4 * n}")
         if e:
             exps[int(p)] = int(e)
-    for p in exps:
+    for p in smooth_exponents:  # a key with exponent 0 included
         if not is_prime(p):
             raise ValueError(f"smooth modulus key {p} is not prime")
 
@@ -364,9 +374,7 @@ def build_context(
     kappa = Fraction(1, 10**4 * k_factor * num_colors)
 
     congruences = [((bp[p] - b0) // w0 % p**e, p**e) for p, e in sorted(exps.items())]
-    b = 0
-    if congruences:
-        b, _ = crt(congruences)
+    b, _ = crt(congruences)  # b = 0 when W = 1
 
     if psi(b) % 2:
         raise HypothesisError(
@@ -378,9 +386,8 @@ def build_context(
     resc = rescale(psi, w_modulus, b)  # its constant term is 0
     j = next((j for j in range(1, resc.degree + 1) if resc.coefficient(j) % k_factor), None)
     if j is not None:
-        raise ScaleError(f"no solution lifts at the smooth modulus W = {w_modulus} from 'w': K = "
-                         f"{k_factor} does not divide {resc.coefficient(j)}, the coefficient of "
-                         f"x^{j} in psi_{{b,W}}; raise the exponents in 'w'")
+        raise UnliftableError(w_modulus, f"K = {k_factor} does not divide {resc.coefficient(j)}, "
+                                         f"the coefficient of x^{j} in psi_{{b,W}}")
     if k_factor % found == 0:
         raise ScaleError(f"no solution lifts: N = {found} divides K = {k_factor}; raise 'n'")
     try:

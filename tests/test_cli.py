@@ -123,6 +123,13 @@ class TestConfigParsing:
         assert capsys.readouterr().err == err.replace("error: ", "error: line 1: ", 1)
         assert not (tmp_path / "transfer.json").exists()
 
+    @pytest.mark.parametrize("text", ["2:1,3:1,4:0", "2:1,3:1,4:1"])
+    def test_composite_w_key_rejected(self, tmp_path, capsys, text):
+        # every key of w must be prime, one with exponent 0 too
+        assert main(["verify", "--w", text, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: smooth modulus key 4 is not prime\n"
+        assert not (tmp_path / "verify.json").exists()
+
     @pytest.mark.parametrize("text", ["2:-1", "-3", "2:1,3:-5"])
     def test_negative_w_rejected(self, tmp_path, capsys, text):
         # a negative exponent or level must not be dropped in silence
@@ -863,6 +870,17 @@ class TestCounterexampleCommand:
         cls1 = report["classes"]["1"]
         assert "max_pair_sum" in cls1 or int(cls1["count"]) < 2
 
+    def test_blocks_at_two(self, tmp_path, capsys):
+        # psi = 4x^2 with 2z + 1 has no c_2; classes by residue mod 4 block
+        # 3 + 13 = psi(2), which classes mod 2 let through
+        argv = ["counterexample", "--psi", "4,0,0", "--b0", "1", "--w0", "2", "--p", "2"]
+        assert main(argv + ["--n", "100", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == "empty: True across 12 classes up to n = 100\n"
+        report = json.loads((tmp_path / "counterexample.json").read_text())
+        assert report["empty"] is True and report["solutions_found"] == "0"
+        assert sorted(map(int, report["classes"])) == list(range(1, 13))
+        assert all(entry["empty"] for entry in report["classes"].values())
+
     def test_empty_prime_domain(self, tmp_path, capsys):
         # with no prime <= n to color there is no partition to report
         assert main(["counterexample", "--n", "1", "--out", str(tmp_path)] + BLOCKING) == 1
@@ -1118,6 +1136,8 @@ class TestSpectrumCommand:
         )
         w1, w8, w24 = run_spectrum(cfg)["spectral_sup_vs_W"]
         assert w1["W"] == 1 and "K = 24 does not divide 6" in w1["error"]
+        # the rung's W comes from its level, so its error names the level, not w
+        assert w1["error"].startswith("level 1: ") and "'w'" not in w1["error"]
         assert (w8["W"], w24["W"]) == (8, 24)
         assert w8["max_nonzero_spectral_value"] == pytest.approx(0.8551066, abs=1e-6)
         assert w24["max_nonzero_spectral_value"] == pytest.approx(0.7612897, abs=1e-6)

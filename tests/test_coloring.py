@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import os
 import tempfile
 import threading
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from polyprimelab import coloring
@@ -24,9 +25,10 @@ from polyprimelab.coloring import (
     save_coloring,
     write_int_rows,
 )
+from polyprimelab.counting import find_monochromatic
 from polyprimelab.numtheory import sieve_primes
 from polyprimelab.polynomials import IntPolynomial
-from polyprimelab.wtrick import ScaleError
+from polyprimelab.wtrick import ScaleError, check_cp
 
 SIX_X2 = IntPolynomial((6, 0, 0))
 
@@ -157,6 +159,47 @@ class TestBlockingPartition:
     def test_inapplicable_when_cp_exists(self):
         with pytest.raises(ConstructionInapplicableError):
             blocking_partition(IntPolynomial((2, 0, 0)), 1, 1, 5, 100)
+
+    def test_two_odd_primes_can_sum_to_zero_mod_two(self):
+        # psi = 4x^2 with 2z + 1: no c_2, yet 3 + 13 = 16 = psi(2) with 5 prime;
+        # 3 and 13 are both 1 mod 2 but 3 and 1 mod 4, so the classes are mod 4
+        psi = IntPolynomial((4, 0, 0))
+        part = blocking_partition(psi, 1, 2, 2, 100)
+        assert part.num_colors == 12 and part.provenance.startswith("blocking:p=2;q=4;T=0;")
+        assert part.color_at[3] != part.color_at[13]
+        assert find_monochromatic(part, psi, 1, 2, 100).shape == (0, 4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_no_hit_without_cp(self, data):
+        # psi = q g + F h (q = p at odd p, q = 4 at p = 2), with F the product
+        # of x - c over the c mod q with p not dividing w0 c + b0: q divides
+        # psi(z) wherever p does not divide w0 z + b0, so no c_p exists; at odd
+        # p every psi without c_p has this form
+        p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+        w0 = data.draw(st.integers(1, 6), label="w0")
+        b0 = data.draw(st.sampled_from([b for b in range(1, w0 + 1) if math.gcd(b, w0) == 1]))
+        q = 4 if p == 2 else p
+        f = IntPolynomial((1,))
+        for c in range(-(q // 2), q - q // 2):  # centred: small coefficients
+            if (w0 * c + b0) % p:
+                f = f * IntPolynomial((1, -c))
+        g = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3), label="g")
+        h = data.draw(st.lists(st.integers(-2, 2), min_size=1, max_size=2), label="h")
+        fh = (f * IntPolynomial(tuple(h))).coeffs
+        qg = [q * a for a in g]
+        width = max(len(fh), len(qg))
+        coeffs = [0] * (width - len(fh)) + list(fh)
+        for i, a in enumerate(qg):
+            coeffs[width - len(qg) + i] += a
+        psi = IntPolynomial(tuple(coeffs))
+        assume(psi.degree >= 1)
+        if psi.leading < 0:
+            psi = IntPolynomial(tuple(-a for a in psi.coeffs))
+        assert check_cp(psi, b0, w0, p) is None
+        part = blocking_partition(psi, b0, w0, p, 3000)
+        assert part.num_colors == 3 * q
+        assert find_monochromatic(part, psi, b0, w0, 3000).shape == (0, 4)
 
     def test_genuine_partition(self):
         part = blocking_partition(SIX_X2, 1, 1, 3, 10**4)

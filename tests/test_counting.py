@@ -17,6 +17,7 @@ from polyprimelab import counting
 from polyprimelab.counting import (
     LiftingError,
     _unweighted_count,
+    bohr_smoothing,
     bound_link,
     find_monochromatic,
     find_zn_solutions,
@@ -635,6 +636,29 @@ class TestTransferenceReport:
         # the class-mass bound 1/(3mK) is reliably met from n = 1e6 up
         assert ctx_prime.n >= 10**6
         assert rep["chain"]["class_mass"]["holds"] is True
+
+    @pytest.mark.parametrize("of_class", [False, True], ids=["measure", "class"])
+    def test_bohr_smoothing_links(self, of_class):
+        # the wide radius at small N: a Bohr set of 33 points (fft regime);
+        # each link reads the smoothed function against its own bound
+        ctx = build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 3000)
+        m = build_poly_prime_measure(ctx)
+        eta, eps = Fraction(1, 2), Fraction(1, 4)
+        smoothed, links, sizes = bohr_smoothing(m, ctx, eta, eps, of_class=of_class)
+        spec_r, bohr, want = counting._smoothing(m, eta, eps)
+        assert smoothed.values.tobytes() == want.values.tobytes()
+        n_mod, kappa = ctx.N, float(ctx.kappa)
+        pointwise, count, bohr_link = links.values()
+        assert list(links) == (["pointwise_class", "A_dash", "bohr_class"] if of_class
+                               else ["pointwise_measure", "frak_A", "bohr_measure"])
+        assert pointwise["measured"] == np.abs(smoothed.values).max()
+        assert pointwise["bound"] == (2 / n_mod if of_class else (1 + 2 * kappa) / n_mod)
+        assert count["measured"] == np.count_nonzero(smoothed.values >= kappa / n_mod)
+        assert count["bound"] == (2 * kappa if of_class else 1 - 3 * kappa) * n_mod
+        assert bohr_link["measured"] == bohr.size
+        expect = {"large_spectrum_size": len(spec_r), "bohr_size": 33, "smoothing_regime": "fft"}
+        prefix = "class_" if of_class else ""
+        assert sizes == {prefix + key: value for key, value in expect.items()}
 
 
 class TestBoundLink:
