@@ -201,11 +201,6 @@ class TransferredSet:
     members: np.ndarray  # ascending, values in [0, N)
     weights: np.ndarray | None = None
 
-    def indicator_values(self) -> np.ndarray:
-        v = np.zeros(self.context.N)
-        v[self.members] = 1.0
-        return v
-
 
 def _candidates(ctx: WTrickContext) -> range:
     """Integers x in [max(psi(W), psi(b)/2), n] with x = psi(b)/2 (mod KW)."""

@@ -107,8 +107,8 @@ def find_monochromatic(
         raise ValueError("psi must have degree >= 1 and positive leading coefficient")
     if n > coloring.n:
         raise ValueError(f"search bound n = {n} exceeds the coloring's n = {coloring.n}")
-    d = psi.derivative()  # psi increases from tail on: a Cauchy bound on the roots of psi'
-    tail = 1 if d.degree == 0 else 2 + max(abs(c) for c in d.coeffs) // abs(d.leading)
+    d = psi.derivative()  # psi increases from tail on, past every root of psi'
+    tail = 1 if d.degree == 0 else d.root_bound() + 1
     top = tail - 1
     if psi(tail) <= 2 * n:
         top += compute_M(lambda x: psi(x + tail - 1), 1, 2 * n + 1)
@@ -194,12 +194,16 @@ def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:
     A with t + N - x in `table` (x and x + N for x in A), gathered in blocks of
     at most `_GATHER_BLOCK` (t, x) entries."""
     n_mod = measure.modulus
-    support = np.flatnonzero(measure.values)
+    if measure.support is None:
+        support = np.flatnonzero(measure.values)
+        weights = measure.values[support]
+    else:
+        support, weights = measure.support.points, measure.support.weights
+    if len(support) * len(members) > n_mod * n_mod.bit_length():
+        indicator = DensityFunction.on_support(n_mod, members, np.ones(len(members)))
+        return triple_count(indicator, indicator, measure).real
     table = np.zeros(2 * n_mod, dtype=bool)
     table[members] = table[members + n_mod] = True
-    if len(support) * len(members) > n_mod * n_mod.bit_length():
-        indicator = DensityFunction(table[:n_mod])  # as float64 0/1 values
-        return triple_count(indicator, indicator, measure).real
     counts = np.zeros(len(support), dtype=np.int64)
     for lo in range(0, len(members), _GATHER_BLOCK):
         shifts = n_mod - members[lo : lo + _GATHER_BLOCK]
@@ -207,7 +211,7 @@ def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:
         for r in range(0, len(support), rows):
             block = table[support[r : r + rows, None] + shifts]
             counts[r : r + rows] += np.count_nonzero(block, axis=1)
-    return float(counts @ measure.values[support])
+    return float(counts @ weights)
 
 
 def bound_link(measured, relation: str, bound=None, log10_bound=None) -> dict:
@@ -248,8 +252,11 @@ def bohr_smoothing(
     """(smoothed f, links, sizes): f smoothed by `_smoothing`; its links max
     |smoothed f| <= a pointwise bound, #{smoothed f >= kappa/N} >= a count
     bound (the measure's frak A, the class's A') and |B| >= eps^|R| N; and
-    |R|, |B| and the regime.  `of_class` takes the prime class's bounds."""
+    |R|, |B| and the regime.  `of_class` takes the prime class's bounds.
+    A function held on its support is read from its weights: the zeros off
+    the support change neither link, as max |f| >= 0 and kappa > 0."""
     spec_r, bohr, smoothed = _smoothing(f, eta, eps)
+    v = smoothed.values if smoothed.support is None else smoothed.support.weights
     kappa, n_mod = float(ctx.kappa), ctx.N
     if of_class:
         names, prefix = ("pointwise_class", "A_dash", "bohr_class"), "class_"
@@ -258,8 +265,8 @@ def bohr_smoothing(
         names, prefix = ("pointwise_measure", "frak_A", "bohr_measure"), ""
         pointwise, count = (1 + 2 * kappa) / n_mod, (1 - 3 * kappa) * n_mod
     links = (
-        bound_link(float(np.abs(smoothed.values).max()), "<=", pointwise),
-        bound_link(int(np.count_nonzero(smoothed.values >= kappa / n_mod)), ">=", count),
+        bound_link(abs(float(max(v.max(initial=0.0), -v.min(initial=0.0)))), "<=", pointwise),
+        bound_link(int(np.count_nonzero(v >= kappa / n_mod)), ">=", count),
         _bohr_link(bohr, eps),
     )
     sizes = {"large_spectrum_size": int(len(spec_r)), "bohr_size": bohr.size,
@@ -288,22 +295,24 @@ def transference_report(
     ctx = a_set.context
     n_mod = ctx.N
     kappa = float(ctx.kappa)
-    mass_measure = measure.mass.real
+    mass_measure = measure.mass.real  # each mass from a transient dense sum, before the transform
 
     if ctx.variant == INTEGER_COLORING:
-        f = DensityFunction(a_set.indicator_values())
+        f = DensityFunction.on_support(n_mod, a_set.members, np.ones(len(a_set.members)))
     else:
         f = build_prime_coloring_measure(a_set)
+        mass_class = f.mass.real
 
     # Each stage runs right after the transform it needs, and a spectrum no
     # later stage reads is dropped before the next transform: each transform
-    # peaks at the live set plus the FFT's own scratch.
+    # peaks at the live set plus the FFT's own scratch.  The measure and the
+    # class are read from their supports: no dense length-N array is made.
     transform_pair(measure, f)
     raw = triple_count(f, f, measure).real
     # exact diagonal sum_x f(x)^2 measure(2x), against the subtracted bound,
     # and its unweighted sum_x measure(2x): f vanishes off the members
-    mu2 = measure.values[(2 * a_set.members) % n_mod]
-    diag_exact = float((f.values[a_set.members] ** 2 * mu2).sum())
+    mu2 = measure.at((2 * a_set.members) % n_mod)
+    diag_exact = float((f.at(a_set.members) ** 2 * mu2).sum())
     if ctx.variant != INTEGER_COLORING:
         unweighted = _unweighted_count(a_set.members, measure)
         diag_unweighted = float(mu2.sum())
@@ -343,7 +352,7 @@ def transference_report(
     else:
         kw = ctx.K * ctx.W
         amax = euler_phi(kw) / kw * math.log(kw * n_mod + ctx.psi(ctx.b)) / n_mod
-        chain["class_mass"] = bound_link(f.mass.real, ">=", 1 / (3 * ctx.num_colors * ctx.K))
+        chain["class_mass"] = bound_link(mass_class, ">=", 1 / (3 * ctx.num_colors * ctx.K))
         # the class's weight against the prime-number-theorem margin
         weight_bound = (1 - kappa) * ctx.n / (ctx.num_colors * kw)
         chain["class_weight"] = bound_link(float(a_set.weights.sum()), ">=", weight_bound)

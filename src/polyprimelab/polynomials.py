@@ -61,6 +61,24 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
+    def root_bound(self) -> int:
+        """An integer t >= |z| for every complex root z: the least t >= 1 with
+        |a_d| t^i >= 2^i |a_(d-i)| for i = 1..d, which is at least Fujiwara's
+        bound 2 max_i |a_(d-i) / a_d|^(1/i); found in exact integers by
+        doubling, then bisection."""
+        lead = abs(self.leading)
+
+        def covers(t: int) -> bool:
+            return all(lead * t**i >= abs(c) << i for i, c in enumerate(self.coeffs[1:], 1))
+
+        lo, hi = 0, 1
+        while not covers(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if covers(mid) else (mid, hi)
+        return hi
+
     def derivative(self) -> IntPolynomial:
         if self.degree == 0:
             return IntPolynomial((0,))

@@ -36,6 +36,17 @@ Real functions are stored as float64, complex ones as complex128.  Two real
 functions share one transform, `dft_pair`, which splits it in place: the
 second spectrum takes its cells, the first one new array.
 
+The polynomial-prime measure, both classes and a Bohr set's normalized
+indicator are held on their supports (`Support`: ascending points and their
+nonzero weights), and the fill pass reads a support block by block: it
+zeroes the block and scatters the points that fall in it.  So during
+`transfer`'s one transform the live arrays are its 24L working set, the
+class's members and the two supports, and after it the two spectra (32N);
+no dense length-N input is made (`DensityFunction.values` builds one on
+first read, which no stage of the transference chain does).  At the
+transfer-int bench config (N = 1000003) `run_transfer`'s traced peak is
+24L + 8|A| + 8.1 MiB, 58.5 B/N.
+
 `smooth` is the one smoothing routine; it runs no transform when B = {0}
 or B = Z_N.  So `counting.transference_report` runs 1 length-N transform
 for an integer coloring when B = {0}, and 1 for a prime coloring when the
@@ -62,6 +73,7 @@ __all__ = [
     "BohrStructure",
     "CollisionError",
     "DensityFunction",
+    "Support",
     "bohr_set",
     "build_poly_prime_measure",
     "build_prime_coloring_measure",
@@ -298,30 +310,67 @@ def _chirp_dft(n: int, read) -> np.ndarray:
     return out
 
 
-def dft(values: np.ndarray, imag: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
+@dataclass(frozen=True)
+class Support:
+    """A real function on Z_N held by its support: the ascending int64
+    `points` of [0, N) and their nonzero float64 `weights`, 0 elsewhere.  Its
+    length is N, and `dft` reads it block by block like an array, so no
+    length-N array is made for it."""
+
+    modulus: int
+    points: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return self.modulus
+
+    def read(self, start: int, stop: int, dest: np.ndarray, scale: float = 1.0) -> None:
+        """dest = the values at [start, stop) over `scale`: zeros, and the
+        points that fall in the block."""
+        dest[...] = 0
+        i, j = np.searchsorted(self.points, (start, stop))
+        dest[self.points[i:j] - start] = self.weights[i:j] / scale
+
+    def dense(self) -> np.ndarray:
+        v = np.zeros(self.modulus)
+        v[self.points] = self.weights
+        return v
+
+
+def _reader(x, dtype=None):
+    """(length, read(start, stop, dest, scale)) of a Support or an array: read
+    writes entries [start, stop), over a power of two `scale`, into dest."""
+    if isinstance(x, Support):
+        return len(x), x.read
+    v = np.asarray(x, dtype=dtype or (np.complex128 if np.iscomplexobj(x) else np.float64))
+
+    def read(start, stop, dest, scale=1.0):
+        if scale == 1.0:
+            dest[...] = v[start:stop]
+        else:
+            np.divide(v[start:stop], scale, out=dest)
+
+    return len(v), read
+
+
+def dft(values, imag=None, scale: float = 1.0) -> np.ndarray:
     """Transform fhat(r) = sum_x f(x) e(-x r / N) by the Bluestein transform
     described in the module docstring, into a new complex128 array.  f is
-    `values`, or values + i imag / scale for two real arrays of one length
-    and a power of two `scale` (the packed pair of `dft_pair`).  The input
-    is read block by block, never copied."""
-    if imag is None:
-        dtype = np.complex128 if np.iscomplexobj(values) else np.float64
-        v = np.asarray(values, dtype=dtype)
+    `values`, or values + i imag / scale for two real inputs of one length
+    and a power of two `scale` (the packed pair of `dft_pair`); each input
+    is an array or a `Support`, read block by block, never copied."""
+    n, read_values = _reader(values, None if imag is None else np.float64)
+    read = read_values
+    if imag is not None:
+        m, read_imag = _reader(imag, np.float64)
+        if m != n:
+            raise ValueError(f"imag has shape {(m,)}, values {(n,)}")
 
         def read(start, stop, dest):
-            dest[...] = v[start:stop]
+            read_values(start, stop, dest.real)
+            read_imag(start, stop, dest.imag, scale)
 
-    else:
-        v = np.asarray(values, dtype=np.float64)
-        b = np.asarray(imag, dtype=np.float64)
-        if b.shape != v.shape:
-            raise ValueError(f"imag has shape {b.shape}, values {v.shape}")
-
-        def read(start, stop, dest):
-            dest.real = v[start:stop]
-            np.divide(b[start:stop], scale, out=dest.imag)
-
-    return _chirp_dft(len(v), read)
+    return _chirp_dft(n, read)
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
@@ -342,14 +391,24 @@ def _pow2_ratio(num: float, den: float) -> float:
     return math.ldexp(1.0, round(math.log2(num) - math.log2(den)))
 
 
-def _alone(values: np.ndarray, norm: float) -> np.ndarray:
+def _alone(values, norm: float) -> np.ndarray:
     """dft(values), or exact complex zeros when the norm is zero."""
     return dft(values) if norm else np.zeros(len(values), dtype=np.complex128)
 
 
-def dft_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of two real arrays from one dft, Z = dft(a, b, 2^k) of
-    a + i b / 2^k, which reads both in place.
+def _real_input(x):
+    """(x, |x|_1) for a Support or a real array (as float64)."""
+    if isinstance(x, Support):
+        return x, float(np.abs(x.weights).sum())
+    if np.iscomplexobj(x):
+        raise ValueError("dft_pair transforms real arrays only")
+    x = np.asarray(x, dtype=np.float64)
+    return x, float(np.abs(x).sum())
+
+
+def dft_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of two real arrays or `Support`s from one dft, Z = dft(a, b,
+    2^k) of a + i b / 2^k, which reads both in place.
 
     A(r) = (Z(r) + conj Z(-r))/2 and B(r) = (Z(r) - conj Z(-r))/2i, computed
     at r = 0, at N/2 when N is even and at r in [1, (N - 1)/2], with A(-r)
@@ -359,11 +418,7 @@ def dft_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     large b, nor the reverse.  An all-zero array gets the zero spectrum
     exactly, and the other its own dft.
     """
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        raise ValueError("dft_pair transforms real arrays only")
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    norm_a, norm_b = float(np.abs(a).sum()), float(np.abs(b).sum())
+    (a, norm_a), (b, norm_b) = _real_input(a), _real_input(b)
     if not (norm_a and norm_b):
         return _alone(a, norm_a), _alone(b, norm_b)
     scale = _pow2_ratio(norm_b, norm_a)
@@ -403,9 +458,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class DensityFunction:
     """Function on Z_N with a lazily cached spectrum; real values are kept
-    as float64, complex ones as complex128."""
+    as float64, complex ones as complex128.  A real function may be held on
+    its `support` instead (`on_support`): its dense `values` are then built
+    on first read, and its transform reads the support."""
 
-    __slots__ = ("modulus", "values", "_spectrum")
+    __slots__ = ("modulus", "support", "_values", "_spectrum")
 
     def __init__(self, values: np.ndarray, spectrum: np.ndarray | None = None):
         """`spectrum`, when given, is the transform the caller already has; it
@@ -415,31 +472,81 @@ class DensityFunction:
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("values must be a nonempty 1-d array")
         self.modulus = len(v)
-        self.values = _frozen(v)
+        self.support = None
+        self._values = _frozen(v)
         if spectrum is not None:
             spectrum = _frozen(np.asarray(spectrum, dtype=np.complex128))
         self._spectrum = spectrum
 
+    @classmethod
+    def on_support(cls, modulus: int, points, weights) -> DensityFunction:
+        """The real function equal to `weights` at the distinct `points` of
+        [0, modulus) and 0 elsewhere, held on its support (zero weights are
+        dropped); a point outside that range, or repeated, raises ValueError."""
+        points, weights = np.asarray(points, dtype=np.int64), np.asarray(weights, dtype=np.float64)
+        if not np.all(weights):
+            points, weights = points[weights != 0], weights[weights != 0]
+        if np.any(points[1:] < points[:-1]):
+            order = np.argsort(points, kind="stable")
+            points, weights = points[order], weights[order]
+        # read-only views: the caller's own arrays stay writable
+        points, weights = _frozen(points.view()), _frozen(weights.view())
+        if len(points) and not 0 <= points[0] <= points[-1] < modulus:
+            bad = points[0] if points[0] < 0 else points[-1]
+            raise ValueError(f"point {bad} outside [0, N) for N = {modulus}")
+        if np.any(points[1:] == points[:-1]):
+            raise ValueError("a point is given twice")
+        f = cls.__new__(cls)
+        f.modulus, f.support = modulus, Support(modulus, points, weights)
+        f._values = f._spectrum = None
+        return f
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            self._values = _frozen(self.support.dense())
+        return self._values
+
+    def _source(self):
+        """What `dft` reads: the support, or the dense values."""
+        return self.values if self.support is None else self.support
+
+    def at(self, xs: np.ndarray) -> np.ndarray:
+        """The values at the points xs of [0, N): a gather from the dense
+        values, or one lookup in the support."""
+        if self.support is None:
+            return self._values[xs]
+        points, weights = self.support.points, self.support.weights
+        i = np.searchsorted(points, xs)  # i = len(points) meets the padding
+        return np.where(np.append(points, -1)[i] == xs, np.append(weights, 0.0)[i], 0.0)
+
     @property
     def is_real(self) -> bool:
-        return self.values.dtype == np.float64
+        return self.support is not None or self._values.dtype == np.float64
 
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            self._spectrum = _frozen(dft(self.values))
+            self._spectrum = _frozen(dft(self._source()))
         return self._spectrum
+
+    def _sum(self):
+        """The sum of the values, to the bit of the dense array's: unless they
+        are built, from a transient dense array, as the rounding of numpy's
+        pairwise sum depends on where the zeros lie."""
+        return (self.support.dense() if self._values is None else self._values).sum()
 
     @property
     def mass(self) -> complex:
-        return complex(self.values.sum())
+        return complex(self._sum())
 
 
 def transform_pair(f: DensityFunction, g: DensityFunction) -> None:
-    """Cache the spectra of real f and g from one dft (see `dft_pair`);
-    when either is already cached, the other is left to its own dft."""
+    """Cache the spectra of real f and g from one dft (see `dft_pair`), which
+    reads each from its support or its values; when either is already
+    cached, the other is left to its own dft."""
     if f._spectrum is None and g._spectrum is None:
-        f._spectrum, g._spectrum = map(_frozen, dft_pair(f.values, g.values))
+        f._spectrum, g._spectrum = map(_frozen, dft_pair(f._source(), g._source()))
 
 
 def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:
@@ -467,30 +574,28 @@ def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:
         z = np.argsort(x, kind="stable")[1:][ordered[1:] == ordered[:-1]].min() + 1
         zp = np.flatnonzero(x == x[z - 1])[0] + 1
         raise CollisionError(f"psi_{{b,W}} collides mod N at z = {zp} and z = {z} (x = {x[z - 1]})")
-    values = np.zeros(n_mod)
-    values[x[support - 1]] = fd.astype(np.float64) * log_weights / float(resc(top))
-    return DensityFunction(values)
+    weights = fd.astype(np.float64) * log_weights / float(resc(top))
+    return DensityFunction.on_support(n_mod, x[support - 1], weights)
 
 
 def build_prime_coloring_measure(a_set: TransferredSet) -> DensityFunction:
     """Normalized log-weighted indicator of a transferred prime class: its
     weight (phi(KW)/KW) log(W x + psi(b)/2), from `coloring.dense_prime_class`,
-    divided by N at each member x, and 0 elsewhere."""
+    divided by N at each member x, and 0 elsewhere, held on its support."""
     n_mod = a_set.context.N
-    outside = a_set.members[(a_set.members < 0) | (a_set.members >= n_mod)]
-    if len(outside):
-        raise ValueError(f"member {outside[0]} outside [0, N)")
-    values = np.zeros(n_mod)
-    values[a_set.members] = a_set.weights / n_mod
-    return DensityFunction(values)
+    return DensityFunction.on_support(n_mod, a_set.members, a_set.weights / n_mod)
 
 
 def large_spectrum(f: DensityFunction, eta) -> np.ndarray:
-    """Frequencies r with |fhat(r)| >= eta."""
+    """Frequencies r with |fhat(r)| >= eta, ascending, from a scan of the
+    spectrum in blocks of _BLOCK: no length-N temporary."""
     eta = float(eta)
     if eta <= 0:
         raise ValueError("requires eta > 0")
-    return np.flatnonzero(np.abs(f.spectrum) >= eta).astype(np.int64)
+    spec = f.spectrum
+    blocks = range(0, len(spec), _BLOCK)
+    hits = [np.flatnonzero(np.abs(spec[lo : lo + _BLOCK]) >= eta) + lo for lo in blocks]
+    return np.concatenate(hits, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -515,9 +620,8 @@ class BohrStructure:
         return "constant" if self.size == self.modulus else "fft"
 
     def normalized_indicator(self) -> DensityFunction:
-        v = np.zeros(self.modulus)
-        v[self.members] = 1.0 / len(self.members)
-        return DensityFunction(v)
+        weights = np.full(len(self.members), 1.0 / len(self.members))
+        return DensityFunction.on_support(self.modulus, self.members, weights)
 
 
 def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
@@ -585,11 +689,11 @@ def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
     if regime == "identity":
         return f
     if regime == "constant":
-        mass = f.values.sum()
+        mass = f._sum()
         spec = np.zeros(f.modulus, dtype=np.complex128)
         spec[0] = mass
         return DensityFunction(np.full(f.modulus, mass / f.modulus), spec)
-    b_spec = dft(bohr.normalized_indicator().values).real
+    b_spec = bohr.normalized_indicator().spectrum.real
     spec = f.spectrum * b_spec * b_spec
     del b_spec  # and the complex array it views, before the inverse
     values = idft(spec)

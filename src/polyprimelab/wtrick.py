@@ -355,7 +355,12 @@ def build_context(
         if e:
             exps[int(p)] = int(e)
     for p in smooth_exponents:  # a key with exponent 0 included
-        if not is_prime(p):
+        try:
+            prime = is_prime(p)
+        except ValueError:  # beyond the range that is_prime decides
+            raise ValueError(f"smooth modulus key {p} in 'w' is too large to test for "
+                             "primality") from None
+        if not prime:
             raise ValueError(f"smooth modulus key {p} is not prime")
 
     bound = psi_bound(psi, w0, variant)

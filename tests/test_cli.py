@@ -130,6 +130,15 @@ class TestConfigParsing:
         assert capsys.readouterr().err == "error: smooth modulus key 4 is not prime\n"
         assert not (tmp_path / "verify.json").exists()
 
+    @pytest.mark.parametrize("key", ["4000000000000000000000000000", "3317044064679887385961981"])
+    def test_w_key_beyond_primality_test_rejected(self, tmp_path, capsys, key):
+        # a key that is_prime cannot decide is refused in one line naming w
+        assert main(["verify", "--w", f"2:1,3:1,{key}:0", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: smooth modulus key {key} in 'w' is too large to test for primality\n"
+        )
+        assert not (tmp_path / "verify.json").exists()
+
     @pytest.mark.parametrize("text", ["2:-1", "-3", "2:1,3:-5"])
     def test_negative_w_rejected(self, tmp_path, capsys, text):
         # a negative exponent or level must not be dropped in silence
@@ -881,6 +890,26 @@ class TestCounterexampleCommand:
         assert sorted(map(int, report["classes"])) == list(range(1, 13))
         assert all(entry["empty"] for entry in report["classes"].values())
 
+    def test_wide_cauchy_bound(self, tmp_path, capsys):
+        # psi = x(x-1)...(x-6), whose psi' has a Cauchy root bound of 698:
+        # the search runs, and its count is a brute-force count's
+        psi = IntPolynomial((1, -21, 175, -735, 1624, -1764, 720, 0))
+        argv = ["counterexample", "--psi", "1,-21,175,-735,1624,-1764,720,0", "--b0", "3",
+                "--w0", "4", "--p", "7", "--n", "3000", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "empty: True across 21 classes up to n = 3000\n"
+        part = coloring.blocking_partition(psi, 3, 4, 7, 3000)
+        color = part.color_at.tolist()
+        want = sum(
+            1
+            for z in range(1, 8)  # psi(z) > 2n = 6000 from z = 8 on
+            if all((4 * z + 3) % d for d in range(2, 4 * z + 3))
+            for x in range(1, (psi(z) - 1) // 2 + 1)
+            if psi(z) - x <= 3000 and color[x] and color[x] == color[psi(z) - x]
+        )
+        report = json.loads((tmp_path / "counterexample.json").read_text())
+        assert report["solutions_found"] == str(want)
+
     def test_empty_prime_domain(self, tmp_path, capsys):
         # with no prime <= n to color there is no partition to report
         assert main(["counterexample", "--n", "1", "--out", str(tmp_path)] + BLOCKING) == 1
@@ -961,6 +990,29 @@ class TestTransferCommand:
         for sol in report["lifted_solutions"][:5]:
             x, y, z = int(sol["x"]), int(sol["y"]), int(sol["z"])
             assert x + y == z * z + z
+
+    def test_traced_peak_at_a_million(self):
+        # the transfer-int bench config (N = 1000003): the transform's working
+        # set (24L), the class's members (8|A|) and a fixed allowance; the
+        # measure and the class stay on their supports, so no dense length-N
+        # float array sits beside the transform
+        import tracemalloc
+
+        from polyprimelab.spectral import _smooth_at_least
+
+        cfg = config_from_sources(None, {"n": 3_000_000, "psi": (1, 1, 0), "b0": 1, "w0": 2,
+                                         "seed": 7})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = run_transfer(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        n_mod = int(report["context"]["N"])
+        assert n_mod == 1_000_003
+        floor = 24 * _smooth_at_least(2 * n_mod - 1) + 8 * int(report["dense_class"]["size"])
+        assert peak <= floor + (12 << 20)
 
     def test_context_as_written(self, tmp_path):
         # one key per context field besides the format tag, no JSON number

@@ -225,6 +225,20 @@ class TestFindMonochromatic:
         assert got.dtype == np.int64 and got.shape == (len(want), 4)
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("rule", ["partition", "random"])
+    def test_tail_past_a_wide_cauchy_bound(self, rule):
+        # psi = x(x-1)...(x-6): psi(z) <= 6000 only for z <= 7, but a Cauchy
+        # bound on the roots of psi' put the tail at 698, where psi leaves
+        # int64; Fujiwara's bound puts it at 37.  Every hit is the oracle's
+        psi = IntPolynomial((1, -21, 175, -735, 1624, -1764, 720, 0))
+        if rule == "partition":
+            col = blocking_partition(psi, 3, 4, 7, 3000)
+        else:
+            col = make_coloring("integers", 3000, 2, "random", 5)
+        got = find_monochromatic(col, psi, 3, 4, 3000)
+        assert got.tolist() == monochromatic_scan(col, psi, 3, 4, 3000)
+        assert (len(got) == 0) == (rule == "partition")
+
     def test_prime_domain_requires_prime_pair(self):
         col = make_coloring("primes", 50, 1, "random", 0)
         # psi = x^2 + x, w0 = 2: psi(3) = 12 = 5 + 7 with 7 prime, both colored
@@ -350,7 +364,9 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
         return DensityFunction(idft(spec), spec)
 
     measure = complex_copy(build_poly_prime_measure(ctx))
-    indicator = DensityFunction(a_set.indicator_values().astype(np.complex128))
+    indicator_values = np.zeros(n_mod, dtype=np.complex128)
+    indicator_values[a_set.members] = 1.0
+    indicator = DensityFunction(indicator_values)
     if ctx.variant == INTEGER_COLORING:
         f = indicator
     else:
@@ -477,6 +493,16 @@ def random_unweighted_instance(n, support_size, set_size, seed, weights=None):
 
 
 class TestUnweightedCount:
+    @pytest.mark.parametrize("set_size", [300, 1500], ids=["exact", "transform"])
+    def test_support_form_matches_dense(self, set_size):
+        # a measure held on its support gives the dense measure's value to
+        # the bit, on the exact path and on the transform path
+        members, dense = random_unweighted_instance(2027, 40, set_size, 41)
+        points = np.flatnonzero(dense.values)
+        held = DensityFunction.on_support(2027, points, dense.values[points])
+        assert _unweighted_count(members, held) == _unweighted_count(members, dense)
+        assert held._values is None
+
     @pytest.mark.parametrize(
         "n,support_size,set_size,transforms",
         [
@@ -636,6 +662,17 @@ class TestTransferenceReport:
         # the class-mass bound 1/(3mK) is reliably met from n = 1e6 up
         assert ctx_prime.n >= 10**6
         assert rep["chain"]["class_mass"]["holds"] is True
+
+    def test_bohr_smoothing_links_on_support(self, ctx_prime):
+        # B = {0} leaves the measure as it is, on its support: its links read
+        # the support's weights and agree with the dense values'
+        m = build_poly_prime_measure(ctx_prime)
+        smoothed, links, sizes = bohr_smoothing(m, ctx_prime, Fraction(1, 20), Fraction(1, 8))
+        assert smoothed is m and sizes["smoothing_regime"] == "identity"
+        assert m._values is None
+        kappa, n_mod = float(ctx_prime.kappa), ctx_prime.N
+        assert links["pointwise_measure"]["measured"] == np.abs(m.values).max()
+        assert links["frak_A"]["measured"] == np.count_nonzero(m.values >= kappa / n_mod)
 
     @pytest.mark.parametrize("of_class", [False, True], ids=["measure", "class"])
     def test_bohr_smoothing_links(self, of_class):

@@ -65,6 +65,27 @@ class TestDerivative:
         assert IntPolynomial((5,)).derivative().coeffs == (0,)
 
 
+class TestRootBound:
+    def test_falling_factorial(self):
+        # psi' of x(x-1)...(x-6) is 7x^6 - 126x^5 + ...: 7t >= 2 * 126 first
+        # holds at t = 36, where a Cauchy bound, 2 + 4872 // 7, reads 698
+        d = IntPolynomial((1, -21, 175, -735, 1624, -1764, 720, 0)).derivative()
+        assert d.root_bound() == 36
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=st.lists(st.integers(-(10**6), 10**6), min_size=2, max_size=8).filter(
+        lambda c: c[0] != 0))
+    def test_least_integer_above_every_root(self, coeffs):
+        p = IntPolynomial(tuple(coeffs))
+        t = p.root_bound()
+        assert np.abs(np.roots(coeffs)).max() <= t * (1 + 1e-9)
+
+        def covers(s):
+            return all(abs(p.leading) * s**i >= 2**i * abs(c) for i, c in enumerate(p.coeffs[1:], 1))
+
+        assert covers(t) and (t == 1 or not covers(t - 1))
+
+
 class TestRescale:
     def test_examples(self):
         assert rescale(IntPolynomial((1, 0, 0)), 6, 1).coeffs == (6, 2, 0)

@@ -410,6 +410,81 @@ class TestDensityFunction:
         assert f.spectrum.tolist() == [1, 2, 3, 4, 5]
 
 
+class TestSupportForm:
+    # a function held on its support transforms to the bits of its dense
+    # array: the fill pass writes the same block either way
+    @pytest.fixture(scope="class")
+    def integer_pair(self):
+        # N = 100003: above _THREAD_MIN_POINTS, so both fill halves run
+        ctx = build_context(IntPolynomial((1, 1, 0)), 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1},
+                            300_000)
+        members = np.sort(np.random.default_rng(31).choice(ctx.N, ctx.N // 5, replace=False))
+        return (build_poly_prime_measure(ctx),
+                DensityFunction.on_support(ctx.N, members, np.ones(len(members))))
+
+    @pytest.fixture(scope="class")
+    def prime_pair(self, ctx_prime):
+        col = make_coloring("primes", ctx_prime.n, 2, "random", 3)
+        dens = dense_prime_class(col, ctx_prime)
+        return build_poly_prime_measure(ctx_prime), build_prime_coloring_measure(dens)
+
+    @pytest.mark.parametrize("pair", ["integer_pair", "prime_pair"])
+    def test_pair_spectra_match_dense(self, request, pair):
+        f, g = request.getfixturevalue(pair)
+        assert f.support is not None and g.support is not None
+        want = dft_pair(np.array(f.values), np.array(g.values))
+        for got in (dft_pair(f.support, g.support), dft_pair(f.support, np.array(g.values))):
+            assert all(bits_equal(a, b) for a, b in zip(got, want))
+        f2, g2 = (DensityFunction.on_support(h.modulus, h.support.points, h.support.weights)
+                  for h in (f, g))
+        transform_pair(f2, g2)
+        assert bits_equal(f2.spectrum, want[0]) and bits_equal(g2.spectrum, want[1])
+        assert f2._values is None and g2._values is None  # no dense array was made
+
+    def test_dft_matches_dense(self, integer_pair):
+        f = integer_pair[0]
+        assert bits_equal(dft(f.support), dft(np.array(f.values)))
+
+    def test_values_built_on_first_read(self):
+        f = DensityFunction.on_support(7, [5, 1, 3], [2.0, 0.0, -1.5])
+        assert f.support.points.tolist() == [3, 5] and f.support.weights.tolist() == [-1.5, 2.0]
+        assert f.is_real and f._values is None
+        assert f.mass == 0.5 and f._values is None  # from a transient array
+        assert f.at(np.arange(7)).tolist() == [0, 0, 0, -1.5, 0, 2.0, 0]
+        assert f._values is None
+        assert f.values.tolist() == [0, 0, 0, -1.5, 0, 2.0, 0] and f.values is f.values
+        assert not f.values.flags.writeable and not f.support.points.flags.writeable
+        dest = np.full(4, 9.0)  # a block is overwritten: zeros and the points in it
+        f.support.read(2, 6, dest, 2.0)
+        assert dest.tolist() == [0, -0.75, 0, 1.0]
+
+    def test_mass_and_lookup_match_dense(self, prime_pair):
+        for f in prime_pair:
+            dense = DensityFunction(np.array(f.values))
+            held = DensityFunction.on_support(f.modulus, f.support.points, f.support.weights)
+            assert held.mass == dense.mass  # the same pairwise sum, to the bit
+            xs = np.random.default_rng(37).integers(0, f.modulus, 5000)
+            xs = np.concatenate([xs, f.support.points[:100]])
+            assert bits_equal(held.at(xs), dense.at(xs))
+            assert held._values is None
+
+    def test_empty_support(self):
+        f = DensityFunction.on_support(5, np.zeros(0, dtype=np.int64), np.zeros(0))
+        assert f.at(np.arange(5)).tolist() == [0.0] * 5
+        assert f.spectrum.tolist() == [0j] * 5
+
+    def test_callers_arrays_stay_writable(self):
+        points, weights = np.array([1, 2]), np.array([1.0, 2.0])
+        DensityFunction.on_support(3, points, weights)
+        assert points.flags.writeable and weights.flags.writeable
+
+    @pytest.mark.parametrize("points,match", [([1, 1], "twice"), ([0, 5], "outside"),
+                                              ([-1, 2], "outside")])
+    def test_bad_points_rejected(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            DensityFunction.on_support(5, points, [1.0, 1.0])
+
+
 class TestPolyPrimeMeasure:
     def test_toy_values(self):
         m = build_poly_prime_measure(toy_context())
@@ -529,6 +604,22 @@ class TestLargeSpectrum:
     def test_zero_in_set_for_unit_mass(self):
         f = DensityFunction(np.full(9, 1 / 9))
         assert 0 in large_spectrum(f, 0.9)
+
+    def test_blocked_scan_matches_one_scan(self):
+        # the blocks give what one scan of |fhat| gives, entries exactly at
+        # eta included, at and across block boundaries
+        from polyprimelab.spectral import _BLOCK
+
+        n, eta = 3 * _BLOCK + 5, 1.5
+        rng = np.random.default_rng(23)
+        spec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        at_eta = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 7, n - 1]
+        spec[at_eta] = [eta, -eta, 1j * eta, -1j * eta, eta]
+        spec[[1, _BLOCK + 1]] = np.nextafter(eta, 0)
+        got = large_spectrum(DensityFunction(np.zeros(n), spec), eta)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.flatnonzero(np.abs(spec) >= eta).tolist()
+        assert set(at_eta) <= set(got.tolist()) and not {1, _BLOCK + 1} & set(got.tolist())
 
 
 class TestBohrSet:
