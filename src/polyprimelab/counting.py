@@ -2,19 +2,31 @@
 O(N^2) sum is a test oracle only), monochromatic solution search for
 x + y = psi(z) with z restricted to a progression's primes, the exact lift
 of Z_N solutions to integer triples (x, y, z), and the transference report,
-whose chain of inequalities is one `bound_link` record per link."""
+whose chain of inequalities is one `bound_link` record per link.  The
+report is `chain_links` (once per eta, eps) of `chain_spectra` (once per
+n), and each coloring variant's part in it is declared once, in
+`CHAIN_VARIANTS`."""
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .coloring import ColoringInstance, TransferredSet
+from .coloring import (
+    DOMAIN_INTEGERS,
+    DOMAIN_PRIMES,
+    ColoringInstance,
+    TransferredSet,
+    dense_class,
+    dense_prime_class,
+)
 from .numtheory import ap_prime_mask, ap_primes, check_progression, euler_phi, is_prime
-from .polynomials import INTEGER_COLORING, IntPolynomial, compute_M
+from .polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial, compute_M
 from .spectral import (
     DensityFunction,
     bohr_set,
@@ -26,10 +38,16 @@ from .spectral import (
 from .wtrick import WTrickContext
 
 __all__ = [
+    "CHAIN_VARIANTS",
+    "ChainSpectra",
+    "ChainVariant",
     "LiftingError",
+    "MEASURE_LINKS",
     "SearchVerificationError",
     "bohr_smoothing",
     "bound_link",
+    "chain_links",
+    "chain_spectra",
     "find_monochromatic",
     "find_zn_solutions",
     "lift_solution",
@@ -189,10 +207,11 @@ def find_zn_solutions(
 
 
 def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:
-    """sum over x, y in A (ascending, in [0, N)) of measure(x + y), by the cost
-    rule in `transference_report`; exactly, at each support point t, the x in
-    A with t + N - x in `table` (x and x + N for x in A), gathered in blocks of
-    at most `_GATHER_BLOCK` (t, x) entries."""
+    """sum over x, y in A (ascending, in [0, N)) of measure(x + y).  When
+    |supp measure| * |A| <= N * N.bit_length() it is exact: at each support
+    point t, the x in A with t + N - x in `table` (x and x + N for x in A),
+    gathered in blocks of at most `_GATHER_BLOCK` (t, x) entries.  Above
+    that it is A's indicator's triple count."""
     n_mod = measure.modulus
     if measure.support is None:
         support = np.flatnonzero(measure.values)
@@ -231,107 +250,191 @@ def bound_link(measured, relation: str, bound=None, log10_bound=None) -> dict:
     return link
 
 
-def _bohr_link(bohr, eps: Fraction) -> dict:
-    """|B| >= eps^|R| N, the bound as its log10: the power underflows."""
-    log10_eps = math.log10(eps.numerator) - math.log10(eps.denominator)
-    log10_bound = len(bohr.frequencies) * log10_eps + math.log10(bohr.modulus)
-    return bound_link(bohr.size, ">=", log10_bound=log10_bound)
-
-
-def _smoothing(f: DensityFunction, eta: Fraction, eps: Fraction):
-    """(R, B, smoothed f): f's large spectrum at eta, its Bohr set at radius
-    eps, and f smoothed over that Bohr set."""
-    spec_r = large_spectrum(f, float(eta))
-    bohr = bohr_set(spec_r, eps, f.modulus)
-    return spec_r, bohr, smooth(f, bohr)
+# How a smoothed function's links read: the names of its pointwise, count and
+# Bohr links, the prefix of its sizes, and its pointwise and count bounds at
+# (kappa, N).  The measure's; a variant that smooths its class declares the class's.
+MEASURE_LINKS = (
+    ("pointwise_measure", "frak_A", "bohr_measure"), "",
+    lambda kappa, n_mod: (1 + 2 * kappa) / n_mod, lambda kappa, n_mod: (1 - 3 * kappa) * n_mod,
+)
 
 
 def bohr_smoothing(
-    f: DensityFunction, ctx: WTrickContext, eta: Fraction, eps: Fraction, of_class: bool = False
+    f: DensityFunction, ctx: WTrickContext, eta: Fraction, eps: Fraction, links=MEASURE_LINKS
 ) -> tuple[DensityFunction, dict, dict]:
-    """(smoothed f, links, sizes): f smoothed by `_smoothing`; its links max
-    |smoothed f| <= a pointwise bound, #{smoothed f >= kappa/N} >= a count
-    bound (the measure's frak A, the class's A') and |B| >= eps^|R| N; and
-    |R|, |B| and the regime.  `of_class` takes the prime class's bounds.
-    A function held on its support is read from its weights: the zeros off
-    the support change neither link, as max |f| >= 0 and kappa > 0."""
-    spec_r, bohr, smoothed = _smoothing(f, eta, eps)
+    """(smoothed f, links, sizes): f smoothed over B, the Bohr set at radius
+    eps of its large spectrum R at eta; its links max |smoothed f| <= a
+    pointwise bound, #{smoothed f >= kappa/N} >= a count bound and
+    |B| >= eps^|R| N, named and bounded as `links` declares; and |R|, |B| and
+    the regime.  A function held on its support is read from its weights:
+    the zeros off the support change neither link, as max |f| >= 0 and
+    kappa > 0."""
+    names, prefix, pointwise, count = links
+    spec_r = large_spectrum(f, float(eta))
+    bohr = bohr_set(spec_r, eps, f.modulus)
+    smoothed = smooth(f, bohr)
     v = smoothed.values if smoothed.support is None else smoothed.support.weights
     kappa, n_mod = float(ctx.kappa), ctx.N
-    if of_class:
-        names, prefix = ("pointwise_class", "A_dash", "bohr_class"), "class_"
-        pointwise, count = 2 / n_mod, 2 * kappa * n_mod
-    else:
-        names, prefix = ("pointwise_measure", "frak_A", "bohr_measure"), ""
-        pointwise, count = (1 + 2 * kappa) / n_mod, (1 - 3 * kappa) * n_mod
-    links = (
-        bound_link(abs(float(max(v.max(initial=0.0), -v.min(initial=0.0)))), "<=", pointwise),
-        bound_link(int(np.count_nonzero(v >= kappa / n_mod)), ">=", count),
-        _bohr_link(bohr, eps),
+    # eps^|R| N underflows: its log10
+    log10_eps = math.log10(eps.numerator) - math.log10(eps.denominator)
+    log10_bohr = len(bohr.frequencies) * log10_eps + math.log10(bohr.modulus)
+    measured = (
+        bound_link(abs(float(max(v.max(initial=0.0), -v.min(initial=0.0)))), "<=",
+                   pointwise(kappa, n_mod)),
+        bound_link(int(np.count_nonzero(v >= kappa / n_mod)), ">=", count(kappa, n_mod)),
+        bound_link(bohr.size, ">=", log10_bound=log10_bohr),
     )
     sizes = {"large_spectrum_size": int(len(spec_r)), "bohr_size": bohr.size,
              "smoothing_regime": bohr.smoothing_regime}
-    return smoothed, dict(zip(names, links)), {prefix + k: v for k, v in sizes.items()}
+    return smoothed, dict(zip(names, measured)), {prefix + k: v for k, v in sizes.items()}
 
 
-def transference_report(
-    a_set: TransferredSet, measure: DensityFunction, eta: Fraction, eps: Fraction
-) -> dict:
-    """End-to-end weighted-count comparison for one transferred set against
-    its context's measure (`spectral.build_poly_prime_measure`).
+@dataclass(frozen=True)
+class ChainVariant:
+    """What a coloring variant changes in the transference chain: its
+    coloring's domain, its dense-class builder and `verify`'s name for that
+    check; its class function f; its class's smoothing links as in
+    `MEASURE_LINKS` (None: f is not smoothed); its sums, read from f before
+    the transform and, after it, from the members, the measure and mu2 (the
+    measure at 2x for each member x); and its extra and final links with
+    its own report fields."""
 
-    Computes the raw and smoothed triple counts and the exact diagonal, and
-    states each inequality of the argument once, as a `bound_link` record
-    under `chain`.  Asymptotic bounds are recorded, never enforced.  When
-    neither Bohr set smooths anything (both are {0}), the smoothed count is
-    the raw count.  A prime class must carry its `weights`.
+    domain: str
+    dense_class: Callable[[ColoringInstance, WTrickContext], TransferredSet]
+    dense_check: str
+    class_function: Callable[[TransferredSet], DensityFunction]
+    class_links: tuple | None
+    before: Callable[[DensityFunction], dict]
+    after: Callable[[np.ndarray, DensityFunction, np.ndarray], dict]
+    links: Callable[[ChainSpectra], tuple[dict, dict]]
 
-    For a prime coloring the final inequality counts the class's unweighted
-    pairs, `unweighted_count` = sum over x, y in A of measure(x + y), with
-    the diagonal sum over x in A of measure(2x) read from the members.  The
-    count is exact, gathered from a table of A, when |supp measure| * |A| <=
-    N * N.bit_length(); above that it is A's indicator's triple count.
-    """
-    ctx = a_set.context
-    n_mod = ctx.N
-    kappa = float(ctx.kappa)
+
+@dataclass(frozen=True)
+class ChainSpectra:
+    """`chain_spectra`'s result: the class and its variant, the measure and
+    the class function f with their spectra, and the sums: the measure's
+    mass, the raw count, the exact diagonal and the variant's own."""
+
+    a_set: TransferredSet
+    variant: ChainVariant
+    measure: DensityFunction
+    f: DensityFunction
+    sums: dict
+
+
+def _integer_links(s: ChainSpectra) -> tuple[dict, dict]:
+    ctx, sums = s.a_set.context, s.sums
+    final = float(ctx.kappa) ** 4 * ctx.N / 3
+    links = {
+        "dense_class": bound_link(len(s.a_set.members), ">=", ctx.N / (4 * ctx.num_colors * ctx.K)),
+        "final_diag_bound": bound_link(sums["raw_count"] - sums["mass_measure"], ">=", final),
+        "final_diag_exact": bound_link(sums["raw_count"] - sums["diagonal_exact"], ">=", final),
+    }
+    return links, {}
+
+
+def _prime_links(s: ChainSpectra) -> tuple[dict, dict]:
+    ctx, sums = s.a_set.context, s.sums
+    kappa, n_mod, kw = float(ctx.kappa), ctx.N, ctx.K * ctx.W
+    amax = euler_phi(kw) / kw * math.log(kw * n_mod + ctx.psi(ctx.b)) / n_mod
+    # the class's weight against the prime-number-theorem margin
+    weight_bound = (1 - kappa) * ctx.n / (ctx.num_colors * kw)
+    unweighted = sums["unweighted_count"]
+    links = {
+        "class_mass": bound_link(sums["mass_class"], ">=", 1 / (3 * ctx.num_colors * ctx.K)),
+        "class_weight": bound_link(float(s.a_set.weights.sum()), ">=", weight_bound),
+        "final": bound_link(unweighted - sums["diag_unweighted"], ">=",
+                            kappa**6 / (3 * n_mod) / amax**2),
+    }
+    return links, {"pointwise_weight_cap": amax, "unweighted_count": unweighted}
+
+
+# The one declaration of each variant.  A builder is named inside a lambda,
+# so it is looked up when called: a wrapper put on its name sees the call.
+CHAIN_VARIANTS = {
+    INTEGER_COLORING: ChainVariant(
+        domain=DOMAIN_INTEGERS,
+        dense_class=lambda coloring, ctx: dense_class(coloring, ctx),
+        dense_check="coloring.pigeonhole",
+        class_function=lambda a_set: DensityFunction.on_support(
+            a_set.context.N, a_set.members, np.ones(len(a_set.members))
+        ),
+        class_links=None,
+        before=lambda f: {},
+        after=lambda members, measure, mu2: {},
+        links=_integer_links,
+    ),
+    PRIME_COLORING: ChainVariant(
+        domain=DOMAIN_PRIMES,
+        dense_class=lambda coloring, ctx: dense_prime_class(coloring, ctx),
+        dense_check="coloring.dense_prime_class",
+        class_function=lambda a_set: build_prime_coloring_measure(a_set),
+        class_links=(
+            ("pointwise_class", "A_dash", "bohr_class"), "class_",
+            lambda kappa, n_mod: 2 / n_mod, lambda kappa, n_mod: 2 * kappa * n_mod,
+        ),
+        before=lambda f: {"mass_class": f.mass.real},
+        after=lambda members, measure, mu2: {
+            "unweighted_count": _unweighted_count(members, measure),
+            "diag_unweighted": float(mu2.sum()),
+        },
+        links=_prime_links,
+    ),
+}
+
+
+def chain_spectra(a_set: TransferredSet, measure: DensityFunction) -> ChainSpectra:
+    """The once-per-n part of the transference chain of one transferred set
+    against its context's measure (`spectral.build_poly_prime_measure`): the
+    class function f, both spectra from one `transform_pair`, the raw count,
+    the exact diagonal sum_x f(x)^2 measure(2x), and the variant's sums (a
+    prime class's `_unweighted_count`).  A prime class must carry its
+    `weights`."""
+    variant = CHAIN_VARIANTS[a_set.context.variant]
     mass_measure = measure.mass.real  # each mass from a transient dense sum, before the transform
-
-    if ctx.variant == INTEGER_COLORING:
-        f = DensityFunction.on_support(n_mod, a_set.members, np.ones(len(a_set.members)))
-    else:
-        f = build_prime_coloring_measure(a_set)
-        mass_class = f.mass.real
-
+    f = variant.class_function(a_set)
+    sums = variant.before(f)
     # Each stage runs right after the transform it needs, and a spectrum no
     # later stage reads is dropped before the next transform: each transform
     # peaks at the live set plus the FFT's own scratch.  The measure and the
     # class are read from their supports: no dense length-N array is made.
     transform_pair(measure, f)
     raw = triple_count(f, f, measure).real
-    # exact diagonal sum_x f(x)^2 measure(2x), against the subtracted bound,
-    # and its unweighted sum_x measure(2x): f vanishes off the members
-    mu2 = measure.at((2 * a_set.members) % n_mod)
+    mu2 = measure.at((2 * a_set.members) % measure.modulus)  # f vanishes off the members
     diag_exact = float((f.at(a_set.members) ** 2 * mu2).sum())
-    if ctx.variant != INTEGER_COLORING:
-        unweighted = _unweighted_count(a_set.members, measure)
-        diag_unweighted = float(mu2.sum())
+    sums.update(variant.after(a_set.members, measure, mu2), mass_measure=mass_measure,
+                raw_count=raw, diagonal_exact=diag_exact)
+    return ChainSpectra(a_set, variant, measure, f, sums)
 
-    smoothed_measure, chain, sizes = bohr_smoothing(measure, ctx, eta, eps)
-    f_smooth = f
-    if ctx.variant != INTEGER_COLORING:
-        f_smooth, class_links, class_sizes = bohr_smoothing(f, ctx, eta, eps, of_class=True)
-    same = f_smooth is f and smoothed_measure is measure  # both Bohr sets are {0}
+
+def chain_links(spectra: ChainSpectra, eta: Fraction, eps: Fraction) -> dict:
+    """The per-(eta, eps) part of the chain, as its report: the measure, and
+    the class where its variant smooths it, smoothed by `bohr_smoothing`;
+    the smoothed count, which is the raw count when nothing is smoothed
+    (every Bohr set is {0}); and each inequality of the argument, stated
+    once as a `bound_link` record under `chain`.  Asymptotic bounds are
+    recorded, never enforced."""
+    ctx, variant, sums = spectra.a_set.context, spectra.variant, spectra.sums
+    smoothed_measure, chain, sizes = bohr_smoothing(spectra.measure, ctx, eta, eps)
+    f_smooth = spectra.f
+    if variant.class_links is not None:
+        f_smooth, links, class_sizes = bohr_smoothing(f_smooth, ctx, eta, eps, variant.class_links)
+        chain.update(links)
+        sizes.update(class_sizes)
+    raw, mass_measure = sums["raw_count"], sums["mass_measure"]
+    same = f_smooth is spectra.f and smoothed_measure is spectra.measure
     smoothed = raw if same else triple_count(f_smooth, f_smooth, smoothed_measure).real
 
     mass_smoothed = smoothed_measure.mass.real
     mass_bound = 1e-9 * max(1.0, abs(mass_measure))
     chain["smoothing_mass"] = bound_link(abs(mass_smoothed - mass_measure), "<=", mass_bound)
     # the paper's window for N; the context takes the least prime above 2n/W
-    chain["N_window"] = bound_link(n_mod, "<=", float((2 + ctx.kappa) * Fraction(ctx.n, ctx.W)))
-    report = {
+    chain["N_window"] = bound_link(ctx.N, "<=", float((2 + ctx.kappa) * Fraction(ctx.n, ctx.W)))
+    links, fields = variant.links(spectra)
+    chain.update(links)
+    return {
         "variant": ctx.variant,
-        "N": n_mod,
+        "N": ctx.N,
         "kappa": ctx.kappa,
         "mass_measure": mass_measure,
         "mass_smoothed_measure": mass_smoothed,
@@ -339,27 +442,15 @@ def transference_report(
         "raw_count": raw,
         "smoothed_count": smoothed,
         "count_difference": raw - smoothed,
-        "diagonal_exact": diag_exact,
+        "diagonal_exact": sums["diagonal_exact"],
         "chain": chain,
+        **fields,
     }
 
-    if ctx.variant == INTEGER_COLORING:
-        final = kappa**4 * n_mod / 3
-        dense_bound = n_mod / (4 * ctx.num_colors * ctx.K)
-        chain["dense_class"] = bound_link(len(a_set.members), ">=", dense_bound)
-        chain["final_diag_bound"] = bound_link(raw - mass_measure, ">=", final)
-        chain["final_diag_exact"] = bound_link(raw - diag_exact, ">=", final)
-    else:
-        kw = ctx.K * ctx.W
-        amax = euler_phi(kw) / kw * math.log(kw * n_mod + ctx.psi(ctx.b)) / n_mod
-        chain["class_mass"] = bound_link(mass_class, ">=", 1 / (3 * ctx.num_colors * ctx.K))
-        # the class's weight against the prime-number-theorem margin
-        weight_bound = (1 - kappa) * ctx.n / (ctx.num_colors * kw)
-        chain["class_weight"] = bound_link(float(a_set.weights.sum()), ">=", weight_bound)
-        chain.update(class_links)
-        final = kappa**6 / (3 * n_mod) / amax**2
-        chain["final"] = bound_link(unweighted - diag_unweighted, ">=", final)
-        report.update(class_sizes)
-        report["pointwise_weight_cap"] = amax
-        report["unweighted_count"] = unweighted
-    return report
+
+def transference_report(
+    a_set: TransferredSet, measure: DensityFunction, eta: Fraction, eps: Fraction
+) -> dict:
+    """The transference chain of one transferred set at (eta, eps):
+    `chain_links` of `chain_spectra`."""
+    return chain_links(chain_spectra(a_set, measure), eta, eps)

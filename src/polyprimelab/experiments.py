@@ -21,14 +21,13 @@ from . import __version__
 from .coloring import (
     TransferredSet,
     blocking_partition,
-    dense_class,
-    dense_prime_class,
     load_coloring,
     make_coloring,
     parse_coloring_rule,
     write_int_rows,
 )
 from .counting import (
+    CHAIN_VARIANTS,
     bohr_smoothing,
     find_monochromatic,
     find_zn_solutions,
@@ -334,8 +333,7 @@ def _verify_checks(cfg: ExperimentConfig, ctx: WTrickContext) -> dict[str, tuple
     # transfer's stages in its order (measure, dense class, transference,
     # lifts), each check read from its stage's results: a failing stage is
     # recorded under its own name, and each check after it as not reached
-    integers = ctx.variant == INTEGER_COLORING
-    dense_check = "coloring.pigeonhole" if integers else "coloring.dense_prime_class"
+    dense_check = CHAIN_VARIANTS[ctx.variant].dense_check
     stage = "spectral.measure-well-defined"
     try:
         measure = build_poly_prime_measure(ctx)
@@ -436,13 +434,11 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
 
 
 def _dense_class(cfg: ExperimentConfig, ctx: WTrickContext) -> TransferredSet:
-    """The densest class of the configured coloring: of [1, n] for an
-    integer coloring, of the primes <= n for a prime coloring."""
-    integers = ctx.variant == INTEGER_COLORING
-    col = make_coloring(
-        "integers" if integers else "primes", ctx.n, ctx.num_colors, cfg.coloring, cfg.seed
-    )
-    return (dense_class if integers else dense_prime_class)(col, ctx)
+    """The densest class of the configured coloring, of its variant's domain:
+    [1, n] for an integer coloring, the primes <= n for a prime coloring."""
+    variant = CHAIN_VARIANTS[ctx.variant]
+    col = make_coloring(variant.domain, ctx.n, ctx.num_colors, cfg.coloring, cfg.seed)
+    return variant.dense_class(col, ctx)
 
 
 def _lift_sample(dens: TransferredSet, ctx: WTrickContext) -> list[tuple[int, int, int]]:

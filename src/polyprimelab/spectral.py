@@ -91,6 +91,7 @@ __all__ = [
 _BOHR_TAIL = 1024  # survivors from which bohr_set tests frequencies in blocks
 _BLOCK = 1 << 14  # points per block of each transform pass that evaluates the chirp
 _THREAD_MIN_POINTS = 1 << 16  # a pass over fewer points runs on the caller only
+_MAX_LOG10 = math.log10(np.finfo(np.float64).max)  # about 308.25
 
 
 class CollisionError(ValueError):
@@ -702,8 +703,10 @@ def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
 
 def restriction_nonzero(f: DensityFunction, rho: float) -> float:
     """(sum_{r != 0} |fhat(r) / fhat(0)|^rho)^(1/rho), for 0 < rho < inf and
-    fhat(0) != 0 (0 when N = 1).  The sum is taken in units of its largest
-    term, so it neither overflows nor underflows."""
+    fhat(0) != 0 (0 when N = 1).  The sum S is taken in units of its largest
+    term, so S is in [1, N - 1]; but S^(1/rho) leaves float range once
+    log10(S) / rho > 308, so a small rho whose power or norm would overflow
+    raises ValueError with the norm's log10, before the power is taken."""
     if not 0 < rho < math.inf:
         raise ValueError("requires 0 < rho < inf")
     a = np.abs(f.spectrum)
@@ -712,7 +715,12 @@ def restriction_nonzero(f: DensityFunction, rho: float) -> float:
     top = a[1:].max(initial=0.0)
     if top == 0:
         return 0.0
-    return float(top / a[0] * ((a[1:] / top) ** rho).sum() ** (1 / rho))
+    s = ((a[1:] / top) ** rho).sum()
+    log10_root = math.log10(s) / rho
+    log10_norm = math.log10(top / a[0]) + log10_root
+    if max(log10_root, log10_norm) > _MAX_LOG10:
+        raise ValueError(f"rho = {rho} overflows the restriction norm: its log10 is {log10_norm:.6g}")
+    return float(top / a[0] * s ** (1 / rho))
 
 
 def complete_gauss_sum(ctx: WTrickContext, a: int, q: int) -> complex:

@@ -31,7 +31,14 @@ from polyprimelab.experiments import (
 )
 from polyprimelab.numtheory import check_progression
 from polyprimelab.polynomials import IntPolynomial
-from polyprimelab.spectral import BohrStructure, DensityFunction, build_poly_prime_measure
+from polyprimelab.spectral import (
+    BohrStructure,
+    DensityFunction,
+    bohr_set,
+    build_poly_prime_measure,
+    large_spectrum,
+    smooth,
+)
 from polyprimelab.wtrick import WTrickContext
 
 BLOCKING = ["--psi", "6,0,0", "--b0", "1", "--w0", "1", "--p", "3"]
@@ -1160,6 +1167,55 @@ class TestTransferCommand:
         assert chain["class_mass"]["measured"] > 0
         assert "A_dash" in chain
 
+    @pytest.mark.parametrize(
+        "cfg,rows",
+        [
+            # (eta, eps, the regimes: the measure's, then the class's, transforms)
+            ({}, [(Fraction(1, 4), Fraction(1, 8), ["identity"], 0),
+                  (Fraction(7, 10), Fraction(1, 8), ["fft"], 2),
+                  (Fraction(2), Fraction(1, 8), ["constant"], 0)]),
+            (PRIME_TRANSFER, [(Fraction(1, 4), Fraction(1, 8), ["identity", "constant"], 0),
+                              (Fraction(1, 20), Fraction(1, 8), ["identity", "fft"], 2),
+                              (Fraction(9, 10), Fraction(1, 4), ["fft", "constant"], 2),
+                              (Fraction(2), Fraction(1, 8), ["constant", "constant"], 0)]),
+        ],
+        ids=["integer", "prime"],
+    )
+    def test_links_per_row_from_one_spectra(self, tmp_path, monkeypatch, cfg, rows):
+        # one chain_spectra per n serves every (eta, eps) row: each row's
+        # report is transference_report's to the byte, and a row transforms
+        # only to smooth, a dft and an idft per function in the fft regime
+        from polyprimelab import spectral
+
+        cfg = config_from_sources(None, cfg)
+        ctx = cfg.context()
+        dens = experiments._dense_class(cfg, ctx)
+        want = []
+        for eta, eps, _, _ in rows:  # a fresh measure each: its spectrum is cached
+            rep = counting.transference_report(dens, build_poly_prime_measure(ctx), eta, eps)
+            write_report(rep, tmp_path / "want.json")
+            want.append((tmp_path / "want.json").read_bytes())
+        spectra = counting.chain_spectra(dens, build_poly_prime_measure(ctx))
+        calls = []
+
+        def counted(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("dft", "idft"):
+            monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
+        for (eta, eps, regimes, transforms), expected in zip(rows, want):
+            calls.clear()
+            rep = counting.chain_links(spectra, eta, eps)
+            assert len(calls) == transforms
+            named = [rep["smoothing_regime"], rep.get("class_smoothing_regime")]
+            assert [r for r in named if r] == regimes
+            write_report(rep, tmp_path / "got.json")
+            assert (tmp_path / "got.json").read_bytes() == expected
+
 
 class TestSpectrumCommand:
     @pytest.mark.parametrize("rho", ["nan", "inf"])
@@ -1179,6 +1235,17 @@ class TestSpectrumCommand:
         assert set(norms) == {"4.0", "64.0", "100000.0"}
         assert norms["100000.0"] < norms["64.0"] < norms["4.0"]
         assert 0 < summary["mass"] < 2
+
+    @pytest.mark.parametrize("rho", ["0.01", "0.001"])
+    def test_tiny_rho_refused(self, tmp_path, capsys, rho):
+        # S^(1/rho) would overflow (S up to N - 1 = 10006): one error line
+        # naming rho and the norm's log10, before numpy's overflow warning
+        # (an error under this suite's filter), and no file
+        assert main(["spectrum", "--rho", rho, "--n", "30000", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: rho = {float(rho)} overflows the restriction norm: its log10 is ")
+        assert err.count("\n") == 1 and float(err.split()[-1]) > 308
+        assert os.listdir(tmp_path) == []
 
     def test_levels_keep_the_exponents_k_needs(self):
         # K = 24 for 6x^2 at 1 (mod 1): a prime dividing K keeps its exponent
@@ -1213,7 +1280,8 @@ class TestSpectrumCommand:
         run_spectrum(cfg, str(tmp_path))
         ctx = cfg.context()
         measure = build_poly_prime_measure(ctx)
-        smoothed = counting._smoothing(measure, cfg.eta, cfg.eps)[2]
+        bohr = bohr_set(large_spectrum(measure, float(cfg.eta)), cfg.eps, ctx.N)
+        smoothed = smooth(measure, bohr)
         for name, want in (("measure", measure.values), ("spectrum", measure.spectrum),
                            ("smoothed", smoothed.values)):
             got = np.load(tmp_path / f"{name}.npy")

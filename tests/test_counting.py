@@ -15,7 +15,9 @@ from polyprimelab.coloring import (
 )
 from polyprimelab import counting
 from polyprimelab.counting import (
+    CHAIN_VARIANTS,
     LiftingError,
+    MEASURE_LINKS,
     _unweighted_count,
     bohr_smoothing,
     bound_link,
@@ -26,7 +28,7 @@ from polyprimelab.counting import (
     triple_count,
 )
 from polyprimelab.numtheory import euler_phi, is_prime
-from polyprimelab.polynomials import INTEGER_COLORING, IntPolynomial
+from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial
 from polyprimelab.spectral import (
     DensityFunction,
     bohr_set,
@@ -34,6 +36,7 @@ from polyprimelab.spectral import (
     build_prime_coloring_measure,
     idft,
     large_spectrum,
+    smooth,
 )
 from polyprimelab.wtrick import build_context
 
@@ -681,8 +684,11 @@ class TestTransferenceReport:
         ctx = build_context(X2X, 1, 2, 2, INTEGER_COLORING, {2: 1, 3: 1}, 3000)
         m = build_poly_prime_measure(ctx)
         eta, eps = Fraction(1, 2), Fraction(1, 4)
-        smoothed, links, sizes = bohr_smoothing(m, ctx, eta, eps, of_class=of_class)
-        spec_r, bohr, want = counting._smoothing(m, eta, eps)
+        declared = CHAIN_VARIANTS[PRIME_COLORING].class_links if of_class else MEASURE_LINKS
+        smoothed, links, sizes = bohr_smoothing(m, ctx, eta, eps, declared)
+        spec_r = large_spectrum(m, float(eta))
+        bohr = bohr_set(spec_r, eps, ctx.N)
+        want = smooth(m, bohr)
         assert smoothed.values.tobytes() == want.values.tobytes()
         n_mod, kappa = ctx.N, float(ctx.kappa)
         pointwise, count, bohr_link = links.values()

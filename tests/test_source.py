@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import polyprimelab
+from polyprimelab.polynomials import VARIANTS
 
 
 def test_no_assert_statements():
@@ -69,3 +70,39 @@ def test_every_definition_is_referenced():
         if last not in used and not dunder and name not in allowed:
             unreferenced.append(name)
     assert unreferenced == []
+
+
+def _variant_comparisons(path: Path) -> tuple[list[str], int]:
+    """(where `path` compares a coloring variant outside its declaration
+    `CHAIN_VARIANTS`, the number of such declarations): a comparand that is
+    INTEGER_COLORING, PRIME_COLORING, a variant's name or an attribute
+    `.variant`."""
+    found, declarations = [], 0
+    for node in ast.parse(path.read_text(), str(path)).body:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if [getattr(t, "id", None) for t in targets] == ["CHAIN_VARIANTS"]:
+            declarations += 1
+            continue
+        found += [
+            f"{path.name}:{compare.lineno}"
+            for compare in ast.walk(node)
+            if isinstance(compare, ast.Compare)
+            and any(
+                getattr(side, "id", None) in ("INTEGER_COLORING", "PRIME_COLORING")
+                or getattr(side, "attr", None) == "variant"
+                or getattr(side, "value", None) in VARIANTS
+                for side in (compare.left, *compare.comparators)
+            )
+        ]
+    return found, declarations
+
+
+def test_variants_compared_only_in_their_declaration():
+    # each coloring variant's differences are declared once, in
+    # counting.CHAIN_VARIANTS: no other code of counting or experiments
+    # branches on the variant
+    package = Path(polyprimelab.__file__).parent
+    counting, counting_declared = _variant_comparisons(package / "counting.py")
+    experiments, experiments_declared = _variant_comparisons(package / "experiments.py")
+    assert (counting_declared, experiments_declared) == (1, 0)
+    assert counting + experiments == []
