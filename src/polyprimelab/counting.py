@@ -75,18 +75,20 @@ def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> 
 
     This is the orthogonality identity matching brute force under the
     transform convention fhat(r) = sum f(x) e(-x r / N), verified against
-    exhaustive counting.
+    exhaustive counting.  A constant factor's spectrum vanishes off r = 0: the
+    sum is then its r = 0 term, as the other blocks would add exact zeros.
     """
     if not f.modulus == g.modulus == h.modulus:
         raise ValueError("modulus mismatch")
     n = f.modulus
-    fs, gs, hs = f.spectrum, g.spectrum, h.spectrum
-    total = complex(fs[0] * gs[0] * hs[0])
-    for lo in range(1, n, _TRIPLE_BLOCK):  # in blocks: no length-N product
-        hi = min(n, lo + _TRIPLE_BLOCK)
-        prod = fs[lo:hi] * gs[lo:hi]
-        prod *= hs[n - lo : n - hi : -1]  # hhat(-r), a reversed view
-        total += complex(prod.sum())
+    total = complex(f.spectrum_at_zero() * g.spectrum_at_zero() * h.spectrum_at_zero())
+    if f.total is None and g.total is None and h.total is None:
+        fs, gs, hs = f.spectrum, g.spectrum, h.spectrum
+        for lo in range(1, n, _TRIPLE_BLOCK):  # in blocks: no length-N product
+            hi = min(n, lo + _TRIPLE_BLOCK)
+            prod = fs[lo:hi] * gs[lo:hi]
+            prod *= hs[n - lo : n - hi : -1]  # hhat(-r), a reversed view
+            total += complex(prod.sum())
     return total / n
 
 
@@ -268,20 +270,23 @@ def bohr_smoothing(
     |B| >= eps^|R| N, named and bounded as `links` declares; and |R|, |B| and
     the regime.  A function held on its support is read from its weights:
     the zeros off the support change neither link, as max |f| >= 0 and
-    kappa > 0."""
+    kappa > 0; a constant from its one value, counted N times."""
     names, prefix, pointwise, count = links
     spec_r = large_spectrum(f, float(eta))
     bohr = bohr_set(spec_r, eps, f.modulus)
     smoothed = smooth(f, bohr)
-    v = smoothed.values if smoothed.support is None else smoothed.support.weights
     kappa, n_mod = float(ctx.kappa), ctx.N
+    if smoothed.total is not None:
+        v, times = np.full(1, smoothed.total / n_mod), n_mod
+    else:
+        v, times = smoothed.values if smoothed.support is None else smoothed.support.weights, 1
     # eps^|R| N underflows: its log10
     log10_eps = math.log10(eps.numerator) - math.log10(eps.denominator)
     log10_bohr = len(bohr.frequencies) * log10_eps + math.log10(bohr.modulus)
     measured = (
         bound_link(abs(float(max(v.max(initial=0.0), -v.min(initial=0.0)))), "<=",
                    pointwise(kappa, n_mod)),
-        bound_link(int(np.count_nonzero(v >= kappa / n_mod)), ">=", count(kappa, n_mod)),
+        bound_link(int(np.count_nonzero(v >= kappa / n_mod)) * times, ">=", count(kappa, n_mod)),
         bound_link(bohr.size, ">=", log10_bound=log10_bohr),
     )
     sizes = {"large_spectrum_size": int(len(spec_r)), "bohr_size": bohr.size,

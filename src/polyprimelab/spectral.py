@@ -43,9 +43,12 @@ zeroes the block and scatters the points that fall in it.  So during
 `transfer`'s one transform the live arrays are its 24L working set, the
 class's members and the two supports, and after it the two spectra (32N);
 no dense length-N input is made (`DensityFunction.values` builds one on
-first read, which no stage of the transference chain does).  At the
-transfer-int bench config (N = 1000003) `run_transfer`'s traced peak is
-24L + 8|A| + 8.1 MiB, 58.5 B/N.
+first read, which no stage of the transference chain does).  `smooth`'s
+constant regime and B = Z_N build no length-N array: B = Z_N is held by N,
+the smoothed constant by its total (`DensityFunction.constant`).
+`run_transfer`'s traced peak is 24L + 8|A| + 8.1 MiB, 58.5 B/N, at the
+transfer-int bench config (N = 1000003), and 24L + 4.3 MiB, 59.4 B/N, at
+transfer-prime (N = 400009).
 
 `smooth` is the one smoothing routine; it runs no transform when B = {0}
 or B = Z_N.  So `counting.transference_report` runs 1 length-N transform
@@ -460,10 +463,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class DensityFunction:
     """Function on Z_N with a lazily cached spectrum; real values are kept
     as float64, complex ones as complex128.  A real function may be held on
-    its `support` instead (`on_support`): its dense `values` are then built
-    on first read, and its transform reads the support."""
+    its `support` instead (`on_support`), and a constant by its `total`
+    (`constant`): its dense `values` are then built on first read."""
 
-    __slots__ = ("modulus", "support", "_values", "_spectrum")
+    __slots__ = ("modulus", "support", "total", "_values", "_spectrum")
 
     def __init__(self, values: np.ndarray, spectrum: np.ndarray | None = None):
         """`spectrum`, when given, is the transform the caller already has; it
@@ -473,7 +476,7 @@ class DensityFunction:
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("values must be a nonempty 1-d array")
         self.modulus = len(v)
-        self.support = None
+        self.support = self.total = None
         self._values = _frozen(v)
         if spectrum is not None:
             spectrum = _frozen(np.asarray(spectrum, dtype=np.complex128))
@@ -499,13 +502,28 @@ class DensityFunction:
             raise ValueError("a point is given twice")
         f = cls.__new__(cls)
         f.modulus, f.support = modulus, Support(modulus, points, weights)
-        f._values = f._spectrum = None
+        f.total = f._values = f._spectrum = None
         return f
+
+    @classmethod
+    def constant(cls, modulus: int, total) -> DensityFunction:
+        """The constant total / N for a float64 or complex128 scalar total;
+        its spectrum is total at r = 0 and 0 elsewhere."""
+        f = cls.__new__(cls)
+        f.modulus, f.total = modulus, total
+        f.support = f._values = f._spectrum = None
+        return f
+
+    def _dense(self) -> np.ndarray:
+        """The dense values, built anew."""
+        if self.support is None:
+            return np.full(self.modulus, self.total / self.modulus)
+        return self.support.dense()
 
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            self._values = _frozen(self.support.dense())
+            self._values = _frozen(self._dense())
         return self._values
 
     def _source(self):
@@ -516,26 +534,36 @@ class DensityFunction:
         """The values at the points xs of [0, N): a gather from the dense
         values, or one lookup in the support."""
         if self.support is None:
-            return self._values[xs]
+            return self.values[xs]
         points, weights = self.support.points, self.support.weights
         i = np.searchsorted(points, xs)  # i = len(points) meets the padding
         return np.where(np.append(points, -1)[i] == xs, np.append(weights, 0.0)[i], 0.0)
 
     @property
     def is_real(self) -> bool:
-        return self.support is not None or self._values.dtype == np.float64
+        held = self._values if self.total is None else self.total
+        return self.support is not None or held.dtype == np.float64
 
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            self._spectrum = _frozen(dft(self._source()))
+            if self.total is None:
+                spec = dft(self._source())
+            else:
+                spec = np.zeros(self.modulus, dtype=np.complex128)
+                spec[0] = self.total
+            self._spectrum = _frozen(spec)
         return self._spectrum
+
+    def spectrum_at_zero(self) -> np.complex128:
+        """spectrum[0], with no spectrum built for a constant."""
+        return self.spectrum[0] if self.total is None else np.complex128(self.total)
 
     def _sum(self):
         """The sum of the values, to the bit of the dense array's: unless they
         are built, from a transient dense array, as the rounding of numpy's
         pairwise sum depends on where the zeros lie."""
-        return (self.support.dense() if self._values is None else self._values).sum()
+        return (self._dense() if self._values is None else self._values).sum()
 
     @property
     def mass(self) -> complex:
@@ -599,18 +627,25 @@ def large_spectrum(f: DensityFunction, eta) -> np.ndarray:
     return np.concatenate(hits, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass
 class BohrStructure:
     """Frequency set R (sorted, reduced mod N, duplicates kept) and the
-    resulting Bohr set, both read-only int64 arrays."""
+    resulting Bohr set, both read-only int64 arrays; B = Z_N is held by N
+    alone (`_members` None), its `members` built on first read."""
 
     modulus: int
     frequencies: np.ndarray
-    members: np.ndarray
+    _members: np.ndarray | None = None
+
+    @property
+    def members(self) -> np.ndarray:
+        if self._members is None:
+            self._members = _frozen(np.arange(self.modulus, dtype=np.int64))
+        return self._members
 
     @property
     def size(self) -> int:
-        return len(self.members)
+        return self.modulus if self._members is None else len(self._members)
 
     @property
     def smoothing_regime(self) -> str:
@@ -647,16 +682,15 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
         return xs[(t <= 2 * radius).all(axis=1)]
 
     # the first frequency's set in closed form: x r = j (mod N) with |j| <= L,
-    # so x = j r^-1, 2L + 1 distinct residues as 2L < N (no length-N array
-    # unless B = Z_N).  The survivors then meet the other frequencies one at a
-    # time while more than _BOHR_TAIL remain, and in 2-D blocks of at most N
-    # products each after that, and are sorted once at the end.  r = 0
+    # so x = j r^-1, 2L + 1 distinct residues as 2L < N (no array for B = Z_N,
+    # when no r is nonzero).  The survivors then meet the other frequencies
+    # one at a time while more than _BOHR_TAIL remain, and in 2-D blocks of at
+    # most N products each after that, and are sorted once at the end.  r = 0
     # removes nothing, and 0 is always a member, so once it is the only
     # survivor no later frequency can remove it
     nonzero = freqs[freqs != 0]
-    if len(nonzero) == 0:
-        members = np.arange(modulus, dtype=np.int64)
-    else:
+    members = None
+    if len(nonzero):
         members = np.arange(-radius, radius + 1, dtype=np.int64)
         members *= pow(int(nonzero[0]), -1, modulus)  # ValueError for a non-unit
         members %= modulus
@@ -666,13 +700,14 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
             members = survivors(members, nonzero[i : i + k])
             i += k
         members.sort()
-    members.setflags(write=False)
-    if len(members) * q ** len(freqs) < p ** len(freqs) * modulus:
+        members.setflags(write=False)
+    bohr = BohrStructure(modulus, freqs, members)
+    if bohr.size * q ** len(freqs) < p ** len(freqs) * modulus:
         raise RuntimeError(
-            f"Bohr bound violated: |B| = {len(members)} < eps^|R| * N"
+            f"Bohr bound violated: |B| = {bohr.size} < eps^|R| * N"
             f" = ({eps})^{len(freqs)} * {modulus}"
         )
-    return BohrStructure(modulus, freqs, members)
+    return bohr
 
 
 def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
@@ -680,20 +715,18 @@ def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
 
     When B = {0}, b is the delta at 0 and the answer is f itself.  When
     B = Z_N, b is the constant 1/N and the answer is the constant f.mass / N,
-    whose spectrum is f.mass at r = 0 and 0 elsewhere.  Neither case builds b
-    or runs a transform.  Otherwise b is even (x in B iff -x in B), so its
-    spectrum is real and the real part of its dft is kept; a real f then has
-    a Hermitian smoothed spectrum and real smoothed values."""
+    whose spectrum is f.mass at r = 0 and 0 elsewhere, held in closed form
+    (`DensityFunction.constant`).  Neither case builds b or runs a transform.
+    Otherwise b is even (x in B iff -x in B), so its spectrum is real and the
+    real part of its dft is kept; a real f then has a Hermitian smoothed
+    spectrum and real smoothed values."""
     if f.modulus != bohr.modulus:
         raise ValueError(f"modulus mismatch: {f.modulus} vs {bohr.modulus}")
     regime = bohr.smoothing_regime
     if regime == "identity":
         return f
     if regime == "constant":
-        mass = f._sum()
-        spec = np.zeros(f.modulus, dtype=np.complex128)
-        spec[0] = mass
-        return DensityFunction(np.full(f.modulus, mass / f.modulus), spec)
+        return DensityFunction.constant(f.modulus, f._sum())
     b_spec = bohr.normalized_indicator().spectrum.real
     spec = f.spectrum * b_spec * b_spec
     del b_spec  # and the complex array it views, before the inverse

@@ -1021,6 +1021,29 @@ class TestTransferCommand:
         floor = 24 * _smooth_at_least(2 * n_mod - 1) + 8 * int(report["dense_class"]["size"])
         assert peak <= floor + (12 << 20)
 
+    def test_traced_peak_prime_coloring(self):
+        # the transfer-prime bench config (N = 400009, L = 802816): the class's
+        # B = Z_N and its smoothed constant hold no length-N array, so the
+        # peak is the one transform's working set (24L) and a fixed allowance
+        import tracemalloc
+
+        from polyprimelab.spectral import _smooth_at_least
+
+        cfg = config_from_sources(None, {"variant": "prime-coloring", "psi": (1, 1, 4), "b0": 1,
+                                         "w0": 1, "w": {2: 2, 3: 1, 5: 1}, "n": 12_000_000,
+                                         "seed": 7})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = run_transfer(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        n_mod = int(report["context"]["N"])
+        assert (n_mod, _smooth_at_least(2 * n_mod - 1)) == (400_009, 802_816)
+        assert report["transference"]["class_smoothing_regime"] == "constant"
+        assert peak <= 24 * 802_816 + (8 << 20)
+
     def test_context_as_written(self, tmp_path):
         # one key per context field besides the format tag, no JSON number
         # anywhere, the object is the encoder's dict as write_report renders
@@ -1217,7 +1240,46 @@ class TestTransferCommand:
             assert (tmp_path / "got.json").read_bytes() == expected
 
 
+    def test_constant_measure_row_matches_dense_constant(self, tmp_path, monkeypatch):
+        # at eta = 9/10, eps = 1/4 the measure's R = {0}, so its B = Z_N: the
+        # row, its smoothed mass and count included, is the one that the
+        # smoothed measure held as a dense constant array gives, to the byte
+        eta, eps = Fraction(9, 10), Fraction(1, 4)
+        cfg = config_from_sources(None, {"eta": eta, "eps": eps})
+        ctx = cfg.context()
+        spectra = counting.chain_spectra(experiments._dense_class(cfg, ctx),
+                                         build_poly_prime_measure(ctx))
+        got = counting.chain_links(spectra, eta, eps)
+        assert (got["large_spectrum_size"], got["bohr_size"]) == (1, ctx.N) == (1, 10007)
+        assert got["smoothing_regime"] == "constant"
+
+        def dense_constant(f, bohr):  # the constant regime as dense arrays
+            assert bohr.smoothing_regime == "constant"
+            total = f._sum()
+            spec = np.zeros(f.modulus, dtype=np.complex128)
+            spec[0] = total
+            return DensityFunction(np.full(f.modulus, total / f.modulus), spec)
+
+        monkeypatch.setattr(counting, "smooth", dense_constant)
+        want = counting.chain_links(spectra, eta, eps)
+        for name in ("mass_smoothed_measure", "smoothed_count"):
+            assert repr(got[name]) == repr(want[name])
+        write_report(got, tmp_path / "got.json")
+        write_report(want, tmp_path / "want.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+
 class TestSpectrumCommand:
+    def test_constant_smoothed_measure_saved(self, tmp_path):
+        # B = Z_N at eta = 9/10, eps = 1/4: the saved smoothed measure is the
+        # constant mass / N, as float64, to the bit
+        assert main(["spectrum", "--eta", "9/10", "--eps", "1/4", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "spectrum.json").read_text())
+        assert report["smoothed_pointwise"]["smoothing_regime"] == "constant"
+        measure, smoothed = (np.load(tmp_path / f"{name}.npy") for name in ("measure", "smoothed"))
+        want = np.full(len(measure), measure.sum() / len(measure))
+        assert smoothed.dtype == np.float64 and smoothed.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("rho", ["nan", "inf"])
     def test_non_finite_rho_rejected(self, tmp_path, capsys, rho):
         # NaN and Infinity are not JSON, so no report is written

@@ -797,6 +797,61 @@ class TestSmooth:
         assert_close_to_own_max(out.values, want if dtype is np.complex128 else want.real)
         assert_close_to_own_max(out.spectrum, want_spec)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+    def test_full_bohr_in_closed_form(self, monkeypatch, dtype):
+        # at N = 1000003, B = Z_N and the smoothed constant hold no length-N
+        # array: no transform runs, the traced peak is the mass's transient
+        # dense sum (8N, for the real f held on its support) and 1 MiB, and
+        # every array read later is the dense formula's to the bit
+        import tracemalloc
+
+        from polyprimelab import counting, spectral
+        from polyprimelab.experiments import config_from_sources
+
+        ctx = config_from_sources(None, {"n": 3_000_000, "psi": (1, 1, 0), "b0": 1, "w0": 2}).context()
+        n = ctx.N
+        assert n == 1_000_003
+        rng = np.random.default_rng(39)
+        points = np.sort(rng.choice(n, 5000, replace=False))
+        dense = np.zeros(n)
+        dense[points] = rng.random(5000) / 1000
+        if dtype is np.complex128:
+            f = DensityFunction(dense + 1j * dense[::-1])
+        else:
+            f = DensityFunction.on_support(n, points, dense[points])
+        eps = Fraction(1, 8)
+        for name in ("dft", "idft"):
+            monkeypatch.setattr(spectral, name, lambda *args, **kwargs: pytest.fail("transform ran"))
+        monkeypatch.setattr(counting, "large_spectrum", lambda f, eta: np.empty(0, dtype=np.int64))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            bohr = bohr_set([], eps, n)
+            out = smooth(f, bohr)
+            if dtype is np.float64:  # the links of a real function
+                _, links, _ = counting.bohr_smoothing(f, ctx, Fraction(1, 4), eps)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + (1 << 20)
+        assert bohr.size == n and bohr.smoothing_regime == "constant"
+        assert bohr._members is None and out._values is None and out._spectrum is None
+        # the dense formulas: the constant array, the delta spectrum, Z_N
+        total = f.values.sum()
+        values = np.full(n, total / n)
+        spec = np.zeros(n, dtype=np.complex128)
+        spec[0] = total
+        for got, want in ((out.values, values), (out.spectrum, spec),
+                          (bohr.members, np.arange(n, dtype=np.int64))):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+        assert out.mass == complex(values.sum()) and out.is_real == (dtype is np.float64)
+        if dtype is np.float64:
+            kappa = float(ctx.kappa)
+            top = max(values.max(initial=0.0), -values.min(initial=0.0))
+            assert links["pointwise_measure"]["measured"] == abs(float(top))
+            assert links["frak_A"]["measured"] == int(np.count_nonzero(values >= kappa / n))
+
     def test_modulus_mismatch_rejected(self):
         # the B = {0} shortcut must not accept a Bohr set of another modulus
         f = DensityFunction(np.ones(31))
