@@ -39,7 +39,6 @@ from .wtrick import WTrickContext
 
 __all__ = [
     "CHAIN_VARIANTS",
-    "ChainSpectra",
     "ChainVariant",
     "LiftingError",
     "MEASURE_LINKS",
@@ -214,12 +213,10 @@ def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:
     point t, the x in A with t + N - x in `table` (x and x + N for x in A),
     gathered in blocks of at most `_GATHER_BLOCK` (t, x) entries.  Above
     that it is A's indicator's triple count."""
-    n_mod = measure.modulus
-    if measure.support is None:
+    n_mod, support, weights = measure.modulus, measure.points, measure.weights
+    if support is None:
         support = np.flatnonzero(measure.values)
         weights = measure.values[support]
-    else:
-        support, weights = measure.support.points, measure.support.weights
     if len(support) * len(members) > n_mod * n_mod.bit_length():
         indicator = DensityFunction.on_support(n_mod, members, np.ones(len(members)))
         return triple_count(indicator, indicator, measure).real
@@ -279,7 +276,7 @@ def bohr_smoothing(
     if smoothed.total is not None:
         v, times = np.full(1, smoothed.total / n_mod), n_mod
     else:
-        v, times = smoothed.values if smoothed.support is None else smoothed.support.weights, 1
+        v, times = smoothed.values if smoothed.points is None else smoothed.weights, 1
     # eps^|R| N underflows: its log10
     log10_eps = math.log10(eps.numerator) - math.log10(eps.denominator)
     log10_bohr = len(bohr.frequencies) * log10_eps + math.log10(bohr.modulus)
@@ -299,47 +296,33 @@ class ChainVariant:
     """What a coloring variant changes in the transference chain: its
     coloring's domain, its dense-class builder and `verify`'s name for that
     check; its class function f; its class's smoothing links as in
-    `MEASURE_LINKS` (None: f is not smoothed); its sums, read from f before
-    the transform and, after it, from the members, the measure and mu2 (the
-    measure at 2x for each member x); and its extra and final links with
-    its own report fields."""
+    `MEASURE_LINKS` (None: f is not smoothed); its sums, read after the
+    transform from the class, the measure, f and mu2 (the measure at 2x for
+    each member x); and its extra and final links, read from the class and
+    all the sums, with its own report fields."""
 
     domain: str
     dense_class: Callable[[ColoringInstance, WTrickContext], TransferredSet]
     dense_check: str
     class_function: Callable[[TransferredSet], DensityFunction]
     class_links: tuple | None
-    before: Callable[[DensityFunction], dict]
-    after: Callable[[np.ndarray, DensityFunction, np.ndarray], dict]
-    links: Callable[[ChainSpectra], tuple[dict, dict]]
+    sums: Callable[[TransferredSet, DensityFunction, DensityFunction, np.ndarray], dict]
+    links: Callable[[TransferredSet, dict], tuple[dict, dict]]
 
 
-@dataclass(frozen=True)
-class ChainSpectra:
-    """`chain_spectra`'s result: the class and its variant, the measure and
-    the class function f with their spectra, and the sums: the measure's
-    mass, the raw count, the exact diagonal and the variant's own."""
-
-    a_set: TransferredSet
-    variant: ChainVariant
-    measure: DensityFunction
-    f: DensityFunction
-    sums: dict
-
-
-def _integer_links(s: ChainSpectra) -> tuple[dict, dict]:
-    ctx, sums = s.a_set.context, s.sums
+def _integer_links(a_set: TransferredSet, sums: dict) -> tuple[dict, dict]:
+    ctx = a_set.context
     final = float(ctx.kappa) ** 4 * ctx.N / 3
     links = {
-        "dense_class": bound_link(len(s.a_set.members), ">=", ctx.N / (4 * ctx.num_colors * ctx.K)),
+        "dense_class": bound_link(len(a_set.members), ">=", ctx.N / (4 * ctx.num_colors * ctx.K)),
         "final_diag_bound": bound_link(sums["raw_count"] - sums["mass_measure"], ">=", final),
         "final_diag_exact": bound_link(sums["raw_count"] - sums["diagonal_exact"], ">=", final),
     }
     return links, {}
 
 
-def _prime_links(s: ChainSpectra) -> tuple[dict, dict]:
-    ctx, sums = s.a_set.context, s.sums
+def _prime_links(a_set: TransferredSet, sums: dict) -> tuple[dict, dict]:
+    ctx = a_set.context
     kappa, n_mod, kw = float(ctx.kappa), ctx.N, ctx.K * ctx.W
     amax = euler_phi(kw) / kw * math.log(kw * n_mod + ctx.psi(ctx.b)) / n_mod
     # the class's weight against the prime-number-theorem margin
@@ -347,7 +330,7 @@ def _prime_links(s: ChainSpectra) -> tuple[dict, dict]:
     unweighted = sums["unweighted_count"]
     links = {
         "class_mass": bound_link(sums["mass_class"], ">=", 1 / (3 * ctx.num_colors * ctx.K)),
-        "class_weight": bound_link(float(s.a_set.weights.sum()), ">=", weight_bound),
+        "class_weight": bound_link(float(a_set.weights.sum()), ">=", weight_bound),
         "final": bound_link(unweighted - sums["diag_unweighted"], ">=",
                             kappa**6 / (3 * n_mod) / amax**2),
     }
@@ -365,8 +348,7 @@ CHAIN_VARIANTS = {
             a_set.context.N, a_set.members, np.ones(len(a_set.members))
         ),
         class_links=None,
-        before=lambda f: {},
-        after=lambda members, measure, mu2: {},
+        sums=lambda a_set, measure, f, mu2: {},
         links=_integer_links,
     ),
     PRIME_COLORING: ChainVariant(
@@ -378,9 +360,9 @@ CHAIN_VARIANTS = {
             ("pointwise_class", "A_dash", "bohr_class"), "class_",
             lambda kappa, n_mod: 2 / n_mod, lambda kappa, n_mod: 2 * kappa * n_mod,
         ),
-        before=lambda f: {"mass_class": f.mass.real},
-        after=lambda members, measure, mu2: {
-            "unweighted_count": _unweighted_count(members, measure),
+        sums=lambda a_set, measure, f, mu2: {
+            "mass_class": f.mass.real,
+            "unweighted_count": _unweighted_count(a_set.members, measure),
             "diag_unweighted": float(mu2.sum()),
         },
         links=_prime_links,
@@ -388,46 +370,47 @@ CHAIN_VARIANTS = {
 }
 
 
-def chain_spectra(a_set: TransferredSet, measure: DensityFunction) -> ChainSpectra:
+def chain_spectra(a_set: TransferredSet, measure: DensityFunction) -> tuple:
     """The once-per-n part of the transference chain of one transferred set
-    against its context's measure (`spectral.build_poly_prime_measure`): the
-    class function f, both spectra from one `transform_pair`, the raw count,
-    the exact diagonal sum_x f(x)^2 measure(2x), and the variant's sums (a
-    prime class's `_unweighted_count`).  A prime class must carry its
+    against its context's measure (`spectral.build_poly_prime_measure`), as
+    (a_set, measure, f, sums): the class function f, both spectra from one
+    `transform_pair`, and the sums: the measure's mass, the raw count, the
+    exact diagonal sum_x f(x)^2 measure(2x) and the variant's own (a prime
+    class's mass and `_unweighted_count`).  A prime class must carry its
     `weights`."""
     variant = CHAIN_VARIANTS[a_set.context.variant]
-    mass_measure = measure.mass.real  # each mass from a transient dense sum, before the transform
     f = variant.class_function(a_set)
-    sums = variant.before(f)
     # Each stage runs right after the transform it needs, and a spectrum no
     # later stage reads is dropped before the next transform: each transform
     # peaks at the live set plus the FFT's own scratch.  The measure and the
-    # class are read from their supports: no dense length-N array is made.
+    # class are read from their supports: no dense length-N array is kept
+    # (each mass is summed from a transient one).
     transform_pair(measure, f)
     raw = triple_count(f, f, measure).real
     mu2 = measure.at((2 * a_set.members) % measure.modulus)  # f vanishes off the members
     diag_exact = float((f.at(a_set.members) ** 2 * mu2).sum())
-    sums.update(variant.after(a_set.members, measure, mu2), mass_measure=mass_measure,
-                raw_count=raw, diagonal_exact=diag_exact)
-    return ChainSpectra(a_set, variant, measure, f, sums)
+    sums = variant.sums(a_set, measure, f, mu2)
+    sums.update(mass_measure=measure.mass.real, raw_count=raw, diagonal_exact=diag_exact)
+    return a_set, measure, f, sums
 
 
-def chain_links(spectra: ChainSpectra, eta: Fraction, eps: Fraction) -> dict:
+def chain_links(spectra: tuple, eta: Fraction, eps: Fraction) -> dict:
     """The per-(eta, eps) part of the chain, as its report: the measure, and
     the class where its variant smooths it, smoothed by `bohr_smoothing`;
     the smoothed count, which is the raw count when nothing is smoothed
     (every Bohr set is {0}); and each inequality of the argument, stated
     once as a `bound_link` record under `chain`.  Asymptotic bounds are
     recorded, never enforced."""
-    ctx, variant, sums = spectra.a_set.context, spectra.variant, spectra.sums
-    smoothed_measure, chain, sizes = bohr_smoothing(spectra.measure, ctx, eta, eps)
-    f_smooth = spectra.f
+    a_set, measure, f, sums = spectra
+    ctx, variant = a_set.context, CHAIN_VARIANTS[a_set.context.variant]
+    smoothed_measure, chain, sizes = bohr_smoothing(measure, ctx, eta, eps)
+    f_smooth = f
     if variant.class_links is not None:
         f_smooth, links, class_sizes = bohr_smoothing(f_smooth, ctx, eta, eps, variant.class_links)
         chain.update(links)
         sizes.update(class_sizes)
     raw, mass_measure = sums["raw_count"], sums["mass_measure"]
-    same = f_smooth is spectra.f and smoothed_measure is spectra.measure
+    same = f_smooth is f and smoothed_measure is measure
     smoothed = raw if same else triple_count(f_smooth, f_smooth, smoothed_measure).real
 
     mass_smoothed = smoothed_measure.mass.real
@@ -435,7 +418,7 @@ def chain_links(spectra: ChainSpectra, eta: Fraction, eps: Fraction) -> dict:
     chain["smoothing_mass"] = bound_link(abs(mass_smoothed - mass_measure), "<=", mass_bound)
     # the paper's window for N; the context takes the least prime above 2n/W
     chain["N_window"] = bound_link(ctx.N, "<=", float((2 + ctx.kappa) * Fraction(ctx.n, ctx.W)))
-    links, fields = variant.links(spectra)
+    links, fields = variant.links(a_set, sums)
     chain.update(links)
     return {
         "variant": ctx.variant,

@@ -166,9 +166,10 @@ class ExperimentConfig:
         30000, _checked(int, lambda v: v >= 1, "requires n >= 1"),
         ("counterexample", *_PIPELINE), "--n", "ambient scale",
     )
+    # read as a float: one that overflows or rounds to 0.0 is refused too
     eta: Fraction = _setting(
-        Fraction(1, 4), _checked(Fraction, lambda v: v > 0, "requires eta > 0"), _PIPELINE,
-        "--eta", "spectrum threshold as a rational 'p/q'",
+        Fraction(1, 4), _checked(Fraction, lambda v: v > 0 and float(v) > 0, "requires eta > 0"),
+        _PIPELINE, "--eta", "spectrum threshold as a rational 'p/q'",
     )
     eps: Fraction = _setting(
         Fraction(1, 8),
@@ -225,7 +226,7 @@ def parse_setting(key: str, text: str):
         raise ValueError(f"unknown key {key!r}")
     try:
         return SETTINGS[key].metadata["parse"](text)
-    except (ValueError, ZeroDivisionError) as e:
+    except (ValueError, ArithmeticError) as e:
         raise ValueError(f"bad value for {key!r}: {e}") from e
 
 

@@ -37,9 +37,10 @@ functions share one transform, `dft_pair`, which splits it in place: the
 second spectrum takes its cells, the first one new array.
 
 The polynomial-prime measure, both classes and a Bohr set's normalized
-indicator are held on their supports (`Support`: ascending points and their
-nonzero weights), and the fill pass reads a support block by block: it
-zeroes the block and scatters the points that fall in it.  So during
+indicator are `DensityFunction`s held on their supports (`on_support`:
+ascending `points` and their nonzero `weights`).  `dft` and `dft_pair` read
+a `DensityFunction` in any form, or an array, block by block; from a support
+the fill pass zeroes the block and scatters the points in it.  So during
 `transfer`'s one transform the live arrays are its 24L working set, the
 class's members and the two supports, and after it the two spectra (32N);
 no dense length-N input is made (`DensityFunction.values` builds one on
@@ -76,7 +77,6 @@ __all__ = [
     "BohrStructure",
     "CollisionError",
     "DensityFunction",
-    "Support",
     "bohr_set",
     "build_poly_prime_measure",
     "build_prime_coloring_measure",
@@ -314,47 +314,14 @@ def _chirp_dft(n: int, read) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Support:
-    """A real function on Z_N held by its support: the ascending int64
-    `points` of [0, N) and their nonzero float64 `weights`, 0 elsewhere.  Its
-    length is N, and `dft` reads it block by block like an array, so no
-    length-N array is made for it."""
-
-    modulus: int
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __len__(self) -> int:
-        return self.modulus
-
-    def read(self, start: int, stop: int, dest: np.ndarray, scale: float = 1.0) -> None:
-        """dest = the values at [start, stop) over `scale`: zeros, and the
-        points that fall in the block."""
-        dest[...] = 0
-        i, j = np.searchsorted(self.points, (start, stop))
-        dest[self.points[i:j] - start] = self.weights[i:j] / scale
-
-    def dense(self) -> np.ndarray:
-        v = np.zeros(self.modulus)
-        v[self.points] = self.weights
-        return v
-
-
 def _reader(x, dtype=None):
-    """(length, read(start, stop, dest, scale)) of a Support or an array: read
-    writes entries [start, stop), over a power of two `scale`, into dest."""
-    if isinstance(x, Support):
+    """(length, read(start, stop, dest, scale)) of a DensityFunction or an
+    array: read writes entries [start, stop), over a power of two `scale`,
+    into dest."""
+    if isinstance(x, DensityFunction):
         return len(x), x.read
     v = np.asarray(x, dtype=dtype or (np.complex128 if np.iscomplexobj(x) else np.float64))
-
-    def read(start, stop, dest, scale=1.0):
-        if scale == 1.0:
-            dest[...] = v[start:stop]
-        else:
-            np.divide(v[start:stop], scale, out=dest)
-
-    return len(v), read
+    return len(v), lambda start, stop, dest, scale=1.0: np.divide(v[start:stop], scale, out=dest)
 
 
 def dft(values, imag=None, scale: float = 1.0) -> np.ndarray:
@@ -362,7 +329,7 @@ def dft(values, imag=None, scale: float = 1.0) -> np.ndarray:
     described in the module docstring, into a new complex128 array.  f is
     `values`, or values + i imag / scale for two real inputs of one length
     and a power of two `scale` (the packed pair of `dft_pair`); each input
-    is an array or a `Support`, read block by block, never copied."""
+    is an array or a `DensityFunction`, read block by block, never copied."""
     n, read_values = _reader(values, None if imag is None else np.float64)
     read = read_values
     if imag is not None:
@@ -401,9 +368,12 @@ def _alone(values, norm: float) -> np.ndarray:
 
 
 def _real_input(x):
-    """(x, |x|_1) for a Support or a real array (as float64)."""
-    if isinstance(x, Support):
-        return x, float(np.abs(x.weights).sum())
+    """(x, |x|_1) for a real DensityFunction (the norm of its weights when it
+    is held on its support) or a real array (as float64)."""
+    if isinstance(x, DensityFunction):
+        if not x.is_real:
+            raise ValueError("dft_pair transforms real functions only")
+        return x, float(np.abs(x.values if x.points is None else x.weights).sum())
     if np.iscomplexobj(x):
         raise ValueError("dft_pair transforms real arrays only")
     x = np.asarray(x, dtype=np.float64)
@@ -411,8 +381,8 @@ def _real_input(x):
 
 
 def dft_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of two real arrays or `Support`s from one dft, Z = dft(a, b,
-    2^k) of a + i b / 2^k, which reads both in place.
+    """Spectra of two real arrays or `DensityFunction`s from one dft, Z =
+    dft(a, b, 2^k) of a + i b / 2^k, which reads both in place.
 
     A(r) = (Z(r) + conj Z(-r))/2 and B(r) = (Z(r) - conj Z(-r))/2i, computed
     at r = 0, at N/2 when N is even and at r in [1, (N - 1)/2], with A(-r)
@@ -463,10 +433,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class DensityFunction:
     """Function on Z_N with a lazily cached spectrum; real values are kept
     as float64, complex ones as complex128.  A real function may be held on
-    its `support` instead (`on_support`), and a constant by its `total`
-    (`constant`): its dense `values` are then built on first read."""
+    its support instead (`on_support`: ascending int64 `points` and their
+    nonzero float64 `weights`), and a constant by its `total` (`constant`):
+    its dense `values` are then built on first read.  Its length is N, and
+    `dft` reads it in any form block by block (`read`)."""
 
-    __slots__ = ("modulus", "support", "total", "_values", "_spectrum")
+    __slots__ = ("modulus", "points", "weights", "total", "_values", "_spectrum")
 
     def __init__(self, values: np.ndarray, spectrum: np.ndarray | None = None):
         """`spectrum`, when given, is the transform the caller already has; it
@@ -476,7 +448,7 @@ class DensityFunction:
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("values must be a nonempty 1-d array")
         self.modulus = len(v)
-        self.support = self.total = None
+        self.points = self.weights = self.total = None
         self._values = _frozen(v)
         if spectrum is not None:
             spectrum = _frozen(np.asarray(spectrum, dtype=np.complex128))
@@ -501,7 +473,7 @@ class DensityFunction:
         if np.any(points[1:] == points[:-1]):
             raise ValueError("a point is given twice")
         f = cls.__new__(cls)
-        f.modulus, f.support = modulus, Support(modulus, points, weights)
+        f.modulus, f.points, f.weights = modulus, points, weights
         f.total = f._values = f._spectrum = None
         return f
 
@@ -511,14 +483,29 @@ class DensityFunction:
         its spectrum is total at r = 0 and 0 elsewhere."""
         f = cls.__new__(cls)
         f.modulus, f.total = modulus, total
-        f.support = f._values = f._spectrum = None
+        f.points = f.weights = f._values = f._spectrum = None
         return f
+
+    def __len__(self) -> int:
+        return self.modulus
+
+    def read(self, start: int, stop: int, dest: np.ndarray, scale: float = 1.0) -> None:
+        """dest = the values at [start, stop) over a power of two `scale`;
+        from a support, zeros and the points that fall in the block."""
+        if self.points is None:
+            np.divide(self.values[start:stop], scale, out=dest)
+            return
+        dest[...] = 0
+        i, j = np.searchsorted(self.points, (start, stop))
+        dest[self.points[i:j] - start] = self.weights[i:j] / scale
 
     def _dense(self) -> np.ndarray:
         """The dense values, built anew."""
-        if self.support is None:
+        if self.points is None:
             return np.full(self.modulus, self.total / self.modulus)
-        return self.support.dense()
+        v = np.zeros(self.modulus)
+        v[self.points] = self.weights
+        return v
 
     @property
     def values(self) -> np.ndarray:
@@ -526,29 +513,24 @@ class DensityFunction:
             self._values = _frozen(self._dense())
         return self._values
 
-    def _source(self):
-        """What `dft` reads: the support, or the dense values."""
-        return self.values if self.support is None else self.support
-
     def at(self, xs: np.ndarray) -> np.ndarray:
         """The values at the points xs of [0, N): a gather from the dense
         values, or one lookup in the support."""
-        if self.support is None:
+        if self.points is None:
             return self.values[xs]
-        points, weights = self.support.points, self.support.weights
-        i = np.searchsorted(points, xs)  # i = len(points) meets the padding
-        return np.where(np.append(points, -1)[i] == xs, np.append(weights, 0.0)[i], 0.0)
+        i = np.searchsorted(self.points, xs)  # i = len(points) meets the padding
+        return np.where(np.append(self.points, -1)[i] == xs, np.append(self.weights, 0.0)[i], 0.0)
 
     @property
     def is_real(self) -> bool:
         held = self._values if self.total is None else self.total
-        return self.support is not None or held.dtype == np.float64
+        return self.points is not None or held.dtype == np.float64
 
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
             if self.total is None:
-                spec = dft(self._source())
+                spec = dft(self)
             else:
                 spec = np.zeros(self.modulus, dtype=np.complex128)
                 spec[0] = self.total
@@ -575,7 +557,7 @@ def transform_pair(f: DensityFunction, g: DensityFunction) -> None:
     reads each from its support or its values; when either is already
     cached, the other is left to its own dft."""
     if f._spectrum is None and g._spectrum is None:
-        f._spectrum, g._spectrum = map(_frozen, dft_pair(f._source(), g._source()))
+        f._spectrum, g._spectrum = map(_frozen, dft_pair(f, g))
 
 
 def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:
@@ -662,9 +644,9 @@ class BohrStructure:
 
 def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
     """B = {x : ||x r / N|| <= eps for all r}; membership and the pigeonhole
-    bound |B| >= eps^{|R|} N are both exact integer comparisons.  Each nonzero
-    frequency must be a unit mod N (ValueError otherwise), as every one is
-    for a prime N."""
+    bound |B| >= eps^{|R|} N are both exact integer comparisons.  Unless B =
+    Z_N by eps alone, the first nonzero frequency must be a unit mod N
+    (ValueError otherwise), as every one is for a prime N."""
     if not isinstance(eps, Fraction):
         raise ValueError("radius must be an exact rational (a Fraction)")
     if not 0 < eps < Fraction(1, 2):
@@ -681,16 +663,17 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
         t %= modulus
         return xs[(t <= 2 * radius).all(axis=1)]
 
-    # the first frequency's set in closed form: x r = j (mod N) with |j| <= L,
-    # so x = j r^-1, 2L + 1 distinct residues as 2L < N (no array for B = Z_N,
-    # when no r is nonzero).  The survivors then meet the other frequencies
-    # one at a time while more than _BOHR_TAIL remain, and in 2-D blocks of at
-    # most N products each after that, and are sorted once at the end.  r = 0
-    # removes nothing, and 0 is always a member, so once it is the only
-    # survivor no later frequency can remove it
+    # B = Z_N, held by N alone, when no r is nonzero or 2L + 1 >= N (every t is
+    # then within L of 0).  Otherwise the first frequency's set in closed
+    # form: x r = j (mod N) with |j| <= L, so x = j r^-1, 2L + 1 distinct
+    # residues.  The survivors then meet the other frequencies one at a time
+    # while more than _BOHR_TAIL remain, and in 2-D blocks of at most N
+    # products each after that, and are sorted once at the end.  r = 0 removes
+    # nothing, and 0 is always a member, so once it is the only survivor no
+    # later frequency can remove it
     nonzero = freqs[freqs != 0]
     members = None
-    if len(nonzero):
+    if len(nonzero) and 2 * radius + 1 < modulus:
         members = np.arange(-radius, radius + 1, dtype=np.int64)
         members *= pow(int(nonzero[0]), -1, modulus)  # ValueError for a non-unit
         members %= modulus

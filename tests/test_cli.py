@@ -106,10 +106,12 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "flag,key,text",
-        [("--eta", "eta", "1/0"), ("--eps", "eps", "1/0"), ("--n", "n", "1e6")],
+        [("--eta", "eta", "1/0"), ("--eps", "eps", "1/0"), ("--n", "n", "1e6"),
+         ("--eta", "eta", "1e400"), ("--eta", "eta", "1e-400")],
     )
     def test_bad_flag_value_matches_config_file(self, tmp_path, capsys, flag, key, text):
-        # a flag gets the config file's parser and the same one-line error
+        # a flag gets the config file's parser and the same one-line error;
+        # an eta that overflows a float, or rounds to 0.0, is refused there too
         assert main(["transfer", flag, text, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad value for {key!r}") and err.count("\n") == 1

@@ -431,11 +431,11 @@ class TestSupportForm:
     @pytest.mark.parametrize("pair", ["integer_pair", "prime_pair"])
     def test_pair_spectra_match_dense(self, request, pair):
         f, g = request.getfixturevalue(pair)
-        assert f.support is not None and g.support is not None
+        assert f.points is not None and g.points is not None
         want = dft_pair(np.array(f.values), np.array(g.values))
-        for got in (dft_pair(f.support, g.support), dft_pair(f.support, np.array(g.values))):
+        for got in (dft_pair(f, g), dft_pair(f, np.array(g.values))):
             assert all(bits_equal(a, b) for a, b in zip(got, want))
-        f2, g2 = (DensityFunction.on_support(h.modulus, h.support.points, h.support.weights)
+        f2, g2 = (DensityFunction.on_support(h.modulus, h.points, h.weights)
                   for h in (f, g))
         transform_pair(f2, g2)
         assert bits_equal(f2.spectrum, want[0]) and bits_equal(g2.spectrum, want[1])
@@ -443,28 +443,28 @@ class TestSupportForm:
 
     def test_dft_matches_dense(self, integer_pair):
         f = integer_pair[0]
-        assert bits_equal(dft(f.support), dft(np.array(f.values)))
+        assert bits_equal(dft(f), dft(np.array(f.values)))
 
     def test_values_built_on_first_read(self):
         f = DensityFunction.on_support(7, [5, 1, 3], [2.0, 0.0, -1.5])
-        assert f.support.points.tolist() == [3, 5] and f.support.weights.tolist() == [-1.5, 2.0]
+        assert f.points.tolist() == [3, 5] and f.weights.tolist() == [-1.5, 2.0]
         assert f.is_real and f._values is None
         assert f.mass == 0.5 and f._values is None  # from a transient array
         assert f.at(np.arange(7)).tolist() == [0, 0, 0, -1.5, 0, 2.0, 0]
         assert f._values is None
         assert f.values.tolist() == [0, 0, 0, -1.5, 0, 2.0, 0] and f.values is f.values
-        assert not f.values.flags.writeable and not f.support.points.flags.writeable
+        assert not f.values.flags.writeable and not f.points.flags.writeable
         dest = np.full(4, 9.0)  # a block is overwritten: zeros and the points in it
-        f.support.read(2, 6, dest, 2.0)
+        f.read(2, 6, dest, 2.0)
         assert dest.tolist() == [0, -0.75, 0, 1.0]
 
     def test_mass_and_lookup_match_dense(self, prime_pair):
         for f in prime_pair:
             dense = DensityFunction(np.array(f.values))
-            held = DensityFunction.on_support(f.modulus, f.support.points, f.support.weights)
+            held = DensityFunction.on_support(f.modulus, f.points, f.weights)
             assert held.mass == dense.mass  # the same pairwise sum, to the bit
             xs = np.random.default_rng(37).integers(0, f.modulus, 5000)
-            xs = np.concatenate([xs, f.support.points[:100]])
+            xs = np.concatenate([xs, f.points[:100]])
             assert bits_equal(held.at(xs), dense.at(xs))
             assert held._values is None
 
@@ -472,6 +472,27 @@ class TestSupportForm:
         f = DensityFunction.on_support(5, np.zeros(0, dtype=np.int64), np.zeros(0))
         assert f.at(np.arange(5)).tolist() == [0.0] * 5
         assert f.spectrum.tolist() == [0j] * 5
+
+    @pytest.mark.parametrize("form", ["support", "dense", "constant"])
+    def test_every_form_transforms_as_its_values(self, form):
+        # dft and dft_pair read a DensityFunction held in any form to the
+        # bits of its dense values; N = 100003 runs both fill halves
+        n = 100_003
+        rng = np.random.default_rng(43)
+
+        def make():
+            if form == "support":
+                points = np.sort(rng.choice(n, n // 7, replace=False))
+                return DensityFunction.on_support(n, points, rng.standard_normal(len(points)))
+            if form == "dense":
+                return DensityFunction(rng.standard_normal(n))
+            return DensityFunction.constant(n, np.float64(rng.standard_normal()))
+
+        f, g = make(), make()
+        assert len(f) == f.modulus == n
+        assert bits_equal(dft(f), dft(np.array(f.values)))
+        want = dft_pair(np.array(f.values), np.array(g.values))
+        assert all(bits_equal(a, b) for a, b in zip(dft_pair(f, g), want))
 
     def test_callers_arrays_stay_writable(self):
         points, weights = np.array([1, 2]), np.array([1.0, 2.0])
@@ -625,6 +646,11 @@ class TestLargeSpectrum:
 class TestBohrSet:
     def test_empty_frequencies(self):
         assert bohr_set([], Fraction(1, 3), 11).size == 11
+        # B = Z_N by eps alone (2L + 1 >= N) is held by N too, whatever R is:
+        # no members array, and no inverse of a non-unit first frequency
+        for r, eps, n in (([1], Fraction(5, 11), 11), ([3], Fraction(7, 15), 15)):
+            b = bohr_set(r, eps, n)
+            assert b._members is None and b.size == n and b.smoothing_regime == "constant"
 
     def test_explicit_count(self):
         b = bohr_set([1], Fraction(1, 10), 101)
