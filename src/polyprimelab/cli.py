@@ -25,12 +25,13 @@ arrays as exact `.npy` files.
 Exit codes: 0 success; 1 bad input met at run time, infeasible scale or a
 failed `verify` check; 2 usage or config error, a setting outside its fixed
 range included (a constant `psi`, `--n 0`, `--w0 0`, `--eps 1/2`, ...);
-3 a broken internal invariant (RuntimeError: a sampled `transfer` solution
-that fails its exact lift, which writes no report, or a `counterexample`
-partition that holds a monochromatic solution, whose report is still
-written); 4 out of memory.  Each error, a usage error included, prints one
-`error:` line to stderr; a failed `verify` lists its checks on stdout
-instead, a failed lift under `counting.lifting`.
+3 a broken internal invariant (RuntimeError: a `search` hit failing its
+exact re-check or a sampled `transfer` solution failing its exact lift,
+neither of which writes a file, or a `counterexample` partition holding a
+monochromatic solution, whose report is still written); 4 out of memory.
+Each error, a usage error included, prints one `error:` line to stderr; a
+failed `verify` lists its checks on stdout instead, a failed lift under
+`counting.lifting`.
 """
 
 from __future__ import annotations

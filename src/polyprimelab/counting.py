@@ -1,11 +1,11 @@
 """Solution counting: additive triple counts via the spectrum (the explicit
-O(N^2) sum is a test oracle only), monochromatic solution search for
-x + y = psi(z) with z restricted to a progression's primes, the exact lift
-of Z_N solutions to integer triples (x, y, z), and the transference report,
-whose chain of inequalities is one `bound_link` record per link.  The
-report is `chain_links` (once per eta, eps) of `chain_spectra` (once per
-n), and each coloring variant's part in it is declared once, in
-`CHAIN_VARIANTS`."""
+O(N^2) sum is a test oracle only), the search for x + y = psi(z) with z from
+a progression's primes, monochromatic or in one set over Z_N (every pair
+from one producer, `_same_class_pairs`), the exact lift of Z_N solutions to
+integer triples (x, y, z), and the transference report, whose chain of
+inequalities is one `bound_link` record per link.  The report is
+`chain_links` (once per eta, eps) of `chain_spectra` (once per n), and each
+coloring variant's part in it is declared once, in `CHAIN_VARIANTS`."""
 
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ __all__ = [
     "find_monochromatic",
     "find_zn_solutions",
     "lift_solution",
-    "sum_pairs",
     "transference_report",
     "triple_count",
 ]
@@ -91,17 +90,24 @@ def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> 
     return total / n
 
 
-def sum_pairs(elements: np.ndarray, s: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xs, ys): the pairs x < y = s - x <= top, x from the sorted int64
-    `elements` and x, y between its least and greatest element, by one
-    `np.searchsorted` window, skipped when empty; the caller tests y.  Over Z_N,
-    x' < y' with x' + y' = t (mod N) are the pairs with sum t or t + N, top N - 1."""
-    lo, hi = s - top, (s - 1) // 2
-    if len(elements):
-        lo = max(s - min(top, int(elements[-1])), int(elements[0]))
-    i0, i1 = np.searchsorted(elements, (lo, hi + 1)) if lo <= hi else (0, 0)
-    xs = elements[i0:i1]
-    return xs, s - xs
+def _same_class_pairs(table, elements, zs, sums, top):
+    """(z, table values, xs, ys) for each z in order whose sum s has hits: the
+    x < y = s - x <= top in the sorted int64 `elements`, between its least and
+    greatest, with table[x] == table[y], by one `np.searchsorted` window.
+    Over Z_N, x' + y' = t (mod N) is sum t or t + N at top N - 1."""
+    if not len(elements):
+        return
+    first, last = int(elements[0]), int(elements[-1])
+    for z, s in zip(zs.tolist(), sums.tolist()):
+        lo, hi = max(s - min(top, last), first), (s - 1) // 2
+        if lo <= hi:
+            i0, i1 = np.searchsorted(elements, (lo, hi + 1))
+            xs = elements[i0:i1]
+            ys = s - xs
+            tx = table[xs]
+            idx = np.flatnonzero(tx == table[ys])
+            if len(idx):
+                yield z, tx[idx], xs[idx], ys[idx]
 
 
 def find_monochromatic(
@@ -115,11 +121,11 @@ def find_monochromatic(
     [1, top] come from one `ap_prime_mask` call and their s = psi(z) from
     one `eval_mod` call, exact in int64 once the sum of |coefficient| top^j
     is below 2^63 (else ValueError); top is the last z with psi(z) <= 2n
-    past the point where psi increases, by `compute_M`'s bisection.  At
-    each s <= 2n one gather of the color table tests the pairs of
-    `sum_pairs`.  The closing re-check recomputes psi(z) in Python ints for
-    each z that has hits and checks x != y and x + y = psi(z) over every
-    row.  A progression with w0 < 1 or gcd(b0, w0) != 1 raises ValueError.
+    past the point where psi increases, by `compute_M`'s bisection.  The
+    hits at each s <= 2n are `_same_class_pairs` over the color table.  The
+    closing re-check recomputes psi(z) in Python ints for each z that has
+    hits and checks x != y and x + y = psi(z) over every row.  A progression
+    with w0 < 1 or gcd(b0, w0) != 1 raises ValueError.
     """
     check_progression(b0, w0)
     if psi.degree < 1 or psi.leading <= 0:
@@ -135,22 +141,14 @@ def find_monochromatic(
         raise ValueError(f"psi may leave int64 on [1, {top}]")
     zs = np.flatnonzero(ap_prime_mask(b0, w0, top)) + 1
     sums = psi.eval_mod(zs, 1 << 64).view(np.int64)
-    elements = coloring.elements
-    parts = []  # (colors, xs, ys) of the hits at each z that has any
-    hit_z, counts = [], []
-    for z, s in zip(zs[sums <= 2 * n].tolist(), sums[sums <= 2 * n].tolist()):
-        xs, ys = sum_pairs(elements, s, n)
-        cx = coloring.color_at[xs]
-        idx = np.flatnonzero(cx == coloring.color_at[ys])  # xs are colored
-        if len(idx):
-            parts.append((cx[idx], xs[idx], ys[idx]))
-            hit_z.append(z)
-            counts.append(len(idx))
-    out = np.empty((sum(counts), 4), dtype=np.int64)
+    parts = list(_same_class_pairs(coloring.color_at, coloring.elements, zs, sums, n))
     if not parts:
-        return out
-    for col in range(3):
-        np.concatenate([part[col] for part in parts], out=out[:, col])
+        return np.empty((0, 4), dtype=np.int64)
+    hit_z, *columns = zip(*parts)  # columns: colors, xs, ys
+    counts = [len(xs) for xs in columns[1]]
+    out = np.empty((sum(counts), 4), dtype=np.int64)
+    for col, arrays in enumerate(columns):
+        np.concatenate(arrays, out=out[:, col])
     out[:, 3] = np.repeat(hit_z, counts)
     # re-verify every row against psi(z) in Python ints, in int64 by the guard above
     x, y = out[:, 1], out[:, 2]
@@ -191,20 +189,19 @@ def find_zn_solutions(
     """The first `limit` (x', y', z') by z', then x': x' < y' in the set (ascending,
     in [0, N)), z' admissible (`ap_primes` of the progression over [1, M]), and
     x' + y' = t = psi_{b,W}(z') in Z_N (every t from one `eval_mod` call, so
-    N < 2^32), from `sum_pairs` at sums t and t + N."""
+    N < 2^32), from `_same_class_pairs` over the set's membership table."""
     n_mod = ctx.N
     in_set = np.zeros(n_mod, dtype=bool)
     in_set[members] = True
-    out = []
     zps = ap_primes(*ctx.progression, ctx.M)[0]
-    for zp, t in zip(zps.tolist(), ctx.rescaled.eval_mod(zps, n_mod).tolist()):
-        for s in (t, t + n_mod):
-            xs, ys = sum_pairs(members, s, n_mod - 1)
-            hits = np.flatnonzero(in_set[ys])[: limit - len(out)]
-            out.extend(zip(xs[hits].tolist(), ys[hits].tolist(), [zp] * len(hits)))
+    t = ctx.rescaled.eval_mod(zps, n_mod)
+    sums = np.stack((t, t + n_mod), axis=1).ravel()
+    out = []
+    for zp, _, xs, ys in _same_class_pairs(in_set, members, zps.repeat(2), sums, n_mod - 1):
+        out.extend(zip(xs.tolist(), ys.tolist(), [zp] * len(xs)))
         if len(out) >= limit:
-            return out
-    return out
+            break
+    return out[:limit]
 
 
 def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:

@@ -188,7 +188,7 @@ class TestFindMonochromatic:
             assert sols.dtype == np.int64 and sols.shape == (0, 4)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_first_only_is_oracle_first_row(self, seed):
+    def test_whole_search_is_oracle_rows(self, seed):
         # the whole search, first row included, is the oracle's, and not empty
         col = make_coloring("integers", 80, 3, "random", seed)
         sols = find_monochromatic(col, X2X, 1, 2, 80)
@@ -287,6 +287,26 @@ class TestZnSolutions:
         for cut in range(1, len(want)):
             if want[cut - 1][2] == want[cut][2]:  # the limit falls inside one z'
                 assert find_zn_solutions(members, ctx, limit=cut) == want[:cut], name
+
+
+def test_every_finder_reaches_the_one_producer(monkeypatch, context_suite):
+    # the search over [1, n], over the primes <= n and over Z_N takes its
+    # pairs from one producer: each run iterates counting._same_class_pairs
+    real, calls = counting._same_class_pairs, []
+
+    def counted(*args):
+        calls.append(args[-1])
+        yield from real(*args)
+
+    monkeypatch.setattr(counting, "_same_class_pairs", counted)
+    for domain in ("integers", "primes"):
+        assert len(find_monochromatic(make_coloring(domain, 80, 2, "random", 1), X2X, 1, 2, 80))
+        assert calls == [80], domain
+        calls.clear()
+    _, ctx = context_suite[0]
+    members = np.arange(0, ctx.N, 3, dtype=np.int64)
+    assert find_zn_solutions(members, ctx, limit=5)
+    assert calls == [ctx.N - 1]
 
 
 class TestLifting:
