@@ -39,7 +39,10 @@ RUNS = {
     "search-primes": SEARCH + ["coloring-primes.txt"],
     "counterexample": ["counterexample", "--psi", "6,0,0", "--b0", "1", "--w0", "1",
                        "--p", "3", "--n", "3000000"],
+    "counterexample-p2": ["counterexample", "--psi", "4,0,0", "--b0", "1", "--w0", "2",
+                          "--p", "2", "--n", "1000"],
     "transfer-default": ["transfer"],
+    "transfer-degree1": ["transfer", "--psi", "2,0", "--n", "300000"],
     "transfer-prime": ["transfer", "--variant", "prime-coloring", "--psi", "1,1,4",
                        "--b0", "1", "--w0", "1", "--w", "2:2,3:1,5:1", "--n", "600000"],
 }
