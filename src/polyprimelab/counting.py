@@ -385,7 +385,7 @@ def chain_spectra(a_set: TransferredSet, measure: DensityFunction) -> tuple:
     transform_pair(measure, f)
     raw = triple_count(f, f, measure).real
     mu2 = measure.at((2 * a_set.members) % measure.modulus)  # f vanishes off the members
-    diag_exact = float((f.at(a_set.members) ** 2 * mu2).sum())
+    diag_exact = float((f.weights**2 * mu2).sum())  # f is held on the members, in their order
     sums = variant.sums(a_set, measure, f, mu2)
     sums.update(mass_measure=measure.mass.real, raw_count=raw, diagonal_exact=diag_exact)
     return a_set, measure, f, sums

@@ -32,23 +32,25 @@ once the kernel's spectrum is freed.  The allowance is the twiddle tables
 block scratch, about 50 bytes a point in blocks of _BLOCK points, one block
 per thread.
 
-Real functions are stored as float64, complex ones as complex128.  Two real
-functions share one transform, `dft_pair`, which splits it in place: the
-second spectrum takes its cells, the first one new array.
+The transform reads only `DensityFunction`s (`idft` reads a spectrum):
+`dft` reads one, or two real ones packed as f + i g / 2^k, block by block
+through `DensityFunction.read`.  Real functions are stored as float64,
+complex ones as complex128.  Two real functions share one transform in
+`transform_pair`, the one code that packs them, which splits it in place:
+the second spectrum takes its cells, the first one new array.
 
 The polynomial-prime measure, both classes and a Bohr set's normalized
 indicator are `DensityFunction`s held on their supports (`on_support`:
-ascending `points` and their nonzero `weights`).  `dft` and `dft_pair` read
-a `DensityFunction` in any form, or an array, block by block; from a support
-the fill pass zeroes the block and scatters the points in it.  So during
-`transfer`'s one transform the live arrays are its 24L working set, the
-class's members and the two supports, and after it the two spectra (32N);
-no dense length-N input is made (`DensityFunction.values` builds one on
-first read, which no stage of the transference chain does).  `smooth`'s
+ascending `points` and their nonzero `weights`).  `read` takes a block from
+any form; from a support it zeroes the block and scatters the points in it.
+So during `transfer`'s one transform the live arrays are its 24L working
+set, the class's members and the two supports, and after it the two spectra
+(32N); no dense length-N input is made (`DensityFunction.values` builds one
+on first read, which no stage of the transference chain does).  `smooth`'s
 constant regime and B = Z_N build no length-N array: B = Z_N is held by N,
 the smoothed constant by its total (`DensityFunction.constant`).
 `run_transfer`'s traced peak is 24L + 8|A| + 8.1 MiB, 58.5 B/N, at the
-transfer-int bench config (N = 1000003), and 24L + 4.3 MiB, 59.4 B/N, at
+transfer-int bench config (N = 1000003), and 24L + 4.0 MiB, 58.8 B/N, at
 transfer-prime (N = 400009).
 
 `smooth` is the one smoothing routine; it runs no transform when B = {0}
@@ -82,7 +84,6 @@ __all__ = [
     "build_prime_coloring_measure",
     "complete_gauss_sum",
     "dft",
-    "dft_pair",
     "idft",
     "large_spectrum",
     "restriction_nonzero",
@@ -314,34 +315,22 @@ def _chirp_dft(n: int, read) -> np.ndarray:
     return out
 
 
-def _reader(x, dtype=None):
-    """(length, read(start, stop, dest, scale)) of a DensityFunction or an
-    array: read writes entries [start, stop), over a power of two `scale`,
-    into dest."""
-    if isinstance(x, DensityFunction):
-        return len(x), x.read
-    v = np.asarray(x, dtype=dtype or (np.complex128 if np.iscomplexobj(x) else np.float64))
-    return len(v), lambda start, stop, dest, scale=1.0: np.divide(v[start:stop], scale, out=dest)
-
-
-def dft(values, imag=None, scale: float = 1.0) -> np.ndarray:
+def dft(f: DensityFunction, g: DensityFunction | None = None, scale: float = 1.0) -> np.ndarray:
     """Transform fhat(r) = sum_x f(x) e(-x r / N) by the Bluestein transform
-    described in the module docstring, into a new complex128 array.  f is
-    `values`, or values + i imag / scale for two real inputs of one length
-    and a power of two `scale` (the packed pair of `dft_pair`); each input
-    is an array or a `DensityFunction`, read block by block, never copied."""
-    n, read_values = _reader(values, None if imag is None else np.float64)
-    read = read_values
-    if imag is not None:
-        m, read_imag = _reader(imag, np.float64)
-        if m != n:
-            raise ValueError(f"imag has shape {(m,)}, values {(n,)}")
+    described in the module docstring, into a new complex128 array; with a
+    real g of f's length, the transform of f + i g / scale for a power of two
+    `scale` (`transform_pair`'s packed pair).  Each function is read block by
+    block through `DensityFunction.read`, never copied."""
+    read = f.read
+    if g is not None:
+        if len(g) != len(f):
+            raise ValueError(f"g has shape {(len(g),)}, f {(len(f),)}")
 
         def read(start, stop, dest):
-            read_values(start, stop, dest.real)
-            read_imag(start, stop, dest.imag, scale)
+            f.read(start, stop, dest.real)
+            g.read(start, stop, dest.imag, scale)
 
-    return _chirp_dft(n, read)
+    return _chirp_dft(len(f), read)
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
@@ -360,69 +349,6 @@ def _pow2_ratio(num: float, den: float) -> float:
     if not (num < math.inf and den < math.inf):
         return 1.0
     return math.ldexp(1.0, round(math.log2(num) - math.log2(den)))
-
-
-def _alone(values, norm: float) -> np.ndarray:
-    """dft(values), or exact complex zeros when the norm is zero."""
-    return dft(values) if norm else np.zeros(len(values), dtype=np.complex128)
-
-
-def _real_input(x):
-    """(x, |x|_1) for a real DensityFunction (the norm of its weights when it
-    is held on its support) or a real array (as float64)."""
-    if isinstance(x, DensityFunction):
-        if not x.is_real:
-            raise ValueError("dft_pair transforms real functions only")
-        return x, float(np.abs(x.values if x.points is None else x.weights).sum())
-    if np.iscomplexobj(x):
-        raise ValueError("dft_pair transforms real arrays only")
-    x = np.asarray(x, dtype=np.float64)
-    return x, float(np.abs(x).sum())
-
-
-def dft_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Spectra of two real arrays or `DensityFunction`s from one dft, Z =
-    dft(a, b, 2^k) of a + i b / 2^k, which reads both in place.
-
-    A(r) = (Z(r) + conj Z(-r))/2 and B(r) = (Z(r) - conj Z(-r))/2i, computed
-    at r = 0, at N/2 when N is even and at r in [1, (N - 1)/2], with A(-r)
-    and B(-r) written as their conjugates, so both are exactly Hermitian.
-    b is read as b / 2^k with k = round(log2(|b|_1 / |a|_1)) and B is
-    multiplied back by 2^k, so a small a is not lost in the rounding of a
-    large b, nor the reverse.  An all-zero array gets the zero spectrum
-    exactly, and the other its own dft.
-    """
-    (a, norm_a), (b, norm_b) = _real_input(a), _real_input(b)
-    if not (norm_a and norm_b):
-        return _alone(a, norm_a), _alone(b, norm_b)
-    scale = _pow2_ratio(norm_b, norm_a)
-    n = len(a)
-    z = dft(a, b, scale)
-    spec_a = np.empty(n, dtype=np.complex128)
-    factor = -0.5j * scale  # a pure-imaginary power of two: exact
-
-    def split(r, m):
-        # A and B at the indices r from Z there and at m = -r, B over Z;
-        # a slice m other than r is disjoint from it and takes the conjugates
-        zr, ar = z[r], spec_a[r]
-        conj_m = np.conjugate(z[m])
-        np.add(zr, conj_m, out=ar)
-        ar *= 0.5
-        zr -= conj_m
-        zr *= factor
-        if m != r:
-            np.conjugate(ar, out=spec_a[m])
-            np.conjugate(zr, out=z[m])
-
-    split(slice(0, 1), slice(0, 1))
-    if n % 2 == 0:
-        split(slice(n // 2, n // 2 + 1), slice(n // 2, n // 2 + 1))
-    _halves(
-        lambda lo, hi: split(slice(lo + 1, hi + 1), slice(n - 1 - lo, n - 1 - hi, -1)),
-        (n - 1) // 2,
-        n,
-    )
-    return spec_a, z
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -553,11 +479,55 @@ class DensityFunction:
 
 
 def transform_pair(f: DensityFunction, g: DensityFunction) -> None:
-    """Cache the spectra of real f and g from one dft (see `dft_pair`), which
-    reads each from its support or its values; when either is already
-    cached, the other is left to its own dft."""
-    if f._spectrum is None and g._spectrum is None:
-        f._spectrum, g._spectrum = map(_frozen, dft_pair(f, g))
+    """Cache the spectra of real f and g of one length from one dft, Z =
+    dft(f, g, 2^k) of f + i g / 2^k, which reads each from its support or its
+    values; when either is already cached, the other is left to its own dft.
+
+    F(r) = (Z(r) + conj Z(-r))/2 and G(r) = (Z(r) - conj Z(-r))/2i, computed
+    at r = 0, at N/2 when N is even and at r in [1, (N - 1)/2], with F(-r)
+    and G(-r) written as their conjugates, so both are exactly Hermitian.  Z
+    is split in place: G takes its cells, F one new array.  k = round(log2(
+    |g|_1 / |f|_1)) and G is multiplied back by 2^k, so a small f is not lost
+    in the rounding of a large g, nor the reverse.  A function that is zero
+    everywhere gets the zero spectrum exactly, and the other its own dft.
+    """
+    if f._spectrum is not None or g._spectrum is not None:
+        return
+    if not (f.is_real and g.is_real):
+        raise ValueError("transform_pair transforms real functions only")
+    norm_f, norm_g = (float(np.abs(h.values if h.points is None else h.weights).sum()) for h in (f, g))
+    if not (norm_f and norm_g):
+        for h, norm in ((f, norm_f), (g, norm_g)):
+            h._spectrum = _frozen(dft(h) if norm else np.zeros(len(h), dtype=np.complex128))
+        return
+    scale = _pow2_ratio(norm_g, norm_f)
+    n = len(f)
+    z = dft(f, g, scale)
+    spec_f = np.empty(n, dtype=np.complex128)
+    factor = -0.5j * scale  # a pure-imaginary power of two: exact
+
+    def split(r, m):
+        # F and G at the indices r from Z there and at m = -r, G over Z;
+        # a slice m other than r is disjoint from it and takes the conjugates
+        zr, fr = z[r], spec_f[r]
+        conj_m = np.conjugate(z[m])
+        np.add(zr, conj_m, out=fr)
+        fr *= 0.5
+        zr -= conj_m
+        zr *= factor
+        if m != r:
+            np.conjugate(fr, out=spec_f[m])
+            np.conjugate(zr, out=z[m])
+
+    split(slice(0, 1), slice(0, 1))
+    if n % 2 == 0:
+        split(slice(n // 2, n // 2 + 1), slice(n // 2, n // 2 + 1))
+    _halves(
+        lambda lo, hi: split(slice(lo + 1, hi + 1), slice(n - 1 - lo, n - 1 - hi, -1)),
+        (n - 1) // 2,
+        n,
+    )
+    f._spectrum, g._spectrum = _frozen(spec_f), _frozen(z)
 
 
 def build_poly_prime_measure(ctx: WTrickContext) -> DensityFunction:

@@ -586,7 +586,8 @@ class TestVerifyCommand:
         real = counting.build_prime_coloring_measure
 
         def light(a_set):
-            return DensityFunction(real(a_set).values / 2)
+            f = real(a_set)  # held on the members, as the chain reads it
+            return DensityFunction.on_support(f.modulus, f.points, f.weights / 2)
 
         monkeypatch.setattr(counting, "build_prime_coloring_measure", light)
         args = ["--variant", "prime-coloring", "--psi", "1,1,4", "--b0", "1", "--w0", "1",

@@ -36,6 +36,35 @@ def test_log_weights_come_from_numtheory():
     assert found == []
 
 
+def _owners(predicate) -> set[str]:
+    """The top-level definitions of the package holding a node that
+    `predicate` accepts, as "module:name" ("module:<module>" outside every
+    definition)."""
+    return {
+        f"{path.stem}:{getattr(top, 'name', '<module>')}"
+        for path in sorted(Path(polyprimelab.__file__).parent.glob("*.py"))
+        for top in ast.parse(path.read_text(), str(path)).body
+        for node in ast.walk(top)
+        if predicate(node)
+    }
+
+
+def test_every_transform_is_counted():
+    # the benchmark counts transforms by wrapping spectral.dft and
+    # spectral.idft: numpy's FFT is reached only inside spectral._chirp_dft,
+    # and only those two reach _chirp_dft
+    def numpy_fft(node):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            return any("fft" in name for name in names)
+        return (isinstance(node, ast.Attribute) and node.attr == "fft"
+                and getattr(node.value, "id", None) in ("np", "numpy"))
+
+    assert _owners(numpy_fft) == {"spectral:_chirp_dft"}
+    assert _owners(lambda node: getattr(node, "id", None) == "_chirp_dft"
+                   or getattr(node, "attr", None) == "_chirp_dft") == {"spectral:dft", "spectral:idft"}
+
+
 def _scan(node, scope, defs, used):
     """Each definition under `node`, as its qualified name, into `defs`, and
     each name an `ast.Name` or `ast.Attribute` reads into `used`, unless a

@@ -22,7 +22,6 @@ from polyprimelab.spectral import (
     build_prime_coloring_measure,
     complete_gauss_sum,
     dft,
-    dft_pair,
     idft,
     large_spectrum,
     restriction_nonzero,
@@ -82,7 +81,7 @@ class TestDft:
             if n > 10_000:
                 rows = np.concatenate(([0, 1, n // 2, n - 1], rng.integers(0, n, 196)))
             d = dft_direct(v, rows)
-            c = dft(v)[rows]
+            c = dft(DensityFunction(v))[rows]
             assert float(np.abs(d - c).max()) <= 1e-9 * float(np.abs(d).max()), n
 
     @pytest.mark.parametrize("n", [101, 1009, 65537, 211, 2039, 100003, 400009, 1000003])
@@ -93,7 +92,7 @@ class TestDft:
         # rows that straddles the last kept row of the kernel's spectrum
         v = np.random.default_rng(n).standard_normal(n)
         want = np.fft.fft(v)
-        assert np.abs(dft(v) - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(dft(DensityFunction(v)) - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_bit_identical_under_concurrent_calls(self):
         # the halves are fixed, so neither a second call nor three callers
@@ -103,7 +102,7 @@ class TestDft:
         import threading
 
         rng = np.random.default_rng(12)
-        v = rng.standard_normal(100003) + 1j * rng.standard_normal(100003)
+        v = DensityFunction(rng.standard_normal(100003) + 1j * rng.standard_normal(100003))
         want = dft(v)
         assert np.array_equal(dft(v), want)
         results = [None] * 3
@@ -144,7 +143,7 @@ class TestDft:
         monkeypatch.setattr(np.fft, "fft", fail_off_main)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="helper FFT failed"):
-            dft(np.arange(float(n)))
+            dft(DensityFunction(np.arange(float(n))))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("n", [1, 2, 3, 101, 32767, 32769, 65537, 100003])
@@ -154,13 +153,14 @@ class TestDft:
         # bits; idft reads the conjugate of a read-only input, untouched
         rng = np.random.default_rng(n)
         re, im = rng.standard_normal(n), rng.standard_normal(n)
-        assert bits_equal(dft(re), dft(re.astype(np.complex128)))
-        assert bits_equal(dft(re, im, 8.0), dft(re + 1j * (im / 8.0)))
+        f, g = DensityFunction(re), DensityFunction(im)
+        assert bits_equal(dft(f), dft(DensityFunction(re.astype(np.complex128))))
+        assert bits_equal(dft(f, g, 8.0), dft(DensityFunction(re + 1j * (im / 8.0))))
         c = re + 1j * im
-        spec = dft(c)
+        spec = dft(DensityFunction(c))
         frozen = spec.copy()
         frozen.setflags(write=False)
-        want = np.conjugate(dft(np.conjugate(spec)))
+        want = np.conjugate(dft(DensityFunction(np.conjugate(spec))))
         want /= n
         assert bits_equal(idft(frozen), want) and bits_equal(frozen, spec)
 
@@ -195,7 +195,7 @@ class TestDft:
         got = []
         for cutoff in (spectral._THREAD_MIN_POINTS, 0, math.inf):
             monkeypatch.setattr(spectral, "_THREAD_MIN_POINTS", cutoff)
-            got.append((dft(v), idft(v), *dft_pair(a, b)))
+            got.append((dft(DensityFunction(v)), idft(v), *pair_spectra(a, b)))
         for other in got[1:]:
             assert all(bits_equal(x, y) for x, y in zip(got[0], other))
 
@@ -207,8 +207,8 @@ class TestDft:
             v = np.random.default_rng(n).standard_normal(n)
             with monkeypatch.context() as m:
                 m.setattr(threading, "Thread", lambda **kw: pytest.fail("helper thread"))
-                dft(v)
-                dft_pair(v, v[::-1].copy())
+                dft(DensityFunction(v))
+                pair_spectra(v, v[::-1].copy())
 
     def test_matches_definition(self):
         rng = np.random.default_rng(1)
@@ -250,6 +250,15 @@ def bits_equal(got, want) -> bool:
     return np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
 
 
+def pair_spectra(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The two spectra `transform_pair` caches for a and b, each an array or
+    a DensityFunction with no spectrum cached yet."""
+    f, g = (x if isinstance(x, DensityFunction) else DensityFunction(x) for x in (a, b))
+    assert f._spectrum is None and g._spectrum is None
+    transform_pair(f, g)
+    return f.spectrum, g.spectrum
+
+
 def assert_close_to_own_max(got, want):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -271,29 +280,29 @@ class TestPairedTransforms:
         # spectrum (and each inverse) agrees to 1e-12 of its own max
         rng = np.random.default_rng(seed)
         a, b = (real_test_array(rng, n, k, m) for k, m in zip(kinds, masses))
-        spec_a, spec_b = dft_pair(a, b)
-        assert_close_to_own_max(spec_a, dft(a))
-        assert_close_to_own_max(spec_b, dft(b))
+        spec_a, spec_b = pair_spectra(a, b)
+        assert_close_to_own_max(spec_a, dft(DensityFunction(a)))
+        assert_close_to_own_max(spec_b, dft(DensityFunction(b)))
 
     def test_split_is_exactly_hermitian(self):
         rng = np.random.default_rng(14)
-        spec_a, spec_b = dft_pair(rng.standard_normal(101), rng.random(101) < 0.5)
+        spec_a, spec_b = pair_spectra(rng.standard_normal(101), rng.random(101) < 0.5)
         for spec in (spec_a, spec_b):
             assert np.array_equal(spec[1:], np.conj(spec[:0:-1]))
             assert spec[0].imag == 0
 
     def test_zero_partner_exact(self):
         a = np.arange(7.0)
-        spec_a, spec_b = dft_pair(a, np.zeros(7))
-        assert not spec_b.any() and np.array_equal(spec_a, dft(a))
+        spec_a, spec_b = pair_spectra(a, np.zeros(7))
+        assert not spec_b.any() and np.array_equal(spec_a, dft(DensityFunction(a)))
 
     def test_complex_rejected(self):
         with pytest.raises(ValueError, match="real"):
-            dft_pair(np.ones(5, dtype=complex), np.ones(5))
+            pair_spectra(np.ones(5, dtype=complex), np.ones(5))
 
     def test_partner_of_other_length_rejected(self):
         with pytest.raises(ValueError, match="shape"):
-            dft(np.ones(5), np.ones(4))
+            pair_spectra(np.ones(5), np.ones(4))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 100, 101, 4096, 100003, 131072])
     def test_split_matches_full_length_formula(self, n):
@@ -309,11 +318,11 @@ class TestPairedTransforms:
         z = np.empty(n, dtype=np.complex128)
         z.real = a
         z.imag = b / scale
-        z = dft(z)
+        z = dft(DensityFunction(z))
         conj_neg = np.conjugate(np.roll(z[::-1], 1))
         want_a = (z + conj_neg) * 0.5
         want_b = (z - conj_neg) * (-0.5j * scale)
-        for got, want in zip(dft_pair(a, b), (want_a, want_b)):
+        for got, want in zip(pair_spectra(a, b), (want_a, want_b)):
             assert bits_equal(got + 0.0, want + 0.0)  # -0.0 + 0.0 is 0.0
 
     @staticmethod
@@ -340,8 +349,8 @@ class TestPairedTransforms:
         # b are read in place, and the first spectrum (16N <= 8L) comes after
         # the transform's scratch is freed
         rng = np.random.default_rng(17)
-        a, b = rng.standard_normal(1_000_003), rng.random(1_000_003)
-        assert self.traced_peak_over_24l(lambda: dft_pair(a, b)) <= 8 << 20
+        f, g = DensityFunction(rng.standard_normal(1_000_003)), DensityFunction(rng.random(1_000_003))
+        assert self.traced_peak_over_24l(lambda: pair_spectra(f, g)) <= 8 << 20
 
     @pytest.mark.parametrize("inverse", [False, True], ids=["dft", "idft"])
     def test_transform_working_set(self, inverse):
@@ -349,7 +358,8 @@ class TestPairedTransforms:
         # its output (16N <= 8L) is allocated after the kernel is freed
         rng = np.random.default_rng(19)
         v = rng.standard_normal(1_000_003) + 1j * rng.standard_normal(1_000_003)
-        call = (lambda: [idft(v)]) if inverse else (lambda: [dft(v)])
+        f = DensityFunction(v)
+        call = (lambda: [idft(v)]) if inverse else (lambda: [dft(f)])
         assert self.traced_peak_over_24l(call) <= 8 << 20
 
     def test_scratch_freed_on_return(self):
@@ -362,14 +372,15 @@ class TestPairedTransforms:
         n = 100003
         rng = np.random.default_rng(18)
         v, a, b = rng.standard_normal(n), rng.standard_normal(n), rng.random(n)
-        dft_pair(v[:7], b[:7])  # first-call allocations of numpy's FFT
+        pair_spectra(v[:7], b[:7])  # first-call allocations of numpy's FFT
+        v, a, b = DensityFunction(v), DensityFunction(a), DensityFunction(b)
         gc.disable()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             spectrum = dft(v)
             after_dft = tracemalloc.get_traced_memory()[0] - base
-            spectra = dft_pair(a, b)
+            spectra = pair_spectra(a, b)
             after_pair = tracemalloc.get_traced_memory()[0] - base - after_dft
         finally:
             tracemalloc.stop()
@@ -390,8 +401,8 @@ class TestPairedTransforms:
         f, g = DensityFunction(rng.random(31)), DensityFunction(rng.random(31) < 0.5)
         transform_pair(f, g)
         assert calls == [31]
-        assert np.allclose(f.spectrum, real(f.values), atol=1e-12)
-        assert np.allclose(g.spectrum, real(g.values), atol=1e-12)
+        assert np.allclose(f.spectrum, real(DensityFunction(f.values)), atol=1e-12)
+        assert np.allclose(g.spectrum, real(DensityFunction(g.values)), atol=1e-12)
         assert calls == [31] and not f.spectrum.flags.writeable
 
     def test_real_values_are_float64(self, ctx_w6):
@@ -408,6 +419,11 @@ class TestDensityFunction:
         f = DensityFunction(np.eye(5)[1], [1, 2, 3, 4, 5])
         assert f.spectrum.dtype == np.complex128 and not f.spectrum.flags.writeable
         assert f.spectrum.tolist() == [1, 2, 3, 4, 5]
+
+
+def held(f: DensityFunction) -> DensityFunction:
+    """A new copy of f held on its support, with no spectrum cached."""
+    return DensityFunction.on_support(f.modulus, f.points, f.weights)
 
 
 class TestSupportForm:
@@ -432,18 +448,16 @@ class TestSupportForm:
     def test_pair_spectra_match_dense(self, request, pair):
         f, g = request.getfixturevalue(pair)
         assert f.points is not None and g.points is not None
-        want = dft_pair(np.array(f.values), np.array(g.values))
-        for got in (dft_pair(f, g), dft_pair(f, np.array(g.values))):
+        want = pair_spectra(np.array(f.values), np.array(g.values))
+        f2, g2 = held(f), held(g)
+        for got in (pair_spectra(f2, g2), pair_spectra(held(f), np.array(g.values))):
             assert all(bits_equal(a, b) for a, b in zip(got, want))
-        f2, g2 = (DensityFunction.on_support(h.modulus, h.points, h.weights)
-                  for h in (f, g))
-        transform_pair(f2, g2)
         assert bits_equal(f2.spectrum, want[0]) and bits_equal(g2.spectrum, want[1])
         assert f2._values is None and g2._values is None  # no dense array was made
 
     def test_dft_matches_dense(self, integer_pair):
         f = integer_pair[0]
-        assert bits_equal(dft(f), dft(np.array(f.values)))
+        assert bits_equal(dft(f), dft(DensityFunction(f.values)))
 
     def test_values_built_on_first_read(self):
         f = DensityFunction.on_support(7, [5, 1, 3], [2.0, 0.0, -1.5])
@@ -475,7 +489,7 @@ class TestSupportForm:
 
     @pytest.mark.parametrize("form", ["support", "dense", "constant"])
     def test_every_form_transforms_as_its_values(self, form):
-        # dft and dft_pair read a DensityFunction held in any form to the
+        # dft and transform_pair read a DensityFunction held in any form to the
         # bits of its dense values; N = 100003 runs both fill halves
         n = 100_003
         rng = np.random.default_rng(43)
@@ -490,9 +504,9 @@ class TestSupportForm:
 
         f, g = make(), make()
         assert len(f) == f.modulus == n
-        assert bits_equal(dft(f), dft(np.array(f.values)))
-        want = dft_pair(np.array(f.values), np.array(g.values))
-        assert all(bits_equal(a, b) for a, b in zip(dft_pair(f, g), want))
+        assert bits_equal(dft(f), dft(DensityFunction(f.values)))
+        want = pair_spectra(np.array(f.values), np.array(g.values))
+        assert all(bits_equal(a, b) for a, b in zip(pair_spectra(f, g), want))
 
     def test_callers_arrays_stay_writable(self):
         points, weights = np.array([1, 2]), np.array([1.0, 2.0])
@@ -794,7 +808,7 @@ class TestSmooth:
         f = DensityFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
         out = smooth(f, bohr_set([3, 40], Fraction(1, 6), n))
         assert not out.spectrum.flags.writeable
-        assert np.allclose(dft(out.values), out.spectrum, rtol=0, atol=1e-9 * n)
+        assert np.allclose(dft(DensityFunction(out.values)), out.spectrum, rtol=0, atol=1e-9 * n)
 
     @pytest.mark.parametrize("full", [False, True], ids=["zero", "full"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
