@@ -4,8 +4,10 @@
 
 Each run's directory holds the files one CLI run writes, kept where they
 hold only strings and integers: `search.json` and `solutions.csv` for each
-committed coloring file, `counterexample.json`, and `transfer.json` without
-its `transference` block, the one that holds floats.  A coloring file is an
+committed coloring file, `counterexample.json`, and `transfer.json` with
+the float leaves of its `transference` block dropped.  Its strings,
+decimal-string integers and bools stay: |R|, |B|, the smoothing regime, the
+class sizes and whether each link holds.  A coloring file is an
 input: it is made once, by `make_coloring`, and only where it is missing,
 so that `search` does not depend on numpy's random stream.  `transfer`
 colors by its own seeded draw, so a numpy whose draw differs shows here as
@@ -42,10 +44,17 @@ RUNS = {
     "counterexample-p2": ["counterexample", "--psi", "4,0,0", "--b0", "1", "--w0", "2",
                           "--p", "2", "--n", "1000"],
     "transfer-default": ["transfer"],
+    "transfer-fft": ["transfer", "--eta", "7/10"],
     "transfer-degree1": ["transfer", "--psi", "2,0", "--n", "300000"],
     "transfer-prime": ["transfer", "--variant", "prime-coloring", "--psi", "1,1,4",
                        "--b0", "1", "--w0", "1", "--w", "2:2,3:1,5:1", "--n", "600000"],
 }
+
+
+def _without_floats(block: dict) -> dict:
+    """`block` with every float leaf dropped, at any depth."""
+    return {k: _without_floats(v) if isinstance(v, dict) else v
+            for k, v in block.items() if not isinstance(v, float)}
 
 
 def generate(run: str) -> dict[str, bytes]:
@@ -56,9 +65,9 @@ def generate(run: str) -> dict[str, bytes]:
         if cli.main(argv + ["--out", out]):
             raise RuntimeError(f"{' '.join(RUNS[run])} failed")
         files = {path.name: path.read_bytes() for path in Path(out).iterdir()}
-    if "transfer.json" in files:  # its `transference` block holds the floats
+    if "transfer.json" in files:
         report = json.loads(files["transfer.json"])
-        del report["transference"]
+        report["transference"] = _without_floats(report["transference"])
         files["transfer.json"] = (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
     return files
 
