@@ -33,6 +33,7 @@ from .spectral import (
     build_prime_coloring_measure,
     large_spectrum,
     smooth,
+    smoothing_regime,
     transform_pair,
 )
 from .wtrick import WTrickContext
@@ -258,33 +259,35 @@ MEASURE_LINKS = (
 def bohr_smoothing(
     f: DensityFunction, ctx: WTrickContext, eta: Fraction, eps: Fraction, links=MEASURE_LINKS
 ) -> tuple[DensityFunction, dict, dict]:
-    """(smoothed f, links, sizes): f smoothed over B, the Bohr set at radius
-    eps of its large spectrum R at eta; its links max |smoothed f| <= a
-    pointwise bound, #{smoothed f >= kappa/N} >= a count bound and
-    |B| >= eps^|R| N, named and bounded as `links` declares; and |R|, |B| and
-    the regime.  A function held on its support is read from its weights:
-    the zeros off the support change neither link, as max |f| >= 0 and
-    kappa > 0; a constant from its one value, counted N times."""
+    """(smoothed f, links, sizes): f smoothed by b = 1_B / |B| (`bohr_set`)
+    for B the Bohr set at radius eps of its large spectrum R at eta; its
+    links max |smoothed f| <= a pointwise bound, #{smoothed f >= kappa/N} >= a
+    count bound and |B| >= eps^|R| N, named and bounded as `links` declares;
+    and |R|, |B| (b's support, or N for the constant b) and b's
+    `smoothing_regime`.  A function held on its support is read from its
+    weights: the zeros off the support change neither link, as max |f| >= 0
+    and kappa > 0; a constant from its one value, counted N times."""
     names, prefix, pointwise, count = links
     spec_r = large_spectrum(f, float(eta))
-    bohr = bohr_set(spec_r, eps, f.modulus)
-    smoothed = smooth(f, bohr)
+    b = bohr_set(spec_r, eps, f.modulus)
+    smoothed = smooth(f, b)
     kappa, n_mod = float(ctx.kappa), ctx.N
+    bohr_size = n_mod if b.points is None else len(b.points)
     if smoothed.total is not None:
         v, times = np.full(1, smoothed.total / n_mod), n_mod
     else:
         v, times = smoothed.values if smoothed.points is None else smoothed.weights, 1
     # eps^|R| N underflows: its log10
     log10_eps = math.log10(eps.numerator) - math.log10(eps.denominator)
-    log10_bohr = len(bohr.frequencies) * log10_eps + math.log10(bohr.modulus)
+    log10_bohr = len(spec_r) * log10_eps + math.log10(n_mod)
     measured = (
         bound_link(abs(float(max(v.max(initial=0.0), -v.min(initial=0.0)))), "<=",
                    pointwise(kappa, n_mod)),
         bound_link(int(np.count_nonzero(v >= kappa / n_mod)) * times, ">=", count(kappa, n_mod)),
-        bound_link(bohr.size, ">=", log10_bound=log10_bohr),
+        bound_link(bohr_size, ">=", log10_bound=log10_bohr),
     )
-    sizes = {"large_spectrum_size": int(len(spec_r)), "bohr_size": bohr.size,
-             "smoothing_regime": bohr.smoothing_regime}
+    sizes = {"large_spectrum_size": int(len(spec_r)), "bohr_size": bohr_size,
+             "smoothing_regime": smoothing_regime(b)}
     return smoothed, dict(zip(names, measured)), {prefix + k: v for k, v in sizes.items()}
 
 

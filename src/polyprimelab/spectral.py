@@ -39,33 +39,34 @@ complex ones as complex128.  Two real functions share one transform in
 `transform_pair`, the one code that packs them, which splits it in place:
 the second spectrum takes its cells, the first one new array.
 
-The polynomial-prime measure, both classes and a Bohr set's normalized
-indicator are `DensityFunction`s held on their supports (`on_support`:
-ascending `points` and their nonzero `weights`).  `read` takes a block from
-any form; from a support it zeroes the block and scatters the points in it.
-So during `transfer`'s one transform the live arrays are its 24L working
-set, the class's members and the two supports, and after it the two spectra
-(32N); no dense length-N input is made (`DensityFunction.values` builds one
-on first read, which no stage of the transference chain does).  `smooth`'s
-constant regime and B = Z_N build no length-N array: B = Z_N is held by N,
-the smoothed constant by its total (`DensityFunction.constant`).
+The polynomial-prime measure, both classes and a Bohr set B, held as its
+normalized indicator b = 1_B / |B| (`bohr_set`), are `DensityFunction`s
+held on their supports (`on_support`: ascending `points` and their nonzero
+`weights`), but for B = Z_N, whose b is the constant 1/N.  `read` takes a
+block from any form; from a support it zeroes the block and scatters the
+points in it.  So during `transfer`'s one transform the live arrays are its
+24L working set, the class's members and the two supports, and after it the
+two spectra (32N); no dense length-N input is made (`DensityFunction.values`
+builds one on first read, which no stage of the transference chain does).
+`smooth`'s constant regime and B = Z_N build no length-N array: b and the
+smoothed constant are each held by their total (`DensityFunction.constant`).
 `run_transfer`'s traced peak is 24L + 8|A| + 8.1 MiB, 58.5 B/N, at the
 transfer-int bench config (N = 1000003), and 24L + 4.0 MiB, 58.8 B/N, at
-transfer-prime (N = 400009).
+transfer-prime (N = 400009).  In the fft regime, at eta = 1/2, eps = 1/4
+(N = 1000003, |B| = 500001), it is 24L + 32N + 8|A| + 26.2 MiB, 109.5 B/N.
 
-`smooth` is the one smoothing routine; it runs no transform when B = {0}
-or B = Z_N.  So `counting.transference_report` runs 1 length-N transform
-for an integer coloring when B = {0}, and 1 for a prime coloring when the
-measure's B is {0} and the class's is Z_N (its unweighted pair count adds 1
-only above the cost cutoff stated there); each proper, nontrivial Bohr set
-adds 2.
+`smooth` is the one smoothing routine, and `smoothing_regime` names how it
+treats b; it runs no transform when B = {0} or B = Z_N.  So
+`counting.transference_report` runs 1 length-N transform for an integer
+coloring when B = {0}, and 1 for a prime coloring when the measure's B is
+{0} and the class's is Z_N (its unweighted pair count adds 1 only above the
+cost cutoff stated there); each proper, nontrivial Bohr set adds 2.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -76,7 +77,6 @@ from .polynomials import IntPolynomial
 from .wtrick import WTrickContext
 
 __all__ = [
-    "BohrStructure",
     "CollisionError",
     "DensityFunction",
     "bohr_set",
@@ -88,6 +88,7 @@ __all__ = [
     "large_spectrum",
     "restriction_nonzero",
     "smooth",
+    "smoothing_regime",
     "transform_pair",
     "weighted_exp_sum",
 ]
@@ -579,49 +580,18 @@ def large_spectrum(f: DensityFunction, eta) -> np.ndarray:
     return np.concatenate(hits, dtype=np.int64)
 
 
-@dataclass
-class BohrStructure:
-    """Frequency set R (sorted, reduced mod N, duplicates kept) and the
-    resulting Bohr set, both read-only int64 arrays; B = Z_N is held by N
-    alone (`_members` None), its `members` built on first read."""
-
-    modulus: int
-    frequencies: np.ndarray
-    _members: np.ndarray | None = None
-
-    @property
-    def members(self) -> np.ndarray:
-        if self._members is None:
-            self._members = _frozen(np.arange(self.modulus, dtype=np.int64))
-        return self._members
-
-    @property
-    def size(self) -> int:
-        return self.modulus if self._members is None else len(self._members)
-
-    @property
-    def smoothing_regime(self) -> str:
-        """How `smooth` treats a function with this Bohr set: "identity" when
-        B = {0}, "constant" when B = Z_N, "fft" otherwise."""
-        if self.size == 1:
-            return "identity"
-        return "constant" if self.size == self.modulus else "fft"
-
-    def normalized_indicator(self) -> DensityFunction:
-        weights = np.full(len(self.members), 1.0 / len(self.members))
-        return DensityFunction.on_support(self.modulus, self.members, weights)
-
-
-def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
-    """B = {x : ||x r / N|| <= eps for all r}; membership and the pigeonhole
-    bound |B| >= eps^{|R|} N are both exact integer comparisons.  Unless B =
-    Z_N by eps alone, the first nonzero frequency must be a unit mod N
-    (ValueError otherwise), as every one is for a prime N."""
+def bohr_set(frequencies, eps, modulus: int) -> DensityFunction:
+    """b = 1_B / |B|, the normalized indicator of B = {x : ||x r / N|| <= eps
+    for all r}: the constant 1/N when B = Z_N (`DensityFunction.constant`),
+    else 1/|B| on B's ascending members.  Membership and the pigeonhole bound
+    |B| >= eps^{|R|} N are both exact integer comparisons.  Unless B = Z_N by
+    eps alone, the first nonzero frequency must be a unit mod N (ValueError
+    otherwise), as every one is for a prime N."""
     if not isinstance(eps, Fraction):
         raise ValueError("radius must be an exact rational (a Fraction)")
     if not 0 < eps < Fraction(1, 2):
         raise ValueError("requires 0 < eps < 1/2")
-    freqs = _frozen(np.sort(np.asarray(frequencies, dtype=np.int64) % modulus))
+    freqs = np.sort(np.asarray(frequencies, dtype=np.int64) % modulus)
     p, q = eps.numerator, eps.denominator
     # ||x r / N|| <= p/q  iff  min(t, N - t) <= L, t = x r mod N, L = pN // q;
     # as 2L < N, that is (x r + L) mod N <= 2L
@@ -633,8 +603,8 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
         t %= modulus
         return xs[(t <= 2 * radius).all(axis=1)]
 
-    # B = Z_N, held by N alone, when no r is nonzero or 2L + 1 >= N (every t is
-    # then within L of 0).  Otherwise the first frequency's set in closed
+    # B = Z_N, b the constant 1/N, when no r is nonzero or 2L + 1 >= N (every
+    # t is then within L of 0).  Otherwise the first frequency's set in closed
     # form: x r = j (mod N) with |j| <= L, so x = j r^-1, 2L + 1 distinct
     # residues.  The survivors then meet the other frequencies one at a time
     # while more than _BOHR_TAIL remain, and in 2-D blocks of at most N
@@ -642,7 +612,7 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
     # nothing, and 0 is always a member, so once it is the only survivor no
     # later frequency can remove it
     nonzero = freqs[freqs != 0]
-    members = None
+    b, size = DensityFunction.constant(modulus, np.float64(1.0)), modulus
     if len(nonzero) and 2 * radius + 1 < modulus:
         members = np.arange(-radius, radius + 1, dtype=np.int64)
         members *= pow(int(nonzero[0]), -1, modulus)  # ValueError for a non-unit
@@ -653,34 +623,44 @@ def bohr_set(frequencies, eps, modulus: int) -> BohrStructure:
             members = survivors(members, nonzero[i : i + k])
             i += k
         members.sort()
-        members.setflags(write=False)
-    bohr = BohrStructure(modulus, freqs, members)
-    if bohr.size * q ** len(freqs) < p ** len(freqs) * modulus:
+        size = len(members)
+        # one weight 1/|B|, broadcast to every member: no array but B's members
+        b = DensityFunction.on_support(modulus, members, np.broadcast_to(1 / size, size))
+    if size * q ** len(freqs) < p ** len(freqs) * modulus:
         raise RuntimeError(
-            f"Bohr bound violated: |B| = {bohr.size} < eps^|R| * N"
+            f"Bohr bound violated: |B| = {size} < eps^|R| * N"
             f" = ({eps})^{len(freqs)} * {modulus}"
         )
-    return bohr
+    return b
 
 
-def smooth(f: DensityFunction, bohr: BohrStructure) -> DensityFunction:
-    """f * b * b with b the normalized Bohr indicator; mass is preserved.
+def smoothing_regime(b: DensityFunction) -> str:
+    """How `smooth` treats a Bohr set's normalized indicator b (`bohr_set`):
+    "identity" when B = {0}, "constant" when B = Z_N, "fft" otherwise."""
+    if b.points is None:
+        return "identity" if b.modulus == 1 else "constant"
+    return "identity" if len(b.points) == 1 else "fft"
+
+
+def smooth(f: DensityFunction, b: DensityFunction) -> DensityFunction:
+    """f * b * b for a Bohr set's normalized indicator b (`bohr_set`); mass is
+    preserved.
 
     When B = {0}, b is the delta at 0 and the answer is f itself.  When
     B = Z_N, b is the constant 1/N and the answer is the constant f.mass / N,
     whose spectrum is f.mass at r = 0 and 0 elsewhere, held in closed form
-    (`DensityFunction.constant`).  Neither case builds b or runs a transform.
-    Otherwise b is even (x in B iff -x in B), so its spectrum is real and the
-    real part of its dft is kept; a real f then has a Hermitian smoothed
+    (`DensityFunction.constant`).  Neither case runs a transform.  Otherwise
+    b is even (x in B iff -x in B), so its spectrum is real and the real part
+    of its dft is kept, uncached on b; a real f then has a Hermitian smoothed
     spectrum and real smoothed values."""
-    if f.modulus != bohr.modulus:
-        raise ValueError(f"modulus mismatch: {f.modulus} vs {bohr.modulus}")
-    regime = bohr.smoothing_regime
+    if f.modulus != b.modulus:
+        raise ValueError(f"modulus mismatch: {f.modulus} vs {b.modulus}")
+    regime = smoothing_regime(b)
     if regime == "identity":
         return f
     if regime == "constant":
         return DensityFunction.constant(f.modulus, f._sum())
-    b_spec = bohr.normalized_indicator().spectrum.real
+    b_spec = dft(b).real
     spec = f.spectrum * b_spec * b_spec
     del b_spec  # and the complex array it views, before the inverse
     values = idft(spec)

@@ -42,6 +42,12 @@ def dft_direct(values: np.ndarray, rows=None) -> np.ndarray:
     return out
 
 
+def bohr_members(b: DensityFunction) -> np.ndarray:
+    """B's members, ascending, from `bohr_set`'s b = 1_B / |B|: all of Z_N
+    when b is the constant 1/N, else b's support."""
+    return np.arange(b.modulus, dtype=np.int64) if b.points is None else b.points
+
+
 def triple_count_bruteforce(
     f: DensityFunction, g: DensityFunction, h: DensityFunction
 ) -> complex:

@@ -32,12 +32,12 @@ from polyprimelab.experiments import (
 from polyprimelab.numtheory import check_progression
 from polyprimelab.polynomials import IntPolynomial
 from polyprimelab.spectral import (
-    BohrStructure,
     DensityFunction,
     bohr_set,
     build_poly_prime_measure,
     large_spectrum,
     smooth,
+    smoothing_regime,
 )
 from polyprimelab.wtrick import WTrickContext
 
@@ -607,14 +607,15 @@ class TestVerifyCommand:
         assert main(["verify", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     def test_broken_smoothing_fails(self, tmp_path, monkeypatch):
-        # at the default config B = {0} needs no indicator; at eta = 7/10
+        # at the default config B = {0} runs no transform; at eta = 7/10
         # (N = 10007, |R| = 5, |B| = 621) the measure takes the transform path
-        real = BohrStructure.normalized_indicator
+        real = counting.bohr_set
 
-        def doubled(self):
-            return DensityFunction(2 * real(self).values)
+        def doubled(*args):
+            b = real(*args)  # held on B, as smooth reads it
+            return DensityFunction.on_support(b.modulus, b.points, 2 * b.weights)
 
-        monkeypatch.setattr(BohrStructure, "normalized_indicator", doubled)
+        monkeypatch.setattr(counting, "bohr_set", doubled)
         assert main(["verify", "--eta", "7/10", "--out", str(tmp_path)]) == 1
         checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
         assert [name for name, c in checks.items() if not c["pass"]] == [
@@ -1256,8 +1257,8 @@ class TestTransferCommand:
         assert (got["large_spectrum_size"], got["bohr_size"]) == (1, ctx.N) == (1, 10007)
         assert got["smoothing_regime"] == "constant"
 
-        def dense_constant(f, bohr):  # the constant regime as dense arrays
-            assert bohr.smoothing_regime == "constant"
+        def dense_constant(f, b):  # the constant regime as dense arrays
+            assert smoothing_regime(b) == "constant"
             total = f._sum()
             spec = np.zeros(f.modulus, dtype=np.complex128)
             spec[0] = total

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import popularity, triple_count_bruteforce
+from conftest import bohr_members, popularity, triple_count_bruteforce
 from polyprimelab.coloring import (
     blocking_partition,
     dense_class,
@@ -379,10 +379,10 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
         return DensityFunction(f.values.astype(np.complex128))
 
     def regime(bohr):  # which shortcut, if any, smooth may take
-        return {n_mod: "constant", 1: "identity"}.get(bohr.size, "fft")
+        return {n_mod: "constant", 1: "identity"}.get(len(bohr_members(bohr)), "fft")
 
-    def smooth_unpacked(f, bohr):
-        b_spec = complex_copy(bohr.normalized_indicator()).spectrum
+    def smooth_unpacked(f, bohr):  # bohr: the normalized indicator 1_B / |B|
+        b_spec = complex_copy(bohr).spectrum
         spec = f.spectrum * b_spec * b_spec
         return DensityFunction(idft(spec), spec)
 
@@ -419,8 +419,9 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
 
     def bohr_link(spec, bohr):
         log10_bound = len(spec) * math.log10(eps) + math.log10(n_mod)
-        holds = math.log10(bohr.size) >= log10_bound
-        return {"measured": bohr.size, "relation": ">=", "log10_bound": log10_bound, "holds": holds}
+        size = len(bohr_members(bohr))
+        holds = math.log10(size) >= log10_bound
+        return {"measured": size, "relation": ">=", "log10_bound": log10_bound, "holds": holds}
 
     chain = {
         "pointwise_measure": link(max_smoothed, "<=", (1 + 2 * kappa) / n_mod),
@@ -438,7 +439,7 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
         "mass_measure": mass_measure,
         "mass_smoothed_measure": mass_smoothed,
         "large_spectrum_size": int(len(spec_r)),
-        "bohr_size": bohr.size,
+        "bohr_size": len(bohr_members(bohr)),
         "smoothing_regime": regime(bohr),
         "raw_count": raw,
         "smoothed_count": smoothed,
@@ -475,7 +476,7 @@ def unpacked_transference_report(a_set, eta, eps) -> dict:
     )
     report.update(
         class_large_spectrum_size=int(len(spec_r2)),
-        class_bohr_size=bohr2.size,
+        class_bohr_size=len(bohr_members(bohr2)),
         class_smoothing_regime=regime(bohr2),
         pointwise_weight_cap=amax,
         unweighted_count=unweighted,
@@ -718,7 +719,7 @@ class TestTransferenceReport:
         assert pointwise["bound"] == (2 / n_mod if of_class else (1 + 2 * kappa) / n_mod)
         assert count["measured"] == np.count_nonzero(smoothed.values >= kappa / n_mod)
         assert count["bound"] == (2 * kappa if of_class else 1 - 3 * kappa) * n_mod
-        assert bohr_link["measured"] == bohr.size
+        assert bohr_link["measured"] == len(bohr_members(bohr))
         expect = {"large_spectrum_size": len(spec_r), "bohr_size": 33, "smoothing_regime": "fft"}
         prefix = "class_" if of_class else ""
         assert sizes == {prefix + key: value for key, value in expect.items()}

@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dft_direct, lambda_weight
+from conftest import bohr_members, dft_direct, lambda_weight
 from polyprimelab.coloring import TransferredSet, dense_prime_class, make_coloring
 from polyprimelab.numtheory import ap_primes, euler_phi, is_prime
 from polyprimelab.polynomials import INTEGER_COLORING, PRIME_COLORING, IntPolynomial, rescale
 from polyprimelab.spectral import (
-    BohrStructure,
     CollisionError,
     DensityFunction,
     bohr_set,
@@ -26,6 +25,7 @@ from polyprimelab.spectral import (
     large_spectrum,
     restriction_nonzero,
     smooth,
+    smoothing_regime,
     transform_pair,
     weighted_exp_sum,
 )
@@ -659,24 +659,25 @@ class TestLargeSpectrum:
 
 class TestBohrSet:
     def test_empty_frequencies(self):
-        assert bohr_set([], Fraction(1, 3), 11).size == 11
-        # B = Z_N by eps alone (2L + 1 >= N) is held by N too, whatever R is:
-        # no members array, and no inverse of a non-unit first frequency
+        assert len(bohr_members(bohr_set([], Fraction(1, 3), 11))) == 11
+        # B = Z_N by eps alone (2L + 1 >= N) is held as the constant 1/N too,
+        # whatever R is: no members array, and no inverse of a non-unit first
+        # frequency
         for r, eps, n in (([1], Fraction(5, 11), 11), ([3], Fraction(7, 15), 15)):
             b = bohr_set(r, eps, n)
-            assert b._members is None and b.size == n and b.smoothing_regime == "constant"
+            assert b.points is None and len(bohr_members(b)) == n and smoothing_regime(b) == "constant"
 
     def test_explicit_count(self):
         b = bohr_set([1], Fraction(1, 10), 101)
-        assert b.size == 21  # |x| <= 10 around 0 on the 101-cycle
+        assert len(bohr_members(b)) == 21  # |x| <= 10 around 0 on the 101-cycle
 
     def test_bound_example(self):
         b = bohr_set([1, 2], Fraction(1, 4), 101)
-        assert b.size * 4**2 >= 101
+        assert len(bohr_members(b)) * 4**2 >= 101
 
     def test_zero_always_member(self):
         b = bohr_set([3, 5, 7], Fraction(1, 5), 97)
-        assert 0 in b.members
+        assert 0 in bohr_members(b)
 
     def test_randomized_bound_exact(self):
         rng = np.random.default_rng(6)
@@ -688,7 +689,7 @@ class TestBohrSet:
                 continue
             b = bohr_set(r, eps, n)
             p, q = eps.numerator, eps.denominator
-            assert b.size * q ** len(b.frequencies) >= p ** len(b.frequencies) * n
+            assert len(bohr_members(b)) * q ** len(r) >= p ** len(r) * n
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -700,7 +701,7 @@ class TestBohrSet:
         p, q = eps.numerator, eps.denominator
         # ||x r / N|| <= p/q in exact integers, by direct scan
         want = [x for x in range(n) if all(q * min(x * r % n, n - x * r % n) <= p * n for r in freqs)]
-        assert bohr_set(freqs, eps, n).members.tolist() == want
+        assert bohr_members(bohr_set(freqs, eps, n)).tolist() == want
         assert len(want) * q ** len(freqs) >= p ** len(freqs) * n
 
     @pytest.mark.parametrize("tail", [1024, 16])
@@ -721,9 +722,7 @@ class TestBohrSet:
             # every (x, r) product at once, ||x r / N|| <= p/q as q * dist <= p * N
             t = np.outer(np.arange(n), r) % n
             want = np.flatnonzero((q * np.minimum(t, n - t) <= p * n).all(axis=1))
-            b = bohr_set(r, eps, n)
-            assert b.members.tolist() == want.tolist()
-            assert b.frequencies.tolist() == sorted(r.tolist())
+            assert bohr_members(bohr_set(r, eps, n)).tolist() == want.tolist()
 
     @pytest.mark.parametrize("seed", [1, 100, 65536])
     def test_first_frequency_in_blocks(self, seed):
@@ -736,7 +735,7 @@ class TestBohrSet:
                 eps = Fraction(int(rng.integers(1, 50)), 100)
                 t = np.outer(np.arange(n), r) % n
                 want = np.flatnonzero((eps.denominator * np.minimum(t, n - t) <= eps.numerator * n).all(axis=1))
-                assert bohr_set(r, eps, n).members.tolist() == want.tolist()
+                assert bohr_members(bohr_set(r, eps, n)).tolist() == want.tolist()
 
     def test_non_unit_first_frequency_rejected(self):
         with pytest.raises(ValueError, match="not invertible"):
@@ -753,7 +752,7 @@ class TestBohrSet:
     def test_tiny_radius_is_exact(self):
         # dist * q with q = 10**15 overflows int64; the exact set is {0}
         b = bohr_set([1, 7, 19], Fraction(1, 10**15), 100003)
-        assert b.members.tolist() == [0]
+        assert bohr_members(b).tolist() == [0]
 
     @pytest.mark.parametrize(
         "eps",
@@ -777,7 +776,7 @@ class TestBohrSet:
                 return all(min(Fraction(x * f % n, n), 1 - Fraction(x * f % n, n)) <= eps for f in r)
 
             want = [x for x in range(n) if member(x)]
-            assert bohr_set(r, eps, n).members.tolist() == want
+            assert bohr_members(bohr_set(r, eps, n)).tolist() == want
 
 
 class TestSmooth:
@@ -797,9 +796,9 @@ class TestSmooth:
         rng = np.random.default_rng(9)
         f = DensityFunction(rng.standard_normal(101))
         b = bohr_set([1, 5], Fraction(1, 5), 101)
-        assert b.smoothing_regime == "fft"
+        assert smoothing_regime(b) == "fft"
         out = smooth(f, b)
-        want = f.spectrum * b.normalized_indicator().spectrum ** 2
+        want = f.spectrum * b.spectrum ** 2
         assert np.allclose(out.spectrum, want, atol=1e-9 * 101)
 
     def test_carried_spectrum_matches_values(self):
@@ -813,8 +812,8 @@ class TestSmooth:
     @pytest.mark.parametrize("full", [False, True], ids=["zero", "full"])
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_trivial_bohr_matches_fft_formula(self, monkeypatch, full, dtype):
-        # B = {0} and B = Z_N run no transform and build no indicator, yet
-        # agree with ifft(fft(f) fft(b)^2) for the indicator b built here
+        # B = {0} and B = Z_N run no transform and read no dense b, yet agree
+        # with ifft(fft(f) fft(b)^2) for the indicator b built here
         from polyprimelab import spectral
 
         rng = np.random.default_rng(16)
@@ -822,17 +821,18 @@ class TestSmooth:
         v = rng.random(n)
         f = DensityFunction(v + 1j * rng.random(n) if dtype is np.complex128 else v)
         bohr = bohr_set([] if full else [1], Fraction(1, 3) if full else Fraction(1, 1000), n)
-        assert bohr.size == (n if full else 1)
-        assert bohr.smoothing_regime == ("constant" if full else "identity")
+        members = bohr_members(bohr)
+        assert len(members) == (n if full else 1)
+        assert smoothing_regime(bohr) == ("constant" if full else "identity")
         b = np.zeros(n)
-        b[bohr.members] = 1 / bohr.size
+        b[members] = 1 / len(members)
         want_spec = np.fft.fft(f.values) * np.fft.fft(b).real ** 2
         want = np.fft.ifft(want_spec)
         with monkeypatch.context() as m:
             for name in ("dft", "idft"):
                 m.setattr(spectral, name, lambda *args, **kwargs: pytest.fail("transform ran"))
-            m.setattr(BohrStructure, "normalized_indicator", lambda self: pytest.fail("built b"))
             out = smooth(f, bohr)
+        assert bohr._values is None and bohr._spectrum is None
         assert out.values.dtype == f.values.dtype
         assert_close_to_own_max(out.values, want if dtype is np.complex128 else want.real)
         assert_close_to_own_max(out.spectrum, want_spec)
@@ -874,15 +874,14 @@ class TestSmooth:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * n + (1 << 20)
-        assert bohr.size == n and bohr.smoothing_regime == "constant"
-        assert bohr._members is None and out._values is None and out._spectrum is None
-        # the dense formulas: the constant array, the delta spectrum, Z_N
+        assert len(bohr_members(bohr)) == n and smoothing_regime(bohr) == "constant"
+        assert bohr._values is None and out._values is None and out._spectrum is None
+        # the dense formulas: the constant array, the delta spectrum, b = 1/N
         total = f.values.sum()
         values = np.full(n, total / n)
         spec = np.zeros(n, dtype=np.complex128)
         spec[0] = total
-        for got, want in ((out.values, values), (out.spectrum, spec),
-                          (bohr.members, np.arange(n, dtype=np.int64))):
+        for got, want in ((out.values, values), (out.spectrum, spec), (bohr.values, np.full(n, 1 / n))):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert not got.flags.writeable
         assert out.mass == complex(values.sum()) and out.is_real == (dtype is np.float64)
@@ -891,6 +890,20 @@ class TestSmooth:
             top = max(values.max(initial=0.0), -values.min(initial=0.0))
             assert links["pointwise_measure"]["measured"] == abs(float(top))
             assert links["frak_A"]["measured"] == int(np.count_nonzero(values >= kappa / n))
+
+    def test_fft_regime_working_set(self):
+        # at N = 1000003, with f's spectrum cached, the traced peak is the
+        # inverse transform's 24L, the smoothed spectrum (16N) and a fixed
+        # allowance: b's spectrum (16N) is not cached on b, and is freed
+        # before the inverse transform runs
+        n = 1_000_003
+        rng = np.random.default_rng(23)
+        f = DensityFunction.on_support(n, np.sort(rng.choice(n, 20_000, replace=False)), rng.random(20_000))
+        f.spectrum
+        b = bohr_set([1, 7], Fraction(1, 8), n)
+        assert len(b.points) == 35_715
+        assert TestPairedTransforms.traced_peak_over_24l(lambda: [smooth(f, b)]) <= 16 * n + (8 << 20)
+        assert b._spectrum is None
 
     def test_modulus_mismatch_rejected(self):
         # the B = {0} shortcut must not accept a Bohr set of another modulus
