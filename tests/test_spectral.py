@@ -453,20 +453,19 @@ class TestSupportForm:
         for got in (pair_spectra(f2, g2), pair_spectra(held(f), np.array(g.values))):
             assert all(bits_equal(a, b) for a, b in zip(got, want))
         assert bits_equal(f2.spectrum, want[0]) and bits_equal(g2.spectrum, want[1])
-        assert f2._values is None and g2._values is None  # no dense array was made
 
     def test_dft_matches_dense(self, integer_pair):
         f = integer_pair[0]
         assert bits_equal(dft(f), dft(DensityFunction(f.values)))
 
     def test_values_built_on_first_read(self):
+        # a support's dense values are built anew on each read, never kept
         f = DensityFunction.on_support(7, [5, 1, 3], [2.0, 0.0, -1.5])
         assert f.points.tolist() == [3, 5] and f.weights.tolist() == [-1.5, 2.0]
-        assert f.is_real and f._values is None
-        assert f.mass == 0.5 and f._values is None  # from a transient array
+        assert f.is_real
+        assert f.mass == 0.5  # from a transient array
         assert f.at(np.arange(7)).tolist() == [0, 0, 0, -1.5, 0, 2.0, 0]
-        assert f._values is None
-        assert f.values.tolist() == [0, 0, 0, -1.5, 0, 2.0, 0] and f.values is f.values
+        assert f.values.tolist() == [0, 0, 0, -1.5, 0, 2.0, 0] and f.values is not f.values
         assert not f.values.flags.writeable and not f.points.flags.writeable
         dest = np.full(4, 9.0)  # a block is overwritten: zeros and the points in it
         f.read(2, 6, dest, 2.0)
@@ -480,7 +479,6 @@ class TestSupportForm:
             xs = np.random.default_rng(37).integers(0, f.modulus, 5000)
             xs = np.concatenate([xs, f.points[:100]])
             assert bits_equal(held.at(xs), dense.at(xs))
-            assert held._values is None
 
     def test_empty_support(self):
         f = DensityFunction.on_support(5, np.zeros(0, dtype=np.int64), np.zeros(0))
@@ -704,14 +702,11 @@ class TestBohrSet:
         assert bohr_members(bohr_set(freqs, eps, n)).tolist() == want
         assert len(want) * q ** len(freqs) >= p ** len(freqs) * n
 
-    @pytest.mark.parametrize("tail", [1024, 16])
-    def test_blocked_tail_matches_bruteforce(self, monkeypatch, tail):
-        # random (N, R, eps) with repeated frequencies and r = 0; survivors at
-        # or below the tail meet the remaining frequencies in 2-D blocks
-        import polyprimelab.spectral as spectral
-
-        monkeypatch.setattr(spectral, "_BOHR_TAIL", tail)
-        rng = np.random.default_rng(tail)
+    @pytest.mark.parametrize("seed", [1024, 16])
+    def test_blocked_tail_matches_bruteforce(self, seed):
+        # random (N, R, eps) with repeated frequencies and r = 0; the
+        # survivors meet the remaining frequencies in 2-D blocks
+        rng = np.random.default_rng(seed)
         for _ in range(30):
             n = int(rng.choice([1031, 2003, 4099]))
             r = rng.integers(0, n, size=int(rng.integers(1, 40)))
@@ -778,6 +773,22 @@ class TestBohrSet:
             want = [x for x in range(n) if member(x)]
             assert bohr_members(bohr_set(r, eps, n)).tolist() == want
 
+    def test_full_set_holds_no_length_n_array(self):
+        # B = Z_N at N = 1000003: b's weights are one value broadcast with
+        # zero stride, and building b allocates well under 8N bytes
+        import tracemalloc
+
+        n = 1_000_003
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            b = bohr_set([0], Fraction(1, 8), n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert smoothing_regime(b) == "constant" and len(b.weights) == n
+        assert b.weights.strides == (0,) and peak < 1 << 20
+
 
 class TestSmooth:
     def test_full_bohr_averages(self):
@@ -832,7 +843,8 @@ class TestSmooth:
             for name in ("dft", "idft"):
                 m.setattr(spectral, name, lambda *args, **kwargs: pytest.fail("transform ran"))
             out = smooth(f, bohr)
-        assert bohr._values is None and bohr._spectrum is None
+        assert bohr.weights.strides == (0,) if full else len(bohr.weights) == 1
+        assert bohr._spectrum is None
         assert out.values.dtype == f.values.dtype
         assert_close_to_own_max(out.values, want if dtype is np.complex128 else want.real)
         assert_close_to_own_max(out.spectrum, want_spec)
@@ -875,7 +887,7 @@ class TestSmooth:
             tracemalloc.stop()
         assert peak <= 8 * n + (1 << 20)
         assert len(bohr_members(bohr)) == n and smoothing_regime(bohr) == "constant"
-        assert bohr._values is None and out._values is None and out._spectrum is None
+        assert bohr.weights.strides == out.weights.strides == (0,) and out._spectrum is None
         # the dense formulas: the constant array, the delta spectrum, b = 1/N
         total = f.values.sum()
         values = np.full(n, total / n)
@@ -904,6 +916,18 @@ class TestSmooth:
         assert len(b.points) == 35_715
         assert TestPairedTransforms.traced_peak_over_24l(lambda: [smooth(f, b)]) <= 16 * n + (8 << 20)
         assert b._spectrum is None
+
+    def test_dense_even_b_gets_fft_formula(self):
+        # an even b held densely, not by bohr_set, is neither a constant nor
+        # the identity: smooth convolves with it twice
+        n = 11
+        bv = np.zeros(n)
+        bv[[0, 1, 10]] = 1 / 3
+        b = DensityFunction(bv)
+        f = DensityFunction(np.random.default_rng(41).random(n))
+        want = np.fft.ifft(np.fft.fft(f.values) * np.fft.fft(bv).real ** 2)
+        assert_close_to_own_max(smooth(f, b).values, want.real)
+        assert smoothing_regime(b) == "fft"
 
     def test_modulus_mismatch_rejected(self):
         # the B = {0} shortcut must not accept a Bohr set of another modulus
