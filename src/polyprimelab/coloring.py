@@ -48,19 +48,20 @@ class ColoringInstance:
     num_colors: int
     provenance: str
     color_at: np.ndarray  # color of each integer 0..n, 0 off the domain
+    _elements: np.ndarray | None = None  # the sorted domain, once known
 
     @property
     def elements(self) -> np.ndarray:
-        """Sorted domain elements."""
-        return np.flatnonzero(self.color_at)
+        """Sorted domain elements: as the builder passed them, or else
+        derived from `color_at` on first read and kept."""
+        if self._elements is None:
+            self._elements = np.flatnonzero(self.color_at)
+        return self._elements
 
     @property
     def colors(self) -> np.ndarray:
         """Colors aligned with `elements`, values in 1..m."""
-        return self.color_at[self.color_at != 0]
-
-    def class_members(self, color: int) -> np.ndarray:
-        return np.flatnonzero(self.color_at == color)
+        return self.color_at[self.elements]
 
 
 def _blank_table(n: int, m: int) -> np.ndarray:
@@ -155,7 +156,7 @@ def make_coloring(domain: str, n: int, m: int, rule: str = "random", seed: int =
     else:
         blocks = np.searchsorted(np.asarray(args, dtype=np.int64), elements, side="left")
         colors = blocks % m + 1
-    return ColoringInstance(domain, n, m, rule, _color_table(n, m, elements, colors))
+    return ColoringInstance(domain, n, m, rule, _color_table(n, m, elements, colors), elements)
 
 
 def blocking_partition(
@@ -187,7 +188,7 @@ def blocking_partition(
     )
     provenance = f"blocking:p={p}{'' if q == p else f';q={q}'};T={t_threshold}{note}"
     color_at = _color_table(n, 3 * q, primes, colors)
-    return ColoringInstance(DOMAIN_PRIMES, n, 3 * q, provenance, color_at)
+    return ColoringInstance(DOMAIN_PRIMES, n, 3 * q, provenance, color_at, primes)
 
 
 @dataclass
@@ -435,6 +436,7 @@ def load_coloring(path) -> ColoringInstance:
         impossible = len(elements) != n
     else:
         impossible = n >= 17 and len(elements) <= n / math.log(n)
-    if impossible or not np.array_equal(np.sort(elements), _domain_elements(domain, n)):
+    domain_elements = None if impossible else _domain_elements(domain, n)
+    if impossible or not np.array_equal(np.sort(elements), domain_elements):
         raise ValueError("coloring is not total over its declared domain")
-    return ColoringInstance(domain, n, m, rule, _color_table(n, m, elements, colors))
+    return ColoringInstance(domain, n, m, rule, _color_table(n, m, elements, colors), domain_elements)

@@ -95,9 +95,12 @@ def _same_class_pairs(table, elements, zs, sums, top):
     """(z, table values, xs, ys) for each z in order whose sum s has hits: the
     x < y = s - x <= top in the sorted int64 `elements`, between its least and
     greatest, with table[x] == table[y], by one `np.searchsorted` window.
+    The x-side values are gathered once, aligned with `elements`, so each
+    window reads them as a slice and gathers only its y side.
     Over Z_N, x' + y' = t (mod N) is sum t or t + N at top N - 1."""
     if not len(elements):
         return
+    values = table[elements]
     first, last = int(elements[0]), int(elements[-1])
     for z, s in zip(zs.tolist(), sums.tolist()):
         lo, hi = max(s - min(top, last), first), (s - 1) // 2
@@ -105,7 +108,7 @@ def _same_class_pairs(table, elements, zs, sums, top):
             i0, i1 = np.searchsorted(elements, (lo, hi + 1))
             xs = elements[i0:i1]
             ys = s - xs
-            tx = table[xs]
+            tx = values[i0:i1]
             idx = np.flatnonzero(tx == table[ys])
             if len(idx):
                 yield z, tx[idx], xs[idx], ys[idx]

@@ -415,10 +415,11 @@ def run_counterexample(cfg: ExperimentConfig) -> dict:
     hits_per_class = np.bincount(sols[:, 0], minlength=part.num_colors + 1)
     by_class = {}
     t_threshold = psi((cfg.p - cfg.b0) // cfg.w0)
+    elements, colors = part.elements, part.colors
     for j in range(1, part.num_colors + 1):
-        members = part.class_members(j)
+        members = elements[colors == j]
         entry = {"count": int(len(members))}
-        if len(members) >= 2:  # class_members is in ascending order
+        if len(members) >= 2:  # elements is in ascending order
             entry["max_pair_sum"] = int(members[-1] + members[-2])
             entry["min_pair_sum"] = int(members[0] + members[1])
         entry["empty"] = not hits_per_class[j]

@@ -49,8 +49,9 @@ support it zeroes the block and scatters the points in it.  So during
 `transfer`'s one transform the live arrays are its 24L working set, the
 class's members and the two supports, and after it the two spectra (32N);
 no stage of the transference chain reads a support's dense `values`.
-`run_transfer`'s traced peak is 24L + 8|A| + 8.1 MiB, 58.5 B/N, at the
-transfer-int bench config (N = 1000003), and 24L + 4.0 MiB, 58.8 B/N, at
+`run_transfer`'s traced peak, across runs of CI's "transfer traced peak"
+step, is 24L + 8|A| + 7.0-8.1 MiB, 57.3-58.5 B/N, at the transfer-int bench
+config (N = 1000003), and 24L + 4.0-4.3 MiB, 58.8-59.4 B/N, at
 transfer-prime (N = 400009).  In the fft regime, at eta = 1/2, eps = 1/4
 (N = 1000003, |B| = 500001), it is 24L + 32N + 8|A| + 26.2 MiB, 109.5 B/N.
 

@@ -977,6 +977,33 @@ class TestCounterexampleCommand:
             if "min_pair_sum" in entry:
                 assert entry["min_pair_sum"] > t
 
+    @pytest.mark.parametrize("psi,b0,w0,p", [((6, 0, 0), 1, 1, 3), ((4, 0, 0), 1, 2, 2)])
+    def test_class_census_matches_a_table_scan(self, psi, b0, w0, p):
+        # each class's count, pair sums and emptiness, against a scan of the
+        # partition's color table per class and a per-z brute-force search
+        n = 2000
+        cfg = config_from_sources(None, {"psi": psi, "b0": b0, "w0": w0, "p": p, "n": n})
+        report = run_counterexample(cfg)
+        poly = IntPolynomial(psi)
+        color_at = coloring.blocking_partition(poly, b0, w0, p, n).color_at
+        hit = set()
+        for z in range(1, n):
+            s = poly(z)
+            if s > 2 * n:
+                break
+            if all((w0 * z + b0) % d for d in range(2, w0 * z + b0)):
+                xs = np.arange(max(1, s - n), (s - 1) // 2 + 1)
+                same = (color_at[xs] != 0) & (color_at[xs] == color_at[s - xs])
+                hit.update(color_at[xs[same]].tolist())
+        assert len(report["classes"]) == 3 * (4 if p == 2 else p)
+        for j, entry in report["classes"].items():
+            members = np.flatnonzero(color_at == int(j))
+            want = {"count": len(members), "empty": int(j) not in hit}
+            if len(members) >= 2:
+                want["max_pair_sum"] = int(members[-1] + members[-2])
+                want["min_pair_sum"] = int(members[0] + members[1])
+            assert entry == want
+
 
 PRIME_TRANSFER = {
     "psi": (1, 1, 4),

@@ -141,6 +141,47 @@ class TestColorTable:
         assert np.array_equal(col.elements, primes) and np.array_equal(col.colors, want)
 
 
+def _table_scan(col):
+    """The domain and its colors by a scan of `color_at`, 0 off the domain."""
+    elements = np.flatnonzero(col.color_at)
+    return elements, col.color_at[elements]
+
+
+class TestDomainElements:
+    # each builder's elements and colors are what a scan of its table finds
+    @pytest.mark.parametrize("domain", ["integers", "primes"])
+    @pytest.mark.parametrize("rule", ["random", "residue:4", "interval:10,50,200"])
+    def test_make_coloring(self, domain, rule):
+        col = make_coloring(domain, 300, 3, rule, 6)
+        elements, colors = _table_scan(col)
+        assert np.array_equal(col.elements, elements) and np.array_equal(col.colors, colors)
+        assert col.elements.dtype == np.int64
+
+    @pytest.mark.parametrize("psi,b0,w0,p", [(SIX_X2, 1, 1, 3), (IntPolynomial((4, 0, 0)), 1, 2, 2)])
+    def test_blocking_partition(self, psi, b0, w0, p):
+        part = blocking_partition(psi, b0, w0, p, 500)
+        elements, colors = _table_scan(part)
+        assert np.array_equal(part.elements, elements) and np.array_equal(part.colors, colors)
+
+    @pytest.mark.parametrize("domain", ["integers", "primes"])
+    def test_load_coloring(self, tmp_path, domain):
+        save_coloring(make_coloring(domain, 200, 4, "random", 9), tmp_path / "c.txt")
+        back = load_coloring(tmp_path / "c.txt")
+        elements, colors = _table_scan(back)
+        assert np.array_equal(back.elements, elements) and np.array_equal(back.colors, colors)
+
+    def test_derived_once(self, monkeypatch):
+        # a random integer coloring holds no domain array until one is read,
+        # and then derives it from the table once
+        col = make_coloring("integers", 100, 2, "random", 1)
+        calls = []
+        scan = np.flatnonzero
+        monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or scan(a))
+        assert col._elements is None
+        assert col.elements is col.elements and len(col.colors) == 100
+        assert calls == [1]
+
+
 class TestBlockingPartition:
     def test_class_memberships(self):
         part = blocking_partition(SIX_X2, 1, 1, 3, 100)

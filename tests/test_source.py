@@ -65,6 +65,20 @@ def test_every_transform_is_counted():
                    or getattr(node, "attr", None) == "_chirp_dft") == {"spectral:dft", "spectral:idft"}
 
 
+def test_coloring_domain_derived_in_coloring():
+    # a coloring's domain elements are derived once, by coloring: no other
+    # module scans a color table for them with np.flatnonzero or np.nonzero
+    def domain_scan(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("flatnonzero", "nonzero")
+                and getattr(node.func.value, "id", None) in ("np", "numpy")
+                and any(getattr(inner, "attr", None) == "color_at"
+                        for arg in node.args for inner in ast.walk(arg)))
+
+    assert {owner.split(":")[0] for owner in _owners(domain_scan)} <= {"coloring"}
+
+
 def _scan(node, scope, defs, used):
     """Each definition under `node`, as its qualified name, into `defs`, and
     each name an `ast.Name` or `ast.Attribute` reads into `used`, unless a
