@@ -57,7 +57,7 @@ __all__ = [
 
 _RELATIONS = {">=": operator.ge, "<=": operator.le}
 _TRIPLE_BLOCK = 1 << 16  # frequencies per block of triple_count's sum
-_GATHER_BLOCK = 1 << 16  # (t, x) entries per gather of _unweighted_count
+_GATHER_BLOCK = 1 << 16  # words per gather of _unweighted_count
 
 
 class LiftingError(RuntimeError):
@@ -75,14 +75,18 @@ def triple_count(f: DensityFunction, g: DensityFunction, h: DensityFunction) -> 
     This is the orthogonality identity matching brute force under the
     transform convention fhat(r) = sum f(x) e(-x r / N), verified against
     exhaustive counting.  A constant factor's spectrum vanishes off r = 0: the
-    sum is then its r = 0 term, as the other blocks would add exact zeros.
+    sum is then its r = 0 term, as the other blocks would add exact zeros,
+    read by `spectrum_at_zero`, so a factor held on its support builds no
+    spectrum.  Otherwise every term comes from the three spectra.
     """
     if not f.modulus == g.modulus == h.modulus:
         raise ValueError("modulus mismatch")
     n = f.modulus
-    total = complex(f.spectrum_at_zero() * g.spectrum_at_zero() * h.spectrum_at_zero())
-    if f.total is None and g.total is None and h.total is None:
+    if f.total is not None or g.total is not None or h.total is not None:
+        total = complex(f.spectrum_at_zero() * g.spectrum_at_zero() * h.spectrum_at_zero())
+    else:
         fs, gs, hs = f.spectrum, g.spectrum, h.spectrum
+        total = complex(fs[0] * gs[0] * hs[0])
         for lo in range(1, n, _TRIPLE_BLOCK):  # in blocks: no length-N product
             hi = min(n, lo + _TRIPLE_BLOCK)
             prod = fs[lo:hi] * gs[lo:hi]
@@ -208,25 +212,47 @@ def find_zn_solutions(
     return out[:limit]
 
 
+def _bitset(size: int, *marked: np.ndarray) -> np.ndarray:
+    """The uint64 words of a bitset of `size` words, bit i of word j marking
+    64 j + i, with the points of each int64 array in `marked` set."""
+    bits = np.zeros(64 * size, dtype=bool)
+    for xs in marked:
+        bits[xs] = True
+    return np.packbits(bits, bitorder="little").view("<u8")
+
+
 def _unweighted_count(members: np.ndarray, measure: DensityFunction) -> float:
     """sum over x, y in A (ascending, in [0, N)) of measure(x + y), the
-    measure held on its support.  When |supp| |A| <= N N.bit_length() it is
-    exact: at each support point t, the x in A with t + N - x in `table` (x
-    and x + N for x in A), gathered in blocks of at most `_GATHER_BLOCK`
-    (t, x) entries.  Above that it is A's indicator's triple count."""
+    measure held on its support.  When |supp| ceil(N/64) <= N N.bit_length()
+    words, at most one transform's work, it is exact: at each support point
+    t, |A & (t - A)| is the popcount of A's bitset AND the bitset of t - A,
+    which is the window at bit s = N - 1 - t of A's reflection over [0, 2N)
+    (bit i set when (N - 1 - i) mod N is in A).  Each window is read as whole words
+    of one copy of the reflection shifted by s mod 64, made once per value
+    of s mod 64, in gathers of at most `_GATHER_BLOCK` words.  Above that it
+    is A's indicator's triple count."""
     n_mod, support, weights = measure.modulus, measure.points, measure.weights
-    if len(support) * len(members) > n_mod * n_mod.bit_length():
+    words = -(-n_mod // 64)
+    if len(support) * words > n_mod * n_mod.bit_length():
         indicator = DensityFunction.on_support(n_mod, members, np.ones(len(members)))
         return triple_count(indicator, indicator, measure).real
-    table = np.zeros(2 * n_mod, dtype=bool)
-    table[members] = table[members + n_mod] = True
+    own = _bitset(words, members)
+    mirror = _bitset(2 * words + 1, n_mod - 1 - members, 2 * n_mod - 1 - members)
+    first_word, shifts = np.divmod(n_mod - 1 - support, 64)
     counts = np.zeros(len(support), dtype=np.int64)
-    for lo in range(0, len(members), _GATHER_BLOCK):
-        shifts = n_mod - members[lo : lo + _GATHER_BLOCK]
-        rows = _GATHER_BLOCK // len(shifts)
-        for r in range(0, len(support), rows):
-            block = table[support[r : r + rows, None] + shifts]
-            counts[r : r + rows] += np.count_nonzero(block, axis=1)
+    rows = max(1, _GATHER_BLOCK // words)
+    for shift in range(64):
+        at = np.flatnonzero(shifts == shift)
+        if not len(at):
+            continue
+        shifted = mirror[:-1] >> np.uint64(shift)
+        if shift:
+            shifted |= mirror[1:] << np.uint64(64 - shift)
+        windows = np.lib.stride_tricks.sliding_window_view(shifted, words)
+        for lo in range(0, len(at), rows):
+            block = windows[first_word[at[lo : lo + rows]]]
+            block &= own
+            counts[at[lo : lo + rows]] = np.bitwise_count(block).sum(axis=1)
     return float(counts @ weights)
 
 
@@ -295,16 +321,18 @@ class ChainVariant:
     """What a coloring variant changes in the transference chain: its
     coloring's domain, its dense-class builder and `verify`'s name for that
     check; its class function f; its class's smoothing links as in
-    `MEASURE_LINKS` (None: f is not smoothed); its sums, read after the
-    transform from the class, the measure, f and mu2 (the measure at 2x for
-    each member x); and its extra and final links, read from the class and
-    all the sums, with its own report fields."""
+    `MEASURE_LINKS` (None: f is not smoothed); its raw count, the sum over
+    x, y of f(x) f(y) measure(x + y), from the class, the measure and f; its
+    sums, read after that from the class, the measure, f and mu2 (the
+    measure at 2x for each member x); and its extra and final links, read
+    from the class and all the sums, with its own report fields."""
 
     domain: str
     dense_class: Callable[[ColoringInstance, WTrickContext], TransferredSet]
     dense_check: str
     class_function: Callable[[TransferredSet], DensityFunction]
     class_links: tuple | None
+    raw_count: Callable[[TransferredSet, DensityFunction, DensityFunction], float]
     sums: Callable[[TransferredSet, DensityFunction, DensityFunction, np.ndarray], dict]
     links: Callable[[TransferredSet, dict], tuple[dict, dict]]
 
@@ -336,6 +364,13 @@ def _prime_links(a_set: TransferredSet, sums: dict) -> tuple[dict, dict]:
     return links, {"pointwise_weight_cap": amax, "unweighted_count": unweighted}
 
 
+def _packed_raw_count(measure: DensityFunction, f: DensityFunction) -> float:
+    """The raw count by `triple_count`, after both spectra are cached from
+    one `transform_pair`: the class's is read by its smoothing."""
+    transform_pair(measure, f)
+    return triple_count(f, f, measure).real
+
+
 # The one declaration of each variant.  A builder is named inside a lambda,
 # so it is looked up when called: a wrapper put on its name sees the call.
 CHAIN_VARIANTS = {
@@ -347,6 +382,8 @@ CHAIN_VARIANTS = {
             a_set.context.N, a_set.members, np.ones(len(a_set.members))
         ),
         class_links=None,
+        # f is A's indicator: the raw count is the unweighted count, exact
+        raw_count=lambda a_set, measure, f: _unweighted_count(a_set.members, measure),
         sums=lambda a_set, measure, f, mu2: {},
         links=_integer_links,
     ),
@@ -359,6 +396,7 @@ CHAIN_VARIANTS = {
             ("pointwise_class", "A_dash", "bohr_class"), "class_",
             lambda kappa, n_mod: 2 / n_mod, lambda kappa, n_mod: 2 * kappa * n_mod,
         ),
+        raw_count=lambda a_set, measure, f: _packed_raw_count(measure, f),
         sums=lambda a_set, measure, f, mu2: {
             "mass_class": f.mass.real,
             "unweighted_count": _unweighted_count(a_set.members, measure),
@@ -372,20 +410,19 @@ CHAIN_VARIANTS = {
 def chain_spectra(a_set: TransferredSet, measure: DensityFunction) -> tuple:
     """The once-per-n part of the transference chain of one transferred set
     against its context's measure (`spectral.build_poly_prime_measure`), as
-    (a_set, measure, f, sums): the class function f, both spectra from one
-    `transform_pair`, and the sums: the measure's mass, the raw count, the
-    exact diagonal sum_x f(x)^2 measure(2x) and the variant's own (a prime
-    class's mass and `_unweighted_count`).  A prime class must carry its
-    `weights`."""
+    (a_set, measure, f, sums): the class function f and the sums: the
+    measure's mass, the variant's raw count, the exact diagonal
+    sum_x f(x)^2 measure(2x) and the variant's own (a prime class's mass and
+    `_unweighted_count`).  An integer class's raw count is its exact
+    unweighted count, so no spectrum is built here: the measure's is built
+    when `chain_links` first reads it, and the class's only for the smoothed
+    count of an fft row.  A prime class caches both spectra from one
+    `transform_pair`, and must carry its `weights`."""
     variant = CHAIN_VARIANTS[a_set.context.variant]
     f = variant.class_function(a_set)
-    # Each stage runs right after the transform it needs, and a spectrum no
-    # later stage reads is dropped before the next transform: each transform
-    # peaks at the live set plus the FFT's own scratch.  The measure and the
-    # class are read from their supports: no dense length-N array is kept
-    # (each mass is summed from a transient one).
-    transform_pair(measure, f)
-    raw = triple_count(f, f, measure).real
+    # The measure and the class are read from their supports: no dense
+    # length-N array is kept (each mass is summed from a transient one).
+    raw = variant.raw_count(a_set, measure, f)
     mu2 = measure.at((2 * a_set.members) % measure.modulus)  # f vanishes off the members
     diag_exact = float((f.weights**2 * mu2).sum())  # f is held on the members, in their order
     sums = variant.sums(a_set, measure, f, mu2)

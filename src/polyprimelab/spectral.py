@@ -7,9 +7,12 @@ Every log weight comes from `numtheory.ap_primes`: the polynomial-prime
 measure and `weighted_exp_sum` call it, and the prime-coloring measure
 places the weights its class took from it (`coloring.dense_prime_class`).
 
-Transform convention: fhat(r) = sum_x f(x) e(-x r / N) with e(t) = exp(2 pi i t),
-computed by one Bluestein (chirp-z) transform at every length N (the O(N^2)
-sum by definition is a test oracle only).  With x r = (x^2 + r^2 - (r - x)^2)/2,
+Transform convention: fhat(r) = sum_x f(x) e(-x r / N) with e(t) = exp(2 pi i t).
+`dft` sums a real function with few nonzero points over them (`_direct_dft`,
+one matmul of two phase tables; `dft` states the cutoff and the error
+bound), and computes every other transform by one Bluestein (chirp-z)
+transform at every length N (the O(N^2) sum by definition over every point
+is a test oracle only).  With x r = (x^2 + r^2 - (r - x)^2)/2,
 fhat(r) = w(r) sum_x f(x) w(x) conj w(r - x) for the chirp w(k) = e(-k^2 / 2N),
 a cyclic convolution of length L, the least 7-smooth L >= 2N - 1.  Each
 length-L FFT is a four-step FFT over an L2 x L1 grid (L1 <= L2, both near
@@ -34,10 +37,11 @@ per thread.
 
 The transform reads only `DensityFunction`s (`idft` reads a spectrum):
 `dft` reads one, or two real ones packed as f + i g / 2^k, block by block
-through `DensityFunction.read`.  Real functions are stored as float64,
-complex ones as complex128.  Two real functions share one transform in
-`transform_pair`, the one code that packs them, which splits it in place:
-the second spectrum takes its cells, the first one new array.
+through `DensityFunction.read`, or, on the direct route, a support's points
+and weights (a dense function's nonzero ones).  Real functions are stored
+as float64, complex ones as complex128.  Two real functions share one
+transform in `transform_pair`, the one code that packs them, which splits it
+in place: the second spectrum takes its cells, the first one new array.
 
 The measure, both classes and a Bohr set B's normalized indicator
 b = 1_B / |B| (`bohr_set`) are `DensityFunction`s held on their supports
@@ -45,22 +49,30 @@ b = 1_B / |B| (`bohr_set`) are `DensityFunction`s held on their supports
 function's `weights` are its values at every point; a constant's, as b for
 B = Z_N and f smoothed by it, are one value broadcast with zero stride
 (`constant`), no length-N buffer.  `read` takes a block from any form; from a
-support it zeroes the block and scatters the points in it.  So during
-`transfer`'s one transform the live arrays are its 24L working set, the
-class's members and the two supports, and after it the two spectra (32N);
-no stage of the transference chain reads a support's dense `values`.
-`run_transfer`'s traced peak, across runs of CI's "transfer traced peak"
-step, is 24L + 8|A| + 7.0-8.1 MiB, 57.3-58.5 B/N, at the transfer-int bench
-config (N = 1000003), and 24L + 4.0-4.3 MiB, 58.8-59.4 B/N, at
-transfer-prime (N = 400009).  In the fft regime, at eta = 1/2, eps = 1/4
-(N = 1000003, |B| = 500001), it is 24L + 32N + 8|A| + 26.2 MiB, 109.5 B/N.
+support it zeroes the block and scatters the points in it.  So during a
+prime-coloring `transfer`'s one transform the live arrays are its 24L
+working set, the class's members and the two supports, and after it the two
+spectra (32N); no stage of the transference chain reads a support's dense
+`values`.  An integer-coloring `transfer` runs no Bluestein transform outside
+the fft regime: the measure's spectrum is a direct sum over its points
+(about M / log M of them) and the raw count an exact popcount
+(`counting._unweighted_count`).  `run_transfer`'s traced peak, across runs of
+CI's "transfer traced peak" step, is 16N + 8|A| + 10.3-11.2 MiB,
+28.8-29.8 B/N, at the transfer-int bench config (N = 1000003): the measure's
+spectrum, the class's members and an allowance.  It is 24L + 4.0-4.3 MiB,
+58.8-59.4 B/N, at transfer-prime (N = 400009).  In the fft regime, at
+eta = 1/2, eps = 1/4 (N = 1000003, |B| = 500001), it is
+24L + 32N + 8|A| + 14.7-14.9 MiB, 97.5-97.6 B/N.
 
 `smooth` is the one smoothing routine, and `smoothing_regime` names how it
 treats b; it runs no transform when B = {0} or B = Z_N.  So
-`counting.transference_report` runs 1 length-N transform for an integer
-coloring when B = {0}, and 1 for a prime coloring when the measure's B is
-{0} and the class's is Z_N (its unweighted pair count adds 1 only above the
-cost cutoff stated there); each proper, nontrivial Bohr set adds 2.
+`counting.transference_report` runs, for an integer coloring, 1 dft when B
+is {0} or Z_N, the measure's, a direct sum, and no Bluestein transform; in
+the fft regime it adds b's dft (a direct sum for a small B), one idft and
+the class's dft, built for the smoothed count.  For a prime coloring it runs
+1 transform, the packed pair, when the measure's B is {0} and the class's is
+Z_N (its unweighted pair count adds 1 only above the cost cutoff stated
+there); each proper, nontrivial Bohr set adds b's dft and one idft.
 """
 
 from __future__ import annotations
@@ -315,12 +327,66 @@ def _chirp_dft(n: int, read) -> np.ndarray:
     return out
 
 
+def _direct_dft(n: int, points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """dft of the real function equal to `weights` at the int64 `points` of
+    [0, n), n^2 < 2^63, by summing over them, into a new complex128 array.
+
+    For r = q blk + j in [0, n/2], fhat(r) = sum_x e(-x q blk / n) w_x
+    e(-x j / n): one complex matmul of two tables, each from `_unit_phases`
+    on int64 phases below n^2, written straight into the output; r past n/2
+    is the conjugate of n - r, and r = n/2 real, so the spectrum is exactly
+    Hermitian."""
+    half = n // 2 + 1
+    blk = math.isqrt(half - 1) + 1
+    rows = -(-half // blk)  # rows * blk <= n
+    far = np.empty((rows, len(points)), dtype=np.complex128)
+    _unit_phases(np.multiply.outer(np.arange(0, rows * blk, blk, dtype=np.int64), points), n, far)
+    near = np.empty((len(points), blk), dtype=np.complex128)
+    _unit_phases(np.multiply.outer(points, np.arange(blk, dtype=np.int64)), n, near)
+    near *= weights[:, None]
+    out = np.empty(n, dtype=np.complex128)
+    np.matmul(far, near, out=out[: rows * blk].reshape(rows, blk))
+    np.conjugate(out[1 : (n + 1) // 2], out=out[n - 1 : n // 2 : -1])
+    if n % 2 == 0:  # r = n/2 is its own conjugate
+        out[n // 2] = out[n // 2].real
+    return out
+
+
 def dft(f: DensityFunction, g: DensityFunction | None = None, scale: float = 1.0) -> np.ndarray:
-    """Transform fhat(r) = sum_x f(x) e(-x r / N) by the Bluestein transform
-    described in the module docstring, into a new complex128 array; with a
-    real g of f's length, the transform of f + i g / scale for a power of two
-    `scale` (`transform_pair`'s packed pair).  Each function is read block by
-    block through `DensityFunction.read`, never copied."""
+    """Transform fhat(r) = sum_x f(x) e(-x r / N) into a new complex128
+    array; with a real g of f's length, the transform of f + i g / scale for
+    a power of two `scale` (`transform_pair`'s packed pair).
+
+    A real f alone with at most N.bit_length()^2 nonzero points, and fewer
+    than N (a function zero nowhere is dense at every N), counted from its
+    support or from its dense values, so that both forms take one route to
+    the same bits, is summed over them (`_direct_dft`), when N^2 < 2^63
+    keeps its phase products exact in int64.  Every other transform, the
+    packed pair and `idft` included, is the Bluestein transform of the
+    module docstring, which reads each function block by block through
+    `DensityFunction.read`, never copied.  The cutoff lies
+    below the measured crossover (on 2 cores: about 230 points at N = 2039
+    and 10007, 650 at 100003, 1300 at 1000003, 2200 at 4000037), so the
+    direct sum is the cheaper route wherever it is taken.
+
+    The direct sum's error in each entry is at most
+    (2 sqrt(2) |supp| + 45) u ||f||_1, u = 2^-53, to first order in u,
+    assuming numpy's float64 sin and cos within 4 ulp: each table entry is
+    within (3 pi + 8 sqrt(2)) u of its exact value (an exactly reduced
+    phase, its angle rounded three times), the weight adds u, and each
+    component of a sum of |supp| complex products is a real sum of
+    2 |supp| products.  Its bits depend on the BLAS library and its thread
+    count, which the matmul's kernels follow; they are the same on every
+    call of one process."""
+    n = len(f)
+    cap = min(n.bit_length() ** 2, n - 1)
+    if g is None and f.is_real and n * n < 1 << 63:
+        points, weights = f.points, f.weights
+        if points is None and np.count_nonzero(weights) <= cap:
+            points = np.flatnonzero(weights)
+            weights = weights[points]
+        if points is not None and len(points) <= cap:
+            return _direct_dft(n, points, weights)
     read = f.read
     if g is not None:
         if len(g) != len(f):
@@ -330,7 +396,7 @@ def dft(f: DensityFunction, g: DensityFunction | None = None, scale: float = 1.0
             f.read(start, stop, dest.real)
             g.read(start, stop, dest.imag, scale)
 
-    return _chirp_dft(len(f), read)
+    return _chirp_dft(n, read)
 
 
 def idft(spectrum: np.ndarray) -> np.ndarray:
@@ -462,8 +528,13 @@ class DensityFunction:
         return self._spectrum
 
     def spectrum_at_zero(self) -> np.complex128:
-        """spectrum[0], with no spectrum built for a constant."""
-        return self.spectrum[0] if self.total is None else np.complex128(self.total)
+        """fhat(0), with no spectrum built for a constant (its total) or for a
+        support (the sum of its weights, whether or not a spectrum is cached)."""
+        if self.total is not None:
+            return np.complex128(self.total)
+        if self.points is not None:
+            return np.complex128(self.weights.sum())
+        return self.spectrum[0]
 
     @property
     def mass(self) -> complex:

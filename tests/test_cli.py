@@ -1177,36 +1177,46 @@ class TestTransferCommand:
         assert not (tmp_path / "transfer.json").exists()
 
     @pytest.mark.parametrize(
-        "cfg,transforms,regimes",
+        "cfg,transforms,chirps,regimes",
         [
-            # B = {0}: only the packed transform of the measure and the class
-            ({"n": 30000, "seed": 5}, 1, ["identity"]),
-            # the class's |R| = 0 makes its B = Z_N: no smoothing transform,
-            # and the unweighted count is an exact sum over the support
-            ({**PRIME_TRANSFER, "eta": Fraction(1, 4)}, 1, ["identity", "constant"]),
+            # B = {0}: the measure's dft, summed over its 1,229 points; the
+            # raw count is the exact unweighted count, so no Bluestein
+            # transform runs
+            ({"n": 30000, "seed": 5}, 1, 0, ["identity"]),
+            # B = Z_N: the measure's dft alone, as the constant's count
+            # reads the class's spectrum at 0 from its weights
+            ({"n": 30000, "seed": 5, "eta": Fraction(2)}, 1, 0, ["constant"]),
+            # the class's |R| = 0 makes its B = Z_N: only the packed
+            # transform of the measure and the class, and the unweighted
+            # count is an exact sum over the support
+            ({**PRIME_TRANSFER, "eta": Fraction(1, 4)}, 1, 1, ["identity", "constant"]),
             # the class's |B| = 1667 takes the transform path
-            (PRIME_TRANSFER, 3, ["identity", "fft"]),
-            # |R| = 25 leaves a measure Bohr set of 33 points
-            ({"n": 3000, "eta": Fraction(1, 2), "eps": Fraction(1, 4)}, 3, ["fft"]),
+            (PRIME_TRANSFER, 3, 3, ["identity", "fft"]),
+            # |R| = 25 leaves a measure Bohr set of 33 points: the measure's
+            # and b's dft are direct sums; the idft and the class's dft,
+            # built for the smoothed count, are Bluestein transforms
+            ({"n": 3000, "eta": Fraction(1, 2), "eps": Fraction(1, 4)}, 4, 2, ["fft"]),
         ],
-        ids=["integer", "prime-full-bohr", "prime", "integer-wide"],
+        ids=["integer", "integer-constant", "prime-full-bohr", "prime", "integer-wide"],
     )
-    def test_length_n_transform_count(self, monkeypatch, cfg, transforms, regimes):
+    def test_length_n_transform_count(self, monkeypatch, cfg, transforms, chirps, regimes):
         from polyprimelab import spectral
 
-        calls = []
+        calls, bluestein = [], []
 
-        def counted(real):
+        def counted(real, log):
             def wrapper(*args, **kwargs):
-                calls.append(len(args[0]))
+                log.append(args[0] if isinstance(args[0], int) else len(args[0]))
                 return real(*args, **kwargs)
 
             return wrapper
 
         for name in ("dft", "idft"):
-            monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
+            monkeypatch.setattr(spectral, name, counted(getattr(spectral, name), calls))
+        monkeypatch.setattr(spectral, "_chirp_dft", counted(spectral._chirp_dft, bluestein))
         report = run_transfer(config_from_sources(None, cfg))
-        assert calls == [int(report["context"]["N"])] * transforms
+        n_mod = int(report["context"]["N"])
+        assert (calls, bluestein) == ([n_mod] * transforms, [n_mod] * chirps)
         rep = report["transference"]
         named = [rep["smoothing_regime"]]
         if "class_smoothing_regime" in rep:
@@ -1224,28 +1234,33 @@ class TestTransferCommand:
     @pytest.mark.parametrize(
         "cfg,rows",
         [
-            # (eta, eps, the regimes: the measure's, then the class's, transforms)
-            ({}, [(Fraction(1, 4), Fraction(1, 8), ["identity"], 0),
-                  (Fraction(7, 10), Fraction(1, 8), ["fft"], 2),
-                  (Fraction(2), Fraction(1, 8), ["constant"], 0)]),
-            (PRIME_TRANSFER, [(Fraction(1, 4), Fraction(1, 8), ["identity", "constant"], 0),
-                              (Fraction(1, 20), Fraction(1, 8), ["identity", "fft"], 2),
-                              (Fraction(9, 10), Fraction(1, 4), ["fft", "constant"], 2),
-                              (Fraction(2), Fraction(1, 8), ["constant", "constant"], 0)]),
+            # (eta, eps, the regimes: the measure's, then the class's, the
+            # dft and idft calls, the Bluestein transforms among them)
+            ({}, [(Fraction(1, 4), Fraction(1, 8), ["identity"], 1, 0),
+                  (Fraction(7, 10), Fraction(1, 8), ["fft"], 3, 3),
+                  (Fraction(2), Fraction(1, 8), ["constant"], 0, 0)]),
+            (PRIME_TRANSFER, [(Fraction(1, 4), Fraction(1, 8), ["identity", "constant"], 0, 0),
+                              (Fraction(1, 20), Fraction(1, 8), ["identity", "fft"], 2, 2),
+                              # the measure's |B| = 119: b's dft is a direct sum
+                              (Fraction(9, 10), Fraction(1, 4), ["fft", "constant"], 2, 1),
+                              (Fraction(2), Fraction(1, 8), ["constant", "constant"], 0, 0)]),
         ],
         ids=["integer", "prime"],
     )
     def test_links_per_row_from_one_spectra(self, tmp_path, monkeypatch, cfg, rows):
         # one chain_spectra per n serves every (eta, eps) row: each row's
         # report is transference_report's to the byte, and a row transforms
-        # only to smooth, a dft and an idft per function in the fft regime
+        # only to smooth, a dft and an idft per function in the fft regime,
+        # or to build a spectrum on its first read: an integer chain builds
+        # the measure's (a direct sum) in its first row and the class's in
+        # its first fft row, for the smoothed count; a prime chain has both
         from polyprimelab import spectral
 
         cfg = config_from_sources(None, cfg)
         ctx = cfg.context()
         dens = experiments._dense_class(cfg, ctx)
         want = []
-        for eta, eps, _, _ in rows:  # a fresh measure each: its spectrum is cached
+        for eta, eps, *_ in rows:  # a fresh measure each: its spectrum is cached
             rep = counting.transference_report(dens, build_poly_prime_measure(ctx), eta, eps)
             write_report(rep, tmp_path / "want.json")
             want.append((tmp_path / "want.json").read_bytes())
@@ -1259,17 +1274,17 @@ class TestTransferCommand:
 
             return wrapper
 
-        for name in ("dft", "idft"):
+        for name in ("dft", "idft", "_chirp_dft"):
             monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
-        for (eta, eps, regimes, transforms), expected in zip(rows, want):
+        for (eta, eps, regimes, transforms, chirps), expected in zip(rows, want):
             calls.clear()
             rep = counting.chain_links(spectra, eta, eps)
-            assert len(calls) == transforms
+            assert len(calls) - calls.count("_chirp_dft") == transforms
+            assert calls.count("_chirp_dft") == chirps
             named = [rep["smoothing_regime"], rep.get("class_smoothing_regime")]
             assert [r for r in named if r] == regimes
             write_report(rep, tmp_path / "got.json")
             assert (tmp_path / "got.json").read_bytes() == expected
-
 
     def test_constant_measure_row_matches_dense_constant(self, tmp_path, monkeypatch):
         # at eta = 9/10, eps = 1/4 the measure's R = {0}, so its B = Z_N: the

@@ -516,16 +516,18 @@ def random_unweighted_instance(n, support_size, set_size, seed, weights=None):
 
 
 class TestUnweightedCount:
-    @pytest.mark.parametrize("set_size", [300, 1500], ids=["exact", "transform"])
-    def test_support_form_matches_dense(self, set_size):
+    @pytest.mark.parametrize("support_size,set_size", [(40, 300), (800, 1500)],
+                             ids=["exact", "transform"])
+    def test_support_form_matches_dense(self, support_size, set_size):
         # a measure held on its support gives the dense measure's triple
         # count: to 1e-12 on the exact path, and to the bit on the transform
-        # path, whose spectra are the dense arrays'
-        members, held = random_unweighted_instance(2027, 40, set_size, 41)
+        # path (800 points cost 800 * 32 words, over the cutoff of 22,297),
+        # whose spectra are the dense arrays'
+        members, held = random_unweighted_instance(2027, support_size, set_size, 41)
         indicator = DensityFunction.on_support(2027, members, np.ones(len(members)))
         want = triple_count(indicator, indicator, DensityFunction(held.values)).real
         got = _unweighted_count(members, held)
-        if set_size > 1000:
+        if support_size * 32 > 2027 * 11:
             assert got == want
         else:
             assert got == pytest.approx(want, rel=1e-12)
@@ -535,16 +537,19 @@ class TestUnweightedCount:
         [
             (101, 7, 40, 0),
             (1009, 30, 300, 0),
-            (2027, 11, 2000, 0),  # 22,000 pairs against a cutoff of 22,297
-            (2039, 2039, 1, 0),
+            (2027, 11, 2000, 0),
+            (2027, 696, 500, 0),  # 696 * 32 = 22,272 words against a cutoff of 22,297
+            (2027, 697, 500, 1),  # 22,304 words: over the cutoff
+            (2039, 2039, 1, 1),  # 65,248 words, however small A is
             (997, 5, 0, 0),
             (1999, 0, 500, 0),
-            (2027, 300, 1000, 1),  # 300,000 pairs: over the cutoff
+            (2027, 300, 1000, 0),
         ],
     )
     def test_matches_bruteforce(self, monkeypatch, n, support_size, set_size, transforms):
-        # |supp| * |A| <= N * N.bit_length() sums exact pair counts over the
-        # support; above it the indicator's triple count runs one transform
+        # |supp| * ceil(N / 64) <= N * N.bit_length() sums exact pair counts
+        # over the support; above it the indicator's triple count runs one
+        # transform
         members, measure = random_unweighted_instance(n, support_size, set_size, n + set_size)
         calls = []
 
@@ -570,14 +575,30 @@ class TestUnweightedCount:
         want = sum(int(values[(x + y) % 1009]) for x in a for y in a)
         assert _unweighted_count(members, measure) == want
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 37, 63, 64, 65, 129, 64 * 31 + 1])
+    def test_popcount_at_word_edges(self, n):
+        # N < 64 (one word, partly used), N = 64, and N = 1 (mod 64) (a
+        # last word of one bit): A and the support hold 0 and N - 1, so
+        # t = 0 and the windows at both ends are read, against the count of
+        # x in A with t - x in A at each t
+        rng = np.random.default_rng(n)
+        members = np.unique(np.r_[0, n - 1, rng.choice(n, n // 3)]).astype(np.int64)
+        support = np.unique(np.r_[0, n - 1, rng.choice(n, min(n, 60) // 4)])
+        measure = DensityFunction.on_support(n, support, rng.integers(1, 10, len(support)))
+        assert len(support) * -(-n // 64) <= n * n.bit_length()  # no transform
+        a = set(members.tolist())
+        want = sum(int(w) * sum((t - x) % n in a for x in a)
+                   for t, w in zip(support.tolist(), measure.weights.tolist()))
+        assert _unweighted_count(members, measure) == want
+
     @pytest.mark.parametrize(
         "n,support_size,set_size,block",
         [
-            (1009, 30, 300, 64),  # 5 chunks of A, one row per gather
-            (2027, 11, 2000, 700),  # a short last chunk of A: 700, 700, 600
-            (2039, 2039, 1, 64),  # 64 rows per gather, a short last one
-            (100003, 20, 70000, None),  # |A| > 2^16: one row per gather, then 14
-            (100003, 1500, 1000, None),  # 65 rows per gather
+            (1009, 30, 300, 64),  # 16 words a window: 4 windows per gather
+            (2027, 11, 2000, 700),  # 32 words a window: 21 windows per gather
+            (2039, 600, 1, 64),  # 2 windows per gather, several per shift
+            (100003, 20, 70000, None),  # 1563 words a window: 41 per gather
+            (100003, 1000, 1000, None),  # 1,563,000 words against 1,700,051
         ],
     )
     def test_several_gather_blocks(self, monkeypatch, n, support_size, set_size, block):
@@ -588,7 +609,7 @@ class TestUnweightedCount:
         members, measure = random_unweighted_instance(
             n, support_size, set_size, 7, weights=lambda rng, k: rng.integers(1, 10, size=k)
         )
-        assert support_size * set_size <= n * n.bit_length()  # no transform
+        assert support_size * -(-n // 64) <= n * n.bit_length()  # no transform
         want, values = 0, measure.values
         for t in np.flatnonzero(values).tolist():
             pairs = int(np.isin((t - members) % n, members).sum())

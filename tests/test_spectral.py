@@ -245,6 +245,108 @@ def real_test_array(rng, n: int, kind: str, log10_mass: int) -> np.ndarray:
     return v * (10.0**log10_mass / np.abs(v).sum())
 
 
+U = 2.0**-53
+LONG_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def direct_bound(weights) -> float:
+    """`dft`'s stated error bound for its direct sum: (2 sqrt(2) |supp| + 45) u ||f||_1."""
+    return (2 * math.sqrt(2) * len(weights) + 45) * U * float(np.abs(weights).sum())
+
+
+def long_double_dft(n, points, weights, rows) -> np.ndarray:
+    """sum_x w_x e(-x r / n) at `rows` in long double (64-bit mantissa on
+    x86), each phase reduced exactly, rounded to complex128: the oracle."""
+    angle = (np.multiply.outer(rows, points) % n).astype(np.longdouble) * (-2 * LONG_PI / n)
+    w = weights.astype(np.longdouble)
+    return ((np.cos(angle) * w).sum(axis=1).astype(np.float64)
+            + 1j * (np.sin(angle) * w).sum(axis=1).astype(np.float64))
+
+
+class TestDirectDft:
+    # a real function with at most N.bit_length()^2 nonzero points, fewer
+    # than N, is summed over them; every other function takes the Bluestein
+    # transform
+    @pytest.mark.parametrize("n", [2, 3, 1009, 100003])
+    def test_matches_direct_oracle(self, n):
+        from polyprimelab import spectral
+
+        rng = np.random.default_rng(n)
+        points = np.unique(np.r_[0, n - 1, rng.choice(n, min(n, 60))]).astype(np.int64)
+        weights = rng.standard_normal(len(points))
+        values = np.zeros(n)
+        values[points] = weights
+        rows = np.arange(n)
+        if n > 10_000:
+            rows = np.r_[0, 1, n // 2, n // 2 + 1, n - 1, rng.integers(0, n, 195)]
+        got = spectral._direct_dft(n, points, weights)
+        assert np.abs(got[rows] - dft_direct(values, rows)).max() <= 1e-12 * np.abs(weights).sum()
+        # exactly Hermitian: r past N/2 is the conjugate of N - r, N/2 real
+        assert bits_equal(got[: n // 2 : -1].copy(), np.conjugate(got[1 : (n + 1) // 2]))
+        assert n % 2 or got[n // 2].imag == 0
+        if len(points) < n:  # dft takes this route
+            assert bits_equal(dft(DensityFunction.on_support(n, points, weights)), got)
+        assert not spectral._direct_dft(n, np.zeros(0, dtype=np.int64), np.zeros(0)).any()
+
+    def test_routes_agree_across_the_cutoff(self, monkeypatch):
+        # at N = 100003 the cutoff is 17^2 = 289 points: 289 are summed, 290
+        # transformed, and each agrees with the other route within the bound
+        from polyprimelab import spectral
+
+        n = 100_003
+        routes = []
+        real = spectral._chirp_dft
+        monkeypatch.setattr(spectral, "_chirp_dft", lambda *a: routes.append(1) or real(*a))
+        rng = np.random.default_rng(53)
+        for size, chirps in ((289, 0), (290, 1)):
+            points = np.sort(rng.choice(n, size, replace=False))
+            f = DensityFunction.on_support(n, points, rng.standard_normal(size))
+            routes.clear()
+            got = dft(f)
+            assert len(routes) == chirps
+            other = real(n, f.read) if not chirps else spectral._direct_dft(n, f.points, f.weights)
+            assert np.abs(got - other).max() <= direct_bound(f.weights)
+
+    def test_int64_phase_limit_takes_the_transform(self, monkeypatch):
+        # the direct sum's phases are exact in int64 while N^2 < 2^63: at
+        # N = 3037000499 they are, at N = 3037000500 the transform is taken
+        from polyprimelab import spectral
+
+        routes = []
+        monkeypatch.setattr(spectral, "_chirp_dft", lambda n, read: routes.append(n))
+        monkeypatch.setattr(spectral, "_direct_dft", lambda n, *args: routes.append(-n))
+        for n in (3_037_000_499, 3_037_000_500):
+            dft(DensityFunction.on_support(n, [0, 5], [1.0, 2.0]))
+        assert routes == [-3_037_000_499, 3_037_000_500]
+
+    def test_support_and_dense_forms_give_the_same_bits(self):
+        # the points are counted from either form, so both take one route;
+        # a Bohr set's broadcast weight reads as its values do
+        rng = np.random.default_rng(59)
+        n = 100_003
+        points = np.sort(rng.choice(n, 154, replace=False))
+        for weights in (rng.random(154), np.broadcast_to(1 / 154, 154)):
+            f = DensityFunction.on_support(n, points, weights)
+            want = dft(f)
+            assert bits_equal(dft(f), want)  # and on a second call
+            assert bits_equal(dft(DensityFunction(f.values)), want)
+
+    @pytest.mark.parametrize("n", [1009, 100003, 1000003])
+    def test_error_within_the_stated_bound(self, n, record_property):
+        # against the long-double oracle at 300 frequencies, the ends and the
+        # middle among them, with as many points as the direct route takes;
+        # the measured error over the bound is recorded (about 1e-2 to 1e-3)
+        rng = np.random.default_rng(n)
+        size = n.bit_length() ** 2
+        points = np.sort(rng.choice(n, size, replace=False)).astype(np.int64)
+        weights = rng.random(size)
+        got = dft(DensityFunction.on_support(n, points, weights))
+        rows = np.r_[0, 1, n // 2, n // 2 + 1, n - 1, rng.integers(0, n, 295)]
+        ratio = np.abs(got[rows] - long_double_dft(n, points, weights, rows)).max() / direct_bound(weights)
+        record_property("error_over_bound", float(ratio))
+        assert ratio <= 1
+
+
 def bits_equal(got, want) -> bool:
     """Equal to the bit, the sign of each zero included."""
     return np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
@@ -420,6 +522,20 @@ class TestDensityFunction:
         assert f.spectrum.dtype == np.complex128 and not f.spectrum.flags.writeable
         assert f.spectrum.tolist() == [1, 2, 3, 4, 5]
 
+    def test_spectrum_at_zero_of_a_support_without_a_transform(self, monkeypatch):
+        # a support reads fhat(0) as its weight sum, cached spectrum or not,
+        # and a constant as its total; a dense function reads its spectrum
+        from polyprimelab import spectral
+
+        f = DensityFunction.on_support(11, [2, 7], [0.25, 1.5])
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "dft", lambda *args, **kwargs: pytest.fail("transform ran"))
+            assert f.spectrum_at_zero() == 1.75 and f._spectrum is None
+            assert DensityFunction.constant(11, 2.5).spectrum_at_zero() == 2.5
+        f._spectrum = np.full(11, 3 + 0j)
+        assert f.spectrum_at_zero() == 1.75
+        assert DensityFunction(np.eye(11)[3], np.full(11, 3 + 0j)).spectrum_at_zero() == 3
+
 
 def held(f: DensityFunction) -> DensityFunction:
     """A new copy of f held on its support, with no spectrum cached."""
@@ -454,9 +570,19 @@ class TestSupportForm:
             assert all(bits_equal(a, b) for a, b in zip(got, want))
         assert bits_equal(f2.spectrum, want[0]) and bits_equal(g2.spectrum, want[1])
 
-    def test_dft_matches_dense(self, integer_pair):
-        f = integer_pair[0]
-        assert bits_equal(dft(f), dft(DensityFunction(f.values)))
+    def test_dft_matches_dense(self, integer_pair, monkeypatch):
+        # the measure (1,229 points) is summed directly and the class
+        # (N/5 points) by the Bluestein transform, whose fill pass writes
+        # the same block from either form
+        from polyprimelab import spectral
+
+        routes = []
+        real = spectral._chirp_dft
+        monkeypatch.setattr(spectral, "_chirp_dft", lambda *a: routes.append(1) or real(*a))
+        for f, chirps in zip(integer_pair, (0, 2)):
+            routes.clear()
+            assert bits_equal(dft(f), dft(DensityFunction(f.values)))
+            assert len(routes) == chirps
 
     def test_values_built_on_first_read(self):
         # a support's dense values are built anew on each read, never kept
